@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet test race short bench bench-json fuzz chaos chaos-short bcast-soak bcast-soak-short crash-soak crash-soak-short swarm swarm-short fec-soak fec-soak-short dht-soak dht-soak-short overload-soak overload-soak-short
+.PHONY: check vet test race short bench bench-e2e bench-json fuzz chaos chaos-short bcast-soak bcast-soak-short crash-soak crash-soak-short swarm swarm-short fec-soak fec-soak-short dht-soak dht-soak-short overload-soak overload-soak-short
 
 check: vet test race
 
@@ -110,6 +110,12 @@ overload-soak-short:
 # The sweep-pool benchmark: workers=1 vs workers=NumCPU wall clock.
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkRunAll -benchtime 1x .
+
+# The end-to-end download benchmark (BENCHMARK.json): every workload,
+# five plain runs and one traced run each, a fresh process per run;
+# results under bench/out/ (~8 min). bench/README.md defines the metrics.
+bench-e2e:
+	$(GO) run ./bench -all -seed 42
 
 # Benchmark history: the hot-path benches (wire codec, beacon fan-out,
 # peer-table contention, DHT k-buckets and lookups, WAL append/replay,

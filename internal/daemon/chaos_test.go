@@ -159,7 +159,7 @@ func TestChaosFloodSoak(t *testing.T) {
 	seedCfg.ListenAddr = "seed"
 	seedCfg.InternetAccess = true
 	seedCfg.PublishFiles = 1
-	seedCfg.PeerRate = 200
+	seedCfg.PeerRate = floodRate
 	seedCfg.BusyRetryAfter = 50 * time.Millisecond
 	seedCfg.Backoff = bo
 	seed, err := New(seedCfg)
@@ -212,13 +212,14 @@ func TestChaosFloodSoak(t *testing.T) {
 					}
 				}
 			}()
-			for {
+			last := time.Now()
+			for alive := true; alive; {
 				select {
 				case <-floodCtx.Done():
 				case <-tick.C:
 				}
-				if floodCtx.Err() != nil || conn.Send(floodCtx, hello) != nil {
-					break
+				for n := floodBurst(&last); n > 0 && alive; n-- {
+					alive = floodCtx.Err() == nil && conn.Send(floodCtx, hello) == nil
 				}
 			}
 			conn.Close()

@@ -319,6 +319,9 @@ type Stats struct {
 // advertises the download is assumed lost and becomes eligible again.
 type sentState struct {
 	pieces map[metadata.URI]map[int]time.Time
+	// others is, per file, fedByOthers at the peer's previous hello: the
+	// evidence for whether another supplier is feeding it (serve.go).
+	others map[metadata.URI]int
 }
 
 // downloadState tracks one wanted file's progress for stall detection.
@@ -521,6 +524,7 @@ func New(cfg Config) (*Daemon, error) {
 			CacheCap:       cfg.DHTCacheCap,
 			Send:           d.dhtSend,
 			Verify:         d.dhtVerify,
+			SignedExpiry:   d.dhtSignedExpiry,
 			ServerRate:     cfg.PeerRate,
 			BusyRetryAfter: cfg.BusyRetryAfter,
 			Logf:           cfg.Logf,
@@ -1138,8 +1142,14 @@ func (d *Daemon) onHello(from trace.NodeID, msg *wire.Hello) {
 	}
 
 	var out []wire.Msg
-	for _, q := range msg.Queries {
-		out = append(out, d.answerQuery(now, from, q)...)
+	if len(msg.Queries) > 0 {
+		holds := make(map[metadata.URI]bool, len(msg.Downloading))
+		for _, uri := range msg.Downloading {
+			holds[uri] = true
+		}
+		for _, q := range msg.Queries {
+			out = append(out, d.answerQuery(now, from, q, holds)...)
+		}
 	}
 	// A confirmed group member's downloads are the schedule's job: one
 	// broadcast serves every member, so pairwise streams to it would
@@ -1157,7 +1167,7 @@ func (d *Daemon) onHello(from trace.NodeID, msg *wire.Hello) {
 			peerHave[msg.Have[i].URI] = &msg.Have[i]
 		}
 		for _, uri := range msg.Downloading {
-			out = append(out, d.servePieces(from, uri, peerHave[uri])...)
+			out = append(out, d.servePieces(from, uri, peerHave[uri], msg.Heard)...)
 		}
 	}
 	for _, m := range out {
@@ -1168,8 +1178,12 @@ func (d *Daemon) onHello(from trace.NodeID, msg *wire.Hello) {
 // answerQuery collects matching metadata from the catalog (Internet
 // nodes) and the node's own store, best first. Catalog admission
 // control runs first: a peer past its query rate gets one paced Busy
-// on the query lane instead of catalog work.
-func (d *Daemon) answerQuery(now simtime.Time, from trace.NodeID, q string) []wire.Msg {
+// on the query lane instead of catalog work. Records in holds — the
+// files the same hello advertises as downloads — are skipped: a node
+// advertises a download only after it verified and selected the record,
+// so re-sending it every beacon buys nothing, and the slots go to the
+// next-best matches.
+func (d *Daemon) answerQuery(now simtime.Time, from trace.NodeID, q string, holds map[metadata.URI]bool) []wire.Msg {
 	if d.catalog != nil && !d.catalog.AllowQuery(from) {
 		d.sendBusy(from, wire.BusyQuery)
 		return nil
@@ -1178,7 +1192,13 @@ func (d *Daemon) answerQuery(now simtime.Time, from trace.NodeID, q string) []wi
 	var out []wire.Msg
 	seen := make(map[metadata.URI]bool)
 	if d.catalog != nil {
-		for _, m := range d.catalog.Query(now, q, limit) {
+		for _, m := range d.catalog.Query(now, q, limit+len(holds)) {
+			if len(out) >= limit {
+				break
+			}
+			if holds[m.URI] {
+				continue
+			}
 			d.catalog.RecordRequest(now, m.URI, from)
 			pop := d.catalog.Popularity(now, m.URI)
 			seen[m.URI] = true
@@ -1190,7 +1210,7 @@ func (d *Daemon) answerQuery(now simtime.Time, from trace.NodeID, q string) []wi
 		if len(out) >= limit {
 			break
 		}
-		if seen[sm.Meta.URI] || sm.Meta.Expired(now) || !sm.Meta.MatchesQuery(q) {
+		if seen[sm.Meta.URI] || holds[sm.Meta.URI] || sm.Meta.Expired(now) || !sm.Meta.MatchesQuery(q) {
 			continue
 		}
 		out = append(out, &wire.Metadata{Popularity: sm.Popularity, Record: *sm.Meta.Clone()})
@@ -1206,8 +1226,10 @@ func (d *Daemon) answerQuery(now simtime.Time, from trace.NodeID, q string) []wi
 // per-piece deadline is the live retransmit path for lost or corrupted
 // frames. peerHave, when non-nil, is the peer's advertised bitmap for
 // uri; pieces it already marks held are never served, so a restarted
-// downloader's persisted pieces cross the wire zero times.
-func (d *Daemon) servePieces(from trace.NodeID, uri metadata.URI, peerHave *wire.GroupWant) []wire.Msg {
+// downloader's persisted pieces cross the wire zero times. heard is the
+// peer's neighbour list: which of the missing pieces go first is
+// pickPieces' holder-disjoint order (serve.go).
+func (d *Daemon) servePieces(from trace.NodeID, uri metadata.URI, peerHave *wire.GroupWant, heard []trace.NodeID) []wire.Msg {
 	now := d.now()
 	var rec *metadata.Metadata
 	if d.catalog != nil {
@@ -1233,12 +1255,18 @@ func (d *Daemon) servePieces(from trace.NodeID, uri metadata.URI, peerHave *wire
 	if rec == nil {
 		return nil
 	}
+	total := rec.NumPieces()
+	rank, k := shareOf(heard, d.cfg.ID)
+	held := func(i int) bool { return peerHave != nil && peerHave.HaveBit(i) }
 
 	wall := time.Now()
 	d.mu.Lock()
 	st := d.sent[from]
 	if st == nil {
-		st = &sentState{pieces: make(map[metadata.URI]map[int]time.Time)}
+		st = &sentState{
+			pieces: make(map[metadata.URI]map[int]time.Time),
+			others: make(map[metadata.URI]int),
+		}
 		d.sent[from] = st
 	}
 	sent := st.pieces[uri]
@@ -1246,37 +1274,27 @@ func (d *Daemon) servePieces(from trace.NodeID, uri metadata.URI, peerHave *wire
 		sent = make(map[int]time.Time)
 		st.pieces[uri] = sent
 	}
-	total := rec.NumPieces()
-	var idxs []int
-	resent := 0
-	skippedHeld := 0
-	for i := 0; i < total && len(idxs) < d.cfg.PiecesPerHello; i++ {
-		if !canServe(i) {
-			continue
-		}
-		if peerHave != nil && peerHave.HaveBit(i) {
-			skippedHeld++
-			continue
-		}
+	recent := func(i int) bool {
 		at, pushed := sent[i]
-		if pushed && wall.Sub(at) < d.cfg.ResendAfter {
-			continue
-		}
-		if pushed {
-			resent++
-		}
-		idxs = append(idxs, i)
+		return pushed && wall.Sub(at) < d.cfg.ResendAfter
 	}
+	others := fedByOthers(total, held, func(i int) bool { _, pushed := sent[i]; return pushed })
+	prev, known := st.others[uri]
+	st.others[uri] = others
+	sole := known && others == prev
+	idxs, skippedHeld := pickPieces(total, serveOrigin(from, uri, total), rank, k,
+		d.cfg.PiecesPerHello, sole, canServe, held, recent)
 	d.counters.piecesSkippedHeld += uint64(skippedHeld)
-	if len(idxs) == 0 {
-		d.mu.Unlock()
-		return nil
-	}
 	for _, i := range idxs {
+		if _, pushed := sent[i]; pushed {
+			d.counters.piecesResent++
+		}
 		sent[i] = wall
 	}
-	d.counters.piecesResent += uint64(resent)
 	d.mu.Unlock()
+	if len(idxs) == 0 {
+		return nil
+	}
 
 	out := make([]wire.Msg, 0, len(idxs))
 	for _, i := range idxs {

@@ -59,6 +59,13 @@ func (d *Daemon) dhtVerify(v *wire.DHTValue) bool {
 	return rec.Verify(workload.KeyFor(rec.Publisher))
 }
 
+// dhtSignedExpiry is the wall-clock instant at which this node's own
+// clock (now) calls the signed record expired — the bound no DHT stamp
+// may outlive, so the index never resolves what the node would refuse.
+func (d *Daemon) dhtSignedExpiry(m *wire.Metadata) time.Time {
+	return d.epoch.Add(time.Duration(m.Record.Expires) * time.Millisecond)
+}
+
 // dhtSend delivers one engine-originated message. A contact with no
 // live session but a known address gets a dial-on-demand: ConnectOnce
 // brings up a transient session and the send retries while the engine's

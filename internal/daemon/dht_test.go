@@ -64,10 +64,11 @@ func TestDHTResolveAfterServerDeath(t *testing.T) {
 	start(ctx, n3)
 
 	// The server's republish tick pushes both catalog records to the K
-	// closest contacts — here, everyone. Wait until both DTN nodes hold
-	// DHT copies.
+	// closest contacts — here, everyone. Wait until both DTN nodes hold a
+	// DHT copy of the record the post-death query needs: a store count
+	// alone is reached by f0's keywords before f1's have left the server.
 	waitFor(t, func() bool {
-		return n2.DHT().Stats().StoresRecv >= 2 && n3.DHT().Stats().StoresRecv >= 2
+		return len(n2.DHT().CachedValues("f1")) > 0 && len(n3.DHT().CachedValues("f1")) > 0
 	}, "catalog replicated into DHT stores")
 
 	// Kill the Internet node. The catalog is gone; only the DHT copies

@@ -3,6 +3,7 @@ package daemon
 import (
 	"context"
 	"fmt"
+	"sort"
 	"testing"
 	"time"
 
@@ -193,10 +194,27 @@ func runFECSoak(tb testing.TB, fec bool) float64 {
 
 // TestFECSoakFewerTransmissions is the acceptance gate: at 30% drop +
 // 20% corruption the fountain plane must beat grant/resend on
-// transmissions per verified piece, strictly.
+// transmissions per verified piece, strictly. Each plane's figure is the
+// median of three soaks: the grant plane's cost is the luck of sixteen
+// pieces on a 44%-loss medium (0.53–1.0 from run to run, against the
+// fountain's steady 0.62), so a single sample of it dips under the
+// fountain's every ten or twenty runs, more often beside busy test
+// binaries, without saying anything about the planes.
 func TestFECSoakFewerTransmissions(t *testing.T) {
-	grant := runFECSoak(t, false)
-	fountain := runFECSoak(t, true)
+	soaks := 3
+	if testutil.RaceEnabled {
+		soaks = 1 // completion and decode floor only; see below
+	}
+	median := func(fec bool) float64 {
+		runs := make([]float64, soaks)
+		for i := range runs {
+			runs[i] = runFECSoak(t, fec)
+		}
+		sort.Float64s(runs)
+		return runs[len(runs)/2]
+	}
+	grant := median(false)
+	fountain := median(true)
 	t.Logf("transmissions per verified piece under 30%% drop + 20%% corruption: grant/resend=%.3f fountain=%.3f",
 		grant, fountain)
 	if testutil.RaceEnabled {

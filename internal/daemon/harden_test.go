@@ -58,7 +58,7 @@ func pieceMsg(rec *metadata.Metadata, i int) *wire.Piece {
 // knows nothing about must produce no pieces (and no tracking state).
 func TestServePiecesUnknownURI(t *testing.T) {
 	d := bench(t, nil)
-	if out := d.servePieces(2, metadata.URI("dtn://files/404"), nil); out != nil {
+	if out := d.servePieces(2, metadata.URI("dtn://files/404"), nil, nil); out != nil {
 		t.Fatalf("served %d pieces for an unknown URI", len(out))
 	}
 	d.mu.Lock()

@@ -85,6 +85,6 @@ func BenchmarkStorePut(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := metas[i%len(metas)]
-		s.Put(e.key, "w", testMeta(e.m, float64(i%100)/100), time.Minute, now)
+		s.Put(e.key, "w", testMeta(e.m, float64(i%100)/100), now.Add(time.Minute), now)
 	}
 }

@@ -51,6 +51,10 @@ type Config struct {
 	// Verify, if set, vets a received value before it is stored or
 	// returned (the host wires this to the metadata signature check).
 	Verify func(v *wire.DHTValue) bool
+	// SignedExpiry, if set, maps a record's signed metadata expiry onto
+	// this node's clock. No stamp — published, received or cached — ever
+	// outlives it; the zero time means unbounded.
+	SignedExpiry func(m *wire.Metadata) time.Time
 	// ServerRate, when positive, caps how many FindNode/FindValue/
 	// StoreValue requests per second each sender gets served (burst
 	// 2×rate). Shed Find requests are answered with a Busy frame
@@ -74,6 +78,7 @@ type Stats struct {
 	StoresSent     uint64 `json:"stores_sent"`     // StoreValue messages sent
 	StoresRecv     uint64 `json:"stores_recv"`     // StoreValue messages accepted
 	StoresRejected uint64 `json:"stores_rejected"` // StoreValue messages failing verification
+	StoresExpired  uint64 `json:"stores_expired"`  // StoreValue messages that arrived past their stamped expiry
 	FindsServed    uint64 `json:"finds_served"`    // FindNode/FindValue requests answered
 	CacheHits      uint64 `json:"cache_hits"`      // queries answered from the local store
 	TableSize      int    `json:"table_size"`
@@ -199,16 +204,32 @@ func (e *Engine) CachedValues(keyword string) []wire.DHTValue {
 	return e.store.Get(key, e.cfg.Now())
 }
 
-// StoreLocal caches one record locally (the host stores records it
-// publishes and records that arrive over gossip).
+// StoreLocal caches one record locally for ttl (the engine's TTL when
+// zero), as its origin on this node: the host stores records that
+// arrive over gossip this way, Publish the ones it publishes.
 func (e *Engine) StoreLocal(keyword string, meta wire.Metadata, ttl time.Duration) {
 	if ttl <= 0 {
 		ttl = e.cfg.TTL
 	}
-	key := KeywordKey(keyword)
+	now := e.cfg.Now()
+	e.put(KeywordKey(keyword), keyword, meta, now.Add(ttl), now)
+}
+
+// put is the one way into the record store: the stamp is clamped to the
+// record's signed expiry and reports false when that leaves it expired.
+func (e *Engine) put(key Key, keyword string, meta wire.Metadata, expires, now time.Time) (time.Time, bool) {
+	if e.cfg.SignedExpiry != nil {
+		if bound := e.cfg.SignedExpiry(&meta); !bound.IsZero() && bound.Before(expires) {
+			expires = bound
+		}
+	}
+	if !expires.After(now) {
+		return expires, false
+	}
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.store.Put(key, keyword, meta, ttl, e.cfg.Now())
+	e.store.Put(key, keyword, meta, expires, now)
+	e.mu.Unlock()
+	return expires, true
 }
 
 // Sweep drops expired records; the host calls it periodically.
@@ -350,12 +371,18 @@ func (e *Engine) onStore(m *wire.StoreValue) {
 		e.cfg.Logf("dht: rejected store from n%d: bad value", m.From)
 		return
 	}
-	ttl := time.Duration(m.Value.TTLMillis) * time.Millisecond
+	// The publisher's stamp is taken as it comes, never re-based on this
+	// node's clock: a store that was delayed past it is dead on arrival.
+	_, live := e.put(Key(m.Key), m.Value.Keyword, m.Value.Meta,
+		time.UnixMilli(m.Value.ExpiresUnixMilli), e.cfg.Now())
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.table.Observe(Contact{ID: m.From, Addr: m.FromAddr})
-	e.stats.StoresRecv++
-	e.store.Put(Key(m.Key), m.Value.Keyword, m.Value.Meta, ttl, e.cfg.Now())
+	if live {
+		e.stats.StoresRecv++
+	} else {
+		e.stats.StoresExpired++
+	}
 }
 
 func (e *Engine) onReply(m *wire.NodesReply) {
@@ -507,19 +534,24 @@ func (e *Engine) Lookup(ctx context.Context, key Key, wantValue bool) (*LookupRe
 }
 
 // Publish stores one record under the keyword at the K closest nodes the
-// lookup converges on, and in the local cache. Returns how many remote
-// stores were sent.
+// lookup converges on, and in the local cache, stamped to expire one
+// TTL from now (sooner if the signed record does). Returns how many
+// remote stores were sent.
 func (e *Engine) Publish(ctx context.Context, keyword string, meta wire.Metadata) (int, error) {
-	e.StoreLocal(keyword, meta, e.cfg.TTL)
 	key := KeywordKey(keyword)
+	now := e.cfg.Now()
+	expires, live := e.put(key, keyword, meta, now.Add(e.cfg.TTL), now)
+	if !live {
+		return 0, nil
+	}
 	res, err := e.Lookup(ctx, key, false)
 	if err != nil {
 		return 0, err
 	}
 	val := wire.DHTValue{
-		Keyword:   keyword,
-		TTLMillis: uint64(e.cfg.TTL / time.Millisecond),
-		Meta:      meta,
+		Keyword:          keyword,
+		ExpiresUnixMilli: expires.UnixMilli(),
+		Meta:             meta,
 	}
 	sent := 0
 	fromAddr := e.addr()
@@ -569,11 +601,14 @@ func (e *Engine) Query(ctx context.Context, keyword string) ([]wire.DHTValue, er
 			continue
 		}
 		seen[id] = true
+		// Cache under the stamp the reply carried; a value past it does
+		// not resolve, whoever still serves it.
+		expires, live := e.put(key, v.Keyword, v.Meta, time.UnixMilli(v.ExpiresUnixMilli), e.cfg.Now())
+		if !live {
+			continue
+		}
+		v.ExpiresUnixMilli = expires.UnixMilli()
 		out = append(out, v)
-		ttl := time.Duration(v.TTLMillis) * time.Millisecond
-		e.mu.Lock()
-		e.store.Put(key, v.Keyword, v.Meta, ttl, e.cfg.Now())
-		e.mu.Unlock()
 	}
 	return out, nil
 }

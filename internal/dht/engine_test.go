@@ -18,8 +18,9 @@ import (
 // reply routes straight back to the sender. Messages round-trip through
 // the wire codec so the engines exercise exactly what the daemon sends.
 type mesh struct {
-	mu      sync.Mutex
-	engines map[trace.NodeID]*Engine
+	mu       sync.Mutex
+	engines  map[trace.NodeID]*Engine
+	inflight sync.WaitGroup // deliveries handed to Send and not yet handled
 }
 
 func newMesh() *mesh { return &mesh{engines: make(map[trace.NodeID]*Engine)} }
@@ -59,7 +60,9 @@ func (m *mesh) sender(from trace.NodeID) func(Contact, wire.Msg) error {
 			return errors.New("mesh: peer down")
 		}
 		frame := wire.Encode(msg)
+		m.inflight.Add(1)
 		go func() {
+			defer m.inflight.Done()
 			decoded, err := wire.Decode(frame)
 			if err != nil {
 				panic(err)
@@ -83,6 +86,11 @@ func (m *mesh) sender(from trace.NodeID) func(Contact, wire.Msg) error {
 		return nil
 	}
 }
+
+// settle waits until every message handed to a sender has been handled.
+// Publish's stores are fire-and-forget, so a test that queries right
+// after publishing settles first, or it races their delivery.
+func (m *mesh) settle() { m.inflight.Wait() }
 
 // bootstrap introduces every engine to one seed contact and refreshes,
 // the way a real node joins: everything else is learned through lookups.
@@ -116,6 +124,7 @@ func TestLookupFindsPublishedValue(t *testing.T) {
 	if _, err := m.engines[2].Publish(ctx, "jazz", meta); err != nil {
 		t.Fatalf("Publish: %v", err)
 	}
+	m.settle()
 	// A different node resolves the keyword through the network.
 	vals, err := m.engines[17].Query(ctx, "jazz")
 	if err != nil {
@@ -238,6 +247,7 @@ func TestLookupSurvivesDeadNodes(t *testing.T) {
 	if _, err := m.engines[publisher].Publish(ctx, "resilient", meta); err != nil {
 		t.Fatal(err)
 	}
+	m.settle()
 	// Kill four nodes ranked just outside the keyword's top-4 (the
 	// replica set), sparing the publisher and the querier.
 	ranking := bruteClosest(KeywordKey("resilient"), ids, len(ids))
@@ -292,7 +302,7 @@ func TestStoreVerifyRejects(t *testing.T) {
 	})
 	s := &wire.StoreValue{
 		From: 2, FromAddr: "n2", RPCID: 1, Key: KeywordKey("x"),
-		Value: wire.DHTValue{Keyword: "x", TTLMillis: 60_000, Meta: testMeta(1, 0.5)},
+		Value: wire.DHTValue{Keyword: "x", ExpiresUnixMilli: time.Now().Add(time.Minute).UnixMilli(), Meta: testMeta(1, 0.5)},
 	}
 	if reply := reject.HandleMessage(s); reply != nil {
 		t.Fatalf("StoreValue got a reply: %+v", reply)
@@ -367,6 +377,7 @@ func TestRecordExpiryAcrossMesh(t *testing.T) {
 	if _, err := m.engines[2].Publish(ctx, "ephemeral", testMeta(5, 0.5)); err != nil {
 		t.Fatal(err)
 	}
+	m.settle()
 	if vals, _ := m.engines[7].Query(ctx, "ephemeral"); len(vals) == 0 {
 		t.Fatal("fresh record did not resolve")
 	}
@@ -379,5 +390,105 @@ func TestRecordExpiryAcrossMesh(t *testing.T) {
 	}
 	if len(vals) != 0 {
 		t.Fatalf("expired record still resolves: %+v", vals)
+	}
+}
+
+// TestLateStoreCannotResurrect is the mesh flake made deterministic: a
+// StoreValue delivered after its record expired — delayed, duplicated or
+// replayed — carries the publisher's absolute stamp, so it is dropped on
+// arrival instead of being re-based on the receiver's clock; and a value
+// that was stored in time is forwarded with its stamp unchanged.
+func TestLateStoreCannotResurrect(t *testing.T) {
+	now := time.Unix(5000, 0)
+	e := New(Config{
+		Self: 1, Addr: "n1",
+		Send: func(Contact, wire.Msg) error { return nil },
+		Now:  func() time.Time { return now },
+	})
+	stamp := now.Add(time.Second)
+	store := &wire.StoreValue{
+		From: 2, FromAddr: "n2", RPCID: 1, Key: KeywordKey("x"),
+		Value: wire.DHTValue{Keyword: "x", ExpiresUnixMilli: stamp.UnixMilli(), Meta: testMeta(1, 0.5)},
+	}
+	find := &wire.FindValue{From: 3, FromAddr: "n3", RPCID: 2, Key: KeywordKey("x")}
+
+	e.HandleMessage(store)
+	now = now.Add(500 * time.Millisecond)
+	nr := e.HandleMessage(find).(*wire.NodesReply)
+	if !nr.Found || len(nr.Values) != 1 || nr.Values[0].ExpiresUnixMilli != stamp.UnixMilli() {
+		t.Fatalf("reply at +0.5s = %+v, want the value with its stamp %d unchanged", nr, stamp.UnixMilli())
+	}
+
+	now = now.Add(2 * time.Second)
+	e.HandleMessage(store) // the same store again, two seconds late
+	if nr := e.HandleMessage(find).(*wire.NodesReply); nr.Found {
+		t.Fatalf("late store resurrected an expired record: %+v", nr.Values)
+	}
+	if vals := e.CachedValues("x"); len(vals) != 0 {
+		t.Fatalf("expired record still cached: %+v", vals)
+	}
+	if st := e.Stats(); st.StoresRecv != 1 || st.StoresExpired != 1 {
+		t.Fatalf("stats %+v, want one store accepted and one expired on arrival", st)
+	}
+}
+
+// TestSignedExpiryBoundsEveryStamp: with a SignedExpiry hook no stamp —
+// published, received or cached locally — outlives the signed record.
+func TestSignedExpiryBoundsEveryStamp(t *testing.T) {
+	now := time.Unix(5000, 0)
+	bound := now.Add(10 * time.Second)
+	var sent []*wire.StoreValue
+	var e *Engine
+	e = New(Config{
+		Self: 1, Addr: "n1", TTL: time.Minute,
+		// The one contact answers lookups with no closer nodes, so Publish
+		// converges on it and sends it the store.
+		Send: func(c Contact, m wire.Msg) error {
+			switch m := m.(type) {
+			case *wire.StoreValue:
+				sent = append(sent, m)
+			case *wire.FindNode:
+				go e.HandleMessage(&wire.NodesReply{From: c.ID, FromAddr: c.Addr, RPCID: m.RPCID, Key: m.Target})
+			}
+			return nil
+		},
+		Now:          func() time.Time { return now },
+		SignedExpiry: func(*wire.Metadata) time.Time { return bound },
+	})
+	cached := func(kw string) int64 {
+		t.Helper()
+		vals := e.CachedValues(kw)
+		if len(vals) != 1 {
+			t.Fatalf("%d cached values for %q, want 1", len(vals), kw)
+		}
+		return vals[0].ExpiresUnixMilli
+	}
+	e.StoreLocal("local", testMeta(1, 0.5), 0)
+	e.HandleMessage(&wire.StoreValue{
+		From: 2, FromAddr: "n2", RPCID: 1, Key: KeywordKey("remote"),
+		Value: wire.DHTValue{Keyword: "remote", ExpiresUnixMilli: now.Add(time.Hour).UnixMilli(), Meta: testMeta(2, 0.5)},
+	})
+	e.Observe(2, "n2")
+	if _, err := e.Publish(context.Background(), "pub", testMeta(3, 0.5)); err != nil {
+		t.Fatal(err)
+	}
+	for _, kw := range []string{"local", "remote", "pub"} {
+		if got := cached(kw); got != bound.UnixMilli() {
+			t.Fatalf("%q cached until %d, want the signed bound %d", kw, got, bound.UnixMilli())
+		}
+	}
+	if len(sent) != 1 {
+		t.Fatalf("Publish sent %d stores, want 1", len(sent))
+	}
+	for _, s := range sent {
+		if s.Value.ExpiresUnixMilli != bound.UnixMilli() {
+			t.Fatalf("published stamp %d, want the signed bound %d", s.Value.ExpiresUnixMilli, bound.UnixMilli())
+		}
+	}
+	// Past the signed expiry nothing is accepted, whatever stamp it carries.
+	now = bound.Add(time.Second)
+	e.StoreLocal("local2", testMeta(4, 0.5), 0)
+	if vals := e.CachedValues("local2"); len(vals) != 0 {
+		t.Fatalf("record past its signed expiry was cached: %+v", vals)
 	}
 }

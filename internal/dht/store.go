@@ -2,8 +2,9 @@
 // Capacity pressure evicts the lowest-popularity record (ties: the one
 // stored longest ago) — the popularity-ranked retention that keeps the
 // records DTN-side peers most often ask for on the nodes that carry DHT
-// state out of Internet range. Records expire after their TTL; the
-// publisher keeps them alive by republishing.
+// state out of Internet range. Every record carries the absolute expiry
+// its publisher stamped; the publisher keeps it alive by republishing
+// with a later stamp, and nothing else can move it.
 package dht
 
 import (
@@ -46,13 +47,17 @@ func (s *Store) Len() int { return s.count }
 // Evicted returns how many records capacity pressure has pushed out.
 func (s *Store) Evicted() uint64 { return s.evicted }
 
-// Put stores one record under key, replacing any record for the same
-// (key, URI) pair. When the cache is full the lowest-popularity record
-// is evicted first; an incoming record less popular than everything
-// stored still enters (it may be the only copy reachable on this side of
-// the network) and becomes the next eviction candidate.
-func (s *Store) Put(key Key, keyword string, meta wire.Metadata, ttl time.Duration, now time.Time) {
-	if ttl <= 0 {
+// Put stores one record under key until expires, replacing any record
+// for the same (key, URI) pair; a record already expired at now is
+// dropped. Of two stamps for one record the later survives: a republish
+// moves the expiry forward, a late or duplicated older store cannot pull
+// it back — and since stamps are absolute, neither can revive a record
+// past its time. When the cache is full the lowest-popularity record is
+// evicted first; an incoming record less popular than everything stored
+// still enters (it may be the only copy reachable on this side of the
+// network) and becomes the next eviction candidate.
+func (s *Store) Put(key Key, keyword string, meta wire.Metadata, expires, now time.Time) {
+	if !expires.After(now) {
 		return
 	}
 	uri := meta.Record.URI
@@ -60,7 +65,9 @@ func (s *Store) Put(key Key, keyword string, meta wire.Metadata, ttl time.Durati
 		if old := recs[uri]; old != nil {
 			old.Keyword = keyword
 			old.Meta = meta
-			old.Expires = now.Add(ttl)
+			if expires.After(old.Expires) {
+				old.Expires = expires
+			}
 			old.Stored = now
 			return
 		}
@@ -75,7 +82,7 @@ func (s *Store) Put(key Key, keyword string, meta wire.Metadata, ttl time.Durati
 	}
 	recs[uri] = &Record{
 		Key: key, Keyword: keyword, Meta: meta,
-		Expires: now.Add(ttl), Stored: now,
+		Expires: expires, Stored: now,
 	}
 	s.count++
 }
@@ -123,8 +130,8 @@ func (s *Store) remove(r *Record) {
 	s.count--
 }
 
-// Get returns the unexpired records stored under key as wire values with
-// their remaining TTL, most popular first.
+// Get returns the unexpired records stored under key as wire values
+// carrying their stored expiry unchanged, most popular first.
 func (s *Store) Get(key Key, now time.Time) []wire.DHTValue {
 	recs := s.byKey[key]
 	if len(recs) == 0 {
@@ -145,9 +152,9 @@ func (s *Store) Get(key Key, now time.Time) []wire.DHTValue {
 	out := make([]wire.DHTValue, len(live))
 	for i, r := range live {
 		out[i] = wire.DHTValue{
-			Keyword:   r.Keyword,
-			TTLMillis: uint64(r.Expires.Sub(now) / time.Millisecond),
-			Meta:      r.Meta,
+			Keyword:          r.Keyword,
+			ExpiresUnixMilli: r.Expires.UnixMilli(),
+			Meta:             r.Meta,
 		}
 	}
 	return out

@@ -51,12 +51,15 @@ type FindValue struct {
 }
 
 // DHTValue is one stored record: the keyword it is indexed under, the
-// remaining time-to-live in milliseconds (relative, so stores survive
-// clock skew between nodes), and the signed metadata payload.
+// absolute expiry its publisher stamped (Unix milliseconds), and the
+// signed metadata payload. The stamp is never re-based on the way: a
+// store that arrives late, twice or from a forwarder carries the same
+// instant, so it cannot give an expired record a new lifetime. Nodes
+// are assumed to agree on wall time to well within a record's TTL.
 type DHTValue struct {
-	Keyword   string
-	TTLMillis uint64
-	Meta      Metadata
+	Keyword          string
+	ExpiresUnixMilli int64
+	Meta             Metadata
 }
 
 // StoreValue writes one record under Key at the receiver. It is
@@ -127,7 +130,7 @@ func decodeDHTHeader(r *reader) (from trace.NodeID, fromAddr string, rpcID uint6
 
 func encodeDHTValue(w *buffer, v *DHTValue) {
 	w.str(v.Keyword)
-	w.uint64(v.TTLMillis)
+	w.uint64(uint64(v.ExpiresUnixMilli))
 	encodeMetadataBody(w, &v.Meta)
 }
 
@@ -137,9 +140,11 @@ func decodeDHTValue(r *reader) (DHTValue, error) {
 	if v.Keyword, err = r.str(maxStrLen); err != nil {
 		return v, err
 	}
-	if v.TTLMillis, err = r.uint64(); err != nil {
+	expires, err := r.uint64()
+	if err != nil {
 		return v, err
 	}
+	v.ExpiresUnixMilli = int64(expires)
 	m, err := decodeMetadataBody(r)
 	if err != nil {
 		return v, err

@@ -25,7 +25,7 @@ func sampleFindValue() *FindValue {
 func sampleStoreValue() *StoreValue {
 	return &StoreValue{
 		From: 3, FromAddr: "n3", RPCID: 43, Key: sampleKey(),
-		Value: DHTValue{Keyword: "jazz", TTLMillis: 90_000, Meta: *sampleMeta()},
+		Value: DHTValue{Keyword: "jazz", ExpiresUnixMilli: 1_700_000_090_000, Meta: *sampleMeta()},
 	}
 }
 
@@ -35,7 +35,7 @@ func sampleNodesReply() *NodesReply {
 		Found: true,
 		Nodes: []NodeInfo{{ID: 3, Addr: "n3"}, {ID: 7, Addr: "n7"}},
 		Values: []DHTValue{
-			{Keyword: "jazz", TTLMillis: 45_000, Meta: *sampleMeta()},
+			{Keyword: "jazz", ExpiresUnixMilli: 1_700_000_045_000, Meta: *sampleMeta()},
 		},
 	}
 }
@@ -73,10 +73,27 @@ func TestStoreValueRoundTrip(t *testing.T) {
 	if got.From != s.From || got.FromAddr != s.FromAddr ||
 		got.RPCID != s.RPCID || got.Key != s.Key ||
 		got.Value.Keyword != s.Value.Keyword ||
-		got.Value.TTLMillis != s.Value.TTLMillis ||
+		got.Value.ExpiresUnixMilli != s.Value.ExpiresUnixMilli ||
 		got.Value.Meta.Record.URI != s.Value.Meta.Record.URI ||
 		got.Value.Meta.Record.Signature != s.Value.Meta.Record.Signature {
 		t.Fatalf("round trip:\nin  %+v\nout %+v", s, got)
+	}
+}
+
+// TestStoreValueExpirySigned: the expiry stamp is a signed instant on
+// the wire — zero and pre-epoch values survive the codec, so a receiver
+// sees exactly what the publisher stamped and rejects it on its merits.
+func TestStoreValueExpirySigned(t *testing.T) {
+	for _, stamp := range []int64{0, -1, -1_700_000_000_000, 1<<63 - 1} {
+		s := sampleStoreValue()
+		s.Value.ExpiresUnixMilli = stamp
+		got, err := DecodeStoreValue(EncodeStoreValue(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Value.ExpiresUnixMilli != stamp {
+			t.Fatalf("stamp %d decoded as %d", stamp, got.Value.ExpiresUnixMilli)
+		}
 	}
 }
 
@@ -102,7 +119,7 @@ func TestNodesReplyRoundTrip(t *testing.T) {
 		t.Fatalf("got %d values, want %d", len(got.Values), len(n.Values))
 	}
 	if got.Values[0].Keyword != n.Values[0].Keyword ||
-		got.Values[0].TTLMillis != n.Values[0].TTLMillis ||
+		got.Values[0].ExpiresUnixMilli != n.Values[0].ExpiresUnixMilli ||
 		got.Values[0].Meta.Record.URI != n.Values[0].Meta.Record.URI {
 		t.Fatalf("value 0: got %+v want %+v", got.Values[0], n.Values[0])
 	}

@@ -52,7 +52,7 @@ func frames() [][]byte {
 	for i := range key {
 		key[i] = byte(i*5 + 1)
 	}
-	val := wire.DHTValue{Keyword: "news", TTLMillis: 120_000, Meta: *m}
+	val := wire.DHTValue{Keyword: "news", ExpiresUnixMilli: 1_700_000_120_000, Meta: *m}
 	return [][]byte{
 		wire.EncodeHello(&wire.Hello{
 			From:        7,
