@@ -3,12 +3,27 @@
 
 GO ?= go
 
-.PHONY: check vet test race short bench bench-e2e bench-json fuzz chaos chaos-short bcast-soak bcast-soak-short crash-soak crash-soak-short swarm swarm-short fec-soak fec-soak-short dht-soak dht-soak-short overload-soak overload-soak-short
+.PHONY: check vet deps-check test race short bench bench-e2e bench-json fuzz chaos chaos-short bcast-soak bcast-soak-short crash-soak crash-soak-short swarm swarm-short fec-soak fec-soak-short dht-soak dht-soak-short overload-soak overload-soak-short
 
 check: vet test race
 
 vet:
 	$(GO) vet ./...
+
+# Dependency direction: the offline tools (trace generator, simulator,
+# experiment sweeps) never link the live stack — `limit` legitimately
+# arrives through server.Safe — the scheduling rule stays pure, and
+# tracegen stays a leaf. Offending packages are printed.
+deps-check:
+	@! $(GO) list -deps ./cmd/tracegen ./cmd/mbtsim ./cmd/experiments \
+		| grep -E '^repro/internal/(fault|transport|peer|daemon|store)$$' \
+		|| { echo 'deps-check: an offline tool links the live stack' >&2; exit 1; }
+	@! $(GO) list -f '{{join .Imports "\n"}}' ./internal/sched \
+		| grep '^repro/' | grep -vE '^repro/internal/(metadata|trace)$$' \
+		|| { echo 'deps-check: internal/sched imports beyond metadata, trace' >&2; exit 1; }
+	@! $(GO) list -f '{{join .Imports "\n"}}' ./internal/tracegen \
+		| grep '^repro/' | grep -vE '^repro/internal/(rng|simtime|trace)$$' \
+		|| { echo 'deps-check: internal/tracegen imports beyond rng, simtime, trace' >&2; exit 1; }
 
 test:
 	$(GO) test ./...
@@ -83,11 +98,21 @@ crash-soak-short:
 
 # Swarm availability soak: the full thousand-node boot plus every
 # scripted-churn scenario (seeder death, flash crowd, mobility
-# partitions, staggered joins, diurnal attendance), emitting metrics
-# JSON into results/. swarm-short is the race-clean CI smoke at <=200
-# nodes.
+# partitions, staggered joins, diurnal attendance). The tests assert and
+# write nothing tracked; the results/swarm_*.json records are then
+# regenerated through cmd/mbtswarm with the same populations and seeds —
+# the one path that rewrites them. swarm-short is the race-clean CI
+# smoke at <=200 nodes.
 swarm:
 	$(GO) test -count=1 -timeout 10m -run 'TestSwarm|TestRun' -v ./internal/swarm ./cmd/mbtswarm
+	for s in seeder-death flash-crowd mobility staggered-join diurnal; do \
+		$(GO) run ./cmd/mbtswarm -scenario $$s -nodes 96 -seed 1337 -out results >/dev/null || exit 1; \
+	done
+	$(GO) run ./cmd/mbtswarm -scenario overload -nodes 24 -seed 1337 -out results >/dev/null
+	$(GO) run ./cmd/mbtswarm -scenario server-death -nodes 12 -seed 1337 -out results >/dev/null
+	$(GO) run ./cmd/mbtswarm -scenario fountain -nodes 5 -seed 21 -out results >/dev/null
+	$(GO) run ./cmd/mbtswarm -scenario steady -nodes 1000 -seed 42 -out results >/dev/null
+	mv results/swarm_steady.json results/swarm_steady-1000.json
 
 swarm-short:
 	$(GO) test -race -count=1 -timeout 5m -run 'TestSwarm(SmallDeterminism|KillResume|200Race|ConfigValidation)' -v ./internal/swarm

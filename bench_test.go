@@ -17,12 +17,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/download"
 	"repro/internal/experiment"
-	"repro/internal/metadata"
-	"repro/internal/node"
-	"repro/internal/proto"
 	"repro/internal/routing"
 	"repro/internal/simtime"
-	"repro/internal/trace"
 )
 
 // benchPanel runs one figure panel per iteration and reports each
@@ -258,9 +254,8 @@ func BenchmarkAblationQueryDistribution(b *testing.B) {
 	}
 }
 
-// Substrate benches: DTN unicast routing protocols over the bus trace
-// (delivery ratio and overhead reported per protocol), and the full
-// message-level protocol session.
+// Substrate bench: DTN unicast routing protocols over the bus trace
+// (delivery ratio and overhead reported per protocol).
 
 func BenchmarkRoutingProtocols(b *testing.B) {
 	d := DefaultDieselTrace()
@@ -291,45 +286,6 @@ func BenchmarkRoutingProtocols(b *testing.B) {
 		})
 	}
 }
-
-func BenchmarkProtoSession(b *testing.B) {
-	run := func(b *testing.B, members int) {
-		var last *proto.Report
-		for i := 0; i < b.N; i++ {
-			nodes := make([]*node.Node, members)
-			for j := range nodes {
-				nodes[j] = node.New(trace.NodeID(j), false)
-			}
-			key := []byte("k")
-			for f := 0; f < 10; f++ {
-				m := metadata.NewSynthetic(metadata.FileID(f), "show", "FOX",
-					"desc", 4096, 1024, 0, simtime.Days(3), key)
-				nodes[0].AddMetadata(m, float64(f)/10, 0)
-				nodes[0].GrantFullFile(m.URI, m.NumPieces())
-			}
-			rep, err := proto.RunSession(0, nodes, proto.Config{
-				MetadataBudget: 5,
-				PieceBudget:    10,
-				AutoSelect:     true,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			last = rep
-		}
-		b.StopTimer()
-		if last != nil {
-			totalBytes := last.HelloBytes + last.MetadataBytes + last.PieceBytes
-			b.ReportMetric(float64(totalBytes), "bytes-on-air")
-		}
-	}
-	for _, members := range []int{2, 8, 24} {
-		members := members
-		b.Run(fmt.Sprintf("clique-%d", members), func(b *testing.B) { run(b, members) })
-	}
-}
-
-// Ablation: encrypted choking (footnote-1 extension) under free-riders.
 
 func BenchmarkAblationChoking(b *testing.B) {
 	for _, tt := range []struct {

@@ -46,7 +46,6 @@ func run(args []string, stdout io.Writer) error {
 		chokeMin   = fs.Float64("choke-credit", 0, "enable encrypted choking at this credit threshold (needs -tft)")
 		chokeOpt   = fs.Int("choke-optimistic", 0, "optimistic unchoke every n-th decision (0 = off)")
 		failures   = fs.Float64("failures", 0, "fraction of nodes that permanently fail mid-trace")
-		msgLevel   = fs.Bool("message-level", false, "run the full wire-encoded protocol stack (slower)")
 		seed       = fs.Uint64("seed", 1, "simulation seed")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -78,7 +77,6 @@ func run(args []string, stdout io.Writer) error {
 	cfg.ChokeMinCredit = *chokeMin
 	cfg.ChokeOptimisticEvery = *chokeOpt
 	cfg.NodeFailureRate = *failures
-	cfg.MessageLevel = *msgLevel
 	cfg.FrequentContactsPerDay = freq
 	cfg.Seed = *seed
 	cfg.Workload.Seed = *seed

@@ -83,22 +83,3 @@ func TestFacadeWaypointTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestFacadeMessageLevelRun(t *testing.T) {
-	nus := DefaultNUSTrace()
-	nus.Students, nus.Classes, nus.Days = 30, 6, 3
-	tr, err := NUSTrace(nus)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig(tr)
-	cfg.Workload.NewFilesPerDay = 5
-	cfg.MessageLevel = true
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Queries == 0 {
-		t.Fatal("no queries in message-level run")
-	}
-}

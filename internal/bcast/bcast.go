@@ -36,6 +36,7 @@ import (
 
 	"repro/internal/clique"
 	"repro/internal/metadata"
+	"repro/internal/sched"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -461,45 +462,25 @@ func (e *Engine) bestGroupLocked(live []trace.NodeID) []trace.NodeID {
 	return best
 }
 
-// candidate is a piece some member holds and some member lacks.
-type candidate struct {
-	key        pieceKey
-	total      int
-	requesters int
-	lackers    int
-	holders    []trace.NodeID
-	popularity float64
-}
-
-// candidatesLocked enumerates transferable pieces from the members'
-// announced piece state. suppressed counts pieces held back only by
-// the regrant window — wanted, held, but granted too recently.
-func (e *Engine) candidatesLocked(now time.Time) (out []*candidate, suppressed int) {
-	byKey := make(map[pieceKey]*candidate)
+// candidatesLocked orders the transferable pieces by the scheduling
+// rule, from the members' announced piece state. Only members whose
+// GroupHello lists a file take part in it — the live node cannot push
+// to a member that never announced the file. suppressed counts pieces
+// held back only by the regrant window — wanted, held, but granted too
+// recently.
+func (e *Engine) candidatesLocked(now time.Time) (out []*sched.Candidate, suppressed int) {
+	members := make([]sched.Member, 0, len(e.group))
 	for _, m := range e.group {
 		v := e.views[m]
 		if v == nil || now.Sub(v.at) > e.cfg.Window {
 			continue
 		}
+		files := make([]sched.File, len(v.wants))
 		for i := range v.wants {
 			w := &v.wants[i]
-			for p := 0; p < w.Total; p++ {
-				k := pieceKey{w.URI, p}
-				c := byKey[k]
-				if c == nil {
-					c = &candidate{key: k, total: w.Total}
-					byKey[k] = c
-				}
-				switch {
-				case w.HaveBit(p):
-					c.holders = append(c.holders, m)
-				case w.Downloading:
-					c.requesters++
-				default:
-					c.lackers++
-				}
-			}
+			files[i] = sched.File{URI: w.URI, Total: w.Total, Wanted: w.Downloading, Have: w.HaveBit}
 		}
+		members = append(members, sched.Member{ID: m, MaySend: true, Files: files})
 	}
 	window := uint64(regrantAfter)
 	if e.fecActiveLocked() {
@@ -509,37 +490,13 @@ func (e *Engine) candidatesLocked(now time.Time) (out []*candidate, suppressed i
 		// already finished the block.
 		window = fecRegrantAfter
 	}
-	for k, c := range byKey {
-		if len(c.holders) == 0 || c.requesters+c.lackers == 0 {
-			continue
-		}
-		if granted, ok := e.lastGrant[k]; ok && e.round+1-granted < window {
+	for _, c := range sched.Candidates(members, e.cfg.Store.Popularity, nil) {
+		if granted, ok := e.lastGrant[pieceKey{c.URI, c.Piece}]; ok && e.round+1-granted < window {
 			suppressed++
 			continue // in flight: give the broadcast a beat to land
 		}
-		c.popularity = e.cfg.Store.Popularity(k.uri)
-		sort.Slice(c.holders, func(i, j int) bool { return c.holders[i] < c.holders[j] })
 		out = append(out, c)
 	}
-	// §V-A order: requested pieces by requester count then popularity,
-	// then unrequested pieces by popularity; final URI/index tie-break
-	// keeps the schedule deterministic.
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if (a.requesters > 0) != (b.requesters > 0) {
-			return a.requesters > 0
-		}
-		if a.requesters != b.requesters {
-			return a.requesters > b.requesters
-		}
-		if a.popularity != b.popularity {
-			return a.popularity > b.popularity
-		}
-		if a.key.uri != b.key.uri {
-			return a.key.uri < b.key.uri
-		}
-		return a.key.piece < b.key.piece
-	})
 	return out, suppressed
 }
 
@@ -566,10 +523,10 @@ func (e *Engine) runRoundLocked(ctx context.Context, now time.Time) {
 		grant.To = order[int(e.round)%len(order)]
 	} else {
 		c := cands[0]
-		grant.To = c.holders[0]
-		grant.URI = c.key.uri
-		grant.Piece = int32(c.key.piece)
-		e.lastGrant[c.key] = e.round
+		grant.To = c.Sender
+		grant.URI = c.URI
+		grant.Piece = int32(c.Piece)
+		e.lastGrant[pieceKey{c.URI, c.Piece}] = e.round
 	}
 	e.sendLocked(ctx, &wire.Schedule{
 		From: e.cfg.Self, Members: e.group, Round: e.round, TitForTat: e.cfg.TitForTat,
@@ -591,8 +548,8 @@ func (e *Engine) transmitLocked(ctx context.Context, g *wire.Grant) {
 		cands, _ := e.candidatesLocked(time.Now())
 		found := false
 		for _, c := range cands {
-			if contains(c.holders, e.cfg.Self) {
-				uri, piece = c.key.uri, c.key.piece
+			if c.HeldBy(e.cfg.Self) {
+				uri, piece = c.URI, c.Piece
 				found = true
 				break
 			}

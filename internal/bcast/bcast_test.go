@@ -23,11 +23,20 @@ type harness struct {
 	engines map[trace.NodeID]*Engine
 	stores  map[trace.NodeID]*fakeStore
 	queue   []delivery
+	// pieces logs every piece broadcast put on the medium, in order.
+	pieces []transmission
 
 	// dropSymbol, when set, is the lossy datagram medium: it is asked
 	// once per (symbol delivery, receiver) and true means that receiver
 	// never hears the datagram. Control-plane frames are never dropped.
 	dropSymbol func(to trace.NodeID) bool
+}
+
+// transmission is one piece broadcast: who sent which piece.
+type transmission struct {
+	sender trace.NodeID
+	uri    metadata.URI
+	piece  int
 }
 
 type delivery struct {
@@ -138,6 +147,9 @@ func (s *fakeSender) Broadcast(_ context.Context, members []trace.NodeID, m wire
 	frame := wire.Encode(m)
 	s.h.mu.Lock()
 	defer s.h.mu.Unlock()
+	if pb, ok := m.(*wire.PieceBcast); ok {
+		s.h.pieces = append(s.h.pieces, transmission{s.self, pb.URI, pb.Index})
+	}
 	s.h.queue = append(s.h.queue, delivery{
 		from:    s.self,
 		members: append([]trace.NodeID(nil), members...),

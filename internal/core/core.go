@@ -11,7 +11,6 @@ import (
 	"repro/internal/metadata"
 	"repro/internal/metrics"
 	"repro/internal/node"
-	"repro/internal/proto"
 	"repro/internal/rng"
 	"repro/internal/server"
 	"repro/internal/sim"
@@ -311,11 +310,6 @@ func (s *Sim) handleSession(sess trace.Session) {
 		}
 	}
 
-	if s.cfg.MessageLevel {
-		s.handleSessionMessageLevel(now, members)
-		return
-	}
-
 	// Discovery phase (start of the contact, §V's observation that short
 	// contacts suffice for metadata).
 	if s.cfg.Variant != MBTQM && s.cfg.MetadataPerContact > 0 {
@@ -349,36 +343,6 @@ func (s *Sim) handleSession(sess trace.Session) {
 			s.collector.PieceReceipts += len(ev.NewReceivers)
 		}
 	}
-	s.reconcile(members, now)
-}
-
-// handleSessionMessageLevel routes one contact through the full
-// message-level protocol stack (wire-encoded, verified transfers) instead
-// of the simulation kernel. Outcomes match the kernel on the ideal
-// channel; the tests assert it.
-func (s *Sim) handleSessionMessageLevel(now simtime.Time, members []*node.Node) {
-	budget := 0
-	if s.cfg.Variant != MBTQM {
-		budget = s.cfg.MetadataPerContact
-	}
-	rep, err := proto.RunSession(now, members, proto.Config{
-		MetadataBudget:    budget,
-		PieceBudget:       s.cfg.FilesPerContact * s.cfg.Workload.PiecesPerFile,
-		QueryDistribution: s.cfg.Variant == MBT,
-		SkipQueryLearning: true, // the hello handling above cached exact expiries
-		Piggyback:         s.cfg.Variant == MBTQM,
-		AutoSelect:        true,
-		Keys:              workload.KeyFor,
-	})
-	if err != nil {
-		// A clique disagreement cannot arise from trace-defined sessions;
-		// treat it as a programming error.
-		panic(fmt.Sprintf("core: message-level session: %v", err))
-	}
-	s.collector.MetadataBroadcasts += rep.MetadataMessages
-	s.collector.MetadataReceipts += rep.MetadataDelivered
-	s.collector.PieceBroadcasts += rep.PieceMessages
-	s.collector.PieceReceipts += rep.PiecesDelivered
 	s.reconcile(members, now)
 }
 

@@ -522,42 +522,6 @@ func fileRange(cfg Config, day int) []metadata.URI {
 	return out
 }
 
-func TestMessageLevelMatchesKernel(t *testing.T) {
-	// The full message-level stack must produce the same delivery
-	// outcomes as the simulation kernel over an entire trace, for every
-	// protocol variant.
-	for _, v := range Variants() {
-		v := v
-		t.Run(v.String(), func(t *testing.T) {
-			cfg := smallNUS(t)
-			cfg.Variant = v
-			kernel := run(t, cfg)
-			cfg.MessageLevel = true
-			message := run(t, cfg)
-			if kernel.Queries != message.Queries ||
-				kernel.MetadataDeliveries != message.MetadataDeliveries ||
-				kernel.FileDeliveries != message.FileDeliveries {
-				t.Fatalf("kernel %+v\nmessage %+v", kernel, message)
-			}
-		})
-	}
-}
-
-func TestMessageLevelConfigConstraints(t *testing.T) {
-	cfg := smallNUS(t)
-	cfg.MessageLevel = true
-	cfg.TitForTat = true
-	if _, err := New(cfg); err == nil {
-		t.Fatal("message-level with tit-for-tat accepted")
-	}
-	cfg = smallNUS(t)
-	cfg.MessageLevel = true
-	cfg.BroadcastLossRate = 0.5
-	if _, err := New(cfg); err == nil {
-		t.Fatal("message-level with loss accepted")
-	}
-}
-
 func TestNodeFailuresHurtDelivery(t *testing.T) {
 	cfg := smallNUS(t)
 	healthy := run(t, cfg)

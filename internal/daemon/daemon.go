@@ -33,7 +33,6 @@ import (
 	"repro/internal/credit"
 	"repro/internal/dht"
 	"repro/internal/fault"
-	"repro/internal/hello"
 	"repro/internal/limit"
 	"repro/internal/metadata"
 	"repro/internal/node"
@@ -572,6 +571,10 @@ func (d *Daemon) syntheticFile(id metadata.FileID) *metadata.Metadata {
 		d.cfg.FileSize, d.cfg.PieceSize, d.now(), d.cfg.TTL,
 		workload.KeyFor(publisher))
 }
+
+// peerQueryTTL is how long a peer's hello-carried queries stay cached
+// for query distribution: ten liveness windows.
+const peerQueryTTL = 10 * simtime.Duration(peer.DefaultLivenessWindow/time.Millisecond)
 
 // now maps wall time onto the simulation clock the protocol state
 // machines understand: milliseconds since daemon start.
@@ -1126,7 +1129,7 @@ func (d *Daemon) onHello(from trace.NodeID, msg *wire.Hello) {
 	// state to work with once multi-hop topologies appear.
 	d.mu.Lock()
 	d.node.SetFrequent(d.mgr.Peers())
-	d.node.LearnPeerQueries(from, msg.Queries, now.Add(10*hello.Window))
+	d.node.LearnPeerQueries(from, msg.Queries, now.Add(peerQueryTTL))
 	d.mu.Unlock()
 
 	// The heard list is the raw material of the clique graph: the sender

@@ -167,6 +167,72 @@ func TestDuplicatePieceDeduped(t *testing.T) {
 	}
 }
 
+// TestPiggybackedPiece: a piece frame carrying its file's record
+// (MBT-QM's only metadata channel) is handled record first. A valid
+// record is stored and the piece then verifies against it; a forged one
+// is rejected, so the piece has nothing to verify against and is
+// dropped; data that fails the record's checksum is rejected. The
+// frames cross the wire codec, as they would from a peer.
+func TestPiggybackedPiece(t *testing.T) {
+	overWire := func(t *testing.T, p *wire.Piece) *wire.Piece {
+		t.Helper()
+		msg, err := wire.Decode(wire.Encode(p))
+		if err != nil {
+			t.Fatalf("piece frame does not round-trip: %v", err)
+		}
+		return msg.(*wire.Piece)
+	}
+	t.Run("valid record", func(t *testing.T) {
+		d := bench(t, nil)
+		rec := d.syntheticFile(0)
+		p := pieceMsg(rec, 0)
+		p.Piggyback = &wire.Metadata{Popularity: 0.5, Record: *rec}
+		if !d.onPiece(5, overWire(t, p)) {
+			t.Fatal("piece with a valid piggybacked record not held")
+		}
+		st := d.Stats()
+		if st.MetadataStored != 1 || st.PiecesVerified != 1 {
+			t.Fatalf("stored=%d verified=%d, want 1/1", st.MetadataStored, st.PiecesVerified)
+		}
+		if st.BadSignatures != 0 || st.PiecesDroppedNoMetadata != 0 || st.PiecesRejected != 0 {
+			t.Fatalf("clean frame counted as bad: %+v", st)
+		}
+	})
+	t.Run("valid record, corrupted data", func(t *testing.T) {
+		d := bench(t, nil)
+		rec := d.syntheticFile(0)
+		p := pieceMsg(rec, 0)
+		p.Data[0] ^= 1
+		p.Piggyback = &wire.Metadata{Popularity: 0.5, Record: *rec}
+		if d.onPiece(5, overWire(t, p)) {
+			t.Fatal("corrupted piece held")
+		}
+		st := d.Stats()
+		if st.MetadataStored != 1 || st.PiecesRejected != 1 || st.PiecesVerified != 0 {
+			t.Fatalf("stored=%d rejected=%d verified=%d, want 1/1/0",
+				st.MetadataStored, st.PiecesRejected, st.PiecesVerified)
+		}
+	})
+	t.Run("forged record", func(t *testing.T) {
+		d := bench(t, nil)
+		rec := d.syntheticFile(0)
+		forged := *rec
+		forged.Name = "not what the publisher signed"
+		p := pieceMsg(rec, 0)
+		p.Piggyback = &wire.Metadata{Popularity: 0.5, Record: forged}
+		if d.onPiece(5, overWire(t, p)) {
+			t.Fatal("piece held on the strength of a forged record")
+		}
+		st := d.Stats()
+		if st.BadSignatures != 1 || st.PiecesDroppedNoMetadata != 1 {
+			t.Fatalf("badSigs=%d noMeta=%d, want 1/1", st.BadSignatures, st.PiecesDroppedNoMetadata)
+		}
+		if st.MetadataStored != 0 || st.PiecesVerified != 0 {
+			t.Fatalf("stored=%d verified=%d, want 0/0", st.MetadataStored, st.PiecesVerified)
+		}
+	})
+}
+
 // TestQuarantineEscalationAndDecay: repeated bad signatures quarantine
 // the sender (messages dropped, penalty doubling per strike), and the
 // record decays back to clean while the peer behaves.

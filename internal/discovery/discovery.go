@@ -16,12 +16,11 @@
 package discovery
 
 import (
-	"sort"
-
 	"repro/internal/clique"
 	"repro/internal/metadata"
 	"repro/internal/node"
 	"repro/internal/rng"
+	"repro/internal/sched"
 	"repro/internal/simtime"
 	"repro/internal/trace"
 )
@@ -81,225 +80,173 @@ func Exchange(now simtime.Time, members []*node.Node, cfg Config) []Event {
 	return exchangeCooperative(now, members, cfg)
 }
 
-// demandFor returns the queries a member pulls for: its own, plus cached
-// frequent-contact queries when query distribution is on.
-func demandFor(now simtime.Time, n *node.Node, cfg Config) []string {
-	qs := n.Queries(now)
-	if cfg.QueryDistribution {
-		qs = append(qs, n.PeerQueries(now)...)
+// contact adapts the members' metadata stores to the scheduling rule's
+// view: each record is a one-piece file, held by the members storing it
+// and asked for by the lacking members whose queries it matches.
+type contact struct {
+	byID map[trace.NodeID]*node.Node
+	// records is the richest (highest advisory popularity) unexpired
+	// copy of each record any member holds.
+	records map[metadata.URI]*node.StoredMetadata
+	views   []sched.Member
+}
+
+func stored(int) bool { return true }
+
+// viewContact builds the view. Under the popularity-only ablation the
+// records carry no requests and the rule degenerates to popularity
+// order.
+func viewContact(now simtime.Time, members []*node.Node, cfg Config) *contact {
+	demand := cfg.TitForTat || !cfg.PopularityOnly
+	q := &contact{
+		byID:    make(map[trace.NodeID]*node.Node, len(members)),
+		records: make(map[metadata.URI]*node.StoredMetadata),
 	}
-	return qs
-}
-
-// candidate is a metadata record some member holds and some member lacks.
-type candidate struct {
-	sm      *node.StoredMetadata
-	holders []*node.Node
-	lackers []*node.Node
-	// requesters are lackers whose demand matches; ownMatch are lackers
-	// whose own queries match (the delivery metric only counts those);
-	// ownCount is how many lackers match with their own queries.
-	requesters []*node.Node
-	ownMatch   map[trace.NodeID]bool
-	ownCount   int
-}
-
-// collectCandidates builds the candidate set for the clique.
-func collectCandidates(now simtime.Time, members []*node.Node, cfg Config) []*candidate {
-	byURI := make(map[metadata.URI]*candidate)
 	for _, m := range members {
+		q.byID[m.ID] = m
 		for _, sm := range m.MetadataStore() {
 			if sm.Meta.Expired(now) {
 				continue
 			}
-			c := byURI[sm.Meta.URI]
-			if c == nil {
-				c = &candidate{sm: sm, ownMatch: make(map[trace.NodeID]bool)}
-				byURI[sm.Meta.URI] = c
-			} else if sm.Popularity > c.sm.Popularity {
-				c.sm = sm
+			if best := q.records[sm.Meta.URI]; best == nil || sm.Popularity > best.Popularity {
+				q.records[sm.Meta.URI] = sm
 			}
-			c.holders = append(c.holders, m)
 		}
 	}
-	var out []*candidate
-	for _, c := range byURI {
-		for _, m := range members {
-			if m.HasMetadata(c.sm.Meta.URI) {
-				continue
-			}
-			c.lackers = append(c.lackers, m)
-			demands := demandFor(now, m, cfg)
-			for _, q := range demands {
-				if c.sm.Meta.MatchesQuery(q) {
-					c.requesters = append(c.requesters, m)
-					break
-				}
-			}
-			for _, q := range m.Queries(now) {
-				if c.sm.Meta.MatchesQuery(q) {
-					c.ownMatch[m.ID] = true
-					c.ownCount++
-					break
-				}
+	for _, m := range members {
+		// A member pulls for its own queries, plus the cached queries of
+		// its frequent contacts when query distribution is on.
+		var own, carried []string
+		if demand {
+			own = m.Queries(now)
+			if cfg.QueryDistribution {
+				carried = m.PeerQueries(now)
 			}
 		}
-		if len(c.lackers) > 0 {
-			out = append(out, c)
+		v := sched.Member{ID: m.ID, MaySend: !m.FreeRider}
+		for uri, sm := range q.records {
+			f := sched.File{URI: uri, Total: 1}
+			switch cur := m.Metadata(uri); {
+			case cur == nil:
+				f.Wanted = matchesAny(sm.Meta, own)
+				f.Proxy = !f.Wanted && matchesAny(sm.Meta, carried)
+			case cur.Meta.Expired(now):
+				continue // an expired copy: neither offered nor asked for
+			default:
+				f.Have = stored
+			}
+			v.Files = append(v.Files, f)
+		}
+		q.views = append(q.views, v)
+	}
+	return q
+}
+
+func (q *contact) popularity(uri metadata.URI) float64 { return q.records[uri].Popularity }
+
+func matchesAny(rec *metadata.Metadata, queries []string) bool {
+	for _, qs := range queries {
+		if rec.MatchesQuery(qs) {
+			return true
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].sm.Meta.URI < out[j].sm.Meta.URI })
-	return out
+	return false
 }
 
 // broadcast delivers c from sender to every lacker, updating stores,
-// credits and the event record.
-func broadcast(now simtime.Time, c *candidate, sender *node.Node, cfg Config) Event {
+// credits and the event record. Only a receiver's own queries make the
+// record a delivery (and a requested item for credit); proxy demand
+// does not.
+func (q *contact) broadcast(now simtime.Time, c *sched.Candidate, sender *node.Node, cfg Config) Event {
+	sm := q.records[c.URI]
 	ev := Event{
-		Meta:       c.sm.Meta,
-		Popularity: c.sm.Popularity,
+		Meta:       sm.Meta,
+		Popularity: sm.Popularity,
 		Sender:     sender.ID,
 	}
-	for _, m := range c.lackers {
+	for _, id := range c.Lackers {
+		m := q.byID[id]
 		if cfg.dropped() {
 			continue
 		}
-		if !m.AddMetadata(c.sm.Meta, c.sm.Popularity, now) {
+		if !m.AddMetadata(sm.Meta, sm.Popularity, now) {
 			continue
 		}
-		ev.NewReceivers = append(ev.NewReceivers, m.ID)
-		if c.ownMatch[m.ID] {
-			ev.MatchedOwn = append(ev.MatchedOwn, m.ID)
+		ev.NewReceivers = append(ev.NewReceivers, id)
+		if matchesAny(sm.Meta, m.Queries(now)) {
+			ev.MatchedOwn = append(ev.MatchedOwn, id)
 			m.Ledger.RewardRequested(sender.ID)
 		} else {
-			m.Ledger.RewardUnrequested(sender.ID, c.sm.Popularity)
+			m.Ledger.RewardUnrequested(sender.ID, sm.Popularity)
 		}
 	}
 	return ev
 }
 
 // exchangeCooperative is the altruistic two-phase ordering (§IV-A).
+// Present members' own demand outranks carried (proxy) demand, so query
+// distribution only ever spends leftover budget: it adds coverage for
+// absent frequent contacts without displacing the deliveries this
+// contact could make directly.
 func exchangeCooperative(now simtime.Time, members []*node.Node, cfg Config) []Event {
-	cands := collectCandidates(now, members, cfg)
-	// Present members' own demand outranks carried (proxy) demand, so
-	// query distribution only ever spends leftover budget: it adds
-	// coverage for absent frequent contacts without displacing the
-	// deliveries this contact could make directly.
-	sort.SliceStable(cands, func(i, j int) bool {
-		a, b := cands[i], cands[j]
-		if !cfg.PopularityOnly {
-			if a.ownCount != b.ownCount {
-				return a.ownCount > b.ownCount
-			}
-			if len(a.requesters) != len(b.requesters) {
-				return len(a.requesters) > len(b.requesters)
-			}
-		}
-		if a.sm.Popularity != b.sm.Popularity {
-			return a.sm.Popularity > b.sm.Popularity
-		}
-		return a.sm.Meta.URI < b.sm.Meta.URI
-	})
+	q := viewContact(now, members, cfg)
 	var events []Event
-	for _, c := range cands {
+	for _, c := range sched.Candidates(q.views, q.popularity, nil) {
 		if len(events) >= cfg.Budget {
 			break
 		}
-		sender := pickSender(c.holders)
-		if sender == nil {
+		if c.Sender == sched.NoSender {
 			continue
 		}
-		if ev := broadcast(now, c, sender, cfg); len(ev.NewReceivers) > 0 {
+		if ev := q.broadcast(now, c, q.byID[c.Sender], cfg); len(ev.NewReceivers) > 0 {
 			events = append(events, ev)
 		}
 	}
 	return events
 }
 
-// pickSender returns the lowest-ID holder willing to transmit.
-func pickSender(holders []*node.Node) *node.Node {
-	var best *node.Node
-	for _, h := range holders {
-		if h.FreeRider {
-			continue
-		}
-		if best == nil || h.ID < best.ID {
-			best = h
-		}
-	}
-	return best
-}
-
 // exchangeTFT is the selfish-tolerant variant (§IV-B): senders rotate in
 // the clique's deterministic cyclic order; each sender broadcasts the
-// record that maximizes the summed credit of its requesters (per the
-// sender's own ledger), falling back to popularity pushes.
+// record it holds that ranks first when requests weigh their
+// requesters' summed credit in the sender's own ledger, falling back to
+// popularity pushes. Requests from zero-credit peers add nothing — that
+// is the incentive: a sender gains standing by serving proven
+// contributors or by pushing popular records, never by serving
+// free-riders.
 func exchangeTFT(now simtime.Time, members []*node.Node, cfg Config) []Event {
 	ids := make([]trace.NodeID, len(members))
-	byID := make(map[trace.NodeID]*node.Node, len(members))
 	for i, m := range members {
 		ids[i] = m.ID
-		byID[m.ID] = m
 	}
 	order := clique.CyclicOrder(ids)
 
+	q := viewContact(now, members, cfg)
 	var events []Event
 	sent := make(map[metadata.URI]bool)
 	idle := 0
 	for turn := 0; len(events) < cfg.Budget && idle < len(order); turn++ {
-		sender := byID[order[turn%len(order)]]
+		sender := q.byID[order[turn%len(order)]]
 		if sender.FreeRider {
 			idle++
 			continue
 		}
-		c := bestForSender(now, members, sender, sent, cfg)
+		var c *sched.Candidate
+		for _, cand := range sched.Candidates(q.views, q.popularity, sender.Ledger.WeightRequest) {
+			if !sent[cand.URI] && cand.HeldBy(sender.ID) {
+				c = cand
+				break
+			}
+		}
 		if c == nil {
 			idle++
 			continue
 		}
 		idle = 0
-		sent[c.sm.Meta.URI] = true
-		if ev := broadcast(now, c, sender, cfg); len(ev.NewReceivers) > 0 {
+		sent[c.URI] = true
+		if ev := q.broadcast(now, c, sender, cfg); len(ev.NewReceivers) > 0 {
 			events = append(events, ev)
 		}
+		q = viewContact(now, members, cfg) // the broadcast moved state
 	}
 	return events
-}
-
-// bestForSender returns the sender's best candidate it actually holds:
-// highest summed requester credit, then popularity, then URI.
-func bestForSender(now simtime.Time, members []*node.Node, sender *node.Node,
-	sent map[metadata.URI]bool, cfg Config) *candidate {
-	cands := collectCandidates(now, members, cfg)
-	var best *candidate
-	var bestWeight float64
-	for _, c := range cands {
-		if sent[c.sm.Meta.URI] || !sender.HasMetadata(c.sm.Meta.URI) {
-			continue
-		}
-		var requesterIDs []trace.NodeID
-		for _, r := range c.requesters {
-			requesterIDs = append(requesterIDs, r.ID)
-		}
-		weight := sender.Ledger.WeightRequest(requesterIDs)
-		if best == nil || better(weight, c, bestWeight, best) {
-			best, bestWeight = c, weight
-		}
-	}
-	return best
-}
-
-// better orders candidates for a selfish sender: summed requester credit
-// first, then popularity, then URI. Requests from zero-credit peers add
-// nothing — that is the incentive: a sender gains standing by serving
-// proven contributors or by pushing popular records, never by serving
-// free-riders.
-func better(w float64, c *candidate, bw float64, b *candidate) bool {
-	if w != bw {
-		return w > bw
-	}
-	if c.sm.Popularity != b.sm.Popularity {
-		return c.sm.Popularity > b.sm.Popularity
-	}
-	return c.sm.Meta.URI < b.sm.Meta.URI
 }

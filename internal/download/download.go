@@ -20,12 +20,11 @@
 package download
 
 import (
-	"sort"
-
 	"repro/internal/clique"
 	"repro/internal/metadata"
 	"repro/internal/node"
 	"repro/internal/rng"
+	"repro/internal/sched"
 	"repro/internal/simtime"
 	"repro/internal/trace"
 )
@@ -71,23 +70,6 @@ type Event struct {
 	MetaDelivered []trace.NodeID
 }
 
-// pieceKey identifies one piece of one file.
-type pieceKey struct {
-	uri   metadata.URI
-	piece int
-}
-
-// candidate is a piece some member holds and some member lacks.
-type candidate struct {
-	key        pieceKey
-	total      int
-	popularity float64
-	meta       *node.StoredMetadata // richest holder-side metadata, may be nil
-	holders    []*node.Node
-	lackers    []*node.Node
-	requesters []*node.Node // lackers that want the file
-}
-
 // Exchange runs the download phase of one contact among members,
 // returning the broadcasts performed. Member state is updated in place.
 func Exchange(now simtime.Time, members []*node.Node, cfg Config) []Event {
@@ -100,104 +82,76 @@ func Exchange(now simtime.Time, members []*node.Node, cfg Config) []Event {
 	return exchangeCoordinator(now, members, cfg)
 }
 
-// collectCandidates enumerates transferable pieces in the clique.
-func collectCandidates(now simtime.Time, members []*node.Node) []*candidate {
-	byKey := make(map[pieceKey]*candidate)
-	uris := make(map[metadata.URI]int) // uri -> piece total
-	for _, m := range members {
-		for _, sm := range m.MetadataStore() {
-			if !sm.Meta.Expired(now) {
-				uris[sm.Meta.URI] = sm.Meta.NumPieces()
-			}
-		}
-	}
-	// Pieces may also exist for files without any in-clique metadata
-	// (cached pushes); include them, totals from the piece sets.
-	for _, m := range members {
-		for _, uri := range pieceURIs(m) {
-			if _, ok := uris[uri]; !ok {
-				uris[uri] = m.Pieces(uri).Total()
-			}
-		}
-	}
-	for uri, total := range uris {
-		var sm *node.StoredMetadata
-		for _, m := range members {
-			if cur := m.Metadata(uri); cur != nil && !cur.Meta.Expired(now) {
-				if sm == nil || cur.Popularity > sm.Popularity {
-					sm = cur
-				}
-			}
-		}
-		pop := 0.0
-		if sm != nil {
-			pop = sm.Popularity
-		}
-		for i := 0; i < total; i++ {
-			key := pieceKey{uri: uri, piece: i}
-			var c *candidate
-			for _, m := range members {
-				ps := m.Pieces(uri)
-				if ps != nil && ps.Have(i) {
-					if c == nil {
-						c = &candidate{key: key, total: total, popularity: pop, meta: sm}
-						byKey[key] = c
-					}
-					c.holders = append(c.holders, m)
-				}
-			}
-			if c == nil {
-				continue
-			}
-			for _, m := range members {
-				ps := m.Pieces(uri)
-				if ps != nil && ps.Have(i) {
-					continue
-				}
-				c.lackers = append(c.lackers, m)
-				if ps != nil && ps.Want {
-					c.requesters = append(c.requesters, m)
-				}
-			}
-			if len(c.lackers) == 0 {
-				delete(byKey, key)
-			}
-		}
-	}
-	out := make([]*candidate, 0, len(byKey))
-	for _, c := range byKey {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].key.uri != out[j].key.uri {
-			return out[i].key.uri < out[j].key.uri
-		}
-		return out[i].key.piece < out[j].key.piece
-	})
-	if len(out) == 0 {
-		return nil
-	}
-	return out
+// contact adapts the members' state to the scheduling rule's view. The
+// simulator hears everything in the clique, so every member takes part
+// in every file known to any of them: a member without a piece set is a
+// lacker like any other and receives pushes.
+type contact struct {
+	byID map[trace.NodeID]*node.Node
+	// total and meta are per file: the piece count, and the richest
+	// unexpired metadata any member holds (nil for cached pushes whose
+	// metadata nobody present has).
+	total map[metadata.URI]int
+	meta  map[metadata.URI]*node.StoredMetadata
+	views []sched.Member
 }
 
-func pieceURIs(m *node.Node) []metadata.URI {
-	var out []metadata.URI
-	for _, uri := range m.PieceURIs() {
-		out = append(out, uri)
+func viewContact(now simtime.Time, members []*node.Node) *contact {
+	q := &contact{
+		byID:  make(map[trace.NodeID]*node.Node, len(members)),
+		total: make(map[metadata.URI]int),
+		meta:  make(map[metadata.URI]*node.StoredMetadata),
 	}
-	return out
+	for _, m := range members {
+		q.byID[m.ID] = m
+		for _, sm := range m.MetadataStore() {
+			if sm.Meta.Expired(now) {
+				continue
+			}
+			q.total[sm.Meta.URI] = sm.Meta.NumPieces()
+			if best := q.meta[sm.Meta.URI]; best == nil || sm.Popularity > best.Popularity {
+				q.meta[sm.Meta.URI] = sm
+			}
+		}
+	}
+	for _, m := range members {
+		for _, uri := range m.PieceURIs() {
+			if _, ok := q.total[uri]; !ok {
+				q.total[uri] = m.Pieces(uri).Total()
+			}
+		}
+	}
+	for _, m := range members {
+		v := sched.Member{ID: m.ID, MaySend: !m.FreeRider, Files: make([]sched.File, 0, len(q.total))}
+		for uri, total := range q.total {
+			f := sched.File{URI: uri, Total: total}
+			if ps := m.Pieces(uri); ps != nil {
+				f.Wanted, f.Have = ps.Want, ps.Have
+			}
+			v.Files = append(v.Files, f)
+		}
+		q.views = append(q.views, v)
+	}
+	return q
+}
+
+func (q *contact) popularity(uri metadata.URI) float64 {
+	if sm := q.meta[uri]; sm != nil {
+		return sm.Popularity
+	}
+	return 0
 }
 
 // broadcast transmits c from sender to all lackers.
-func broadcast(now simtime.Time, c *candidate, sender *node.Node, cfg Config) Event {
-	ev := Event{URI: c.key.uri, Piece: c.key.piece, Sender: sender.ID}
+func (q *contact) broadcast(now simtime.Time, c *sched.Candidate, sender *node.Node, cfg Config) Event {
+	ev := Event{URI: c.URI, Piece: c.Piece, Sender: sender.ID}
 	// Prefer the sender's own metadata for the piggyback; fall back to
 	// the clique's best.
 	var sm *node.StoredMetadata
 	if cfg.PiggybackMetadata {
-		sm = sender.Metadata(c.key.uri)
+		sm = sender.Metadata(c.URI)
 		if sm == nil {
-			sm = c.meta
+			sm = q.meta[c.URI]
 		}
 	}
 	// Choking (footnote-1 extension): a sender with a choke policy
@@ -205,163 +159,104 @@ func broadcast(now simtime.Time, c *candidate, sender *node.Node, cfg Config) Ev
 	// peers; everyone else hears undecipherable bytes.
 	var unchoked map[trace.NodeID]bool
 	if sender.ChokePolicy != nil {
-		ids := make([]trace.NodeID, len(c.lackers))
-		for i, m := range c.lackers {
-			ids[i] = m.ID
-		}
 		unchoked = make(map[trace.NodeID]bool)
-		for _, id := range sender.ChokePolicy.Unchoked(sender.Ledger, ids) {
+		for _, id := range sender.ChokePolicy.Unchoked(sender.Ledger, c.Lackers) {
 			unchoked[id] = true
 		}
 	}
-	for _, m := range c.lackers {
-		if unchoked != nil && !unchoked[m.ID] {
+	for _, id := range c.Lackers {
+		m := q.byID[id]
+		if unchoked != nil && !unchoked[id] {
 			continue
 		}
 		if cfg.dropped() {
 			continue
 		}
 		if sm != nil && m.AddMetadata(sm.Meta, sm.Popularity, now) {
-			for _, q := range m.Queries(now) {
-				if sm.Meta.MatchesQuery(q) {
-					ev.MetaDelivered = append(ev.MetaDelivered, m.ID)
+			for _, qs := range m.Queries(now) {
+				if sm.Meta.MatchesQuery(qs) {
+					ev.MetaDelivered = append(ev.MetaDelivered, id)
 					break
 				}
 			}
 		}
-		if !m.AddPiece(c.key.uri, c.key.piece, c.total) {
+		if !m.AddPiece(c.URI, c.Piece, c.Total) {
 			continue
 		}
-		ev.NewReceivers = append(ev.NewReceivers, m.ID)
-		ps := m.Pieces(c.key.uri)
+		ev.NewReceivers = append(ev.NewReceivers, id)
+		ps := m.Pieces(c.URI)
 		wanted := ps.Want
 		if wanted {
 			m.Ledger.RewardRequested(sender.ID)
 		} else {
-			m.Ledger.RewardUnrequested(sender.ID, c.popularity)
+			m.Ledger.RewardUnrequested(sender.ID, c.Popularity)
 		}
 		if wanted && ps.Complete() {
-			ev.Completed = append(ev.Completed, m.ID)
+			ev.Completed = append(ev.Completed, id)
 		}
 	}
 	return ev
 }
 
 // exchangeCoordinator is the cooperative two-phase schedule (§V-A): the
-// coordinator (lowest ID, elected identically by every member) repeatedly
-// picks the piece requested by the most members, ties by popularity.
+// coordinator (lowest ID, elected identically by every member) sends the
+// pieces in the rule's order, each from its lowest-ID willing holder.
 func exchangeCoordinator(now simtime.Time, members []*node.Node, cfg Config) []Event {
-	cands := collectCandidates(now, members)
-	sort.SliceStable(cands, func(i, j int) bool {
-		a, b := cands[i], cands[j]
-		if len(a.requesters) != len(b.requesters) {
-			return len(a.requesters) > len(b.requesters)
-		}
-		if a.popularity != b.popularity {
-			return a.popularity > b.popularity
-		}
-		if a.key.uri != b.key.uri {
-			return a.key.uri < b.key.uri
-		}
-		return a.key.piece < b.key.piece
-	})
+	q := viewContact(now, members)
 	var events []Event
-	for _, c := range cands {
+	for _, c := range sched.Candidates(q.views, q.popularity, nil) {
 		if len(events) >= cfg.PieceBudget {
 			break
 		}
-		sender := pickSender(c.holders)
-		if sender == nil {
+		if c.Sender == sched.NoSender {
 			continue
 		}
-		if ev := broadcast(now, c, sender, cfg); len(ev.NewReceivers) > 0 {
+		if ev := q.broadcast(now, c, q.byID[c.Sender], cfg); len(ev.NewReceivers) > 0 {
 			events = append(events, ev)
 		}
 	}
 	return events
 }
 
-func pickSender(holders []*node.Node) *node.Node {
-	var best *node.Node
-	for _, h := range holders {
-		if h.FreeRider {
-			continue
-		}
-		if best == nil || h.ID < best.ID {
-			best = h
-		}
-	}
-	return best
-}
-
 // exchangeTFT rotates senders in the deterministic cyclic order; each
-// sender broadcasts the piece maximizing the summed credit of its
-// requesters in the sender's own ledger.
+// sender broadcasts the piece it holds that ranks first when requests
+// weigh their requesters' summed credit in the sender's own ledger.
+// Zero-credit requests carry no weight — see the discovery package's
+// rationale.
 func exchangeTFT(now simtime.Time, members []*node.Node, cfg Config) []Event {
 	ids := make([]trace.NodeID, len(members))
-	byID := make(map[trace.NodeID]*node.Node, len(members))
 	for i, m := range members {
 		ids[i] = m.ID
-		byID[m.ID] = m
 	}
 	order := clique.CyclicOrder(ids)
 
+	q := viewContact(now, members)
 	var events []Event
 	idle := 0
 	for turn := 0; len(events) < cfg.PieceBudget && idle < len(order); turn++ {
-		sender := byID[order[turn%len(order)]]
+		sender := q.byID[order[turn%len(order)]]
 		if sender.FreeRider {
 			idle++
 			continue
 		}
-		c := bestForSender(now, members, sender)
+		var c *sched.Candidate
+		for _, cand := range sched.Candidates(q.views, q.popularity, sender.Ledger.WeightRequest) {
+			if cand.HeldBy(sender.ID) {
+				c = cand
+				break
+			}
+		}
 		if c == nil {
 			idle++
 			continue
 		}
 		idle = 0
-		if ev := broadcast(now, c, sender, cfg); len(ev.NewReceivers) > 0 {
+		if ev := q.broadcast(now, c, sender, cfg); len(ev.NewReceivers) > 0 {
 			events = append(events, ev)
 		} else {
 			idle++
 		}
+		q = viewContact(now, members) // the broadcast moved state
 	}
 	return events
-}
-
-func bestForSender(now simtime.Time, members []*node.Node, sender *node.Node) *candidate {
-	cands := collectCandidates(now, members)
-	var best *candidate
-	var bestWeight float64
-	for _, c := range cands {
-		ps := sender.Pieces(c.key.uri)
-		if ps == nil || !ps.Have(c.key.piece) {
-			continue
-		}
-		var requesterIDs []trace.NodeID
-		for _, r := range c.requesters {
-			requesterIDs = append(requesterIDs, r.ID)
-		}
-		weight := sender.Ledger.WeightRequest(requesterIDs)
-		if best == nil || betterPiece(weight, c, bestWeight, best) {
-			best, bestWeight = c, weight
-		}
-	}
-	return best
-}
-
-// betterPiece orders pieces for a selfish sender: summed requester
-// credit, then popularity, then (URI, piece). Zero-credit requests carry
-// no weight — see the discovery package's rationale.
-func betterPiece(w float64, c *candidate, bw float64, b *candidate) bool {
-	if w != bw {
-		return w > bw
-	}
-	if c.popularity != b.popularity {
-		return c.popularity > b.popularity
-	}
-	if c.key.uri != b.key.uri {
-		return c.key.uri < b.key.uri
-	}
-	return c.key.piece < b.key.piece
 }

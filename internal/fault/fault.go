@@ -121,7 +121,11 @@ type Transport struct {
 	cfg   Config
 	start time.Time
 
-	connSeq atomic.Uint64
+	// dialed and accepted number the conns of each direction. One
+	// counter for both would let the dial and accept ends of the same
+	// loopback link race for a number, and a fixed seed would no longer
+	// replay.
+	dialed, accepted atomic.Uint64
 
 	mu      sync.Mutex
 	dialRNG *rng.Rand
@@ -186,7 +190,7 @@ func (t *Transport) Dial(ctx context.Context, addr string) (transport.Conn, erro
 	if err != nil {
 		return nil, err
 	}
-	return t.newConn(c), nil
+	return t.newConn(c, t.dialed.Add(1)<<1), nil
 }
 
 // Listen listens through the inner transport; accepted conns are
@@ -209,7 +213,7 @@ func (l *listener) Accept(ctx context.Context) (transport.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return l.t.newConn(c), nil
+	return l.t.newConn(c, l.t.accepted.Add(1)<<1|1), nil
 }
 
 func (l *listener) Addr() string { return l.inner.Addr() }
@@ -227,16 +231,16 @@ type conn struct {
 	once  sync.Once
 }
 
-func (t *Transport) newConn(inner transport.Conn) *conn {
-	// Each conn's fault stream is seeded from the master seed and a
-	// creation counter, so decisions are independent per conn and
-	// reproducible for a fixed seed.
-	n := t.connSeq.Add(1)
+// newConn wraps inner. Each conn's fault stream is seeded from the
+// master seed and seq — the conn's direction bit under its
+// per-direction creation number — so decisions are independent per conn
+// and reproducible for a fixed seed.
+func (t *Transport) newConn(inner transport.Conn, seq uint64) *conn {
 	pctx, stop := context.WithCancel(context.Background())
 	c := &conn{
 		t:     t,
 		inner: inner,
-		rng:   rng.New(t.cfg.Seed ^ n*0x9e3779b97f4a7c15),
+		rng:   rng.New(t.cfg.Seed ^ seq*0x9e3779b97f4a7c15),
 		sq:    make(chan wire.Msg, pumpQueue),
 		done:  make(chan struct{}),
 		stop:  stop,

@@ -33,7 +33,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/hello"
 	"repro/internal/limit"
 	"repro/internal/metadata"
 	"repro/internal/trace"
@@ -41,15 +40,13 @@ import (
 	"repro/internal/wire"
 )
 
-// Protocol timing defaults, the wall-clock versions of the simulator's
-// hello constants.
+// Protocol timing defaults. The beacon pair is the paper's (§III-B).
 const (
-	// DefaultHelloInterval mirrors hello.Interval: beacon once per
-	// second.
-	DefaultHelloInterval = time.Duration(hello.Interval) * time.Millisecond
-	// DefaultLivenessWindow mirrors hello.Window: a peer silent for 5
-	// seconds is gone.
-	DefaultLivenessWindow = time.Duration(hello.Window) * time.Millisecond
+	// DefaultHelloInterval: every node beacons at least once per second.
+	DefaultHelloInterval = time.Second
+	// DefaultLivenessWindow: a node is a neighbour while a hello from it
+	// was heard in the past 5 seconds; a peer silent that long is gone.
+	DefaultLivenessWindow = 5 * time.Second
 	// DefaultHandshakeTimeout bounds the wait for the first hello on a
 	// new connection.
 	DefaultHandshakeTimeout = 5 * time.Second

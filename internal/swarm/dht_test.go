@@ -12,7 +12,6 @@ import (
 // acceptance gate: with the DHT on, keyword queries issued only after
 // the catalog server died must still resolve almost everywhere
 // (>= 95%); without it, the same scenario resolves (almost) nothing.
-// The DHT run's report is the results/ artifact.
 func TestServerDeathDHTResolution(t *testing.T) {
 	defer testutil.NoLeaks(t)()
 	nodes := 12
@@ -33,9 +32,7 @@ func TestServerDeathDHTResolution(t *testing.T) {
 	if !rep.DHTEnabled || rep.DHTStoresRecv == 0 {
 		t.Fatalf("DHT accounting missing from report: %+v", rep)
 	}
-	if _, err := rep.WriteFile("../../results"); err != nil {
-		t.Fatalf("write report: %v", err)
-	}
+	checkReportFile(t, rep)
 	t.Logf("server-death: %d/%d post-death queries resolved, %d DHT stores received, %d lookups",
 		rep.PostDeathResolved, rep.PostDeathQueries, rep.DHTStoresRecv, rep.DHTLookups)
 
@@ -59,7 +56,7 @@ func TestServerDeathDHTResolution(t *testing.T) {
 // TestFountainScenario drives the coded variant of the steady
 // distribution: a full-mesh clique completes over the fountain-coded
 // symbol plane and the report carries the symbol counters and the
-// piece-equivalent transmissions-per-piece metric into results/.
+// piece-equivalent transmissions-per-piece metric.
 func TestFountainScenario(t *testing.T) {
 	defer testutil.NoLeaks(t)()
 	sc := Fountain(5, 21)
@@ -77,9 +74,7 @@ func TestFountainScenario(t *testing.T) {
 	if rep.TransmissionsPerPiece <= 0 {
 		t.Fatalf("transmissions per piece = %v, want > 0", rep.TransmissionsPerPiece)
 	}
-	if _, err := rep.WriteFile("../../results"); err != nil {
-		t.Fatalf("write report: %v", err)
-	}
+	checkReportFile(t, rep)
 	t.Logf("fountain: %.2f piece-equivalent tx/piece, %d symbols sent, %d decodes",
 		rep.TransmissionsPerPiece, rep.SymbolsSent, rep.FECDecodes)
 }

@@ -605,7 +605,7 @@ func mobilitySchedules(nodes, seeders int, seed uint64) (map[trace.NodeID][]faul
 	if err != nil {
 		return nil, err
 	}
-	scheds, err := tracegen.PartitionSchedules(tr, tracegen.ScheduleConfig{
+	scheds, err := PartitionSchedules(tr, ScheduleConfig{
 		Compress: simtime.Minute,
 		Slack:    30 * simtime.Minute,
 	})

@@ -1,6 +1,7 @@
-package tracegen
+package swarm
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -32,6 +33,9 @@ type ScheduleConfig struct {
 	Horizon simtime.Duration
 }
 
+// errSchedule reports an unusable trace or node for a partition schedule.
+var errSchedule = errors.New("swarm: invalid schedule input")
+
 // DefaultCompress maps one simulated minute onto one wall millisecond.
 const DefaultCompress = simtime.Minute
 
@@ -53,10 +57,10 @@ func (c ScheduleConfig) wall(t simtime.Time) time.Duration {
 // transport.
 func PartitionSchedule(tr *trace.Trace, id trace.NodeID, cfg ScheduleConfig) ([]fault.Event, error) {
 	if tr == nil {
-		return nil, fmt.Errorf("tracegen: nil trace: %w", ErrConfig)
+		return nil, fmt.Errorf("swarm: nil trace: %w", errSchedule)
 	}
 	if id < 0 || int(id) >= tr.NodeCount {
-		return nil, fmt.Errorf("tracegen: node %d outside population %d: %w", id, tr.NodeCount, ErrConfig)
+		return nil, fmt.Errorf("swarm: node %d outside population %d: %w", id, tr.NodeCount, errSchedule)
 	}
 
 	// Collect and merge the node's contact intervals. Sessions arrive
@@ -106,7 +110,7 @@ func PartitionSchedule(tr *trace.Trace, id trace.NodeID, cfg ScheduleConfig) ([]
 // transport.
 func PartitionSchedules(tr *trace.Trace, cfg ScheduleConfig) (map[trace.NodeID][]fault.Event, error) {
 	if tr == nil {
-		return nil, fmt.Errorf("tracegen: nil trace: %w", ErrConfig)
+		return nil, fmt.Errorf("swarm: nil trace: %w", errSchedule)
 	}
 	out := make(map[trace.NodeID][]fault.Event, tr.NodeCount)
 	for id := trace.NodeID(0); int(id) < tr.NodeCount; id++ {

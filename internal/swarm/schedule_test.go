@@ -1,4 +1,4 @@
-package tracegen
+package swarm
 
 import (
 	"testing"
@@ -7,6 +7,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/simtime"
 	"repro/internal/trace"
+	"repro/internal/tracegen"
 )
 
 // mkTrace builds a 4-node trace with hand-placed sessions.
@@ -104,10 +105,10 @@ func TestPartitionScheduleErrors(t *testing.T) {
 // real generator: every node gets a schedule, offsets are monotone, and
 // the states alternate.
 func TestPartitionSchedulesWaypoint(t *testing.T) {
-	cfg := DefaultWaypoint()
+	cfg := tracegen.DefaultWaypoint()
 	cfg.Nodes = 12
 	cfg.Days = 1
-	tr, err := Waypoint(cfg)
+	tr, err := tracegen.Waypoint(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

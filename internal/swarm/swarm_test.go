@@ -2,6 +2,8 @@ package swarm
 
 import (
 	"context"
+	"encoding/json"
+	"os"
 	"testing"
 	"time"
 
@@ -20,6 +22,30 @@ func runSteady(t *testing.T, nodes int, seed uint64) Report {
 		t.Fatalf("steady %d nodes: %v (fraction %.3f)", nodes, err, rep.CompletionFraction)
 	}
 	return rep
+}
+
+// checkReportFile writes rep as its results file into a scratch
+// directory and asserts the file parses back to the same outcome. Tests
+// never touch the tracked results/ — `make swarm` regenerates those
+// through cmd/mbtswarm.
+func checkReportFile(t *testing.T, rep Report) {
+	t.Helper()
+	path, err := rep.WriteFile(t.TempDir())
+	if err != nil {
+		t.Fatalf("write report: %v", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read report back: %v", err)
+	}
+	var back Report
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatalf("report file %s does not parse: %v", path, err)
+	}
+	if back.Scenario != rep.Scenario || back.CompletionDigest != rep.CompletionDigest {
+		t.Fatalf("report file %s reads back as %s/%s, wrote %s/%s", path,
+			back.Scenario, back.CompletionDigest, rep.Scenario, rep.CompletionDigest)
+	}
 }
 
 // TestSwarmSmallDeterminism runs the same seeded distribution twice and
@@ -75,16 +101,14 @@ func TestSwarm1000Loopback(t *testing.T) {
 	if err := h.CheckBudget(h.DefaultBudget()); err != nil {
 		t.Error(err)
 	}
-	rep := h.Report("steady-1000")
+	rep := h.Report(sc.Name)
 	if rep.CompletionFraction != 1 {
 		t.Fatalf("fraction %.3f, want 1", rep.CompletionFraction)
 	}
 	if rep.CompletionDigest == "" {
 		t.Fatal("empty completion digest")
 	}
-	if _, err := rep.WriteFile("../../results"); err != nil {
-		t.Fatalf("write report: %v", err)
-	}
+	checkReportFile(t, rep)
 	t.Logf("1000 nodes: %.0fms wall, %.2f tx/piece, %.1f goroutines/node, %.0f heap B/node, digest %s",
 		rep.WallMs, rep.TransmissionsPerPiece, rep.GoroutinesPerNode, rep.HeapBytesPerNode, rep.CompletionDigest)
 }
@@ -105,7 +129,7 @@ func TestSwarm200Race(t *testing.T) {
 }
 
 // TestSwarmAvailability drives the scripted-churn scenario family at CI
-// scale and emits each scenario's metrics record into results/. Every
+// scale and checks each scenario's metrics record. Every
 // scenario must reach full completion — the availability claim under
 // test is that the cooperative swarm absorbs the shock, not merely
 // survives it.
@@ -137,9 +161,7 @@ func TestSwarmAvailability(t *testing.T) {
 			if name == "seeder-death" && rep.SurvivalMs >= 0 {
 				t.Errorf("seeder-death: file became unreconstructable %.0fms after the kill", rep.SurvivalMs)
 			}
-			if _, err := rep.WriteFile("../../results"); err != nil {
-				t.Fatalf("write report: %v", err)
-			}
+			checkReportFile(t, rep)
 			t.Logf("%s: %d nodes, %.0fms wall, %.2f tx/piece, credit σ %.1f",
 				name, nodes, rep.WallMs, rep.TransmissionsPerPiece, rep.CreditStddev)
 		})
@@ -194,7 +216,7 @@ func TestSwarmConfigValidation(t *testing.T) {
 // victim's health must walk degraded→recovered, legitimate downloads
 // must all land, and no control-class frame may be dropped anywhere —
 // the class-aware outbox sheds data first, and at this scale it never
-// needs to go further. Emits results/swarm_overload.json.
+// needs to go further.
 func TestSwarmOverload(t *testing.T) {
 	defer testutil.NoLeaks(t)()
 	nodes := 24
@@ -225,9 +247,7 @@ func TestSwarmOverload(t *testing.T) {
 	if rep.OutboxDropsControl != 0 {
 		t.Fatalf("%d control-class frames dropped; control must never shed before data", rep.OutboxDropsControl)
 	}
-	if _, err := rep.WriteFile("../../results"); err != nil {
-		t.Fatalf("write report: %v", err)
-	}
+	checkReportFile(t, rep)
 	t.Logf("overload: %d nodes, %.0fms wall, shed %d, busy %d, flood %d/%d",
 		nodes, rep.WallMs, rep.InboundShed, rep.BusyReplies, rep.FloodBusySeen, rep.FloodSent)
 }
