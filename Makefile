@@ -89,12 +89,14 @@ dht-soak-short:
 # restart matrix — at each point the node must reopen its data dir to a
 # consistent prefix, resume the download, and never be re-sent a
 # persisted piece. crash-soak-short trims the daemon matrix to the
-# first append and the first snapshot commit.
+# first append and the first snapshot commit. Both carry the group-
+# commit tests (blocked fsync, failed fsync, cancel mid-download) so
+# the committer runs under -race.
 crash-soak:
-	$(GO) test -race -count=1 -run 'TestCrashPointMatrix|TestShortWriteRepair|TestCrashRecoverySoak|TestRestartResume|TestLocalhostRestartDemo' -v ./internal/fault ./internal/daemon ./cmd/mbtd
+	$(GO) test -race -count=1 -run 'TestCrashPointMatrix|TestShortWriteRepair|TestBatchIsAllOrNothing|TestCrashRecoverySoak|TestRestartResume|TestPieceHeldOnlyAfterSync|TestFailedSyncDropsPieceAndCreditTogether|TestCancelMidDownloadKeepsReportedPieces|TestLocalhostRestartDemo' -v ./internal/fault ./internal/daemon ./cmd/mbtd
 
 crash-soak-short:
-	$(GO) test -race -count=1 -short -run 'TestCrashRecoverySoak|TestRestartResume' -v ./internal/daemon
+	$(GO) test -race -count=1 -short -run 'TestCrashRecoverySoak|TestRestartResume|TestPieceHeldOnlyAfterSync|TestFailedSyncDropsPieceAndCreditTogether|TestCancelMidDownloadKeepsReportedPieces' -v ./internal/daemon
 
 # Swarm availability soak: the full thousand-node boot plus every
 # scripted-churn scenario (seeder death, flash crowd, mobility
@@ -146,16 +148,18 @@ bench-e2e:
 # peer-table contention, DHT k-buckets and lookups, WAL append/replay,
 # clique enumeration, admission limiters, outbox shedding) plus the
 # sweep pool, rendered to JSON. Each run
-# APPENDS a record stamped with the git SHA and UTC date to
-# results/BENCH_swarm.json, so the file accumulates a per-commit
-# history for diffing (see cmd/benchjson for the format).
+# APPENDS a record stamped with the git SHA (suffixed -dirty when the
+# tree has uncommitted changes, i.e. the record belongs to the commit
+# that follows) and UTC date to results/BENCH_swarm.json, so the file
+# accumulates a per-commit history for diffing (see cmd/benchjson for
+# the format).
 bench-json:
 	{ $(GO) test -run '^$$' -bench . -benchtime 0.5s \
 		./internal/wire ./internal/peer ./internal/store ./internal/clique ./internal/fec ./internal/dht ./internal/limit ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkFECSoak|BenchmarkOutboxShed' -benchtime 1x ./internal/daemon ; \
 	  $(GO) test -run '^$$' -bench BenchmarkRunAll -benchtime 1x . ; } \
 	| $(GO) run ./cmd/benchjson -label swarm-baseline \
-		-commit "$$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
+		-commit "$$(git describe --always --dirty --exclude '*' 2>/dev/null || echo unknown)" \
 		-date "$$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
 		-out results/BENCH_swarm.json
 	@echo appended to results/BENCH_swarm.json

@@ -348,10 +348,11 @@ type outMsg struct {
 type Daemon struct {
 	cfg      Config
 	mgr      *peer.Manager
-	catalog  *server.Safe  // nil unless InternetAccess
-	bcast    *bcast.Engine // nil unless EnableBcast
-	store    *store.Store  // nil unless DataDir
-	dht      *dht.Engine   // nil unless EnableDHT
+	catalog  *server.Safe     // nil unless InternetAccess
+	bcast    *bcast.Engine    // nil unless EnableBcast
+	store    *store.Store     // nil unless DataDir
+	commitQ  chan stagedPiece // onPiece → commitLoop; nil unless DataDir
+	dht      *dht.Engine      // nil unless EnableDHT
 	epoch    time.Time
 	out      *outbox
 	breakers *limit.Set
@@ -383,7 +384,11 @@ type Daemon struct {
 	peerBusy   map[trace.NodeID]map[wire.BusyScope]time.Time
 	lastBusyTo map[trace.NodeID]map[wire.BusyScope]time.Time
 	lastShedAt time.Time
-	counters   struct {
+	// pending holds verified pieces staged for the committer but not yet
+	// fsynced: not held (absent from Have and the hello bitmap), but a
+	// second copy is already a duplicate. Always empty without a store.
+	pending  map[pieceKey]struct{}
+	counters struct {
 		piecesVerified, piecesRejected, piecesNoMeta uint64
 		piecesDuplicate, piecesResent                uint64
 		badSignatures                                uint64
@@ -470,6 +475,7 @@ func New(cfg Config) (*Daemon, error) {
 		downloads:  make(map[metadata.URI]*downloadState),
 		offenders:  make(map[trace.NodeID]*offender),
 		restored:   make(map[metadata.URI][]bool),
+		pending:    make(map[pieceKey]struct{}),
 		peerBusy:   make(map[trace.NodeID]map[wire.BusyScope]time.Time),
 		lastBusyTo: make(map[trace.NodeID]map[wire.BusyScope]time.Time),
 	}
@@ -484,6 +490,7 @@ func New(cfg Config) (*Daemon, error) {
 			return nil, fmt.Errorf("daemon: open data dir: %w", err)
 		}
 		d.store = st
+		d.commitQ = make(chan stagedPiece, commitQueueLen)
 		d.restore(st.State())
 	}
 	if cfg.InternetAccess {
@@ -655,10 +662,14 @@ func (d *Daemon) restore(st *store.State) {
 }
 
 // persist appends one record to the durable store, if configured,
-// returning whether the event may take effect. The caller holds d.mu;
-// the fsync inside Append is the cost of "acknowledged means durable".
-// On failure the event must be dropped — the protocol's hello re-drive
-// will deliver it again — so memory never runs ahead of disk.
+// returning whether the event may take effect. The caller holds d.mu
+// across the fsync inside Append, which is why only the rare records
+// come this way: metadata (once per download, and a piggybacked record
+// must be in effect before the piece behind it is looked up) and
+// quarantine (once per offence). Pieces and their credit, the per-piece
+// traffic, are staged by onPiece for commitLoop instead and never sync
+// under d.mu. On failure the event must be dropped — the protocol's hello
+// re-drive will deliver it again — so memory never runs ahead of disk.
 func (d *Daemon) persist(rec store.Record) bool {
 	if d.store == nil {
 		return true
@@ -739,6 +750,13 @@ func (d *Daemon) Run(ctx context.Context) error {
 		defer wg.Done()
 		d.sweepLoop(ctx)
 	}()
+	committed := make(chan struct{})
+	if d.store != nil {
+		go func() {
+			defer close(committed)
+			d.commitLoop()
+		}()
+	}
 	if d.dht != nil {
 		wg.Add(1)
 		go func() {
@@ -774,6 +792,11 @@ func (d *Daemon) Run(ctx context.Context) error {
 	wg.Wait()
 	d.dhtWG.Wait()
 	if d.store != nil {
+		// Every goroutine that stages pieces has exited, so the queue can
+		// close; the committer logs and applies what is still staged
+		// before the store closes under it.
+		close(d.commitQ)
+		<-committed
 		// Graceful shutdown flush: fold the WAL into a snapshot so the
 		// next start replays one compact image instead of a long log.
 		// Every record is already fsynced, so a failure here loses
@@ -1417,13 +1440,16 @@ func (d *Daemon) bumpBadSignature(from trace.NodeID) {
 	}
 }
 
-// onPiece verifies a piece against the stored record and stores it;
-// the piggybacked record (MBT-QM) is processed first when present.
 // onPiece runs the shared verify-and-store path for a received piece
-// (pairwise, broadcast, or fountain-decoded). It reports whether the
-// piece is now held — stored fresh or a duplicate of one already held
-// — so the fountain path can distinguish a clean decode from poisoned
-// bytes that failed verification.
+// (pairwise, broadcast, or fountain-decoded); the piggybacked record
+// (MBT-QM) is processed first when present. It reports whether the
+// piece checked out — stored fresh, staged for the next group commit,
+// or a duplicate of one already held — so the fountain path can
+// distinguish a clean decode from poisoned bytes that failed
+// verification.
+//
+// d.mu is held only to look the record up and, after the SHA-1 check,
+// to stage the result: neither the hash nor any fsync runs under it.
 func (d *Daemon) onPiece(from trace.NodeID, p *wire.Piece) bool {
 	if d.quarantined(from) {
 		return false
@@ -1439,62 +1465,173 @@ func (d *Daemon) onPiece(from trace.NodeID, p *wire.Piece) bool {
 		d.mu.Unlock()
 		return false
 	}
-	if !p.Verify(sm.Meta) {
+	meta := sm.Meta // immutable once stored, safe to hash against unlocked
+	d.mu.Unlock()
+
+	ok := p.Verify(meta)
+
+	d.mu.Lock()
+	if !ok {
 		d.counters.piecesRejected++
 		d.mu.Unlock()
 		return false
 	}
-	total := sm.Meta.NumPieces()
+	key := pieceKey{p.URI, p.Index}
 	ps := d.node.Pieces(p.URI)
-	isNew := ps == nil || !ps.Have(p.Index)
-	added := false
-	if isNew {
-		// Log before apply: the piece becomes part of the node's state —
-		// and of the next hello's have-bitmap — only once it is fsynced.
-		// A failed append drops the piece; the sender's resend deadline
-		// re-delivers it.
-		if !d.persist(&store.PieceRecord{URI: p.URI, Index: p.Index, Total: total}) {
-			d.mu.Unlock()
-			return false
-		}
-		added = d.node.AddPiece(p.URI, p.Index, total)
+	_, staged := d.pending[key]
+	if staged || (ps != nil && ps.Have(p.Index)) {
+		// A duplicate of a piece already held or staged: the injector's
+		// Duplicate fault and the resend deadline both produce these.
+		d.countDuplicateLocked(p.URI, p.Index)
+		d.mu.Unlock()
+		return true
 	}
-	if added {
-		d.counters.piecesVerified++
-		if ds := d.downloads[p.URI]; ds != nil {
-			ds.lastProgress = time.Now()
-		}
+	sp := stagedPiece{
+		from: from, uri: p.URI, index: p.Index, total: meta.NumPieces(),
 		// Useful delivery earns tit-for-tat credit (§IV-B), durably: the
 		// ledger survives restarts, so standing is not wiped by a crash.
-		if cur := d.node.Pieces(p.URI); cur != nil && cur.Want {
-			if d.persist(&store.CreditRecord{Peer: from, Delta: credit.RequestedReward}) {
-				d.node.Ledger.RewardRequested(from)
+		credit: ps != nil && ps.Want,
+	}
+	if d.store == nil {
+		justDone := d.applyPieceLocked(sp)
+		d.mu.Unlock()
+		if justDone {
+			d.announceComplete(sp)
+		}
+		return true
+	}
+	// Log before apply: the piece becomes part of the node's state — and
+	// of the next hello's have-bitmap — only once the committer has
+	// fsynced it. The bounded queue back-pressures this connection the
+	// way a blocking Append would.
+	d.pending[key] = struct{}{}
+	d.mu.Unlock()
+	d.commitQ <- sp
+	return true
+}
+
+// pieceKey names one piece of one file.
+type pieceKey struct {
+	uri   metadata.URI
+	index int
+}
+
+// stagedPiece is a verified piece on its way to the log: everything
+// commitLoop needs to write its records and apply it, and no piece
+// bytes.
+type stagedPiece struct {
+	from   trace.NodeID
+	uri    metadata.URI
+	index  int
+	total  int
+	credit bool // the piece was wanted: log and apply the sender's reward
+}
+
+// commitQueueLen bounds the pieces staged ahead of the committer, and
+// so one group commit: the committer takes whatever arrived while the
+// previous fsync ran, up to a queue's worth, and a full queue blocks
+// the receiving connections until the disk catches up.
+const commitQueueLen = 256
+
+// commitLoop is the durable piece path's only writer. Each round takes
+// everything staged while the previous round's fsync ran, logs it with
+// one write and one sync — a piece record and, when earned, its credit
+// record side by side, so the pair is durable together or not at all —
+// and only then takes d.mu to apply it. A failed batch is truncated
+// back by the store; its pieces are un-pended and left to the senders'
+// resend deadlines. Returns when commitQ is closed and drained.
+func (d *Daemon) commitLoop() {
+	var (
+		batch []stagedPiece
+		recs  []store.Record
+		done  []stagedPiece
+	)
+	for sp := range d.commitQ {
+		batch = append(batch[:0], sp)
+	fill:
+		for len(batch) < commitQueueLen {
+			select {
+			case sp, open := <-d.commitQ:
+				if !open {
+					break fill
+				}
+				batch = append(batch, sp)
+			default:
+				break fill
 			}
 		}
-	} else {
-		// A duplicate of a piece already held: the injector's Duplicate
-		// fault and the resend deadline both produce these; dedup is
-		// free because AddPiece is idempotent.
-		d.counters.piecesDuplicate++
-		if held := d.restored[p.URI]; p.Index < len(held) && held[p.Index] {
-			// A piece recovered from disk came over the wire again — the
-			// have-bitmap advertisement should make this impossible.
-			d.counters.piecesRefetched++
+		recs = recs[:0]
+		for _, sp := range batch {
+			recs = append(recs, &store.PieceRecord{URI: sp.uri, Index: sp.index, Total: sp.total})
+			if sp.credit {
+				recs = append(recs, &store.CreditRecord{Peer: sp.from, Delta: credit.RequestedReward})
+			}
+		}
+		err := d.store.AppendBatch(recs)
+
+		done = done[:0]
+		d.mu.Lock()
+		for _, sp := range batch {
+			delete(d.pending, pieceKey{sp.uri, sp.index})
+			if err == nil && d.applyPieceLocked(sp) {
+				done = append(done, sp)
+			}
+		}
+		if err != nil {
+			d.counters.storeErrors++
+		}
+		d.mu.Unlock()
+		if err != nil {
+			d.logf("daemon %d: store append of %d pieces: %v", d.cfg.ID, len(batch), err)
+		}
+		for _, sp := range done {
+			d.announceComplete(sp)
 		}
 	}
-	justDone := added && d.node.HasFullFile(p.URI) && !d.completed[p.URI]
-	if justDone {
-		d.completed[p.URI] = true
+}
+
+// applyPieceLocked makes a verified (and, with a store, fsynced) piece
+// part of the node's state, reporting whether it completed its file.
+// The caller holds d.mu.
+func (d *Daemon) applyPieceLocked(sp stagedPiece) (justDone bool) {
+	if !d.node.AddPiece(sp.uri, sp.index, sp.total) {
+		// The piece cache turned the newcomer away.
+		d.countDuplicateLocked(sp.uri, sp.index)
+		return false
 	}
-	d.mu.Unlock()
-	if justDone {
-		d.logf("daemon %d: download of %s complete (%d pieces, verified) via node %d",
-			d.cfg.ID, p.URI, p.Total, from)
-		if d.cfg.OnComplete != nil {
-			d.cfg.OnComplete(p.URI)
-		}
+	d.counters.piecesVerified++
+	if ds := d.downloads[sp.uri]; ds != nil {
+		ds.lastProgress = time.Now()
 	}
-	return true
+	if sp.credit {
+		d.node.Ledger.RewardRequested(sp.from)
+	}
+	if d.node.HasFullFile(sp.uri) && !d.completed[sp.uri] {
+		d.completed[sp.uri] = true
+		return true
+	}
+	return false
+}
+
+// countDuplicateLocked counts a piece that changed nothing. The caller
+// holds d.mu.
+func (d *Daemon) countDuplicateLocked(uri metadata.URI, index int) {
+	d.counters.piecesDuplicate++
+	if held := d.restored[uri]; index < len(held) && held[index] {
+		// A piece recovered from disk came over the wire again — the
+		// have-bitmap advertisement should make this impossible.
+		d.counters.piecesRefetched++
+	}
+}
+
+// announceComplete logs a finished download and fires OnComplete, with
+// d.mu released.
+func (d *Daemon) announceComplete(last stagedPiece) {
+	d.logf("daemon %d: download of %s complete (%d pieces, verified) via node %d",
+		d.cfg.ID, last.uri, last.total, last.from)
+	if d.cfg.OnComplete != nil {
+		d.cfg.OnComplete(last.uri)
+	}
 }
 
 // CompletedURIs lists finished downloads, sorted.

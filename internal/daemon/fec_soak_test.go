@@ -195,13 +195,15 @@ func runFECSoak(tb testing.TB, fec bool) float64 {
 // TestFECSoakFewerTransmissions is the acceptance gate: at 30% drop +
 // 20% corruption the fountain plane must beat grant/resend on
 // transmissions per verified piece, strictly. Each plane's figure is the
-// median of three soaks: the grant plane's cost is the luck of sixteen
+// median of five soaks: the grant plane's cost is the luck of sixteen
 // pieces on a 44%-loss medium (0.53–1.0 from run to run, against the
 // fountain's steady 0.62), so a single sample of it dips under the
 // fountain's every ten or twenty runs, more often beside busy test
-// binaries, without saying anything about the planes.
+// binaries, without saying anything about the planes. (A median of three
+// still dipped once — 0.609 against 0.623 — inside a full
+// `go test ./...`, though never in 56 runs of this test alone.)
 func TestFECSoakFewerTransmissions(t *testing.T) {
-	soaks := 3
+	soaks := 5
 	if testutil.RaceEnabled {
 		soaks = 1 // completion and decode floor only; see below
 	}

@@ -80,16 +80,46 @@ func equalState(a, b *store.State) bool {
 // N, for every N up to the fault-free op count — hitting every write,
 // fsync, snapshot rename, directory sync, and WAL reset the store ever
 // performs, including mid-append torn writes and mid-compaction
-// crashes. After each crash the directory is reopened on a clean
-// filesystem and two invariants must hold:
+// crashes. The sweep runs once record by record (Append, the one-record
+// batch; subtests opNNN) and once each through AppendBatch in groups of
+// three and eight (subtests batchB/opNNN). After each crash the
+// directory is reopened on a clean filesystem and two invariants must
+// hold:
 //
-//  1. every record whose Append returned nil before the crash is
+//  1. every record whose append returned nil before the crash is
 //     recovered (acknowledged means durable), and
 //  2. the recovered state equals the canonical sequence replayed to
-//     some prefix length k >= the acknowledged count (consistent
-//     prefix: the only extra record that may appear is the one being
-//     appended when the crash hit, if its frame landed whole).
+//     some prefix length k with acked <= k <= acked + len(in-flight
+//     batch) (consistent prefix: the only extra records that may appear
+//     are a frame-aligned prefix of the batch being appended when the
+//     crash hit — so a credit never shows up without the piece logged
+//     before it).
 func TestCrashPointMatrix(t *testing.T) {
+	crashMatrix(t, 1)
+	for _, batch := range []int{3, 8} {
+		batch := batch
+		t.Run(fmt.Sprintf("batch%d", batch), func(t *testing.T) { crashMatrix(t, batch) })
+	}
+}
+
+// appendInBatches logs recs in groups of batch until one fails,
+// returning how many records were acknowledged and the size of the
+// group in flight at the failure (0 when all landed).
+func appendInBatches(s *store.Store, recs []store.Record, batch int) (acked, inFlight int) {
+	for acked < len(recs) {
+		end := acked + batch
+		if end > len(recs) {
+			end = len(recs)
+		}
+		if err := s.AppendBatch(recs[acked:end]); err != nil {
+			return acked, end - acked
+		}
+		acked = end
+	}
+	return acked, 0
+}
+
+func crashMatrix(t *testing.T, batch int) {
 	recs := matrixRecords()
 	// CompactEvery well under one run's WAL growth so snapshots (and
 	// their rename/syncdir/reset windows) happen mid-sequence.
@@ -101,16 +131,17 @@ func TestCrashPointMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range recs {
-		if err := s.Append(r); err != nil {
-			t.Fatal(err)
-		}
+	if acked, _ := appendInBatches(s, recs, batch); acked != len(recs) {
+		t.Fatalf("fault-free run acknowledged %d/%d records", acked, len(recs))
+	}
+	if got, want := s.Stats().Batches, uint64((len(recs)+batch-1)/batch); got != want {
+		t.Fatalf("%d records in groups of %d took %d batches, want %d", len(recs), batch, got, want)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	totalOps := probe.Stats().Ops
-	if totalOps < int64(len(recs))*2 {
+	if totalOps < int64(len(recs)/batch)*2 {
 		t.Fatalf("op probe saw only %d ops", totalOps)
 	}
 	if probe.Stats().Renames == 0 {
@@ -122,15 +153,10 @@ func TestCrashPointMatrix(t *testing.T) {
 		t.Run(fmt.Sprintf("op%03d", crashAt), func(t *testing.T) {
 			dir := t.TempDir()
 			ffs := WrapFS(store.OSFS{}, FSConfig{Seed: uint64(crashAt) * 77, CrashAtOp: crashAt})
-			acked := 0
+			acked, inFlight := 0, 0
 			s, err := store.Open(store.Options{Dir: dir, FS: ffs, CompactEvery: compactEvery})
 			if err == nil {
-				for _, r := range recs {
-					if err := s.Append(r); err != nil {
-						break
-					}
-					acked++
-				}
+				acked, inFlight = appendInBatches(s, recs, batch)
 				s.Close() // best effort on a dying filesystem
 			}
 			if !ffs.Crashed() {
@@ -145,19 +171,74 @@ func TestCrashPointMatrix(t *testing.T) {
 			got := r.State()
 
 			// Invariant: recovered == canonical prefix of length k, with
-			// acked <= k <= acked+1.
+			// acked <= k <= acked+inFlight.
 			matched := -1
-			for k := acked; k <= acked+1 && k <= len(recs); k++ {
+			for k := acked; k <= acked+inFlight; k++ {
 				if equalState(got, applyAll(recs, k)) {
 					matched = k
 					break
 				}
 			}
 			if matched < 0 {
-				t.Fatalf("crash at op %d: recovered state is not a consistent prefix (acked %d): %+v",
-					crashAt, acked, r.Stats().Recovery)
+				t.Fatalf("crash at op %d: recovered state is not a consistent prefix (acked %d, %d in flight): %+v",
+					crashAt, acked, inFlight, r.Stats().Recovery)
+			}
+			// The canonical sequence logs each credit right behind its
+			// piece, so a prefix never holds more rewards than pieces.
+			pieces := 0
+			if f := got.Files[matrixMeta().URI]; f != nil {
+				pieces = f.HaveCount()
+			}
+			if rewards := got.Credit[2] / 5; rewards > float64(pieces) {
+				t.Fatalf("crash at op %d: %v credit rewards recovered for %d pieces", crashAt, rewards, pieces)
 			}
 		})
+	}
+}
+
+// TestBatchIsAllOrNothing: a batch whose fsync fails leaves nothing
+// behind — not in the live state, not in the log — and the repaired
+// store takes the same batch again whole. Piece and credit travel in
+// one batch, so a piece can no longer land without its credit.
+func TestBatchIsAllOrNothing(t *testing.T) {
+	dir := t.TempDir()
+	m := matrixMeta()
+	pair := []store.Record{
+		&store.PieceRecord{URI: m.URI, Index: 0, Total: 8},
+		&store.CreditRecord{Peer: 2, Delta: 5},
+	}
+	// Seed 21's first three sync draws at 40% are fail, pass (the
+	// truncate-back repair), pass (the retry).
+	ffs := WrapFS(store.OSFS{}, FSConfig{Seed: 21, SyncFail: 0.4})
+	s, err := store.Open(store.Options{Dir: dir, FS: ffs, CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendBatch(pair); !errors.Is(err, ErrInjectedSync) {
+		t.Fatalf("first batch: %v, want the injected sync failure", err)
+	}
+	if st := s.Stats(); st.Broken || st.Appended != 0 || st.Batches != 0 || st.AppendErrors != 1 || st.WALSize != 0 {
+		t.Fatalf("after a failed batch: %+v, want an empty, unbroken log", st)
+	}
+	if got := s.State(); len(got.Files) != 0 || len(got.Credit) != 0 {
+		t.Fatalf("failed batch leaked into the live state: %d files, %d credits", len(got.Files), len(got.Credit))
+	}
+	if err := s.AppendBatch(pair); err != nil {
+		t.Fatalf("retry after repair: %v", err)
+	}
+	if st := s.Stats(); st.Appended != 2 || st.Batches != 1 || st.LastSeq != 2 {
+		t.Fatalf("after the retry: %+v, want 2 records in 1 batch", st)
+	}
+	s.Close()
+
+	r, err := store.Open(store.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	got := r.State()
+	if f := got.Files[m.URI]; f == nil || f.HaveCount() != 1 || got.Credit[2] != 5 {
+		t.Fatalf("recovered %+v / credit %v, want exactly one piece and one reward", got.Files[m.URI], got.Credit[2])
 	}
 }
 

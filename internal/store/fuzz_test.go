@@ -25,7 +25,7 @@ func fuzzSeedWAL() []byte {
 	}
 	var out []byte
 	for i, rec := range recs {
-		out = append(out, encodeFrame(uint64(i+1), rec)...)
+		out = append(out, EncodeFrame(uint64(i+1), rec)...)
 	}
 	return out
 }
@@ -64,7 +64,7 @@ func FuzzWALReplay(f *testing.F) {
 		// The recovered entries are exactly the prefix's content.
 		var re []byte
 		for _, e := range entries {
-			re = append(re, encodeFrame(e.seq, e.rec)...)
+			re = append(re, EncodeFrame(e.seq, e.rec)...)
 		}
 		if !bytes.Equal(re, b[:validLen]) {
 			t.Fatalf("re-encoded entries differ from recovered prefix")

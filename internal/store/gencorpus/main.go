@@ -3,7 +3,8 @@
 // record kind is mutated with the fault injector's frame corrupter
 // under fixed seeds, plus the structural cases a crash actually leaves
 // — torn tails at every frame boundary, a mid-frame cut, duplicated
-// frames (the snapshot/WAL overlap window), and a bit-flipped CRC.
+// frames (the snapshot/WAL overlap window), a bit-flipped CRC, and a
+// group-commit batch torn inside one of its frames.
 // Regenerate with:
 //
 //	go run ./internal/store/gencorpus -out internal/store/testdata/fuzz/FuzzWALReplay
@@ -68,6 +69,26 @@ func main() {
 		inputs[fmt.Sprintf("torn-mid-frame-%d", i)] = whole[:off+len(f)/2]
 		off += len(f)
 	}
+	// A group commit torn mid-frame: behind the synced log, a batch of
+	// two piece+credit pairs whose single write died inside its third
+	// frame. Replay keeps the batch's first pair and drops the rest.
+	uri := metadata.URIFor(1)
+	batch := []store.Record{
+		&store.PieceRecord{URI: uri, Index: 1, Total: 3},
+		&store.CreditRecord{Peer: 4, Delta: 5},
+		&store.PieceRecord{URI: uri, Index: 2, Total: 3},
+		&store.CreditRecord{Peer: 4, Delta: 5},
+	}
+	torn := append([]byte{}, whole...)
+	for i, rec := range batch {
+		f := store.EncodeFrame(uint64(len(fs)+i+1), rec)
+		if i == 2 {
+			torn = append(torn, f[:len(f)/2]...)
+			break
+		}
+		torn = append(torn, f...)
+	}
+	inputs["torn-batch-mid-frame"] = torn
 	// Duplicated frames: the snapshot/WAL overlap window replays records
 	// the snapshot already folded in.
 	inputs["duplicated-log"] = append(append([]byte{}, whole...), whole...)

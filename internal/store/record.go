@@ -110,16 +110,19 @@ const maxRecordLen = 4 << 20
 // wire codec discipline: big-endian, length-prefixed variable fields.
 // The metadata body is the wire codec's own metadata encoding, so the
 // WAL and the air share one source of truth for the record layout.
-func EncodeRecord(rec Record) []byte {
+func EncodeRecord(rec Record) []byte { return appendRecord(nil, rec) }
+
+// appendRecord appends rec's encoding to b.
+func appendRecord(b []byte, rec Record) []byte {
 	switch r := rec.(type) {
 	case *PieceRecord:
-		b := []byte{byte(KindPiece)}
+		b = append(b, byte(KindPiece))
 		b = appendStr(b, string(r.URI))
 		b = binary.BigEndian.AppendUint32(b, uint32(r.Index))
 		b = binary.BigEndian.AppendUint32(b, uint32(r.Total))
 		return b
 	case *MetadataRecord:
-		b := []byte{byte(KindMetadata)}
+		b = append(b, byte(KindMetadata))
 		enc := wire.EncodeMetadata(&wire.Metadata{Popularity: r.Popularity, Record: r.Meta})
 		b = binary.BigEndian.AppendUint32(b, uint32(len(enc)))
 		b = append(b, enc...)
@@ -130,12 +133,12 @@ func EncodeRecord(rec Record) []byte {
 		}
 		return b
 	case *CreditRecord:
-		b := []byte{byte(KindCredit)}
+		b = append(b, byte(KindCredit))
 		b = binary.BigEndian.AppendUint32(b, uint32(r.Peer))
 		b = binary.BigEndian.AppendUint64(b, math.Float64bits(r.Delta))
 		return b
 	case *QuarantineRecord:
-		b := []byte{byte(KindQuarantine)}
+		b = append(b, byte(KindQuarantine))
 		b = binary.BigEndian.AppendUint32(b, uint32(r.Peer))
 		b = binary.BigEndian.AppendUint32(b, uint32(r.Strikes))
 		b = binary.BigEndian.AppendUint64(b, uint64(r.UntilUnixMilli))

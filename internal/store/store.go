@@ -195,10 +195,13 @@ type RecoveryStats struct {
 	WALSizeAtOpen int64 `json:"wal_size_at_open"`
 }
 
-// Stats is the store's live observability surface.
+// Stats is the store's live observability surface. Appended counts
+// records logged and Batches the write+fsync rounds that logged them,
+// so Appended/Batches is the group-commit factor.
 type Stats struct {
 	Recovery     RecoveryStats `json:"recovery"`
 	Appended     uint64        `json:"appended"`
+	Batches      uint64        `json:"batches"`
 	AppendErrors uint64        `json:"append_errors"`
 	Compactions  uint64        `json:"compactions"`
 	WALSize      int64         `json:"wal_size"`
@@ -216,22 +219,25 @@ var (
 	ErrBroken = errors.New("store: broken wal (unrepaired append failure)")
 )
 
-// Store is the node's durable state. Construct with Open; Append is
-// safe for concurrent use.
+// Store is the node's durable state. Construct with Open; Append and
+// AppendBatch are safe for concurrent use.
 type Store struct {
 	opt Options
 	fs  FS
 
-	mu          sync.Mutex
-	w           *wal
-	state       *State
-	seq         uint64
-	recovery    RecoveryStats
-	appended    uint64
-	appendErrs  uint64
-	compactions uint64
-	closed      bool
-	broken      bool
+	// mu serialises writers and is held across their disk I/O.
+	mu     sync.Mutex
+	w      *wal
+	state  *State
+	seq    uint64
+	closed bool
+	broken bool
+
+	// stats is what Stats returns, under its own lock so a reader never
+	// waits behind an fsync. Writers update it through publish, still
+	// holding mu.
+	statsMu sync.Mutex
+	stats   Stats
 }
 
 // Open mounts the data directory: loads the newest snapshot, replays
@@ -281,21 +287,28 @@ func Open(opt Options) (*Store, error) {
 			seq = e.seq
 		}
 	}
-	s := &Store{
-		opt:   opt,
-		fs:    fs,
-		w:     w,
-		state: st,
-		seq:   seq,
-		recovery: RecoveryStats{
+	s := &Store{opt: opt, fs: fs, w: w, state: st, seq: seq}
+	s.stats = Stats{
+		Recovery: RecoveryStats{
 			Recovered:       snapRecords > 0 || len(entries) > 0 || torn > 0,
 			SnapshotRecords: snapRecords,
 			WALRecords:      walRecords,
 			TornBytes:       torn,
 			WALSizeAtOpen:   w.size,
 		},
+		WALSize: w.size,
+		LastSeq: seq,
 	}
 	return s, nil
+}
+
+// publish applies a writer's counter changes to the stats snapshot and
+// refreshes its mirror of the log position. The caller holds mu.
+func (s *Store) publish(update func(*Stats)) {
+	s.statsMu.Lock()
+	defer s.statsMu.Unlock()
+	update(&s.stats)
+	s.stats.WALSize, s.stats.LastSeq, s.stats.Broken = s.w.size, s.seq, s.broken
 }
 
 // State returns a deep copy of the recovered (plus since-appended)
@@ -306,40 +319,50 @@ func (s *Store) State() *State {
 	return s.state.clone()
 }
 
-// Append logs one record durably: the call returns nil only after the
-// framed record is written and fsynced, so callers may acknowledge the
-// event the moment Append returns. The record is also folded into the
-// in-memory state. When the WAL has grown past CompactEvery, a snapshot
-// is taken inline.
-func (s *Store) Append(rec Record) error {
+// Append logs one record durably: AppendBatch of one.
+func (s *Store) Append(rec Record) error { return s.AppendBatch([]Record{rec}) }
+
+// AppendBatch logs recs durably and all-or-nothing, in order, for the
+// price of one write and one fsync: the call returns nil only after
+// every frame is written and fsynced, so callers may acknowledge the
+// events the moment it returns; on error none of them is logged. The
+// records are also folded into the in-memory state. A crash mid-call
+// recovers a prefix of recs. When the WAL has grown past CompactEvery,
+// a snapshot is taken inline.
+func (s *Store) AppendBatch(recs []Record) error {
+	if len(recs) == 0 {
+		return nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
 	if s.broken {
-		s.appendErrs++
+		s.publish(func(st *Stats) { st.AppendErrors++ })
 		return ErrBroken
 	}
-	s.seq++
-	if err := s.w.append(s.seq, rec, s.opt.NoSync); err != nil {
-		s.seq--
-		s.appendErrs++
+	if err := s.w.append(s.seq+1, recs, s.opt.NoSync); err != nil {
 		// A failed repair means the file may hold a torn frame that new
 		// appends would bury; refuse to make it worse.
 		if errors.Is(err, errUnrepaired) {
 			s.broken = true
 		}
+		s.publish(func(st *Stats) { st.AppendErrors++ })
 		return err
 	}
-	s.state.Apply(rec)
-	s.appended++
+	s.seq += uint64(len(recs))
+	for _, rec := range recs {
+		s.state.Apply(rec)
+	}
+	s.publish(func(st *Stats) {
+		st.Appended += uint64(len(recs))
+		st.Batches++
+	})
 	if s.opt.CompactEvery > 0 && s.w.size > s.opt.CompactEvery {
 		// Best effort: a failed compaction leaves the WAL as the source
 		// of truth and the next append retries past the threshold.
-		if err := s.compactLocked(); err == nil {
-			s.compactions++
-		}
+		_ = s.compactLocked()
 	}
 	return nil
 }
@@ -351,11 +374,7 @@ func (s *Store) Compact() error {
 	if s.closed {
 		return ErrClosed
 	}
-	if err := s.compactLocked(); err != nil {
-		return err
-	}
-	s.compactions++
-	return nil
+	return s.compactLocked()
 }
 
 func (s *Store) compactLocked() error {
@@ -366,7 +385,11 @@ func (s *Store) compactLocked() error {
 	// The snapshot is durable; the WAL's contents are redundant. A crash
 	// before (or during) this reset replays WAL entries whose seq the
 	// snapshot already covers, which Open skips.
-	return s.w.reset()
+	if err := s.w.reset(); err != nil {
+		return err
+	}
+	s.publish(func(st *Stats) { st.Compactions++ })
+	return nil
 }
 
 // Close flushes and closes the store. A store with appended records
@@ -381,24 +404,14 @@ func (s *Store) Close() error {
 	}
 	s.closed = true
 	if !s.broken && s.w.size > 0 {
-		if err := s.compactLocked(); err == nil {
-			s.compactions++
-		}
+		_ = s.compactLocked() // best effort: the WAL is already durable
 	}
 	return s.w.close()
 }
 
-// Stats snapshots the store's counters.
+// Stats snapshots the store's counters. It never waits for disk I/O.
 func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return Stats{
-		Recovery:     s.recovery,
-		Appended:     s.appended,
-		AppendErrors: s.appendErrs,
-		Compactions:  s.compactions,
-		WALSize:      s.w.size,
-		LastSeq:      s.seq,
-		Broken:       s.broken,
-	}
+	s.statsMu.Lock()
+	defer s.statsMu.Unlock()
+	return s.stats
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -105,7 +106,7 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 	s.closed = true
 
 	// Append garbage, then half of a valid frame: both are torn tails.
-	torn := append(append([]byte{}, good...), encodeFrame(99, &CreditRecord{Peer: 1, Delta: 1})[:7]...)
+	torn := append(append([]byte{}, good...), EncodeFrame(99, &CreditRecord{Peer: 1, Delta: 1})[:7]...)
 	torn = append(torn, 0xFF, 0xFE)
 	if err := os.WriteFile(walPath, torn, 0o644); err != nil {
 		t.Fatal(err)
@@ -294,4 +295,123 @@ func TestStateCloneIsolation(t *testing.T) {
 	if snap.Files[m.URI].HaveCount() != 1 {
 		t.Fatal("State() clone mutated by later append")
 	}
+}
+
+// countFS counts the WAL file's writes and syncs, and can hold a Sync
+// open until released.
+type countFS struct {
+	OSFS
+	writes, syncs int
+	hold          chan struct{} // non-nil: Sync waits for it to close
+	inSync        chan struct{} // one token per held Sync
+}
+
+type countFile struct {
+	File
+	fs *countFS
+}
+
+func (c *countFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+	f, err := c.OSFS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &countFile{File: f, fs: c}, nil
+}
+
+func (f *countFile) Write(p []byte) (int, error) {
+	f.fs.writes++
+	return f.File.Write(p)
+}
+
+func (f *countFile) Sync() error {
+	f.fs.syncs++
+	if f.fs.hold != nil {
+		f.fs.inSync <- struct{}{}
+		<-f.fs.hold
+	}
+	return f.File.Sync()
+}
+
+// TestAppendBatchOneWriteOneSync: a batch of n records costs one write
+// and one fsync, lands in order under consecutive sequence numbers, and
+// is byte-for-byte the log the same records make one Append at a time.
+func TestAppendBatchOneWriteOneSync(t *testing.T) {
+	m := testMeta(2)
+	recs := []Record{
+		&PieceRecord{URI: m.URI, Index: 0, Total: 3},
+		&CreditRecord{Peer: 7, Delta: 5},
+		&PieceRecord{URI: m.URI, Index: 1, Total: 3},
+		&CreditRecord{Peer: 7, Delta: 5},
+		&PieceRecord{URI: m.URI, Index: 2, Total: 3},
+	}
+	cfs := &countFS{}
+	batched, single := t.TempDir(), t.TempDir()
+	s, err := Open(Options{Dir: batched, FS: cfs, CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendBatch(nil); err != nil || cfs.writes != 0 || cfs.syncs != 0 {
+		t.Fatalf("empty batch: err %v, %d writes, %d syncs; want a no-op", err, cfs.writes, cfs.syncs)
+	}
+	if err := s.AppendBatch(recs); err != nil {
+		t.Fatal(err)
+	}
+	if cfs.writes != 1 || cfs.syncs != 1 {
+		t.Fatalf("batch of %d took %d writes and %d syncs, want 1 and 1", len(recs), cfs.writes, cfs.syncs)
+	}
+	if st := s.Stats(); st.Appended != 5 || st.Batches != 1 || st.LastSeq != 5 {
+		t.Fatalf("stats after one batch: %+v", st)
+	}
+	if f := s.State().Files[m.URI]; f == nil || f.HaveCount() != 3 || s.State().Credit[7] != 10 {
+		t.Fatalf("batch not folded into the live state: %+v", f)
+	}
+
+	one := openT(t, single)
+	one.opt.CompactEvery = -1
+	for _, rec := range recs {
+		if err := one.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := one.Stats(); st.Appended != 5 || st.Batches != 5 {
+		t.Fatalf("stats after five appends: %+v", st)
+	}
+	a, err := os.ReadFile(filepath.Join(batched, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(single, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatal("a batch and the same records appended singly wrote different logs")
+	}
+	s.Close()
+	one.Close()
+}
+
+// TestStatsDoesNotWaitForSync: Stats answers while an append sits in
+// its fsync, and shows the log as it was before that append.
+func TestStatsDoesNotWaitForSync(t *testing.T) {
+	cfs := &countFS{hold: make(chan struct{}), inSync: make(chan struct{}, 1)}
+	s, err := Open(Options{Dir: t.TempDir(), FS: cfs, CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appended := make(chan error, 1)
+	go func() { appended <- s.Append(&CreditRecord{Peer: 1, Delta: 5}) }()
+	<-cfs.inSync
+	if st := s.Stats(); st.Appended != 0 || st.LastSeq != 0 {
+		t.Fatalf("stats during the sync: %+v, want nothing acknowledged yet", st)
+	}
+	close(cfs.hold)
+	if err := <-appended; err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Appended != 1 || st.Batches != 1 || st.LastSeq != 1 {
+		t.Fatalf("stats after the sync: %+v", st)
+	}
+	s.w.close() // not Close: its compaction would sync through the held FS
 }

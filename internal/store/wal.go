@@ -14,11 +14,13 @@ import (
 //	u32 payloadLen | u32 crc32(payload) | payload
 //	payload := u64 seq | record (kind byte + body, see record.go)
 //
-// Frames are written with one Write call and fsynced before Append
+// The frames of one append — a single record or a whole batch — are
+// written with one Write call and fsynced once before the append
 // returns. Replay walks frames from the start and stops at the first
 // torn frame — short header, impossible length, CRC mismatch, or a
 // record body that fails to decode — truncating the file there, so the
-// recovered log is always a valid prefix of what was appended.
+// recovered log is always a valid prefix of what was appended (a batch
+// torn by a crash recovers as a frame-aligned prefix of itself).
 
 const (
 	walName        = "wal.log"
@@ -39,17 +41,20 @@ type walEntry struct {
 
 // EncodeFrame builds one framed WAL record — exported for the corpus
 // generator and tests that assemble log images byte-for-byte.
-func EncodeFrame(seq uint64, rec Record) []byte { return encodeFrame(seq, rec) }
+func EncodeFrame(seq uint64, rec Record) []byte { return appendFrame(nil, seq, rec) }
 
-// encodeFrame builds one framed WAL record.
-func encodeFrame(seq uint64, rec Record) []byte {
-	payload := make([]byte, seqLen, seqLen+64)
-	binary.BigEndian.PutUint64(payload, seq)
-	payload = append(payload, EncodeRecord(rec)...)
-	frame := make([]byte, frameHeaderLen, frameHeaderLen+len(payload))
-	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	return append(frame, payload...)
+// appendFrame appends one framed WAL record to dst: the header is
+// reserved, the payload encoded in place behind it, then length and CRC
+// are patched in, so a batch of frames builds in one buffer.
+func appendFrame(dst []byte, seq uint64, rec Record) []byte {
+	start := len(dst)
+	dst = append(dst, make([]byte, frameHeaderLen)...)
+	dst = binary.BigEndian.AppendUint64(dst, seq)
+	dst = appendRecord(dst, rec)
+	payload := dst[start+frameHeaderLen:]
+	binary.BigEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(payload))
+	return dst
 }
 
 // parseFrames walks the raw WAL bytes, returning the valid prefix's
@@ -84,12 +89,14 @@ func parseFrames(b []byte) (entries []walEntry, validLen int64) {
 	}
 }
 
-// wal owns the open log file.
+// wal owns the open log file. buf is the frame buffer every append
+// reuses.
 type wal struct {
 	fs   FS
 	path string
 	f    File
 	size int64
+	buf  []byte
 }
 
 // openWAL opens (creating if needed) the log, replays its valid prefix,
@@ -123,14 +130,18 @@ func openWAL(fs FS, path string) (w *wal, entries []walEntry, tornBytes int64, e
 	return &wal{fs: fs, path: path, f: f, size: validLen}, entries, tornBytes, nil
 }
 
-// append writes one framed record and, unless noSync, fsyncs. On a
-// write error it tries to cut the file back to the last known-good
-// size so the log never grows an unreachable tail; if that repair
-// fails too, the returned error wraps both and the caller must stop
-// appending.
-func (w *wal) append(seq uint64, rec Record, noSync bool) error {
-	frame := encodeFrame(seq, rec)
-	if _, err := w.f.Write(frame); err != nil {
+// append frames recs with sequence numbers firstSeq, firstSeq+1, … and
+// logs them all-or-nothing: one Write of every frame and, unless
+// noSync, one fsync. On a write or sync error it cuts the file back to
+// the last known-good size, so the log never grows an unreachable tail
+// and no part of a failed batch survives; if that repair fails too, the
+// returned error wraps both and the caller must stop appending.
+func (w *wal) append(firstSeq uint64, recs []Record, noSync bool) error {
+	w.buf = w.buf[:0]
+	for i, rec := range recs {
+		w.buf = appendFrame(w.buf, firstSeq+uint64(i), rec)
+	}
+	if _, err := w.f.Write(w.buf); err != nil {
 		if terr := w.truncateBack(); terr != nil {
 			return fmt.Errorf("store: wal append: %w (repair failed: %v): %w", err, terr, errUnrepaired)
 		}
@@ -144,7 +155,7 @@ func (w *wal) append(seq uint64, rec Record, noSync bool) error {
 			return fmt.Errorf("store: wal sync: %w", err)
 		}
 	}
-	w.size += int64(len(frame))
+	w.size += int64(len(w.buf))
 	return nil
 }
 
