@@ -146,7 +146,8 @@ bench-e2e:
 
 # Benchmark history: the hot-path benches (wire codec, beacon fan-out,
 # peer-table contention, DHT k-buckets and lookups, WAL append/replay,
-# clique enumeration, admission limiters, outbox shedding) plus the
+# clique enumeration, admission limiters, outbox shedding, synthetic
+# piece generation, query → first piece on a live pair) plus the
 # sweep pool, rendered to JSON. Each run
 # APPENDS a record stamped with the git SHA (suffixed -dirty when the
 # tree has uncommitted changes, i.e. the record belongs to the commit
@@ -155,8 +156,9 @@ bench-e2e:
 # the format).
 bench-json:
 	{ $(GO) test -run '^$$' -bench . -benchtime 0.5s \
-		./internal/wire ./internal/peer ./internal/store ./internal/clique ./internal/fec ./internal/dht ./internal/limit ; \
+		./internal/wire ./internal/peer ./internal/store ./internal/clique ./internal/fec ./internal/dht ./internal/limit ./internal/metadata ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkFECSoak|BenchmarkOutboxShed' -benchtime 1x ./internal/daemon ; \
+	  $(GO) test -run '^$$' -bench BenchmarkQueryToFirstPiece -benchtime 20x ./internal/daemon ; \
 	  $(GO) test -run '^$$' -bench BenchmarkRunAll -benchtime 1x . ; } \
 	| $(GO) run ./cmd/benchjson -label swarm-baseline \
 		-commit "$$(git describe --always --dirty --exclude '*' 2>/dev/null || echo unknown)" \

@@ -8,10 +8,16 @@
 //
 //	hello(queries)      → peer answers with matching metadata records
 //	metadata(record)    → store; if it matches an own query, select the
-//	                      file, so the next hello advertises it
+//	                      file and beacon at once to advertise it
 //	hello(downloading)  → peer streams pieces of the advertised files
 //	piece(data)         → verify against the stored record's checksums,
 //	                      store; completion is reached piece by piece
+//
+// Beacons are periodic and event-driven: a query that was not already
+// live (AddQuery) and a newly selected download (onMetadata) each kick
+// the manager's beacon forward, so neither arrow waits out a hello
+// interval. Nothing else kicks — kicks per node are bounded by its
+// queries plus its files.
 //
 // Ownership and locking: Daemon.mu guards the node state and per-peer
 // send tracking. Handler callbacks (session goroutines) take the lock
@@ -971,11 +977,15 @@ func (d *Daemon) sweepOnce(ctx context.Context) {
 }
 
 // AddQuery registers a new search at runtime, as if it had been in
-// Config.Queries: the next hello beacon advertises it.
+// Config.Queries. A query that was not already in the set is beaconed
+// at once; repeating one only extends its expiry.
 func (d *Daemon) AddQuery(q string) {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.node.AddQuery(q, d.now().Add(d.cfg.TTL))
+	added := d.node.AddQuery(q, d.now().Add(d.cfg.TTL))
+	d.mu.Unlock()
+	if added {
+		d.mgr.Kick()
+	}
 }
 
 // Pause suspends the node's radio without tearing it down: beacons stop
@@ -1167,14 +1177,17 @@ func (d *Daemon) onHello(from trace.NodeID, msg *wire.Hello) {
 		d.dht.Observe(from, "")
 	}
 
-	var out []wire.Msg
+	// Metadata answers are queued before any piece is generated, so a
+	// hello carrying both a query and a download is answered record-first.
 	if len(msg.Queries) > 0 {
 		holds := make(map[metadata.URI]bool, len(msg.Downloading))
 		for _, uri := range msg.Downloading {
 			holds[uri] = true
 		}
 		for _, q := range msg.Queries {
-			out = append(out, d.answerQuery(now, from, q, holds)...)
+			for _, m := range d.answerQuery(now, from, q, holds) {
+				d.enqueue(from, m)
+			}
 		}
 	}
 	// A confirmed group member's downloads are the schedule's job: one
@@ -1185,19 +1198,16 @@ func (d *Daemon) onHello(from trace.NodeID, msg *wire.Hello) {
 		d.mu.Lock()
 		d.counters.piecesSuppressed += uint64(len(msg.Downloading))
 		d.mu.Unlock()
-	} else {
-		// Index the peer's have-bitmaps so the serve loop can skip pieces
-		// it already holds (e.g. everything it recovered from disk).
-		peerHave := make(map[metadata.URI]*wire.GroupWant, len(msg.Have))
-		for i := range msg.Have {
-			peerHave[msg.Have[i].URI] = &msg.Have[i]
-		}
-		for _, uri := range msg.Downloading {
-			out = append(out, d.servePieces(from, uri, peerHave[uri], msg.Heard)...)
-		}
+		return
 	}
-	for _, m := range out {
-		d.enqueue(from, m)
+	// Index the peer's have-bitmaps so the serve loop can skip pieces
+	// it already holds (e.g. everything it recovered from disk).
+	peerHave := make(map[metadata.URI]*wire.GroupWant, len(msg.Have))
+	for i := range msg.Have {
+		peerHave[msg.Have[i].URI] = &msg.Have[i]
+	}
+	for _, uri := range msg.Downloading {
+		d.servePieces(from, uri, peerHave[uri], msg.Heard)
 	}
 }
 
@@ -1254,8 +1264,12 @@ func (d *Daemon) answerQuery(now simtime.Time, from trace.NodeID, q string, hold
 // uri; pieces it already marks held are never served, so a restarted
 // downloader's persisted pieces cross the wire zero times. heard is the
 // peer's neighbour list: which of the missing pieces go first is
-// pickPieces' holder-disjoint order (serve.go).
-func (d *Daemon) servePieces(from trace.NodeID, uri metadata.URI, peerHave *wire.GroupWant, heard []trace.NodeID) []wire.Msg {
+// pickPieces' holder-disjoint order (serve.go). Each piece is queued as
+// soon as it is generated, so the first frame leaves while the rest of
+// the burst is still being built and the burst is never held whole. A
+// piece the full data lane drops keeps its sent mark — the resend
+// deadline re-serves it, like any other lost frame.
+func (d *Daemon) servePieces(from trace.NodeID, uri metadata.URI, peerHave *wire.GroupWant, heard []trace.NodeID) {
 	now := d.now()
 	var rec *metadata.Metadata
 	if d.catalog != nil {
@@ -1279,7 +1293,7 @@ func (d *Daemon) servePieces(from trace.NodeID, uri metadata.URI, peerHave *wire
 		d.mu.Unlock()
 	}
 	if rec == nil {
-		return nil
+		return
 	}
 	total := rec.NumPieces()
 	rank, k := shareOf(heard, d.cfg.ID)
@@ -1318,20 +1332,15 @@ func (d *Daemon) servePieces(from trace.NodeID, uri metadata.URI, peerHave *wire
 		sent[i] = wall
 	}
 	d.mu.Unlock()
-	if len(idxs) == 0 {
-		return nil
-	}
 
-	out := make([]wire.Msg, 0, len(idxs))
 	for _, i := range idxs {
-		out = append(out, &wire.Piece{
+		d.enqueue(from, &wire.Piece{
 			URI:   uri,
 			Index: i,
 			Total: total,
 			Data:  metadata.SyntheticPiece(uri, i, rec.PieceLen(i)),
 		})
 	}
-	return out
 }
 
 // onMetadata verifies and stores a received record; if it matches one
@@ -1386,6 +1395,12 @@ func (d *Daemon) onMetadata(from trace.NodeID, m *wire.Metadata) {
 		}
 	}
 	d.mu.Unlock()
+	if selected && !wanted {
+		// A new download is an interest change: advertise it now rather
+		// than at the next tick, so the holder that just answered the
+		// query starts serving pieces within the same contact.
+		d.mgr.Kick()
+	}
 	if added && d.dht != nil {
 		// Fold the verified record into the DHT cache: a DTN-side node
 		// answers FindValue from gossip-learned state, no Internet path.

@@ -15,7 +15,7 @@ import (
 	"repro/internal/transport"
 )
 
-func waitFor(t *testing.T, cond func() bool, what string) {
+func waitFor(t testing.TB, cond func() bool, what string) {
 	t.Helper()
 	deadline := time.Now().Add(20 * time.Second)
 	for time.Now().Before(deadline) {

@@ -58,8 +58,9 @@ func pieceMsg(rec *metadata.Metadata, i int) *wire.Piece {
 // knows nothing about must produce no pieces (and no tracking state).
 func TestServePiecesUnknownURI(t *testing.T) {
 	d := bench(t, nil)
-	if out := d.servePieces(2, metadata.URI("dtn://files/404"), nil, nil); out != nil {
-		t.Fatalf("served %d pieces for an unknown URI", len(out))
+	d.servePieces(2, metadata.URI("dtn://files/404"), nil, nil)
+	if n := d.out.depth(classData); n != 0 {
+		t.Fatalf("served %d pieces for an unknown URI", n)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()

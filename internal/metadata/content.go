@@ -13,21 +13,21 @@ import (
 // (uri, piece index) so that every piece is unique and reproducible.
 func SyntheticPiece(uri URI, i, size int) []byte {
 	data := make([]byte, size)
-	var seed [sha1.Size]byte
-	h := sha1.New()
-	h.Write([]byte(uri))
-	var idx [8]byte
-	binary.BigEndian.PutUint64(idx[:], uint64(i))
-	h.Write(idx[:])
-	h.Sum(seed[:0])
+	// seed = SHA-1(uri ‖ i); short URIs stay on the stack.
+	in := make([]byte, 0, 128)
+	in = append(in, uri...)
+	in = binary.BigEndian.AppendUint64(in, uint64(i))
+	seed := sha1.Sum(in)
 
-	// Expand the seed with SHA-1 in counter mode.
+	// Expand the seed with SHA-1 in counter mode: block off is
+	// SHA-1(seed ‖ off). One stack input and sha1.Sum per block — this
+	// is the seeder's per-byte cost, so it must not allocate per block.
+	var block [sha1.Size + 8]byte
+	copy(block[:], seed[:])
 	for off := 0; off < size; {
-		block := sha1.New()
-		block.Write(seed[:])
-		binary.BigEndian.PutUint64(idx[:], uint64(off))
-		block.Write(idx[:])
-		off += copy(data[off:], block.Sum(nil))
+		binary.BigEndian.PutUint64(block[sha1.Size:], uint64(off))
+		sum := sha1.Sum(block[:])
+		off += copy(data[off:], sum[:])
 	}
 	return data
 }

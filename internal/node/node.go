@@ -119,11 +119,15 @@ func (n *Node) SetFrequent(peers []trace.NodeID) {
 // IsFrequent reports whether peer is a frequent contact.
 func (n *Node) IsFrequent(peer trace.NodeID) bool { return n.frequent[peer] }
 
-// AddQuery registers an active query until expiry.
-func (n *Node) AddQuery(q string, expiry simtime.Time) {
-	if cur, ok := n.queries[q]; !ok || expiry > cur {
+// AddQuery registers an active query until expiry, keeping the later
+// expiry when q is already registered. It reports whether the query set
+// changed, i.e. q was not in it.
+func (n *Node) AddQuery(q string, expiry simtime.Time) (added bool) {
+	cur, ok := n.queries[q]
+	if !ok || expiry > cur {
 		n.queries[q] = expiry
 	}
+	return !ok
 }
 
 // Queries returns the node's unexpired queries, sorted for determinism.

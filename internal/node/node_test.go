@@ -31,9 +31,16 @@ func TestQueriesLifecycle(t *testing.T) {
 
 func TestAddQueryKeepsLaterExpiry(t *testing.T) {
 	n := New(1, false)
-	n.AddQuery("jazz", simtime.Time(simtime.Day))
-	n.AddQuery("jazz", simtime.Time(2*simtime.Day))
-	n.AddQuery("jazz", simtime.Time(simtime.Hour)) // earlier: ignored
+	if !n.AddQuery("jazz", simtime.Time(simtime.Day)) {
+		t.Fatal("a new query did not report the set as changed")
+	}
+	// Re-adding moves the expiry at most; the set of queries stands.
+	if n.AddQuery("jazz", simtime.Time(2*simtime.Day)) {
+		t.Fatal("extending a registered query reported the set as changed")
+	}
+	if n.AddQuery("jazz", simtime.Time(simtime.Hour)) { // earlier: ignored
+		t.Fatal("re-adding a registered query reported the set as changed")
+	}
 	if got := n.Queries(simtime.Time(simtime.Day)); len(got) != 1 {
 		t.Fatalf("Queries = %v, want extended expiry to win", got)
 	}

@@ -45,7 +45,7 @@ func BenchmarkBeaconFanout(b *testing.B) {
 			m := benchManager(b, peers)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				m.broadcastExcept(ctx, nil)
+				m.BroadcastExcept(ctx, nil)
 			}
 		})
 	}

@@ -3,8 +3,9 @@
 // A Manager owns every connection of one daemon: it performs the hello
 // handshake that identifies the node on the other end, keeps a peer
 // table keyed by trace.NodeID, beacons hellos at the protocol interval
-// (§III-B: at least once per second), and expires peers that fall
-// silent past the 5-second hello window. Inbound connections arrive via
+// (§III-B: at least once per second) and at once when Kick reports that
+// the node's interests changed, and expires peers that fall silent past
+// the 5-second hello window. Inbound connections arrive via
 // Serve, outbound links are maintained by Connect, which redials with
 // exponential backoff when a link drops.
 //
@@ -19,7 +20,8 @@
 // Ownership rules: the Manager owns its Conns — callers never touch a
 // Conn directly. Each session has exactly one receive goroutine; sends
 // go through the Conn's internal queue, so handler callbacks may call
-// Send/SendHello from any goroutine, including from inside a callback.
+// Send, Kick or BroadcastExcept from any goroutine, including from
+// inside a callback.
 // Callbacks run on session goroutines, one message at a time per peer,
 // and must not block for long (they stall only that peer's inbox).
 package peer
@@ -161,7 +163,10 @@ type Info struct {
 
 // Stats counts manager activity; all fields are cumulative.
 type Stats struct {
-	HellosSent    uint64 `json:"hellos_sent"`
+	HellosSent uint64 `json:"hellos_sent"`
+	// HellosKicked counts the beacon rounds a Kick brought forward; the
+	// frames they sent are in HellosSent like any other beacon's.
+	HellosKicked  uint64 `json:"hellos_kicked"`
 	HellosRecv    uint64 `json:"hellos_recv"`
 	MetadataSent  uint64 `json:"metadata_sent"`
 	MetadataRecv  uint64 `json:"metadata_recv"`
@@ -195,6 +200,7 @@ type Stats struct {
 // counters is the lock-free backing for Stats.
 type counters struct {
 	hellosSent    atomic.Uint64
+	hellosKicked  atomic.Uint64
 	hellosRecv    atomic.Uint64
 	metadataSent  atomic.Uint64
 	metadataRecv  atomic.Uint64
@@ -274,6 +280,8 @@ type Manager struct {
 	// are dropped before dispatch, so a paused node looks exactly like a
 	// node that walked out of range. Sessions are left to expire.
 	paused atomic.Bool
+	// kick (capacity 1) is the coalescing Kick signal Run selects on.
+	kick chan struct{}
 
 	nextSID atomic.Uint64
 	// peerCount tracks distinct peers across all shards; register keeps
@@ -305,7 +313,7 @@ func NewManager(cfg Config) *Manager {
 	if cfg.Shards <= 0 {
 		cfg.Shards = DefaultShards
 	}
-	m := &Manager{cfg: cfg, shards: make([]*shard, cfg.Shards)}
+	m := &Manager{cfg: cfg, kick: make(chan struct{}, 1), shards: make([]*shard, cfg.Shards)}
 	for i := range m.shards {
 		m.shards[i] = newShard()
 	}
@@ -338,21 +346,49 @@ func (m *Manager) helloMsg() *wire.Hello {
 	}
 }
 
-// Run beacons hellos and expires silent peers until ctx ends. It always
+// Run beacons hellos and expires silent peers until ctx ends: once per
+// HelloInterval, and at once when Kick asks. Both paths run the same
+// round — expire, then beacon unless paused — and a kicked round
+// restarts the interval, so a kick moves a beacon forward instead of
+// adding one, and a stream of kicks cannot starve expiry. It always
 // returns ctx's error.
 func (m *Manager) Run(ctx context.Context) error {
 	t := time.NewTicker(m.cfg.HelloInterval)
 	defer t.Stop()
 	for {
+		kicked := false
 		select {
 		case <-t.C:
-			m.expire(time.Now())
-			if !m.paused.Load() {
-				m.broadcastExcept(ctx, nil)
+		case <-m.kick:
+			kicked = true
+			t.Reset(m.cfg.HelloInterval)
+			select {
+			case <-t.C: // a tick that fired before the restart
+			default:
 			}
 		case <-ctx.Done():
 			return ctx.Err()
 		}
+		m.expire(time.Now())
+		if m.paused.Load() {
+			continue // a kick while paused is spent, not owed at resume
+		}
+		m.BroadcastExcept(ctx, nil)
+		if kicked {
+			m.ctrs.hellosKicked.Add(1)
+		}
+	}
+}
+
+// Kick asks Run to beacon now instead of at the next tick — the daemon's
+// signal that what the hello advertises (a query, a download) just
+// changed. Kicks coalesce: any number of them before Run gets to the
+// next round cost one beacon. It never blocks, whether or not Run is
+// running.
+func (m *Manager) Kick() {
+	select {
+	case m.kick <- struct{}{}:
+	default:
 	}
 }
 
@@ -712,26 +748,17 @@ func (m *Manager) Send(ctx context.Context, id trace.NodeID, msg wire.Msg) error
 	return nil
 }
 
-// Broadcast beacons an out-of-band hello to every live peer right now,
-// without waiting for the next tick — the daemon's re-drive nudge when
-// a download stalls.
-func (m *Manager) Broadcast(ctx context.Context) { m.broadcastExcept(ctx, nil) }
-
-// BroadcastExcept is Broadcast with a skip predicate: peers for which
-// skip returns true are left out of the fan-out. The daemon uses it to
-// honor Busy backpressure — a stall re-drive must not re-hammer the
-// very peer that just asked for room to breathe.
-func (m *Manager) BroadcastExcept(ctx context.Context, skip func(trace.NodeID) bool) {
-	m.broadcastExcept(ctx, skip)
-}
-
-// broadcastExcept beacons to every live peer (once per peer, even with
-// duplicate sessions). The beacon is built and encoded exactly once and
+// BroadcastExcept beacons a hello right now, from the caller's
+// goroutine, to every live peer (once per peer, even with duplicate
+// sessions) except those for which a non-nil skip returns true. Run's
+// rounds skip nobody; the daemon's stall re-drive skips the peers inside
+// a Busy window — it must not re-hammer the very peer that just asked
+// for room to breathe. The beacon is built and encoded exactly once and
 // fanned out as a pre-encoded frame: with hundreds of live peers the
-// per-tick cost is one serialization, not one per peer, which keeps the
+// per-round cost is one serialization, not one per peer, which keeps the
 // thousand-node hello path linear in links instead of quadratic in
 // bytes encoded.
-func (m *Manager) broadcastExcept(ctx context.Context, skip func(trace.NodeID) bool) {
+func (m *Manager) BroadcastExcept(ctx context.Context, skip func(trace.NodeID) bool) {
 	peers := m.Peers()
 	if len(peers) == 0 {
 		return
@@ -834,6 +861,7 @@ func (m *Manager) Table() []Info {
 func (m *Manager) Stats() Stats {
 	return Stats{
 		HellosSent:      m.ctrs.hellosSent.Load(),
+		HellosKicked:    m.ctrs.hellosKicked.Load(),
 		HellosRecv:      m.ctrs.hellosRecv.Load(),
 		MetadataSent:    m.ctrs.metadataSent.Load(),
 		MetadataRecv:    m.ctrs.metadataRecv.Load(),
