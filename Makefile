@@ -129,7 +129,7 @@ swarm-short:
 overload-soak:
 	$(GO) test -race -count=1 -v ./internal/limit
 	$(GO) test -race -count=1 -run 'TestBusy|TestSafeQueryLimit' -v ./internal/wire ./internal/server
-	$(GO) test -race -count=1 -run 'TestOutboxClassPriority|TestHealthzSaturationRecovers|TestFloodVictimStaysLive|TestChaosFloodSoak|TestSwarmOverload' -v ./internal/daemon ./internal/swarm
+	$(GO) test -race -count=1 -run 'TestOutboxClassPriority|TestSendNeverBlocks|TestHealthzSaturationRecovers|TestFloodVictimStaysLive|TestChaosFloodSoak|TestSwarmOverload' -v ./internal/peer ./internal/daemon ./internal/swarm
 
 overload-soak-short:
 	$(GO) test -race -count=1 -run 'TestFloodVictimStaysLive|TestSwarmOverload' -v ./internal/daemon ./internal/swarm
@@ -146,7 +146,7 @@ bench-e2e:
 
 # Benchmark history: the hot-path benches (wire codec, beacon fan-out,
 # peer-table contention, DHT k-buckets and lookups, WAL append/replay,
-# clique enumeration, admission limiters, outbox shedding, synthetic
+# clique enumeration, admission limiters, send-lane shedding, synthetic
 # piece generation, query → first piece on a live pair) plus the
 # sweep pool, rendered to JSON. Each run
 # APPENDS a record stamped with the git SHA (suffixed -dirty when the
@@ -157,7 +157,7 @@ bench-e2e:
 bench-json:
 	{ $(GO) test -run '^$$' -bench . -benchtime 0.5s \
 		./internal/wire ./internal/peer ./internal/store ./internal/clique ./internal/fec ./internal/dht ./internal/limit ./internal/metadata ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkFECSoak|BenchmarkOutboxShed' -benchtime 1x ./internal/daemon ; \
+	  $(GO) test -run '^$$' -bench BenchmarkFECSoak -benchtime 1x ./internal/daemon ; \
 	  $(GO) test -run '^$$' -bench BenchmarkQueryToFirstPiece -benchtime 20x ./internal/daemon ; \
 	  $(GO) test -run '^$$' -bench BenchmarkRunAll -benchtime 1x . ; } \
 	| $(GO) run ./cmd/benchjson -label swarm-baseline \

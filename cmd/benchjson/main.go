@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -46,14 +47,21 @@ type Result struct {
 
 // Record is the whole run. Commit and Date identify which tree produced
 // the numbers when records accumulate in an -out history file.
+// GoMaxProcs, NumCPU and GoVersion are this process's own: benchjson
+// sits at the end of the pipe the benchmarks print into, on the same box
+// and under the same toolchain, and timings from a different core count
+// are not comparable.
 type Record struct {
-	Label   string   `json:"label,omitempty"`
-	Commit  string   `json:"commit,omitempty"`
-	Date    string   `json:"date,omitempty"`
-	Goos    string   `json:"goos,omitempty"`
-	Goarch  string   `json:"goarch,omitempty"`
-	CPU     string   `json:"cpu,omitempty"`
-	Results []Result `json:"results"`
+	Label      string   `json:"label,omitempty"`
+	Commit     string   `json:"commit,omitempty"`
+	Date       string   `json:"date,omitempty"`
+	Goos       string   `json:"goos,omitempty"`
+	Goarch     string   `json:"goarch,omitempty"`
+	CPU        string   `json:"cpu,omitempty"`
+	GoMaxProcs int      `json:"gomaxprocs,omitempty"`
+	NumCPU     int      `json:"num_cpu,omitempty"`
+	GoVersion  string   `json:"go_version,omitempty"`
+	Results    []Result `json:"results"`
 }
 
 func main() {
@@ -80,6 +88,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	rec.Label = *label
 	rec.Commit = *commit
 	rec.Date = *date
+	rec.GoMaxProcs, rec.NumCPU, rec.GoVersion = runtime.GOMAXPROCS(0), runtime.NumCPU(), runtime.Version()
 	if len(rec.Results) == 0 {
 		return fmt.Errorf("no benchmark lines found in input")
 	}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -58,6 +59,10 @@ func TestRunEmitsJSON(t *testing.T) {
 	}
 	if rec.Label != "baseline" || len(rec.Results) != 3 {
 		t.Fatalf("round-trip mismatch: %+v", rec)
+	}
+	if rec.GoMaxProcs != runtime.GOMAXPROCS(0) || rec.NumCPU != runtime.NumCPU() || rec.GoVersion != runtime.Version() {
+		t.Fatalf("record not stamped with this box: gomaxprocs %d, num_cpu %d, go_version %q",
+			rec.GoMaxProcs, rec.NumCPU, rec.GoVersion)
 	}
 }
 

@@ -107,8 +107,8 @@ func groupFrom(msg wire.Msg) (trace.NodeID, bool) {
 }
 
 // bcastSender ships group messages: one Send on the shared medium when
-// the daemon has one, otherwise a unicast fan-out through the outbox
-// (never blocking — the outbox drops on overflow and the next tick
+// the daemon has one, otherwise a unicast fan-out over the members'
+// send lanes (never blocking — a full lane drops and the next tick
 // re-announces).
 type bcastSender Daemon
 
@@ -126,7 +126,7 @@ func (s *bcastSender) Broadcast(_ context.Context, members []trace.NodeID, m wir
 	}
 	for _, id := range members {
 		if id != d.cfg.ID {
-			d.enqueue(id, m)
+			d.mgr.Send(id, m)
 		}
 	}
 }

@@ -21,11 +21,14 @@
 //
 // Ownership and locking: Daemon.mu guards the node state and per-peer
 // send tracking. Handler callbacks (session goroutines) take the lock
-// briefly, never send while holding it — outgoing messages go through a
-// bounded outbox drained by a dedicated goroutine, so a slow peer can
-// never deadlock two daemons sending to each other. Overflow drops the
-// message, which the protocol absorbs: every state exchange is
-// re-driven by the next hello.
+// briefly and never send while holding it. A send is two hops:
+// peer.Manager.Send queues the frame on the destination session's own
+// control or data lane and returns at once; that session's writer puts
+// it on the conn. The daemon has no queue or sender goroutine of its
+// own, so a peer that stops reading backs up only its own lanes and two
+// daemons sending to each other cannot deadlock. A full lane drops the
+// frame, which the protocol absorbs: every state exchange is re-driven
+// by the next hello — which is why handlers ignore Manager.Send's error.
 package daemon
 
 import (
@@ -74,8 +77,6 @@ const (
 	// maxQuarantineDoublings caps quarantine growth at
 	// 2^maxQuarantineDoublings × QuarantineBase.
 	maxQuarantineDoublings = 3
-	// outboxLen bounds queued outgoing messages; overflow drops.
-	outboxLen = 256
 )
 
 // Config assembles one daemon.
@@ -163,8 +164,9 @@ type Config struct {
 	// again until the (jittered) cooldown passes, then one probe decides
 	// (default LivenessWindow).
 	BreakerCooldown time.Duration
-	// OutboxLen overrides the per-class outbox capacity (default 256
-	// per class); tests and benchmarks shrink it to force shedding.
+	// OutboxLen caps each peer session's send lanes, per frame class
+	// (default peer.DefaultQueueLen); tests shrink it to force shedding,
+	// benchmarks size it to a whole file.
 	OutboxLen int
 	// QuarantineThreshold and QuarantineBase shape sender quarantine:
 	// a peer reaching the threshold of bad signatures is ignored for
@@ -261,6 +263,7 @@ type Stats struct {
 	PiecesResent            uint64          `json:"pieces_resent"`
 	PiecesDroppedNoMetadata uint64          `json:"pieces_dropped_no_metadata"`
 	BadSignatures           uint64          `json:"bad_signatures"`
+	// The outbox fields sum the per-peer send lanes (peer.QueueStats):
 	// OutboxDrops is the total across classes; the per-class splits and
 	// live queue depths tell control shedding (bad) from data shedding
 	// (expected under load) apart.
@@ -345,11 +348,6 @@ type offender struct {
 	lastBad time.Time
 }
 
-type outMsg struct {
-	to  trace.NodeID
-	msg wire.Msg
-}
-
 // Daemon is a live MBT node. Construct with New, drive with Run.
 type Daemon struct {
 	cfg      Config
@@ -360,7 +358,6 @@ type Daemon struct {
 	commitQ  chan stagedPiece // onPiece → commitLoop; nil unless DataDir
 	dht      *dht.Engine      // nil unless EnableDHT
 	epoch    time.Time
-	out      *outbox
 	breakers *limit.Set
 
 	// DHT plumbing: the engine's RPC deadline, the run context its sends
@@ -467,14 +464,10 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.BreakerCooldown <= 0 {
 		cfg.BreakerCooldown = cfg.LivenessWindow
 	}
-	if cfg.OutboxLen <= 0 {
-		cfg.OutboxLen = outboxLen
-	}
 
 	d := &Daemon{
 		cfg:        cfg,
 		epoch:      time.Now(),
-		out:        newOutbox(cfg.OutboxLen),
 		node:       node.New(cfg.ID, cfg.InternetAccess),
 		sent:       make(map[trace.NodeID]*sentState),
 		completed:  make(map[metadata.URI]bool),
@@ -566,6 +559,7 @@ func New(cfg Config) (*Daemon, error) {
 		MaxPeers:         cfg.MaxPeers,
 		Backoff:          cfg.Backoff,
 		InboundRate:      cfg.PeerRate,
+		QueueLen:         cfg.OutboxLen,
 		OnShed:           d.onShed,
 		DialBreakers:     d.breakers,
 		Logf:             cfg.Logf,
@@ -749,11 +743,6 @@ func (d *Daemon) Run(ctx context.Context) error {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		d.sendLoop(ctx)
-	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
 		d.sweepLoop(ctx)
 	}()
 	committed := make(chan struct{})
@@ -814,38 +803,6 @@ func (d *Daemon) Run(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// enqueue hands a message to the send loop without blocking; overflow
-// sheds it against its frame class (the next hello re-drives the
-// exchange). The report is advisory — most callers fire and forget.
-func (d *Daemon) enqueue(to trace.NodeID, msg wire.Msg) bool {
-	return d.out.push(to, msg)
-}
-
-// sendLoop drains the outbox, control frames before data frames. It is
-// the only place handler-originated messages touch a Conn, so handlers
-// never block on a peer's queue.
-func (d *Daemon) sendLoop(ctx context.Context) {
-	for {
-		m, ok := d.out.pop()
-		if !ok {
-			select {
-			case <-d.out.wake:
-				continue
-			case <-ctx.Done():
-				return
-			}
-		}
-		if ctx.Err() != nil {
-			return
-		}
-		sctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-		if err := d.mgr.Send(sctx, m.to, m.msg); err != nil {
-			d.logf("daemon %d: send %v to node %d: %v", d.cfg.ID, m.msg.Type(), m.to, err)
-		}
-		cancel()
-	}
-}
-
 // sweepLoop ticks sweepOnce at the hello interval.
 func (d *Daemon) sweepLoop(ctx context.Context) {
 	t := time.NewTicker(d.cfg.HelloInterval)
@@ -853,7 +810,7 @@ func (d *Daemon) sweepLoop(ctx context.Context) {
 	for {
 		select {
 		case <-t.C:
-			d.sweepOnce(ctx)
+			d.sweepOnce()
 		case <-ctx.Done():
 			return
 		}
@@ -866,7 +823,7 @@ func (d *Daemon) sweepLoop(ctx context.Context) {
 // piece inside StallTimeout spends one unit of its retry budget on an
 // immediate out-of-band hello to every live peer, which prompts any
 // holder to re-serve (its per-piece ResendAfter deadlines decide what).
-func (d *Daemon) sweepOnce(ctx context.Context) {
+func (d *Daemon) sweepOnce() {
 	now := d.now()
 	wall := time.Now()
 	live := make(map[trace.NodeID]bool)
@@ -972,7 +929,7 @@ func (d *Daemon) sweepOnce(ctx context.Context) {
 	}
 	if nudge {
 		d.logf("daemon %d: download stalled; re-driving live peers", d.cfg.ID)
-		d.mgr.BroadcastExcept(ctx, func(id trace.NodeID) bool { return busy[id] })
+		d.mgr.BroadcastExcept(func(id trace.NodeID) bool { return busy[id] })
 	}
 }
 
@@ -1085,11 +1042,11 @@ func (d *Daemon) Stats() Stats {
 	}
 	sort.Slice(st.Quarantined, func(i, j int) bool { return st.Quarantined[i] < st.Quarantined[j] })
 	d.mu.Unlock()
-	dropCtl, dropData := d.out.dropCounts()
-	st.OutboxDropsControl = dropCtl
-	st.OutboxDropsData = dropData
-	st.OutboxDrops = dropCtl + dropData
-	st.OutboxControlDepth, st.OutboxDataDepth = d.out.depths()
+	q := d.mgr.Queues()
+	st.OutboxDropsControl = q.DropsControl
+	st.OutboxDropsData = q.DropsData
+	st.OutboxDrops = q.DropsControl + q.DropsData
+	st.OutboxControlDepth, st.OutboxDataDepth = q.ControlDepth, q.DataDepth
 	if bs := d.breakers.Stats(); bs.Breakers > 0 {
 		st.Breakers = &bs
 	}
@@ -1186,7 +1143,7 @@ func (d *Daemon) onHello(from trace.NodeID, msg *wire.Hello) {
 		}
 		for _, q := range msg.Queries {
 			for _, m := range d.answerQuery(now, from, q, holds) {
-				d.enqueue(from, m)
+				d.mgr.Send(from, m)
 			}
 		}
 	}
@@ -1267,7 +1224,7 @@ func (d *Daemon) answerQuery(now simtime.Time, from trace.NodeID, q string, hold
 // pickPieces' holder-disjoint order (serve.go). Each piece is queued as
 // soon as it is generated, so the first frame leaves while the rest of
 // the burst is still being built and the burst is never held whole. A
-// piece the full data lane drops keeps its sent mark — the resend
+// piece the peer's full data lane drops keeps its sent mark — the resend
 // deadline re-serves it, like any other lost frame.
 func (d *Daemon) servePieces(from trace.NodeID, uri metadata.URI, peerHave *wire.GroupWant, heard []trace.NodeID) {
 	now := d.now()
@@ -1334,7 +1291,7 @@ func (d *Daemon) servePieces(from trace.NodeID, uri metadata.URI, peerHave *wire
 	d.mu.Unlock()
 
 	for _, i := range idxs {
-		d.enqueue(from, &wire.Piece{
+		d.mgr.Send(from, &wire.Piece{
 			URI:   uri,
 			Index: i,
 			Total: total,

@@ -33,8 +33,8 @@ import (
 )
 
 // HandleDHT implements peer.DHTHandler: inbound DHT frames go to the
-// engine, whose replies leave through the outbox like every other
-// handler-originated message.
+// engine, whose replies leave over the sender's send lanes like every
+// other handler-originated message.
 func (h *handler) HandleDHT(from trace.NodeID, msg wire.Msg) {
 	(*Daemon)(h).onDHT(from, msg)
 }
@@ -44,7 +44,7 @@ func (d *Daemon) onDHT(from trace.NodeID, msg wire.Msg) {
 		return
 	}
 	if reply := d.dht.HandleMessage(msg); reply != nil {
-		d.enqueue(from, reply)
+		d.mgr.Send(from, reply)
 	}
 }
 
@@ -66,19 +66,17 @@ func (d *Daemon) dhtSignedExpiry(m *wire.Metadata) time.Time {
 	return d.epoch.Add(time.Duration(m.Record.Expires) * time.Millisecond)
 }
 
-// dhtSend delivers one engine-originated message. A contact with no
-// live session but a known address gets a dial-on-demand: ConnectOnce
-// brings up a transient session and the send retries while the engine's
-// RPC timeout still has patience; liveness expiry reaps the link once
-// the lookups stop.
+// dhtSend queues one engine-originated message. A contact with no live
+// session but a known address gets a dial-on-demand: ConnectOnce brings
+// up a transient session and the send is offered again until it is up or
+// the engine's RPC timeout runs out of patience for the dial; liveness
+// expiry reaps the link once the lookups stop.
 func (d *Daemon) dhtSend(c dht.Contact, m wire.Msg) error {
-	ctx := d.dhtRunCtx()
-	sctx, cancel := context.WithTimeout(ctx, d.dhtTimeout)
-	defer cancel()
-	err := d.mgr.Send(sctx, c.ID, m)
+	err := d.mgr.Send(c.ID, m)
 	if err == nil || !errors.Is(err, peer.ErrUnknownPeer) || c.Addr == "" {
 		return err
 	}
+	ctx := d.dhtRunCtx()
 	d.dialOnDemand(ctx, c.Addr)
 	retry := d.cfg.HelloInterval / 4
 	if retry <= 0 {
@@ -86,16 +84,17 @@ func (d *Daemon) dhtSend(c dht.Contact, m wire.Msg) error {
 	}
 	t := time.NewTicker(retry)
 	defer t.Stop()
-	for {
+	for waited := retry; waited <= d.dhtTimeout; waited += retry {
 		select {
 		case <-t.C:
-			if err = d.mgr.Send(sctx, c.ID, m); err == nil || !errors.Is(err, peer.ErrUnknownPeer) {
+			if err = d.mgr.Send(c.ID, m); err == nil || !errors.Is(err, peer.ErrUnknownPeer) {
 				return err
 			}
-		case <-sctx.Done():
-			return fmt.Errorf("dht dial %s: %w", c.Addr, sctx.Err())
+		case <-ctx.Done():
+			return fmt.Errorf("dht dial %s: %w", c.Addr, ctx.Err())
 		}
 	}
+	return fmt.Errorf("dht dial %s: no session within %v", c.Addr, d.dhtTimeout)
 }
 
 // dhtRunCtx returns the daemon's run context (Background before Run,

@@ -3,24 +3,92 @@ package daemon
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/metadata"
+	"repro/internal/peer"
 	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
+// gate wraps a transport so a test can hold the frames its conns send:
+// between shut and release every Send parks at the gate (honouring its
+// context), and parked says how many are waiting there. It starts
+// released; shut and release alternate.
+type gate struct {
+	transport.Transport
+	mu     sync.Mutex
+	open   chan struct{} // closed while the gate is released
+	parked atomic.Int32
+}
+
+func newGate(inner transport.Transport) *gate {
+	g := &gate{Transport: inner}
+	g.shut()
+	g.release()
+	return g
+}
+
+func (g *gate) shut() {
+	g.mu.Lock()
+	g.open = make(chan struct{})
+	g.mu.Unlock()
+}
+
+func (g *gate) release() {
+	g.mu.Lock()
+	close(g.open)
+	g.mu.Unlock()
+}
+
+func (g *gate) Dial(ctx context.Context, addr string) (transport.Conn, error) {
+	c, err := g.Transport.Dial(ctx, addr)
+	if err != nil {
+		return nil, err
+	}
+	return &gateConn{Conn: c, g: g}, nil
+}
+
+type gateConn struct {
+	transport.Conn
+	g *gate
+}
+
+func (c *gateConn) Send(ctx context.Context, m wire.Msg) error {
+	c.g.mu.Lock()
+	open := c.g.open
+	c.g.mu.Unlock()
+	c.g.parked.Add(1)
+	var err error
+	select {
+	case <-open:
+	case <-ctx.Done():
+		err = ctx.Err()
+	}
+	c.g.parked.Add(-1) // before the frame can reach the peer: parked counts waiters only
+	if err != nil {
+		return err
+	}
+	return c.Conn.Send(ctx, m)
+}
+
 // bench builds a daemon whose handlers and sweeps are driven by hand —
-// Run is never called, so there are no live sessions or goroutines.
+// Run is never called, so it beacons nothing and sweeps nothing on its
+// own. Its transport is a gate (open) over a loopback network; wedge
+// gives it a peer.
 func bench(t *testing.T, mutate func(*Config)) *Daemon {
 	t.Helper()
 	net := transport.NewLoopback()
 	t.Cleanup(func() { net.Close() })
-	cfg := fastCfg(1, net)
+	cfg := fastCfg(1, newGate(net))
 	cfg.ListenAddr = "bench"
 	cfg.Queries = []string{"f0"}
 	if mutate != nil {
@@ -31,6 +99,96 @@ func bench(t *testing.T, mutate func(*Config)) *Daemon {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// wedgedPeer is a bench daemon's hand-driven neighbour whose link the
+// test holds shut: the session's writer is parked at the gate with one
+// plug frame in hand, so every frame the daemon sends the peer stays in
+// its lanes — queued or dropped, deterministically — until flush.
+type wedgedPeer struct {
+	t    *testing.T
+	d    *Daemon
+	id   trace.NodeID
+	g    *gate
+	conn transport.Conn // the peer's end of the link
+}
+
+// wedge attaches peer id to a bench daemon over its loopback and wedges
+// the link. One peer per daemon: the lane depths it reports are the
+// manager's sums.
+func wedge(t *testing.T, d *Daemon, id trace.NodeID) *wedgedPeer {
+	t.Helper()
+	g := d.cfg.Transport.(*gate)
+	addr := fmt.Sprintf("peer%d", id)
+	lis, err := g.Listen(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		d.mgr.ConnectOnce(ctx, g, addr)
+	}()
+	t.Cleanup(func() {
+		cancel()
+		<-done
+	})
+	conn, err := lis.Accept(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if err := conn.Send(ctx, &wire.Hello{From: id}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Recv(ctx); err != nil { // the daemon's handshake hello
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return len(d.mgr.Peers()) == 1 }, "the wedged peer's session")
+	p := &wedgedPeer{t: t, d: d, id: id, g: g, conn: conn}
+	p.plug()
+	return p
+}
+
+// plug shuts the gate and parks the writer on a Busy frame.
+func (p *wedgedPeer) plug() {
+	p.t.Helper()
+	p.g.shut()
+	if err := p.d.mgr.Send(p.id, &wire.Busy{From: p.d.cfg.ID, Scope: wire.BusyPiece}); err != nil {
+		p.t.Fatal(err)
+	}
+	waitFor(p.t, func() bool { return p.g.parked.Load() == 1 }, "the writer to park at the gate")
+}
+
+// queued reports the peer's lane depths.
+func (p *wedgedPeer) queued() (control, data int) {
+	q := p.d.mgr.Queues()
+	return q.ControlDepth, q.DataDepth
+}
+
+// flush lets the link run until the lanes are empty and returns the
+// frames the peer received, in order, without the plug; then the link is
+// wedged again.
+func (p *wedgedPeer) flush() []wire.Msg {
+	p.t.Helper()
+	control, data := p.queued()
+	p.g.release()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	got := make([]wire.Msg, 0, control+data)
+	for i := 0; i < 1+control+data; i++ {
+		m, err := p.conn.Recv(ctx)
+		if err != nil {
+			p.t.Fatalf("flush: frame %d of %d: %v", i, 1+control+data, err)
+		}
+		if i > 0 {
+			got = append(got, m)
+		}
+	}
+	p.plug()
+	return got
 }
 
 // feedMetadata hands the daemon a valid record for file 0 from the
@@ -58,8 +216,9 @@ func pieceMsg(rec *metadata.Metadata, i int) *wire.Piece {
 // knows nothing about must produce no pieces (and no tracking state).
 func TestServePiecesUnknownURI(t *testing.T) {
 	d := bench(t, nil)
+	p := wedge(t, d, 2)
 	d.servePieces(2, metadata.URI("dtn://files/404"), nil, nil)
-	if n := d.out.depth(classData); n != 0 {
+	if _, n := p.queued(); n != 0 {
 		t.Fatalf("served %d pieces for an unknown URI", n)
 	}
 	d.mu.Lock()
@@ -69,28 +228,30 @@ func TestServePiecesUnknownURI(t *testing.T) {
 	}
 }
 
-// TestEnqueueOverflow fills the outbox with no send loop draining it;
-// the overflow message must be dropped and counted, not block.
+// TestEnqueueOverflow fills a peer's control lane while its link drains
+// nothing; the overflow message must be dropped and counted, not block.
 func TestEnqueueOverflow(t *testing.T) {
+	const lane = peer.DefaultQueueLen
 	d := bench(t, nil)
-	for i := 0; i < d.out.capPerClass(); i++ {
-		d.enqueue(2, &wire.Hello{From: 1})
+	wedge(t, d, 2)
+	for i := 0; i < lane; i++ {
+		d.mgr.Send(2, &wire.Hello{From: 1})
 	}
 	if got := d.Stats().OutboxDrops; got != 0 {
 		t.Fatalf("OutboxDrops = %d before overflow", got)
 	}
 	done := make(chan struct{})
 	go func() {
-		d.enqueue(2, &wire.Hello{From: 1})
+		d.mgr.Send(2, &wire.Hello{From: 1})
 		close(done)
 	}()
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("enqueue blocked on a full outbox")
+		t.Fatal("send blocked on a full lane")
 	}
-	if got := d.Stats().OutboxDrops; got != 1 {
-		t.Fatalf("OutboxDrops = %d, want 1", got)
+	if st := d.Stats(); st.OutboxDrops != 1 || st.OutboxDropsControl != 1 {
+		t.Fatalf("OutboxDrops = %d (control %d), want 1 control drop", st.OutboxDrops, st.OutboxDropsControl)
 	}
 }
 
@@ -107,7 +268,7 @@ func TestSweepCleansVanishedState(t *testing.T) {
 	d.downloads[uri] = &downloadState{lastProgress: time.Now()}
 	d.mu.Unlock()
 
-	d.sweepOnce(context.Background())
+	d.sweepOnce()
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -132,11 +293,10 @@ func TestStallRedriveBudget(t *testing.T) {
 		t.Fatalf("downloading = %v, want the selected file", got)
 	}
 
-	ctx := context.Background()
-	d.sweepOnce(ctx) // creates the download's stall tracking
+	d.sweepOnce() // creates the download's stall tracking
 	for i := 0; i < 5; i++ {
 		time.Sleep(3 * time.Millisecond) // let the stall timeout lapse
-		d.sweepOnce(ctx)
+		d.sweepOnce()
 	}
 	st := d.Stats()
 	if st.Stalls < 3 {
@@ -297,7 +457,7 @@ func TestQuarantineEscalationAndDecay(t *testing.T) {
 		off.until = time.Now().Add(-time.Second)
 		off.lastBad = time.Now().Add(-5 * d.cfg.QuarantineBase)
 		d.mu.Unlock()
-		d.sweepOnce(context.Background())
+		d.sweepOnce()
 	}
 	d.mu.Lock()
 	left := len(d.offenders)
@@ -311,8 +471,10 @@ func TestQuarantineEscalationAndDecay(t *testing.T) {
 }
 
 // TestHealthzDegraded: a daemon alone past its liveness window answers
-// /healthz with 503 and a reason; saturating the outbox adds another.
+// /healthz with 503 and a reason; with a peer whose send lane is full it
+// answers 503 for that reason instead.
 func TestHealthzDegraded(t *testing.T) {
+	const lane = peer.DefaultQueueLen
 	d := bench(t, func(c *Config) {
 		c.LivenessWindow = 10 * time.Millisecond
 	})
@@ -343,11 +505,15 @@ func TestHealthzDegraded(t *testing.T) {
 		t.Fatalf("reasons = %v, want exactly the no-live-peers reason", h.Reasons)
 	}
 
-	for i := 0; i < d.out.capPerClass(); i++ {
-		d.enqueue(2, &wire.Hello{From: 1})
+	wedge(t, d, 2)
+	for i := 0; i < lane; i++ {
+		d.mgr.Send(2, &wire.Hello{From: 1})
 	}
 	code, h = get()
-	if code != http.StatusServiceUnavailable || len(h.Reasons) != 2 {
-		t.Fatalf("healthz = %d reasons=%v, want 503 with both reasons", code, h.Reasons)
+	if code != http.StatusServiceUnavailable || len(h.Reasons) != 1 || !strings.Contains(h.Reasons[0], "saturated") {
+		t.Fatalf("healthz = %d reasons=%v, want 503 with exactly the saturation reason", code, h.Reasons)
+	}
+	if h.OutboxCap != 2*lane || h.OutboxLen != lane {
+		t.Fatalf("outbox %d of %d, want %d of one session's %d", h.OutboxLen, h.OutboxCap, lane, 2*lane)
 	}
 }

@@ -18,8 +18,8 @@ type Health struct {
 	ID            trace.NodeID `json:"id"`
 	UptimeSeconds float64      `json:"uptime_seconds"`
 	Peers         int          `json:"peers"`
-	// OutboxLen/OutboxCap total across classes; the per-class depths
-	// show which lane is backed up.
+	// OutboxLen/OutboxCap total the per-peer send lanes across classes
+	// and live sessions; the per-class depths show which is backed up.
 	OutboxLen          int `json:"outbox_len"`
 	OutboxCap          int `json:"outbox_cap"`
 	OutboxControlDepth int `json:"outbox_control_depth"`
@@ -34,10 +34,10 @@ type Health struct {
 
 // Health evaluates the daemon's liveness: degraded when it has had zero
 // live peers for longer than the liveness window (it cannot make
-// protocol progress alone), when any outbox class queue is saturated
-// (handlers are generating traffic faster than any link drains it, so
-// frames of that class are being dropped on the floor), or while
-// admission control sheds inbound traffic. Every reason reads live
+// protocol progress alone), when any peer's send lane is full (handlers
+// are generating traffic for that peer faster than its link drains it,
+// so frames of that class to it are being dropped on the floor), or
+// while admission control sheds inbound traffic. Every reason reads live
 // state — nothing latches, so the verdict walks back to "ok" as soon
 // as the condition clears.
 func (d *Daemon) Health() Health {
@@ -50,16 +50,16 @@ func (d *Daemon) Health() Health {
 	if lastPeer.IsZero() {
 		lastPeer = d.epoch
 	}
-	ctlDepth, dataDepth := d.out.depths()
+	q := d.mgr.Queues()
 	h := Health{
 		Status:             "ok",
 		ID:                 d.cfg.ID,
 		UptimeSeconds:      time.Since(d.epoch).Seconds(),
 		Peers:              peers,
-		OutboxLen:          ctlDepth + dataDepth,
-		OutboxCap:          int(numOutClasses) * d.out.capPerClass(),
-		OutboxControlDepth: ctlDepth,
-		OutboxDataDepth:    dataDepth,
+		OutboxLen:          q.ControlDepth + q.DataDepth,
+		OutboxCap:          q.Cap,
+		OutboxControlDepth: q.ControlDepth,
+		OutboxDataDepth:    q.DataDepth,
 	}
 	if peers == 0 {
 		if alone := time.Since(lastPeer); alone > d.cfg.LivenessWindow {
@@ -68,10 +68,10 @@ func (d *Daemon) Health() Health {
 					alone.Truncate(time.Millisecond), d.cfg.LivenessWindow))
 		}
 	}
-	if d.out.saturated() {
+	if q.Saturated {
 		h.Reasons = append(h.Reasons,
-			fmt.Sprintf("outbox saturated (control %d, data %d of %d/class queued, dropping)",
-				ctlDepth, dataDepth, d.out.capPerClass()))
+			fmt.Sprintf("outbox saturated (a peer's send lane is full; control %d, data %d queued of %d in all, dropping)",
+				q.ControlDepth, q.DataDepth, q.Cap))
 	}
 	if !lastShed.IsZero() {
 		if since := wall.Sub(lastShed); since < d.cfg.LivenessWindow {

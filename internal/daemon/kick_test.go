@@ -202,18 +202,15 @@ func TestMetadataAnswerPrecedesPieces(t *testing.T) {
 		c.PieceSize = 1024
 		c.Queries = nil
 	})
+	p := wedge(t, d, 2)
 	d.onHello(2, &wire.Hello{
 		From:        2,
 		Queries:     []string{"f1"},
 		Downloading: []metadata.URI{metadata.URIFor(0)},
 	})
 	var got []wire.MsgType
-	for {
-		m, ok := d.out.pop()
-		if !ok {
-			break
-		}
-		got = append(got, m.msg.Type())
+	for _, m := range p.flush() {
+		got = append(got, m.Type())
 	}
 	if len(got) != 1+8 {
 		t.Fatalf("queued %d frames, want 1 record and 8 pieces: %v", len(got), got)
@@ -244,17 +241,15 @@ func TestServeStreamsUnderOutboxOverflow(t *testing.T) {
 		c.OutboxLen = lane
 		c.Queries = nil
 	})
+	p := wedge(t, d, 2)
 	uri := metadata.URIFor(0)
 	have := wire.NewGroupWant(uri, pieces, true)
 	hello := &wire.Hello{From: 2, Downloading: []metadata.URI{uri}, Have: []wire.GroupWant{*have}}
 	drain := func() (idxs []int) {
-		for {
-			m, ok := d.out.pop()
-			if !ok {
-				return idxs
-			}
-			idxs = append(idxs, m.msg.(*wire.Piece).Index)
+		for _, m := range p.flush() {
+			idxs = append(idxs, m.(*wire.Piece).Index)
 		}
+		return idxs
 	}
 
 	d.onHello(2, hello)

@@ -44,7 +44,7 @@ func (d *Daemon) onShed(from trace.NodeID, t wire.MsgType) {
 	}
 }
 
-// sendBusy enqueues one Busy frame to the peer for the lane, paced to
+// sendBusy queues one Busy frame to the peer for the lane, paced to
 // at most one per peer/lane per BusyRetryAfter window — the frame
 // already names the whole window, so repeats carry no information.
 func (d *Daemon) sendBusy(to trace.NodeID, scope wire.BusyScope) {
@@ -60,7 +60,7 @@ func (d *Daemon) sendBusy(to trace.NodeID, scope wire.BusyScope) {
 	d.lastBusyTo[to][scope] = wall
 	d.counters.busySent++
 	d.mu.Unlock()
-	d.enqueue(to, &wire.Busy{
+	d.mgr.Send(to, &wire.Busy{
 		From:             d.cfg.ID,
 		Scope:            scope,
 		RetryAfterMillis: uint32(d.cfg.BusyRetryAfter / time.Millisecond),

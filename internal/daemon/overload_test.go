@@ -13,61 +13,20 @@ import (
 	"repro/internal/wire"
 )
 
-// TestOutboxClassPriority: a full data queue sheds data frames while
-// control frames still enqueue, and the drain order is control first
-// regardless of push order.
-func TestOutboxClassPriority(t *testing.T) {
-	ob := newOutbox(2)
-	piece := &wire.Piece{URI: metadata.URIFor(0), Index: 0, Total: 1, Data: []byte("x")}
-	for i := 0; i < 2; i++ {
-		if !ob.push(2, piece) {
-			t.Fatalf("data push %d refused below capacity", i)
-		}
-	}
-	if ob.push(2, piece) {
-		t.Fatal("data push admitted past capacity")
-	}
-	if !ob.push(2, &wire.Hello{From: 1}) {
-		t.Fatal("control push refused while only the data class is full")
-	}
-	ctl, data := ob.dropCounts()
-	if ctl != 0 || data != 1 {
-		t.Fatalf("drops = control %d, data %d; want 0, 1", ctl, data)
-	}
-	if !ob.saturated() {
-		t.Fatal("outbox with a full class not reported saturated")
-	}
-	// Control drains before the two earlier-queued data frames.
-	m, ok := ob.pop()
-	if !ok || m.msg.Type() != wire.TypeHello {
-		t.Fatalf("first pop = %v, want the hello", m.msg)
-	}
-	for i := 0; i < 2; i++ {
-		m, ok = ob.pop()
-		if !ok || m.msg.Type() != wire.TypePiece {
-			t.Fatalf("pop %d = %v, want a piece", i, m.msg)
-		}
-	}
-	if _, ok := ob.pop(); ok {
-		t.Fatal("pop from a drained outbox returned a frame")
-	}
-}
-
-// TestHealthzSaturationRecovers: a saturated data class degrades
+// TestHealthzSaturationRecovers: a peer's saturated data lane degrades
 // /healthz; draining it walks the verdict back to ok — the reason must
 // read live state, not latch.
 func TestHealthzSaturationRecovers(t *testing.T) {
-	d := bench(t, func(c *Config) { c.OutboxLen = 4 })
-	d.mu.Lock()
-	d.lastPeerAt = time.Now() // not the degradation under test
-	d.mu.Unlock()
+	const lane = 4
+	d := bench(t, func(c *Config) { c.OutboxLen = lane })
+	p := wedge(t, d, 2)
 	piece := &wire.Piece{URI: metadata.URIFor(0), Index: 0, Total: 1, Data: []byte("x")}
-	for i := 0; i < d.out.capPerClass(); i++ {
-		d.enqueue(2, piece)
+	for i := 0; i < lane; i++ {
+		d.mgr.Send(2, piece)
 	}
 	h := d.Health()
 	if h.Status != "degraded" {
-		t.Fatalf("health = %q with a saturated data class, want degraded", h.Status)
+		t.Fatalf("health = %q with a saturated data lane, want degraded", h.Status)
 	}
 	found := false
 	for _, r := range h.Reasons {
@@ -78,17 +37,12 @@ func TestHealthzSaturationRecovers(t *testing.T) {
 	if !found {
 		t.Fatalf("reasons = %v, want a saturation reason", h.Reasons)
 	}
-	if h.OutboxDataDepth != d.out.capPerClass() || h.OutboxControlDepth != 0 {
+	if h.OutboxDataDepth != lane || h.OutboxControlDepth != 0 {
 		t.Fatalf("depths = control %d, data %d", h.OutboxControlDepth, h.OutboxDataDepth)
 	}
-	for {
-		if _, ok := d.out.pop(); !ok {
-			break
-		}
+	if got := p.flush(); len(got) != lane {
+		t.Fatalf("the peer received %d frames, want the %d queued", len(got), lane)
 	}
-	d.mu.Lock()
-	d.lastPeerAt = time.Now()
-	d.mu.Unlock()
 	if h := d.Health(); h.Status != "ok" {
 		t.Fatalf("health = %q %v after draining, want ok", h.Status, h.Reasons)
 	}
@@ -217,17 +171,4 @@ func TestFloodVictimStaysLive(t *testing.T) {
 	// Recovery: once the flood stops, the shed window ages out and the
 	// verdict walks back to ok.
 	waitFor(t, func() bool { return victim.Health().Status == "ok" }, "health recovery after flood")
-}
-
-// BenchmarkOutboxShed measures the drop path: pushing a data frame at a
-// full data queue (the hot path under overload).
-func BenchmarkOutboxShed(b *testing.B) {
-	ob := newOutbox(8)
-	piece := &wire.Piece{URI: metadata.URIFor(0), Index: 0, Total: 1, Data: []byte("x")}
-	for ob.push(2, piece) {
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ob.push(2, piece)
-	}
 }

@@ -39,9 +39,7 @@ func kickManager(t *testing.T, n int) *Manager {
 	cfg.LivenessWindow = 24 * time.Hour
 	m := NewManager(cfg)
 	for i := 0; i < n; i++ {
-		if _, err := m.register(trace.NodeID(2+i), &stubConn{}, false); err != nil {
-			t.Fatal(err)
-		}
+		attach(t, m, trace.NodeID(2+i), &stubConn{})
 	}
 	return m
 }
@@ -61,6 +59,16 @@ func run(m *Manager) (stop func()) {
 	}
 }
 
+// written waits until the session writers have handed the conns n
+// hellos and the lanes are empty, so the counters read next are final.
+func written(t *testing.T, m *Manager, n uint64) {
+	t.Helper()
+	waitFor(t, func() bool {
+		q := m.Queues()
+		return m.Stats().HellosSent >= n && q.ControlDepth == 0
+	}, "the queued hellos to be written")
+}
+
 // TestKickCoalesces: any number of kicks ahead of Run's next round cost
 // one beacon, and a kick outside Run's lifetime neither blocks nor
 // panics.
@@ -73,6 +81,7 @@ func TestKickCoalesces(t *testing.T) {
 	stop := run(m)
 	waitFor(t, func() bool { return m.Stats().HellosKicked == 1 }, "the kicked beacon")
 	stop()
+	written(t, m, peers)
 	if st := m.Stats(); st.HellosKicked != 1 || st.HellosSent != peers {
 		t.Fatalf("100 kicks before Run: %d kicked rounds, %d hellos; want 1 round of %d",
 			st.HellosKicked, st.HellosSent, peers)
@@ -93,9 +102,7 @@ func TestKickRestartsInterval(t *testing.T) {
 	cfg.LivenessWindow = time.Hour
 	m := NewManager(cfg)
 	conn := &stampConn{}
-	if _, err := m.register(2, conn, false); err != nil {
-		t.Fatal(err)
-	}
+	attach(t, m, 2, conn)
 	began := time.Now()
 	defer run(m)()
 	time.Sleep(3 * interval / 4)
@@ -125,6 +132,7 @@ func TestKickWhilePaused(t *testing.T) {
 	m.Kick()
 	waitFor(t, func() bool { return len(m.kick) == 0 }, "Run to take the kick")
 	stop() // the round that took the kick has finished
+	written(t, m, 0)
 	if st := m.Stats(); st.HellosSent != 0 || st.HellosKicked != 0 {
 		t.Fatalf("paused kick sent %d hellos in %d kicked rounds", st.HellosSent, st.HellosKicked)
 	}
@@ -138,6 +146,7 @@ func TestKickWhilePaused(t *testing.T) {
 	m.Kick()
 	waitFor(t, func() bool { return m.Stats().HellosKicked == 1 }, "the kicked beacon after resume")
 	stop()
+	written(t, m, peers)
 	if st := m.Stats(); st.HellosSent != peers || st.HellosKicked != 1 {
 		t.Fatalf("after resume: %d hellos in %d kicked rounds, want %d in 1",
 			st.HellosSent, st.HellosKicked, peers)
@@ -157,6 +166,7 @@ func TestKickAlsoExpires(t *testing.T) {
 	m.Kick()
 	waitFor(t, func() bool { return m.Stats().HellosKicked == 1 }, "the kicked beacon")
 	stop()
+	written(t, m, 1)
 	st := m.Stats()
 	if st.Expiries != 1 || st.HellosSent != 1 {
 		t.Fatalf("kicked round: %d expiries, %d hellos; want the silent peer expired and one hello to the live one",

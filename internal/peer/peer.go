@@ -18,10 +18,13 @@
 // lock at all.
 //
 // Ownership rules: the Manager owns its Conns — callers never touch a
-// Conn directly. Each session has exactly one receive goroutine; sends
-// go through the Conn's internal queue, so handler callbacks may call
-// Send, Kick or BroadcastExcept from any goroutine, including from
-// inside a callback.
+// Conn directly. Each session has exactly one receive goroutine and one
+// writer goroutine, the only caller of Conn.Send once the handshake is
+// done. Send and BroadcastExcept only enqueue on the session's own two
+// lanes (lanes.go) and never block, so handler callbacks may call Send,
+// Kick or BroadcastExcept from any goroutine, including from inside a
+// callback, and a peer that stops reading fills its own lanes and dies
+// at its own write deadline without delaying anyone else's frames.
 // Callbacks run on session goroutines, one message at a time per peer,
 // and must not block for long (they stall only that peer's inbox).
 package peer
@@ -56,6 +59,9 @@ const (
 	// zero. Sixteen keeps per-shard occupancy low even at swarm scale
 	// while costing only a few empty maps on small nodes.
 	DefaultShards = 16
+	// DefaultQueueLen is the per-session, per-class send lane cap when
+	// Config.QueueLen is zero.
+	DefaultQueueLen = 256
 )
 
 // Handler receives decoded messages from live peers. From identifies
@@ -131,11 +137,12 @@ type Config struct {
 	// dispatch at this many messages per second sustained (admission
 	// control). Hellos still refresh liveness before the limiter — a
 	// flooder is shed, not expired — and Busy frames bypass it entirely
-	// so backpressure always gets through. Zero disables.
+	// so backpressure always gets through. The bucket holds 2×rate, which
+	// absorbs legitimate short spikes. Zero disables.
 	InboundRate float64
-	// InboundBurst is the bucket capacity behind InboundRate (default
-	// 2×rate), absorbing legitimate short spikes.
-	InboundBurst float64
+	// QueueLen caps each session's send lanes, per frame class (default
+	// DefaultQueueLen); a frame offered to a full lane is dropped.
+	QueueLen int
 	// OnShed, when set, is called once per message dropped by admission
 	// control, from the shedding peer's session goroutine — the
 	// daemon's hook for answering Busy. Must not block.
@@ -222,10 +229,17 @@ type counters struct {
 	busySent      atomic.Uint64
 	busyRecv      atomic.Uint64
 	dialsSuppr    atomic.Uint64
+	// queueDrops counts frames that never reached a conn: refused by a
+	// full lane, or still queued when their session died.
+	queueDrops [numClasses]atomic.Uint64
 }
 
 // ErrUnknownPeer reports a Send to a peer with no live session.
 var ErrUnknownPeer = errors.New("peer: no live session")
+
+// ErrQueueFull reports a Send dropped because the peer's lane for the
+// frame's class was at Config.QueueLen.
+var ErrQueueFull = errors.New("peer: send queue full")
 
 // ErrTableFull reports a handshake rejected because the peer table is at
 // Config.MaxPeers capacity.
@@ -242,6 +256,7 @@ type session struct {
 	conn    transport.Conn
 	inbound bool
 	started time.Time
+	out     *lanes
 }
 
 // flapInfo tracks one peer's recent short-lived sessions.
@@ -313,6 +328,9 @@ func NewManager(cfg Config) *Manager {
 	if cfg.Shards <= 0 {
 		cfg.Shards = DefaultShards
 	}
+	if cfg.QueueLen <= 0 {
+		cfg.QueueLen = DefaultQueueLen
+	}
 	m := &Manager{cfg: cfg, kick: make(chan struct{}, 1), shards: make([]*shard, cfg.Shards)}
 	for i := range m.shards {
 		m.shards[i] = newShard()
@@ -350,8 +368,8 @@ func (m *Manager) helloMsg() *wire.Hello {
 // HelloInterval, and at once when Kick asks. Both paths run the same
 // round — expire, then beacon unless paused — and a kicked round
 // restarts the interval, so a kick moves a beacon forward instead of
-// adding one, and a stream of kicks cannot starve expiry. It always
-// returns ctx's error.
+// adding one, and a stream of kicks cannot starve expiry. A round only
+// enqueues, so no peer's link can hold it up. Returns ctx's error.
 func (m *Manager) Run(ctx context.Context) error {
 	t := time.NewTicker(m.cfg.HelloInterval)
 	defer t.Stop()
@@ -373,7 +391,7 @@ func (m *Manager) Run(ctx context.Context) error {
 		if m.paused.Load() {
 			continue // a kick while paused is spent, not owed at resume
 		}
-		m.BroadcastExcept(ctx, nil)
+		m.BroadcastExcept(nil)
 		if kicked {
 			m.ctrs.hellosKicked.Add(1)
 		}
@@ -514,7 +532,8 @@ func (m *Manager) ConnectOnce(ctx context.Context, tr transport.Transport, addr 
 	return ctx.Err()
 }
 
-// runSession handshakes conn and pumps its messages until it dies.
+// runSession handshakes conn and pumps its messages until it dies; the
+// session's writer runs inside the call.
 func (m *Manager) runSession(ctx context.Context, conn transport.Conn, inbound bool) {
 	peerID, firstHello, err := m.handshake(ctx, conn)
 	if err != nil {
@@ -532,16 +551,68 @@ func (m *Manager) runSession(ctx context.Context, conn transport.Conn, inbound b
 	}
 	m.logf("peer: session %d with node %d up (%s, inbound=%v)",
 		s.sid, peerID, conn.RemoteAddr(), inbound)
+	wctx, stopWriter := context.WithCancel(ctx)
+	written := make(chan struct{})
+	go func() {
+		defer close(written)
+		m.writeLoop(wctx, s)
+	}()
 	m.deliver(peerID, firstHello)
 	for {
 		msg, err := conn.Recv(ctx)
 		if err != nil {
 			m.unregister(s)
+			stopWriter()
+			<-written
 			m.ctrs.drops.Add(1)
 			m.logf("peer: session %d with node %d down: %v", s.sid, peerID, err)
 			return
 		}
 		m.deliver(peerID, msg)
+	}
+}
+
+// writeLoop is the session's writer: it drains the lanes, control before
+// data, into the conn until the session ends. A send failure closes the
+// conn, which the receive side observes and unregisters — a peer that
+// stops reading dies here, at its transport's write deadline, alone.
+func (m *Manager) writeLoop(ctx context.Context, s *session) {
+	for {
+		msg, ok := s.out.pop()
+		if !ok {
+			select {
+			case <-s.out.wake:
+				continue
+			case <-ctx.Done():
+				return
+			}
+		}
+		if err := s.conn.Send(ctx, msg); err != nil {
+			if ctx.Err() == nil {
+				m.logf("peer: send %v to node %d: %v", msg.Type(), s.peer, err)
+			}
+			s.conn.Close()
+			return
+		}
+		m.countSent(msg.Type())
+	}
+}
+
+// countSent records one frame handed to a conn: put on the medium.
+func (m *Manager) countSent(t wire.MsgType) {
+	switch t {
+	case wire.TypeHello:
+		m.ctrs.hellosSent.Add(1)
+	case wire.TypeMetadata:
+		m.ctrs.metadataSent.Add(1)
+	case wire.TypePiece:
+		m.ctrs.piecesSent.Add(1)
+	case wire.TypeFindNode, wire.TypeFindValue, wire.TypeStoreValue, wire.TypeNodesReply:
+		m.ctrs.dhtSent.Add(1)
+	case wire.TypeBusy:
+		m.ctrs.busySent.Add(1)
+	default:
+		m.ctrs.groupSent.Add(1)
 	}
 }
 
@@ -552,7 +623,7 @@ func (m *Manager) handshake(ctx context.Context, conn transport.Conn) (trace.Nod
 	if err := conn.Send(hctx, m.helloMsg()); err != nil {
 		return 0, nil, fmt.Errorf("send hello: %w", err)
 	}
-	m.ctrs.hellosSent.Add(1)
+	m.countSent(wire.TypeHello)
 	for {
 		msg, err := conn.Recv(hctx)
 		if err != nil {
@@ -588,14 +659,26 @@ func (m *Manager) register(peerID trace.NodeID, conn transport.Conn, inbound boo
 		set = make(map[uint64]*session)
 		sh.byPeer[peerID] = set
 	}
-	s := &session{sid: m.nextSID.Add(1), peer: peerID, conn: conn, inbound: inbound, started: time.Now()}
+	s := &session{
+		sid: m.nextSID.Add(1), peer: peerID, conn: conn, inbound: inbound,
+		started: time.Now(), out: newLanes(m.cfg.QueueLen),
+	}
 	set[s.sid] = s
 	sh.lastHello[peerID] = time.Now()
 	return s, nil
 }
 
-// unregister removes a dead session and closes its conn, counting a
-// flap when the session died young.
+// end closes a session that has left the table: its conn, and its
+// lanes, whose queued frames are counted as drops of their class.
+func (m *Manager) end(s *session) {
+	for c, n := range s.out.close() {
+		m.ctrs.queueDrops[c].Add(uint64(n))
+	}
+	s.conn.Close()
+}
+
+// unregister removes a dead session and ends it, counting a flap when
+// the session died young.
 func (m *Manager) unregister(s *session) {
 	now := time.Now()
 	sh := m.shardFor(s.peer)
@@ -620,7 +703,7 @@ func (m *Manager) unregister(s *session) {
 		m.ctrs.flaps.Add(1)
 	}
 	sh.mu.Unlock()
-	s.conn.Close()
+	m.end(s)
 }
 
 // deliver updates liveness and dispatches one message through
@@ -700,7 +783,7 @@ func (m *Manager) admit(from trace.NodeID) bool {
 	sh.mu.Lock()
 	bk := sh.limiters[from]
 	if bk == nil {
-		bk = limit.NewBucket(m.cfg.InboundRate, m.cfg.InboundBurst, nil)
+		bk = limit.NewBucket(m.cfg.InboundRate, 0, nil)
 		sh.limiters[from] = bk
 	}
 	sh.mu.Unlock()
@@ -719,8 +802,11 @@ func (sh *shard) pick(id trace.NodeID) *session {
 	return best
 }
 
-// Send delivers one message to a live peer.
-func (m *Manager) Send(ctx context.Context, id trace.NodeID, msg wire.Msg) error {
+// Send queues one message for a live peer on its newest session and
+// returns at once. The errors are ErrUnknownPeer (no session) and
+// ErrQueueFull (the frame is dropped and counted against its class);
+// a later hello re-drives the exchange, so most callers ignore both.
+func (m *Manager) Send(id trace.NodeID, msg wire.Msg) error {
 	sh := m.shardFor(id)
 	sh.mu.Lock()
 	s := sh.pick(id)
@@ -728,29 +814,16 @@ func (m *Manager) Send(ctx context.Context, id trace.NodeID, msg wire.Msg) error
 	if s == nil {
 		return fmt.Errorf("node %d: %w", id, ErrUnknownPeer)
 	}
-	if err := s.conn.Send(ctx, msg); err != nil {
-		return err
+	err := s.out.push(msg)
+	if err == ErrQueueFull { // bare: shedding is a hot path under overload
+		m.ctrs.queueDrops[classOf(msg.Type())].Add(1)
 	}
-	switch msg.Type() {
-	case wire.TypeHello:
-		m.ctrs.hellosSent.Add(1)
-	case wire.TypeMetadata:
-		m.ctrs.metadataSent.Add(1)
-	case wire.TypePiece:
-		m.ctrs.piecesSent.Add(1)
-	case wire.TypeFindNode, wire.TypeFindValue, wire.TypeStoreValue, wire.TypeNodesReply:
-		m.ctrs.dhtSent.Add(1)
-	case wire.TypeBusy:
-		m.ctrs.busySent.Add(1)
-	default:
-		m.ctrs.groupSent.Add(1)
-	}
-	return nil
+	return err
 }
 
-// BroadcastExcept beacons a hello right now, from the caller's
-// goroutine, to every live peer (once per peer, even with duplicate
-// sessions) except those for which a non-nil skip returns true. Run's
+// BroadcastExcept queues a hello right now for every live peer (once per
+// peer, even with duplicate sessions) except those for which a non-nil
+// skip returns true, without waiting on any of their links. Run's
 // rounds skip nobody; the daemon's stall re-drive skips the peers inside
 // a Busy window — it must not re-hammer the very peer that just asked
 // for room to breathe. The beacon is built and encoded exactly once and
@@ -758,7 +831,7 @@ func (m *Manager) Send(ctx context.Context, id trace.NodeID, msg wire.Msg) error
 // per-round cost is one serialization, not one per peer, which keeps the
 // thousand-node hello path linear in links instead of quadratic in
 // bytes encoded.
-func (m *Manager) BroadcastExcept(ctx context.Context, skip func(trace.NodeID) bool) {
+func (m *Manager) BroadcastExcept(skip func(trace.NodeID) bool) {
 	peers := m.Peers()
 	if len(peers) == 0 {
 		return
@@ -768,9 +841,7 @@ func (m *Manager) BroadcastExcept(ctx context.Context, skip func(trace.NodeID) b
 		if skip != nil && skip(id) {
 			continue
 		}
-		if err := m.Send(ctx, id, raw); err != nil {
-			m.logf("peer: hello to node %d failed: %v", id, err)
-		}
+		m.Send(id, raw) // a refusal is counted; the next round beacons again
 	}
 }
 
@@ -809,7 +880,7 @@ func (m *Manager) expire(now time.Time) {
 		sh.mu.Unlock()
 	}
 	for _, s := range dead {
-		s.conn.Close()
+		m.end(s)
 		m.logf("peer: node %d expired (no hello in %v)", s.peer, m.cfg.LivenessWindow)
 	}
 }
@@ -886,15 +957,49 @@ func (m *Manager) Stats() Stats {
 	}
 }
 
-// Close closes every session; used on daemon shutdown after contexts
-// are canceled.
-func (m *Manager) Close() {
-	var conns []transport.Conn
+// QueueStats is the state of the send lanes: depths summed over live
+// sessions and Cap what their lanes could hold in all; drops (frames
+// refused by a full lane, or still queued when their session died)
+// cumulative. Saturated: some session has a full lane, so frames of that
+// class to that peer are being dropped now.
+type QueueStats struct {
+	ControlDepth, DataDepth int
+	Cap                     int
+	DropsControl, DropsData uint64
+	Saturated               bool
+}
+
+// Queues snapshots the send lanes.
+func (m *Manager) Queues() QueueStats {
+	qs := QueueStats{
+		DropsControl: m.ctrs.queueDrops[classControl].Load(),
+		DropsData:    m.ctrs.queueDrops[classData].Load(),
+	}
 	for _, sh := range m.shards {
 		sh.mu.Lock()
 		for _, set := range sh.byPeer {
 			for _, s := range set {
-				conns = append(conns, s.conn)
+				n, full := s.out.depths()
+				qs.Cap += int(numClasses) * m.cfg.QueueLen
+				qs.ControlDepth += n[classControl]
+				qs.DataDepth += n[classData]
+				qs.Saturated = qs.Saturated || full
+			}
+		}
+		sh.mu.Unlock()
+	}
+	return qs
+}
+
+// Close ends every session; used on daemon shutdown after contexts
+// are canceled.
+func (m *Manager) Close() {
+	var all []*session
+	for _, sh := range m.shards {
+		sh.mu.Lock()
+		for _, set := range sh.byPeer {
+			for _, s := range set {
+				all = append(all, s)
 			}
 		}
 		sh.byPeer = make(map[trace.NodeID]map[uint64]*session)
@@ -903,7 +1008,7 @@ func (m *Manager) Close() {
 		sh.mu.Unlock()
 	}
 	m.peerCount.Store(0)
-	for _, c := range conns {
-		c.Close()
+	for _, s := range all {
+		m.end(s)
 	}
 }

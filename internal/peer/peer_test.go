@@ -113,7 +113,7 @@ func TestHandshakeAndDispatch(t *testing.T) {
 
 	// A pushes metadata to B; B's handler sees it.
 	m := testMeta(t)
-	if err := a.Send(ctx, 2, m); err != nil {
+	if err := a.Send(2, m); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -175,7 +175,7 @@ func TestLivenessExpiry(t *testing.T) {
 
 func TestSendToUnknownPeer(t *testing.T) {
 	m := NewManager(fastCfg(1, nil))
-	if err := m.Send(context.Background(), 99, testMeta(t)); !errors.Is(err, ErrUnknownPeer) {
+	if err := m.Send(99, testMeta(t)); !errors.Is(err, ErrUnknownPeer) {
 		t.Fatalf("got %v", err)
 	}
 }
@@ -213,6 +213,25 @@ func (c *stubConn) Recv(ctx context.Context) (wire.Msg, error) { return nil, tra
 func (c *stubConn) Close() error                               { c.closed = true; return nil }
 func (c *stubConn) LocalAddr() string                          { return "stub-local" }
 func (c *stubConn) RemoteAddr() string                         { return "stub-remote" }
+
+// attach registers a session over conn and runs its writer until the
+// test ends: what runSession does once a handshake lands, minus the
+// receive pump.
+func attach(tb testing.TB, m *Manager, id trace.NodeID, conn transport.Conn) *session {
+	tb.Helper()
+	s := parked(tb, m, id, conn)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		m.writeLoop(ctx, s)
+	}()
+	tb.Cleanup(func() {
+		cancel()
+		<-done
+	})
+	return s
+}
 
 // TestFlapAccounting checks young session deaths are counted as flaps,
 // surfaced in the table, and decayed once the link holds steady.

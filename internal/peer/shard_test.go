@@ -1,7 +1,7 @@
 package peer
 
 import (
-	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -72,9 +72,7 @@ func (r *dhtRecorder) HandleDHT(from trace.NodeID, msg wire.Msg) {
 func TestDHTDispatch(t *testing.T) {
 	rec := &dhtRecorder{}
 	m := NewManager(fastCfg(1, rec))
-	if _, err := m.register(2, &stubConn{}, false); err != nil {
-		t.Fatal(err)
-	}
+	attach(t, m, 2, &stubConn{})
 	var key [wire.KeySize]byte
 	m.deliver(2, &wire.FindNode{From: 2, FromAddr: "n2", RPCID: 1, Target: key})
 	m.deliver(2, &wire.FindValue{From: 2, FromAddr: "n2", RPCID: 2, Key: key})
@@ -91,12 +89,12 @@ func TestDHTDispatch(t *testing.T) {
 	}
 
 	// Sends of DHT frames count as DHT traffic, not group traffic.
-	ctx := context.Background()
-	if err := m.Send(ctx, 2, &wire.FindNode{From: 1, FromAddr: "n1", RPCID: 3, Target: key}); err != nil {
+	if err := m.Send(2, &wire.FindNode{From: 1, FromAddr: "n1", RPCID: 3, Target: key}); err != nil {
 		t.Fatal(err)
 	}
-	if st = m.Stats(); st.DHTSent != 1 || st.GroupSent != 0 {
-		t.Fatalf("stats DHTSent=%d GroupSent=%d, want 1 and 0", st.DHTSent, st.GroupSent)
+	waitFor(t, func() bool { return m.Stats().DHTSent == 1 }, "the DHT frame to be written")
+	if st = m.Stats(); st.GroupSent != 0 {
+		t.Fatalf("stats GroupSent=%d after a DHT send, want 0", st.GroupSent)
 	}
 
 	// A DHT-oblivious handler drops DHT frames without crashing.
@@ -122,11 +120,8 @@ func BenchmarkPeerTableContention(b *testing.B) {
 			cfg.Shards = shards
 			m := NewManager(cfg)
 			for i := 1; i <= peers; i++ {
-				if _, err := m.register(trace.NodeID(i), &stubConn{}, false); err != nil {
-					b.Fatal(err)
-				}
+				attach(b, m, trace.NodeID(i), &stubConn{})
 			}
-			ctx := context.Background()
 			raw := wire.NewRaw(m.helloMsg())
 			b.SetParallelism(max(1, 8/runtime.GOMAXPROCS(0)))
 			b.ReportAllocs()
@@ -135,7 +130,7 @@ func BenchmarkPeerTableContention(b *testing.B) {
 				id := trace.NodeID(1)
 				for pb.Next() {
 					id = id%peers + 1
-					if err := m.Send(ctx, id, raw); err != nil {
+					if err := m.Send(id, raw); err != nil && !errors.Is(err, ErrQueueFull) {
 						b.Fatal(err)
 					}
 					m.deliver(id, &wire.Hello{From: id})

@@ -215,8 +215,8 @@ func TestSwarmConfigValidation(t *testing.T) {
 // overload scenario's flood must be shed and answered with Busy, the
 // victim's health must walk degraded→recovered, legitimate downloads
 // must all land, and no control-class frame may be dropped anywhere —
-// the class-aware outbox sheds data first, and at this scale it never
-// needs to go further.
+// the per-peer send lanes shed data first, and at this scale they never
+// need to go further.
 func TestSwarmOverload(t *testing.T) {
 	defer testutil.NoLeaks(t)()
 	nodes := 24

@@ -13,51 +13,27 @@ import (
 	"repro/internal/wire"
 )
 
-// TCP defaults.
+// TCP timing and sizing.
 const (
-	DefaultDialTimeout  = 5 * time.Second
-	DefaultWriteTimeout = 10 * time.Second
-	DefaultQueueLen     = 64
+	// dialTimeout bounds connection establishment.
+	dialTimeout = 5 * time.Second
+	// WriteTimeout bounds each frame write; a peer that stops draining
+	// its socket for this long is dropped rather than wedging its writer.
+	WriteTimeout = 10 * time.Second
+	// frameQueueLen is the per-conn frame queue between Send and the
+	// socket writer: enough to coalesce a burst of small frames into one
+	// flush (senders queue in internal/peer, not here).
+	frameQueueLen = 64
 )
 
-// TCP is the socket Transport. The zero value is usable; fields override
-// the defaults above.
+// TCP is the socket Transport. The zero value is usable.
 type TCP struct {
-	// DialTimeout bounds connection establishment.
-	DialTimeout time.Duration
-	// WriteTimeout bounds each frame write; a peer that stops draining
-	// its socket for this long is dropped rather than wedging the
-	// writer.
-	WriteTimeout time.Duration
 	// ReadTimeout, when positive, bounds the wait for each inbound
 	// frame. Under the hello protocol peers beacon every second, so a
 	// few multiples of the liveness window is a sensible value; zero
 	// means Recv waits forever (liveness is then the session layer's
 	// job).
 	ReadTimeout time.Duration
-	// QueueLen is the per-conn send queue capacity in frames.
-	QueueLen int
-}
-
-func (t *TCP) dialTimeout() time.Duration {
-	if t.DialTimeout > 0 {
-		return t.DialTimeout
-	}
-	return DefaultDialTimeout
-}
-
-func (t *TCP) writeTimeout() time.Duration {
-	if t.WriteTimeout > 0 {
-		return t.WriteTimeout
-	}
-	return DefaultWriteTimeout
-}
-
-func (t *TCP) queueLen() int {
-	if t.QueueLen > 0 {
-		return t.QueueLen
-	}
-	return DefaultQueueLen
 }
 
 // Listen binds a TCP listener on addr (host:port; ":0" picks a free
@@ -72,7 +48,7 @@ func (t *TCP) Listen(addr string) (Listener, error) {
 
 // Dial connects to addr.
 func (t *TCP) Dial(ctx context.Context, addr string) (Conn, error) {
-	d := net.Dialer{Timeout: t.dialTimeout()}
+	d := net.Dialer{Timeout: dialTimeout}
 	c, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, err
@@ -119,8 +95,8 @@ func (l *tcpListener) Close() error {
 }
 
 // tcpConn frames wire messages over one socket. Sends go through a
-// bounded queue drained by a single writer goroutine so that any
-// goroutine may Send without interleaving partial frames; receives read
+// bounded queue drained by a single writer goroutine, which keeps frames
+// whole and flushes a burst of them with one write; receives read
 // directly (Recv is single-goroutine by contract).
 type tcpConn struct {
 	t    *TCP
@@ -142,7 +118,7 @@ func (t *TCP) newConn(c net.Conn) *tcpConn {
 		t:    t,
 		c:    c,
 		br:   bufio.NewReaderSize(c, 64*1024),
-		sq:   make(chan []byte, t.queueLen()),
+		sq:   make(chan []byte, frameQueueLen),
 		done: make(chan struct{}),
 	}
 	go conn.writeLoop()
@@ -160,7 +136,7 @@ func (c *tcpConn) writeLoop() {
 		case <-c.done:
 			return
 		}
-		c.c.SetWriteDeadline(time.Now().Add(c.t.writeTimeout()))
+		c.c.SetWriteDeadline(time.Now().Add(WriteTimeout))
 		err := writeFrame(bw, frame)
 		// Flush unless more frames are already queued (batch small
 		// beacons, but never hold a frame hostage).

@@ -9,9 +9,15 @@
 //   - Loopback — a deterministic in-memory network for tests: frames pass
 //     through buffered channels, still round-tripping through the wire
 //     codec so tests exercise exactly the bytes TCP would carry;
-//   - TCP — real sockets with per-conn send queues, read/write deadlines,
-//     and context-based shutdown. DialBackoff layers exponential-backoff
-//     reconnect with jitter on top of any Transport.
+//   - TCP — real sockets with read/write deadlines and context-based
+//     shutdown. DialBackoff layers exponential-backoff reconnect with
+//     jitter on top of any Transport.
+//
+// A Conn is the second and last hop of the send path: internal/peer
+// queues per session and runs one writer per session, the only caller of
+// Send after the handshake. What a Conn buffers below Send — TCP's frame
+// queue, Loopback's channel — is private to it, and a Send that blocks
+// there holds up that one session's writer and nobody else.
 //
 // Decode-error policy (the reason wire exports sentinel errors): a frame
 // whose header magic is garbage (wire.ErrBadMagic) means the stream is
@@ -50,8 +56,8 @@ var (
 // (the session pump). Both honor context cancellation. After Close, both
 // return ErrClosed; Recv returns the peer's close as an error too.
 type Conn interface {
-	// Send enqueues one message for delivery, blocking only when the
-	// send queue is full.
+	// Send hands one message to the link, blocking while the link's own
+	// buffer is full, until ctx ends or the link dies.
 	Send(ctx context.Context, m wire.Msg) error
 	// Recv returns the next decoded message. Malformed-but-framed
 	// messages are skipped internally; framing garbage or a version
