@@ -1,5 +1,7 @@
-# Repo verification targets. `make check` is the gate: vet + full tests
-# + the race detector over the concurrent sweep pool.
+# Repo verification targets. `make check` is the gate, and all CI runs
+# of the tests: vet + full tests + the full suite under the race
+# detector — a superset of every *-short smoke target below, which are
+# for a quick local loop.
 
 GO ?= go
 
@@ -58,7 +60,7 @@ bcast-soak-short:
 # Fountain-coded soak: the LT-code property tests, the engine's symbol
 # plane (negotiation, loss repair, relay budget, poisoned-decode
 # restart), the five-node chaos soak at 30% drop + 20% corruption, and
-# the live three-daemon UDP demo. fec-soak-short is the race-clean CI
+# the live three-daemon UDP demo. fec-soak-short is the race-clean quick
 # smoke: the chaos soak must complete on the fountain plane (the strict
 # transmission comparison runs without -race, where timing is honest).
 fec-soak:
@@ -74,7 +76,7 @@ fec-soak-short:
 # (fallback without double counting), the swarm server-death scenario
 # against its no-DHT baseline, and the live three-daemon localhost demo
 # where the catalog server is killed mid-run. dht-soak-short is the
-# race-clean CI smoke: the engine suite plus the daemon and seam tests.
+# race-clean quick smoke: the engine suite plus the daemon and seam tests.
 dht-soak:
 	$(GO) test -race -count=1 -v ./internal/dht
 	$(GO) test -race -count=1 -timeout 10m -run 'DHT' -v ./internal/daemon ./internal/discovery ./internal/swarm ./cmd/mbtd
@@ -103,7 +105,7 @@ crash-soak-short:
 # partitions, staggered joins, diurnal attendance). The tests assert and
 # write nothing tracked; the results/swarm_*.json records are then
 # regenerated through cmd/mbtswarm with the same populations and seeds —
-# the one path that rewrites them. swarm-short is the race-clean CI
+# the one path that rewrites them. swarm-short is the race-clean quick
 # smoke at <=200 nodes.
 swarm:
 	$(GO) test -count=1 -timeout 10m -run 'TestSwarm|TestRun' -v ./internal/swarm ./cmd/mbtswarm
@@ -124,7 +126,7 @@ swarm-short:
 # live victim, then the same flood layered over drop+corruption faults),
 # catalog query limiting, and the 24-node flash-crowd-overload swarm
 # scenario that must degrade, keep serving, and recover — all
-# race-clean. overload-soak-short is the CI smoke: the single-victim
+# race-clean. overload-soak-short is the quick smoke: the single-victim
 # flood plus the swarm scenario.
 overload-soak:
 	$(GO) test -race -count=1 -v ./internal/limit

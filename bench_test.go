@@ -17,8 +17,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/download"
 	"repro/internal/experiment"
-	"repro/internal/routing"
-	"repro/internal/simtime"
 )
 
 // benchPanel runs one figure panel per iteration and reports each
@@ -250,39 +248,6 @@ func BenchmarkAblationQueryDistribution(b *testing.B) {
 	} {
 		b.Run(tt.name, func(b *testing.B) {
 			benchScenario(b, func(cfg *core.Config) { cfg.Variant = tt.variant })
-		})
-	}
-}
-
-// Substrate bench: DTN unicast routing protocols over the bus trace
-// (delivery ratio and overhead reported per protocol).
-
-func BenchmarkRoutingProtocols(b *testing.B) {
-	d := DefaultDieselTrace()
-	d.Buses, d.Routes, d.Days = 20, 4, 7
-	tr, err := DieselTrace(d)
-	if err != nil {
-		b.Fatal(err)
-	}
-	msgs := routing.GenerateWorkload(tr, 100, simtime.Days(2), 1)
-	for _, p := range routing.All() {
-		p := p
-		b.Run(p.Name(), func(b *testing.B) {
-			var last *routing.Result
-			for i := 0; i < b.N; i++ {
-				res, err := routing.Simulate(routing.Config{
-					Trace: tr, Messages: msgs, Protocol: p,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			b.StopTimer()
-			if last != nil {
-				b.ReportMetric(last.Ratio, "delivery")
-				b.ReportMetric(last.Overhead, "overhead")
-			}
 		})
 	}
 }

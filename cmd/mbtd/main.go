@@ -104,7 +104,6 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		dhtRepub = fs.Duration("dht-republish", 0, "with -dht, table-refresh and catalog-republish cadence (0 = 10x -hello)")
 		rate     = fs.Float64("rate", 0, "per-peer admission rate in messages/second: excess inbound is shed and answered with Busy, and catalog/DHT service obeys the same rate (0 = off)")
 		busyRA   = fs.Duration("busy-retry-after", 0, "backoff window advertised in outgoing Busy frames (0 = 2x -hello)")
-		brkCool  = fs.Duration("breaker-cooldown", 0, "dial circuit-breaker open window per failing address (0 = -window)")
 		faultArg = fs.String("fault", "", "inject transport faults, e.g. 'seed=42,drop=0.3,corrupt=0.2,partition=10s-20s' (see internal/fault)")
 		dataDir  = fs.String("data-dir", "", "persist node state here (WAL + snapshots); restart resumes from it")
 		quiet    = fs.Bool("quiet", false, "suppress progress logging")
@@ -126,32 +125,37 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	if *listen == "" && *peers == "" {
 		return fail("need -listen and/or -peers; a daemon with neither has no links")
 	}
-	if *fecOn && !*bcastOn {
-		return fail("-fec rides the broadcast-group schedule; it needs -bcast")
-	}
 	if *fecOn && *listen == "" {
 		return fail("-fec binds its UDP symbol lane to -listen's address; set -listen")
 	}
-	if *dhtK != 0 && !*dhtOn {
-		return fail("-dht-k tunes the Kademlia index; it needs -dht")
+	// Every range and "needs" rule on the values themselves is the
+	// daemon's; only what is about flags or the filesystem is checked here.
+	cfg := daemon.Config{
+		ID:             trace.NodeID(*id),
+		Transport:      &transport.TCP{},
+		ListenAddr:     *listen,
+		PeerAddrs:      splitList(*peers),
+		InternetAccess: *internet,
+		PublishFiles:   *files,
+		FileSize:       *fileSize,
+		PieceSize:      *pieceSz,
+		Queries:        splitList(*queries),
+		FetchMatching:  *fetch,
+		HelloInterval:  *hello,
+		LivenessWindow: *window,
+		PeerRate:       *rate,
+		BusyRetryAfter: *busyRA,
+		EnableBcast:    *bcastOn,
+		TitForTat:      *tft,
+		EnableFEC:      *fecOn,
+		SymbolSize:     *symbolSz,
+		EnableDHT:      *dhtOn,
+		DHTK:           *dhtK,
+		DHTRepublish:   *dhtRepub,
+		DataDir:        *dataDir,
 	}
-	if *dhtK < 0 {
-		return fail("-dht-k must be positive, have %d", *dhtK)
-	}
-	if *dhtRepub != 0 && !*dhtOn {
-		return fail("-dht-republish tunes the Kademlia index; it needs -dht")
-	}
-	if *dhtRepub < 0 {
-		return fail("-dht-republish must be positive, have %v", *dhtRepub)
-	}
-	if *rate < 0 {
-		return fail("-rate must be >= 0 messages/second, have %v", *rate)
-	}
-	if *busyRA < 0 {
-		return fail("-busy-retry-after must be >= 0, have %v", *busyRA)
-	}
-	if *brkCool < 0 {
-		return fail("-breaker-cooldown must be >= 0, have %v", *brkCool)
+	if err := cfg.Validate(); err != nil {
+		return fail("%v", err)
 	}
 	if *dataDir != "" {
 		if fi, err := os.Stat(*dataDir); err == nil && !fi.IsDir() {
@@ -163,20 +167,18 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	}
 
 	logger := log.New(logw, fmt.Sprintf("mbtd[%d] ", *id), log.LstdFlags|log.Lmsgprefix)
-	logf := logger.Printf
-	if *quiet {
-		logf = nil
+	if !*quiet {
+		cfg.Logf = logger.Printf
 	}
 
-	var tr transport.Transport = &transport.TCP{}
 	var chaos *fault.Transport
 	if *faultArg != "" {
 		fcfg, err := fault.ParseSpec(*faultArg)
 		if err != nil {
 			return fail("-fault: %v", err)
 		}
-		chaos = fault.Wrap(tr, fcfg)
-		tr = chaos
+		chaos = fault.Wrap(cfg.Transport, fcfg)
+		cfg.Transport, cfg.Fault = chaos, chaos
 		logger.Printf("fault injection on: %s", *faultArg)
 	}
 
@@ -185,7 +187,6 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	// and UDP ports are separate namespaces, so nothing collides, and
 	// every -fec daemon in a mesh is reachable at the address its peers
 	// already dial.
-	var symbols transport.SymbolConn
 	if *fecOn {
 		lanePeers := splitList(*symPeers)
 		if lanePeers == nil {
@@ -196,41 +197,13 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 			return fail("-fec: %v", err)
 		}
 		defer lane.Close()
-		symbols = lane
+		cfg.Symbols = lane
 		if chaos != nil {
-			symbols = chaos.WrapSymbols(symbols)
+			cfg.Symbols = chaos.WrapSymbols(lane)
 		}
 		logger.Printf("fec symbol lane on udp %s", lane.Addr())
 	}
 
-	cfg := daemon.Config{
-		ID:              trace.NodeID(*id),
-		Transport:       tr,
-		ListenAddr:      *listen,
-		PeerAddrs:       splitList(*peers),
-		InternetAccess:  *internet,
-		PublishFiles:    *files,
-		FileSize:        *fileSize,
-		PieceSize:       *pieceSz,
-		Queries:         splitList(*queries),
-		FetchMatching:   *fetch,
-		HelloInterval:   *hello,
-		LivenessWindow:  *window,
-		PeerRate:        *rate,
-		BusyRetryAfter:  *busyRA,
-		BreakerCooldown: *brkCool,
-		EnableBcast:     *bcastOn,
-		TitForTat:       *tft,
-		EnableFEC:       *fecOn,
-		Symbols:         symbols,
-		SymbolSize:      *symbolSz,
-		EnableDHT:       *dhtOn,
-		DHTK:            *dhtK,
-		DHTRepublish:    *dhtRepub,
-		Fault:           chaos,
-		DataDir:         *dataDir,
-		Logf:            logf,
-	}
 	d, err := daemon.New(cfg)
 	if err != nil {
 		return err

@@ -50,15 +50,18 @@ func TestBadFlagCombos(t *testing.T) {
 		{"fault bad partition", []string{"-id", "1", "-listen", "127.0.0.1:0", "-fault", "partition=zzz"}, "-fault"},
 		{"data-dir is a file", []string{"-id", "1", "-listen", "127.0.0.1:0", "-data-dir", file}, "-data-dir"},
 		{"data-dir under a file", []string{"-id", "1", "-listen", "127.0.0.1:0", "-data-dir", filepath.Join(file, "sub")}, "-data-dir"},
-		{"fec without bcast", []string{"-id", "1", "-listen", "127.0.0.1:0", "-fec"}, "-bcast"},
 		{"fec without listen", []string{"-id", "1", "-peers", "127.0.0.1:1", "-bcast", "-fec"}, "-listen"},
-		{"dht-k without dht", []string{"-id", "1", "-listen", "127.0.0.1:0", "-dht-k", "8"}, "-dht"},
-		{"negative dht-k", []string{"-id", "1", "-listen", "127.0.0.1:0", "-dht", "-dht-k", "-2"}, "-dht-k"},
-		{"dht-republish without dht", []string{"-id", "1", "-listen", "127.0.0.1:0", "-dht-republish", "5s"}, "-dht"},
-		{"negative dht-republish", []string{"-id", "1", "-listen", "127.0.0.1:0", "-dht", "-dht-republish", "-5s"}, "-dht-republish"},
-		{"negative rate", []string{"-id", "1", "-listen", "127.0.0.1:0", "-rate", "-1"}, "-rate"},
-		{"negative busy-retry-after", []string{"-id", "1", "-listen", "127.0.0.1:0", "-busy-retry-after", "-5s"}, "-busy-retry-after"},
-		{"negative breaker-cooldown", []string{"-id", "1", "-listen", "127.0.0.1:0", "-breaker-cooldown", "-1s"}, "-breaker-cooldown"},
+		// Value rules are daemon.Config.Validate's; the error names the
+		// Config field the flag feeds.
+		{"fec without bcast", []string{"-id", "1", "-listen", "127.0.0.1:0", "-fec"}, "EnableBcast"},
+		{"tft without bcast", []string{"-id", "1", "-listen", "127.0.0.1:0", "-tft"}, "EnableBcast"},
+		{"dht-k without dht", []string{"-id", "1", "-listen", "127.0.0.1:0", "-dht-k", "8"}, "EnableDHT"},
+		{"negative dht-k", []string{"-id", "1", "-listen", "127.0.0.1:0", "-dht", "-dht-k", "-2"}, "DHTK"},
+		{"dht-republish without dht", []string{"-id", "1", "-listen", "127.0.0.1:0", "-dht-republish", "5s"}, "EnableDHT"},
+		{"negative dht-republish", []string{"-id", "1", "-listen", "127.0.0.1:0", "-dht", "-dht-republish", "-5s"}, "DHTRepublish"},
+		{"negative rate", []string{"-id", "1", "-listen", "127.0.0.1:0", "-rate", "-1"}, "PeerRate"},
+		{"negative busy-retry-after", []string{"-id", "1", "-listen", "127.0.0.1:0", "-busy-retry-after", "-5s"}, "BusyRetryAfter"},
+		{"window shorter than hello", []string{"-id", "1", "-listen", "127.0.0.1:0", "-hello", "2s", "-window", "1s"}, "LivenessWindow"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

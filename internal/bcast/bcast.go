@@ -96,9 +96,6 @@ type Config struct {
 	Self trace.NodeID
 	// TitForTat selects cyclic-order scheduling over coordinator choice.
 	TitForTat bool
-	// MinGroupSize is the smallest clique that forms a group (default
-	// DefaultMinGroupSize); smaller cliques stay pairwise.
-	MinGroupSize int
 	// Window expires graph edges and member views: a member silent this
 	// long is no longer part of any group (default 5s, the protocol's
 	// liveness window; tests shrink it).
@@ -201,9 +198,6 @@ type Engine struct {
 
 // New returns an engine with defaults applied.
 func New(cfg Config) *Engine {
-	if cfg.MinGroupSize <= 0 {
-		cfg.MinGroupSize = DefaultMinGroupSize
-	}
 	if cfg.Window <= 0 {
 		cfg.Window = 5 * time.Second
 	}
@@ -410,7 +404,7 @@ func (e *Engine) pruneLocked(now time.Time) {
 // bestGroupLocked recomputes this node's group: the largest maximal
 // clique containing Self in the graph of live-peer links plus fresh
 // overheard edges, ties broken lexicographically so every member picks
-// the same clique. Below MinGroupSize there is no group.
+// the same clique. Below DefaultMinGroupSize there is no group.
 func (e *Engine) bestGroupLocked(live []trace.NodeID) []trace.NodeID {
 	liveSet := make(map[trace.NodeID]bool, len(live))
 	adj := make(map[trace.NodeID]map[trace.NodeID]bool)
@@ -456,7 +450,7 @@ func (e *Engine) bestGroupLocked(live []trace.NodeID) []trace.NodeID {
 			best = c
 		}
 	}
-	if len(best) < e.cfg.MinGroupSize {
+	if len(best) < DefaultMinGroupSize {
 		return nil
 	}
 	return best

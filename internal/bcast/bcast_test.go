@@ -307,7 +307,7 @@ func TestGroupFormsAndConfirms(t *testing.T) {
 	}
 }
 
-// TestTooSmallForGroup: two nodes are below MinGroupSize and stay on
+// TestTooSmallForGroup: two nodes are below DefaultMinGroupSize and stay on
 // the pairwise path.
 func TestTooSmallForGroup(t *testing.T) {
 	h := newHarness()

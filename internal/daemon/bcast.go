@@ -34,9 +34,9 @@ func (h *handler) HandleGroup(from trace.NodeID, msg wire.Msg) {
 	d.bcast.HandleGroup(context.Background(), from, msg)
 }
 
-// bcastLoop ticks the group engine at the round interval.
+// bcastLoop ticks the group engine at the hello interval.
 func (d *Daemon) bcastLoop(ctx context.Context) {
-	t := time.NewTicker(d.cfg.RoundInterval)
+	t := time.NewTicker(d.cfg.HelloInterval)
 	defer t.Stop()
 	for {
 		select {

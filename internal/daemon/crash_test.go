@@ -228,9 +228,15 @@ func TestCrashRecoverySoak(t *testing.T) {
 			<-done1
 			// A run whose pieces shared group commits takes fewer ops than
 			// the probe's; a late crash point then lands in the shutdown
-			// compaction instead, which is as good a place to die.
+			// compaction instead, which is as good a place to die — or,
+			// when even the shutdown is done first, nowhere: there is then
+			// no crash to recover from. Only a tail point may miss.
 			if !ffs.Crashed() {
-				t.Fatalf("daemon ran to a clean shutdown before scripted crash at op %d", crashAt)
+				if crashAt <= 3*opsAtComplete/4 {
+					t.Fatalf("daemon ran to a clean shutdown before scripted crash at op %d", crashAt)
+				}
+				t.Logf("run shut down cleanly in fewer than %d ops (the probe took %d): nothing to recover", crashAt, opsAtComplete)
+				return
 			}
 			verified := int(leech1.Stats().PiecesVerified)
 			delivered := int(seed.Manager().Stats().PiecesSent)

@@ -33,7 +33,9 @@ package daemon
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -64,7 +66,8 @@ const (
 	// DefaultMetadataPerHello caps metadata answers per query per
 	// hello.
 	DefaultMetadataPerHello = 8
-	// DefaultTTL is the synthetic catalog's metadata time-to-live.
+	// DefaultTTL is the time-to-live of the synthetic catalog's metadata
+	// and of own queries.
 	DefaultTTL = 3 * simtime.Day
 	// DefaultFileSize gives 3 pieces at the paper's 256 KB piece size.
 	DefaultFileSize = 600 * 1024
@@ -100,17 +103,14 @@ type Config struct {
 	// FileSize and PieceSize shape the synthetic files.
 	FileSize  int64
 	PieceSize int
-	// TTL is the synthetic metadata time-to-live.
-	TTL simtime.Duration
 	// Queries are the user's active searches.
 	Queries []string
 	// FetchMatching selects every discovered file whose metadata
 	// matches an own query — the demo's stand-in for the user picking
 	// from the result list.
 	FetchMatching bool
-	// PiecesPerHello / MetadataPerHello override the pacing defaults.
-	PiecesPerHello   int
-	MetadataPerHello int
+	// PiecesPerHello overrides the piece pacing default.
+	PiecesPerHello int
 	// HelloInterval and LivenessWindow tune the beacon clock (defaults:
 	// the protocol's 1 s / 5 s).
 	HelloInterval  time.Duration
@@ -124,12 +124,6 @@ type Config struct {
 	// a download finishes verification — the swarm harness's completion
 	// event stream.
 	OnComplete func(uri metadata.URI)
-	// HandshakeTimeout bounds the wait for a new connection's first
-	// hello (default: the liveness window). A partitioned or black-holed
-	// link fails its handshake within this deadline and falls back to
-	// redial, instead of pinning the only session slot while the outage
-	// lasts.
-	HandshakeTimeout time.Duration
 	// ResendAfter is the per-piece exchange deadline: a piece pushed to
 	// a peer that keeps advertising the download becomes eligible for
 	// resend once this long has passed without the peer completing
@@ -159,11 +153,6 @@ type Config struct {
 	// but clamped to 2×LivenessWindow — a longer silence is
 	// indistinguishable from churn.
 	BusyRetryAfter time.Duration
-	// BreakerCooldown is the per-address dial circuit breaker's open
-	// window: an address that fails three straight dials is not dialed
-	// again until the (jittered) cooldown passes, then one probe decides
-	// (default LivenessWindow).
-	BreakerCooldown time.Duration
 	// OutboxLen caps each peer session's send lanes, per frame class
 	// (default peer.DefaultQueueLen); tests shrink it to force shedding,
 	// benchmarks size it to a whole file.
@@ -185,12 +174,6 @@ type Config struct {
 	// TitForTat selects cyclic-order scheduling (§V-B) over the
 	// cooperative coordinator (§V-A).
 	TitForTat bool
-	// RoundInterval paces the group engine's ticks (default
-	// HelloInterval).
-	RoundInterval time.Duration
-	// MinGroupSize is the smallest clique worth scheduling (default
-	// bcast.DefaultMinGroupSize).
-	MinGroupSize int
 	// Broadcast, when non-nil, is a joined shared-medium conn: group
 	// traffic costs one transmission for the whole group instead of a
 	// per-member unicast fan-out. The daemon pumps it but does not own
@@ -217,16 +200,11 @@ type Config struct {
 	// FindValue) with the hello beacon as the legacy fallback, so keyword
 	// queries keep resolving after the central catalog dies.
 	EnableDHT bool
-	// DHTK and DHTAlpha override the lookup width and parallelism
-	// (defaults dht.DefaultK / dht.DefaultAlpha).
-	DHTK     int
-	DHTAlpha int
+	// DHTK overrides the lookup width (default dht.DefaultK).
+	DHTK int
 	// DHTRepublish paces the DHT tick — table refresh, catalog
 	// republish, query resolution (default 10× HelloInterval).
 	DHTRepublish time.Duration
-	// DHTCacheCap bounds the popularity-ranked local record cache
-	// (default dht.DefaultCacheCap).
-	DHTCacheCap int
 	// Fault, when the transport is wrapped in a fault injector, surfaces
 	// its counters under /stats.
 	Fault *fault.Transport
@@ -402,13 +380,60 @@ type Daemon struct {
 	}
 }
 
+// Validate reports the first reason c cannot describe a daemon. A zero
+// field always means "use the default"; what is rejected is what no
+// default can stand in for: a negative count, size, rate or duration, a
+// liveness window shorter than the beacon it listens for, and an option
+// that tunes a subsystem the same Config leaves off. New calls it first,
+// so nothing is defaulted silently. StoreCompactEvery alone may be
+// negative (the store's "never compact").
+func (c Config) Validate() error {
+	for _, rule := range []struct {
+		broken bool
+		what   string
+	}{
+		{c.Transport == nil, "nil transport"},
+		{c.ListenAddr == "" && len(c.PeerAddrs) == 0, "no listen address and no peers"},
+		{c.InternetNodes < 0, "negative InternetNodes"},
+		{c.PublishFiles < 0, "negative PublishFiles"},
+		{c.FileSize < 0, "negative FileSize"},
+		{c.PieceSize < 0, "negative PieceSize"},
+		{c.PiecesPerHello < 0, "negative PiecesPerHello"},
+		{c.HelloInterval < 0, "negative HelloInterval"},
+		{c.LivenessWindow < 0, "negative LivenessWindow"},
+		{c.MaxPeers < 0, "negative MaxPeers"},
+		{c.ResendAfter < 0, "negative ResendAfter"},
+		{c.StallTimeout < 0, "negative StallTimeout"},
+		{c.RetryBudget < 0, "negative RetryBudget"},
+		{c.PeerRate < 0, "negative PeerRate"},
+		{c.BusyRetryAfter < 0, "negative BusyRetryAfter"},
+		{c.OutboxLen < 0, "negative OutboxLen"},
+		{c.QuarantineThreshold < 0, "negative QuarantineThreshold"},
+		{c.QuarantineBase < 0, "negative QuarantineBase"},
+		{c.SymbolSize < 0, "negative SymbolSize"},
+		{c.RelayBudget < 0, "negative RelayBudget"},
+		{c.DHTK < 0, "negative DHTK"},
+		{c.DHTRepublish < 0, "negative DHTRepublish"},
+		{c.LivenessWindow > 0 && c.HelloInterval > 0 && c.LivenessWindow < c.HelloInterval,
+			"LivenessWindow shorter than HelloInterval"},
+		{c.EnableFEC && !c.EnableBcast, "EnableFEC needs EnableBcast"},
+		{c.TitForTat && !c.EnableBcast, "TitForTat needs EnableBcast"},
+		{c.DHTK != 0 && !c.EnableDHT, "DHTK needs EnableDHT"},
+		{c.DHTRepublish != 0 && !c.EnableDHT, "DHTRepublish needs EnableDHT"},
+		{c.StoreFS != nil && c.DataDir == "", "StoreFS needs DataDir"},
+		{c.StoreCompactEvery != 0 && c.DataDir == "", "StoreCompactEvery needs DataDir"},
+	} {
+		if rule.broken {
+			return errors.New("daemon: " + rule.what)
+		}
+	}
+	return nil
+}
+
 // New validates cfg and builds the daemon (no I/O yet; Run starts it).
 func New(cfg Config) (*Daemon, error) {
-	if cfg.Transport == nil {
-		return nil, fmt.Errorf("daemon: nil transport")
-	}
-	if cfg.ListenAddr == "" && len(cfg.PeerAddrs) == 0 {
-		return nil, fmt.Errorf("daemon: no listen address and no peers")
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	if cfg.InternetNodes <= 0 {
 		cfg.InternetNodes = 1
@@ -416,26 +441,17 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.PiecesPerHello <= 0 {
 		cfg.PiecesPerHello = DefaultPiecesPerHello
 	}
-	if cfg.MetadataPerHello <= 0 {
-		cfg.MetadataPerHello = DefaultMetadataPerHello
-	}
 	if cfg.FileSize <= 0 {
 		cfg.FileSize = DefaultFileSize
 	}
 	if cfg.PieceSize <= 0 {
 		cfg.PieceSize = metadata.DefaultPieceSize
 	}
-	if cfg.TTL <= 0 {
-		cfg.TTL = DefaultTTL
-	}
 	if cfg.HelloInterval <= 0 {
 		cfg.HelloInterval = peer.DefaultHelloInterval
 	}
 	if cfg.LivenessWindow <= 0 {
 		cfg.LivenessWindow = peer.DefaultLivenessWindow
-	}
-	if cfg.HandshakeTimeout <= 0 {
-		cfg.HandshakeTimeout = cfg.LivenessWindow
 	}
 	if cfg.ResendAfter <= 0 {
 		cfg.ResendAfter = 2 * cfg.LivenessWindow
@@ -452,17 +468,11 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.QuarantineBase <= 0 {
 		cfg.QuarantineBase = cfg.LivenessWindow
 	}
-	if cfg.RoundInterval <= 0 {
-		cfg.RoundInterval = cfg.HelloInterval
-	}
 	if cfg.DHTRepublish <= 0 {
 		cfg.DHTRepublish = 10 * cfg.HelloInterval
 	}
 	if cfg.BusyRetryAfter <= 0 {
 		cfg.BusyRetryAfter = 2 * cfg.HelloInterval
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = cfg.LivenessWindow
 	}
 
 	d := &Daemon{
@@ -478,7 +488,7 @@ func New(cfg Config) (*Daemon, error) {
 		peerBusy:   make(map[trace.NodeID]map[wire.BusyScope]time.Time),
 		lastBusyTo: make(map[trace.NodeID]map[wire.BusyScope]time.Time),
 	}
-	d.breakers = limit.NewSet(limit.BreakerConfig{Cooldown: cfg.BreakerCooldown})
+	d.breakers = limit.NewSet(limit.BreakerConfig{Cooldown: cfg.LivenessWindow})
 	if cfg.DataDir != "" {
 		st, err := store.Open(store.Options{
 			Dir:          cfg.DataDir,
@@ -510,7 +520,7 @@ func New(cfg Config) (*Daemon, error) {
 		}
 	}
 	for _, q := range cfg.Queries {
-		d.node.AddQuery(q, d.now().Add(cfg.TTL))
+		d.node.AddQuery(q, d.now().Add(DefaultTTL))
 	}
 	if cfg.EnableDHT {
 		// The RPC deadline tracks the liveness window so a dial-on-demand
@@ -524,9 +534,7 @@ func New(cfg Config) (*Daemon, error) {
 			Self:           cfg.ID,
 			Addr:           cfg.ListenAddr,
 			K:              cfg.DHTK,
-			Alpha:          cfg.DHTAlpha,
 			RequestTimeout: d.dhtTimeout,
-			CacheCap:       cfg.DHTCacheCap,
 			Send:           d.dhtSend,
 			Verify:         d.dhtVerify,
 			SignedExpiry:   d.dhtSignedExpiry,
@@ -537,32 +545,30 @@ func New(cfg Config) (*Daemon, error) {
 	}
 	if cfg.EnableBcast {
 		d.bcast = bcast.New(bcast.Config{
-			Self:         cfg.ID,
-			TitForTat:    cfg.TitForTat,
-			MinGroupSize: cfg.MinGroupSize,
-			Window:       cfg.LivenessWindow,
-			Store:        (*bcastStore)(d),
-			Send:         (*bcastSender)(d),
-			FEC:          cfg.EnableFEC && cfg.Symbols != nil,
-			SymbolSize:   cfg.SymbolSize,
-			RelayBudget:  cfg.RelayBudget,
-			Logf:         cfg.Logf,
+			Self:        cfg.ID,
+			TitForTat:   cfg.TitForTat,
+			Window:      cfg.LivenessWindow,
+			Store:       (*bcastStore)(d),
+			Send:        (*bcastSender)(d),
+			FEC:         cfg.EnableFEC && cfg.Symbols != nil,
+			SymbolSize:  cfg.SymbolSize,
+			RelayBudget: cfg.RelayBudget,
+			Logf:        cfg.Logf,
 		})
 	}
 	d.mgr = peer.NewManager(peer.Config{
-		Self:             cfg.ID,
-		Hello:            d.helloContent,
-		Handler:          (*handler)(d),
-		HelloInterval:    cfg.HelloInterval,
-		LivenessWindow:   cfg.LivenessWindow,
-		HandshakeTimeout: cfg.HandshakeTimeout,
-		MaxPeers:         cfg.MaxPeers,
-		Backoff:          cfg.Backoff,
-		InboundRate:      cfg.PeerRate,
-		QueueLen:         cfg.OutboxLen,
-		OnShed:           d.onShed,
-		DialBreakers:     d.breakers,
-		Logf:             cfg.Logf,
+		Self:           cfg.ID,
+		Hello:          d.helloContent,
+		Handler:        (*handler)(d),
+		HelloInterval:  cfg.HelloInterval,
+		LivenessWindow: cfg.LivenessWindow,
+		MaxPeers:       cfg.MaxPeers,
+		Backoff:        cfg.Backoff,
+		InboundRate:    cfg.PeerRate,
+		QueueLen:       cfg.OutboxLen,
+		OnShed:         d.onShed,
+		DialBreakers:   d.breakers,
+		Logf:           cfg.Logf,
 	})
 	return d, nil
 }
@@ -575,7 +581,7 @@ func (d *Daemon) syntheticFile(id metadata.FileID) *metadata.Metadata {
 	publisher := "mbtd"
 	return metadata.NewSynthetic(id, name, publisher,
 		fmt.Sprintf("synthetic catalog file %d served by node %d", id, d.cfg.ID),
-		d.cfg.FileSize, d.cfg.PieceSize, d.now(), d.cfg.TTL,
+		d.cfg.FileSize, d.cfg.PieceSize, d.now(), DefaultTTL,
 		workload.KeyFor(publisher))
 }
 
@@ -938,7 +944,7 @@ func (d *Daemon) sweepOnce() {
 // at once; repeating one only extends its expiry.
 func (d *Daemon) AddQuery(q string) {
 	d.mu.Lock()
-	added := d.node.AddQuery(q, d.now().Add(d.cfg.TTL))
+	added := d.node.AddQuery(q, d.now().Add(DefaultTTL))
 	d.mu.Unlock()
 	if added {
 		d.mgr.Kick()
@@ -1120,6 +1126,7 @@ func (d *Daemon) onHello(from trace.NodeID, msg *wire.Hello) {
 	d.mu.Lock()
 	d.node.SetFrequent(d.mgr.Peers())
 	d.node.LearnPeerQueries(from, msg.Queries, now.Add(peerQueryTTL))
+	d.forgetFinishedLocked(from, msg.Downloading)
 	d.mu.Unlock()
 
 	// The heard list is the raw material of the clique graph: the sender
@@ -1168,6 +1175,24 @@ func (d *Daemon) onHello(from trace.NodeID, msg *wire.Hello) {
 	}
 }
 
+// forgetFinishedLocked drops the send tracking of every file the peer's
+// hello no longer lists: a node advertises a download until it
+// completes, so absence means done or abandoned, and a long-lived
+// session must not keep one timestamp per piece of every file the peer
+// ever fetched. Caller holds d.mu.
+func (d *Daemon) forgetFinishedLocked(from trace.NodeID, downloading []metadata.URI) {
+	st := d.sent[from]
+	if st == nil {
+		return
+	}
+	for uri := range st.pieces {
+		if !slices.Contains(downloading, uri) {
+			delete(st.pieces, uri)
+			delete(st.others, uri)
+		}
+	}
+}
+
 // answerQuery collects matching metadata from the catalog (Internet
 // nodes) and the node's own store, best first. Catalog admission
 // control runs first: a peer past its query rate gets one paced Busy
@@ -1181,7 +1206,7 @@ func (d *Daemon) answerQuery(now simtime.Time, from trace.NodeID, q string, hold
 		d.sendBusy(from, wire.BusyQuery)
 		return nil
 	}
-	limit := d.cfg.MetadataPerHello
+	limit := DefaultMetadataPerHello
 	var out []wire.Msg
 	seen := make(map[metadata.URI]bool)
 	if d.catalog != nil {

@@ -6,10 +6,12 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/metadata"
+	"repro/internal/store"
 	"repro/internal/testutil"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -46,6 +48,57 @@ func start(ctx context.Context, d *Daemon) chan error {
 	done := make(chan error, 1)
 	go func() { done <- d.Run(ctx) }()
 	return done
+}
+
+// TestConfigValidate: New rejects — it no longer defaults — every value
+// no default can stand in for, one row per rule; zero fields pass.
+func TestConfigValidate(t *testing.T) {
+	net := transport.NewLoopback()
+	defer net.Close()
+	base := Config{Transport: net, ListenAddr: "v"}
+	if err := base.Validate(); err != nil {
+		t.Fatalf("zero Config with a transport and a listen address: %v", err)
+	}
+	for _, tc := range []struct {
+		want   string // the field the error must name
+		mutate func(*Config)
+	}{
+		{"transport", func(c *Config) { c.Transport = nil }},
+		{"listen", func(c *Config) { c.ListenAddr = "" }},
+		{"InternetNodes", func(c *Config) { c.InternetNodes = -1 }},
+		{"PublishFiles", func(c *Config) { c.PublishFiles = -1 }},
+		{"FileSize", func(c *Config) { c.FileSize = -1 }},
+		{"PieceSize", func(c *Config) { c.PieceSize = -1 }},
+		{"PiecesPerHello", func(c *Config) { c.PiecesPerHello = -1 }},
+		{"HelloInterval", func(c *Config) { c.HelloInterval = -time.Second }},
+		{"LivenessWindow", func(c *Config) { c.LivenessWindow = -time.Second }},
+		{"MaxPeers", func(c *Config) { c.MaxPeers = -1 }},
+		{"ResendAfter", func(c *Config) { c.ResendAfter = -time.Second }},
+		{"StallTimeout", func(c *Config) { c.StallTimeout = -time.Second }},
+		{"RetryBudget", func(c *Config) { c.RetryBudget = -1 }},
+		{"PeerRate", func(c *Config) { c.PeerRate = -1 }},
+		{"BusyRetryAfter", func(c *Config) { c.BusyRetryAfter = -time.Second }},
+		{"OutboxLen", func(c *Config) { c.OutboxLen = -1 }},
+		{"QuarantineThreshold", func(c *Config) { c.QuarantineThreshold = -1 }},
+		{"QuarantineBase", func(c *Config) { c.QuarantineBase = -time.Second }},
+		{"SymbolSize", func(c *Config) { c.EnableBcast, c.SymbolSize = true, -1 }},
+		{"RelayBudget", func(c *Config) { c.EnableBcast, c.RelayBudget = true, -1 }},
+		{"DHTK", func(c *Config) { c.EnableDHT, c.DHTK = true, -1 }},
+		{"DHTRepublish", func(c *Config) { c.EnableDHT, c.DHTRepublish = true, -time.Second }},
+		{"LivenessWindow shorter", func(c *Config) { c.HelloInterval, c.LivenessWindow = 2*time.Second, time.Second }},
+		{"EnableFEC needs", func(c *Config) { c.EnableFEC = true }},
+		{"TitForTat needs", func(c *Config) { c.TitForTat = true }},
+		{"DHTK needs", func(c *Config) { c.DHTK = 8 }},
+		{"DHTRepublish needs", func(c *Config) { c.DHTRepublish = time.Second }},
+		{"StoreFS needs", func(c *Config) { c.StoreFS = store.OSFS{} }},
+		{"StoreCompactEvery needs", func(c *Config) { c.StoreCompactEvery = 256 }},
+	} {
+		c := base
+		tc.mutate(&c)
+		if _, err := New(c); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: New returned %v, want an error naming it", tc.want, err)
+		}
+	}
 }
 
 // TestLoopbackEndToEndSoak is the two-daemon soak over the

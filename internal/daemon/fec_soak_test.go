@@ -100,6 +100,12 @@ func runFECSoak(tb testing.TB, fec bool) float64 {
 			cfg.PieceSize = fecSoakPieceSize
 		}
 		cfg.EnableBcast = true
+		if testutil.RaceEnabled {
+			// Race instrumentation slows hello processing past fastCfg's
+			// 200 ms window; a group that flaps hands its pieces to the
+			// clean pairwise fallback and the soak measures nothing.
+			cfg.LivenessWindow = 2 * time.Second
+		}
 		conn, err := radio.Join(cfg.ListenAddr)
 		if err != nil {
 			tb.Fatal(err)

@@ -280,6 +280,39 @@ func TestSweepCleansVanishedState(t *testing.T) {
 	}
 }
 
+// TestHelloForgetsFinishedFiles: send tracking lives only while the peer
+// advertises the download. A hello that lists the file creates the
+// per-piece marks; the first hello that no longer lists it — the file
+// completed or was abandoned — drops them, although the peer stays live
+// and so the sweep never would.
+func TestHelloForgetsFinishedFiles(t *testing.T) {
+	d := bench(t, func(c *Config) {
+		c.InternetAccess = true
+		c.PublishFiles = 1
+	})
+	wedge(t, d, 2)
+	uri := metadata.URIFor(0)
+
+	d.onHello(2, &wire.Hello{From: 2, Downloading: []metadata.URI{uri}})
+	d.sweepOnce()
+	d.mu.Lock()
+	marks := len(d.sent[2].pieces[uri])
+	d.mu.Unlock()
+	if marks == 0 {
+		t.Fatal("serving an advertised download left no send tracking")
+	}
+
+	d.onHello(2, &wire.Hello{From: 2})
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if st := d.sent[2]; len(st.pieces) != 0 || len(st.others) != 0 {
+		t.Fatalf("tracking of a file the peer stopped advertising survived: pieces %v others %v", st.pieces, st.others)
+	}
+	if len(d.mgr.Peers()) != 1 {
+		t.Fatal("the peer must still be live")
+	}
+}
+
 // TestStallRedriveBudget: a download making no progress triggers stall
 // re-drives only up to the retry budget; stalls keep being counted past
 // it but no more budget is spent.

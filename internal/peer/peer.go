@@ -52,9 +52,6 @@ const (
 	// DefaultLivenessWindow: a node is a neighbour while a hello from it
 	// was heard in the past 5 seconds; a peer silent that long is gone.
 	DefaultLivenessWindow = 5 * time.Second
-	// DefaultHandshakeTimeout bounds the wait for the first hello on a
-	// new connection.
-	DefaultHandshakeTimeout = 5 * time.Second
 	// DefaultShards is the peer-table shard count when Config.Shards is
 	// zero. Sixteen keeps per-shard occupancy low even at swarm scale
 	// while costing only a few empty maps on small nodes.
@@ -110,16 +107,14 @@ type Config struct {
 	Hello func() (queries []string, downloading []metadata.URI, have []wire.GroupWant)
 	// Handler receives peer messages; nil handlers drop them.
 	Handler Handler
-	// HelloInterval, LivenessWindow, HandshakeTimeout default to the
-	// protocol constants above.
-	HelloInterval    time.Duration
-	LivenessWindow   time.Duration
-	HandshakeTimeout time.Duration
-	// FlapThreshold demotes flapping links: a session that dies younger
-	// than this counts as a flap, and Connect backs off harder for each
-	// consecutive flap instead of hammering an unstable address
-	// (default: the liveness window).
-	FlapThreshold time.Duration
+	// HelloInterval and LivenessWindow default to the protocol constants
+	// above. The liveness window is also the handshake deadline (the wait
+	// for a new connection's first hello) and the flap threshold: a
+	// session that dies younger than it counts as a flap, and Connect
+	// backs off harder for each consecutive flap instead of hammering an
+	// unstable address.
+	HelloInterval  time.Duration
+	LivenessWindow time.Duration
 	// MaxPeers bounds the peer table: a handshake that would add a new
 	// peer beyond the cap is rejected and its connection closed, so one
 	// node in a large swarm cannot accumulate sessions without limit.
@@ -316,12 +311,6 @@ func NewManager(cfg Config) *Manager {
 	if cfg.LivenessWindow <= 0 {
 		cfg.LivenessWindow = DefaultLivenessWindow
 	}
-	if cfg.HandshakeTimeout <= 0 {
-		cfg.HandshakeTimeout = DefaultHandshakeTimeout
-	}
-	if cfg.FlapThreshold <= 0 {
-		cfg.FlapThreshold = cfg.LivenessWindow
-	}
 	if cfg.Hello == nil {
 		cfg.Hello = func() ([]string, []metadata.URI, []wire.GroupWant) { return nil, nil, nil }
 	}
@@ -444,10 +433,10 @@ func (m *Manager) Serve(ctx context.Context, lis transport.Listener) error {
 
 // Connect maintains an outbound link to addr: dial with backoff,
 // handshake, pump messages, and redial when the link drops. A link
-// that flaps — sessions dying younger than FlapThreshold — is demoted:
-// each consecutive flap adds one more step of the backoff schedule
-// before the redial, so an unstable or hostile address cannot consume
-// the daemon in a reconnect storm. It returns only when ctx ends.
+// that flaps — sessions dying younger than the liveness window — is
+// demoted: each consecutive flap adds one more step of the backoff
+// schedule before the redial, so an unstable or hostile address cannot
+// consume the daemon in a reconnect storm. It returns only when ctx ends.
 func (m *Manager) Connect(ctx context.Context, tr transport.Transport, addr string) error {
 	first := true
 	consecFlaps := 0
@@ -478,7 +467,7 @@ func (m *Manager) Connect(ctx context.Context, tr transport.Transport, addr stri
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		if time.Since(started) < m.cfg.FlapThreshold {
+		if time.Since(started) < m.cfg.LivenessWindow {
 			consecFlaps++
 			delay := m.cfg.Backoff.Delay(consecFlaps - 1)
 			m.logf("peer: link to %s flapped (%d in a row); demoted, redialing in %v",
@@ -618,7 +607,7 @@ func (m *Manager) countSent(t wire.MsgType) {
 
 // handshake announces ourselves and waits for the peer's first hello.
 func (m *Manager) handshake(ctx context.Context, conn transport.Conn) (trace.NodeID, *wire.Hello, error) {
-	hctx, cancel := context.WithTimeout(ctx, m.cfg.HandshakeTimeout)
+	hctx, cancel := context.WithTimeout(ctx, m.cfg.LivenessWindow)
 	defer cancel()
 	if err := conn.Send(hctx, m.helloMsg()); err != nil {
 		return 0, nil, fmt.Errorf("send hello: %w", err)
@@ -692,7 +681,7 @@ func (m *Manager) unregister(s *session) {
 			m.peerCount.Add(-1)
 		}
 	}
-	if now.Sub(s.started) < m.cfg.FlapThreshold {
+	if now.Sub(s.started) < m.cfg.LivenessWindow {
 		fi := sh.flaps[s.peer]
 		if fi == nil {
 			fi = &flapInfo{}

@@ -249,7 +249,7 @@ func TestFlapAccounting(t *testing.T) {
 	}
 
 	// A session that outlived the flap threshold is not a flap.
-	keeper.started = time.Now().Add(-2 * m.cfg.FlapThreshold)
+	keeper.started = time.Now().Add(-2 * m.cfg.LivenessWindow)
 	m.unregister(keeper)
 	if got := m.Stats().Flaps; got != 1 {
 		t.Fatalf("Flaps = %d after an old session death, want still 1", got)

@@ -155,7 +155,9 @@ func TestSlowReaderDoesNotStallHealthyPeers(t *testing.T) {
 	// C's link dies at the transport's write deadline, taking only its
 	// own session and its own queue with it.
 	deadline := time.Now().Add(transport.WriteTimeout + 10*time.Second)
-	for len(a.Peers()) != 1 {
+	// (The session leaves the table before its writer is joined and the
+	// drop is counted, so wait for the count, not only for the table.)
+	for len(a.Peers()) != 1 || a.Stats().Drops == 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("slow reader still registered %v after its write deadline", time.Since(start))
 		}

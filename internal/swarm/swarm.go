@@ -90,8 +90,6 @@ type Config struct {
 	LivenessWindow time.Duration
 	// PiecesPerHello paces serving (default: the daemon's default).
 	PiecesPerHello int
-	// MaxPeers caps each node's peer table (default DefaultMaxPeers).
-	MaxPeers int
 	// RetryBudget is each download's stall re-drive budget (default 64:
 	// scenario partitions burn retries fast).
 	RetryBudget int
@@ -170,9 +168,6 @@ func (c *Config) fillDefaults() error {
 	if c.LivenessWindow <= 0 {
 		c.LivenessWindow = 6 * c.HelloInterval
 	}
-	if c.MaxPeers <= 0 {
-		c.MaxPeers = DefaultMaxPeers
-	}
 	if c.RetryBudget <= 0 {
 		c.RetryBudget = 64
 	}
@@ -219,20 +214,53 @@ type nodeState struct {
 	paused  bool
 	// retired accumulates counters of finished lifetimes so Kill does
 	// not erase a node's transmissions from the totals.
-	retired retiredStats
+	retired totals
 }
 
-type retiredStats struct {
+// totals is the summable slice of daemon.Stats a Report carries: Kill
+// folds a finished lifetime into the node's retired totals, Report folds
+// retired plus live for every node.
+type totals struct {
 	piecesSent, piecesVerified, piecesDuplicate, piecesResent uint64
 	hellosSent, peersRejected, outboxDrops                    uint64
-	// DHT and fountain-plane counters, folded on Kill like the rest.
-	dhtLookups, dhtLookupHits, dhtCacheHits      uint64
-	dhtStoresSent, dhtStoresRecv, dhtRPCs        uint64
-	symbolsSent, symbolsRecv, symbolsRelayed     uint64
-	fecDecodes, pieceBcastsSent, pieceBcastsRecv uint64
-	// Overload-protection counters.
-	inboundShed, busyReplies, queriesShed uint64
-	outboxDropsControl, outboxDropsData   uint64
+	dhtLookups, dhtLookupHits, dhtCacheHits                   uint64
+	dhtStoresSent, dhtStoresRecv, dhtRPCs                     uint64
+	symbolsSent, symbolsRecv, symbolsRelayed                  uint64
+	fecDecodes, pieceBcastsSent, pieceBcastsRecv              uint64
+	inboundShed, busyReplies, queriesShed                     uint64
+	outboxDropsControl, outboxDropsData                       uint64
+}
+
+// add folds one daemon's counters into t.
+func (t *totals) add(st daemon.Stats) {
+	t.piecesSent += st.Transport.PiecesSent
+	t.hellosSent += st.Transport.HellosSent
+	t.peersRejected += st.Transport.PeersRejected
+	t.piecesVerified += st.PiecesVerified
+	t.piecesDuplicate += st.PiecesDuplicate
+	t.piecesResent += st.PiecesResent
+	t.outboxDrops += st.OutboxDrops
+	t.outboxDropsControl += st.OutboxDropsControl
+	t.outboxDropsData += st.OutboxDropsData
+	t.inboundShed += st.Transport.InboundShed
+	t.busyReplies += st.BusyReplies
+	t.queriesShed += st.QueriesShed
+	if st.DHT != nil {
+		t.dhtLookups += st.DHT.Lookups
+		t.dhtLookupHits += st.DHT.LookupHits
+		t.dhtCacheHits += st.DHT.CacheHits
+		t.dhtStoresSent += st.DHT.StoresSent
+		t.dhtStoresRecv += st.DHT.StoresRecv
+		t.dhtRPCs += st.DHT.RPCsSent
+	}
+	if st.Bcast != nil {
+		t.symbolsSent += st.Bcast.SymbolsSent
+		t.symbolsRecv += st.Bcast.SymbolsRecv
+		t.symbolsRelayed += st.Bcast.SymbolsRelayed
+		t.fecDecodes += st.Bcast.FECDecodes
+		t.pieceBcastsSent += st.Bcast.PieceBcastsSent
+		t.pieceBcastsRecv += st.Bcast.PieceBcastsRecv
+	}
 }
 
 // Harness runs one swarm. Construct with New, boot with Start, script
@@ -317,7 +345,7 @@ func New(cfg Config) (*Harness, error) {
 			PiecesPerHello: cfg.PiecesPerHello,
 			HelloInterval:  cfg.HelloInterval,
 			LivenessWindow: cfg.LivenessWindow,
-			MaxPeers:       cfg.MaxPeers,
+			MaxPeers:       DefaultMaxPeers,
 			RetryBudget:    cfg.RetryBudget,
 			PeerRate:       cfg.PeerRate,
 			FetchMatching:  true,
@@ -482,35 +510,7 @@ func (h *Harness) Kill(id trace.NodeID) error {
 	}
 	ns.cancel()
 	<-ns.done
-	st := ns.d.Stats()
-	ns.retired.piecesSent += st.Transport.PiecesSent
-	ns.retired.hellosSent += st.Transport.HellosSent
-	ns.retired.peersRejected += st.Transport.PeersRejected
-	ns.retired.piecesVerified += st.PiecesVerified
-	ns.retired.piecesDuplicate += st.PiecesDuplicate
-	ns.retired.piecesResent += st.PiecesResent
-	ns.retired.outboxDrops += st.OutboxDrops
-	ns.retired.outboxDropsControl += st.OutboxDropsControl
-	ns.retired.outboxDropsData += st.OutboxDropsData
-	ns.retired.inboundShed += st.Transport.InboundShed
-	ns.retired.busyReplies += st.BusyReplies
-	ns.retired.queriesShed += st.QueriesShed
-	if st.DHT != nil {
-		ns.retired.dhtLookups += st.DHT.Lookups
-		ns.retired.dhtLookupHits += st.DHT.LookupHits
-		ns.retired.dhtCacheHits += st.DHT.CacheHits
-		ns.retired.dhtStoresSent += st.DHT.StoresSent
-		ns.retired.dhtStoresRecv += st.DHT.StoresRecv
-		ns.retired.dhtRPCs += st.DHT.RPCsSent
-	}
-	if st.Bcast != nil {
-		ns.retired.symbolsSent += st.Bcast.SymbolsSent
-		ns.retired.symbolsRecv += st.Bcast.SymbolsRecv
-		ns.retired.symbolsRelayed += st.Bcast.SymbolsRelayed
-		ns.retired.fecDecodes += st.Bcast.FECDecodes
-		ns.retired.pieceBcastsSent += st.Bcast.PieceBcastsSent
-		ns.retired.pieceBcastsRecv += st.Bcast.PieceBcastsRecv
-	}
+	ns.retired.add(ns.d.Stats())
 	ns.d, ns.cancel, ns.done, ns.running = nil, nil, nil, false
 	h.logf("swarm: node %d killed", id)
 	return nil
@@ -897,64 +897,38 @@ func (h *Harness) Report(scenario string) Report {
 	var credits []float64
 	for _, ns := range h.nodes {
 		ns.mu.Lock()
-		r := ns.retired
+		t := ns.retired
 		d := ns.d
 		ns.mu.Unlock()
-		rep.PiecesSent += r.piecesSent
-		rep.PiecesVerified += r.piecesVerified
-		rep.PiecesDuplicate += r.piecesDuplicate
-		rep.PiecesResent += r.piecesResent
-		rep.HellosSent += r.hellosSent
-		rep.PeersRejected += r.peersRejected
-		rep.OutboxDrops += r.outboxDrops
-		rep.OutboxDropsControl += r.outboxDropsControl
-		rep.OutboxDropsData += r.outboxDropsData
-		rep.InboundShed += r.inboundShed
-		rep.BusyReplies += r.busyReplies
-		rep.QueriesShed += r.queriesShed
-		rep.DHTLookups += r.dhtLookups
-		rep.DHTLookupHits += r.dhtLookupHits
-		rep.DHTCacheHits += r.dhtCacheHits
-		rep.DHTStoresSent += r.dhtStoresSent
-		rep.DHTStoresRecv += r.dhtStoresRecv
-		rep.DHTRPCsSent += r.dhtRPCs
-		rep.SymbolsSent += r.symbolsSent
-		rep.SymbolsRecv += r.symbolsRecv
-		rep.SymbolsRelayed += r.symbolsRelayed
-		rep.FECDecodes += r.fecDecodes
-		rep.PieceBcastsSent += r.pieceBcastsSent
-		rep.PieceBcastsRecv += r.pieceBcastsRecv
+		if d != nil {
+			t.add(d.Stats())
+		}
+		rep.PiecesSent += t.piecesSent
+		rep.PiecesVerified += t.piecesVerified
+		rep.PiecesDuplicate += t.piecesDuplicate
+		rep.PiecesResent += t.piecesResent
+		rep.HellosSent += t.hellosSent
+		rep.PeersRejected += t.peersRejected
+		rep.OutboxDrops += t.outboxDrops
+		rep.OutboxDropsControl += t.outboxDropsControl
+		rep.OutboxDropsData += t.outboxDropsData
+		rep.InboundShed += t.inboundShed
+		rep.BusyReplies += t.busyReplies
+		rep.QueriesShed += t.queriesShed
+		rep.DHTLookups += t.dhtLookups
+		rep.DHTLookupHits += t.dhtLookupHits
+		rep.DHTCacheHits += t.dhtCacheHits
+		rep.DHTStoresSent += t.dhtStoresSent
+		rep.DHTStoresRecv += t.dhtStoresRecv
+		rep.DHTRPCsSent += t.dhtRPCs
+		rep.SymbolsSent += t.symbolsSent
+		rep.SymbolsRecv += t.symbolsRecv
+		rep.SymbolsRelayed += t.symbolsRelayed
+		rep.FECDecodes += t.fecDecodes
+		rep.PieceBcastsSent += t.pieceBcastsSent
+		rep.PieceBcastsRecv += t.pieceBcastsRecv
 		if d == nil {
 			continue
-		}
-		st := d.Stats()
-		rep.PiecesSent += st.Transport.PiecesSent
-		rep.PiecesVerified += st.PiecesVerified
-		rep.PiecesDuplicate += st.PiecesDuplicate
-		rep.PiecesResent += st.PiecesResent
-		rep.HellosSent += st.Transport.HellosSent
-		rep.PeersRejected += st.Transport.PeersRejected
-		rep.OutboxDrops += st.OutboxDrops
-		rep.OutboxDropsControl += st.OutboxDropsControl
-		rep.OutboxDropsData += st.OutboxDropsData
-		rep.InboundShed += st.Transport.InboundShed
-		rep.BusyReplies += st.BusyReplies
-		rep.QueriesShed += st.QueriesShed
-		if st.DHT != nil {
-			rep.DHTLookups += st.DHT.Lookups
-			rep.DHTLookupHits += st.DHT.LookupHits
-			rep.DHTCacheHits += st.DHT.CacheHits
-			rep.DHTStoresSent += st.DHT.StoresSent
-			rep.DHTStoresRecv += st.DHT.StoresRecv
-			rep.DHTRPCsSent += st.DHT.RPCsSent
-		}
-		if st.Bcast != nil {
-			rep.SymbolsSent += st.Bcast.SymbolsSent
-			rep.SymbolsRecv += st.Bcast.SymbolsRecv
-			rep.SymbolsRelayed += st.Bcast.SymbolsRelayed
-			rep.FECDecodes += st.Bcast.FECDecodes
-			rep.PieceBcastsSent += st.Bcast.PieceBcastsSent
-			rep.PieceBcastsRecv += st.Bcast.PieceBcastsRecv
 		}
 		total := 0.0
 		for _, c := range d.CreditSnapshot() {
