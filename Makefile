@@ -1,11 +1,11 @@
 # Repo verification targets. `make check` is the gate, and all CI runs
 # of the tests: vet + full tests + the full suite under the race
-# detector — a superset of every *-short smoke target below, which are
-# for a quick local loop.
+# detector — a superset of every soak target below, which select one
+# subsystem's tests (verbose, race-clean) for a local loop.
 
 GO ?= go
 
-.PHONY: check vet deps-check test race short bench bench-e2e bench-json fuzz chaos chaos-short bcast-soak bcast-soak-short crash-soak crash-soak-short swarm swarm-short fec-soak fec-soak-short dht-soak dht-soak-short overload-soak overload-soak-short
+.PHONY: check vet deps-check test race short bench bench-e2e bench-json fuzz chaos bcast-soak crash-soak swarm fec-soak dht-soak overload-soak
 
 check: vet test race
 
@@ -14,8 +14,11 @@ vet:
 
 # Dependency direction: the offline tools (trace generator, simulator,
 # experiment sweeps) never link the live stack — `limit` legitimately
-# arrives through server.Safe — the scheduling rule stays pure, and
-# tracegen stays a leaf. Offending packages are printed.
+# arrives through server.Safe, the catalog's query limit — the
+# scheduling rule stays pure, tracegen stays a leaf, and the DHT engine
+# has no admission control of its own: per-sender limiting happens once,
+# in internal/peer, where every frame passes. Offending packages are
+# printed.
 deps-check:
 	@! $(GO) list -deps ./cmd/tracegen ./cmd/mbtsim ./cmd/experiments \
 		| grep -E '^repro/internal/(fault|transport|peer|daemon|store)$$' \
@@ -26,6 +29,9 @@ deps-check:
 	@! $(GO) list -f '{{join .Imports "\n"}}' ./internal/tracegen \
 		| grep '^repro/' | grep -vE '^repro/internal/(rng|simtime|trace)$$' \
 		|| { echo 'deps-check: internal/tracegen imports beyond rng, simtime, trace' >&2; exit 1; }
+	@! $(GO) list -f '{{join .Imports "\n"}}' ./internal/dht \
+		| grep '^repro/internal/limit$$' \
+		|| { echo 'deps-check: internal/dht imports internal/limit' >&2; exit 1; }
 
 test:
 	$(GO) test ./...
@@ -39,74 +45,52 @@ short:
 
 # Chaos soak: two daemons over the fault injector (30% drop, 20%
 # corruption, a scripted 10 s partition) must still complete a download,
-# race-clean. chaos-short shrinks the partition for a quick smoke.
+# race-clean.
 chaos:
 	$(GO) test -race -count=1 -run 'Chaos|Fault' -v ./internal/daemon ./cmd/mbtd
-
-chaos-short:
-	$(GO) test -race -count=1 -short -run Chaos -v ./internal/daemon
 
 # Broadcast-group soak: three nodes on the loopback broadcast domain
 # under 20% drop chaos plus a scripted partition must confirm a group,
 # collapse, re-form, and still complete the shared download — plus the
-# transmission-savings comparison and the live TCP demo. bcast-soak-short
-# shrinks the partition for a quick smoke.
+# transmission-savings comparison and the live TCP demo.
 bcast-soak:
 	$(GO) test -race -count=1 -run 'Bcast|LocalhostBcastDemo' -v ./internal/daemon ./cmd/mbtd
-
-bcast-soak-short:
-	$(GO) test -race -count=1 -short -run TestBcastSoak -v ./internal/daemon
 
 # Fountain-coded soak: the LT-code property tests, the engine's symbol
 # plane (negotiation, loss repair, relay budget, poisoned-decode
 # restart), the five-node chaos soak at 30% drop + 20% corruption, and
-# the live three-daemon UDP demo. fec-soak-short is the race-clean quick
-# smoke: the chaos soak must complete on the fountain plane (the strict
-# transmission comparison runs without -race, where timing is honest).
+# the live three-daemon UDP demo. The first line runs without -race,
+# where timing is honest, for the strict transmission comparison.
 fec-soak:
 	$(GO) test -count=1 -run 'FEC' -v ./internal/fec ./internal/bcast ./internal/daemon
 	$(GO) test -race -count=1 -run 'FEC|LocalhostFECDemo' -v ./internal/fec ./internal/bcast ./internal/daemon ./cmd/mbtd
-
-fec-soak-short:
-	$(GO) test -race -count=1 -run 'TestFECSoakFewerTransmissions|TestFECLossRepairedByTopUps' -v ./internal/daemon ./internal/bcast
 
 # DHT soak: the full Kademlia suite — k-bucket/store property tests and
 # lookup-convergence meshes in internal/dht, the daemon's server-death
 # resolution and dial-on-demand tests, the discovery<->DHT seam
 # (fallback without double counting), the swarm server-death scenario
 # against its no-DHT baseline, and the live three-daemon localhost demo
-# where the catalog server is killed mid-run. dht-soak-short is the
-# race-clean quick smoke: the engine suite plus the daemon and seam tests.
+# where the catalog server is killed mid-run.
 dht-soak:
 	$(GO) test -race -count=1 -v ./internal/dht
 	$(GO) test -race -count=1 -timeout 10m -run 'DHT' -v ./internal/daemon ./internal/discovery ./internal/swarm ./cmd/mbtd
 	$(GO) test -race -count=1 -run 'TestFountainScenario' -v ./internal/swarm
 
-dht-soak-short:
-	$(GO) test -race -count=1 ./internal/dht
-	$(GO) test -race -count=1 -run 'TestDHT' -v ./internal/daemon ./internal/discovery
-
 # Crash-recovery soak: the store-level crash-point matrix (every
 # mutating filesystem op) plus the daemon-level scripted kill-and-
 # restart matrix — at each point the node must reopen its data dir to a
 # consistent prefix, resume the download, and never be re-sent a
-# persisted piece. crash-soak-short trims the daemon matrix to the
-# first append and the first snapshot commit. Both carry the group-
-# commit tests (blocked fsync, failed fsync, cancel mid-download) so
-# the committer runs under -race.
+# persisted piece. It carries the group-commit tests (blocked fsync,
+# failed fsync, cancel mid-download) so the committer runs under -race.
 crash-soak:
 	$(GO) test -race -count=1 -run 'TestCrashPointMatrix|TestShortWriteRepair|TestBatchIsAllOrNothing|TestCrashRecoverySoak|TestRestartResume|TestPieceHeldOnlyAfterSync|TestFailedSyncDropsPieceAndCreditTogether|TestCancelMidDownloadKeepsReportedPieces|TestLocalhostRestartDemo' -v ./internal/fault ./internal/daemon ./cmd/mbtd
-
-crash-soak-short:
-	$(GO) test -race -count=1 -short -run 'TestCrashRecoverySoak|TestRestartResume|TestPieceHeldOnlyAfterSync|TestFailedSyncDropsPieceAndCreditTogether|TestCancelMidDownloadKeepsReportedPieces' -v ./internal/daemon
 
 # Swarm availability soak: the full thousand-node boot plus every
 # scripted-churn scenario (seeder death, flash crowd, mobility
 # partitions, staggered joins, diurnal attendance). The tests assert and
 # write nothing tracked; the results/swarm_*.json records are then
 # regenerated through cmd/mbtswarm with the same populations and seeds —
-# the one path that rewrites them. swarm-short is the race-clean quick
-# smoke at <=200 nodes.
+# the one path that rewrites them.
 swarm:
 	$(GO) test -count=1 -timeout 10m -run 'TestSwarm|TestRun' -v ./internal/swarm ./cmd/mbtswarm
 	for s in seeder-death flash-crowd mobility staggered-join diurnal; do \
@@ -118,23 +102,16 @@ swarm:
 	$(GO) run ./cmd/mbtswarm -scenario steady -nodes 1000 -seed 42 -out results >/dev/null
 	mv results/swarm_steady.json results/swarm_steady-1000.json
 
-swarm-short:
-	$(GO) test -race -count=1 -timeout 5m -run 'TestSwarm(SmallDeterminism|KillResume|200Race|ConfigValidation)' -v ./internal/swarm
-
 # Overload soak: the limiter/breaker property suite, the Busy frame
 # codec, per-peer admission shedding (the raw-connection flood against a
 # live victim, then the same flood layered over drop+corruption faults),
 # catalog query limiting, and the 24-node flash-crowd-overload swarm
 # scenario that must degrade, keep serving, and recover — all
-# race-clean. overload-soak-short is the quick smoke: the single-victim
-# flood plus the swarm scenario.
+# race-clean.
 overload-soak:
 	$(GO) test -race -count=1 -v ./internal/limit
 	$(GO) test -race -count=1 -run 'TestBusy|TestSafeQueryLimit' -v ./internal/wire ./internal/server
-	$(GO) test -race -count=1 -run 'TestOutboxClassPriority|TestSendNeverBlocks|TestHealthzSaturationRecovers|TestFloodVictimStaysLive|TestChaosFloodSoak|TestSwarmOverload' -v ./internal/peer ./internal/daemon ./internal/swarm
-
-overload-soak-short:
-	$(GO) test -race -count=1 -run 'TestFloodVictimStaysLive|TestSwarmOverload' -v ./internal/daemon ./internal/swarm
+	$(GO) test -race -count=1 -run 'TestOutboxClassPriority|TestSendNeverBlocks|TestHealthzSaturationRecovers|TestFloodVictimStaysLive|TestSubUnitPeerRate|TestChaosFloodSoak|TestSwarmOverload' -v ./internal/peer ./internal/daemon ./internal/swarm
 
 # The sweep-pool benchmark: workers=1 vs workers=NumCPU wall clock.
 bench:

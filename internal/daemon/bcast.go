@@ -163,7 +163,6 @@ func (s *bcastStore) LivePeers() []trace.NodeID {
 // Internet nodes, the catalog's files as complete holdings.
 func (s *bcastStore) Wants() []wire.GroupWant {
 	d := (*Daemon)(s)
-	now := d.now()
 	var out []wire.GroupWant
 	seen := make(map[metadata.URI]bool)
 
@@ -172,60 +171,35 @@ func (s *bcastStore) Wants() []wire.GroupWant {
 		if len(out) >= bcastWantsCap {
 			break
 		}
-		ps := d.node.Pieces(uri)
-		if ps == nil || ps.Total() == 0 {
-			continue
+		if rec, have := d.heldLocked(uri); rec != nil {
+			ps := d.node.Pieces(uri)
+			out = append(out, groupWant(uri, ps.Want && !ps.Complete(), have))
+			seen[uri] = true
 		}
-		w := wire.NewGroupWant(uri, ps.Total(), ps.Want && !ps.Complete())
-		for i := 0; i < ps.Total(); i++ {
-			if ps.Have(i) {
-				w.SetHave(i)
-			}
-		}
-		out = append(out, *w)
-		seen[uri] = true
 	}
 	d.mu.Unlock()
 
 	if d.catalog != nil {
-		for _, m := range d.catalog.Top(now, bcastWantsCap) {
+		for _, m := range d.catalog.Top(d.now(), bcastWantsCap) {
 			if len(out) >= bcastWantsCap {
 				break
 			}
-			if seen[m.URI] {
-				continue
+			if !seen[m.URI] {
+				out = append(out, groupWant(m.URI, false, allHeld(m.NumPieces())))
 			}
-			w := wire.NewGroupWant(m.URI, m.NumPieces(), false)
-			for i := 0; i < m.NumPieces(); i++ {
-				w.SetHave(i)
-			}
-			out = append(out, *w)
 		}
 	}
 	return out
 }
 
-// PieceData regenerates a servable piece, catalog first, cached piece
-// sets second — the same sources servePieces draws from.
+// PieceData produces a servable piece from the node's holding of uri —
+// the same source servePieces draws from.
 func (s *bcastStore) PieceData(uri metadata.URI, i int) ([]byte, int, bool) {
-	d := (*Daemon)(s)
-	now := d.now()
-	if d.catalog != nil {
-		if rec, err := d.catalog.Lookup(uri); err == nil {
-			if i < 0 || i >= rec.NumPieces() {
-				return nil, 0, false
-			}
-			return metadata.SyntheticPiece(uri, i, rec.PieceLen(i)), rec.NumPieces(), true
-		}
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	sm := d.node.Metadata(uri)
-	ps := d.node.Pieces(uri)
-	if sm == nil || sm.Meta.Expired(now) || ps == nil || !ps.Have(i) {
+	rec, have := (*Daemon)(s).holding(uri)
+	if i < 0 || i >= len(have) || !have[i] {
 		return nil, 0, false
 	}
-	return metadata.SyntheticPiece(uri, i, sm.Meta.PieceLen(i)), sm.Meta.NumPieces(), true
+	return pieceBytes(rec, i), rec.NumPieces(), true
 }
 
 func (s *bcastStore) Popularity(uri metadata.URI) float64 {

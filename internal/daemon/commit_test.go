@@ -101,7 +101,12 @@ func durableBench(t *testing.T, dir string, fs store.FS) (d *Daemon, stop func()
 func settled(d *Daemon) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.pending) == 0
+	for _, f := range d.files {
+		if len(f.pending) != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // TestPieceHeldOnlyAfterSync pins apply-after-sync: while the group

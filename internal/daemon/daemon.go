@@ -19,9 +19,10 @@
 // interval. Nothing else kicks — kicks per node are bounded by its
 // queries plus its files.
 //
-// Ownership and locking: Daemon.mu guards the node state and per-peer
-// send tracking. Handler callbacks (session goroutines) take the lock
-// briefly and never send while holding it. A send is two hops:
+// Ownership and locking: Daemon.mu guards the node state and the
+// daemon's two tables — one record per peer, one per file. Handler
+// callbacks (session goroutines) take the lock briefly and never send
+// while holding it. A send is two hops:
 // peer.Manager.Send queues the frame on the destination session's own
 // control or data lane and returns at once; that session's writer puts
 // it on the conn. The daemon has no queue or sender goroutine of its
@@ -142,10 +143,10 @@ type Config struct {
 	// PeerRate, when positive, turns on per-peer admission control:
 	// each peer's inbound messages dispatch at most PeerRate per second
 	// sustained (burst 2×), a shed request is answered with a 429-style
-	// Busy frame naming the lane and a retry window, the catalog
-	// enforces the same rate on keyword queries, and the DHT on
-	// Find/Store service. Zero disables (the default), matching the
-	// pre-overload-protection behavior.
+	// Busy frame naming the lane and a retry window, and the catalog
+	// enforces the same rate on keyword queries. DHT frames pass the same
+	// per-peer dispatch limit as everything else and have none of their
+	// own. Zero disables (the default).
 	PeerRate float64
 	// BusyRetryAfter is the backoff window advertised in outgoing Busy
 	// frames and the pacing floor for sending them (default
@@ -299,31 +300,100 @@ type Stats struct {
 	StoreErrors uint64 `json:"store_errors"`
 }
 
-// sentState tracks what this daemon already pushed to one peer and
-// when, so a 1-per-second hello does not retrigger the same pieces
-// forever — but a piece older than ResendAfter whose receiver still
-// advertises the download is assumed lost and becomes eligible again.
-type sentState struct {
-	pieces map[metadata.URI]map[int]time.Time
-	// others is, per file, fedByOthers at the peer's previous hello: the
-	// evidence for whether another supplier is feeding it (serve.go).
-	others map[metadata.URI]int
+// peerState is everything the daemon remembers about one peer, in one
+// record under d.mu. sweepOnce drops the record when the peer is not
+// live and nothing in it still binds: no offence on file, no Busy window
+// it advertised still running, no Busy we told it still pacing.
+type peerState struct {
+	// sent is the send tracking, per file the peer's latest hello
+	// advertised as a download: onHello drops the files it stopped
+	// listing and sweepOnce the whole map once the peer is gone, so there
+	// is no per-piece mark for a file the peer no longer wants.
+	sent    map[metadata.URI]*sentFile
+	offence offender
+	// busyUntil holds, per lane, the backoff deadline the peer advertised
+	// to us; busyTold when we last sent it a Busy, which paces our replies
+	// to one per lane per BusyRetryAfter. Indexed by wire.BusyScope.
+	busyUntil [numBusyScopes]time.Time
+	busyTold  [numBusyScopes]time.Time
 }
 
-// downloadState tracks one wanted file's progress for stall detection.
-type downloadState struct {
-	lastProgress time.Time
-	retries      int
+// numBusyScopes sizes the per-lane arrays: scopes count from 1.
+const numBusyScopes = int(wire.BusySymbol) + 1
+
+// busyOn reports whether the peer asked us to stay off the lane at wall.
+func (ps *peerState) busyOn(sc wire.BusyScope, wall time.Time) bool {
+	return !wall.After(ps.busyUntil[sc])
 }
 
-// offender tracks one peer's bad-signature record. A peer reaching the
-// quarantine threshold is ignored until the deadline; strikes double
-// the penalty per repeat offense and decay away while the peer behaves.
+// binds reports whether the record still holds something at wall: an
+// offence on file, a Busy window still running, or a Busy of ours sent
+// less than pace ago.
+func (ps *peerState) binds(wall time.Time, pace time.Duration) bool {
+	if ps.offence.strikes+ps.offence.badSigs > 0 {
+		return true
+	}
+	for sc := range ps.busyUntil {
+		if ps.busyOn(wire.BusyScope(sc), wall) || wall.Sub(ps.busyTold[sc]) <= pace {
+			return true
+		}
+	}
+	return false
+}
+
+// sentFile tracks what this daemon already pushed to one peer of one
+// file and when, so a 1-per-second hello does not retrigger the same
+// pieces forever — but a piece older than ResendAfter whose receiver
+// still advertises the download is assumed lost and becomes eligible
+// again.
+type sentFile struct {
+	at map[int]time.Time
+	// others is fedByOthers at the peer's previous hello: the evidence
+	// for whether another supplier is feeding it (serve.go).
+	others int
+}
+
+// offender is one peer's bad-signature record; the zero value is a clean
+// one. A peer reaching the quarantine threshold is ignored until the
+// deadline; strikes double the penalty per repeat offense and decay away
+// while the peer behaves.
 type offender struct {
 	badSigs int
 	strikes int
 	until   time.Time
 	lastBad time.Time
+}
+
+// decay walks the record one step back toward clean once the peer has
+// behaved for 4×base past its last offence and any sentence.
+func (off *offender) decay(wall time.Time, base time.Duration) {
+	if off.strikes+off.badSigs == 0 || wall.Sub(off.lastBad) <= 4*base || !wall.After(off.until) {
+		return
+	}
+	if off.strikes > 0 {
+		off.strikes--
+	} else {
+		off.badSigs = 0
+	}
+	off.lastBad = wall
+}
+
+// fileState is everything the daemon tracks about one file beside the
+// node's own piece set, in one record under d.mu.
+type fileState struct {
+	// completed: every piece verified and applied; the record then stays
+	// for good — it is the result set Stats reports.
+	completed bool
+	// lastProgress and retries drive stall detection while the file is a
+	// wanted, incomplete download.
+	lastProgress time.Time
+	retries      int
+	// restored marks the pieces recovered from DataDir.
+	restored []bool
+	// pending holds verified pieces staged for the committer but not yet
+	// fsynced: not held (absent from Have and the hello bitmap), but a
+	// second copy is already a duplicate. Always empty without a store.
+	pending map[int]struct{}
 }
 
 // Daemon is a live MBT node. Construct with New, drive with Run.
@@ -351,25 +421,13 @@ type Daemon struct {
 
 	mu         sync.Mutex
 	node       *node.Node
-	sent       map[trace.NodeID]*sentState
-	completed  map[metadata.URI]bool
-	downloads  map[metadata.URI]*downloadState
-	offenders  map[trace.NodeID]*offender
-	restored   map[metadata.URI][]bool // pieces recovered from DataDir
+	peers      map[trace.NodeID]*peerState
+	files      map[metadata.URI]*fileState
 	lastPeerAt time.Time
-	// Busy bookkeeping (all under mu): peerBusy holds backoff deadlines
-	// peers advertised to us per lane; lastBusyTo paces our own Busy
-	// replies to one per peer/lane per window; lastShedAt is when
-	// admission control last shed an inbound message (health surfaces
-	// it as a degraded reason while fresh).
-	peerBusy   map[trace.NodeID]map[wire.BusyScope]time.Time
-	lastBusyTo map[trace.NodeID]map[wire.BusyScope]time.Time
+	// lastShedAt is when admission control last shed an inbound message
+	// (health surfaces it as a degraded reason while fresh).
 	lastShedAt time.Time
-	// pending holds verified pieces staged for the committer but not yet
-	// fsynced: not held (absent from Have and the hello bitmap), but a
-	// second copy is already a duplicate. Always empty without a store.
-	pending  map[pieceKey]struct{}
-	counters struct {
+	counters   struct {
 		piecesVerified, piecesRejected, piecesNoMeta uint64
 		piecesDuplicate, piecesResent                uint64
 		badSignatures                                uint64
@@ -476,17 +534,11 @@ func New(cfg Config) (*Daemon, error) {
 	}
 
 	d := &Daemon{
-		cfg:        cfg,
-		epoch:      time.Now(),
-		node:       node.New(cfg.ID, cfg.InternetAccess),
-		sent:       make(map[trace.NodeID]*sentState),
-		completed:  make(map[metadata.URI]bool),
-		downloads:  make(map[metadata.URI]*downloadState),
-		offenders:  make(map[trace.NodeID]*offender),
-		restored:   make(map[metadata.URI][]bool),
-		pending:    make(map[pieceKey]struct{}),
-		peerBusy:   make(map[trace.NodeID]map[wire.BusyScope]time.Time),
-		lastBusyTo: make(map[trace.NodeID]map[wire.BusyScope]time.Time),
+		cfg:   cfg,
+		epoch: time.Now(),
+		node:  node.New(cfg.ID, cfg.InternetAccess),
+		peers: make(map[trace.NodeID]*peerState),
+		files: make(map[metadata.URI]*fileState),
 	}
 	d.breakers = limit.NewSet(limit.BreakerConfig{Cooldown: cfg.LivenessWindow})
 	if cfg.DataDir != "" {
@@ -508,11 +560,9 @@ func New(cfg Config) (*Daemon, error) {
 			return nil, err
 		}
 		d.catalog = cat
-		if cfg.PeerRate > 0 {
-			// The catalog gets the same per-peer rate as the dispatch
-			// layer, counted per second over a sliding window.
-			cat.SetQueryLimit(int(cfg.PeerRate), time.Second, nil)
-		}
+		// The catalog gets the same per-peer rate as the dispatch layer
+		// (zero leaves it unlimited).
+		cat.SetQueryLimit(cfg.PeerRate, nil)
 		for i := 0; i < cfg.PublishFiles; i++ {
 			if err := cat.Publish(d.syntheticFile(metadata.FileID(i))); err != nil {
 				return nil, err
@@ -538,8 +588,6 @@ func New(cfg Config) (*Daemon, error) {
 			Send:           d.dhtSend,
 			Verify:         d.dhtVerify,
 			SignedExpiry:   d.dhtSignedExpiry,
-			ServerRate:     cfg.PeerRate,
-			BusyRetryAfter: cfg.BusyRetryAfter,
 			Logf:           cfg.Logf,
 		})
 	}
@@ -612,19 +660,33 @@ func (d *Daemon) helloContent() ([]string, []metadata.URI, []wire.GroupWant) {
 	downloading := d.node.WantedIncomplete()
 	have := make([]wire.GroupWant, 0, len(downloading))
 	for _, uri := range downloading {
-		ps := d.node.Pieces(uri)
-		if ps == nil {
-			continue
+		if rec, held := d.heldLocked(uri); rec != nil {
+			have = append(have, groupWant(uri, true, held))
 		}
-		w := wire.NewGroupWant(uri, ps.Total(), true)
-		for i := 0; i < ps.Total(); i++ {
-			if ps.Have(i) {
-				w.SetHave(i)
-			}
-		}
-		have = append(have, *w)
 	}
 	return d.node.Queries(d.now()), downloading, have
+}
+
+// peerLocked returns id's record, starting a clean one if there is none.
+// Caller holds d.mu.
+func (d *Daemon) peerLocked(id trace.NodeID) *peerState {
+	ps := d.peers[id]
+	if ps == nil {
+		ps = &peerState{}
+		d.peers[id] = ps
+	}
+	return ps
+}
+
+// fileLocked returns uri's record, starting an empty one if there is
+// none. Caller holds d.mu.
+func (d *Daemon) fileLocked(uri metadata.URI) *fileState {
+	f := d.files[uri]
+	if f == nil {
+		f = &fileState{}
+		d.files[uri] = f
+	}
+	return f
 }
 
 // restore folds the recovered durable state back into the runtime: the
@@ -646,12 +708,13 @@ func (d *Daemon) restore(st *store.State) {
 				held[i] = true
 			}
 		}
-		d.restored[uri] = held
+		fs := d.fileLocked(uri)
+		fs.restored = held
 		if f.Selected {
 			if d.node.HasFullFile(uri) {
-				d.completed[uri] = true
-			} else if d.node.Select(uri) {
-				d.downloads[uri] = &downloadState{}
+				fs.completed = true
+			} else {
+				d.node.Select(uri) // its stall clock starts at the first sweep
 			}
 		}
 	}
@@ -662,7 +725,7 @@ func (d *Daemon) restore(st *store.State) {
 	for p, q := range st.Quarantine {
 		until := time.UnixMilli(q.UntilUnixMilli)
 		if until.After(wall) {
-			d.offenders[p] = &offender{strikes: q.Strikes, until: until, lastBad: wall}
+			d.peerLocked(p).offence = offender{strikes: q.Strikes, until: until, lastBad: wall}
 		}
 	}
 }
@@ -823,9 +886,11 @@ func (d *Daemon) sweepLoop(ctx context.Context) {
 	}
 }
 
-// sweepOnce expires node/catalog state, forgets send tracking for
-// vanished peers, decays quarantine strikes of peers that have since
-// behaved, and re-drives stalled downloads: a wanted file with no new
+// sweepOnce expires node/catalog state and makes one pass over each of
+// the daemon's two tables. Peers: forget send tracking for the vanished,
+// decay quarantine strikes of those that have since behaved, note who is
+// inside a Busy window, and drop every record that no longer holds
+// anything. Files: re-drive stalled downloads — a wanted file with no new
 // piece inside StallTimeout spends one unit of its retry budget on an
 // immediate out-of-band hello to every live peer, which prompts any
 // holder to re-serve (its per-piece ResendAfter deadlines decide what).
@@ -842,45 +907,21 @@ func (d *Daemon) sweepOnce() {
 		d.lastPeerAt = wall
 	}
 	d.node.Expire(now)
-	for id := range d.sent {
-		if !live[id] {
-			delete(d.sent, id)
-		}
-	}
-	for uri, ds := range d.downloads {
-		if d.completed[uri] {
-			delete(d.downloads, uri)
-		} else if ds.lastProgress.IsZero() {
-			ds.lastProgress = wall
-		}
-	}
-	// Fold in Busy state: prune expired windows, and collect the peers
-	// still inside a piece- or query-lane window — re-drives compose
-	// with backpressure by skipping them, and when every live peer is
-	// backing us off, the re-drive itself waits without spending budget.
+	// busy collects the peers still inside a piece- or query-lane window
+	// they advertised — re-drives compose with backpressure by skipping
+	// them, and when every live peer is backing us off, the re-drive
+	// itself waits without spending budget.
 	busy := make(map[trace.NodeID]bool)
-	for id, scopes := range d.peerBusy {
-		for sc, until := range scopes {
-			if wall.After(until) {
-				delete(scopes, sc)
-				continue
-			}
-			if sc == wire.BusyPiece || sc == wire.BusyQuery {
-				busy[id] = true
-			}
+	for id, ps := range d.peers {
+		if !live[id] {
+			ps.sent = nil
 		}
-		if len(scopes) == 0 {
-			delete(d.peerBusy, id)
+		ps.offence.decay(wall, d.cfg.QuarantineBase)
+		if ps.busyOn(wire.BusyPiece, wall) || ps.busyOn(wire.BusyQuery, wall) {
+			busy[id] = true
 		}
-	}
-	for id, scopes := range d.lastBusyTo {
-		for sc, at := range scopes {
-			if wall.Sub(at) > d.cfg.BusyRetryAfter {
-				delete(scopes, sc)
-			}
-		}
-		if len(scopes) == 0 {
-			delete(d.lastBusyTo, id)
+		if !live[id] && !ps.binds(wall, d.cfg.BusyRetryAfter) {
+			delete(d.peers, id)
 		}
 	}
 	allBusy := len(live) > 0
@@ -890,19 +931,30 @@ func (d *Daemon) sweepOnce() {
 			break
 		}
 	}
-	for _, uri := range d.node.WantedIncomplete() {
-		ds := d.downloads[uri]
-		if ds == nil {
-			ds = &downloadState{lastProgress: wall}
-			d.downloads[uri] = ds
+	for uri, f := range d.files {
+		ps := d.node.Pieces(uri)
+		if ps == nil {
+			// The node dropped the piece set with its expired record (or
+			// the first piece is still staged): short of a completed
+			// file, nothing here outlives it.
+			if !f.completed && len(f.pending) == 0 {
+				delete(d.files, uri)
+			}
 			continue
 		}
-		if wall.Sub(ds.lastProgress) < d.cfg.StallTimeout {
+		if !ps.Want || f.completed || ps.Complete() {
+			continue
+		}
+		if f.lastProgress.IsZero() {
+			f.lastProgress = wall // a restored download's first sweep
+			continue
+		}
+		if wall.Sub(f.lastProgress) < d.cfg.StallTimeout {
 			continue
 		}
 		d.counters.stalls++
-		ds.lastProgress = wall // re-arm the stall timer
-		if ds.retries >= d.cfg.RetryBudget {
+		f.lastProgress = wall // re-arm the stall timer
+		if f.retries >= d.cfg.RetryBudget {
 			continue // budget spent: the regular beacon keeps trying
 		}
 		if allBusy {
@@ -912,22 +964,9 @@ func (d *Daemon) sweepOnce() {
 			d.counters.busyBackoffs++
 			continue
 		}
-		ds.retries++
+		f.retries++
 		d.counters.redrives++
 		nudge = true
-	}
-	for id, off := range d.offenders {
-		if wall.Sub(off.lastBad) > 4*d.cfg.QuarantineBase && wall.After(off.until) {
-			if off.strikes > 0 {
-				off.strikes--
-			} else {
-				off.badSigs = 0
-			}
-			off.lastBad = wall
-			if off.strikes <= 0 && off.badSigs == 0 {
-				delete(d.offenders, id)
-			}
-		}
 	}
 	d.mu.Unlock()
 	if d.catalog != nil {
@@ -967,22 +1006,14 @@ func (d *Daemon) Resume() { d.mgr.SetPaused(false) }
 // Paused reports whether the radio is suspended.
 func (d *Daemon) Paused() bool { return d.mgr.Paused() }
 
-// Have reports the piece bitmap this node holds for uri (nil when the
-// file is unknown). The swarm harness unions these across nodes to
-// decide whether a file is still reconstructable after seeder death —
-// the availability metric's ground truth.
+// Have reports which pieces of uri this node can serve (nil when it has
+// no record of the file): the whole file on a node whose catalog lists
+// it, the held pieces elsewhere. The swarm harness unions these across
+// nodes to decide whether a file is still reconstructable after seeder
+// death — the availability metric's ground truth.
 func (d *Daemon) Have(uri metadata.URI) []bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	ps := d.node.Pieces(uri)
-	if ps == nil {
-		return nil
-	}
-	out := make([]bool, ps.Total())
-	for i := range out {
-		out[i] = ps.Have(i)
-	}
-	return out
+	_, have := d.holding(uri)
+	return have
 }
 
 // CreditSnapshot copies the node's tit-for-tat ledger — the harness
@@ -997,7 +1028,8 @@ func (d *Daemon) CreditSnapshot() map[trace.NodeID]float64 {
 func (d *Daemon) Completed(uri metadata.URI) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.completed[uri]
+	f := d.files[uri]
+	return f != nil && f.completed
 }
 
 // Stats snapshots the daemon for the HTTP endpoint and tests.
@@ -1009,7 +1041,7 @@ func (d *Daemon) Stats() Stats {
 		UptimeSeconds:           time.Since(d.epoch).Seconds(),
 		InternetAccess:          d.cfg.InternetAccess,
 		MetadataStored:          len(d.node.MetadataStore()),
-		Completed:               make(map[string]bool, len(d.completed)),
+		Completed:               make(map[string]bool),
 		PiecesVerified:          d.counters.piecesVerified,
 		PiecesRejected:          d.counters.piecesRejected,
 		PiecesDuplicate:         d.counters.piecesDuplicate,
@@ -1030,19 +1062,18 @@ func (d *Daemon) Stats() Stats {
 	for _, uri := range d.node.WantedIncomplete() {
 		st.Downloading = append(st.Downloading, string(uri))
 	}
-	for uri := range d.completed {
-		st.Completed[string(uri)] = true
-	}
-	for uri, ds := range d.downloads {
-		if ds.retries > 0 {
+	for uri, f := range d.files {
+		if f.completed {
+			st.Completed[string(uri)] = true
+		} else if f.retries > 0 {
 			if st.Retries == nil {
 				st.Retries = make(map[string]int)
 			}
-			st.Retries[string(uri)] = ds.retries
+			st.Retries[string(uri)] = f.retries
 		}
 	}
-	for id, off := range d.offenders {
-		if wall.Before(off.until) {
+	for id, ps := range d.peers {
+		if wall.Before(ps.offence.until) {
 			st.Quarantined = append(st.Quarantined, id)
 		}
 	}
@@ -1104,8 +1135,8 @@ func (h *handler) HandleBusy(from trace.NodeID, b *wire.Busy) {
 func (d *Daemon) quarantined(from trace.NodeID) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	off := d.offenders[from]
-	if off == nil || !time.Now().Before(off.until) {
+	ps := d.peers[from]
+	if ps == nil || !time.Now().Before(ps.offence.until) {
 		return false
 	}
 	d.counters.quarantineDrops++
@@ -1181,14 +1212,13 @@ func (d *Daemon) onHello(from trace.NodeID, msg *wire.Hello) {
 // session must not keep one timestamp per piece of every file the peer
 // ever fetched. Caller holds d.mu.
 func (d *Daemon) forgetFinishedLocked(from trace.NodeID, downloading []metadata.URI) {
-	st := d.sent[from]
-	if st == nil {
+	ps := d.peers[from]
+	if ps == nil {
 		return
 	}
-	for uri := range st.pieces {
+	for uri := range ps.sent {
 		if !slices.Contains(downloading, uri) {
-			delete(st.pieces, uri)
-			delete(st.others, uri)
+			delete(ps.sent, uri)
 		}
 	}
 }
@@ -1238,7 +1268,7 @@ func (d *Daemon) answerQuery(now simtime.Time, from trace.NodeID, q string, hold
 }
 
 // servePieces streams up to PiecesPerHello pieces of uri that this node
-// can regenerate and has not yet pushed to the peer — plus any piece
+// holds (holding.go) and has not yet pushed to the peer — plus any piece
 // whose push is older than ResendAfter while the peer still advertises
 // the download: the advertisement is the implicit NACK, and the
 // per-piece deadline is the live retransmit path for lost or corrupted
@@ -1252,76 +1282,47 @@ func (d *Daemon) answerQuery(now simtime.Time, from trace.NodeID, q string, hold
 // piece the peer's full data lane drops keeps its sent mark — the resend
 // deadline re-serves it, like any other lost frame.
 func (d *Daemon) servePieces(from trace.NodeID, uri metadata.URI, peerHave *wire.GroupWant, heard []trace.NodeID) {
-	now := d.now()
-	var rec *metadata.Metadata
-	if d.catalog != nil {
-		if m, err := d.catalog.Lookup(uri); err == nil {
-			rec = m
-		}
-	}
-	canServe := func(i int) bool { return true }
-	if rec == nil {
-		d.mu.Lock()
-		sm := d.node.Metadata(uri)
-		ps := d.node.Pieces(uri)
-		if sm != nil && !sm.Meta.Expired(now) && ps != nil && ps.Count() > 0 {
-			rec = sm.Meta.Clone()
-			have := make([]bool, ps.Total())
-			for i := range have {
-				have[i] = ps.Have(i)
-			}
-			canServe = func(i int) bool { return i < len(have) && have[i] }
-		}
-		d.mu.Unlock()
-	}
-	if rec == nil {
+	rec, have := d.holding(uri)
+	if rec == nil || !slices.Contains(have, true) {
 		return
 	}
 	total := rec.NumPieces()
 	rank, k := shareOf(heard, d.cfg.ID)
+	canServe := func(i int) bool { return i < len(have) && have[i] }
 	held := func(i int) bool { return peerHave != nil && peerHave.HaveBit(i) }
 
 	wall := time.Now()
 	d.mu.Lock()
-	st := d.sent[from]
-	if st == nil {
-		st = &sentState{
-			pieces: make(map[metadata.URI]map[int]time.Time),
-			others: make(map[metadata.URI]int),
+	ps := d.peerLocked(from)
+	sf := ps.sent[uri]
+	known := sf != nil
+	if !known {
+		if ps.sent == nil {
+			ps.sent = make(map[metadata.URI]*sentFile)
 		}
-		d.sent[from] = st
-	}
-	sent := st.pieces[uri]
-	if sent == nil {
-		sent = make(map[int]time.Time)
-		st.pieces[uri] = sent
+		sf = &sentFile{at: make(map[int]time.Time)}
+		ps.sent[uri] = sf
 	}
 	recent := func(i int) bool {
-		at, pushed := sent[i]
+		at, pushed := sf.at[i]
 		return pushed && wall.Sub(at) < d.cfg.ResendAfter
 	}
-	others := fedByOthers(total, held, func(i int) bool { _, pushed := sent[i]; return pushed })
-	prev, known := st.others[uri]
-	st.others[uri] = others
-	sole := known && others == prev
+	others := fedByOthers(total, held, func(i int) bool { _, pushed := sf.at[i]; return pushed })
+	sole := known && others == sf.others
+	sf.others = others
 	idxs, skippedHeld := pickPieces(total, serveOrigin(from, uri, total), rank, k,
 		d.cfg.PiecesPerHello, sole, canServe, held, recent)
 	d.counters.piecesSkippedHeld += uint64(skippedHeld)
 	for _, i := range idxs {
-		if _, pushed := sent[i]; pushed {
+		if _, pushed := sf.at[i]; pushed {
 			d.counters.piecesResent++
 		}
-		sent[i] = wall
+		sf.at[i] = wall
 	}
 	d.mu.Unlock()
 
 	for _, i := range idxs {
-		d.mgr.Send(from, &wire.Piece{
-			URI:   uri,
-			Index: i,
-			Total: total,
-			Data:  metadata.SyntheticPiece(uri, i, rec.PieceLen(i)),
-		})
+		d.mgr.Send(from, &wire.Piece{URI: uri, Index: i, Total: total, Data: pieceBytes(rec, i)})
 	}
 }
 
@@ -1346,7 +1347,7 @@ func (d *Daemon) onMetadata(from trace.NodeID, m *wire.Metadata) {
 	// Decide the full effect first so one durable record captures it:
 	// a new record, a selection, or both.
 	selected := false
-	if d.cfg.FetchMatching && !d.completed[rec.URI] {
+	if f := d.files[rec.URI]; d.cfg.FetchMatching && (f == nil || !f.completed) {
 		for _, q := range d.node.Queries(now) {
 			if rec.MatchesQuery(q) {
 				if ps := d.node.Pieces(rec.URI); ps == nil || !ps.Complete() {
@@ -1372,8 +1373,8 @@ func (d *Daemon) onMetadata(from trace.NodeID, m *wire.Metadata) {
 	added := d.node.AddMetadata(rec, m.Popularity, now)
 	if selected {
 		d.node.Select(rec.URI)
-		if d.downloads[rec.URI] == nil {
-			d.downloads[rec.URI] = &downloadState{lastProgress: time.Now()}
+		if f := d.fileLocked(rec.URI); f.lastProgress.IsZero() {
+			f.lastProgress = time.Now()
 		}
 	}
 	d.mu.Unlock()
@@ -1405,11 +1406,7 @@ func (d *Daemon) bumpBadSignature(from trace.NodeID) {
 	var penalty time.Duration
 	d.mu.Lock()
 	d.counters.badSignatures++
-	off := d.offenders[from]
-	if off == nil {
-		off = &offender{}
-		d.offenders[from] = off
-	}
+	off := &d.peerLocked(from).offence
 	off.badSigs++
 	off.lastBad = wall
 	if off.badSigs >= d.cfg.QuarantineThreshold {
@@ -1473,9 +1470,9 @@ func (d *Daemon) onPiece(from trace.NodeID, p *wire.Piece) bool {
 		d.mu.Unlock()
 		return false
 	}
-	key := pieceKey{p.URI, p.Index}
 	ps := d.node.Pieces(p.URI)
-	_, staged := d.pending[key]
+	f := d.fileLocked(p.URI)
+	_, staged := f.pending[p.Index]
 	if staged || (ps != nil && ps.Have(p.Index)) {
 		// A duplicate of a piece already held or staged: the injector's
 		// Duplicate fault and the resend deadline both produce these.
@@ -1501,16 +1498,13 @@ func (d *Daemon) onPiece(from trace.NodeID, p *wire.Piece) bool {
 	// of the next hello's have-bitmap — only once the committer has
 	// fsynced it. The bounded queue back-pressures this connection the
 	// way a blocking Append would.
-	d.pending[key] = struct{}{}
+	if f.pending == nil {
+		f.pending = make(map[int]struct{})
+	}
+	f.pending[p.Index] = struct{}{}
 	d.mu.Unlock()
 	d.commitQ <- sp
 	return true
-}
-
-// pieceKey names one piece of one file.
-type pieceKey struct {
-	uri   metadata.URI
-	index int
 }
 
 // stagedPiece is a verified piece on its way to the log: everything
@@ -1569,7 +1563,7 @@ func (d *Daemon) commitLoop() {
 		done = done[:0]
 		d.mu.Lock()
 		for _, sp := range batch {
-			delete(d.pending, pieceKey{sp.uri, sp.index})
+			delete(d.files[sp.uri].pending, sp.index)
 			if err == nil && d.applyPieceLocked(sp) {
 				done = append(done, sp)
 			}
@@ -1597,14 +1591,13 @@ func (d *Daemon) applyPieceLocked(sp stagedPiece) (justDone bool) {
 		return false
 	}
 	d.counters.piecesVerified++
-	if ds := d.downloads[sp.uri]; ds != nil {
-		ds.lastProgress = time.Now()
-	}
+	f := d.fileLocked(sp.uri)
+	f.lastProgress = time.Now()
 	if sp.credit {
 		d.node.Ledger.RewardRequested(sp.from)
 	}
-	if d.node.HasFullFile(sp.uri) && !d.completed[sp.uri] {
-		d.completed[sp.uri] = true
+	if d.node.HasFullFile(sp.uri) && !f.completed {
+		f.completed = true
 		return true
 	}
 	return false
@@ -1614,7 +1607,7 @@ func (d *Daemon) applyPieceLocked(sp stagedPiece) (justDone bool) {
 // holds d.mu.
 func (d *Daemon) countDuplicateLocked(uri metadata.URI, index int) {
 	d.counters.piecesDuplicate++
-	if held := d.restored[uri]; index < len(held) && held[index] {
+	if f := d.files[uri]; f != nil && index < len(f.restored) && f.restored[index] {
 		// A piece recovered from disk came over the wire again — the
 		// have-bitmap advertisement should make this impossible.
 		d.counters.piecesRefetched++
@@ -1635,9 +1628,11 @@ func (d *Daemon) announceComplete(last stagedPiece) {
 func (d *Daemon) CompletedURIs() []metadata.URI {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([]metadata.URI, 0, len(d.completed))
-	for uri := range d.completed {
-		out = append(out, uri)
+	var out []metadata.URI
+	for uri, f := range d.files {
+		if f.completed {
+			out = append(out, uri)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out

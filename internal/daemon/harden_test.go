@@ -223,8 +223,8 @@ func TestServePiecesUnknownURI(t *testing.T) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if st := d.sent[2]; st != nil && len(st.pieces) != 0 {
-		t.Fatalf("unknown URI left send tracking behind: %+v", st.pieces)
+	if ps := d.peers[2]; ps != nil && len(ps.sent) != 0 {
+		t.Fatalf("unknown URI left send tracking behind: %+v", ps.sent)
 	}
 }
 
@@ -255,28 +255,55 @@ func TestEnqueueOverflow(t *testing.T) {
 	}
 }
 
-// TestSweepCleansVanishedState: send tracking for peers that are gone
-// and download tracking for completed files must not leak.
+// TestSweepCleansVanishedState: a vanished peer's record goes once
+// nothing in it binds — and not before: a peer we just told Busy, one
+// inside a Busy window it advertised, and one with an offence on file
+// keep theirs (without the send tracking) until that runs out. A
+// completed file's record stays, but reports no retries.
 func TestSweepCleansVanishedState(t *testing.T) {
-	d := bench(t, nil)
+	d := bench(t, func(c *Config) { c.BusyRetryAfter = time.Hour })
 	uri := metadata.URIFor(0)
+	sent := func() map[metadata.URI]*sentFile {
+		return map[metadata.URI]*sentFile{uri: {at: map[int]time.Time{0: time.Now()}}}
+	}
 	d.mu.Lock()
-	d.sent[7] = &sentState{pieces: map[metadata.URI]map[int]time.Time{
-		uri: {0: time.Now()},
-	}}
-	d.completed[uri] = true
-	d.downloads[uri] = &downloadState{lastProgress: time.Now()}
+	d.peers[7] = &peerState{sent: sent()}
+	d.peers[8] = &peerState{sent: sent()}
+	d.peers[8].busyTold[wire.BusyPiece] = time.Now()
+	d.peers[9] = &peerState{sent: sent()}
+	d.peers[9].busyUntil[wire.BusyDHT] = time.Now().Add(time.Hour)
+	d.peers[10] = &peerState{sent: sent(), offence: offender{badSigs: 1, lastBad: time.Now()}}
+	d.files[uri] = &fileState{completed: true, lastProgress: time.Now(), retries: 3}
 	d.mu.Unlock()
 
 	d.sweepOnce()
 
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.sent) != 0 {
-		t.Fatalf("send tracking for vanished peer survived the sweep: %v", d.sent)
+	if d.peers[7] != nil {
+		t.Errorf("an idle record of a vanished peer survived the sweep: %+v", d.peers[7])
 	}
-	if len(d.downloads) != 0 {
-		t.Fatalf("download tracking for completed file survived the sweep: %v", d.downloads)
+	for _, id := range []trace.NodeID{8, 9, 10} {
+		if ps := d.peers[id]; ps == nil {
+			t.Errorf("node %d's record dropped while it still binds", id)
+		} else if ps.sent != nil {
+			t.Errorf("node %d: send tracking for a vanished peer survived the sweep: %v", id, ps.sent)
+		}
+	}
+	// Once the windows and the offence have run out, those go too.
+	d.peers[8].busyTold[wire.BusyPiece] = time.Now().Add(-2 * time.Hour)
+	d.peers[9].busyUntil[wire.BusyDHT] = time.Now().Add(-time.Second)
+	d.peers[10].offence.lastBad = time.Now().Add(-5 * d.cfg.QuarantineBase)
+	d.mu.Unlock()
+
+	d.sweepOnce()
+
+	d.mu.Lock()
+	if len(d.peers) != 0 {
+		t.Errorf("%d peer records survived with nothing left to hold", len(d.peers))
+	}
+	d.mu.Unlock()
+	if st := d.Stats(); !st.Completed[string(uri)] || len(st.Retries) != 0 {
+		t.Errorf("completed %v retries %v, want the file completed and no retries reported", st.Completed, st.Retries)
 	}
 }
 
@@ -296,7 +323,7 @@ func TestHelloForgetsFinishedFiles(t *testing.T) {
 	d.onHello(2, &wire.Hello{From: 2, Downloading: []metadata.URI{uri}})
 	d.sweepOnce()
 	d.mu.Lock()
-	marks := len(d.sent[2].pieces[uri])
+	marks := len(d.peers[2].sent[uri].at)
 	d.mu.Unlock()
 	if marks == 0 {
 		t.Fatal("serving an advertised download left no send tracking")
@@ -305,8 +332,8 @@ func TestHelloForgetsFinishedFiles(t *testing.T) {
 	d.onHello(2, &wire.Hello{From: 2})
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if st := d.sent[2]; len(st.pieces) != 0 || len(st.others) != 0 {
-		t.Fatalf("tracking of a file the peer stopped advertising survived: pieces %v others %v", st.pieces, st.others)
+	if sent := d.peers[2].sent; len(sent) != 0 {
+		t.Fatalf("tracking of a file the peer stopped advertising survived: %v", sent)
 	}
 	if len(d.mgr.Peers()) != 1 {
 		t.Fatal("the peer must still be live")
@@ -467,7 +494,7 @@ func TestQuarantineEscalationAndDecay(t *testing.T) {
 
 	// Second offense doubles the penalty.
 	d.mu.Lock()
-	off := d.offenders[from]
+	off := &d.peers[from].offence
 	firstUntil := off.until
 	off.until = time.Now().Add(-time.Second) // penalty served
 	d.mu.Unlock()
@@ -493,10 +520,10 @@ func TestQuarantineEscalationAndDecay(t *testing.T) {
 		d.sweepOnce()
 	}
 	d.mu.Lock()
-	left := len(d.offenders)
+	left := len(d.peers)
 	d.mu.Unlock()
 	if left != 0 {
-		t.Fatalf("%d offender records survived decay", left)
+		t.Fatalf("%d peer records survived the offence's decay", left)
 	}
 	if d.quarantined(from) {
 		t.Fatal("still quarantined after decay")

@@ -259,7 +259,7 @@ func TestServeStreamsUnderOutboxOverflow(t *testing.T) {
 			len(delivered), st.OutboxDropsData, lane, pieces-lane)
 	}
 	d.mu.Lock()
-	marks := len(d.sent[2].pieces[uri])
+	marks := len(d.peers[2].sent[uri].at)
 	d.mu.Unlock()
 	if marks != pieces {
 		t.Fatalf("%d sent marks after the burst, want all %d (dropped frames keep theirs)", marks, pieces)
@@ -277,8 +277,8 @@ func TestServeStreamsUnderOutboxOverflow(t *testing.T) {
 	// Past the deadline the peer's standing advertisement is the NACK:
 	// the pieces it still lacks are served again, the held ones are not.
 	d.mu.Lock()
-	for i := range d.sent[2].pieces[uri] {
-		d.sent[2].pieces[uri][i] = time.Now().Add(-2 * d.cfg.ResendAfter)
+	for i := range d.peers[2].sent[uri].at {
+		d.peers[2].sent[uri].at[i] = time.Now().Add(-2 * d.cfg.ResendAfter)
 	}
 	d.mu.Unlock()
 	d.onHello(2, hello)

@@ -50,14 +50,12 @@ func (d *Daemon) onShed(from trace.NodeID, t wire.MsgType) {
 func (d *Daemon) sendBusy(to trace.NodeID, scope wire.BusyScope) {
 	wall := time.Now()
 	d.mu.Lock()
-	if at, ok := d.lastBusyTo[to][scope]; ok && wall.Sub(at) < d.cfg.BusyRetryAfter {
+	told := &d.peerLocked(to).busyTold[scope]
+	if wall.Sub(*told) < d.cfg.BusyRetryAfter {
 		d.mu.Unlock()
 		return
 	}
-	if d.lastBusyTo[to] == nil {
-		d.lastBusyTo[to] = make(map[wire.BusyScope]time.Time)
-	}
-	d.lastBusyTo[to][scope] = wall
+	*told = wall
 	d.counters.busySent++
 	d.mu.Unlock()
 	d.mgr.Send(to, &wire.Busy{
@@ -72,16 +70,16 @@ func (d *Daemon) sendBusy(to trace.NodeID, scope wire.BusyScope) {
 // as advertised but clamped to 2×LivenessWindow: past that, silence is
 // indistinguishable from churn and the liveness machinery takes over.
 func (d *Daemon) onBusy(from trace.NodeID, b *wire.Busy) {
+	if int(b.Scope) >= numBusyScopes {
+		return // not a lane this node knows (the TCP codec rejects these; loopback does not decode)
+	}
 	window := b.RetryAfter()
 	if max := 2 * d.cfg.LivenessWindow; window > max {
 		window = max
 	}
 	until := time.Now().Add(window)
 	d.mu.Lock()
-	if d.peerBusy[from] == nil {
-		d.peerBusy[from] = make(map[wire.BusyScope]time.Time)
-	}
-	d.peerBusy[from][b.Scope] = until
+	d.peerLocked(from).busyUntil[b.Scope] = until
 	d.mu.Unlock()
 	if b.Scope == wire.BusyDHT && d.dht != nil {
 		// The DHT engine keeps its own busy set so lookup shortlists can

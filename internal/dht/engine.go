@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/limit"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -55,15 +54,6 @@ type Config struct {
 	// this node's clock. No stamp — published, received or cached — ever
 	// outlives it; the zero time means unbounded.
 	SignedExpiry func(m *wire.Metadata) time.Time
-	// ServerRate, when positive, caps how many FindNode/FindValue/
-	// StoreValue requests per second each sender gets served (burst
-	// 2×rate). Shed Find requests are answered with a Busy frame
-	// (scope dht) so the sender backs off; shed stores are dropped and
-	// counted. Zero disables.
-	ServerRate float64
-	// BusyRetryAfter is the backoff window advertised in Busy replies
-	// (default 4×RequestTimeout).
-	BusyRetryAfter time.Duration
 	// Now supplies the clock (defaults to time.Now; tests inject).
 	Now  func() time.Time
 	Logf func(format string, args ...any)
@@ -84,9 +74,7 @@ type Stats struct {
 	TableSize      int    `json:"table_size"`
 	StoreSize      int    `json:"store_size"`
 	StoreEvicted   uint64 `json:"store_evicted"`
-	FindsShed      uint64 `json:"finds_shed"`  // Find requests answered with Busy
-	StoresShed     uint64 `json:"stores_shed"` // StoreValue messages dropped by admission control
-	BusySkips      uint64 `json:"busy_skips"`  // lookup contacts skipped while backing off
+	BusySkips      uint64 `json:"busy_skips"` // lookup contacts skipped while backing off
 }
 
 // Engine is one node's DHT participant. All methods are safe for
@@ -100,10 +88,8 @@ type Engine struct {
 	nextRPC uint64
 	pending map[uint64]chan *wire.NodesReply
 	stats   Stats
-	// limiters holds per-sender server-side admission buckets;
 	// busyUntil records contacts that answered one of our requests with
-	// Busy, skipped by lookups until the deadline. Both under mu.
-	limiters  map[trace.NodeID]*limit.Bucket
+	// Busy, skipped by lookups until the deadline. Under mu.
 	busyUntil map[trace.NodeID]time.Time
 }
 
@@ -128,9 +114,6 @@ func New(cfg Config) *Engine {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	if cfg.BusyRetryAfter <= 0 {
-		cfg.BusyRetryAfter = 4 * cfg.RequestTimeout
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
@@ -139,7 +122,6 @@ func New(cfg Config) *Engine {
 		table:     NewTable(cfg.Self, cfg.K),
 		store:     NewStore(cfg.CacheCap),
 		pending:   make(map[uint64]chan *wire.NodesReply),
-		limiters:  make(map[trace.NodeID]*limit.Bucket),
 		busyUntil: make(map[trace.NodeID]time.Time),
 	}
 }
@@ -247,29 +229,16 @@ func (e *Engine) Sweep() int {
 
 // HandleMessage processes one inbound DHT message and returns the reply
 // to send back to its sender, or nil when no reply is due (StoreValue,
-// and NodesReply which resolves a pending RPC instead).
+// and NodesReply which resolves a pending RPC instead). Every message
+// that gets here was already admitted by the host's per-peer limiter —
+// the engine has none of its own.
 func (e *Engine) HandleMessage(m wire.Msg) wire.Msg {
 	switch m := m.(type) {
 	case *wire.FindNode:
-		if !e.admitServe(m.From) {
-			return e.shedFind(m.From)
-		}
 		return e.onFind(m.From, m.FromAddr, m.RPCID, m.Target, false)
 	case *wire.FindValue:
-		if !e.admitServe(m.From) {
-			return e.shedFind(m.From)
-		}
 		return e.onFind(m.From, m.FromAddr, m.RPCID, m.Key, true)
 	case *wire.StoreValue:
-		if !e.admitServe(m.From) {
-			// Stores are fire-and-forget, so there is no reply channel
-			// to carry a Busy: the shed is counted and the record waits
-			// for the sender's next republish.
-			e.mu.Lock()
-			e.stats.StoresShed++
-			e.mu.Unlock()
-			return nil
-		}
 		e.onStore(m)
 		return nil
 	case *wire.NodesReply:
@@ -277,40 +246,6 @@ func (e *Engine) HandleMessage(m wire.Msg) wire.Msg {
 		return nil
 	default:
 		return nil
-	}
-}
-
-// admitServe charges one token against from's server-side admission
-// bucket; with no ServerRate configured everything is admitted. The
-// limiter map is bounded: a flood of fabricated sender IDs resets it
-// rather than growing it without limit.
-func (e *Engine) admitServe(from trace.NodeID) bool {
-	if e.cfg.ServerRate <= 0 {
-		return true
-	}
-	e.mu.Lock()
-	if len(e.limiters) > 4096 {
-		e.limiters = make(map[trace.NodeID]*limit.Bucket)
-	}
-	bk := e.limiters[from]
-	if bk == nil {
-		bk = limit.NewBucket(e.cfg.ServerRate, 2*e.cfg.ServerRate, limit.Clock(e.cfg.Now))
-		e.limiters[from] = bk
-	}
-	e.mu.Unlock()
-	return bk.Allow()
-}
-
-// shedFind counts a shed Find request and builds its Busy reply.
-func (e *Engine) shedFind(from trace.NodeID) wire.Msg {
-	e.mu.Lock()
-	e.stats.FindsShed++
-	e.mu.Unlock()
-	e.cfg.Logf("dht: shedding find from n%d (over %v/s)", from, e.cfg.ServerRate)
-	return &wire.Busy{
-		From:             e.cfg.Self,
-		Scope:            wire.BusyDHT,
-		RetryAfterMillis: uint32(e.cfg.BusyRetryAfter / time.Millisecond),
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package limit provides the small admission-control primitives the
-// overload-protection layer is built from: a token-bucket rate limiter,
-// a sliding-window counter, and a dial circuit breaker. Everything is
-// stdlib-only and takes an injectable clock so tests (and the
-// deterministic swarm harness) can drive time by hand.
+// overload-protection layer is built from: a token-bucket rate limiter
+// and a dial circuit breaker. Everything is stdlib-only and takes an
+// injectable clock so tests (and the deterministic swarm harness) can
+// drive time by hand.
 package limit
 
 import (
@@ -27,14 +27,16 @@ type Bucket struct {
 }
 
 // NewBucket returns a bucket refilling at rate tokens/second with the
-// given capacity. A non-positive burst defaults to 2×rate (floor 1) so
-// short legitimate spikes ride through. The bucket starts full.
+// given capacity. A non-positive burst defaults to 2×rate so short
+// legitimate spikes ride through, and every burst is floored at 1: a
+// bucket that cannot hold one whole token would refuse forever, which is
+// a lock-out, not a rate. The bucket starts full.
 func NewBucket(rate, burst float64, now Clock) *Bucket {
 	if burst <= 0 {
 		burst = 2 * rate
-		if burst < 1 {
-			burst = 1
-		}
+	}
+	if burst < 1 {
+		burst = 1
 	}
 	if now == nil {
 		now = time.Now
@@ -95,61 +97,4 @@ func (b *Bucket) RetryAfter() time.Duration {
 		return time.Hour
 	}
 	return time.Duration((1 - b.tokens) / b.rate * float64(time.Second))
-}
-
-// Window is a sliding-window counter: at most Limit events inside any
-// trailing Span. It keeps the event timestamps, so it is exact (no
-// fixed-bucket boundary error) and sized for per-peer limits, not for
-// millions of events per window.
-type Window struct {
-	mu    sync.Mutex
-	limit int
-	span  time.Duration
-	now   Clock
-	marks []time.Time
-}
-
-// NewWindow returns a sliding-window limiter admitting limit events per
-// span.
-func NewWindow(limit int, span time.Duration, now Clock) *Window {
-	if limit < 1 {
-		limit = 1
-	}
-	if now == nil {
-		now = time.Now
-	}
-	return &Window{limit: limit, span: span, now: now}
-}
-
-// Allow records an event if the trailing window has room.
-func (w *Window) Allow() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	t := w.now()
-	w.prune(t)
-	if len(w.marks) >= w.limit {
-		return false
-	}
-	w.marks = append(w.marks, t)
-	return true
-}
-
-// Len reports how many events are inside the current window.
-func (w *Window) Len() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.prune(w.now())
-	return len(w.marks)
-}
-
-// prune drops marks older than span. Caller holds w.mu.
-func (w *Window) prune(t time.Time) {
-	cut := t.Add(-w.span)
-	i := 0
-	for i < len(w.marks) && !w.marks[i].After(cut) {
-		i++
-	}
-	if i > 0 {
-		w.marks = append(w.marks[:0], w.marks[i:]...)
-	}
 }

@@ -132,44 +132,57 @@ func TestBucketRetryAfter(t *testing.T) {
 	}
 }
 
-func TestWindow(t *testing.T) {
+// TestBucketBurstEqualsRate is the catalog's configuration (burst =
+// rate, so "rate per second" reads like a window): a drained bucket is
+// whole again one second later and never holds more than the burst, and
+// a partial wait buys back exactly its share.
+func TestBucketBurstEqualsRate(t *testing.T) {
 	clk := newFakeClock()
-	w := NewWindow(3, time.Second, clk.Now)
-	for i := 0; i < 3; i++ {
-		if !w.Allow() {
-			t.Fatalf("event %d denied under limit", i)
+	b := NewBucket(3, 3, clk.Now)
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 3; i++ {
+			if !b.Allow() {
+				t.Fatalf("round %d: event %d denied under the limit", round, i)
+			}
+		}
+		if b.Allow() {
+			t.Fatalf("round %d: allowed past the limit", round)
+		}
+		clk.Advance(time.Second + time.Millisecond)
+		if got := b.Tokens(); got != 3 {
+			t.Fatalf("round %d: %v tokens a second after draining, want the burst (3) and no more", round, got)
 		}
 	}
-	if w.Allow() {
-		t.Fatal("allowed past window limit")
+
+	half := NewBucket(2, 2, clk.Now)
+	half.Allow()
+	half.Allow()
+	clk.Advance(500 * time.Millisecond)
+	if !half.Allow() {
+		t.Fatal("denied although half a second at 2/s refilled one token")
 	}
-	// The window slides: after the span the oldest marks age out.
-	clk.Advance(time.Second + time.Millisecond)
-	if got := w.Len(); got != 0 {
-		t.Fatalf("window kept %d stale marks", got)
-	}
-	if !w.Allow() {
-		t.Fatal("denied after window slid past all marks")
+	if half.Allow() {
+		t.Fatal("allowed a second event on one refilled token")
 	}
 }
 
-func TestWindowPartialSlide(t *testing.T) {
-	clk := newFakeClock()
-	w := NewWindow(2, time.Second, clk.Now)
-	w.Allow()
-	clk.Advance(600 * time.Millisecond)
-	w.Allow()
-	if w.Allow() {
-		t.Fatal("allowed third event inside window")
-	}
-	// 500ms later the first mark (age 1.1s) is out, the second (age
-	// 0.5s) still counts.
-	clk.Advance(500 * time.Millisecond)
-	if !w.Allow() {
-		t.Fatal("denied although one mark aged out")
-	}
-	if w.Allow() {
-		t.Fatal("allowed although window is full again")
+// TestBucketSubUnitRate: a rate below one per second still admits — one
+// event per 1/rate seconds. Without the burst floor the bucket could
+// never hold a whole token and refused every event forever.
+func TestBucketSubUnitRate(t *testing.T) {
+	for _, burst := range []float64{0, 0.5} {
+		clk := newFakeClock()
+		b := NewBucket(0.5, burst, clk.Now)
+		if !b.Allow() {
+			t.Fatalf("burst %v: a full bucket at 0.5/s refused its first event", burst)
+		}
+		if b.Allow() {
+			t.Fatalf("burst %v: allowed a second event at once", burst)
+		}
+		clk.Advance(2 * time.Second)
+		if !b.Allow() {
+			t.Fatalf("burst %v: still refusing 1/rate seconds later", burst)
+		}
 	}
 }
 

@@ -160,7 +160,7 @@ func TestKickAlsoExpires(t *testing.T) {
 	m := kickManager(t, 2) // peers 2 and 3
 	sh := m.shardFor(3)
 	sh.mu.Lock()
-	sh.lastHello[3] = time.Now().Add(-2 * m.cfg.LivenessWindow)
+	sh.peers[3].lastHello = time.Now().Add(-2 * m.cfg.LivenessWindow)
 	sh.mu.Unlock()
 	stop := run(m)
 	m.Kick()

@@ -203,8 +203,8 @@ func TestSessionWritersExit(t *testing.T) {
 		"expiry": func(t *testing.T, a *Manager, conns []transport.Conn) {
 			for _, sh := range a.shards {
 				sh.mu.Lock()
-				for id := range sh.lastHello {
-					sh.lastHello[id] = time.Now().Add(-2 * a.cfg.LivenessWindow)
+				for _, e := range sh.peers {
+					e.lastHello = time.Now().Add(-2 * a.cfg.LivenessWindow)
 				}
 				sh.mu.Unlock()
 			}

@@ -260,25 +260,34 @@ type flapInfo struct {
 	last  time.Time
 }
 
-// shard is one bucket of the peer table; all its maps are guarded by
-// its own mutex.
+// entry is the table's one record of a live peer. It exists exactly
+// while the peer has a session: register makes it with the first
+// session, and whoever removes the last one (unregister, expire, Close)
+// removes the entry with it — so there is no liveness stamp and no
+// admission bucket without a session behind it, and peerCount is the
+// number of entries.
+type entry struct {
+	sessions  map[uint64]*session
+	lastHello time.Time
+	// limiter is the peer's inbound admission bucket; nil with no
+	// InboundRate. Dying with the entry, it cannot be grown by a churning
+	// flooder that does not also hold a table slot.
+	limiter *limit.Bucket
+}
+
+// shard is one bucket of the peer table; both maps are guarded by its
+// own mutex. flaps outlives the sessions it scores, so it is not part of
+// the entry.
 type shard struct {
-	mu        sync.Mutex
-	byPeer    map[trace.NodeID]map[uint64]*session
-	lastHello map[trace.NodeID]time.Time
-	flaps     map[trace.NodeID]*flapInfo
-	// limiters holds each registered peer's inbound admission bucket;
-	// entries die with the peer (unregister/expire), so a churning
-	// flooder cannot grow the map without also holding table slots.
-	limiters map[trace.NodeID]*limit.Bucket
+	mu    sync.Mutex
+	peers map[trace.NodeID]*entry
+	flaps map[trace.NodeID]*flapInfo
 }
 
 func newShard() *shard {
 	return &shard{
-		byPeer:    make(map[trace.NodeID]map[uint64]*session),
-		lastHello: make(map[trace.NodeID]time.Time),
-		flaps:     make(map[trace.NodeID]*flapInfo),
-		limiters:  make(map[trace.NodeID]*limit.Bucket),
+		peers: make(map[trace.NodeID]*entry),
+		flaps: make(map[trace.NodeID]*flapInfo),
 	}
 }
 
@@ -638,22 +647,25 @@ func (m *Manager) register(peerID trace.NodeID, conn transport.Conn, inbound boo
 	sh := m.shardFor(peerID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	set := sh.byPeer[peerID]
-	if set == nil {
+	e := sh.peers[peerID]
+	if e == nil {
 		n := m.peerCount.Add(1)
 		if m.cfg.MaxPeers > 0 && n > int64(m.cfg.MaxPeers) {
 			m.peerCount.Add(-1)
 			return nil, fmt.Errorf("%w (%d peers)", ErrTableFull, n-1)
 		}
-		set = make(map[uint64]*session)
-		sh.byPeer[peerID] = set
+		e = &entry{sessions: make(map[uint64]*session)}
+		if m.cfg.InboundRate > 0 {
+			e.limiter = limit.NewBucket(m.cfg.InboundRate, 0, nil)
+		}
+		sh.peers[peerID] = e
 	}
 	s := &session{
 		sid: m.nextSID.Add(1), peer: peerID, conn: conn, inbound: inbound,
 		started: time.Now(), out: newLanes(m.cfg.QueueLen),
 	}
-	set[s.sid] = s
-	sh.lastHello[peerID] = time.Now()
+	e.sessions[s.sid] = s
+	e.lastHello = s.started
 	return s, nil
 }
 
@@ -672,12 +684,12 @@ func (m *Manager) unregister(s *session) {
 	now := time.Now()
 	sh := m.shardFor(s.peer)
 	sh.mu.Lock()
-	if set := sh.byPeer[s.peer]; set != nil {
-		delete(set, s.sid)
-		if len(set) == 0 {
-			delete(sh.byPeer, s.peer)
-			delete(sh.lastHello, s.peer)
-			delete(sh.limiters, s.peer)
+	// The entry may be gone (expire or Close got there first) or be a
+	// newer one that never held this session; only emptying it drops it.
+	if e := sh.peers[s.peer]; e != nil {
+		delete(e.sessions, s.sid)
+		if len(e.sessions) == 0 {
+			delete(sh.peers, s.peer)
 			m.peerCount.Add(-1)
 		}
 	}
@@ -696,7 +708,10 @@ func (m *Manager) unregister(s *session) {
 }
 
 // deliver updates liveness and dispatches one message through
-// admission control.
+// admission control. Both read the sender's table entry; a frame that
+// lost the race with its peer's removal finds none, and is then neither
+// a liveness refresh nor — with admission control on — dispatched: there
+// is no bucket to charge it to, and minting one would outlive the peer.
 func (m *Manager) deliver(from trace.NodeID, msg wire.Msg) {
 	if m.paused.Load() {
 		return // radio off: the message was never heard
@@ -710,27 +725,30 @@ func (m *Manager) deliver(from trace.NodeID, msg wire.Msg) {
 		}
 		return
 	}
-	if _, ok := msg.(*wire.Hello); ok {
-		// Liveness refresh happens before admission control: shedding a
-		// flooder's hellos keeps it cheap, but must not expire it from
-		// the table — a shed peer is overloaded-away, not gone.
+	_, hello := msg.(*wire.Hello)
+	if limited := m.cfg.InboundRate > 0; hello || limited {
 		sh := m.shardFor(from)
 		sh.mu.Lock()
-		// Refresh liveness only for registered peers: a hello racing a
-		// concurrent unregister must not resurrect a lastHello entry
-		// with no sessions behind it, or expire would double-count the
-		// peer's departure.
-		if _, ok := sh.byPeer[from]; ok {
-			sh.lastHello[from] = time.Now()
+		e := sh.peers[from]
+		if e != nil && hello {
+			// Liveness refresh happens before admission control: shedding
+			// a flooder's hellos keeps it cheap, but must not expire it
+			// from the table — a shed peer is overloaded-away, not gone.
+			e.lastHello = time.Now()
 		}
 		sh.mu.Unlock()
-	}
-	if !m.admit(from) {
-		m.ctrs.inboundShed.Add(1)
-		if m.cfg.OnShed != nil {
-			m.cfg.OnShed(from, msg.Type())
+		if limited {
+			if e == nil {
+				return
+			}
+			if !e.limiter.Allow() {
+				m.ctrs.inboundShed.Add(1)
+				if m.cfg.OnShed != nil {
+					m.cfg.OnShed(from, msg.Type())
+				}
+				return
+			}
 		}
-		return
 	}
 	switch v := msg.(type) {
 	case *wire.Hello:
@@ -762,28 +780,15 @@ func (m *Manager) deliver(from trace.NodeID, msg wire.Msg) {
 	}
 }
 
-// admit charges one token against from's inbound bucket. With no
-// InboundRate configured everything is admitted.
-func (m *Manager) admit(from trace.NodeID) bool {
-	if m.cfg.InboundRate <= 0 {
-		return true
-	}
-	sh := m.shardFor(from)
-	sh.mu.Lock()
-	bk := sh.limiters[from]
-	if bk == nil {
-		bk = limit.NewBucket(m.cfg.InboundRate, 0, nil)
-		sh.limiters[from] = bk
-	}
-	sh.mu.Unlock()
-	return bk.Allow()
-}
-
 // pick returns the newest session for peer id, the one Send uses. The
 // shard lock must be held.
 func (sh *shard) pick(id trace.NodeID) *session {
+	e := sh.peers[id]
+	if e == nil {
+		return nil
+	}
 	var best *session
-	for _, s := range sh.byPeer[id] {
+	for _, s := range e.sessions {
 		if best == nil || s.sid > best.sid {
 			best = s
 		}
@@ -842,19 +847,15 @@ func (m *Manager) expire(now time.Time) {
 	var dead []*session
 	for _, sh := range m.shards {
 		sh.mu.Lock()
-		for id, at := range sh.lastHello {
-			if now.Sub(at) <= m.cfg.LivenessWindow {
+		for id, e := range sh.peers {
+			if now.Sub(e.lastHello) <= m.cfg.LivenessWindow {
 				continue
 			}
-			if set, ok := sh.byPeer[id]; ok {
-				for _, s := range set {
-					dead = append(dead, s)
-				}
-				delete(sh.byPeer, id)
-				m.peerCount.Add(-1)
+			for _, s := range e.sessions {
+				dead = append(dead, s)
 			}
-			delete(sh.lastHello, id)
-			delete(sh.limiters, id)
+			delete(sh.peers, id)
+			m.peerCount.Add(-1)
 			m.ctrs.expiries.Add(1)
 		}
 		for id, fi := range sh.flaps {
@@ -876,10 +877,10 @@ func (m *Manager) expire(now time.Time) {
 
 // Peers returns the live peer IDs, sorted.
 func (m *Manager) Peers() []trace.NodeID {
-	out := make([]trace.NodeID, 0, max(m.peerCount.Load(), 0))
+	out := make([]trace.NodeID, 0, m.peerCount.Load())
 	for _, sh := range m.shards {
 		sh.mu.Lock()
-		for id := range sh.byPeer {
+		for id := range sh.peers {
 			out = append(out, id)
 		}
 		sh.mu.Unlock()
@@ -891,20 +892,17 @@ func (m *Manager) Peers() []trace.NodeID {
 // Table snapshots the peer table for stats endpoints.
 func (m *Manager) Table() []Info {
 	now := time.Now()
-	out := make([]Info, 0, max(m.peerCount.Load(), 0))
+	out := make([]Info, 0, m.peerCount.Load())
 	for _, sh := range m.shards {
 		sh.mu.Lock()
-		for id, set := range sh.byPeer {
+		for id, e := range sh.peers {
 			s := sh.pick(id)
-			if s == nil {
-				continue
-			}
 			info := Info{
 				ID:        id,
 				Addr:      s.conn.RemoteAddr(),
 				Inbound:   s.inbound,
-				LastHello: now.Sub(sh.lastHello[id]),
-				Sessions:  len(set),
+				LastHello: now.Sub(e.lastHello),
+				Sessions:  len(e.sessions),
 			}
 			if fi := sh.flaps[id]; fi != nil {
 				info.Flaps = fi.count
@@ -966,8 +964,8 @@ func (m *Manager) Queues() QueueStats {
 	}
 	for _, sh := range m.shards {
 		sh.mu.Lock()
-		for _, set := range sh.byPeer {
-			for _, s := range set {
+		for _, e := range sh.peers {
+			for _, s := range e.sessions {
 				n, full := s.out.depths()
 				qs.Cap += int(numClasses) * m.cfg.QueueLen
 				qs.ControlDepth += n[classControl]
@@ -986,17 +984,15 @@ func (m *Manager) Close() {
 	var all []*session
 	for _, sh := range m.shards {
 		sh.mu.Lock()
-		for _, set := range sh.byPeer {
-			for _, s := range set {
+		for id, e := range sh.peers {
+			for _, s := range e.sessions {
 				all = append(all, s)
 			}
+			delete(sh.peers, id)
+			m.peerCount.Add(-1)
 		}
-		sh.byPeer = make(map[trace.NodeID]map[uint64]*session)
-		sh.lastHello = make(map[trace.NodeID]time.Time)
-		sh.limiters = make(map[trace.NodeID]*limit.Bucket)
 		sh.mu.Unlock()
 	}
-	m.peerCount.Store(0)
 	for _, s := range all {
 		m.end(s)
 	}

@@ -1,13 +1,17 @@
 package peer
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/rng"
 	"repro/internal/trace"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -44,6 +48,133 @@ func TestMaxPeersExactUnderConcurrency(t *testing.T) {
 	// Extra sessions to known peers always land, even at capacity.
 	if _, err := m.register(trace.NodeID(pickOne(&admitted)), &stubConn{}, true); err != nil {
 		t.Fatalf("second session to a known peer rejected at capacity: %v", err)
+	}
+}
+
+// checkTable asserts the table's structural invariant with every shard
+// held, so no step is half-seen: each entry has at least one session,
+// carries a bucket exactly when admission control is on, and peerCount
+// is the number of entries.
+func checkTable(t *testing.T, m *Manager, after string) {
+	t.Helper()
+	for _, sh := range m.shards {
+		sh.mu.Lock()
+	}
+	entries := 0
+	for _, sh := range m.shards {
+		for id, e := range sh.peers {
+			entries++
+			if len(e.sessions) == 0 {
+				t.Errorf("after %s: node %d has an entry and no session", after, id)
+			}
+			if (e.limiter != nil) != (m.cfg.InboundRate > 0) {
+				t.Errorf("after %s: node %d bucket=%v with InboundRate %v", after, id, e.limiter != nil, m.cfg.InboundRate)
+			}
+		}
+	}
+	if got := m.peerCount.Load(); got != int64(entries) {
+		t.Errorf("after %s: peerCount = %d with %d entries in the table", after, got, entries)
+	}
+	for _, sh := range m.shards {
+		sh.mu.Unlock()
+	}
+}
+
+// TestDeliverWithoutEntryMintsNothing: a frame that lost the race with
+// its peer's removal (expire closed the session while Recv already held
+// the message) must not create per-peer state nothing would ever reap.
+// With admission control on it is dropped — not dispatched, not shed.
+func TestDeliverWithoutEntryMintsNothing(t *testing.T) {
+	rec := newRecorder()
+	cfg := fastCfg(1, rec)
+	cfg.InboundRate = 100
+	m := NewManager(cfg)
+	for _, msg := range []wire.Msg{&wire.Hello{From: 99}, tinyPiece(0)} {
+		m.deliver(99, msg)
+	}
+	m.expire(time.Now())
+	checkTable(t, m, "deliver for an unknown peer, then expire")
+	if n := m.peerCount.Load(); n != 0 {
+		t.Fatalf("%d table entries minted by deliver for a peer with no session", n)
+	}
+	rec.mu.Lock()
+	hellos := len(rec.hellos)
+	rec.mu.Unlock()
+	if st := m.Stats(); hellos != 0 || st.HellosRecv != 0 || st.PiecesRecv != 0 || st.InboundShed != 0 {
+		t.Fatalf("frames from a peer with no session: %d hellos handled, stats %+v; want them dropped uncounted", hellos, st)
+	}
+}
+
+// idleConn is a stateless transport.Conn: safe to Close from any number
+// of goroutines, which stubConn's flag is not.
+type idleConn struct{}
+
+func (idleConn) Send(context.Context, wire.Msg) error { return nil }
+func (idleConn) Recv(context.Context) (wire.Msg, error) {
+	return nil, transport.ErrClosed
+}
+func (idleConn) Close() error       { return nil }
+func (idleConn) LocalAddr() string  { return "idle-local" }
+func (idleConn) RemoteAddr() string { return "idle-remote" }
+
+// TestPeerTableInvariantUnderChurn races every way an entry is made or
+// removed — register (against a MaxPeers cap, so the roll-back runs),
+// unregister, expire, Close — with deliver, over a handful of IDs so the
+// operations collide, and checks the table after every step.
+func TestPeerTableInvariantUnderChurn(t *testing.T) {
+	const (
+		workers = 6
+		ids     = 8
+		steps   = 400
+	)
+	cfg := fastCfg(0, nil)
+	cfg.InboundRate = 1000
+	cfg.MaxPeers = ids - 2
+	cfg.Shards = 4
+	m := NewManager(cfg)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			r := rng.New(uint64(w) + 1)
+			var mine []*session
+			for i := 0; i < steps; i++ {
+				id := trace.NodeID(1 + r.Intn(ids))
+				step := "deliver"
+				switch op := r.Intn(20); {
+				case op < 7:
+					step = "register"
+					if s, err := m.register(id, idleConn{}, false); err == nil {
+						mine = append(mine, s)
+					}
+				case op < 12 && len(mine) > 0:
+					step = "unregister"
+					k := r.Intn(len(mine))
+					m.unregister(mine[k])
+					mine = append(mine[:k], mine[k+1:]...)
+				case op == 12:
+					step = "expire"
+					m.expire(time.Now().Add(2 * m.cfg.LivenessWindow)) // everyone is silent
+				case op == 13:
+					step = "close"
+					m.Close()
+				case op < 17:
+					m.deliver(id, &wire.Hello{From: id})
+				default:
+					m.deliver(id, tinyPiece(i))
+				}
+				checkTable(t, m, step)
+			}
+			for _, s := range mine {
+				m.unregister(s) // sessions expire or Close already ended are a no-op
+				checkTable(t, m, "final unregister")
+			}
+		}(w)
+	}
+	wg.Wait()
+	if n := m.peerCount.Load(); n != 0 {
+		t.Fatalf("peerCount = %d after every session was unregistered, want 0", n)
 	}
 }
 

@@ -3,7 +3,6 @@ package server
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/limit"
 	"repro/internal/metadata"
@@ -23,13 +22,12 @@ type Safe struct {
 	mu sync.Mutex
 	s  *Server
 
-	// Query admission control (SetQueryLimit): one sliding window per
+	// Query admission control (SetQueryLimit): one token bucket per
 	// requesting node, guarded separately so shedding never waits on a
 	// catalog operation in flight.
 	limMu       sync.Mutex
-	queryLim    map[trace.NodeID]*limit.Window
-	queryRate   int
-	querySpan   time.Duration
+	queryLim    map[trace.NodeID]*limit.Bucket
+	queryRate   float64
 	queryClock  limit.Clock
 	queriesShed atomic.Uint64
 }
@@ -90,26 +88,23 @@ func (c *Safe) Expire(now simtime.Time) int {
 }
 
 // SetQueryLimit installs per-peer query admission control: each node
-// gets at most rate catalog queries per span; excess queries should be
-// refused (AllowQuery returns false) and answered with Busy
-// backpressure by the host. A nil clock means time.Now; rate <= 0
-// removes the limit.
-func (c *Safe) SetQueryLimit(rate int, span time.Duration, clock limit.Clock) {
+// gets rate catalog queries per second from a bucket holding one
+// second's worth (burst = rate); excess queries should be refused
+// (AllowQuery returns false) and answered with Busy backpressure by the
+// host. A nil clock means time.Now; rate <= 0 removes the limit.
+func (c *Safe) SetQueryLimit(rate float64, clock limit.Clock) {
 	c.limMu.Lock()
 	defer c.limMu.Unlock()
-	if rate <= 0 {
-		c.queryLim = nil
-		c.queryRate = 0
-		return
-	}
 	c.queryRate = rate
-	c.querySpan = span
 	c.queryClock = clock
-	c.queryLim = make(map[trace.NodeID]*limit.Window)
+	c.queryLim = nil
+	if rate > 0 {
+		c.queryLim = make(map[trace.NodeID]*limit.Bucket)
+	}
 }
 
-// AllowQuery charges one query against node's window. With no limit
-// installed every query is admitted. The window map is bounded: a flood
+// AllowQuery charges one query against node's bucket. With no limit
+// installed every query is admitted. The bucket map is bounded: a flood
 // of fabricated node IDs resets it rather than growing without limit.
 func (c *Safe) AllowQuery(node trace.NodeID) bool {
 	c.limMu.Lock()
@@ -118,15 +113,15 @@ func (c *Safe) AllowQuery(node trace.NodeID) bool {
 		return true
 	}
 	if len(c.queryLim) > 4096 {
-		c.queryLim = make(map[trace.NodeID]*limit.Window)
+		c.queryLim = make(map[trace.NodeID]*limit.Bucket)
 	}
-	w := c.queryLim[node]
-	if w == nil {
-		w = limit.NewWindow(c.queryRate, c.querySpan, c.queryClock)
-		c.queryLim[node] = w
+	bk := c.queryLim[node]
+	if bk == nil {
+		bk = limit.NewBucket(c.queryRate, c.queryRate, c.queryClock)
+		c.queryLim[node] = bk
 	}
 	c.limMu.Unlock()
-	if !w.Allow() {
+	if !bk.Allow() {
 		c.queriesShed.Add(1)
 		return false
 	}
@@ -159,13 +154,6 @@ func (c *Safe) Records(now simtime.Time) []StoredRecord {
 		recs[i].Meta = recs[i].Meta.Clone()
 	}
 	return recs
-}
-
-// Piece serves piece i of the file at uri.
-func (c *Safe) Piece(uri metadata.URI, i int) ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.s.Piece(uri, i)
 }
 
 func clones(in []*metadata.Metadata) []*metadata.Metadata {

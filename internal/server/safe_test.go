@@ -36,18 +36,13 @@ func TestSafeConcurrentUse(t *testing.T) {
 						m.MatchesQuery("file")
 					}
 					c.Top(now, 3)
-				case 2: // piece reader
+				case 2: // piece server: the looked-up clone is what pieces are cut from
 					m, err := c.Lookup(seed[0].URI)
 					if err != nil {
 						t.Error(err)
 						return
 					}
-					data, err := c.Piece(m.URI, 0)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					if !m.VerifyPiece(0, data) {
+					if !m.VerifyPiece(0, metadata.SyntheticPiece(m.URI, 0, m.PieceLen(0))) {
 						t.Error("piece failed verification")
 						return
 					}
@@ -154,21 +149,22 @@ func TestSafeCloneIsolation(t *testing.T) {
 }
 
 // TestSafeQueryLimit exercises per-peer query admission: node A burning
-// its window must not shed node B, and the window slides open again.
+// its bucket must not shed node B, and a second later A is admitted
+// again.
 func TestSafeQueryLimit(t *testing.T) {
 	c, err := NewSafe(10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	clock := time.Unix(5000, 0)
-	c.SetQueryLimit(3, time.Second, func() time.Time { return clock })
+	c.SetQueryLimit(3, func() time.Time { return clock })
 	for i := 0; i < 3; i++ {
 		if !c.AllowQuery(1) {
 			t.Fatalf("query %d from node 1 denied under limit", i)
 		}
 	}
 	if c.AllowQuery(1) {
-		t.Fatal("node 1 allowed past its window")
+		t.Fatal("node 1 allowed past its burst")
 	}
 	if !c.AllowQuery(2) {
 		t.Fatal("node 2 shed by node 1's flood")
@@ -178,10 +174,10 @@ func TestSafeQueryLimit(t *testing.T) {
 	}
 	clock = clock.Add(time.Second + time.Millisecond)
 	if !c.AllowQuery(1) {
-		t.Fatal("node 1 still shed after its window slid")
+		t.Fatal("node 1 still shed a second after its burst")
 	}
 	// Dropping the limit admits everyone again.
-	c.SetQueryLimit(0, 0, nil)
+	c.SetQueryLimit(0, nil)
 	for i := 0; i < 100; i++ {
 		if !c.AllowQuery(1) {
 			t.Fatal("unlimited catalog shed a query")

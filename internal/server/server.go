@@ -53,11 +53,9 @@ type request struct {
 	node trace.NodeID
 }
 
-// Errors.
-var (
-	ErrUnknownURI = errors.New("server: unknown URI")
-	ErrBadPiece   = errors.New("server: piece index out of range")
-)
+// ErrUnknownURI reports a lookup or request for a file not in the
+// catalog.
+var ErrUnknownURI = errors.New("server: unknown URI")
 
 // New returns an empty server. internetNodes is the number of
 // Internet-access nodes in the population, the popularity denominator; it
@@ -256,17 +254,4 @@ func (s *Server) Records(now simtime.Time) []StoredRecord {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Meta.URI < out[j].Meta.URI })
 	return out
-}
-
-// Piece serves piece i of the file at uri (synthetic content whose hash
-// matches the published metadata).
-func (s *Server) Piece(uri metadata.URI, i int) ([]byte, error) {
-	e, ok := s.byURI[uri]
-	if !ok {
-		return nil, fmt.Errorf("%q: %w", uri, ErrUnknownURI)
-	}
-	if i < 0 || i >= e.meta.NumPieces() {
-		return nil, fmt.Errorf("%q piece %d: %w", uri, i, ErrBadPiece)
-	}
-	return metadata.SyntheticPiece(uri, i, e.meta.PieceLen(i)), nil
 }

@@ -234,25 +234,4 @@ func TestTopByPopularity(t *testing.T) {
 	}
 }
 
-func TestPieceServing(t *testing.T) {
-	s := newServer(t, 10)
-	m := makeMeta(1, "x", 0)
-	if err := s.Publish(m); err != nil {
-		t.Fatal(err)
-	}
-	data, err := s.Piece(m.URI, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.VerifyPiece(0, data) {
-		t.Fatal("served piece fails checksum")
-	}
-	if _, err := s.Piece(m.URI, 99); !errors.Is(err, ErrBadPiece) {
-		t.Fatalf("bad piece index error = %v", err)
-	}
-	if _, err := s.Piece("dtn://files/404", 0); !errors.Is(err, ErrUnknownURI) {
-		t.Fatalf("unknown uri error = %v", err)
-	}
-}
-
 func int2node(n int) trace.NodeID { return trace.NodeID(n) }

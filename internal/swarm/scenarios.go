@@ -44,25 +44,13 @@ type Report struct {
 	// total, for the file of interest, at scenario end.
 	CoverageFraction float64 `json:"coverage_fraction"`
 
-	PiecesSent            uint64  `json:"pieces_sent"`
-	PiecesVerified        uint64  `json:"pieces_verified"`
-	PiecesDuplicate       uint64  `json:"pieces_duplicate"`
-	PiecesResent          uint64  `json:"pieces_resent"`
-	HellosSent            uint64  `json:"hellos_sent"`
-	PeersRejected         uint64  `json:"peers_rejected"`
-	OutboxDrops           uint64  `json:"outbox_drops"`
-	OutboxDropsControl    uint64  `json:"outbox_drops_control"`
-	OutboxDropsData       uint64  `json:"outbox_drops_data"`
+	// Totals are the counters summed over every node and lifetime.
+	Totals
 	TransmissionsPerPiece float64 `json:"transmissions_per_piece"`
 
-	// Overload-protection accounting (Config.PeerRate and the overload
-	// scenario): inbound messages shed by admission control, Busy frames
-	// sent back, catalog queries refused, plus the flood probe's view —
-	// hellos the flooder pushed, Busy frames it got, and whether the
-	// victim's /healthz walked degraded→recovered.
-	InboundShed       uint64 `json:"inbound_shed,omitempty"`
-	BusyReplies       uint64 `json:"busy_replies,omitempty"`
-	QueriesShed       uint64 `json:"queries_shed,omitempty"`
+	// The overload scenario's flood probe: hellos the flooder pushed,
+	// Busy frames it got, and whether the victim's /healthz walked
+	// degraded→recovered.
 	FloodSent         uint64 `json:"flood_sent,omitempty"`
 	FloodBusySeen     uint64 `json:"flood_busy_seen,omitempty"`
 	OverloadDegraded  bool   `json:"overload_degraded,omitempty"`
@@ -71,14 +59,7 @@ type Report struct {
 	CreditMean   float64 `json:"credit_mean"`
 	CreditStddev float64 `json:"credit_stddev"`
 
-	// Decentralized-index accounting (Config.EnableDHT).
-	DHTEnabled    bool   `json:"dht_enabled"`
-	DHTLookups    uint64 `json:"dht_lookups,omitempty"`
-	DHTLookupHits uint64 `json:"dht_lookup_hits,omitempty"`
-	DHTCacheHits  uint64 `json:"dht_cache_hits,omitempty"`
-	DHTStoresSent uint64 `json:"dht_stores_sent,omitempty"`
-	DHTStoresRecv uint64 `json:"dht_stores_recv,omitempty"`
-	DHTRPCsSent   uint64 `json:"dht_rpcs_sent,omitempty"`
+	DHTEnabled bool `json:"dht_enabled"`
 	// Post-shock query resolution (the server-death scenario): queries
 	// issued only after the catalog server died, and how many of them
 	// resolved to verified metadata within the scenario's window.
@@ -86,14 +67,7 @@ type Report struct {
 	PostDeathResolved        int     `json:"post_death_resolved,omitempty"`
 	PostDeathResolveFraction float64 `json:"post_death_resolve_fraction"`
 
-	// Fountain-plane accounting (Config.EnableFEC).
-	FECEnabled      bool   `json:"fec_enabled"`
-	SymbolsSent     uint64 `json:"symbols_sent,omitempty"`
-	SymbolsRecv     uint64 `json:"symbols_recv,omitempty"`
-	SymbolsRelayed  uint64 `json:"symbols_relayed,omitempty"`
-	FECDecodes      uint64 `json:"fec_decodes,omitempty"`
-	PieceBcastsSent uint64 `json:"piece_bcasts_sent,omitempty"`
-	PieceBcastsRecv uint64 `json:"piece_bcasts_recv,omitempty"`
+	FECEnabled bool `json:"fec_enabled"`
 
 	GoroutinesPerNode float64 `json:"goroutines_per_node"`
 	HeapBytesPerNode  float64 `json:"heap_bytes_per_node"`

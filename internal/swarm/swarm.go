@@ -118,8 +118,8 @@ type Config struct {
 	SymbolSize int
 	// PeerRate, when positive, arms every node's overload protection:
 	// per-peer inbound admission at this rate (messages/second), Busy
-	// backpressure on shed requests, and catalog/DHT service limits —
-	// the overload scenario's lever.
+	// backpressure on shed requests, and the catalog's query limit — the
+	// overload scenario's lever.
 	PeerRate float64
 	// Fault, when non-zero, wraps every node's transport in a chaos
 	// injector with a per-node seed derived from Seed.
@@ -212,54 +212,76 @@ type nodeState struct {
 	done    chan error
 	running bool
 	paused  bool
-	// retired accumulates counters of finished lifetimes so Kill does
-	// not erase a node's transmissions from the totals.
-	retired totals
 }
 
-// totals is the summable slice of daemon.Stats a Report carries: Kill
-// folds a finished lifetime into the node's retired totals, Report folds
-// retired plus live for every node.
-type totals struct {
-	piecesSent, piecesVerified, piecesDuplicate, piecesResent uint64
-	hellosSent, peersRejected, outboxDrops                    uint64
-	dhtLookups, dhtLookupHits, dhtCacheHits                   uint64
-	dhtStoresSent, dhtStoresRecv, dhtRPCs                     uint64
-	symbolsSent, symbolsRecv, symbolsRelayed                  uint64
-	fecDecodes, pieceBcastsSent, pieceBcastsRecv              uint64
-	inboundShed, busyReplies, queriesShed                     uint64
-	outboxDropsControl, outboxDropsData                       uint64
+// Totals is the summable slice of daemon.Stats a Report carries, under
+// the report's JSON keys: Kill folds a finished lifetime into the
+// harness's retired totals, Report starts from those and folds in every
+// live node.
+type Totals struct {
+	PiecesSent         uint64 `json:"pieces_sent"`
+	PiecesVerified     uint64 `json:"pieces_verified"`
+	PiecesDuplicate    uint64 `json:"pieces_duplicate"`
+	PiecesResent       uint64 `json:"pieces_resent"`
+	HellosSent         uint64 `json:"hellos_sent"`
+	PeersRejected      uint64 `json:"peers_rejected"`
+	OutboxDrops        uint64 `json:"outbox_drops"`
+	OutboxDropsControl uint64 `json:"outbox_drops_control"`
+	OutboxDropsData    uint64 `json:"outbox_drops_data"`
+
+	// Overload-protection accounting (Config.PeerRate): inbound messages
+	// shed by admission control, Busy frames sent back, catalog queries
+	// refused.
+	InboundShed uint64 `json:"inbound_shed,omitempty"`
+	BusyReplies uint64 `json:"busy_replies,omitempty"`
+	QueriesShed uint64 `json:"queries_shed,omitempty"`
+
+	// Decentralized-index accounting (Config.EnableDHT).
+	DHTLookups    uint64 `json:"dht_lookups,omitempty"`
+	DHTLookupHits uint64 `json:"dht_lookup_hits,omitempty"`
+	DHTCacheHits  uint64 `json:"dht_cache_hits,omitempty"`
+	DHTStoresSent uint64 `json:"dht_stores_sent,omitempty"`
+	DHTStoresRecv uint64 `json:"dht_stores_recv,omitempty"`
+	DHTRPCsSent   uint64 `json:"dht_rpcs_sent,omitempty"`
+
+	// Fountain-plane accounting (Config.EnableFEC).
+	SymbolsSent     uint64 `json:"symbols_sent,omitempty"`
+	SymbolsRecv     uint64 `json:"symbols_recv,omitempty"`
+	SymbolsRelayed  uint64 `json:"symbols_relayed,omitempty"`
+	FECDecodes      uint64 `json:"fec_decodes,omitempty"`
+	PieceBcastsSent uint64 `json:"piece_bcasts_sent,omitempty"`
+	PieceBcastsRecv uint64 `json:"piece_bcasts_recv,omitempty"`
 }
 
 // add folds one daemon's counters into t.
-func (t *totals) add(st daemon.Stats) {
-	t.piecesSent += st.Transport.PiecesSent
-	t.hellosSent += st.Transport.HellosSent
-	t.peersRejected += st.Transport.PeersRejected
-	t.piecesVerified += st.PiecesVerified
-	t.piecesDuplicate += st.PiecesDuplicate
-	t.piecesResent += st.PiecesResent
-	t.outboxDrops += st.OutboxDrops
-	t.outboxDropsControl += st.OutboxDropsControl
-	t.outboxDropsData += st.OutboxDropsData
-	t.inboundShed += st.Transport.InboundShed
-	t.busyReplies += st.BusyReplies
-	t.queriesShed += st.QueriesShed
+func (t *Totals) add(st daemon.Stats) {
+	t.PiecesSent += st.Transport.PiecesSent
+	t.HellosSent += st.Transport.HellosSent
+	t.PeersRejected += st.Transport.PeersRejected
+	t.PiecesVerified += st.PiecesVerified
+	t.PiecesDuplicate += st.PiecesDuplicate
+	t.PiecesResent += st.PiecesResent
+	t.OutboxDrops += st.OutboxDrops
+	t.OutboxDropsControl += st.OutboxDropsControl
+	t.OutboxDropsData += st.OutboxDropsData
+	t.InboundShed += st.Transport.InboundShed
+	t.BusyReplies += st.BusyReplies
+	t.QueriesShed += st.QueriesShed
 	if st.DHT != nil {
-		t.dhtLookups += st.DHT.Lookups
-		t.dhtLookupHits += st.DHT.LookupHits
-		t.dhtCacheHits += st.DHT.CacheHits
-		t.dhtStoresSent += st.DHT.StoresSent
-		t.dhtStoresRecv += st.DHT.StoresRecv
-		t.dhtRPCs += st.DHT.RPCsSent
+		t.DHTLookups += st.DHT.Lookups
+		t.DHTLookupHits += st.DHT.LookupHits
+		t.DHTCacheHits += st.DHT.CacheHits
+		t.DHTStoresSent += st.DHT.StoresSent
+		t.DHTStoresRecv += st.DHT.StoresRecv
+		t.DHTRPCsSent += st.DHT.RPCsSent
 	}
 	if st.Bcast != nil {
-		t.symbolsSent += st.Bcast.SymbolsSent
-		t.symbolsRecv += st.Bcast.SymbolsRecv
-		t.symbolsRelayed += st.Bcast.SymbolsRelayed
-		t.fecDecodes += st.Bcast.FECDecodes
-		t.pieceBcastsSent += st.Bcast.PieceBcastsSent
-		t.pieceBcastsRecv += st.Bcast.PieceBcastsRecv
+		t.SymbolsSent += st.Bcast.SymbolsSent
+		t.SymbolsRecv += st.Bcast.SymbolsRecv
+		t.SymbolsRelayed += st.Bcast.SymbolsRelayed
+		t.FECDecodes += st.Bcast.FECDecodes
+		t.PieceBcastsSent += st.Bcast.PieceBcastsSent
+		t.PieceBcastsRecv += st.Bcast.PieceBcastsRecv
 	}
 }
 
@@ -278,6 +300,9 @@ type Harness struct {
 	mu          sync.Mutex
 	completions []Completion
 	target      map[string]bool // expected (node,uri) keys, for fractions
+	// retired accumulates the counters of finished lifetimes, so Kill
+	// does not erase a node's transmissions from the report.
+	retired Totals
 }
 
 // New validates cfg and builds the population: transports, topology,
@@ -496,8 +521,8 @@ func (h *Harness) Join(ctx context.Context, id trace.NodeID) error {
 }
 
 // Kill stops one node abruptly and joins its goroutines; its counters
-// move into the retired totals. The address stays reserved, so a later
-// Join resumes the same identity.
+// move into the harness's retired totals. The address stays reserved, so
+// a later Join resumes the same identity.
 func (h *Harness) Kill(id trace.NodeID) error {
 	ns, err := h.node(id)
 	if err != nil {
@@ -510,7 +535,10 @@ func (h *Harness) Kill(id trace.NodeID) error {
 	}
 	ns.cancel()
 	<-ns.done
-	ns.retired.add(ns.d.Stats())
+	st := ns.d.Stats()
+	h.mu.Lock()
+	h.retired.add(st)
+	h.mu.Unlock()
 	ns.d, ns.cancel, ns.done, ns.running = nil, nil, nil, false
 	h.logf("swarm: node %d killed", id)
 	return nil
@@ -777,20 +805,6 @@ func (h *Harness) Coverage(uri metadata.URI) (covered, total int) {
 				union[i] = true
 			}
 		}
-		// Seeders regenerate pieces from the catalog without holding a
-		// PieceSet; an Internet node that knows the file covers it all.
-		if ns.cfg.InternetAccess {
-			if n := int(h.cfg.FileSize+int64(h.cfg.PieceSize)-1) / h.cfg.PieceSize; n > 0 {
-				if len(union) < n {
-					grown := make([]bool, n)
-					copy(grown, union)
-					union = grown
-				}
-				for i := range union {
-					union[i] = true
-				}
-			}
-		}
 	}
 	total = int(h.cfg.FileSize+int64(h.cfg.PieceSize)-1) / h.cfg.PieceSize
 	for _, b := range union {
@@ -894,42 +908,18 @@ func (h *Harness) Report(scenario string) Report {
 		FECEnabled:  h.cfg.EnableFEC,
 	}
 
+	h.mu.Lock()
+	rep.Totals = h.retired
+	h.mu.Unlock()
 	var credits []float64
 	for _, ns := range h.nodes {
 		ns.mu.Lock()
-		t := ns.retired
 		d := ns.d
 		ns.mu.Unlock()
-		if d != nil {
-			t.add(d.Stats())
-		}
-		rep.PiecesSent += t.piecesSent
-		rep.PiecesVerified += t.piecesVerified
-		rep.PiecesDuplicate += t.piecesDuplicate
-		rep.PiecesResent += t.piecesResent
-		rep.HellosSent += t.hellosSent
-		rep.PeersRejected += t.peersRejected
-		rep.OutboxDrops += t.outboxDrops
-		rep.OutboxDropsControl += t.outboxDropsControl
-		rep.OutboxDropsData += t.outboxDropsData
-		rep.InboundShed += t.inboundShed
-		rep.BusyReplies += t.busyReplies
-		rep.QueriesShed += t.queriesShed
-		rep.DHTLookups += t.dhtLookups
-		rep.DHTLookupHits += t.dhtLookupHits
-		rep.DHTCacheHits += t.dhtCacheHits
-		rep.DHTStoresSent += t.dhtStoresSent
-		rep.DHTStoresRecv += t.dhtStoresRecv
-		rep.DHTRPCsSent += t.dhtRPCs
-		rep.SymbolsSent += t.symbolsSent
-		rep.SymbolsRecv += t.symbolsRecv
-		rep.SymbolsRelayed += t.symbolsRelayed
-		rep.FECDecodes += t.fecDecodes
-		rep.PieceBcastsSent += t.pieceBcastsSent
-		rep.PieceBcastsRecv += t.pieceBcastsRecv
 		if d == nil {
 			continue
 		}
+		rep.add(d.Stats())
 		total := 0.0
 		for _, c := range d.CreditSnapshot() {
 			total += c
