@@ -130,7 +130,6 @@ type Stats struct {
 	Collapses       uint64         `json:"collapses"`
 	GroupHellosSent uint64         `json:"group_hellos_sent"`
 	GroupHellosRecv uint64         `json:"group_hellos_recv"`
-	SchedulesSent   uint64         `json:"schedules_sent"`
 	GrantsSent      uint64         `json:"grants_sent"`
 	GrantsRecv      uint64         `json:"grants_recv"`
 	IdleRounds      uint64         `json:"idle_rounds"`
@@ -253,10 +252,6 @@ func (e *Engine) HandleGroup(ctx context.Context, from trace.NodeID, msg wire.Ms
 		members := append([]trace.NodeID(nil), v.Members...)
 		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
 		e.views[from] = &view{members: members, wants: v.Wants, fec: v.FEC, at: time.Now()}
-		if v.Round > e.round {
-			e.round = v.Round
-		}
-	case *wire.Schedule:
 		if v.Round > e.round {
 			e.round = v.Round
 		}
@@ -522,10 +517,6 @@ func (e *Engine) runRoundLocked(ctx context.Context, now time.Time) {
 		grant.Piece = int32(c.Piece)
 		e.lastGrant[pieceKey{c.URI, c.Piece}] = e.round
 	}
-	e.sendLocked(ctx, &wire.Schedule{
-		From: e.cfg.Self, Members: e.group, Round: e.round, TitForTat: e.cfg.TitForTat,
-	})
-	e.counters.SchedulesSent++
 	e.sendLocked(ctx, grant)
 	e.counters.GrantsSent++
 	if grant.To == e.cfg.Self {

@@ -241,7 +241,7 @@ func (e *Engine) handleSymbolLocked(ctx context.Context, s *wire.Symbol) {
 func (e *Engine) ackLocked(ctx context.Context, uri metadata.URI, total int) {
 	ack := &wire.SymbolAck{
 		From: e.cfg.Self, Round: e.round, URI: uri, Total: total,
-		Have: make([]byte, (total+7)/8),
+		Have: make([]byte, wire.HaveLen(total)),
 	}
 	if v := e.views[e.cfg.Self]; v != nil {
 		for i := range v.wants {

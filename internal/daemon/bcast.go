@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/metadata"
 	"repro/internal/trace"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -23,16 +24,6 @@ import (
 // holding more files than this advertises the first bcastWantsCap in
 // URI order, and the rest stay on the pairwise path.
 const bcastWantsCap = 64
-
-// HandleGroup implements peer.GroupHandler: group messages arriving on
-// unicast sessions flow into the engine.
-func (h *handler) HandleGroup(from trace.NodeID, msg wire.Msg) {
-	d := (*Daemon)(h)
-	if d.bcast == nil || d.quarantined(from) {
-		return
-	}
-	d.bcast.HandleGroup(context.Background(), from, msg)
-}
 
 // bcastLoop ticks the group engine at the hello interval.
 func (d *Daemon) bcastLoop(ctx context.Context) {
@@ -48,33 +39,17 @@ func (d *Daemon) bcastLoop(ctx context.Context) {
 	}
 }
 
-// bcastPump drains the shared broadcast medium into the engine.
-func (d *Daemon) bcastPump(ctx context.Context) {
+// lanePump drains one group lane — the shared broadcast medium or the
+// lossy symbol lane — into the engine until the lane dies or ctx ends.
+// What a lane loses or skips on the way is the medium's business; the
+// pump only drops frames that claim no sender, our own, or a
+// quarantined peer's.
+func (d *Daemon) lanePump(ctx context.Context, name string, lane transport.BroadcastConn) {
 	for {
-		msg, err := d.cfg.Broadcast.Recv(ctx)
+		msg, err := lane.Recv(ctx)
 		if err != nil {
 			if ctx.Err() == nil {
-				d.logf("daemon %d: broadcast medium down: %v", d.cfg.ID, err)
-			}
-			return
-		}
-		from, ok := groupFrom(msg)
-		if !ok || from == d.cfg.ID || d.quarantined(from) {
-			continue
-		}
-		d.bcast.HandleGroup(ctx, from, msg)
-	}
-}
-
-// symbolPump drains the lossy datagram lane into the engine. Loss is
-// the lane's job description, so errors from a single Recv are not
-// retried per-frame; only a dead lane ends the pump.
-func (d *Daemon) symbolPump(ctx context.Context) {
-	for {
-		msg, err := d.cfg.Symbols.Recv(ctx)
-		if err != nil {
-			if ctx.Err() == nil {
-				d.logf("daemon %d: symbol lane down: %v", d.cfg.ID, err)
+				d.logf("daemon %d: %s down: %v", d.cfg.ID, name, err)
 			}
 			return
 		}
@@ -91,8 +66,6 @@ func (d *Daemon) symbolPump(ctx context.Context) {
 func groupFrom(msg wire.Msg) (trace.NodeID, bool) {
 	switch v := msg.(type) {
 	case *wire.GroupHello:
-		return v.From, true
-	case *wire.Schedule:
 		return v.From, true
 	case *wire.Grant:
 		return v.From, true

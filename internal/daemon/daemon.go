@@ -183,7 +183,7 @@ type Config struct {
 	// Symbols, when non-nil alongside EnableFEC, is the best-effort
 	// datagram lane for fountain-coded piece data. The daemon pumps it
 	// but does not own it.
-	Symbols transport.SymbolConn
+	Symbols transport.BroadcastConn
 	// EnableFEC advertises the fountain-coded symbol plane to the
 	// group; it takes effect only when Symbols is also set, and the
 	// group uses it only when every member advertises it.
@@ -834,19 +834,16 @@ func (d *Daemon) Run(ctx context.Context) error {
 			defer wg.Done()
 			d.bcastLoop(ctx)
 		}()
-		if d.cfg.Broadcast != nil {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				d.bcastPump(ctx)
-			}()
-		}
-		if d.cfg.Symbols != nil {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				d.symbolPump(ctx)
-			}()
+		for name, lane := range map[string]transport.BroadcastConn{
+			"broadcast medium": d.cfg.Broadcast, "symbol lane": d.cfg.Symbols,
+		} {
+			if lane != nil {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					d.lanePump(ctx, name, lane)
+				}()
+			}
 		}
 	}
 
@@ -1112,21 +1109,32 @@ func (d *Daemon) Stats() Stats {
 	return st
 }
 
-// handler adapts Daemon to peer.Handler without exporting the methods
-// on Daemon itself.
+// handler adapts Daemon to peer.Handler without exporting the method on
+// Daemon itself.
 type handler Daemon
 
-func (h *handler) HandleHello(from trace.NodeID, msg *wire.Hello) {
-	(*Daemon)(h).onHello(from, msg)
-}
-func (h *handler) HandleMetadata(from trace.NodeID, m *wire.Metadata) {
-	(*Daemon)(h).onMetadata(from, m)
-}
-func (h *handler) HandlePiece(from trace.NodeID, p *wire.Piece) {
-	(*Daemon)(h).onPiece(from, p)
-}
-func (h *handler) HandleBusy(from trace.NodeID, b *wire.Busy) {
-	(*Daemon)(h).onBusy(from, b)
+// Handle routes one admitted frame to the engine that consumes its
+// kind — the daemon's one switch over the frame types.
+func (h *handler) Handle(from trace.NodeID, msg wire.Msg) {
+	d := (*Daemon)(h)
+	switch v := msg.(type) {
+	case *wire.Hello:
+		d.onHello(from, v)
+	case *wire.Metadata:
+		d.onMetadata(from, v)
+	case *wire.Piece:
+		d.onPiece(from, v)
+	case *wire.Busy:
+		d.onBusy(from, v)
+	case *wire.GroupHello, *wire.Grant, *wire.PieceBcast, *wire.Symbol, *wire.SymbolAck:
+		// Group frames on a unicast session: the fan-out fallback of a
+		// node without a shared medium.
+		if d.bcast != nil && !d.quarantined(from) {
+			d.bcast.HandleGroup(context.Background(), from, msg)
+		}
+	case *wire.FindNode, *wire.FindValue, *wire.StoreValue, *wire.NodesReply:
+		d.onDHT(from, msg)
+	}
 }
 
 // quarantined reports (and counts) whether a message from the peer

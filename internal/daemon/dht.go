@@ -1,6 +1,6 @@
 // The daemon's DHT face: internal/dht's engine wired over the existing
 // peer sessions. The engine owns routing and records; this file owns
-// the plumbing — inbound frames dispatch through peer.DHTHandler,
+// the plumbing — inbound frames arrive through handler.Handle,
 // outbound RPCs ride Manager.Send with a dial-on-demand fallback for
 // contacts outside the current peer set, and a periodic tick refreshes
 // the table, republishes the catalog (Internet nodes), and resolves
@@ -32,13 +32,9 @@ import (
 	"repro/internal/workload"
 )
 
-// HandleDHT implements peer.DHTHandler: inbound DHT frames go to the
-// engine, whose replies leave over the sender's send lanes like every
-// other handler-originated message.
-func (h *handler) HandleDHT(from trace.NodeID, msg wire.Msg) {
-	(*Daemon)(h).onDHT(from, msg)
-}
-
+// onDHT feeds one inbound DHT frame to the engine, whose replies leave
+// over the sender's send lanes like every other handler-originated
+// message.
 func (d *Daemon) onDHT(from trace.NodeID, msg wire.Msg) {
 	if d.dht == nil || d.quarantined(from) {
 		return

@@ -13,33 +13,16 @@ import (
 // flooding peer gets one Busy per lane per window instead of a Busy
 // flood of our own.
 
-// shedScope maps a shed inbound frame type to the Busy lane worth
-// advertising for it. Zero means "shed silently": responses (metadata,
-// pieces, acks) have no requester waiting on our capacity, so a Busy
-// would only add traffic.
-func shedScope(t wire.MsgType) wire.BusyScope {
-	switch t {
-	case wire.TypeHello, wire.TypeGroupHello:
-		// A hello is the request for both catalog answers and piece
-		// serves; the piece lane is the expensive one it drives.
-		return wire.BusyPiece
-	case wire.TypeFindNode, wire.TypeFindValue, wire.TypeStoreValue:
-		return wire.BusyDHT
-	case wire.TypeSymbol, wire.TypeSymbolAck:
-		return wire.BusySymbol
-	default:
-		return 0
-	}
-}
-
 // onShed runs on the shedding peer's session goroutine each time
 // admission control refuses one of its messages: note the event for
-// /healthz, and answer request-bearing frames with a paced Busy.
+// /healthz, and answer request-bearing frames with a paced Busy on the
+// lane the kind table names (none for a response: no requester is
+// waiting on our capacity, so a Busy would only add traffic).
 func (d *Daemon) onShed(from trace.NodeID, t wire.MsgType) {
 	d.mu.Lock()
 	d.lastShedAt = time.Now()
 	d.mu.Unlock()
-	if sc := shedScope(t); sc != 0 {
+	if sc := t.ShedScope(); sc != 0 {
 		d.sendBusy(from, sc)
 	}
 }

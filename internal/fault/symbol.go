@@ -23,7 +23,7 @@ import (
 // never a reason to tear the lane down. Delivered-but-corrupt symbols
 // are the interesting case: they parse, fail wire.Symbol's payload
 // check at the receiver, and must not poison its decoder.
-func (t *Transport) WrapSymbols(inner transport.SymbolConn) transport.SymbolConn {
+func (t *Transport) WrapSymbols(inner transport.BroadcastConn) transport.BroadcastConn {
 	// Stream 0 is the dial RNG and conn streams start at 1, so key the
 	// lane's stream far away from the conn-counter sequence.
 	return &symbolConn{
@@ -36,7 +36,7 @@ func (t *Transport) WrapSymbols(inner transport.SymbolConn) transport.SymbolConn
 // symbolConn is one fault-shaped symbol-lane endpoint.
 type symbolConn struct {
 	t     *Transport
-	inner transport.SymbolConn
+	inner transport.BroadcastConn
 
 	mu  sync.Mutex // Send is any-goroutine; the RNG stream is not
 	rng *rng.Rand

@@ -11,7 +11,7 @@ import (
 
 // symbolLanePair joins a sender and receiver to a loopback symbol
 // domain and wraps the sender's endpoint with the injector.
-func symbolLanePair(t *testing.T, cfg Config) (tx transport.SymbolConn, rx transport.SymbolConn, ft *Transport) {
+func symbolLanePair(t *testing.T, cfg Config) (tx transport.BroadcastConn, rx transport.BroadcastConn, ft *Transport) {
 	t.Helper()
 	n := transport.NewLoopback()
 	ft = Wrap(n, cfg)
@@ -37,7 +37,7 @@ func laneSymbol(idx uint32) *wire.Symbol {
 }
 
 // drainSymbols collects everything currently deliverable on the lane.
-func drainSymbols(t *testing.T, rx transport.SymbolConn) []*wire.Symbol {
+func drainSymbols(t *testing.T, rx transport.BroadcastConn) []*wire.Symbol {
 	t.Helper()
 	var out []*wire.Symbol
 	for {

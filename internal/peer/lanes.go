@@ -6,41 +6,17 @@ import (
 	"repro/internal/wire"
 )
 
-// class partitions outbound frames by shedding priority. Control frames
-// are the small coordination messages the protocol cannot make progress
-// without (hellos, schedules, grants, acks, DHT RPCs, Busy itself); data
-// frames carry payload a later re-drive can recover (pieces, broadcast
-// pieces, symbols, metadata, DHT stores). Each class gets its own
-// bounded lane per session, so a payload flood can drop payload but
-// never evict coordination.
-type class int
-
-const (
-	classControl class = iota
-	classData
-	numClasses
-)
-
-// classOf assigns a frame to its shedding class. Raw frames classify by
-// their recorded type.
-func classOf(t wire.MsgType) class {
-	switch t {
-	case wire.TypePiece, wire.TypePieceBcast, wire.TypeSymbol,
-		wire.TypeMetadata, wire.TypeStoreValue:
-		return classData
-	default:
-		return classControl
-	}
-}
-
 // lanes is one session's send queue, the only one between a caller of
-// Manager.Send and the conn: a FIFO per frame class, filled without
-// blocking and drained control-first by the session's writer. A lane is
-// a slice that grows with what is queued up to limit, so a node holding
-// hundreds of mostly idle sessions does not pay for every lane's cap.
+// Manager.Send and the conn: a FIFO per shedding class (wire.Class, a
+// column of the kind table; Raw frames classify by their recorded type),
+// filled without blocking and drained control-first by the session's
+// writer. Each class has its own bound, so a payload flood can drop
+// payload but never evict coordination. A lane is a slice that grows
+// with what is queued up to limit, so a node holding hundreds of mostly
+// idle sessions does not pay for every lane's cap.
 type lanes struct {
 	mu     sync.Mutex
-	q      [numClasses][]wire.Msg
+	q      [wire.NumClasses][]wire.Msg
 	limit  int // per class
 	closed bool
 	// wake (capacity 1) pings the writer when a push lands.
@@ -55,7 +31,7 @@ func newLanes(limit int) *lanes {
 // refuses the frame with ErrQueueFull, a closed queue (the session died
 // under the caller) with ErrUnknownPeer.
 func (l *lanes) push(m wire.Msg) error {
-	c := classOf(m.Type())
+	c := m.Type().Class()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	switch {
@@ -93,7 +69,7 @@ func (l *lanes) pop() (wire.Msg, bool) {
 
 // close refuses further pushes and empties the lanes, reporting how many
 // frames of each class died queued. Only the first call finds any.
-func (l *lanes) close() (left [numClasses]int) {
+func (l *lanes) close() (left [wire.NumClasses]int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.closed = true
@@ -104,7 +80,7 @@ func (l *lanes) close() (left [numClasses]int) {
 }
 
 // depths reports each lane's length and whether either is full.
-func (l *lanes) depths() (n [numClasses]int, full bool) {
+func (l *lanes) depths() (n [wire.NumClasses]int, full bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for c := range l.q {

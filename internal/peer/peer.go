@@ -61,39 +61,12 @@ const (
 	DefaultQueueLen = 256
 )
 
-// Handler receives decoded messages from live peers. From identifies
-// the sending peer (already handshaken). Calls are serialized per peer
-// but concurrent across peers.
+// Handler receives every decoded message from live peers, whatever its
+// kind — the daemon's one type switch routes it to the engine that
+// consumes it. From identifies the sending peer (already handshaken).
+// Calls are serialized per peer but concurrent across peers.
 type Handler interface {
-	HandleHello(from trace.NodeID, h *wire.Hello)
-	HandleMetadata(from trace.NodeID, m *wire.Metadata)
-	HandlePiece(from trace.NodeID, p *wire.Piece)
-}
-
-// GroupHandler is the optional extension a Handler implements to
-// receive the broadcast-group messages of §V (*wire.GroupHello,
-// *wire.Schedule, *wire.Grant, *wire.PieceBcast) plus the fountain
-// frames (*wire.Symbol, *wire.SymbolAck) when they arrive over a
-// unicast session instead of the datagram lane. A Handler without it
-// drops them, so group-aware and group-oblivious daemons interoperate.
-type GroupHandler interface {
-	HandleGroup(from trace.NodeID, msg wire.Msg)
-}
-
-// DHTHandler is the optional extension a Handler implements to receive
-// the DHT lookup messages (*wire.FindNode, *wire.FindValue,
-// *wire.StoreValue, *wire.NodesReply). A Handler without it drops them,
-// so DHT-aware and DHT-oblivious daemons interoperate.
-type DHTHandler interface {
-	HandleDHT(from trace.NodeID, msg wire.Msg)
-}
-
-// BusyHandler is the optional extension a Handler implements to receive
-// *wire.Busy backpressure frames. A Handler without it drops them (the
-// manager still counts them), so overload-aware and overload-oblivious
-// daemons interoperate.
-type BusyHandler interface {
-	HandleBusy(from trace.NodeID, b *wire.Busy)
+	Handle(from trace.NodeID, msg wire.Msg)
 }
 
 // Config parameterizes a Manager.
@@ -201,17 +174,11 @@ type Stats struct {
 
 // counters is the lock-free backing for Stats.
 type counters struct {
-	hellosSent    atomic.Uint64
+	// sent and recv count frames per wire type: put on the medium, and
+	// dispatched to the handler. Stats folds them by the kind table's
+	// plane.
+	sent, recv    [wire.NumTypes]atomic.Uint64
 	hellosKicked  atomic.Uint64
-	hellosRecv    atomic.Uint64
-	metadataSent  atomic.Uint64
-	metadataRecv  atomic.Uint64
-	piecesSent    atomic.Uint64
-	piecesRecv    atomic.Uint64
-	groupSent     atomic.Uint64
-	groupRecv     atomic.Uint64
-	dhtSent       atomic.Uint64
-	dhtRecv       atomic.Uint64
 	accepts       atomic.Uint64
 	dials         atomic.Uint64
 	reconnects    atomic.Uint64
@@ -221,12 +188,20 @@ type counters struct {
 	flaps         atomic.Uint64
 	peersRejected atomic.Uint64
 	inboundShed   atomic.Uint64
-	busySent      atomic.Uint64
-	busyRecv      atomic.Uint64
 	dialsSuppr    atomic.Uint64
 	// queueDrops counts frames that never reached a conn: refused by a
 	// full lane, or still queued when their session died.
-	queueDrops [numClasses]atomic.Uint64
+	queueDrops [wire.NumClasses]atomic.Uint64
+}
+
+// planeTotal sums one plane's share of a per-type counter array.
+func planeTotal(byType *[wire.NumTypes]atomic.Uint64, p wire.Plane) (n uint64) {
+	for t := range byType {
+		if wire.MsgType(t).Plane() == p {
+			n += byType[t].Load()
+		}
+	}
+	return n
 }
 
 // ErrUnknownPeer reports a Send to a peer with no live session.
@@ -592,25 +567,7 @@ func (m *Manager) writeLoop(ctx context.Context, s *session) {
 			s.conn.Close()
 			return
 		}
-		m.countSent(msg.Type())
-	}
-}
-
-// countSent records one frame handed to a conn: put on the medium.
-func (m *Manager) countSent(t wire.MsgType) {
-	switch t {
-	case wire.TypeHello:
-		m.ctrs.hellosSent.Add(1)
-	case wire.TypeMetadata:
-		m.ctrs.metadataSent.Add(1)
-	case wire.TypePiece:
-		m.ctrs.piecesSent.Add(1)
-	case wire.TypeFindNode, wire.TypeFindValue, wire.TypeStoreValue, wire.TypeNodesReply:
-		m.ctrs.dhtSent.Add(1)
-	case wire.TypeBusy:
-		m.ctrs.busySent.Add(1)
-	default:
-		m.ctrs.groupSent.Add(1)
+		m.ctrs.sent[msg.Type()].Add(1)
 	}
 }
 
@@ -621,7 +578,7 @@ func (m *Manager) handshake(ctx context.Context, conn transport.Conn) (trace.Nod
 	if err := conn.Send(hctx, m.helloMsg()); err != nil {
 		return 0, nil, fmt.Errorf("send hello: %w", err)
 	}
-	m.countSent(wire.TypeHello)
+	m.ctrs.sent[wire.TypeHello].Add(1)
 	for {
 		msg, err := conn.Recv(hctx)
 		if err != nil {
@@ -716,17 +673,12 @@ func (m *Manager) deliver(from trace.NodeID, msg wire.Msg) {
 	if m.paused.Load() {
 		return // radio off: the message was never heard
 	}
-	if b, ok := msg.(*wire.Busy); ok {
-		// Backpressure bypasses the limiter: a peer shedding our
-		// traffic must always be able to tell us so.
-		m.ctrs.busyRecv.Add(1)
-		if bh, ok := m.cfg.Handler.(BusyHandler); ok {
-			bh.HandleBusy(from, b)
-		}
-		return
-	}
-	_, hello := msg.(*wire.Hello)
-	if limited := m.cfg.InboundRate > 0; hello || limited {
+	t := msg.Type()
+	hello := t == wire.TypeHello
+	// Backpressure bypasses the limiter: a peer shedding our traffic must
+	// always be able to tell us so.
+	limited := m.cfg.InboundRate > 0 && t.Plane() != wire.PlaneBusy
+	if hello || limited {
 		sh := m.shardFor(from)
 		sh.mu.Lock()
 		e := sh.peers[from]
@@ -744,39 +696,15 @@ func (m *Manager) deliver(from trace.NodeID, msg wire.Msg) {
 			if !e.limiter.Allow() {
 				m.ctrs.inboundShed.Add(1)
 				if m.cfg.OnShed != nil {
-					m.cfg.OnShed(from, msg.Type())
+					m.cfg.OnShed(from, t)
 				}
 				return
 			}
 		}
 	}
-	switch v := msg.(type) {
-	case *wire.Hello:
-		m.ctrs.hellosRecv.Add(1)
-		if m.cfg.Handler != nil {
-			m.cfg.Handler.HandleHello(from, v)
-		}
-	case *wire.Metadata:
-		m.ctrs.metadataRecv.Add(1)
-		if m.cfg.Handler != nil {
-			m.cfg.Handler.HandleMetadata(from, v)
-		}
-	case *wire.Piece:
-		m.ctrs.piecesRecv.Add(1)
-		if m.cfg.Handler != nil {
-			m.cfg.Handler.HandlePiece(from, v)
-		}
-	case *wire.FindNode, *wire.FindValue, *wire.StoreValue, *wire.NodesReply:
-		m.ctrs.dhtRecv.Add(1)
-		if dh, ok := m.cfg.Handler.(DHTHandler); ok {
-			dh.HandleDHT(from, msg)
-		}
-	case *wire.GroupHello, *wire.Schedule, *wire.Grant, *wire.PieceBcast,
-		*wire.Symbol, *wire.SymbolAck:
-		m.ctrs.groupRecv.Add(1)
-		if gh, ok := m.cfg.Handler.(GroupHandler); ok {
-			gh.HandleGroup(from, msg)
-		}
+	m.ctrs.recv[t].Add(1)
+	if m.cfg.Handler != nil {
+		m.cfg.Handler.Handle(from, msg)
 	}
 }
 
@@ -810,7 +738,7 @@ func (m *Manager) Send(id trace.NodeID, msg wire.Msg) error {
 	}
 	err := s.out.push(msg)
 	if err == ErrQueueFull { // bare: shedding is a hot path under overload
-		m.ctrs.queueDrops[classOf(msg.Type())].Add(1)
+		m.ctrs.queueDrops[msg.Type().Class()].Add(1)
 	}
 	return err
 }
@@ -917,18 +845,19 @@ func (m *Manager) Table() []Info {
 
 // Stats snapshots the counters.
 func (m *Manager) Stats() Stats {
+	sent, recv := &m.ctrs.sent, &m.ctrs.recv
 	return Stats{
-		HellosSent:      m.ctrs.hellosSent.Load(),
+		HellosSent:      sent[wire.TypeHello].Load(),
 		HellosKicked:    m.ctrs.hellosKicked.Load(),
-		HellosRecv:      m.ctrs.hellosRecv.Load(),
-		MetadataSent:    m.ctrs.metadataSent.Load(),
-		MetadataRecv:    m.ctrs.metadataRecv.Load(),
-		PiecesSent:      m.ctrs.piecesSent.Load(),
-		PiecesRecv:      m.ctrs.piecesRecv.Load(),
-		GroupSent:       m.ctrs.groupSent.Load(),
-		GroupRecv:       m.ctrs.groupRecv.Load(),
-		DHTSent:         m.ctrs.dhtSent.Load(),
-		DHTRecv:         m.ctrs.dhtRecv.Load(),
+		HellosRecv:      recv[wire.TypeHello].Load(),
+		MetadataSent:    sent[wire.TypeMetadata].Load(),
+		MetadataRecv:    recv[wire.TypeMetadata].Load(),
+		PiecesSent:      sent[wire.TypePiece].Load(),
+		PiecesRecv:      recv[wire.TypePiece].Load(),
+		GroupSent:       planeTotal(sent, wire.PlaneGroup),
+		GroupRecv:       planeTotal(recv, wire.PlaneGroup),
+		DHTSent:         planeTotal(sent, wire.PlaneDHT),
+		DHTRecv:         planeTotal(recv, wire.PlaneDHT),
 		Accepts:         m.ctrs.accepts.Load(),
 		Dials:           m.ctrs.dials.Load(),
 		Reconnects:      m.ctrs.reconnects.Load(),
@@ -938,8 +867,8 @@ func (m *Manager) Stats() Stats {
 		Flaps:           m.ctrs.flaps.Load(),
 		PeersRejected:   m.ctrs.peersRejected.Load(),
 		InboundShed:     m.ctrs.inboundShed.Load(),
-		BusySent:        m.ctrs.busySent.Load(),
-		BusyRecv:        m.ctrs.busyRecv.Load(),
+		BusySent:        planeTotal(sent, wire.PlaneBusy),
+		BusyRecv:        planeTotal(recv, wire.PlaneBusy),
 		DialsSuppressed: m.ctrs.dialsSuppr.Load(),
 	}
 }
@@ -959,17 +888,17 @@ type QueueStats struct {
 // Queues snapshots the send lanes.
 func (m *Manager) Queues() QueueStats {
 	qs := QueueStats{
-		DropsControl: m.ctrs.queueDrops[classControl].Load(),
-		DropsData:    m.ctrs.queueDrops[classData].Load(),
+		DropsControl: m.ctrs.queueDrops[wire.ClassControl].Load(),
+		DropsData:    m.ctrs.queueDrops[wire.ClassData].Load(),
 	}
 	for _, sh := range m.shards {
 		sh.mu.Lock()
 		for _, e := range sh.peers {
 			for _, s := range e.sessions {
 				n, full := s.out.depths()
-				qs.Cap += int(numClasses) * m.cfg.QueueLen
-				qs.ControlDepth += n[classControl]
-				qs.DataDepth += n[classData]
+				qs.Cap += int(wire.NumClasses) * m.cfg.QueueLen
+				qs.ControlDepth += n[wire.ClassControl]
+				qs.DataDepth += n[wire.ClassData]
 				qs.Saturated = qs.Saturated || full
 			}
 		}

@@ -15,35 +15,42 @@ import (
 	"repro/internal/wire"
 )
 
-// recorder collects dispatched messages.
+// recorder collects dispatched messages: the three base kinds by what
+// the tests ask of them, every other kind by its type, in arrival order.
 type recorder struct {
 	mu       sync.Mutex
 	hellos   []trace.NodeID
 	metadata []metadata.URI
 	pieces   []int
+	others   []wire.MsgType
 	gotMeta  chan struct{}
 	once     sync.Once
 }
 
 func newRecorder() *recorder { return &recorder{gotMeta: make(chan struct{})} }
 
-func (r *recorder) HandleHello(from trace.NodeID, h *wire.Hello) {
+func (r *recorder) Handle(from trace.NodeID, msg wire.Msg) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.hellos = append(r.hellos, from)
-}
-
-func (r *recorder) HandleMetadata(from trace.NodeID, m *wire.Metadata) {
-	r.mu.Lock()
-	r.metadata = append(r.metadata, m.Record.URI)
+	switch v := msg.(type) {
+	case *wire.Hello:
+		r.hellos = append(r.hellos, from)
+	case *wire.Metadata:
+		r.metadata = append(r.metadata, v.Record.URI)
+	case *wire.Piece:
+		r.pieces = append(r.pieces, v.Index)
+	default:
+		r.others = append(r.others, msg.Type())
+	}
 	r.mu.Unlock()
-	r.once.Do(func() { close(r.gotMeta) })
+	if msg.Type() == wire.TypeMetadata {
+		r.once.Do(func() { close(r.gotMeta) })
+	}
 }
 
-func (r *recorder) HandlePiece(from trace.NodeID, p *wire.Piece) {
+func (r *recorder) otherTypes() []wire.MsgType {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.pieces = append(r.pieces, p.Index)
+	return append([]wire.MsgType(nil), r.others...)
 }
 
 func testMeta(t *testing.T) *wire.Metadata {

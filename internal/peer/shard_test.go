@@ -184,35 +184,18 @@ func pickOne(m *sync.Map) int {
 	return out
 }
 
-// dhtRecorder collects DHT dispatches alongside the base handler.
-type dhtRecorder struct {
-	recorder
-	mu2 sync.Mutex
-	dht []wire.MsgType
-}
-
-func (r *dhtRecorder) HandleDHT(from trace.NodeID, msg wire.Msg) {
-	r.mu2.Lock()
-	defer r.mu2.Unlock()
-	r.dht = append(r.dht, msg.Type())
-}
-
-// TestDHTDispatch: DHT frames reach the DHTHandler extension and count
-// in the dht counters; a handler without the extension drops them
-// without touching the group counters.
+// TestDHTDispatch: DHT frames reach the handler and count in the dht
+// counters, never the group ones.
 func TestDHTDispatch(t *testing.T) {
-	rec := &dhtRecorder{}
+	rec := newRecorder()
 	m := NewManager(fastCfg(1, rec))
 	attach(t, m, 2, &stubConn{})
 	var key [wire.KeySize]byte
 	m.deliver(2, &wire.FindNode{From: 2, FromAddr: "n2", RPCID: 1, Target: key})
 	m.deliver(2, &wire.FindValue{From: 2, FromAddr: "n2", RPCID: 2, Key: key})
 	m.deliver(2, &wire.NodesReply{From: 2, FromAddr: "n2", RPCID: 1, Key: key})
-	rec.mu2.Lock()
-	got := len(rec.dht)
-	rec.mu2.Unlock()
-	if got != 3 {
-		t.Fatalf("DHT handler saw %d messages, want 3", got)
+	if got := rec.otherTypes(); len(got) != 3 {
+		t.Fatalf("handler saw %v, want the 3 DHT frames", got)
 	}
 	st := m.Stats()
 	if st.DHTRecv != 3 || st.GroupRecv != 0 {
@@ -228,14 +211,14 @@ func TestDHTDispatch(t *testing.T) {
 		t.Fatalf("stats GroupSent=%d after a DHT send, want 0", st.GroupSent)
 	}
 
-	// A DHT-oblivious handler drops DHT frames without crashing.
-	plain := NewManager(fastCfg(1, newRecorder()))
+	// A manager with no handler at all still counts them.
+	plain := NewManager(fastCfg(1, nil))
 	if _, err := plain.register(2, &stubConn{}, false); err != nil {
 		t.Fatal(err)
 	}
 	plain.deliver(2, &wire.FindNode{From: 2, FromAddr: "n2", RPCID: 9, Target: key})
 	if st = plain.Stats(); st.DHTRecv != 1 {
-		t.Fatalf("DHT frame not counted by oblivious handler: %+v", st)
+		t.Fatalf("DHT frame not counted without a handler: %+v", st)
 	}
 }
 

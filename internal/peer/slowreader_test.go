@@ -23,7 +23,11 @@ type helloClock struct {
 	at   []time.Time
 }
 
-func (h *helloClock) HandleHello(from trace.NodeID, _ *wire.Hello) {
+func (h *helloClock) Handle(from trace.NodeID, msg wire.Msg) {
+	if msg.Type() != wire.TypeHello {
+		h.recorder.Handle(from, msg)
+		return
+	}
 	if from != h.from {
 		return
 	}

@@ -153,148 +153,57 @@ func appendStr(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// rreader consumes an encoded record body.
-type rreader struct{ b []byte }
-
-func (r *rreader) uint32() (uint32, error) {
-	if len(r.b) < 4 {
-		return 0, ErrBadRecord
-	}
-	v := binary.BigEndian.Uint32(r.b)
-	r.b = r.b[4:]
-	return v, nil
-}
-
-func (r *rreader) uint64() (uint64, error) {
-	if len(r.b) < 8 {
-		return 0, ErrBadRecord
-	}
-	v := binary.BigEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return v, nil
-}
-
-func (r *rreader) str() (string, error) {
-	n, err := r.uint32()
-	if err != nil {
-		return "", err
-	}
-	if int64(n) > maxRecordLen || len(r.b) < int(n) {
-		return "", ErrBadRecord
-	}
-	s := string(r.b[:n])
-	r.b = r.b[n:]
-	return s, nil
-}
-
-func (r *rreader) done() error {
-	if len(r.b) != 0 {
-		return fmt.Errorf("%d trailing bytes: %w", len(r.b), ErrBadRecord)
-	}
-	return nil
-}
-
-// DecodeRecord parses one encoded record. Every malformed input returns
-// an error wrapping ErrBadRecord; it never panics.
+// DecodeRecord parses one encoded record, reading the body through the
+// wire codec's cursor. Every malformed input returns an error wrapping
+// ErrBadRecord; it never panics.
 func DecodeRecord(b []byte) (Record, error) {
 	if len(b) < 1 {
 		return nil, fmt.Errorf("empty: %w", ErrBadRecord)
 	}
-	r := &rreader{b: b[1:]}
+	c := wire.NewCursor(b[1:])
+	var rec Record
+	var err error
 	switch Kind(b[0]) {
 	case KindPiece:
-		uri, err := r.str()
-		if err != nil {
-			return nil, err
+		r := &PieceRecord{}
+		r.URI = metadata.URI(c.Str(maxRecordLen))
+		r.Index = int(c.Uint32())
+		r.Total = int(c.Uint32())
+		if r.Total <= 0 || r.Index < 0 || r.Index >= r.Total {
+			err = fmt.Errorf("piece %d of %d", r.Index, r.Total)
 		}
-		idx, err := r.uint32()
-		if err != nil {
-			return nil, err
-		}
-		total, err := r.uint32()
-		if err != nil {
-			return nil, err
-		}
-		if err := r.done(); err != nil {
-			return nil, err
-		}
-		rec := &PieceRecord{URI: metadata.URI(uri), Index: int(idx), Total: int(total)}
-		if rec.Total <= 0 || rec.Index < 0 || rec.Index >= rec.Total {
-			return nil, fmt.Errorf("piece %d of %d: %w", rec.Index, rec.Total, ErrBadRecord)
-		}
-		return rec, nil
+		rec = r
 	case KindMetadata:
-		n, err := r.uint32()
-		if err != nil {
-			return nil, err
+		body := c.View("metadata body", maxRecordLen)
+		selected := c.Flag("selected")
+		var wm *wire.Metadata
+		if wm, err = wire.DecodeMetadata(body); err == nil {
+			rec = &MetadataRecord{Popularity: wm.Popularity, Meta: wm.Record, Selected: selected}
 		}
-		if int64(n) > maxRecordLen || len(r.b) < int(n) {
-			return nil, fmt.Errorf("metadata body %d: %w", n, ErrBadRecord)
-		}
-		wm, err := wire.DecodeMetadata(r.b[:n])
-		if err != nil {
-			return nil, fmt.Errorf("metadata body: %v: %w", err, ErrBadRecord)
-		}
-		r.b = r.b[n:]
-		flag, err := r.oneByte()
-		if err != nil {
-			return nil, err
-		}
-		if flag > 1 {
-			return nil, fmt.Errorf("selected flag %d: %w", flag, ErrBadRecord)
-		}
-		if err := r.done(); err != nil {
-			return nil, err
-		}
-		return &MetadataRecord{Popularity: wm.Popularity, Meta: wm.Record, Selected: flag == 1}, nil
 	case KindCredit:
-		peer, err := r.uint32()
-		if err != nil {
-			return nil, err
+		r := &CreditRecord{}
+		r.Peer = trace.NodeID(c.Uint32())
+		r.Delta = math.Float64frombits(c.Uint64())
+		if math.IsNaN(r.Delta) || math.IsInf(r.Delta, 0) {
+			err = fmt.Errorf("credit delta %v", r.Delta)
 		}
-		bits, err := r.uint64()
-		if err != nil {
-			return nil, err
-		}
-		if err := r.done(); err != nil {
-			return nil, err
-		}
-		delta := math.Float64frombits(bits)
-		if math.IsNaN(delta) || math.IsInf(delta, 0) {
-			return nil, fmt.Errorf("credit delta %v: %w", delta, ErrBadRecord)
-		}
-		return &CreditRecord{Peer: trace.NodeID(peer), Delta: delta}, nil
+		rec = r
 	case KindQuarantine:
-		peer, err := r.uint32()
-		if err != nil {
-			return nil, err
-		}
-		strikes, err := r.uint32()
-		if err != nil {
-			return nil, err
-		}
-		until, err := r.uint64()
-		if err != nil {
-			return nil, err
-		}
-		if err := r.done(); err != nil {
-			return nil, err
-		}
-		return &QuarantineRecord{
-			Peer:           trace.NodeID(peer),
-			Strikes:        int(strikes),
-			UntilUnixMilli: int64(until),
-		}, nil
+		r := &QuarantineRecord{}
+		r.Peer = trace.NodeID(c.Uint32())
+		r.Strikes = int(c.Uint32())
+		r.UntilUnixMilli = int64(c.Uint64())
+		rec = r
 	default:
 		return nil, fmt.Errorf("kind %d: %w", b[0], ErrBadRecord)
 	}
-}
-
-func (r *rreader) oneByte() (byte, error) {
-	if len(r.b) < 1 {
-		return 0, ErrBadRecord
+	// The cursor's failure (a short or over-long field, trailing bytes)
+	// comes first: a value check on fields it never read means nothing.
+	if cerr := c.Done(); cerr != nil {
+		err = cerr
 	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v, nil
+	if err != nil {
+		return nil, fmt.Errorf("%v: %w", err, ErrBadRecord)
+	}
+	return rec, nil
 }

@@ -10,22 +10,27 @@ import (
 	"repro/internal/wire"
 )
 
-// BroadcastConn is one endpoint of a shared broadcast medium: a Send is
-// heard by every other member of the domain in one transmission — the
-// physical capability §V's one-sender schedule exploits. Where no real
-// shared medium exists (plain TCP), callers fall back to fanning the
-// message out over unicast Conns; the scheduling layer is agnostic.
+// BroadcastConn is one endpoint of a group lane: a Send is addressed to
+// every other member at once — the physical capability §V's one-sender
+// schedule exploits. The daemon runs up to two, the control-plane medium
+// and the fountain-coded symbol lane, and both are this one interface:
+// what a lane delivers is a property of the medium behind it, not of
+// the method set. A loopback BroadcastDomain delivers every frame unless
+// loss shaping or a full receiver queue says otherwise, skips a
+// malformed body and closes on framing garbage; a UDPLane may lose,
+// duplicate or reorder, and skips anything undecodable — there is no
+// stream to resynchronize. Where no shared medium exists (plain TCP),
+// callers fall back to fanning the message out over unicast Conns; the
+// scheduling layer is agnostic.
 //
 // Like Conn, Send may be called from any goroutine while Recv must stay
 // on a single goroutine, and frames round-trip through the wire codec.
 type BroadcastConn interface {
 	// Send transmits one message to every other current member.
 	Send(ctx context.Context, m wire.Msg) error
-	// Recv returns the next message heard on the medium. Malformed but
-	// well-framed messages are skipped (the resync policy); framing
-	// garbage closes the conn.
+	// Recv returns the next message heard on the lane.
 	Recv(ctx context.Context) (wire.Msg, error)
-	// Close leaves the domain; safe to call more than once.
+	// Close leaves the lane; safe to call more than once.
 	Close() error
 	// Addr names this member for logs.
 	Addr() string

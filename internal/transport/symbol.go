@@ -10,28 +10,6 @@ import (
 	"repro/internal/wire"
 )
 
-// SymbolConn is one endpoint of the best-effort datagram lane the
-// fountain-coded data plane streams over. It deliberately promises
-// nothing a fountain code doesn't need: datagrams may be lost,
-// duplicated, or reordered, and neither side is told. Malformed
-// datagrams are dropped silently — there is no stream to resynchronize
-// and no connection worth closing over one bad packet. Loss shows up
-// only as symbols that never arrive, which the rateless code absorbs
-// by decoding from whichever subset does.
-//
-// Send may be called from any goroutine; Recv must stay on a single
-// goroutine, like the other conn kinds.
-type SymbolConn interface {
-	// Send transmits one message best-effort to every lane peer.
-	Send(ctx context.Context, m wire.Msg) error
-	// Recv returns the next message heard on the lane.
-	Recv(ctx context.Context) (wire.Msg, error)
-	// Close leaves the lane; safe to call more than once.
-	Close() error
-	// Addr names this endpoint for logs.
-	Addr() string
-}
-
 // maxDatagram bounds one symbol-lane datagram. Symbols are sized to
 // fit a real UDP payload with room to spare; anything bigger is a
 // configuration bug worth surfacing at the sender.
@@ -45,10 +23,14 @@ func (n *Loopback) SymbolDomain(name string) *BroadcastDomain {
 	return n.Domain(name + "#symbols")
 }
 
-// UDPLane is the symbol lane over real sockets: one unconnected UDP
-// socket, sends fanned to a fixed peer list — the TCP deployment's
-// stand-in for a broadcast medium. The kernel's UDP semantics provide
-// the (absence of) guarantees; no loss shaping happens here.
+// UDPLane is the symbol lane over real sockets, a BroadcastConn: one
+// unconnected UDP socket, sends fanned to a fixed peer list — the TCP
+// deployment's stand-in for a broadcast medium. It deliberately promises
+// nothing a fountain code doesn't need: datagrams may be lost,
+// duplicated, or reordered, and neither side is told. Loss shows up
+// only as symbols that never arrive, which the rateless code absorbs by
+// decoding from whichever subset does. The kernel's UDP semantics
+// provide the (absence of) guarantees; no loss shaping happens here.
 type UDPLane struct {
 	pc    net.PacketConn
 	peers []*net.UDPAddr

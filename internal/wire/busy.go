@@ -76,31 +76,16 @@ func EncodeBusy(b *Busy) []byte {
 	return w.b
 }
 
-// DecodeBusy parses an encoded backpressure frame.
-func DecodeBusy(buf []byte) (*Busy, error) {
-	r, err := openReader(buf, TypeBusy)
-	if err != nil {
-		return nil, err
-	}
+func decodeBusy(c *Cursor) *Busy {
 	b := &Busy{}
-	from, err := r.uint32()
-	if err != nil {
-		return nil, err
-	}
-	b.From = trace.NodeID(from)
-	sc, err := r.byte()
-	if err != nil {
-		return nil, err
-	}
-	b.Scope = BusyScope(sc)
+	b.From = trace.NodeID(c.Uint32())
+	b.Scope = BusyScope(c.Byte())
 	if !validBusyScope(b.Scope) {
-		return nil, fmt.Errorf("busy scope %d: %w", sc, ErrBadType)
+		c.Fail(fmt.Errorf("busy scope %d: %w", b.Scope, ErrBadType))
 	}
-	if b.RetryAfterMillis, err = r.uint32(); err != nil {
-		return nil, err
-	}
-	if len(r.b) != 0 {
-		return nil, ErrTrailing
-	}
-	return b, nil
+	b.RetryAfterMillis = c.Uint32()
+	return b
 }
+
+// DecodeBusy parses an encoded backpressure frame.
+func DecodeBusy(b []byte) (*Busy, error) { return decodeAs[*Busy](b) }

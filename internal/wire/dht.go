@@ -8,19 +8,23 @@
 // routing table needs an address it can dial back.
 package wire
 
-import (
-	"fmt"
-
-	"repro/internal/trace"
-)
+import "repro/internal/trace"
 
 // KeySize is the byte length of a DHT key (sha256 of the node ID or of
 // the normalized keyword).
 const KeySize = 32
 
-// maxDHTNodes bounds a NodesReply's contact list; replies carry at most
-// the closest K contacts and K is small, so this is generous.
+// maxDHTNodes bounds a NodesReply's contact and value lists; replies
+// carry at most the closest K contacts and K is small, so this is
+// generous.
 const maxDHTNodes = 1024
+
+// The least one encoded NodeInfo (ID, empty address) and one DHTValue
+// (empty keyword, expiry, empty record) occupy.
+const (
+	nodeInfoMinLen = idLen + strMinLen
+	dhtValueMinLen = strMinLen + 8 + metadataMinLen
+)
 
 // NodeInfo is one routing-table contact: the node's ID and the address
 // its peer listener can be dialed at.
@@ -100,32 +104,19 @@ func (*StoreValue) Type() MsgType { return TypeStoreValue }
 func (*NodesReply) Type() MsgType { return TypeNodesReply }
 
 // encodeDHTHeader appends the fields every DHT message opens with.
-func encodeDHTHeader(w *buffer, from trace.NodeID, fromAddr string, rpcID uint64, key [KeySize]byte) {
+func encodeDHTHeader(w *buffer, from trace.NodeID, fromAddr string, rpcID uint64, key *[KeySize]byte) {
 	w.uint32(uint32(from))
 	w.str(fromAddr)
 	w.uint64(rpcID)
-	w.b = append(w.b, key[:]...)
+	w.fixed(key[:])
 }
 
 // decodeDHTHeader parses the fields every DHT message opens with.
-func decodeDHTHeader(r *reader) (from trace.NodeID, fromAddr string, rpcID uint64, key [KeySize]byte, err error) {
-	f, err := r.uint32()
-	if err != nil {
-		return 0, "", 0, key, err
-	}
-	from = trace.NodeID(f)
-	if fromAddr, err = r.str(maxStrLen); err != nil {
-		return 0, "", 0, key, err
-	}
-	if rpcID, err = r.uint64(); err != nil {
-		return 0, "", 0, key, err
-	}
-	if len(r.b) < KeySize {
-		return 0, "", 0, key, ErrTruncated
-	}
-	copy(key[:], r.b[:KeySize])
-	r.b = r.b[KeySize:]
-	return from, fromAddr, rpcID, key, nil
+func decodeDHTHeader(c *Cursor, from *trace.NodeID, fromAddr *string, rpcID *uint64, key *[KeySize]byte) {
+	*from = trace.NodeID(c.Uint32())
+	*fromAddr = c.Str(maxStrLen)
+	*rpcID = c.Uint64()
+	c.Fixed(key[:])
 }
 
 func encodeDHTValue(w *buffer, v *DHTValue) {
@@ -134,107 +125,69 @@ func encodeDHTValue(w *buffer, v *DHTValue) {
 	encodeMetadataBody(w, &v.Meta)
 }
 
-func decodeDHTValue(r *reader) (DHTValue, error) {
-	var v DHTValue
-	var err error
-	if v.Keyword, err = r.str(maxStrLen); err != nil {
-		return v, err
-	}
-	expires, err := r.uint64()
-	if err != nil {
-		return v, err
-	}
-	v.ExpiresUnixMilli = int64(expires)
-	m, err := decodeMetadataBody(r)
-	if err != nil {
-		return v, err
-	}
-	v.Meta = *m
-	return v, nil
+func decodeDHTValue(c *Cursor, v *DHTValue) {
+	v.Keyword = c.Str(maxStrLen)
+	v.ExpiresUnixMilli = int64(c.Uint64())
+	decodeMetadataBody(c, &v.Meta)
 }
 
 // EncodeFindNode serializes a contact lookup request.
 func EncodeFindNode(f *FindNode) []byte {
 	w := header(TypeFindNode)
-	encodeDHTHeader(w, f.From, f.FromAddr, f.RPCID, f.Target)
+	encodeDHTHeader(w, f.From, f.FromAddr, f.RPCID, &f.Target)
 	return w.b
 }
 
-// DecodeFindNode parses a contact lookup request.
-func DecodeFindNode(b []byte) (*FindNode, error) {
-	r, err := openReader(b, TypeFindNode)
-	if err != nil {
-		return nil, err
-	}
+func decodeFindNode(c *Cursor) *FindNode {
 	f := &FindNode{}
-	if f.From, f.FromAddr, f.RPCID, f.Target, err = decodeDHTHeader(r); err != nil {
-		return nil, err
-	}
-	if len(r.b) != 0 {
-		return nil, ErrTrailing
-	}
-	return f, nil
+	decodeDHTHeader(c, &f.From, &f.FromAddr, &f.RPCID, &f.Target)
+	return f
 }
+
+// DecodeFindNode parses a contact lookup request.
+func DecodeFindNode(b []byte) (*FindNode, error) { return decodeAs[*FindNode](b) }
 
 // EncodeFindValue serializes a value lookup request.
 func EncodeFindValue(f *FindValue) []byte {
 	w := header(TypeFindValue)
-	encodeDHTHeader(w, f.From, f.FromAddr, f.RPCID, f.Key)
+	encodeDHTHeader(w, f.From, f.FromAddr, f.RPCID, &f.Key)
 	return w.b
 }
 
-// DecodeFindValue parses a value lookup request.
-func DecodeFindValue(b []byte) (*FindValue, error) {
-	r, err := openReader(b, TypeFindValue)
-	if err != nil {
-		return nil, err
-	}
+func decodeFindValue(c *Cursor) *FindValue {
 	f := &FindValue{}
-	if f.From, f.FromAddr, f.RPCID, f.Key, err = decodeDHTHeader(r); err != nil {
-		return nil, err
-	}
-	if len(r.b) != 0 {
-		return nil, ErrTrailing
-	}
-	return f, nil
+	decodeDHTHeader(c, &f.From, &f.FromAddr, &f.RPCID, &f.Key)
+	return f
 }
+
+// DecodeFindValue parses a value lookup request.
+func DecodeFindValue(b []byte) (*FindValue, error) { return decodeAs[*FindValue](b) }
 
 // EncodeStoreValue serializes a record store request.
 func EncodeStoreValue(s *StoreValue) []byte {
 	w := header(TypeStoreValue)
-	encodeDHTHeader(w, s.From, s.FromAddr, s.RPCID, s.Key)
+	encodeDHTHeader(w, s.From, s.FromAddr, s.RPCID, &s.Key)
 	encodeDHTValue(w, &s.Value)
 	return w.b
 }
 
+func decodeStoreValue(c *Cursor) *StoreValue {
+	s := &StoreValue{}
+	decodeDHTHeader(c, &s.From, &s.FromAddr, &s.RPCID, &s.Key)
+	decodeDHTValue(c, &s.Value)
+	return s
+}
+
 // DecodeStoreValue parses a record store request.
 func DecodeStoreValue(b []byte) (*StoreValue, error) {
-	r, err := openReader(b, TypeStoreValue)
-	if err != nil {
-		return nil, err
-	}
-	s := &StoreValue{}
-	if s.From, s.FromAddr, s.RPCID, s.Key, err = decodeDHTHeader(r); err != nil {
-		return nil, err
-	}
-	if s.Value, err = decodeDHTValue(r); err != nil {
-		return nil, err
-	}
-	if len(r.b) != 0 {
-		return nil, ErrTrailing
-	}
-	return s, nil
+	return decodeAs[*StoreValue](b)
 }
 
 // EncodeNodesReply serializes a lookup reply.
 func EncodeNodesReply(n *NodesReply) []byte {
 	w := header(TypeNodesReply)
-	encodeDHTHeader(w, n.From, n.FromAddr, n.RPCID, n.Key)
-	if n.Found {
-		w.byte(1)
-	} else {
-		w.byte(0)
-	}
+	encodeDHTHeader(w, n.From, n.FromAddr, n.RPCID, &n.Key)
+	w.flag(n.Found)
 	w.uint32(uint32(len(n.Nodes)))
 	for i := range n.Nodes {
 		w.uint32(uint32(n.Nodes[i].ID))
@@ -247,62 +200,27 @@ func EncodeNodesReply(n *NodesReply) []byte {
 	return w.b
 }
 
-// DecodeNodesReply parses a lookup reply.
-func DecodeNodesReply(b []byte) (*NodesReply, error) {
-	r, err := openReader(b, TypeNodesReply)
-	if err != nil {
-		return nil, err
-	}
+func decodeNodesReply(c *Cursor) *NodesReply {
 	n := &NodesReply{}
-	if n.From, n.FromAddr, n.RPCID, n.Key, err = decodeDHTHeader(r); err != nil {
-		return nil, err
-	}
-	flag, err := r.byte()
-	if err != nil {
-		return nil, err
-	}
-	switch flag {
-	case 0:
-	case 1:
-		n.Found = true
-	default:
-		return nil, fmt.Errorf("found flag %d: %w", flag, ErrBadType)
-	}
-	count, err := r.uint32()
-	if err != nil {
-		return nil, err
-	}
-	if count > maxDHTNodes {
-		return nil, fmt.Errorf("node list %d: %w", count, ErrTooLong)
-	}
-	for i := uint32(0); i < count; i++ {
+	decodeDHTHeader(c, &n.From, &n.FromAddr, &n.RPCID, &n.Key)
+	n.Found = c.Flag("found")
+	count := c.Count("node list", maxDHTNodes, nodeInfoMinLen)
+	for i := 0; i < count && c.err == nil; i++ {
 		var info NodeInfo
-		id, err := r.uint32()
-		if err != nil {
-			return nil, err
-		}
-		info.ID = trace.NodeID(id)
-		if info.Addr, err = r.str(maxStrLen); err != nil {
-			return nil, err
-		}
+		info.ID = trace.NodeID(c.Uint32())
+		info.Addr = c.Str(maxStrLen)
 		n.Nodes = append(n.Nodes, info)
 	}
-	count, err = r.uint32()
-	if err != nil {
-		return nil, err
-	}
-	if count > maxDHTNodes {
-		return nil, fmt.Errorf("value list %d: %w", count, ErrTooLong)
-	}
-	for i := uint32(0); i < count; i++ {
-		v, err := decodeDHTValue(r)
-		if err != nil {
-			return nil, err
-		}
+	count = c.Count("value list", maxDHTNodes, dhtValueMinLen)
+	for i := 0; i < count && c.err == nil; i++ {
+		var v DHTValue
+		decodeDHTValue(c, &v)
 		n.Values = append(n.Values, v)
 	}
-	if len(r.b) != 0 {
-		return nil, ErrTrailing
-	}
-	return n, nil
+	return n
+}
+
+// DecodeNodesReply parses a lookup reply.
+func DecodeNodesReply(b []byte) (*NodesReply, error) {
+	return decodeAs[*NodesReply](b)
 }

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 )
@@ -135,27 +134,6 @@ func TestNodesReplyEmpty(t *testing.T) {
 	}
 	if got.Found || len(got.Nodes) != 0 || len(got.Values) != 0 {
 		t.Fatalf("empty reply decoded to %+v", got)
-	}
-}
-
-func TestDHTGenericDispatch(t *testing.T) {
-	for _, m := range []Msg{sampleFindNode(), sampleFindValue(),
-		sampleStoreValue(), sampleNodesReply()} {
-		b := Encode(m)
-		typ, err := Peek(b)
-		if err != nil || typ != m.Type() {
-			t.Fatalf("Peek(%v) = %v, %v", m.Type(), typ, err)
-		}
-		got, err := Decode(b)
-		if err != nil {
-			t.Fatalf("Decode(%v): %v", m.Type(), err)
-		}
-		if got.Type() != m.Type() {
-			t.Fatalf("Decode type %v, want %v", got.Type(), m.Type())
-		}
-		if !bytes.Equal(Encode(got), b) {
-			t.Fatalf("re-encode mismatch for %v", m.Type())
-		}
 	}
 }
 

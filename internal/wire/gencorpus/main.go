@@ -6,7 +6,11 @@
 //
 //	go run ./internal/wire/gencorpus -out internal/wire/testdata/fuzz/FuzzDecode
 //
-// The output is deterministic; rerunning overwrites the same files.
+// The output is deterministic; rerunning overwrites the same files. A
+// file is named after its frame's slot in frames(), so slots are never
+// renumbered: slot 5 was the schedule frame (wire tag 5, now
+// unassigned), and its four committed inputs stay behind as the
+// unassigned-tag regression inputs.
 package main
 
 import (
@@ -45,7 +49,7 @@ func frames() [][]byte {
 	}
 	sym.Seal()
 	ack := &wire.SymbolAck{From: 11, Round: 13, URI: rec.URI, Total: rec.NumPieces()}
-	ack.Have = make([]byte, (ack.Total+7)/8)
+	ack.Have = make([]byte, wire.HaveLen(ack.Total))
 	ack.SetHave(0)
 	ack.SetHave(1)
 	var key [wire.KeySize]byte
@@ -74,9 +78,7 @@ func frames() [][]byte {
 		wire.EncodeGroupHello(&wire.GroupHello{
 			From: 7, Members: members, Round: 12, Wants: []wire.GroupWant{*want},
 		}),
-		wire.EncodeSchedule(&wire.Schedule{
-			From: 3, Members: members, Round: 13, TitForTat: true,
-		}),
+		nil, // slot 5: retired with the schedule frame
 		wire.EncodeGrant(&wire.Grant{
 			From: 3, To: 7, Round: 13, URI: rec.URI, Piece: 1,
 		}),
@@ -116,6 +118,9 @@ func main() {
 	}
 	n := 0
 	for fi, frame := range frames() {
+		if frame == nil {
+			continue
+		}
 		for s := 0; s < *seeds; s++ {
 			r := rng.New(uint64(0xC0FFEE + fi*100 + s))
 			mutated := fault.CorruptFrame(r, frame)

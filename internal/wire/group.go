@@ -1,10 +1,9 @@
 // Group messages carry the live broadcast-group protocol of §V on the
 // wire. Clique members converge on a shared group view through
-// GroupHello, a sequencer announces each round with Schedule and names
-// exactly one transmitter with Grant, and the granted node ships the
-// piece to the whole group in one PieceBcast. The formats follow the
-// same header + length-prefixed big-endian layout as the three base
-// messages.
+// GroupHello, a sequencer opens each round by naming exactly one
+// transmitter with Grant, and the granted node ships the piece to the
+// whole group in one PieceBcast. The formats follow the same header +
+// length-prefixed big-endian layout as the three base messages.
 package wire
 
 import (
@@ -25,28 +24,37 @@ type GroupWant struct {
 	Have        []byte
 }
 
-// haveLen is the bitset byte length for n pieces.
-func haveLen(n int) int { return (n + 7) / 8 }
+// HaveLen is the bitset byte length for n pieces.
+func HaveLen(n int) int { return (n + 7) / 8 }
+
+// inBitset reports whether piece i of total has a byte in have. A struct
+// built by hand may carry a bitset shorter than its Total promises (the
+// codec rejects one off the wire), so both accessors of both bitset
+// carriers — GroupWant and SymbolAck — go through this guard.
+func inBitset(have []byte, total, i int) bool {
+	return i >= 0 && i < total && i/8 < len(have)
+}
+
+func haveBit(have []byte, total, i int) bool {
+	return inBitset(have, total, i) && have[i/8]&(1<<(i%8)) != 0
+}
+
+func setHave(have []byte, total, i int) {
+	if inBitset(have, total, i) {
+		have[i/8] |= 1 << (i % 8)
+	}
+}
 
 // NewGroupWant returns a want for total pieces with an all-zero bitset.
 func NewGroupWant(uri metadata.URI, total int, downloading bool) *GroupWant {
-	return &GroupWant{URI: uri, Total: total, Downloading: downloading, Have: make([]byte, haveLen(total))}
+	return &GroupWant{URI: uri, Total: total, Downloading: downloading, Have: make([]byte, HaveLen(total))}
 }
 
 // HaveBit reports whether piece i is held.
-func (w *GroupWant) HaveBit(i int) bool {
-	if i < 0 || i >= w.Total {
-		return false
-	}
-	return w.Have[i/8]&(1<<(i%8)) != 0
-}
+func (w *GroupWant) HaveBit(i int) bool { return haveBit(w.Have, w.Total, i) }
 
 // SetHave marks piece i as held.
-func (w *GroupWant) SetHave(i int) {
-	if i >= 0 && i < w.Total {
-		w.Have[i/8] |= 1 << (i % 8)
-	}
-}
+func (w *GroupWant) SetHave(i int) { setHave(w.Have, w.Total, i) }
 
 // Complete reports whether every piece is held.
 func (w *GroupWant) Complete() bool {
@@ -59,9 +67,9 @@ func (w *GroupWant) Complete() bool {
 }
 
 // GroupHello announces the sender's broadcast-group view: the members
-// it currently believes form its clique group, the highest schedule
-// round it has seen, and its per-file piece state. A group goes live
-// only once every member's GroupHello lists the same member set.
+// it currently believes form its clique group, the highest round it has
+// seen, and its per-file piece state. A group goes live only once every
+// member's GroupHello lists the same member set.
 type GroupHello struct {
 	From    trace.NodeID
 	Members []trace.NodeID
@@ -71,16 +79,6 @@ type GroupHello struct {
 	// symbols only when *every* confirmed member's GroupHello sets it,
 	// and falls back to grant/resend piece broadcast otherwise.
 	FEC bool
-}
-
-// Schedule opens one broadcast round: the sequencer restates the member
-// set it is scheduling for, the round number, and whether the group
-// runs tit-for-tat (cyclic order) or cooperative (coordinator choice).
-type Schedule struct {
-	From      trace.NodeID
-	Members   []trace.NodeID
-	Round     uint64
-	TitForTat bool
 }
 
 // NoPiece marks a Grant that leaves the piece choice to the sender
@@ -121,39 +119,14 @@ func (p *PieceBcast) AsPiece() *Piece {
 func (*GroupHello) Type() MsgType { return TypeGroupHello }
 
 // Type implements Msg.
-func (*Schedule) Type() MsgType { return TypeSchedule }
-
-// Type implements Msg.
 func (*Grant) Type() MsgType { return TypeGrant }
 
 // Type implements Msg.
 func (*PieceBcast) Type() MsgType { return TypePieceBcast }
 
-func encodeMembers(w *buffer, members []trace.NodeID) {
-	w.uint32(uint32(len(members)))
-	for _, id := range members {
-		w.uint32(uint32(id))
-	}
-}
-
-func decodeMembers(r *reader) ([]trace.NodeID, error) {
-	n, err := r.uint32()
-	if err != nil {
-		return nil, err
-	}
-	if n > maxListLen {
-		return nil, fmt.Errorf("member list %d: %w", n, ErrTooLong)
-	}
-	var out []trace.NodeID
-	for i := uint32(0); i < n; i++ {
-		id, err := r.uint32()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, trace.NodeID(id))
-	}
-	return out, nil
-}
+// wantMinLen is the least one encoded GroupWant occupies: an empty URI,
+// the total, the downloading flag and an empty bitset.
+const wantMinLen = strMinLen + 4 + 1 + 4
 
 // encodeWantList appends a length-prefixed per-file piece-state list —
 // the codec shared by GroupHello.Wants and Hello.Have.
@@ -163,163 +136,60 @@ func encodeWantList(w *buffer, wants []GroupWant) {
 		want := &wants[i]
 		w.str(string(want.URI))
 		w.uint32(uint32(want.Total))
-		if want.Downloading {
-			w.byte(1)
-		} else {
-			w.byte(0)
-		}
+		w.flag(want.Downloading)
 		w.bytes(want.Have)
 	}
 }
 
 // decodeWantList parses a length-prefixed per-file piece-state list.
-func decodeWantList(r *reader) ([]GroupWant, error) {
-	n, err := r.uint32()
-	if err != nil {
-		return nil, err
-	}
-	if n > maxListLen {
-		return nil, fmt.Errorf("want list %d: %w", n, ErrTooLong)
-	}
+func decodeWantList(c *Cursor) []GroupWant {
 	var out []GroupWant
-	for i := uint32(0); i < n; i++ {
+	n := c.Count("want list", maxListLen, wantMinLen)
+	for i := 0; i < n && c.err == nil; i++ {
 		var want GroupWant
-		uri, err := r.str(maxStrLen)
-		if err != nil {
-			return nil, err
-		}
-		want.URI = metadata.URI(uri)
-		total, err := r.uint32()
-		if err != nil {
-			return nil, err
-		}
-		if total > maxListLen {
-			return nil, fmt.Errorf("piece total %d: %w", total, ErrTooLong)
-		}
-		want.Total = int(total)
-		flag, err := r.byte()
-		if err != nil {
-			return nil, err
-		}
-		switch flag {
-		case 0:
-		case 1:
-			want.Downloading = true
-		default:
-			return nil, fmt.Errorf("downloading flag %d: %w", flag, ErrBadType)
-		}
-		if want.Have, err = r.bytes(maxListLen); err != nil {
-			return nil, err
-		}
-		if len(want.Have) != haveLen(want.Total) {
-			return nil, fmt.Errorf("have bitset %d bytes for %d pieces: %w",
-				len(want.Have), want.Total, ErrTooLong)
-		}
+		want.URI = metadata.URI(c.Str(maxStrLen))
+		want.Total = c.Bounded("piece total", maxListLen)
+		want.Downloading = c.Flag("downloading")
+		want.Have = decodeBitset(c, "have", want.Total)
 		out = append(out, want)
 	}
-	return out, nil
+	return out
+}
+
+// decodeBitset reads a have-bitset, whose byte length must be exactly
+// what total pieces need.
+func decodeBitset(c *Cursor, what string, total int) []byte {
+	have := c.Bytes(maxListLen)
+	if len(have) != HaveLen(total) {
+		c.Fail(fmt.Errorf("%s bitset %d bytes for %d pieces: %w", what, len(have), total, ErrTooLong))
+	}
+	return have
 }
 
 // EncodeGroupHello serializes a group view announcement.
 func EncodeGroupHello(g *GroupHello) []byte {
 	w := header(TypeGroupHello)
 	w.uint32(uint32(g.From))
-	encodeMembers(w, g.Members)
+	encodeIDs(w, g.Members)
 	w.uint64(g.Round)
 	encodeWantList(w, g.Wants)
-	if g.FEC {
-		w.byte(1)
-	} else {
-		w.byte(0)
-	}
+	w.flag(g.FEC)
 	return w.b
+}
+
+func decodeGroupHello(c *Cursor) *GroupHello {
+	g := &GroupHello{}
+	g.From = trace.NodeID(c.Uint32())
+	g.Members = decodeIDs(c, "member list")
+	g.Round = c.Uint64()
+	g.Wants = decodeWantList(c)
+	g.FEC = c.Flag("fec")
+	return g
 }
 
 // DecodeGroupHello parses a group view announcement.
 func DecodeGroupHello(b []byte) (*GroupHello, error) {
-	r, err := openReader(b, TypeGroupHello)
-	if err != nil {
-		return nil, err
-	}
-	g := &GroupHello{}
-	from, err := r.uint32()
-	if err != nil {
-		return nil, err
-	}
-	g.From = trace.NodeID(from)
-	if g.Members, err = decodeMembers(r); err != nil {
-		return nil, err
-	}
-	if g.Round, err = r.uint64(); err != nil {
-		return nil, err
-	}
-	if g.Wants, err = decodeWantList(r); err != nil {
-		return nil, err
-	}
-	flag, err := r.byte()
-	if err != nil {
-		return nil, err
-	}
-	switch flag {
-	case 0:
-	case 1:
-		g.FEC = true
-	default:
-		return nil, fmt.Errorf("fec flag %d: %w", flag, ErrBadType)
-	}
-	if len(r.b) != 0 {
-		return nil, ErrTrailing
-	}
-	return g, nil
-}
-
-// EncodeSchedule serializes a round announcement.
-func EncodeSchedule(s *Schedule) []byte {
-	w := header(TypeSchedule)
-	w.uint32(uint32(s.From))
-	encodeMembers(w, s.Members)
-	w.uint64(s.Round)
-	if s.TitForTat {
-		w.byte(1)
-	} else {
-		w.byte(0)
-	}
-	return w.b
-}
-
-// DecodeSchedule parses a round announcement.
-func DecodeSchedule(b []byte) (*Schedule, error) {
-	r, err := openReader(b, TypeSchedule)
-	if err != nil {
-		return nil, err
-	}
-	s := &Schedule{}
-	from, err := r.uint32()
-	if err != nil {
-		return nil, err
-	}
-	s.From = trace.NodeID(from)
-	if s.Members, err = decodeMembers(r); err != nil {
-		return nil, err
-	}
-	if s.Round, err = r.uint64(); err != nil {
-		return nil, err
-	}
-	flag, err := r.byte()
-	if err != nil {
-		return nil, err
-	}
-	switch flag {
-	case 0:
-	case 1:
-		s.TitForTat = true
-	default:
-		return nil, fmt.Errorf("tit-for-tat flag %d: %w", flag, ErrBadType)
-	}
-	if len(r.b) != 0 {
-		return nil, ErrTrailing
-	}
-	return s, nil
+	return decodeAs[*GroupHello](b)
 }
 
 // EncodeGrant serializes a transmit grant.
@@ -333,41 +203,18 @@ func EncodeGrant(g *Grant) []byte {
 	return w.b
 }
 
-// DecodeGrant parses a transmit grant.
-func DecodeGrant(b []byte) (*Grant, error) {
-	r, err := openReader(b, TypeGrant)
-	if err != nil {
-		return nil, err
-	}
+func decodeGrant(c *Cursor) *Grant {
 	g := &Grant{}
-	from, err := r.uint32()
-	if err != nil {
-		return nil, err
-	}
-	g.From = trace.NodeID(from)
-	to, err := r.uint32()
-	if err != nil {
-		return nil, err
-	}
-	g.To = trace.NodeID(to)
-	if g.Round, err = r.uint64(); err != nil {
-		return nil, err
-	}
-	uri, err := r.str(maxStrLen)
-	if err != nil {
-		return nil, err
-	}
-	g.URI = metadata.URI(uri)
-	piece, err := r.uint32()
-	if err != nil {
-		return nil, err
-	}
-	g.Piece = int32(piece)
-	if len(r.b) != 0 {
-		return nil, ErrTrailing
-	}
-	return g, nil
+	g.From = trace.NodeID(c.Uint32())
+	g.To = trace.NodeID(c.Uint32())
+	g.Round = c.Uint64()
+	g.URI = metadata.URI(c.Str(maxStrLen))
+	g.Piece = int32(c.Uint32())
+	return g
 }
+
+// DecodeGrant parses a transmit grant.
+func DecodeGrant(b []byte) (*Grant, error) { return decodeAs[*Grant](b) }
 
 // EncodePieceBcast serializes a broadcast piece.
 func EncodePieceBcast(p *PieceBcast) []byte {
@@ -381,41 +228,18 @@ func EncodePieceBcast(p *PieceBcast) []byte {
 	return w.b
 }
 
+func decodePieceBcast(c *Cursor) *PieceBcast {
+	p := &PieceBcast{}
+	p.From = trace.NodeID(c.Uint32())
+	p.Round = c.Uint64()
+	p.URI = metadata.URI(c.Str(maxStrLen))
+	p.Index = int(c.Uint32())
+	p.Total = int(c.Uint32())
+	p.Data = c.Bytes(maxDataLen)
+	return p
+}
+
 // DecodePieceBcast parses a broadcast piece.
 func DecodePieceBcast(b []byte) (*PieceBcast, error) {
-	r, err := openReader(b, TypePieceBcast)
-	if err != nil {
-		return nil, err
-	}
-	p := &PieceBcast{}
-	from, err := r.uint32()
-	if err != nil {
-		return nil, err
-	}
-	p.From = trace.NodeID(from)
-	if p.Round, err = r.uint64(); err != nil {
-		return nil, err
-	}
-	uri, err := r.str(maxStrLen)
-	if err != nil {
-		return nil, err
-	}
-	p.URI = metadata.URI(uri)
-	idx, err := r.uint32()
-	if err != nil {
-		return nil, err
-	}
-	p.Index = int(idx)
-	total, err := r.uint32()
-	if err != nil {
-		return nil, err
-	}
-	p.Total = int(total)
-	if p.Data, err = r.bytes(maxDataLen); err != nil {
-		return nil, err
-	}
-	if len(r.b) != 0 {
-		return nil, ErrTrailing
-	}
-	return p, nil
+	return decodeAs[*PieceBcast](b)
 }

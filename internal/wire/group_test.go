@@ -69,19 +69,6 @@ func TestGroupHelloBadBitsetLength(t *testing.T) {
 	}
 }
 
-func TestScheduleRoundTrip(t *testing.T) {
-	for _, tft := range []bool{false, true} {
-		s := &Schedule{From: 3, Members: []trace.NodeID{3, 7, 11}, Round: 9, TitForTat: tft}
-		got, err := DecodeSchedule(EncodeSchedule(s))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, s) {
-			t.Fatalf("round trip:\nin  %+v\nout %+v", s, got)
-		}
-	}
-}
-
 func TestGrantRoundTrip(t *testing.T) {
 	for _, g := range []*Grant{
 		{From: 3, To: 7, Round: 9, URI: "dtn://files/3", Piece: 2},
@@ -122,40 +109,11 @@ func TestPieceBcastRoundTrip(t *testing.T) {
 	}
 }
 
-// TestGroupGenericDispatch checks that Peek/Decode/Encode all know the
-// four group types.
-func TestGroupGenericDispatch(t *testing.T) {
-	msgs := []Msg{
-		sampleGroupHello(),
-		&Schedule{From: 1, Members: []trace.NodeID{1, 2, 3}, Round: 1},
-		&Grant{From: 1, To: 2, Round: 1, Piece: NoPiece},
-		&PieceBcast{From: 2, Round: 1, URI: "dtn://files/3", Index: 0, Total: 3, Data: []byte("x")},
-	}
-	for _, m := range msgs {
-		b := Encode(m)
-		typ, err := Peek(b)
-		if err != nil || typ != m.Type() {
-			t.Fatalf("Peek(%v) = %v, %v", m.Type(), typ, err)
-		}
-		got, err := Decode(b)
-		if err != nil {
-			t.Fatalf("Decode(%v): %v", m.Type(), err)
-		}
-		if got.Type() != m.Type() {
-			t.Fatalf("Decode type %v, want %v", got.Type(), m.Type())
-		}
-		if !bytes.Equal(Encode(got), b) {
-			t.Fatalf("re-encode mismatch for %v", m.Type())
-		}
-	}
-}
-
 // TestGroupTruncation feeds every truncation prefix of valid group
 // frames to the decoder; all must fail cleanly with a sentinel.
 func TestGroupTruncation(t *testing.T) {
 	frames := [][]byte{
 		EncodeGroupHello(sampleGroupHello()),
-		EncodeSchedule(&Schedule{From: 3, Members: []trace.NodeID{3, 7}, Round: 9, TitForTat: true}),
 		EncodeGrant(&Grant{From: 3, To: 7, Round: 9, URI: "dtn://files/3", Piece: 2}),
 		EncodePieceBcast(&PieceBcast{From: 7, Round: 4, URI: "dtn://files/3", Index: 1, Total: 3, Data: []byte("abc")}),
 	}

@@ -12,7 +12,6 @@ package wire
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/crc32"
 
 	"repro/internal/metadata"
@@ -104,67 +103,27 @@ func EncodeSymbol(s *Symbol) []byte {
 	return w.b
 }
 
-// DecodeSymbol parses a coded symbol. The payload checksum is NOT
+// decodeSymbol parses a coded symbol. The payload checksum is NOT
 // verified here — framing errors answer with the usual sentinels, but
 // Check is the receiver's call (CheckOK) so transports and tests can
 // observe corrupted-but-parseable symbols.
-func DecodeSymbol(b []byte) (*Symbol, error) {
-	r, err := openReader(b, TypeSymbol)
-	if err != nil {
-		return nil, err
-	}
+func decodeSymbol(c *Cursor) *Symbol {
 	s := &Symbol{}
-	from, err := r.uint32()
-	if err != nil {
-		return nil, err
-	}
-	s.From = trace.NodeID(from)
-	if s.Round, err = r.uint64(); err != nil {
-		return nil, err
-	}
-	uri, err := r.str(maxStrLen)
-	if err != nil {
-		return nil, err
-	}
-	s.URI = metadata.URI(uri)
-	piece, err := r.uint32()
-	if err != nil {
-		return nil, err
-	}
-	s.Piece = int(piece)
-	total, err := r.uint32()
-	if err != nil {
-		return nil, err
-	}
-	if total > maxListLen {
-		return nil, fmt.Errorf("piece total %d: %w", total, ErrTooLong)
-	}
-	s.Total = int(total)
-	if s.Seed, err = r.uint64(); err != nil {
-		return nil, err
-	}
-	dataLen, err := r.uint32()
-	if err != nil {
-		return nil, err
-	}
-	if dataLen > maxDataLen {
-		return nil, fmt.Errorf("symbol data length %d: %w", dataLen, ErrTooLong)
-	}
-	s.DataLen = int(dataLen)
-	if s.Index, err = r.uint32(); err != nil {
-		return nil, err
-	}
-	if s.Check, err = r.uint32(); err != nil {
-		return nil, err
-	}
-	if s.Payload, err = r.bytes(maxDataLen); err != nil {
-		return nil, err
-	}
-	if len(r.b) != 0 {
-		return nil, ErrTrailing
-	}
-	return s, nil
+	s.From = trace.NodeID(c.Uint32())
+	s.Round = c.Uint64()
+	s.URI = metadata.URI(c.Str(maxStrLen))
+	s.Piece = int(c.Uint32())
+	s.Total = c.Bounded("piece total", maxListLen)
+	s.Seed = c.Uint64()
+	s.DataLen = c.Bounded("symbol data length", maxDataLen)
+	s.Index = c.Uint32()
+	s.Check = c.Uint32()
+	s.Payload = c.Bytes(maxDataLen)
+	return s
 }
+
+// DecodeSymbol parses a coded symbol.
+func DecodeSymbol(b []byte) (*Symbol, error) { return decodeAs[*Symbol](b) }
 
 // EncodeSymbolAck serializes an aggregate decode report.
 func EncodeSymbolAck(a *SymbolAck) []byte {
@@ -177,58 +136,21 @@ func EncodeSymbolAck(a *SymbolAck) []byte {
 	return w.b
 }
 
-// DecodeSymbolAck parses an aggregate decode report.
-func DecodeSymbolAck(b []byte) (*SymbolAck, error) {
-	r, err := openReader(b, TypeSymbolAck)
-	if err != nil {
-		return nil, err
-	}
+func decodeSymbolAck(c *Cursor) *SymbolAck {
 	a := &SymbolAck{}
-	from, err := r.uint32()
-	if err != nil {
-		return nil, err
-	}
-	a.From = trace.NodeID(from)
-	if a.Round, err = r.uint64(); err != nil {
-		return nil, err
-	}
-	uri, err := r.str(maxStrLen)
-	if err != nil {
-		return nil, err
-	}
-	a.URI = metadata.URI(uri)
-	total, err := r.uint32()
-	if err != nil {
-		return nil, err
-	}
-	if total > maxListLen {
-		return nil, fmt.Errorf("piece total %d: %w", total, ErrTooLong)
-	}
-	a.Total = int(total)
-	if a.Have, err = r.bytes(maxListLen); err != nil {
-		return nil, err
-	}
-	if len(a.Have) != haveLen(a.Total) {
-		return nil, fmt.Errorf("ack bitset %d bytes for %d pieces: %w",
-			len(a.Have), a.Total, ErrTooLong)
-	}
-	if len(r.b) != 0 {
-		return nil, ErrTrailing
-	}
-	return a, nil
+	a.From = trace.NodeID(c.Uint32())
+	a.Round = c.Uint64()
+	a.URI = metadata.URI(c.Str(maxStrLen))
+	a.Total = c.Bounded("piece total", maxListLen)
+	a.Have = decodeBitset(c, "ack", a.Total)
+	return a
 }
+
+// DecodeSymbolAck parses an aggregate decode report.
+func DecodeSymbolAck(b []byte) (*SymbolAck, error) { return decodeAs[*SymbolAck](b) }
 
 // HaveBit reports whether piece i is marked decoded in the ack.
-func (a *SymbolAck) HaveBit(i int) bool {
-	if i < 0 || i >= a.Total || i/8 >= len(a.Have) {
-		return false
-	}
-	return a.Have[i/8]&(1<<(i%8)) != 0
-}
+func (a *SymbolAck) HaveBit(i int) bool { return haveBit(a.Have, a.Total, i) }
 
 // SetHave marks piece i as decoded in the ack.
-func (a *SymbolAck) SetHave(i int) {
-	if i >= 0 && i < a.Total && i/8 < len(a.Have) {
-		a.Have[i/8] |= 1 << (i % 8)
-	}
-}
+func (a *SymbolAck) SetHave(i int) { setHave(a.Have, a.Total, i) }

@@ -97,26 +97,6 @@ func TestSymbolAckBadBitsetLength(t *testing.T) {
 	}
 }
 
-func TestSymbolGenericDispatch(t *testing.T) {
-	for _, m := range []Msg{sampleSymbol(), sampleSymbolAck()} {
-		b := Encode(m)
-		typ, err := Peek(b)
-		if err != nil || typ != m.Type() {
-			t.Fatalf("Peek(%v) = %v, %v", m.Type(), typ, err)
-		}
-		got, err := Decode(b)
-		if err != nil {
-			t.Fatalf("Decode(%v): %v", m.Type(), err)
-		}
-		if got.Type() != m.Type() {
-			t.Fatalf("Decode type %v, want %v", got.Type(), m.Type())
-		}
-		if !bytes.Equal(Encode(got), b) {
-			t.Fatalf("re-encode mismatch for %v", m.Type())
-		}
-	}
-}
-
 func TestSymbolTruncation(t *testing.T) {
 	truncateSweep(t, EncodeSymbol(sampleSymbol()), func(b []byte) error {
 		_, err := DecodeSymbol(b)

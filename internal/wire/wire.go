@@ -9,20 +9,22 @@
 //   - file pieces — the download phase's payload, optionally carrying a
 //     piggybacked metadata record (MBT-QM);
 //
-// plus the four broadcast-group messages of §V (group.go): group-hello,
-// schedule, grant, and piece-bcast, and the fountain-coded data plane's
-// symbol and symbol-ack (symbol.go).
+// plus the three broadcast-group messages of §V (group.go): group-hello,
+// grant and piece-bcast, the fountain-coded data plane's symbol and
+// symbol-ack (symbol.go), the DHT RPCs (dht.go) and busy (busy.go).
 //
 // The format is a fixed header (magic, version, type) followed by
-// length-prefixed fields in big-endian order. Decoding is strict: junk,
-// truncation, or trailing bytes are errors, and a decoded piece can be
-// verified against its file's checksums before it is stored.
+// length-prefixed fields in big-endian order. What a frame type is — its
+// name, plane, shedding class, Busy lane and codec — is one row of the
+// kind table (kind.go), and every body is read through one latching
+// Cursor (cursor.go). Decoding is strict: junk, truncation, or trailing
+// bytes are errors, and a decoded piece can be verified against its
+// file's checksums before it is stored.
 package wire
 
 import (
 	"crypto/sha1"
 	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -31,64 +33,6 @@ import (
 	"repro/internal/simtime"
 	"repro/internal/trace"
 )
-
-// Message type tags.
-type MsgType byte
-
-// The on-air message kinds: the three base messages of §III-B plus the
-// broadcast-group protocol of §V (see group.go).
-const (
-	TypeHello MsgType = iota + 1
-	TypeMetadata
-	TypePiece
-	TypeGroupHello
-	TypeSchedule
-	TypeGrant
-	TypePieceBcast
-	TypeSymbol
-	TypeSymbolAck
-	TypeFindNode
-	TypeFindValue
-	TypeStoreValue
-	TypeNodesReply
-	TypeBusy
-)
-
-// String names the message type.
-func (t MsgType) String() string {
-	switch t {
-	case TypeHello:
-		return "hello"
-	case TypeMetadata:
-		return "metadata"
-	case TypePiece:
-		return "piece"
-	case TypeGroupHello:
-		return "group-hello"
-	case TypeSchedule:
-		return "schedule"
-	case TypeGrant:
-		return "grant"
-	case TypePieceBcast:
-		return "piece-bcast"
-	case TypeSymbol:
-		return "symbol"
-	case TypeSymbolAck:
-		return "symbol-ack"
-	case TypeFindNode:
-		return "find-node"
-	case TypeFindValue:
-		return "find-value"
-	case TypeStoreValue:
-		return "store-value"
-	case TypeNodesReply:
-		return "nodes-reply"
-	case TypeBusy:
-		return "busy"
-	default:
-		return fmt.Sprintf("MsgType(%d)", byte(t))
-	}
-}
 
 const (
 	magic   = 0xD7
@@ -102,12 +46,20 @@ const (
 	maxDataLen = 16 * 1024 * 1024
 )
 
+// The least an element of each list kind occupies, which is what
+// Cursor.Count holds a declared length against.
+const (
+	idLen          = 4                                                 // a node ID
+	strMinLen      = 4                                                 // an empty string's length prefix
+	metadataMinLen = 8 + 4*strMinLen + 8 + 4 + 8 + 8 + 4 + sha256.Size // a record with no piece hashes
+)
+
 // Decode errors. These are sentinels so the transport layer can match
-// with errors.Is and react per cause: ErrBadMagic and ErrTruncated mean
-// framing garbage (close the connection), ErrVersion means a healthy peer
-// speaking a different protocol revision (close politely, do not retry),
-// and the remaining sentinels mean a malformed but well-framed message
-// (drop it and keep the connection).
+// with errors.Is and react per cause: ErrBadMagic means framing garbage
+// (close the connection), ErrVersion means a healthy peer speaking a
+// different protocol revision (close politely, do not retry), and the
+// remaining sentinels mean a malformed but well-framed message (drop it
+// and keep the connection).
 var (
 	ErrTruncated = errors.New("wire: truncated message")
 	ErrBadMagic  = errors.New("wire: bad magic byte")
@@ -147,84 +99,6 @@ type Piece struct {
 	Piggyback *Metadata
 }
 
-// buffer accumulates an encoded message.
-type buffer struct{ b []byte }
-
-func (w *buffer) byte(v byte)     { w.b = append(w.b, v) }
-func (w *buffer) uint32(v uint32) { w.b = binary.BigEndian.AppendUint32(w.b, v) }
-func (w *buffer) uint64(v uint64) { w.b = binary.BigEndian.AppendUint64(w.b, v) }
-func (w *buffer) str(s string) {
-	w.uint32(uint32(len(s)))
-	w.b = append(w.b, s...)
-}
-func (w *buffer) bytes(p []byte) {
-	w.uint32(uint32(len(p)))
-	w.b = append(w.b, p...)
-}
-
-// reader consumes an encoded message.
-type reader struct{ b []byte }
-
-func (r *reader) byte() (byte, error) {
-	if len(r.b) < 1 {
-		return 0, ErrTruncated
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v, nil
-}
-
-func (r *reader) uint32() (uint32, error) {
-	if len(r.b) < 4 {
-		return 0, ErrTruncated
-	}
-	v := binary.BigEndian.Uint32(r.b)
-	r.b = r.b[4:]
-	return v, nil
-}
-
-func (r *reader) uint64() (uint64, error) {
-	if len(r.b) < 8 {
-		return 0, ErrTruncated
-	}
-	v := binary.BigEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return v, nil
-}
-
-func (r *reader) str(limit int) (string, error) {
-	n, err := r.uint32()
-	if err != nil {
-		return "", err
-	}
-	if int(n) > limit {
-		return "", fmt.Errorf("string length %d: %w", n, ErrTooLong)
-	}
-	if len(r.b) < int(n) {
-		return "", ErrTruncated
-	}
-	s := string(r.b[:n])
-	r.b = r.b[n:]
-	return s, nil
-}
-
-func (r *reader) bytes(limit int) ([]byte, error) {
-	n, err := r.uint32()
-	if err != nil {
-		return nil, err
-	}
-	if int(n) > limit {
-		return nil, fmt.Errorf("byte length %d: %w", n, ErrTooLong)
-	}
-	if len(r.b) < int(n) {
-		return nil, ErrTruncated
-	}
-	p := make([]byte, n)
-	copy(p, r.b[:n])
-	r.b = r.b[n:]
-	return p, nil
-}
-
 func header(t MsgType) *buffer {
 	w := &buffer{}
 	w.byte(magic)
@@ -233,14 +107,29 @@ func header(t MsgType) *buffer {
 	return w
 }
 
+// encodeIDs appends a length-prefixed node-ID list — Hello.Heard and
+// GroupHello.Members.
+func encodeIDs(w *buffer, ids []trace.NodeID) {
+	w.uint32(uint32(len(ids)))
+	for _, id := range ids {
+		w.uint32(uint32(id))
+	}
+}
+
+func decodeIDs(c *Cursor, what string) []trace.NodeID {
+	var out []trace.NodeID
+	n := c.Count(what, maxListLen, idLen)
+	for i := 0; i < n && c.err == nil; i++ {
+		out = append(out, trace.NodeID(c.Uint32()))
+	}
+	return out
+}
+
 // EncodeHello serializes a hello beacon.
 func EncodeHello(h *Hello) []byte {
 	w := header(TypeHello)
 	w.uint32(uint32(h.From))
-	w.uint32(uint32(len(h.Heard)))
-	for _, id := range h.Heard {
-		w.uint32(uint32(id))
-	}
+	encodeIDs(w, h.Heard)
 	w.uint32(uint32(len(h.Queries)))
 	for _, q := range h.Queries {
 		w.str(q)
@@ -251,6 +140,22 @@ func EncodeHello(h *Hello) []byte {
 	}
 	encodeWantList(w, h.Have)
 	return w.b
+}
+
+func decodeHello(c *Cursor) *Hello {
+	h := &Hello{}
+	h.From = trace.NodeID(c.Uint32())
+	h.Heard = decodeIDs(c, "heard list")
+	n := c.Count("query list", maxListLen, strMinLen)
+	for i := 0; i < n && c.err == nil; i++ {
+		h.Queries = append(h.Queries, c.Str(maxStrLen))
+	}
+	n = c.Count("download list", maxListLen, strMinLen)
+	for i := 0; i < n && c.err == nil; i++ {
+		h.Downloading = append(h.Downloading, metadata.URI(c.Str(maxStrLen)))
+	}
+	h.Have = decodeWantList(c)
+	return h
 }
 
 // encodeMetadataBody appends the metadata payload without a header.
@@ -266,10 +171,29 @@ func encodeMetadataBody(w *buffer, m *Metadata) {
 	w.uint64(uint64(rec.Created))
 	w.uint64(uint64(rec.Expires))
 	w.uint32(uint32(len(rec.PieceHashes)))
-	for _, h := range rec.PieceHashes {
-		w.b = append(w.b, h[:]...)
+	for i := range rec.PieceHashes {
+		w.fixed(rec.PieceHashes[i][:])
 	}
-	w.b = append(w.b, rec.Signature[:]...)
+	w.fixed(rec.Signature[:])
+}
+
+// decodeMetadataBody parses the metadata payload without a header.
+func decodeMetadataBody(c *Cursor, m *Metadata) {
+	m.Popularity = math.Float64frombits(c.Uint64())
+	rec := &m.Record
+	rec.URI = metadata.URI(c.Str(maxStrLen))
+	rec.Name = c.Str(maxStrLen)
+	rec.Publisher = c.Str(maxStrLen)
+	rec.Description = c.Str(maxStrLen)
+	rec.Size = int64(c.Uint64())
+	rec.PieceSize = int(c.Uint32())
+	rec.Created = simtime.Time(c.Uint64())
+	rec.Expires = simtime.Time(c.Uint64())
+	rec.PieceHashes = make([][sha1.Size]byte, c.Count("piece hash list", maxListLen, sha1.Size))
+	for i := range rec.PieceHashes {
+		c.Fixed(rec.PieceHashes[i][:])
+	}
+	c.Fixed(rec.Signature[:])
 }
 
 // EncodeMetadata serializes a discovery payload.
@@ -279,6 +203,12 @@ func EncodeMetadata(m *Metadata) []byte {
 	return w.b
 }
 
+func decodeMetadata(c *Cursor) *Metadata {
+	m := &Metadata{}
+	decodeMetadataBody(c, m)
+	return m
+}
+
 // EncodePiece serializes a download payload.
 func EncodePiece(p *Piece) []byte {
 	w := header(TypePiece)
@@ -286,240 +216,23 @@ func EncodePiece(p *Piece) []byte {
 	w.uint32(uint32(p.Index))
 	w.uint32(uint32(p.Total))
 	w.bytes(p.Data)
+	w.flag(p.Piggyback != nil)
 	if p.Piggyback != nil {
-		w.byte(1)
 		encodeMetadataBody(w, p.Piggyback)
-	} else {
-		w.byte(0)
 	}
 	return w.b
 }
 
-// Peek returns the message type of an encoded buffer without decoding it.
-func Peek(b []byte) (MsgType, error) {
-	if len(b) < 3 {
-		return 0, ErrTruncated
-	}
-	if b[0] != magic {
-		return 0, ErrBadMagic
-	}
-	if b[1] != version {
-		return 0, fmt.Errorf("version %d: %w", b[1], ErrVersion)
-	}
-	t := MsgType(b[2])
-	switch t {
-	case TypeHello, TypeMetadata, TypePiece,
-		TypeGroupHello, TypeSchedule, TypeGrant, TypePieceBcast,
-		TypeSymbol, TypeSymbolAck,
-		TypeFindNode, TypeFindValue, TypeStoreValue, TypeNodesReply,
-		TypeBusy:
-		return t, nil
-	default:
-		return 0, fmt.Errorf("type %d: %w", b[2], ErrBadType)
-	}
-}
-
-func openReader(b []byte, want MsgType) (*reader, error) {
-	t, err := Peek(b)
-	if err != nil {
-		return nil, err
-	}
-	if t != want {
-		return nil, fmt.Errorf("got %v, want %v: %w", t, want, ErrBadType)
-	}
-	return &reader{b: b[3:]}, nil
-}
-
-// DecodeHello parses a hello beacon.
-func DecodeHello(b []byte) (*Hello, error) {
-	r, err := openReader(b, TypeHello)
-	if err != nil {
-		return nil, err
-	}
-	h := &Hello{}
-	from, err := r.uint32()
-	if err != nil {
-		return nil, err
-	}
-	h.From = trace.NodeID(from)
-
-	n, err := r.uint32()
-	if err != nil {
-		return nil, err
-	}
-	if n > maxListLen {
-		return nil, fmt.Errorf("heard list %d: %w", n, ErrTooLong)
-	}
-	for i := uint32(0); i < n; i++ {
-		id, err := r.uint32()
-		if err != nil {
-			return nil, err
-		}
-		h.Heard = append(h.Heard, trace.NodeID(id))
-	}
-
-	n, err = r.uint32()
-	if err != nil {
-		return nil, err
-	}
-	if n > maxListLen {
-		return nil, fmt.Errorf("query list %d: %w", n, ErrTooLong)
-	}
-	for i := uint32(0); i < n; i++ {
-		q, err := r.str(maxStrLen)
-		if err != nil {
-			return nil, err
-		}
-		h.Queries = append(h.Queries, q)
-	}
-
-	n, err = r.uint32()
-	if err != nil {
-		return nil, err
-	}
-	if n > maxListLen {
-		return nil, fmt.Errorf("download list %d: %w", n, ErrTooLong)
-	}
-	for i := uint32(0); i < n; i++ {
-		uri, err := r.str(maxStrLen)
-		if err != nil {
-			return nil, err
-		}
-		h.Downloading = append(h.Downloading, metadata.URI(uri))
-	}
-	if h.Have, err = decodeWantList(r); err != nil {
-		return nil, err
-	}
-	if len(r.b) != 0 {
-		return nil, ErrTrailing
-	}
-	return h, nil
-}
-
-// decodeMetadataBody parses the metadata payload without a header.
-func decodeMetadataBody(r *reader) (*Metadata, error) {
-	m := &Metadata{}
-	popBits, err := r.uint64()
-	if err != nil {
-		return nil, err
-	}
-	m.Popularity = math.Float64frombits(popBits)
-
-	rec := &m.Record
-	uri, err := r.str(maxStrLen)
-	if err != nil {
-		return nil, err
-	}
-	rec.URI = metadata.URI(uri)
-	if rec.Name, err = r.str(maxStrLen); err != nil {
-		return nil, err
-	}
-	if rec.Publisher, err = r.str(maxStrLen); err != nil {
-		return nil, err
-	}
-	if rec.Description, err = r.str(maxStrLen); err != nil {
-		return nil, err
-	}
-	size, err := r.uint64()
-	if err != nil {
-		return nil, err
-	}
-	rec.Size = int64(size)
-	pieceSize, err := r.uint32()
-	if err != nil {
-		return nil, err
-	}
-	rec.PieceSize = int(pieceSize)
-	created, err := r.uint64()
-	if err != nil {
-		return nil, err
-	}
-	rec.Created = simtime.Time(created)
-	expires, err := r.uint64()
-	if err != nil {
-		return nil, err
-	}
-	rec.Expires = simtime.Time(expires)
-
-	n, err := r.uint32()
-	if err != nil {
-		return nil, err
-	}
-	if n > maxListLen {
-		return nil, fmt.Errorf("piece hash list %d: %w", n, ErrTooLong)
-	}
-	rec.PieceHashes = make([][sha1.Size]byte, n)
-	for i := uint32(0); i < n; i++ {
-		if len(r.b) < sha1.Size {
-			return nil, ErrTruncated
-		}
-		copy(rec.PieceHashes[i][:], r.b[:sha1.Size])
-		r.b = r.b[sha1.Size:]
-	}
-	if len(r.b) < sha256.Size {
-		return nil, ErrTruncated
-	}
-	copy(rec.Signature[:], r.b[:sha256.Size])
-	r.b = r.b[sha256.Size:]
-	return m, nil
-}
-
-// DecodeMetadata parses a discovery payload.
-func DecodeMetadata(b []byte) (*Metadata, error) {
-	r, err := openReader(b, TypeMetadata)
-	if err != nil {
-		return nil, err
-	}
-	m, err := decodeMetadataBody(r)
-	if err != nil {
-		return nil, err
-	}
-	if len(r.b) != 0 {
-		return nil, ErrTrailing
-	}
-	return m, nil
-}
-
-// DecodePiece parses a download payload.
-func DecodePiece(b []byte) (*Piece, error) {
-	r, err := openReader(b, TypePiece)
-	if err != nil {
-		return nil, err
-	}
+func decodePiece(c *Cursor) *Piece {
 	p := &Piece{}
-	uri, err := r.str(maxStrLen)
-	if err != nil {
-		return nil, err
+	p.URI = metadata.URI(c.Str(maxStrLen))
+	p.Index = int(c.Uint32())
+	p.Total = int(c.Uint32())
+	p.Data = c.Bytes(maxDataLen)
+	if c.Flag("piggyback") {
+		p.Piggyback = decodeMetadata(c)
 	}
-	p.URI = metadata.URI(uri)
-	idx, err := r.uint32()
-	if err != nil {
-		return nil, err
-	}
-	p.Index = int(idx)
-	total, err := r.uint32()
-	if err != nil {
-		return nil, err
-	}
-	p.Total = int(total)
-	if p.Data, err = r.bytes(maxDataLen); err != nil {
-		return nil, err
-	}
-	flag, err := r.byte()
-	if err != nil {
-		return nil, err
-	}
-	if flag == 1 {
-		if p.Piggyback, err = decodeMetadataBody(r); err != nil {
-			return nil, err
-		}
-	} else if flag != 0 {
-		return nil, fmt.Errorf("piggyback flag %d: %w", flag, ErrBadType)
-	}
-	if len(r.b) != 0 {
-		return nil, ErrTrailing
-	}
-	return p, nil
+	return p
 }
 
 // Verify reports whether the piece's data matches the checksum in the
@@ -528,8 +241,8 @@ func (p *Piece) Verify(rec *metadata.Metadata) bool {
 	return rec.URI == p.URI && rec.VerifyPiece(p.Index, p.Data)
 }
 
-// Msg is any decoded on-air message: *Hello, *Metadata, *Piece, or one
-// of the group messages (*GroupHello, *Schedule, *Grant, *PieceBcast).
+// Msg is any decoded on-air message: one of the thirteen frame structs
+// the kind table lists, or a pre-encoded Raw.
 type Msg interface {
 	// Type returns the message's wire type tag.
 	Type() MsgType
@@ -564,40 +277,28 @@ func (*Piece) Type() MsgType { return TypePiece }
 
 // Encode serializes any message.
 func Encode(m Msg) []byte {
-	switch m := m.(type) {
-	case *Raw:
-		return m.Frame
-	case *Hello:
-		return EncodeHello(m)
-	case *Metadata:
-		return EncodeMetadata(m)
-	case *Piece:
-		return EncodePiece(m)
-	case *GroupHello:
-		return EncodeGroupHello(m)
-	case *Schedule:
-		return EncodeSchedule(m)
-	case *Grant:
-		return EncodeGrant(m)
-	case *PieceBcast:
-		return EncodePieceBcast(m)
-	case *Symbol:
-		return EncodeSymbol(m)
-	case *SymbolAck:
-		return EncodeSymbolAck(m)
-	case *FindNode:
-		return EncodeFindNode(m)
-	case *FindValue:
-		return EncodeFindValue(m)
-	case *StoreValue:
-		return EncodeStoreValue(m)
-	case *NodesReply:
-		return EncodeNodesReply(m)
-	case *Busy:
-		return EncodeBusy(m)
-	default:
-		panic(fmt.Sprintf("wire: Encode(%T)", m))
+	if r, ok := m.(*Raw); ok {
+		return r.Frame
 	}
+	return m.Type().row().encode(m)
+}
+
+// Peek returns the message type of an encoded buffer without decoding it.
+func Peek(b []byte) (MsgType, error) {
+	if len(b) < 3 {
+		return 0, ErrTruncated
+	}
+	if b[0] != magic {
+		return 0, ErrBadMagic
+	}
+	if b[1] != version {
+		return 0, fmt.Errorf("version %d: %w", b[1], ErrVersion)
+	}
+	t := MsgType(b[2])
+	if t.row().decode == nil {
+		return 0, fmt.Errorf("type %d: %w", b[2], ErrBadType)
+	}
+	return t, nil
 }
 
 // Decode parses any encoded message, dispatching on the header's type
@@ -609,39 +310,33 @@ func Decode(b []byte) (Msg, error) {
 	if err != nil {
 		return nil, err
 	}
-	var m Msg
-	switch t {
-	case TypeHello:
-		m, err = DecodeHello(b)
-	case TypeMetadata:
-		m, err = DecodeMetadata(b)
-	case TypeGroupHello:
-		m, err = DecodeGroupHello(b)
-	case TypeSchedule:
-		m, err = DecodeSchedule(b)
-	case TypeGrant:
-		m, err = DecodeGrant(b)
-	case TypePieceBcast:
-		m, err = DecodePieceBcast(b)
-	case TypeSymbol:
-		m, err = DecodeSymbol(b)
-	case TypeSymbolAck:
-		m, err = DecodeSymbolAck(b)
-	case TypeFindNode:
-		m, err = DecodeFindNode(b)
-	case TypeFindValue:
-		m, err = DecodeFindValue(b)
-	case TypeStoreValue:
-		m, err = DecodeStoreValue(b)
-	case TypeNodesReply:
-		m, err = DecodeNodesReply(b)
-	case TypeBusy:
-		m, err = DecodeBusy(b)
-	default:
-		m, err = DecodePiece(b)
-	}
-	if err != nil {
+	c := NewCursor(b[3:])
+	m := t.row().decode(c)
+	if err := c.Done(); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
+
+// decodeAs is Decode for a caller that knows which kind it holds.
+func decodeAs[M Msg](b []byte) (M, error) {
+	m, err := Decode(b)
+	if err != nil {
+		var none M
+		return none, err
+	}
+	typed, ok := m.(M)
+	if !ok {
+		return typed, fmt.Errorf("got %v, want %T: %w", m.Type(), typed, ErrBadType)
+	}
+	return typed, nil
+}
+
+// DecodeHello parses a hello beacon.
+func DecodeHello(b []byte) (*Hello, error) { return decodeAs[*Hello](b) }
+
+// DecodeMetadata parses a discovery payload.
+func DecodeMetadata(b []byte) (*Metadata, error) { return decodeAs[*Metadata](b) }
+
+// DecodePiece parses a download payload.
+func DecodePiece(b []byte) (*Piece, error) { return decodeAs[*Piece](b) }
