@@ -17,8 +17,11 @@ vet:
 # arrives through server.Safe, the catalog's query limit — the
 # scheduling rule stays pure, tracegen stays a leaf, and the DHT engine
 # has no admission control of its own: per-sender limiting happens once,
-# in internal/peer, where every frame passes. Offending packages are
-# printed.
+# in internal/peer, where every frame passes. Redial pacing is
+# transport.Backoff's alone, so transport stays off internal/limit; and
+# the packages that decide on time read the clock they are handed, never
+# the runtime's (the default is the func value time.Now, which the
+# pattern does not match). Offending packages or lines are printed.
 deps-check:
 	@! $(GO) list -deps ./cmd/tracegen ./cmd/mbtsim ./cmd/experiments \
 		| grep -E '^repro/internal/(fault|transport|peer|daemon|store)$$' \
@@ -32,6 +35,13 @@ deps-check:
 	@! $(GO) list -f '{{join .Imports "\n"}}' ./internal/dht \
 		| grep '^repro/internal/limit$$' \
 		|| { echo 'deps-check: internal/dht imports internal/limit' >&2; exit 1; }
+	@! $(GO) list -deps ./internal/transport \
+		| grep '^repro/internal/limit$$' \
+		|| { echo 'deps-check: internal/transport links internal/limit' >&2; exit 1; }
+	@! grep -nE 'time\.(Now|Since|Until)\(' \
+		$$(ls internal/daemon/*.go internal/peer/*.go internal/bcast/*.go \
+			internal/dht/*.go internal/limit/*.go internal/server/*.go | grep -v '_test\.go$$') \
+		|| { echo 'deps-check: a bare runtime-clock read in a package that is handed a clock' >&2; exit 1; }
 
 test:
 	$(GO) test ./...
@@ -102,7 +112,7 @@ swarm:
 	$(GO) run ./cmd/mbtswarm -scenario steady -nodes 1000 -seed 42 -out results >/dev/null
 	mv results/swarm_steady.json results/swarm_steady-1000.json
 
-# Overload soak: the limiter/breaker property suite, the Busy frame
+# Overload soak: the limiter property suite, the Busy frame
 # codec, per-peer admission shedding (the raw-connection flood against a
 # live victim, then the same flood layered over drop+corruption faults),
 # catalog query limiting, and the 24-node flash-crowd-overload swarm

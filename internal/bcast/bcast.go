@@ -115,6 +115,10 @@ type Config struct {
 	// re-broadcasts to the group per Tick (default DefaultRelayBudget;
 	// coopcast-style cooperation, capped so relays cannot storm).
 	RelayBudget int
+	// Now is the clock edges, member views and symbol collections are
+	// stamped with and aged against (default time.Now); each entry point
+	// reads it once.
+	Now func() time.Time
 	// Logf, when set, receives group lifecycle lines.
 	Logf func(format string, args ...any)
 }
@@ -206,6 +210,9 @@ func New(cfg Config) *Engine {
 	if cfg.RelayBudget <= 0 {
 		cfg.RelayBudget = DefaultRelayBudget
 	}
+	if cfg.Now == nil {
+		cfg.Now = time.Now
+	}
 	e := &Engine{
 		cfg:       cfg,
 		edges:     make(map[edge]time.Time),
@@ -231,7 +238,7 @@ func (e *Engine) logf(format string, args ...any) {
 // Observe feeds one overheard hello into the adjacency graph: the
 // sender hears each node in heard, so those pairs can share a medium.
 func (e *Engine) Observe(from trace.NodeID, heard []trace.NodeID) {
-	now := time.Now()
+	now := e.cfg.Now()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for _, h := range heard {
@@ -244,6 +251,7 @@ func (e *Engine) Observe(from trace.NodeID, heard []trace.NodeID) {
 // HandleGroup processes one received group message. Grants addressed
 // to this node trigger the piece broadcast inline.
 func (e *Engine) HandleGroup(ctx context.Context, from trace.NodeID, msg wire.Msg) {
+	now := e.cfg.Now()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	switch v := msg.(type) {
@@ -251,7 +259,7 @@ func (e *Engine) HandleGroup(ctx context.Context, from trace.NodeID, msg wire.Ms
 		e.counters.GroupHellosRecv++
 		members := append([]trace.NodeID(nil), v.Members...)
 		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-		e.views[from] = &view{members: members, wants: v.Wants, fec: v.FEC, at: time.Now()}
+		e.views[from] = &view{members: members, wants: v.Wants, fec: v.FEC, at: now}
 		if v.Round > e.round {
 			e.round = v.Round
 		}
@@ -261,7 +269,7 @@ func (e *Engine) HandleGroup(ctx context.Context, from trace.NodeID, msg wire.Ms
 			e.round = v.Round
 		}
 		if v.To == e.cfg.Self && contains(e.group, v.From) {
-			e.transmitLocked(ctx, v)
+			e.transmitLocked(ctx, v, now)
 		}
 	case *wire.PieceBcast:
 		e.counters.PieceBcastsRecv++
@@ -274,7 +282,7 @@ func (e *Engine) HandleGroup(ctx context.Context, from trace.NodeID, msg wire.Ms
 		e.markHaveLocked(v.URI, v.Index)
 		e.cfg.Store.DeliverPiece(from, v)
 	case *wire.Symbol:
-		e.handleSymbolLocked(ctx, v)
+		e.handleSymbolLocked(ctx, v, now)
 	case *wire.SymbolAck:
 		e.handleSymbolAckLocked(from, v)
 	}
@@ -314,7 +322,7 @@ func (e *Engine) Stats() Stats {
 // announce the view, and — when this node is the confirmed group's
 // sequencer — run one schedule round.
 func (e *Engine) Tick(ctx context.Context) {
-	now := time.Now()
+	now := e.cfg.Now()
 	live := e.cfg.Store.LivePeers()
 	selfWants := e.cfg.Store.Wants()
 
@@ -346,7 +354,7 @@ func (e *Engine) Tick(ctx context.Context) {
 		fec: e.symbols != nil, at: now,
 	}
 	e.relayQuota = e.cfg.RelayBudget
-	e.pruneFECLocked()
+	e.pruneFECLocked(now)
 	if e.group == nil {
 		return
 	}
@@ -520,17 +528,17 @@ func (e *Engine) runRoundLocked(ctx context.Context, now time.Time) {
 	e.sendLocked(ctx, grant)
 	e.counters.GrantsSent++
 	if grant.To == e.cfg.Self {
-		e.transmitLocked(ctx, grant)
+		e.transmitLocked(ctx, grant, now)
 	}
 }
 
 // transmitLocked serves one grant addressed to this node: resolve the
 // piece (the grant's, or this node's best candidate when the choice is
 // left open), fetch the data, and broadcast it.
-func (e *Engine) transmitLocked(ctx context.Context, g *wire.Grant) {
+func (e *Engine) transmitLocked(ctx context.Context, g *wire.Grant, now time.Time) {
 	uri, piece := g.URI, int(g.Piece)
 	if uri == "" || g.Piece == wire.NoPiece {
-		cands, _ := e.candidatesLocked(time.Now())
+		cands, _ := e.candidatesLocked(now)
 		found := false
 		for _, c := range cands {
 			if c.HeldBy(e.cfg.Self) {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/metadata"
+	"repro/internal/testutil"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -19,6 +20,9 @@ import (
 // state (Have bitsets!) with another.
 
 type harness struct {
+	// clk is every engine's clock. It stands still unless a test moves
+	// it, so nothing expires mid-test by accident.
+	clk     *testutil.Clock
 	mu      sync.Mutex
 	engines map[trace.NodeID]*Engine
 	stores  map[trace.NodeID]*fakeStore
@@ -48,6 +52,7 @@ type delivery struct {
 
 func newHarness() *harness {
 	return &harness{
+		clk:     testutil.NewClock(),
 		engines: make(map[trace.NodeID]*Engine),
 		stores:  make(map[trace.NodeID]*fakeStore),
 	}
@@ -60,9 +65,10 @@ func (h *harness) add(t *testing.T, id trace.NodeID, tft bool) {
 	e := New(Config{
 		Self:      id,
 		TitForTat: tft,
-		Window:    time.Minute, // ticks are manual; nothing expires mid-test
+		Window:    time.Minute,
 		Store:     st,
 		Send:      &fakeSender{h: h, self: id},
+		Now:       h.clk.Now,
 		Logf:      t.Logf,
 	})
 	h.engines[id] = e
@@ -305,6 +311,52 @@ func TestGroupFormsAndConfirms(t *testing.T) {
 			t.Fatalf("node %d: InGroup(1) false after confirmation", id)
 		}
 	}
+}
+
+// TestStaleViewUnconfirmsUntilNextGroupHello: confirmation is every
+// member's view agreeing *and fresh*. A member that stops announcing —
+// while the hellos that hold the clique together keep being overheard —
+// costs the group its confirmation once its view is more than one Window
+// old, not at one Window; the group itself stands, and the member's next
+// GroupHello restores the schedule.
+func TestStaleViewUnconfirmsUntilNextGroupHello(t *testing.T) {
+	h := newHarness()
+	for _, id := range []trace.NodeID{1, 2, 3} {
+		h.add(t, id, false)
+	}
+	h.fullMesh()
+	h.step(t, 1, 2, 3)
+	h.step(t, 1, 2, 3)
+	e := h.engines[1]
+	if !e.InGroup(3) {
+		t.Fatal("no confirmed group to start from")
+	}
+	check := func(when string, confirmed bool) {
+		t.Helper()
+		g, ok := e.Group()
+		if !equalIDs(g, []trace.NodeID{1, 2, 3}) || ok != confirmed || e.InGroup(3) != confirmed {
+			t.Fatalf("%s: group=%v confirmed=%v InGroup(3)=%v, want [1 2 3] %v %v",
+				when, g, ok, e.InGroup(3), confirmed, confirmed)
+		}
+	}
+
+	// 3's last GroupHello is exactly one Window old: still good. 2 keeps
+	// announcing and the overheard hellos stay fresh throughout.
+	h.clk.Advance(e.cfg.Window)
+	h.fullMesh()
+	h.step(t, 1, 2)
+	check("one Window after 3's last GroupHello", true)
+
+	h.clk.Advance(1)
+	h.step(t, 1)
+	check("an instant later", false)
+	if st := e.Stats(); st.Formations != 1 || st.Collapses != 0 {
+		t.Fatalf("formations %d, collapses %d: a stale view must cost the confirmation, not the group", st.Formations, st.Collapses)
+	}
+
+	h.step(t, 3) // 3 announces again
+	h.step(t, 1)
+	check("after 3's next GroupHello", true)
 }
 
 // TestTooSmallForGroup: two nodes are below DefaultMinGroupSize and stay on

@@ -163,7 +163,7 @@ func (e *Engine) selfHasLocked(uri metadata.URI, piece int) bool {
 // handleSymbolLocked absorbs one received coded symbol: integrity
 // check, budget-limited first-sight relay, decode, and on a completed
 // block the shared verify-and-store path plus the aggregate ack.
-func (e *Engine) handleSymbolLocked(ctx context.Context, s *wire.Symbol) {
+func (e *Engine) handleSymbolLocked(ctx context.Context, s *wire.Symbol, now time.Time) {
 	e.counters.SymbolsRecv++
 	if !s.CheckOK() {
 		e.counters.SymbolsBadCheck++
@@ -198,7 +198,7 @@ func (e *Engine) handleSymbolLocked(ctx context.Context, s *wire.Symbol) {
 		blk = &fecBlock{dec: dec, total: s.Total}
 		e.fecRecv[key] = blk
 	}
-	blk.at = time.Now()
+	blk.at = now
 	before := blk.dec.Received()
 	done, err := blk.dec.Add(s.Index, s.Payload)
 	if err != nil {
@@ -280,9 +280,8 @@ func (e *Engine) handleSymbolAckLocked(from trace.NodeID, a *wire.SymbolAck) {
 // pruneFECLocked drops collections that stopped making progress (the
 // group moved on, or the stream's sender vanished) and sender streams
 // for pieces no longer scheduled. Called from Tick under e.mu.
-func (e *Engine) pruneFECLocked() {
+func (e *Engine) pruneFECLocked(now time.Time) {
 	cutoff := 4 * e.cfg.Window
-	now := time.Now()
 	for k, blk := range e.fecRecv {
 		if now.Sub(blk.at) > cutoff {
 			delete(e.fecRecv, k)

@@ -138,13 +138,14 @@ func (s *bcastStore) Wants() []wire.GroupWant {
 	d := (*Daemon)(s)
 	var out []wire.GroupWant
 	seen := make(map[metadata.URI]bool)
+	now := protoTime(d.clock())
 
 	d.mu.Lock()
 	for _, uri := range d.node.PieceURIs() {
 		if len(out) >= bcastWantsCap {
 			break
 		}
-		if rec, have := d.heldLocked(uri); rec != nil {
+		if rec, have := d.heldLocked(uri, now); rec != nil {
 			ps := d.node.Pieces(uri)
 			out = append(out, groupWant(uri, ps.Want && !ps.Complete(), have))
 			seen[uri] = true
@@ -153,7 +154,7 @@ func (s *bcastStore) Wants() []wire.GroupWant {
 	d.mu.Unlock()
 
 	if d.catalog != nil {
-		for _, m := range d.catalog.Top(d.now(), bcastWantsCap) {
+		for _, m := range d.catalog.Top(now, bcastWantsCap) {
 			if len(out) >= bcastWantsCap {
 				break
 			}
@@ -168,7 +169,8 @@ func (s *bcastStore) Wants() []wire.GroupWant {
 // PieceData produces a servable piece from the node's holding of uri —
 // the same source servePieces draws from.
 func (s *bcastStore) PieceData(uri metadata.URI, i int) ([]byte, int, bool) {
-	rec, have := (*Daemon)(s).holding(uri)
+	d := (*Daemon)(s)
+	rec, have := d.holding(uri, protoTime(d.clock()))
 	if i < 0 || i >= len(have) || !have[i] {
 		return nil, 0, false
 	}
@@ -178,7 +180,7 @@ func (s *bcastStore) PieceData(uri metadata.URI, i int) ([]byte, int, bool) {
 func (s *bcastStore) Popularity(uri metadata.URI) float64 {
 	d := (*Daemon)(s)
 	if d.catalog != nil {
-		return d.catalog.Popularity(d.now(), uri)
+		return d.catalog.Popularity(protoTime(d.clock()), uri)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -70,11 +70,12 @@ func (f *gateFile) Sync() error {
 
 // durableBench is bench with a data directory and the committer
 // running, but no network: pieces are fed straight into onPiece, so
-// each test decides what a group commit holds. stop drains the
-// committer and closes the store, as Run's shutdown does.
-func durableBench(t *testing.T, dir string, fs store.FS) (d *Daemon, stop func()) {
+// each test decides what a group commit holds — and, through clk, when.
+// stop drains the committer and closes the store, as Run's shutdown
+// does.
+func durableBench(t *testing.T, clk *testutil.Clock, dir string, fs store.FS) (d *Daemon, stop func()) {
 	t.Helper()
-	d = bench(t, func(c *Config) {
+	d = benchAt(t, clk, func(c *Config) {
 		c.DataDir = dir
 		c.StoreFS = fs
 		c.FileSize = crashFileSize
@@ -116,7 +117,7 @@ func settled(d *Daemon) bool {
 // that arrive meanwhile ride the next commit together.
 func TestPieceHeldOnlyAfterSync(t *testing.T) {
 	fs := newGateFS()
-	d, _ := durableBench(t, t.TempDir(), fs)
+	d, _ := durableBench(t, testutil.NewClock(), t.TempDir(), fs)
 	const peer = 5
 	rec := feedMetadata(t, d, peer) // logged synchronously, gate open
 
@@ -190,7 +191,7 @@ func TestFailedSyncDropsPieceAndCreditTogether(t *testing.T) {
 	// turn the store read-only. One piece per commit keeps the draw order
 	// fixed.
 	ffs := fault.WrapFS(store.OSFS{}, fault.FSConfig{Seed: 7, SyncFail: 0.3})
-	d, stop := durableBench(t, dir, ffs)
+	d, stop := durableBench(t, testutil.NewClock(), dir, ffs)
 	const peer = 5
 	rec := d.syntheticFile(0)
 	for try := 0; d.Stats().MetadataStored == 0; try++ {

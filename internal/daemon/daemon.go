@@ -45,7 +45,6 @@ import (
 	"repro/internal/credit"
 	"repro/internal/dht"
 	"repro/internal/fault"
-	"repro/internal/limit"
 	"repro/internal/metadata"
 	"repro/internal/node"
 	"repro/internal/peer"
@@ -75,11 +74,11 @@ const (
 	// DefaultRetryBudget bounds out-of-band stall re-drives per
 	// download; past it the daemon leans on the regular beacon alone.
 	DefaultRetryBudget = 16
-	// DefaultQuarantineThreshold is how many bad signatures a peer gets
-	// away with before quarantine.
-	DefaultQuarantineThreshold = 5
+	// badSigsPerStrike is how many bad signatures earn a peer one strike,
+	// and with it a quarantine.
+	badSigsPerStrike = 5
 	// maxQuarantineDoublings caps quarantine growth at
-	// 2^maxQuarantineDoublings × QuarantineBase.
+	// 2^maxQuarantineDoublings × the liveness window.
 	maxQuarantineDoublings = 3
 )
 
@@ -132,13 +131,10 @@ type Config struct {
 	// a dropped or corrupted piece is re-served after one deadline
 	// instead of waiting for a full catalog sweep.
 	ResendAfter time.Duration
-	// StallTimeout is the download-side deadline: a wanted file that
-	// gains no new piece for this long counts as stalled and triggers
-	// an out-of-band hello to every live peer (default 3× the liveness
-	// window).
-	StallTimeout time.Duration
-	// RetryBudget bounds stall re-drives per download (default
-	// DefaultRetryBudget); the spend is surfaced in Stats and /healthz.
+	// RetryBudget bounds stall re-drives per download — the out-of-band
+	// hellos spent on a wanted file that gained no piece for 3× the
+	// liveness window (default DefaultRetryBudget); the spend is surfaced
+	// in Stats and /healthz.
 	RetryBudget int
 	// PeerRate, when positive, turns on per-peer admission control:
 	// each peer's inbound messages dispatch at most PeerRate per second
@@ -158,13 +154,6 @@ type Config struct {
 	// (default peer.DefaultQueueLen); tests shrink it to force shedding,
 	// benchmarks size it to a whole file.
 	OutboxLen int
-	// QuarantineThreshold and QuarantineBase shape sender quarantine:
-	// a peer reaching the threshold of bad signatures is ignored for
-	// QuarantineBase, doubling per repeat offense (capped at 8×) and
-	// decaying back to clean while it behaves. Defaults:
-	// DefaultQuarantineThreshold and the liveness window.
-	QuarantineThreshold int
-	QuarantineBase      time.Duration
 	// Backoff shapes outbound redial.
 	Backoff transport.Backoff
 	// EnableBcast runs the live broadcast-group subsystem (§V): the
@@ -259,8 +248,6 @@ type Stats struct {
 	BusyReplies  uint64 `json:"busy_replies"`
 	BusyBackoffs uint64 `json:"busy_backoffs"`
 	QueriesShed  uint64 `json:"queries_shed,omitempty"`
-	// Breakers is the dial circuit-breaker family's state.
-	Breakers *limit.SetStats `json:"breakers,omitempty"`
 	// Stall re-drive accounting: Stalls counts stall detections,
 	// Redrives the out-of-band hellos spent on them, Retries the
 	// per-download budget spend against RetryBudget.
@@ -354,9 +341,9 @@ type sentFile struct {
 }
 
 // offender is one peer's bad-signature record; the zero value is a clean
-// one. A peer reaching the quarantine threshold is ignored until the
-// deadline; strikes double the penalty per repeat offense and decay away
-// while the peer behaves.
+// one. Every badSigsPerStrike bad signatures are a strike, and the peer
+// is ignored until the deadline; strikes double the penalty per repeat
+// offense and decay away while the peer behaves.
 type offender struct {
 	badSigs int
 	strikes int
@@ -398,15 +385,18 @@ type fileState struct {
 
 // Daemon is a live MBT node. Construct with New, drive with Run.
 type Daemon struct {
-	cfg      Config
-	mgr      *peer.Manager
-	catalog  *server.Safe     // nil unless InternetAccess
-	bcast    *bcast.Engine    // nil unless EnableBcast
-	store    *store.Store     // nil unless DataDir
-	commitQ  chan stagedPiece // onPiece → commitLoop; nil unless DataDir
-	dht      *dht.Engine      // nil unless EnableDHT
-	epoch    time.Time
-	breakers *limit.Set
+	cfg     Config
+	mgr     *peer.Manager
+	catalog *server.Safe     // nil unless InternetAccess
+	bcast   *bcast.Engine    // nil unless EnableBcast
+	store   *store.Store     // nil unless DataDir
+	commitQ chan stagedPiece // onPiece → commitLoop; nil unless DataDir
+	dht     *dht.Engine      // nil unless EnableDHT
+	// clock is the node's one clock: every decision on time, here and in
+	// the engines the daemon builds, is made on a reading of it. started
+	// is its reading at construction, kept for uptime only.
+	clock   func() time.Time
+	started time.Time
 
 	// DHT plumbing: the engine's RPC deadline, the run context its sends
 	// inherit, and the in-flight dial-on-demand set.
@@ -461,13 +451,10 @@ func (c Config) Validate() error {
 		{c.LivenessWindow < 0, "negative LivenessWindow"},
 		{c.MaxPeers < 0, "negative MaxPeers"},
 		{c.ResendAfter < 0, "negative ResendAfter"},
-		{c.StallTimeout < 0, "negative StallTimeout"},
 		{c.RetryBudget < 0, "negative RetryBudget"},
 		{c.PeerRate < 0, "negative PeerRate"},
 		{c.BusyRetryAfter < 0, "negative BusyRetryAfter"},
 		{c.OutboxLen < 0, "negative OutboxLen"},
-		{c.QuarantineThreshold < 0, "negative QuarantineThreshold"},
-		{c.QuarantineBase < 0, "negative QuarantineBase"},
 		{c.SymbolSize < 0, "negative SymbolSize"},
 		{c.RelayBudget < 0, "negative RelayBudget"},
 		{c.DHTK < 0, "negative DHTK"},
@@ -489,7 +476,10 @@ func (c Config) Validate() error {
 }
 
 // New validates cfg and builds the daemon (no I/O yet; Run starts it).
-func New(cfg Config) (*Daemon, error) {
+func New(cfg Config) (*Daemon, error) { return newDaemon(cfg, time.Now) }
+
+// newDaemon is New on the given clock; tests pass a hand-driven one.
+func newDaemon(cfg Config, clock func() time.Time) (*Daemon, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -514,17 +504,8 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.ResendAfter <= 0 {
 		cfg.ResendAfter = 2 * cfg.LivenessWindow
 	}
-	if cfg.StallTimeout <= 0 {
-		cfg.StallTimeout = 3 * cfg.LivenessWindow
-	}
 	if cfg.RetryBudget <= 0 {
 		cfg.RetryBudget = DefaultRetryBudget
-	}
-	if cfg.QuarantineThreshold <= 0 {
-		cfg.QuarantineThreshold = DefaultQuarantineThreshold
-	}
-	if cfg.QuarantineBase <= 0 {
-		cfg.QuarantineBase = cfg.LivenessWindow
 	}
 	if cfg.DHTRepublish <= 0 {
 		cfg.DHTRepublish = 10 * cfg.HelloInterval
@@ -533,14 +514,15 @@ func New(cfg Config) (*Daemon, error) {
 		cfg.BusyRetryAfter = 2 * cfg.HelloInterval
 	}
 
+	now := clock()
 	d := &Daemon{
-		cfg:   cfg,
-		epoch: time.Now(),
-		node:  node.New(cfg.ID, cfg.InternetAccess),
-		peers: make(map[trace.NodeID]*peerState),
-		files: make(map[metadata.URI]*fileState),
+		cfg:     cfg,
+		clock:   clock,
+		started: now,
+		node:    node.New(cfg.ID, cfg.InternetAccess),
+		peers:   make(map[trace.NodeID]*peerState),
+		files:   make(map[metadata.URI]*fileState),
 	}
-	d.breakers = limit.NewSet(limit.BreakerConfig{Cooldown: cfg.LivenessWindow})
 	if cfg.DataDir != "" {
 		st, err := store.Open(store.Options{
 			Dir:          cfg.DataDir,
@@ -552,7 +534,7 @@ func New(cfg Config) (*Daemon, error) {
 		}
 		d.store = st
 		d.commitQ = make(chan stagedPiece, commitQueueLen)
-		d.restore(st.State())
+		d.restore(st.State(), now)
 	}
 	if cfg.InternetAccess {
 		cat, err := server.NewSafe(cfg.InternetNodes)
@@ -562,7 +544,7 @@ func New(cfg Config) (*Daemon, error) {
 		d.catalog = cat
 		// The catalog gets the same per-peer rate as the dispatch layer
 		// (zero leaves it unlimited).
-		cat.SetQueryLimit(cfg.PeerRate, nil)
+		cat.SetQueryLimit(cfg.PeerRate, clock)
 		for i := 0; i < cfg.PublishFiles; i++ {
 			if err := cat.Publish(d.syntheticFile(metadata.FileID(i))); err != nil {
 				return nil, err
@@ -570,7 +552,7 @@ func New(cfg Config) (*Daemon, error) {
 		}
 	}
 	for _, q := range cfg.Queries {
-		d.node.AddQuery(q, d.now().Add(DefaultTTL))
+		d.node.AddQuery(q, protoTime(now).Add(DefaultTTL))
 	}
 	if cfg.EnableDHT {
 		// The RPC deadline tracks the liveness window so a dial-on-demand
@@ -587,7 +569,8 @@ func New(cfg Config) (*Daemon, error) {
 			RequestTimeout: d.dhtTimeout,
 			Send:           d.dhtSend,
 			Verify:         d.dhtVerify,
-			SignedExpiry:   d.dhtSignedExpiry,
+			SignedExpiry:   dhtSignedExpiry,
+			Now:            clock,
 			Logf:           cfg.Logf,
 		})
 	}
@@ -601,6 +584,7 @@ func New(cfg Config) (*Daemon, error) {
 			FEC:         cfg.EnableFEC && cfg.Symbols != nil,
 			SymbolSize:  cfg.SymbolSize,
 			RelayBudget: cfg.RelayBudget,
+			Now:         clock,
 			Logf:        cfg.Logf,
 		})
 	}
@@ -615,7 +599,7 @@ func New(cfg Config) (*Daemon, error) {
 		InboundRate:    cfg.PeerRate,
 		QueueLen:       cfg.OutboxLen,
 		OnShed:         d.onShed,
-		DialBreakers:   d.breakers,
+		Now:            clock,
 		Logf:           cfg.Logf,
 	})
 	return d, nil
@@ -629,7 +613,7 @@ func (d *Daemon) syntheticFile(id metadata.FileID) *metadata.Metadata {
 	publisher := "mbtd"
 	return metadata.NewSynthetic(id, name, publisher,
 		fmt.Sprintf("synthetic catalog file %d served by node %d", id, d.cfg.ID),
-		d.cfg.FileSize, d.cfg.PieceSize, d.now(), DefaultTTL,
+		d.cfg.FileSize, d.cfg.PieceSize, protoTime(d.clock()), DefaultTTL,
 		workload.KeyFor(publisher))
 }
 
@@ -637,11 +621,11 @@ func (d *Daemon) syntheticFile(id metadata.FileID) *metadata.Metadata {
 // for query distribution: ten liveness windows.
 const peerQueryTTL = 10 * simtime.Duration(peer.DefaultLivenessWindow/time.Millisecond)
 
-// now maps wall time onto the simulation clock the protocol state
-// machines understand: milliseconds since daemon start.
-func (d *Daemon) now() simtime.Time {
-	return simtime.Time(time.Since(d.epoch) / time.Millisecond)
-}
+// protoTime is the live node's one time base: an instant as the
+// protocol state machines, the wire and the WAL carry it — Unix
+// milliseconds. A record's Created and Expires therefore name the same
+// instant at its publisher, at every receiver and after any restart.
+func protoTime(t time.Time) simtime.Time { return simtime.Time(t.UnixMilli()) }
 
 func (d *Daemon) logf(format string, args ...any) {
 	if d.cfg.Logf != nil {
@@ -655,16 +639,17 @@ func (d *Daemon) logf(format string, args ...any) {
 // recovered from the data directory are advertised from the first
 // beacon, so no peer ever re-sends what already survived the crash.
 func (d *Daemon) helloContent() ([]string, []metadata.URI, []wire.GroupWant) {
+	now := protoTime(d.clock())
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	downloading := d.node.WantedIncomplete()
 	have := make([]wire.GroupWant, 0, len(downloading))
 	for _, uri := range downloading {
-		if rec, held := d.heldLocked(uri); rec != nil {
+		if rec, held := d.heldLocked(uri, now); rec != nil {
 			have = append(have, groupWant(uri, true, held))
 		}
 	}
-	return d.node.Queries(d.now()), downloading, have
+	return d.node.Queries(now), downloading, have
 }
 
 // peerLocked returns id's record, starting a clean one if there is none.
@@ -693,12 +678,18 @@ func (d *Daemon) fileLocked(uri metadata.URI) *fileState {
 // node re-learns persisted metadata and pieces, interrupted downloads
 // are re-selected so the next hello advertises them (with have-bitmaps
 // covering everything recovered), the credit ledger is replayed, and
-// quarantine penalties still in the future are re-armed. Called from
-// New before any I/O starts, so no lock is needed.
-func (d *Daemon) restore(st *store.State) {
-	now := d.now()
+// quarantine penalties still in the future are re-armed. What lapsed
+// while the node was down stays lapsed, exactly as node.Expire would
+// have left it: a record past its signed expiry is not re-learned, its
+// unfinished piece set is dropped with it, a complete one is kept.
+// Called from New before any I/O starts, so no lock is needed.
+func (d *Daemon) restore(st *store.State, wall time.Time) {
+	now := protoTime(wall)
 	for uri, f := range st.Files {
 		if f.Meta != nil {
+			if f.Meta.Expired(now) && f.HaveCount() < f.Total {
+				continue
+			}
 			d.node.AddMetadata(f.Meta.Clone(), f.Popularity, now)
 		}
 		held := make([]bool, f.Total)
@@ -721,7 +712,6 @@ func (d *Daemon) restore(st *store.State) {
 	for p, c := range st.Credit {
 		d.node.Ledger.Add(p, c)
 	}
-	wall := time.Now()
 	for p, q := range st.Quarantine {
 		until := time.UnixMilli(q.UntilUnixMilli)
 		if until.After(wall) {
@@ -869,14 +859,15 @@ func (d *Daemon) Run(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// sweepLoop ticks sweepOnce at the hello interval.
+// sweepLoop ticks sweepOnce at the hello interval, each on one reading
+// of the clock.
 func (d *Daemon) sweepLoop(ctx context.Context) {
 	t := time.NewTicker(d.cfg.HelloInterval)
 	defer t.Stop()
 	for {
 		select {
 		case <-t.C:
-			d.sweepOnce()
+			d.sweepOnce(d.clock())
 		case <-ctx.Done():
 			return
 		}
@@ -888,12 +879,11 @@ func (d *Daemon) sweepLoop(ctx context.Context) {
 // decay quarantine strikes of those that have since behaved, note who is
 // inside a Busy window, and drop every record that no longer holds
 // anything. Files: re-drive stalled downloads — a wanted file with no new
-// piece inside StallTimeout spends one unit of its retry budget on an
-// immediate out-of-band hello to every live peer, which prompts any
+// piece for 3× the liveness window spends one unit of its retry budget on
+// an immediate out-of-band hello to every live peer, which prompts any
 // holder to re-serve (its per-piece ResendAfter deadlines decide what).
-func (d *Daemon) sweepOnce() {
-	now := d.now()
-	wall := time.Now()
+func (d *Daemon) sweepOnce(wall time.Time) {
+	now := protoTime(wall)
 	live := make(map[trace.NodeID]bool)
 	for _, id := range d.mgr.Peers() {
 		live[id] = true
@@ -913,7 +903,7 @@ func (d *Daemon) sweepOnce() {
 		if !live[id] {
 			ps.sent = nil
 		}
-		ps.offence.decay(wall, d.cfg.QuarantineBase)
+		ps.offence.decay(wall, d.cfg.LivenessWindow)
 		if ps.busyOn(wire.BusyPiece, wall) || ps.busyOn(wire.BusyQuery, wall) {
 			busy[id] = true
 		}
@@ -946,7 +936,7 @@ func (d *Daemon) sweepOnce() {
 			f.lastProgress = wall // a restored download's first sweep
 			continue
 		}
-		if wall.Sub(f.lastProgress) < d.cfg.StallTimeout {
+		if wall.Sub(f.lastProgress) < 3*d.cfg.LivenessWindow {
 			continue
 		}
 		d.counters.stalls++
@@ -979,8 +969,9 @@ func (d *Daemon) sweepOnce() {
 // Config.Queries. A query that was not already in the set is beaconed
 // at once; repeating one only extends its expiry.
 func (d *Daemon) AddQuery(q string) {
+	expiry := protoTime(d.clock()).Add(DefaultTTL)
 	d.mu.Lock()
-	added := d.node.AddQuery(q, d.now().Add(DefaultTTL))
+	added := d.node.AddQuery(q, expiry)
 	d.mu.Unlock()
 	if added {
 		d.mgr.Kick()
@@ -1009,7 +1000,7 @@ func (d *Daemon) Paused() bool { return d.mgr.Paused() }
 // nodes to decide whether a file is still reconstructable after seeder
 // death — the availability metric's ground truth.
 func (d *Daemon) Have(uri metadata.URI) []bool {
-	_, have := d.holding(uri)
+	_, have := d.holding(uri, protoTime(d.clock()))
 	return have
 }
 
@@ -1031,11 +1022,11 @@ func (d *Daemon) Completed(uri metadata.URI) bool {
 
 // Stats snapshots the daemon for the HTTP endpoint and tests.
 func (d *Daemon) Stats() Stats {
-	wall := time.Now()
+	wall := d.clock()
 	d.mu.Lock()
 	st := Stats{
 		ID:                      d.cfg.ID,
-		UptimeSeconds:           time.Since(d.epoch).Seconds(),
+		UptimeSeconds:           wall.Sub(d.started).Seconds(),
 		InternetAccess:          d.cfg.InternetAccess,
 		MetadataStored:          len(d.node.MetadataStore()),
 		Completed:               make(map[string]bool),
@@ -1081,9 +1072,6 @@ func (d *Daemon) Stats() Stats {
 	st.OutboxDropsData = q.DropsData
 	st.OutboxDrops = q.DropsControl + q.DropsData
 	st.OutboxControlDepth, st.OutboxDataDepth = q.ControlDepth, q.DataDepth
-	if bs := d.breakers.Stats(); bs.Breakers > 0 {
-		st.Breakers = &bs
-	}
 	if d.catalog != nil {
 		st.CatalogFiles = d.catalog.Len()
 		st.QueriesShed = d.catalog.QueriesShed()
@@ -1141,10 +1129,11 @@ func (h *handler) Handle(from trace.NodeID, msg wire.Msg) {
 // must be dropped because the sender is serving a bad-signature
 // quarantine.
 func (d *Daemon) quarantined(from trace.NodeID) bool {
+	wall := d.clock()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	ps := d.peers[from]
-	if ps == nil || !time.Now().Before(ps.offence.until) {
+	if ps == nil || !wall.Before(ps.offence.until) {
 		return false
 	}
 	d.counters.quarantineDrops++
@@ -1157,7 +1146,8 @@ func (d *Daemon) onHello(from trace.NodeID, msg *wire.Hello) {
 	if d.quarantined(from) {
 		return
 	}
-	now := d.now()
+	wall := d.clock()
+	now := protoTime(wall)
 
 	// The peer set is this node's "frequent contacts" in the live
 	// runtime: cache their queries so MBT's query distribution has
@@ -1210,7 +1200,7 @@ func (d *Daemon) onHello(from trace.NodeID, msg *wire.Hello) {
 		peerHave[msg.Have[i].URI] = &msg.Have[i]
 	}
 	for _, uri := range msg.Downloading {
-		d.servePieces(from, uri, peerHave[uri], msg.Heard)
+		d.servePieces(wall, from, uri, peerHave[uri], msg.Heard)
 	}
 }
 
@@ -1289,8 +1279,8 @@ func (d *Daemon) answerQuery(now simtime.Time, from trace.NodeID, q string, hold
 // the burst is still being built and the burst is never held whole. A
 // piece the peer's full data lane drops keeps its sent mark — the resend
 // deadline re-serves it, like any other lost frame.
-func (d *Daemon) servePieces(from trace.NodeID, uri metadata.URI, peerHave *wire.GroupWant, heard []trace.NodeID) {
-	rec, have := d.holding(uri)
+func (d *Daemon) servePieces(wall time.Time, from trace.NodeID, uri metadata.URI, peerHave *wire.GroupWant, heard []trace.NodeID) {
+	rec, have := d.holding(uri, protoTime(wall))
 	if rec == nil || !slices.Contains(have, true) {
 		return
 	}
@@ -1299,7 +1289,6 @@ func (d *Daemon) servePieces(from trace.NodeID, uri metadata.URI, peerHave *wire
 	canServe := func(i int) bool { return i < len(have) && have[i] }
 	held := func(i int) bool { return peerHave != nil && peerHave.HaveBit(i) }
 
-	wall := time.Now()
 	d.mu.Lock()
 	ps := d.peerLocked(from)
 	sf := ps.sent[uri]
@@ -1341,7 +1330,8 @@ func (d *Daemon) onMetadata(from trace.NodeID, m *wire.Metadata) {
 	if d.quarantined(from) {
 		return
 	}
-	now := d.now()
+	wall := d.clock()
+	now := protoTime(wall)
 	rec := m.Record.Clone()
 	if err := rec.Validate(); err != nil {
 		d.bumpBadSignature(from)
@@ -1382,7 +1372,7 @@ func (d *Daemon) onMetadata(from trace.NodeID, m *wire.Metadata) {
 	if selected {
 		d.node.Select(rec.URI)
 		if f := d.fileLocked(rec.URI); f.lastProgress.IsZero() {
-			f.lastProgress = time.Now()
+			f.lastProgress = wall
 		}
 	}
 	d.mu.Unlock()
@@ -1405,26 +1395,26 @@ func (d *Daemon) onMetadata(from trace.NodeID, m *wire.Metadata) {
 
 // bumpBadSignature records a failed record verification from a peer
 // and escalates to quarantine when the peer keeps doing it: at
-// QuarantineThreshold bad signatures the peer is ignored for
-// QuarantineBase, doubling per repeated offense up to 8×. The strike
-// count decays in sweepOnce while the peer behaves, so a link that was
-// merely corrupting in flight earns its way back to full service.
+// badSigsPerStrike bad signatures the peer is ignored for one liveness
+// window, doubling per repeated offense up to 8×. The strike count
+// decays in sweepOnce while the peer behaves, so a link that was merely
+// corrupting in flight earns its way back to full service.
 func (d *Daemon) bumpBadSignature(from trace.NodeID) {
-	wall := time.Now()
+	wall := d.clock()
 	var penalty time.Duration
 	d.mu.Lock()
 	d.counters.badSignatures++
 	off := &d.peerLocked(from).offence
 	off.badSigs++
 	off.lastBad = wall
-	if off.badSigs >= d.cfg.QuarantineThreshold {
+	if off.badSigs >= badSigsPerStrike {
 		off.badSigs = 0
 		off.strikes++
 		doublings := off.strikes - 1
 		if doublings > maxQuarantineDoublings {
 			doublings = maxQuarantineDoublings
 		}
-		penalty = d.cfg.QuarantineBase * (1 << doublings)
+		penalty = d.cfg.LivenessWindow * (1 << doublings)
 		off.until = wall.Add(penalty)
 		// Best effort: the penalty protects this node either way, but a
 		// persisted one survives a restart, so an offender cannot reset
@@ -1459,10 +1449,10 @@ func (d *Daemon) onPiece(from trace.NodeID, p *wire.Piece) bool {
 	if p.Piggyback != nil {
 		d.onMetadata(from, p.Piggyback)
 	}
-	now := d.now()
+	wall := d.clock()
 	d.mu.Lock()
 	sm := d.node.Metadata(p.URI)
-	if sm == nil || sm.Meta.Expired(now) {
+	if sm == nil || sm.Meta.Expired(protoTime(wall)) {
 		d.counters.piecesNoMeta++
 		d.mu.Unlock()
 		return false
@@ -1495,7 +1485,7 @@ func (d *Daemon) onPiece(from trace.NodeID, p *wire.Piece) bool {
 		credit: ps != nil && ps.Want,
 	}
 	if d.store == nil {
-		justDone := d.applyPieceLocked(sp)
+		justDone := d.applyPieceLocked(sp, wall)
 		d.mu.Unlock()
 		if justDone {
 			d.announceComplete(sp)
@@ -1569,10 +1559,11 @@ func (d *Daemon) commitLoop() {
 		err := d.store.AppendBatch(recs)
 
 		done = done[:0]
+		wall := d.clock()
 		d.mu.Lock()
 		for _, sp := range batch {
 			delete(d.files[sp.uri].pending, sp.index)
-			if err == nil && d.applyPieceLocked(sp) {
+			if err == nil && d.applyPieceLocked(sp, wall) {
 				done = append(done, sp)
 			}
 		}
@@ -1590,9 +1581,9 @@ func (d *Daemon) commitLoop() {
 }
 
 // applyPieceLocked makes a verified (and, with a store, fsynced) piece
-// part of the node's state, reporting whether it completed its file.
-// The caller holds d.mu.
-func (d *Daemon) applyPieceLocked(sp stagedPiece) (justDone bool) {
+// part of the node's state at wall, reporting whether it completed its
+// file. The caller holds d.mu.
+func (d *Daemon) applyPieceLocked(sp stagedPiece, wall time.Time) (justDone bool) {
 	if !d.node.AddPiece(sp.uri, sp.index, sp.total) {
 		// The piece cache turned the newcomer away.
 		d.countDuplicateLocked(sp.uri, sp.index)
@@ -1600,7 +1591,7 @@ func (d *Daemon) applyPieceLocked(sp stagedPiece) (justDone bool) {
 	}
 	d.counters.piecesVerified++
 	f := d.fileLocked(sp.uri)
-	f.lastProgress = time.Now()
+	f.lastProgress = wall
 	if sp.credit {
 		d.node.Ledger.RewardRequested(sp.from)
 	}

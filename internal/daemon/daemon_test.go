@@ -74,13 +74,10 @@ func TestConfigValidate(t *testing.T) {
 		{"LivenessWindow", func(c *Config) { c.LivenessWindow = -time.Second }},
 		{"MaxPeers", func(c *Config) { c.MaxPeers = -1 }},
 		{"ResendAfter", func(c *Config) { c.ResendAfter = -time.Second }},
-		{"StallTimeout", func(c *Config) { c.StallTimeout = -time.Second }},
 		{"RetryBudget", func(c *Config) { c.RetryBudget = -1 }},
 		{"PeerRate", func(c *Config) { c.PeerRate = -1 }},
 		{"BusyRetryAfter", func(c *Config) { c.BusyRetryAfter = -time.Second }},
 		{"OutboxLen", func(c *Config) { c.OutboxLen = -1 }},
-		{"QuarantineThreshold", func(c *Config) { c.QuarantineThreshold = -1 }},
-		{"QuarantineBase", func(c *Config) { c.QuarantineBase = -time.Second }},
 		{"SymbolSize", func(c *Config) { c.EnableBcast, c.SymbolSize = true, -1 }},
 		{"RelayBudget", func(c *Config) { c.EnableBcast, c.RelayBudget = true, -1 }},
 		{"DHTK", func(c *Config) { c.EnableDHT, c.DHTK = true, -1 }},

@@ -27,6 +27,7 @@ import (
 	"repro/internal/metadata"
 	"repro/internal/peer"
 	"repro/internal/search"
+	"repro/internal/simtime"
 	"repro/internal/trace"
 	"repro/internal/wire"
 	"repro/internal/workload"
@@ -55,11 +56,11 @@ func (d *Daemon) dhtVerify(v *wire.DHTValue) bool {
 	return rec.Verify(workload.KeyFor(rec.Publisher))
 }
 
-// dhtSignedExpiry is the wall-clock instant at which this node's own
-// clock (now) calls the signed record expired — the bound no DHT stamp
-// may outlive, so the index never resolves what the node would refuse.
-func (d *Daemon) dhtSignedExpiry(m *wire.Metadata) time.Time {
-	return d.epoch.Add(time.Duration(m.Record.Expires) * time.Millisecond)
+// dhtSignedExpiry is the instant the signed record expires — the bound
+// no DHT stamp may outlive, so the index never resolves what the node
+// would refuse.
+func dhtSignedExpiry(m *wire.Metadata) time.Time {
+	return time.UnixMilli(int64(m.Record.Expires))
 }
 
 // dhtSend queues one engine-originated message. A contact with no live
@@ -124,11 +125,11 @@ func (d *Daemon) dialOnDemand(ctx context.Context, addr string) {
 	}()
 }
 
-// dhtLoop drives the periodic DHT work at the republish cadence. The
-// first tick runs early — a couple of beacon intervals after boot, once
-// the configured links have handshaken — so a fresh node bootstraps its
-// routing table and resolves its queries without waiting out a full
-// republish period.
+// dhtLoop drives the periodic DHT work at the republish cadence, each
+// tick on one reading of the clock. The first tick runs early — a couple
+// of beacon intervals after boot, once the configured links have
+// handshaken — so a fresh node bootstraps its routing table and resolves
+// its queries without waiting out a full republish period.
 func (d *Daemon) dhtLoop(ctx context.Context) {
 	first := time.NewTimer(2 * d.cfg.HelloInterval)
 	defer first.Stop()
@@ -137,9 +138,9 @@ func (d *Daemon) dhtLoop(ctx context.Context) {
 	for {
 		select {
 		case <-first.C:
-			d.dhtTick(ctx)
+			d.dhtTick(ctx, protoTime(d.clock()))
 		case <-t.C:
-			d.dhtTick(ctx)
+			d.dhtTick(ctx, protoTime(d.clock()))
 		case <-ctx.Done():
 			return
 		}
@@ -148,23 +149,22 @@ func (d *Daemon) dhtLoop(ctx context.Context) {
 
 // dhtTick is one round of DHT maintenance: bootstrap/refresh the
 // routing table, drop expired records, republish the catalog (Internet
-// nodes), and resolve open queries.
-func (d *Daemon) dhtTick(ctx context.Context) {
+// nodes), and resolve open queries, all judged at now.
+func (d *Daemon) dhtTick(ctx context.Context, now simtime.Time) {
 	tctx, cancel := context.WithTimeout(ctx, d.cfg.DHTRepublish)
 	defer cancel()
 	d.dht.Refresh(tctx)
 	d.dht.Sweep()
 	if d.catalog != nil {
-		d.publishCatalog(tctx)
+		d.publishCatalog(tctx, now)
 	}
-	d.resolveQueries(tctx)
+	d.resolveQueries(tctx, now)
 }
 
 // publishCatalog pushes every catalog record into the DHT under each
 // keyword of its name, so the index survives this server's death at the
 // K closest nodes per keyword.
-func (d *Daemon) publishCatalog(ctx context.Context) {
-	now := d.now()
+func (d *Daemon) publishCatalog(ctx context.Context, now simtime.Time) {
 	for _, sr := range d.catalog.Records(now) {
 		for _, tok := range search.Tokenize(sr.Meta.Name) {
 			if ctx.Err() != nil {
@@ -184,15 +184,15 @@ func (d *Daemon) publishCatalog(ctx context.Context) {
 // local cache and then the iterative lookup, and feed what resolves
 // through the ordinary metadata path. Queries that miss entirely stay
 // in the hello beacon — the legacy fallback costs nothing extra.
-func (d *Daemon) resolveQueries(ctx context.Context) {
+func (d *Daemon) resolveQueries(ctx context.Context, now simtime.Time) {
 	d.mu.Lock()
-	queries := d.node.Queries(d.now())
+	queries := d.node.Queries(now)
 	d.mu.Unlock()
 	for _, q := range queries {
 		if ctx.Err() != nil {
 			return
 		}
-		if d.queryAnswered(q) {
+		if d.queryAnswered(q, now) {
 			continue
 		}
 		for _, tok := range search.Tokenize(q) {
@@ -205,10 +205,9 @@ func (d *Daemon) resolveQueries(ctx context.Context) {
 	}
 }
 
-// queryAnswered reports whether some unexpired stored record already
-// matches q, making a DHT lookup for it redundant.
-func (d *Daemon) queryAnswered(q string) bool {
-	now := d.now()
+// queryAnswered reports whether some stored record unexpired at now
+// already matches q, making a DHT lookup for it redundant.
+func (d *Daemon) queryAnswered(q string, now simtime.Time) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for _, sm := range d.node.MetadataStore() {
@@ -243,7 +242,7 @@ func (d *Daemon) dhtCacheRecord(m *wire.Metadata) {
 // KnowsMetadata reports whether this node holds an unexpired record for
 // uri — the swarm harness's query-resolution ground truth.
 func (d *Daemon) KnowsMetadata(uri metadata.URI) bool {
-	now := d.now()
+	now := protoTime(d.clock())
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	sm := d.node.Metadata(uri)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,6 +15,7 @@ import (
 
 	"repro/internal/metadata"
 	"repro/internal/peer"
+	"repro/internal/testutil"
 	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -82,9 +84,16 @@ func (c *gateConn) Send(ctx context.Context, m wire.Msg) error {
 
 // bench builds a daemon whose handlers and sweeps are driven by hand —
 // Run is never called, so it beacons nothing and sweeps nothing on its
-// own. Its transport is a gate (open) over a loopback network; wedge
-// gives it a peer.
+// own, and its clock stands still. Its transport is a gate (open) over a
+// loopback network; wedge gives it a peer.
 func bench(t *testing.T, mutate func(*Config)) *Daemon {
+	t.Helper()
+	return benchAt(t, testutil.NewClock(), mutate)
+}
+
+// benchAt is bench on a clock the test moves: what the daemon decides on
+// time, it decides on clk's reading when the test calls in.
+func benchAt(t *testing.T, clk *testutil.Clock, mutate func(*Config)) *Daemon {
 	t.Helper()
 	net := transport.NewLoopback()
 	t.Cleanup(func() { net.Close() })
@@ -94,7 +103,7 @@ func bench(t *testing.T, mutate func(*Config)) *Daemon {
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	d, err := New(cfg)
+	d, err := newDaemon(cfg, clk.Now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +226,7 @@ func pieceMsg(rec *metadata.Metadata, i int) *wire.Piece {
 func TestServePiecesUnknownURI(t *testing.T) {
 	d := bench(t, nil)
 	p := wedge(t, d, 2)
-	d.servePieces(2, metadata.URI("dtn://files/404"), nil, nil)
+	d.servePieces(d.clock(), 2, metadata.URI("dtn://files/404"), nil, nil)
 	if _, n := p.queued(); n != 0 {
 		t.Fatalf("served %d pieces for an unknown URI", n)
 	}
@@ -258,50 +267,57 @@ func TestEnqueueOverflow(t *testing.T) {
 // TestSweepCleansVanishedState: a vanished peer's record goes once
 // nothing in it binds — and not before: a peer we just told Busy, one
 // inside a Busy window it advertised, and one with an offence on file
-// keep theirs (without the send tracking) until that runs out. A
-// completed file's record stays, but reports no retries.
+// keep theirs (without the send tracking) until that runs out, each at
+// its own instant. A completed file's record stays, but reports no
+// retries.
 func TestSweepCleansVanishedState(t *testing.T) {
-	d := bench(t, func(c *Config) { c.BusyRetryAfter = time.Hour })
+	clk := testutil.NewClock()
+	d := benchAt(t, clk, nil)
 	uri := metadata.URIFor(0)
-	sent := func() map[metadata.URI]*sentFile {
-		return map[metadata.URI]*sentFile{uri: {at: map[int]time.Time{0: time.Now()}}}
-	}
+	const window = 100 * time.Millisecond // peer 9's advertised Busy window
+	bad := d.syntheticFile(0)
+	bad.Signature[0] ^= 1
+
+	d.sendBusy(8, wire.BusyPiece) // we told 8 Busy: paces our replies for BusyRetryAfter
+	d.onBusy(9, &wire.Busy{From: 9, Scope: wire.BusyDHT, RetryAfterMillis: uint32(window / time.Millisecond)})
+	d.onMetadata(10, &wire.Metadata{Popularity: 0.5, Record: *bad}) // one bad signature on file
 	d.mu.Lock()
-	d.peers[7] = &peerState{sent: sent()}
-	d.peers[8] = &peerState{sent: sent()}
-	d.peers[8].busyTold[wire.BusyPiece] = time.Now()
-	d.peers[9] = &peerState{sent: sent()}
-	d.peers[9].busyUntil[wire.BusyDHT] = time.Now().Add(time.Hour)
-	d.peers[10] = &peerState{sent: sent(), offence: offender{badSigs: 1, lastBad: time.Now()}}
-	d.files[uri] = &fileState{completed: true, lastProgress: time.Now(), retries: 3}
+	d.peers[7] = &peerState{}
+	for _, ps := range d.peers {
+		ps.sent = map[metadata.URI]*sentFile{uri: {at: map[int]time.Time{0: clk.Now()}}}
+	}
+	d.files[uri] = &fileState{completed: true, lastProgress: clk.Now(), retries: 3}
 	d.mu.Unlock()
 
-	d.sweepOnce()
-
-	d.mu.Lock()
-	if d.peers[7] != nil {
-		t.Errorf("an idle record of a vanished peer survived the sweep: %+v", d.peers[7])
-	}
-	for _, id := range []trace.NodeID{8, 9, 10} {
-		if ps := d.peers[id]; ps == nil {
-			t.Errorf("node %d's record dropped while it still binds", id)
-		} else if ps.sent != nil {
-			t.Errorf("node %d: send tracking for a vanished peer survived the sweep: %v", id, ps.sent)
+	began := clk.Now()
+	for _, step := range []struct {
+		at   time.Duration // since the records were made
+		left []trace.NodeID
+	}{
+		{0, []trace.NodeID{8, 9, 10}}, // the idle record goes at once
+		{d.cfg.BusyRetryAfter, []trace.NodeID{8, 9, 10}},
+		{d.cfg.BusyRetryAfter + 1, []trace.NodeID{9, 10}}, // our Busy to 8 no longer paces anything
+		{window, []trace.NodeID{9, 10}},
+		{window + 1, []trace.NodeID{10}}, // 9's window ran out
+		{4 * d.cfg.LivenessWindow, []trace.NodeID{10}},
+		{4*d.cfg.LivenessWindow + 1, nil}, // the lone bad signature decayed
+	} {
+		clk.Advance(step.at - clk.Now().Sub(began))
+		d.sweepOnce(clk.Now())
+		d.mu.Lock()
+		var left []trace.NodeID
+		for id, ps := range d.peers {
+			left = append(left, id)
+			if ps.sent != nil {
+				t.Errorf("+%v: node %d: send tracking for a vanished peer survived the sweep", step.at, id)
+			}
+		}
+		d.mu.Unlock()
+		slices.Sort(left)
+		if !slices.Equal(left, step.left) {
+			t.Errorf("+%v: records left for %v, want %v", step.at, left, step.left)
 		}
 	}
-	// Once the windows and the offence have run out, those go too.
-	d.peers[8].busyTold[wire.BusyPiece] = time.Now().Add(-2 * time.Hour)
-	d.peers[9].busyUntil[wire.BusyDHT] = time.Now().Add(-time.Second)
-	d.peers[10].offence.lastBad = time.Now().Add(-5 * d.cfg.QuarantineBase)
-	d.mu.Unlock()
-
-	d.sweepOnce()
-
-	d.mu.Lock()
-	if len(d.peers) != 0 {
-		t.Errorf("%d peer records survived with nothing left to hold", len(d.peers))
-	}
-	d.mu.Unlock()
 	if st := d.Stats(); !st.Completed[string(uri)] || len(st.Retries) != 0 {
 		t.Errorf("completed %v retries %v, want the file completed and no retries reported", st.Completed, st.Retries)
 	}
@@ -321,7 +337,7 @@ func TestHelloForgetsFinishedFiles(t *testing.T) {
 	uri := metadata.URIFor(0)
 
 	d.onHello(2, &wire.Hello{From: 2, Downloading: []metadata.URI{uri}})
-	d.sweepOnce()
+	d.sweepOnce(d.clock())
 	d.mu.Lock()
 	marks := len(d.peers[2].sent[uri].at)
 	d.mu.Unlock()
@@ -340,27 +356,33 @@ func TestHelloForgetsFinishedFiles(t *testing.T) {
 	}
 }
 
-// TestStallRedriveBudget: a download making no progress triggers stall
-// re-drives only up to the retry budget; stalls keep being counted past
-// it but no more budget is spent.
+// TestStallRedriveBudget: a download making no progress for 3× the
+// liveness window — not an instant less — triggers a stall re-drive, up
+// to the retry budget; stalls keep being counted past it but no more
+// budget is spent.
 func TestStallRedriveBudget(t *testing.T) {
-	d := bench(t, func(c *Config) {
-		c.StallTimeout = time.Millisecond
-		c.RetryBudget = 2
-	})
+	clk := testutil.NewClock()
+	d := benchAt(t, clk, func(c *Config) { c.RetryBudget = 2 })
 	feedMetadata(t, d, 5)
 	if got := d.Stats().Downloading; len(got) != 1 {
 		t.Fatalf("downloading = %v, want the selected file", got)
 	}
+	stall := 3 * d.cfg.LivenessWindow
 
-	d.sweepOnce() // creates the download's stall tracking
-	for i := 0; i < 5; i++ {
-		time.Sleep(3 * time.Millisecond) // let the stall timeout lapse
-		d.sweepOnce()
+	clk.Advance(stall - 1)
+	d.sweepOnce(clk.Now())
+	if st := d.Stats(); st.Stalls != 0 {
+		t.Fatalf("Stalls = %d one tick short of the stall timeout", st.Stalls)
+	}
+	clk.Advance(1)
+	d.sweepOnce(clk.Now())
+	for i := 0; i < 4; i++ {
+		clk.Advance(stall)
+		d.sweepOnce(clk.Now())
 	}
 	st := d.Stats()
-	if st.Stalls < 3 {
-		t.Fatalf("Stalls = %d, want >= 3 (stall detection kept running)", st.Stalls)
+	if st.Stalls != 5 {
+		t.Fatalf("Stalls = %d after five stall timeouts, want 5 (detection keeps running past the budget)", st.Stalls)
 	}
 	if st.Redrives != 2 {
 		t.Fatalf("Redrives = %d, want exactly the budget of 2", st.Redrives)
@@ -454,71 +476,77 @@ func TestPiggybackedPiece(t *testing.T) {
 	})
 }
 
-// TestQuarantineEscalationAndDecay: repeated bad signatures quarantine
-// the sender (messages dropped, penalty doubling per strike), and the
-// record decays back to clean while the peer behaves.
+// TestQuarantineEscalationAndDecay: the fifth bad signature quarantines
+// the sender for one liveness window (messages dropped), the next five
+// for exactly twice that, and the record decays back to clean one step
+// per sweep once the peer has behaved for more than four windows.
 func TestQuarantineEscalationAndDecay(t *testing.T) {
-	d := bench(t, func(c *Config) {
-		c.QuarantineThreshold = 2
-		c.QuarantineBase = time.Hour // long enough to observe deterministically
-	})
+	clk := testutil.NewClock()
+	d := benchAt(t, clk, nil)
+	base := d.cfg.LivenessWindow
 	bad := d.syntheticFile(0)
 	bad.Signature[0] ^= 1
-
 	from := trace.NodeID(9)
-	d.onMetadata(from, &wire.Metadata{Popularity: 0.5, Record: *bad})
-	if d.quarantined(from) {
-		t.Fatal("quarantined after a single bad signature")
+	offend := func(n int) {
+		for i := 0; i < n; i++ {
+			d.onMetadata(from, &wire.Metadata{Popularity: 0.5, Record: *bad})
+		}
 	}
-	d.onMetadata(from, &wire.Metadata{Popularity: 0.5, Record: *bad})
+	sentence := func() (strikes int, left time.Duration) {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		off := d.peers[from].offence
+		return off.strikes, off.until.Sub(clk.Now())
+	}
+
+	offend(badSigsPerStrike - 1)
+	if d.quarantined(from) {
+		t.Fatalf("quarantined after %d bad signatures", badSigsPerStrike-1)
+	}
+	offend(1)
 	if !d.quarantined(from) {
 		t.Fatal("not quarantined at the threshold")
 	}
+	// A quarantined peer's traffic is ignored wholesale.
+	d.onMetadata(from, &wire.Metadata{Popularity: 0.5, Record: *d.syntheticFile(0)})
 	st := d.Stats()
-	if st.BadSignatures != 2 || st.MetadataStored != 0 {
-		t.Fatalf("badSigs=%d stored=%d, want 2/0", st.BadSignatures, st.MetadataStored)
+	if st.BadSignatures != badSigsPerStrike || st.MetadataStored != 0 {
+		t.Fatalf("badSigs=%d stored=%d, want %d/0", st.BadSignatures, st.MetadataStored, badSigsPerStrike)
 	}
 	if len(st.Quarantined) != 1 || st.Quarantined[0] != from {
 		t.Fatalf("Quarantined = %v, want [%d]", st.Quarantined, from)
 	}
-	if st.QuarantineDrops == 0 {
-		t.Fatal("quarantine checks not counted as drops")
+	if st.QuarantineDrops != 2 {
+		t.Fatalf("QuarantineDrops = %d, want the check and the good record", st.QuarantineDrops)
+	}
+	if strikes, left := sentence(); strikes != 1 || left != base {
+		t.Fatalf("first offence: %d strikes, %v to serve; want 1 and %v", strikes, left, base)
 	}
 
-	// A quarantined peer's traffic is ignored wholesale.
-	good := d.syntheticFile(0)
-	d.onMetadata(from, &wire.Metadata{Popularity: 0.5, Record: *good})
-	if got := d.Stats().MetadataStored; got != 0 {
-		t.Fatalf("quarantined peer's record was stored (%d)", got)
+	// Penalty served to the instant; the second offence doubles it.
+	clk.Advance(base)
+	if d.quarantined(from) {
+		t.Fatal("still quarantined when the sentence ran out")
+	}
+	offend(badSigsPerStrike)
+	if strikes, left := sentence(); strikes != 2 || left != 2*base {
+		t.Fatalf("second offence: %d strikes, %v to serve; want 2 and %v", strikes, left, 2*base)
 	}
 
-	// Second offense doubles the penalty.
-	d.mu.Lock()
-	off := &d.peers[from].offence
-	firstUntil := off.until
-	off.until = time.Now().Add(-time.Second) // penalty served
-	d.mu.Unlock()
-	d.onMetadata(from, &wire.Metadata{Popularity: 0.5, Record: *bad})
-	d.onMetadata(from, &wire.Metadata{Popularity: 0.5, Record: *bad})
-	d.mu.Lock()
-	if off.strikes != 2 {
-		t.Fatalf("strikes = %d after second offense, want 2", off.strikes)
+	// Decay: four clean windows are not enough, an instant more walks one
+	// strike back per sweep, and the clean record is forgotten.
+	clk.Advance(4 * base)
+	d.sweepOnce(clk.Now())
+	if strikes, _ := sentence(); strikes != 2 {
+		t.Fatalf("strikes = %d after exactly four clean windows, want still 2", strikes)
 	}
-	secondPenalty := time.Until(off.until)
-	d.mu.Unlock()
-	if firstPenalty := time.Until(firstUntil) + time.Second; secondPenalty < firstPenalty {
-		t.Fatalf("second penalty %v not escalated beyond first %v", secondPenalty, firstPenalty)
+	clk.Advance(1)
+	d.sweepOnce(clk.Now())
+	if strikes, _ := sentence(); strikes != 1 {
+		t.Fatalf("strikes = %d after the first decay, want 1", strikes)
 	}
-
-	// Decay: with the penalty served and a long clean stretch, sweeps
-	// walk the strikes back down and eventually forget the offender.
-	for i := 0; i < 10; i++ {
-		d.mu.Lock()
-		off.until = time.Now().Add(-time.Second)
-		off.lastBad = time.Now().Add(-5 * d.cfg.QuarantineBase)
-		d.mu.Unlock()
-		d.sweepOnce()
-	}
+	clk.Advance(4*base + 1)
+	d.sweepOnce(clk.Now())
 	d.mu.Lock()
 	left := len(d.peers)
 	d.mu.Unlock()
@@ -530,18 +558,15 @@ func TestQuarantineEscalationAndDecay(t *testing.T) {
 	}
 }
 
-// TestHealthzDegraded: a daemon alone past its liveness window answers
-// /healthz with 503 and a reason; with a peer whose send lane is full it
-// answers 503 for that reason instead.
+// TestHealthzDegraded: a daemon alone past its liveness window — not up
+// to it — answers /healthz with 503 and a reason; with a peer whose send
+// lane is full it answers 503 for that reason instead.
 func TestHealthzDegraded(t *testing.T) {
 	const lane = peer.DefaultQueueLen
-	d := bench(t, func(c *Config) {
-		c.LivenessWindow = 10 * time.Millisecond
-	})
+	clk := testutil.NewClock()
+	d := benchAt(t, clk, nil)
 	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()
-
-	time.Sleep(30 * time.Millisecond) // outlive the liveness window, peerless
 
 	get := func() (int, Health) {
 		t.Helper()
@@ -557,6 +582,11 @@ func TestHealthzDegraded(t *testing.T) {
 		return r.StatusCode, h
 	}
 
+	clk.Advance(d.cfg.LivenessWindow)
+	if code, h := get(); code != http.StatusOK || h.Status != "ok" {
+		t.Fatalf("healthz = %d %q %v alone for exactly the liveness window, want 200 ok", code, h.Status, h.Reasons)
+	}
+	clk.Advance(1) // outlive the liveness window, peerless
 	code, h := get()
 	if code != http.StatusServiceUnavailable || h.Status != "degraded" {
 		t.Fatalf("healthz = %d %q, want 503 degraded", code, h.Status)

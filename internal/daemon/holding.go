@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"repro/internal/metadata"
+	"repro/internal/simtime"
 	"repro/internal/wire"
 )
 
@@ -14,10 +15,10 @@ import (
 // holding returns the record uri is served under and which of its pieces
 // this node can serve: every piece of a file its catalog lists (an
 // Internet node holds its catalog whole), otherwise what the node's own
-// piece set holds under an unexpired record. A nil record means nothing
-// is servable. The record is shared, not a copy: callers read its
-// immutable size fields only.
-func (d *Daemon) holding(uri metadata.URI) (*metadata.Metadata, []bool) {
+// piece set holds under a record unexpired at now. A nil record means
+// nothing is servable. The record is shared, not a copy: callers read
+// its immutable size fields only.
+func (d *Daemon) holding(uri metadata.URI, now simtime.Time) (*metadata.Metadata, []bool) {
 	if d.catalog != nil {
 		if rec, err := d.catalog.Lookup(uri); err == nil {
 			return rec, allHeld(rec.NumPieces())
@@ -25,7 +26,7 @@ func (d *Daemon) holding(uri metadata.URI) (*metadata.Metadata, []bool) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.heldLocked(uri)
+	return d.heldLocked(uri, now)
 }
 
 // allHeld is the bitmap of a file held whole.
@@ -38,9 +39,9 @@ func allHeld(total int) []bool {
 }
 
 // heldLocked is holding's node half. Caller holds d.mu.
-func (d *Daemon) heldLocked(uri metadata.URI) (*metadata.Metadata, []bool) {
+func (d *Daemon) heldLocked(uri metadata.URI, now simtime.Time) (*metadata.Metadata, []bool) {
 	sm, ps := d.node.Metadata(uri), d.node.Pieces(uri)
-	if sm == nil || sm.Meta.Expired(d.now()) || ps == nil || ps.Total() == 0 {
+	if sm == nil || sm.Meta.Expired(now) || ps == nil || ps.Total() == 0 {
 		return nil, nil
 	}
 	have := make([]bool, ps.Total())

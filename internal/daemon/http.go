@@ -42,19 +42,19 @@ type Health struct {
 // as the condition clears.
 func (d *Daemon) Health() Health {
 	peers := len(d.mgr.Peers())
-	wall := time.Now()
+	wall := d.clock()
 	d.mu.Lock()
 	lastPeer := d.lastPeerAt
 	lastShed := d.lastShedAt
 	d.mu.Unlock()
 	if lastPeer.IsZero() {
-		lastPeer = d.epoch
+		lastPeer = d.started
 	}
 	q := d.mgr.Queues()
 	h := Health{
 		Status:             "ok",
 		ID:                 d.cfg.ID,
-		UptimeSeconds:      time.Since(d.epoch).Seconds(),
+		UptimeSeconds:      wall.Sub(d.started).Seconds(),
 		Peers:              peers,
 		OutboxLen:          q.ControlDepth + q.DataDepth,
 		OutboxCap:          q.Cap,
@@ -62,7 +62,7 @@ func (d *Daemon) Health() Health {
 		OutboxDataDepth:    q.DataDepth,
 	}
 	if peers == 0 {
-		if alone := time.Since(lastPeer); alone > d.cfg.LivenessWindow {
+		if alone := wall.Sub(lastPeer); alone > d.cfg.LivenessWindow {
 			h.Reasons = append(h.Reasons,
 				fmt.Sprintf("no live peers for %s (liveness window %s)",
 					alone.Truncate(time.Millisecond), d.cfg.LivenessWindow))

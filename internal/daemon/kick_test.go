@@ -232,7 +232,8 @@ func TestMetadataAnswerPrecedesPieces(t *testing.T) {
 // while they are fresh — and the resend deadline re-serves them.
 func TestServeStreamsUnderOutboxOverflow(t *testing.T) {
 	const pieces, lane = 16, 4
-	d := bench(t, func(c *Config) {
+	clk := testutil.NewClock()
+	d := benchAt(t, clk, func(c *Config) {
 		c.InternetAccess = true
 		c.PublishFiles = 1
 		c.FileSize = pieces * 1024
@@ -276,11 +277,7 @@ func TestServeStreamsUnderOutboxOverflow(t *testing.T) {
 
 	// Past the deadline the peer's standing advertisement is the NACK:
 	// the pieces it still lacks are served again, the held ones are not.
-	d.mu.Lock()
-	for i := range d.peers[2].sent[uri].at {
-		d.peers[2].sent[uri].at[i] = time.Now().Add(-2 * d.cfg.ResendAfter)
-	}
-	d.mu.Unlock()
+	clk.Advance(d.cfg.ResendAfter)
 	d.onHello(2, hello)
 	resent := drain()
 	if len(resent) != lane {

@@ -19,8 +19,9 @@ import (
 // lane the kind table names (none for a response: no requester is
 // waiting on our capacity, so a Busy would only add traffic).
 func (d *Daemon) onShed(from trace.NodeID, t wire.MsgType) {
+	wall := d.clock()
 	d.mu.Lock()
-	d.lastShedAt = time.Now()
+	d.lastShedAt = wall
 	d.mu.Unlock()
 	if sc := t.ShedScope(); sc != 0 {
 		d.sendBusy(from, sc)
@@ -31,7 +32,7 @@ func (d *Daemon) onShed(from trace.NodeID, t wire.MsgType) {
 // at most one per peer/lane per BusyRetryAfter window — the frame
 // already names the whole window, so repeats carry no information.
 func (d *Daemon) sendBusy(to trace.NodeID, scope wire.BusyScope) {
-	wall := time.Now()
+	wall := d.clock()
 	d.mu.Lock()
 	told := &d.peerLocked(to).busyTold[scope]
 	if wall.Sub(*told) < d.cfg.BusyRetryAfter {
@@ -60,7 +61,7 @@ func (d *Daemon) onBusy(from trace.NodeID, b *wire.Busy) {
 	if max := 2 * d.cfg.LivenessWindow; window > max {
 		window = max
 	}
-	until := time.Now().Add(window)
+	until := d.clock().Add(window)
 	d.mu.Lock()
 	d.peerLocked(from).busyUntil[b.Scope] = until
 	d.mu.Unlock()

@@ -274,10 +274,10 @@ func TestSubUnitPeerRate(t *testing.T) {
 		c.PeerRate = 0.4
 		c.EnableDHT = true
 	})
-	if got := d.answerQuery(d.now(), 2, "f0", nil); len(got) != 1 {
+	if got := d.answerQuery(protoTime(d.clock()), 2, "f0", nil); len(got) != 1 {
 		t.Fatalf("first query answered with %d records, want the file's", len(got))
 	}
-	if got := d.answerQuery(d.now(), 2, "f0", nil); got != nil {
+	if got := d.answerQuery(protoTime(d.clock()), 2, "f0", nil); got != nil {
 		t.Fatalf("second query at once answered with %d records at 0.4/s", len(got))
 	}
 	if st := d.Stats(); st.QueriesShed != 1 || st.BusyReplies != 1 {

@@ -1,8 +1,7 @@
-// Package limit provides the small admission-control primitives the
-// overload-protection layer is built from: a token-bucket rate limiter
-// and a dial circuit breaker. Everything is stdlib-only and takes an
-// injectable clock so tests (and the deterministic swarm harness) can
-// drive time by hand.
+// Package limit provides the admission-control primitive the
+// overload-protection layer is built from: a token-bucket rate limiter,
+// stdlib-only, on a clock its owner supplies — the daemon hands every
+// bucket its one clock, tests a hand-driven one.
 package limit
 
 import (

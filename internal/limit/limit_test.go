@@ -5,32 +5,12 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/testutil"
 )
 
-// fakeClock is a hand-driven time source.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newFakeClock() *fakeClock {
-	return &fakeClock{t: time.Unix(1_000_000, 0)}
-}
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
-
 func TestBucketBasics(t *testing.T) {
-	clk := newFakeClock()
+	clk := testutil.NewClock()
 	b := NewBucket(10, 5, clk.Now)
 	// Starts full: exactly burst tokens available.
 	for i := 0; i < 5; i++ {
@@ -56,7 +36,7 @@ func TestBucketBasics(t *testing.T) {
 // zero, never exceeds burst, and a denied AllowN leaves it unchanged.
 func TestBucketNeverNegative(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	clk := newFakeClock()
+	clk := testutil.NewClock()
 	b := NewBucket(50, 10, clk.Now)
 	for i := 0; i < 5000; i++ {
 		switch rng.Intn(3) {
@@ -85,7 +65,7 @@ func TestBucketNeverNegative(t *testing.T) {
 // reads do not change the balance, and that advancing the clock never
 // lowers it.
 func TestBucketRefillMonotone(t *testing.T) {
-	clk := newFakeClock()
+	clk := testutil.NewClock()
 	b := NewBucket(7, 20, clk.Now)
 	for i := 0; i < 15; i++ {
 		b.Allow()
@@ -105,7 +85,7 @@ func TestBucketRefillMonotone(t *testing.T) {
 }
 
 func TestBucketClockSkewBackwards(t *testing.T) {
-	clk := newFakeClock()
+	clk := testutil.NewClock()
 	b := NewBucket(10, 4, clk.Now)
 	b.Allow()
 	before := b.Tokens()
@@ -116,7 +96,7 @@ func TestBucketClockSkewBackwards(t *testing.T) {
 }
 
 func TestBucketRetryAfter(t *testing.T) {
-	clk := newFakeClock()
+	clk := testutil.NewClock()
 	b := NewBucket(10, 1, clk.Now)
 	if d := b.RetryAfter(); d != 0 {
 		t.Fatalf("full bucket RetryAfter = %v, want 0", d)
@@ -137,7 +117,7 @@ func TestBucketRetryAfter(t *testing.T) {
 // whole again one second later and never holds more than the burst, and
 // a partial wait buys back exactly its share.
 func TestBucketBurstEqualsRate(t *testing.T) {
-	clk := newFakeClock()
+	clk := testutil.NewClock()
 	b := NewBucket(3, 3, clk.Now)
 	for round := 0; round < 2; round++ {
 		for i := 0; i < 3; i++ {
@@ -171,7 +151,7 @@ func TestBucketBurstEqualsRate(t *testing.T) {
 // never hold a whole token and refused every event forever.
 func TestBucketSubUnitRate(t *testing.T) {
 	for _, burst := range []float64{0, 0.5} {
-		clk := newFakeClock()
+		clk := testutil.NewClock()
 		b := NewBucket(0.5, burst, clk.Now)
 		if !b.Allow() {
 			t.Fatalf("burst %v: a full bucket at 0.5/s refused its first event", burst)
@@ -183,98 +163,6 @@ func TestBucketSubUnitRate(t *testing.T) {
 		if !b.Allow() {
 			t.Fatalf("burst %v: still refusing 1/rate seconds later", burst)
 		}
-	}
-}
-
-// TestBreakerStateMachine walks the closed→open→half-open transitions
-// as a table of scripted steps.
-func TestBreakerStateMachine(t *testing.T) {
-	clk := newFakeClock()
-	br := NewBreaker(BreakerConfig{Failures: 3, Cooldown: time.Second, Jitter: -1, Now: clk.Now})
-	steps := []struct {
-		name    string
-		do      func()
-		state   BreakerState
-		allowed bool
-	}{
-		{"initially closed", func() {}, Closed, true},
-		{"one failure stays closed", br.Failure, Closed, true},
-		{"success resets streak", br.Success, Closed, true},
-		{"fail 1", br.Failure, Closed, true},
-		{"fail 2", br.Failure, Closed, true},
-		{"fail 3 trips open", br.Failure, Open, false},
-		{"still open mid-cooldown", func() { clk.Advance(500 * time.Millisecond) }, Open, false},
-		{"cooldown elapsed admits probe", func() { clk.Advance(600 * time.Millisecond) }, HalfOpen, true},
-		{"second probe blocked", func() {}, HalfOpen, false},
-		{"probe failure re-opens", br.Failure, Open, false},
-		{"second cooldown", func() { clk.Advance(1100 * time.Millisecond) }, HalfOpen, true},
-		{"probe success closes", br.Success, Closed, true},
-		{"closed again after recovery", func() {}, Closed, true},
-	}
-	for _, s := range steps {
-		s.do()
-		if got := br.State(); got != s.state {
-			t.Fatalf("%s: state = %v, want %v", s.name, got, s.state)
-		}
-		if got := br.Allow(); got != s.allowed {
-			t.Fatalf("%s: Allow = %v, want %v", s.name, got, s.allowed)
-		}
-	}
-	if br.Opens() != 2 {
-		t.Fatalf("Opens = %d, want 2", br.Opens())
-	}
-	if br.Suppressed() == 0 {
-		t.Fatal("no suppressed attempts counted")
-	}
-}
-
-// TestBreakerJitterBounds trips the breaker many times and checks every
-// cooldown lands in [Cooldown, Cooldown*(1+Jitter)] and that the stream
-// is not constant.
-func TestBreakerJitterBounds(t *testing.T) {
-	clk := newFakeClock()
-	br := NewBreaker(BreakerConfig{Failures: 1, Cooldown: time.Second, Jitter: 0.5, Now: clk.Now, Seed: 7})
-	seen := make(map[time.Duration]bool)
-	for i := 0; i < 64; i++ {
-		br.Failure() // trips immediately (threshold 1)
-		br.mu.Lock()
-		d := br.until.Sub(clk.Now())
-		br.mu.Unlock()
-		if d < time.Second || d > 1500*time.Millisecond {
-			t.Fatalf("trip %d: cooldown %v outside [1s, 1.5s]", i, d)
-		}
-		seen[d] = true
-		clk.Advance(2 * time.Second)
-		if !br.Allow() { // half-open probe
-			t.Fatalf("trip %d: probe denied after cooldown", i)
-		}
-		br.Success()
-	}
-	if len(seen) < 2 {
-		t.Fatal("jittered cooldowns are constant")
-	}
-}
-
-func TestSetKeysIndependent(t *testing.T) {
-	clk := newFakeClock()
-	s := NewSet(BreakerConfig{Failures: 1, Cooldown: time.Second, Now: clk.Now})
-	a, b := s.Get("addr-a"), s.Get("addr-b")
-	if a == b {
-		t.Fatal("distinct keys share a breaker")
-	}
-	if s.Get("addr-a") != a {
-		t.Fatal("same key returned a fresh breaker")
-	}
-	a.Failure()
-	if a.State() != Open {
-		t.Fatal("breaker a did not trip")
-	}
-	if !b.Allow() {
-		t.Fatal("tripping a suppressed b")
-	}
-	st := s.Stats()
-	if st.Breakers != 2 || st.Open != 1 || st.Opens != 1 {
-		t.Fatalf("Stats = %+v, want 2 breakers, 1 open, 1 trip", st)
 	}
 }
 

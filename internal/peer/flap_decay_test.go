@@ -3,6 +3,8 @@ package peer
 import (
 	"testing"
 	"time"
+
+	"repro/internal/testutil"
 )
 
 // flapPeer injects n young-session deaths for peer id, each counting as
@@ -22,7 +24,10 @@ func flapPeer(t *testing.T, m *Manager, id int, n int) {
 // stretch of 4 liveness windows drains exactly one flap, shorter quiet
 // stretches drain nothing, and a fresh flap resets the quiet clock.
 func TestFlapDecaySteps(t *testing.T) {
-	m := NewManager(fastCfg(1, nil))
+	clk := testutil.NewClock()
+	cfg := fastCfg(1, nil)
+	cfg.Now = clk.Now
+	m := NewManager(cfg)
 	flapPeer(t, m, 2, 3)
 
 	flapCount := func() int {
@@ -40,11 +45,11 @@ func TestFlapDecaySteps(t *testing.T) {
 	}
 
 	quiet := 4 * m.cfg.LivenessWindow
-	now := time.Now()
 
 	// Inside the quiet window: nothing decays, however often expire runs.
+	clk.Advance(quiet / 2)
 	for i := 0; i < 5; i++ {
-		m.expire(now.Add(quiet / 2))
+		m.expire(clk.Now())
 	}
 	if got := flapCount(); got != 3 {
 		t.Fatalf("flap count = %d after sub-window quiet, want 3", got)
@@ -53,34 +58,31 @@ func TestFlapDecaySteps(t *testing.T) {
 	// Each full quiet window drains exactly one count, and the decay
 	// itself resets the clock — an immediately repeated expire at the
 	// same instant must not drain another.
-	now = now.Add(quiet + time.Millisecond)
-	m.expire(now)
-	m.expire(now)
+	clk.Advance(quiet/2 + time.Millisecond)
+	m.expire(clk.Now())
+	m.expire(clk.Now())
 	if got := flapCount(); got != 2 {
 		t.Fatalf("flap count = %d after one quiet window, want 2", got)
 	}
 
 	// A new flap refreshes the quiet clock: an expire half a window
-	// after it drains nothing. The injected flap stamps wall time, so
-	// pin it to the synthetic clock first.
+	// after it drains nothing.
 	flapPeer(t, m, 2, 1)
-	sh := m.shardFor(2)
-	sh.mu.Lock()
-	sh.flaps[2].last = now
-	sh.mu.Unlock()
-	m.expire(now.Add(quiet / 2))
+	clk.Advance(quiet / 2)
+	m.expire(clk.Now())
 	if got := flapCount(); got != 3 {
 		t.Fatalf("flap count = %d after flap mid-decay, want 3", got)
 	}
 
 	// Run the clock out: the entry fully drains and is deleted.
 	for i := 1; i <= 3; i++ {
-		now = now.Add(quiet + time.Millisecond)
-		m.expire(now)
+		clk.Advance(quiet + time.Millisecond)
+		m.expire(clk.Now())
 	}
 	if got := flapCount(); got != 0 {
 		t.Fatalf("flap count = %d after full decay, want 0 (and entry deleted)", got)
 	}
+	sh := m.shardFor(2)
 	sh.mu.Lock()
 	_, survived := sh.flaps[2]
 	sh.mu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/testutil"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -30,13 +31,14 @@ func (c *stampConn) stamps() []time.Time {
 	return append([]time.Time(nil), c.sends...)
 }
 
-// kickManager builds a manager over n stub peers whose ticker is far
-// enough out that only kicks can beacon within a test.
-func kickManager(t *testing.T, n int) *Manager {
+// kickManager builds a manager on clk over n stub peers whose ticker is
+// far enough out that only kicks can beacon within a test.
+func kickManager(t *testing.T, clk *testutil.Clock, n int) *Manager {
 	t.Helper()
 	cfg := fastCfg(1, nil)
 	cfg.HelloInterval = time.Hour
 	cfg.LivenessWindow = 24 * time.Hour
+	cfg.Now = clk.Now
 	m := NewManager(cfg)
 	for i := 0; i < n; i++ {
 		attach(t, m, trace.NodeID(2+i), &stubConn{})
@@ -74,7 +76,7 @@ func written(t *testing.T, m *Manager, n uint64) {
 // panics.
 func TestKickCoalesces(t *testing.T) {
 	const peers = 3
-	m := kickManager(t, peers)
+	m := kickManager(t, testutil.NewClock(), peers)
 	for i := 0; i < 100; i++ {
 		m.Kick() // Run is not started yet
 	}
@@ -126,7 +128,7 @@ func TestKickRestartsInterval(t *testing.T) {
 // spent — nothing is owed when the radio comes back.
 func TestKickWhilePaused(t *testing.T) {
 	const peers = 2
-	m := kickManager(t, peers)
+	m := kickManager(t, testutil.NewClock(), peers)
 	m.SetPaused(true)
 	stop := run(m)
 	m.Kick()
@@ -157,11 +159,10 @@ func TestKickWhilePaused(t *testing.T) {
 // silent peers before it beacons, so kicks that keep restarting the
 // interval cannot keep a dead peer in the table.
 func TestKickAlsoExpires(t *testing.T) {
-	m := kickManager(t, 2) // peers 2 and 3
-	sh := m.shardFor(3)
-	sh.mu.Lock()
-	sh.peers[3].lastHello = time.Now().Add(-2 * m.cfg.LivenessWindow)
-	sh.mu.Unlock()
+	clk := testutil.NewClock()
+	m := kickManager(t, clk, 2) // peers 2 and 3
+	clk.Advance(m.cfg.LivenessWindow + 1)
+	m.deliver(2, &wire.Hello{From: 2}) // 2 is heard again; 3 has been silent an instant too long
 	stop := run(m)
 	m.Kick()
 	waitFor(t, func() bool { return m.Stats().HellosKicked == 1 }, "the kicked beacon")

@@ -193,24 +193,18 @@ func TestLanesFIFOPerPeer(t *testing.T) {
 // for work.
 func TestSessionWritersExit(t *testing.T) {
 	const peers = 4 // 8 session goroutines: well past NoLeaks' slack
-	ends := map[string]func(t *testing.T, a *Manager, conns []transport.Conn){
-		"unregister": func(t *testing.T, a *Manager, conns []transport.Conn) {
+	ends := map[string]func(t *testing.T, a *Manager, clk *testutil.Clock, conns []transport.Conn){
+		"unregister": func(t *testing.T, a *Manager, _ *testutil.Clock, conns []transport.Conn) {
 			for _, c := range conns {
 				c.Close()
 			}
 			waitFor(t, func() bool { return a.Stats().Drops == peers }, "the hang-ups to be noticed")
 		},
-		"expiry": func(t *testing.T, a *Manager, conns []transport.Conn) {
-			for _, sh := range a.shards {
-				sh.mu.Lock()
-				for _, e := range sh.peers {
-					e.lastHello = time.Now().Add(-2 * a.cfg.LivenessWindow)
-				}
-				sh.mu.Unlock()
-			}
+		"expiry": func(t *testing.T, a *Manager, clk *testutil.Clock, conns []transport.Conn) {
+			clk.Advance(a.cfg.LivenessWindow + 1) // Run's next round finds them all silent too long
 			waitFor(t, func() bool { return a.Stats().Expiries == peers }, "the silent peers to expire")
 		},
-		"close": func(t *testing.T, a *Manager, conns []transport.Conn) {
+		"close": func(t *testing.T, a *Manager, _ *testutil.Clock, conns []transport.Conn) {
 			a.Close()
 		},
 	}
@@ -220,7 +214,7 @@ func TestSessionWritersExit(t *testing.T) {
 	}
 }
 
-func testWritersExit(t *testing.T, peers int, wedged bool, end func(*testing.T, *Manager, []transport.Conn)) {
+func testWritersExit(t *testing.T, peers int, wedged bool, end func(*testing.T, *Manager, *testutil.Clock, []transport.Conn)) {
 	const (
 		burst   = 100 // pieces per wedged peer; its loopback conn buffers linkCap frames
 		linkCap = 64
@@ -229,8 +223,9 @@ func testWritersExit(t *testing.T, peers int, wedged bool, end func(*testing.T, 
 	ctx, cancel := context.WithCancel(context.Background())
 	net := transport.NewLoopback()
 	defer net.Close()
+	clk := testutil.NewClock()
 	cfg := fastCfg(1, nil)
-	cfg.LivenessWindow = time.Hour
+	cfg.Now = clk.Now
 	a := NewManager(cfg)
 	lis, err := net.Listen("A")
 	if err != nil {
@@ -286,7 +281,7 @@ func testWritersExit(t *testing.T, peers int, wedged bool, end func(*testing.T, 
 		}, "the writers to fill the links")
 	}
 
-	end(t, a, conns)
+	end(t, a, clk, conns)
 	waitFor(t, func() bool { return len(a.Peers()) == 0 }, "the peers to leave the table")
 	readers.Wait()
 	sessionsGone()

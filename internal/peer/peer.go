@@ -115,11 +115,11 @@ type Config struct {
 	// control, from the shedding peer's session goroutine — the
 	// daemon's hook for answering Busy. Must not block.
 	OnShed func(from trace.NodeID, t wire.MsgType)
-	// DialBreakers, when non-nil, gates outbound dials with one circuit
-	// breaker per address: ConnectOnce fast-fails while an address's
-	// breaker is open, and Connect's backoff loop skips dial attempts
-	// for the cooldown instead of hammering a dead address.
-	DialBreakers *limit.Set
+	// Now is the clock every time-dependent decision reads — liveness,
+	// flaps, admission buckets, ConnectOnce's redial schedule (default
+	// time.Now). Tickers, handshake deadlines and Connect's backoff sleeps
+	// stay on the runtime clock.
+	Now func() time.Time
 	// Logf, when set, receives one line per connection event.
 	Logf func(format string, args ...any)
 }
@@ -166,9 +166,8 @@ type Stats struct {
 	// BusySent / BusyRecv count 429-style backpressure frames.
 	BusySent uint64 `json:"busy_sent"`
 	BusyRecv uint64 `json:"busy_recv"`
-	// DialsSuppressed counts ConnectOnce attempts fast-failed by an
-	// open dial circuit breaker (Connect-loop suppressions are counted
-	// by the breakers themselves; see limit.SetStats).
+	// DialsSuppressed counts ConnectOnce attempts refused because the
+	// address's last failure has not yet waited out its backoff step.
 	DialsSuppressed uint64 `json:"dials_suppressed"`
 }
 
@@ -215,9 +214,9 @@ var ErrQueueFull = errors.New("peer: send queue full")
 // Config.MaxPeers capacity.
 var ErrTableFull = errors.New("peer: table full")
 
-// ErrDialSuppressed reports a dial fast-failed because the address's
-// circuit breaker is open.
-var ErrDialSuppressed = errors.New("peer: dial suppressed by open circuit breaker")
+// ErrDialSuppressed reports a ConnectOnce refused because the address
+// failed recently and its next permitted attempt is still ahead.
+var ErrDialSuppressed = errors.New("peer: dial suppressed, address failed recently")
 
 // session is one handshaken connection.
 type session struct {
@@ -248,6 +247,16 @@ type entry struct {
 	// InboundRate. Dying with the entry, it cannot be grown by a churning
 	// flooder that does not also hold a table slot.
 	limiter *limit.Bucket
+}
+
+// redial is ConnectOnce's record of one address that refused a dial: how
+// many steps of the backoff schedule its failures have climbed and the
+// earliest instant the next attempt may go out. A successful dial
+// deletes it; expire forgets it once the address has gone undialed for
+// four liveness windows past that instant.
+type redial struct {
+	fails int
+	next  time.Time
 }
 
 // shard is one bucket of the peer table; both maps are guarded by its
@@ -285,6 +294,9 @@ type Manager struct {
 	peerCount atomic.Int64
 	shards    []*shard
 	ctrs      counters
+
+	redialMu sync.Mutex
+	redials  map[string]redial
 }
 
 // NewManager returns a manager with defaults applied.
@@ -304,7 +316,13 @@ func NewManager(cfg Config) *Manager {
 	if cfg.QueueLen <= 0 {
 		cfg.QueueLen = DefaultQueueLen
 	}
-	m := &Manager{cfg: cfg, kick: make(chan struct{}, 1), shards: make([]*shard, cfg.Shards)}
+	if cfg.Now == nil {
+		cfg.Now = time.Now
+	}
+	m := &Manager{
+		cfg: cfg, kick: make(chan struct{}, 1), shards: make([]*shard, cfg.Shards),
+		redials: make(map[string]redial),
+	}
 	for i := range m.shards {
 		m.shards[i] = newShard()
 	}
@@ -360,7 +378,7 @@ func (m *Manager) Run(ctx context.Context) error {
 		case <-ctx.Done():
 			return ctx.Err()
 		}
-		m.expire(time.Now())
+		m.expire(m.cfg.Now())
 		if m.paused.Load() {
 			continue // a kick while paused is spent, not owed at resume
 		}
@@ -429,12 +447,8 @@ func (m *Manager) Connect(ctx context.Context, tr transport.Transport, addr stri
 		<-timer.C
 	}
 	defer timer.Stop()
-	backoff := m.cfg.Backoff
-	if m.cfg.DialBreakers != nil {
-		backoff.Breaker = m.cfg.DialBreakers.Get(addr)
-	}
 	for {
-		conn, err := transport.DialBackoff(ctx, tr, addr, backoff)
+		conn, err := transport.DialBackoff(ctx, tr, addr, m.cfg.Backoff)
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
@@ -446,12 +460,12 @@ func (m *Manager) Connect(ctx context.Context, tr transport.Transport, addr stri
 			m.ctrs.reconnects.Add(1)
 		}
 		first = false
-		started := time.Now()
+		started := m.cfg.Now()
 		m.runSession(ctx, conn, false)
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		if time.Since(started) < m.cfg.LivenessWindow {
+		if m.cfg.Now().Sub(started) < m.cfg.LivenessWindow {
 			consecFlaps++
 			delay := m.cfg.Backoff.Delay(consecFlaps - 1)
 			m.logf("peer: link to %s flapped (%d in a row); demoted, redialing in %v",
@@ -474,31 +488,37 @@ func (m *Manager) Connect(ctx context.Context, tr transport.Transport, addr stri
 // dial-on-demand primitive: a lookup that learns a contact outside the
 // current peer set brings up a transient link just long enough to
 // exchange RPCs, and lets liveness expiry reap it.
-// A per-address circuit breaker (Config.DialBreakers) gates the dial:
-// while the breaker is open — the address failed repeatedly and its
-// cooldown has not elapsed — ConnectOnce fast-fails with
-// ErrDialSuppressed instead of hammering a dead contact, which is what
-// stops DHT dial-on-demand storms.
+// With no loop of its own to space retries, it keeps Connect's schedule
+// per address instead: each failed dial pushes the address's next
+// permitted attempt out one more Backoff step, calls before that instant
+// fail fast with ErrDialSuppressed instead of hammering a dead contact —
+// which is what stops DHT dial-on-demand storms — and a dial that
+// succeeds clears the record (how long the transient session then lives
+// says nothing about the address).
 func (m *Manager) ConnectOnce(ctx context.Context, tr transport.Transport, addr string) error {
-	var br *limit.Breaker
-	if m.cfg.DialBreakers != nil {
-		br = m.cfg.DialBreakers.Get(addr)
-		if !br.Allow() {
-			m.ctrs.dialsSuppr.Add(1)
-			return fmt.Errorf("%s: %w", addr, ErrDialSuppressed)
-		}
+	m.redialMu.Lock()
+	suppressed := m.cfg.Now().Before(m.redials[addr].next)
+	m.redialMu.Unlock()
+	if suppressed {
+		m.ctrs.dialsSuppr.Add(1)
+		return fmt.Errorf("%s: %w", addr, ErrDialSuppressed)
 	}
 	conn, err := tr.Dial(ctx, addr)
-	if err != nil {
+	m.redialMu.Lock()
+	switch {
+	case err == nil:
+		delete(m.redials, addr)
+	case ctx.Err() == nil:
 		// A canceled context is our doing, not evidence the address is
-		// dead; only real dial failures feed the breaker.
-		if br != nil && ctx.Err() == nil {
-			br.Failure()
-		}
-		return err
+		// dead; only real dial failures climb the schedule.
+		r := m.redials[addr]
+		r.next = m.cfg.Now().Add(m.cfg.Backoff.Delay(r.fails))
+		r.fails++
+		m.redials[addr] = r
 	}
-	if br != nil {
-		br.Success()
+	m.redialMu.Unlock()
+	if err != nil {
+		return err
 	}
 	m.ctrs.dials.Add(1)
 	m.runSession(ctx, conn, false)
@@ -613,13 +633,13 @@ func (m *Manager) register(peerID trace.NodeID, conn transport.Conn, inbound boo
 		}
 		e = &entry{sessions: make(map[uint64]*session)}
 		if m.cfg.InboundRate > 0 {
-			e.limiter = limit.NewBucket(m.cfg.InboundRate, 0, nil)
+			e.limiter = limit.NewBucket(m.cfg.InboundRate, 0, m.cfg.Now)
 		}
 		sh.peers[peerID] = e
 	}
 	s := &session{
 		sid: m.nextSID.Add(1), peer: peerID, conn: conn, inbound: inbound,
-		started: time.Now(), out: newLanes(m.cfg.QueueLen),
+		started: m.cfg.Now(), out: newLanes(m.cfg.QueueLen),
 	}
 	e.sessions[s.sid] = s
 	e.lastHello = s.started
@@ -638,7 +658,7 @@ func (m *Manager) end(s *session) {
 // unregister removes a dead session and ends it, counting a flap when
 // the session died young.
 func (m *Manager) unregister(s *session) {
-	now := time.Now()
+	now := m.cfg.Now()
 	sh := m.shardFor(s.peer)
 	sh.mu.Lock()
 	// The entry may be gone (expire or Close got there first) or be a
@@ -686,7 +706,7 @@ func (m *Manager) deliver(from trace.NodeID, msg wire.Msg) {
 			// Liveness refresh happens before admission control: shedding
 			// a flooder's hellos keeps it cheap, but must not expire it
 			// from the table — a shed peer is overloaded-away, not gone.
-			e.lastHello = time.Now()
+			e.lastHello = m.cfg.Now()
 		}
 		sh.mu.Unlock()
 		if limited {
@@ -768,9 +788,10 @@ func (m *Manager) BroadcastExcept(skip func(trace.NodeID) bool) {
 }
 
 // expire drops peers whose last hello is older than the liveness
-// window, closing their sessions, and decays flap scores of links that
-// have since held steady. Shards are swept one at a time, so an expiry
-// pass never stalls traffic on the whole table.
+// window, closing their sessions, decays flap scores of links that have
+// since held steady, and forgets redial records nobody has dialed since.
+// Shards are swept one at a time, so an expiry pass never stalls traffic
+// on the whole table.
 func (m *Manager) expire(now time.Time) {
 	var dead []*session
 	for _, sh := range m.shards {
@@ -797,6 +818,13 @@ func (m *Manager) expire(now time.Time) {
 		}
 		sh.mu.Unlock()
 	}
+	m.redialMu.Lock()
+	for addr, r := range m.redials {
+		if now.Sub(r.next) > 4*m.cfg.LivenessWindow {
+			delete(m.redials, addr)
+		}
+	}
+	m.redialMu.Unlock()
 	for _, s := range dead {
 		m.end(s)
 		m.logf("peer: node %d expired (no hello in %v)", s.peer, m.cfg.LivenessWindow)
@@ -819,7 +847,7 @@ func (m *Manager) Peers() []trace.NodeID {
 
 // Table snapshots the peer table for stats endpoints.
 func (m *Manager) Table() []Info {
-	now := time.Now()
+	now := m.cfg.Now()
 	out := make([]Info, 0, m.peerCount.Load())
 	for _, sh := range m.shards {
 		sh.mu.Lock()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -243,7 +244,10 @@ func attach(tb testing.TB, m *Manager, id trace.NodeID, conn transport.Conn) *se
 // TestFlapAccounting checks young session deaths are counted as flaps,
 // surfaced in the table, and decayed once the link holds steady.
 func TestFlapAccounting(t *testing.T) {
-	m := NewManager(fastCfg(1, nil))
+	clk := testutil.NewClock()
+	cfg := fastCfg(1, nil)
+	cfg.Now = clk.Now
+	m := NewManager(cfg)
 	keeper, _ := m.register(2, &stubConn{}, false)
 	young, _ := m.register(2, &stubConn{}, false)
 	m.unregister(young)
@@ -255,23 +259,143 @@ func TestFlapAccounting(t *testing.T) {
 		t.Fatalf("Table() = %+v, want one peer with Flaps=1", tab)
 	}
 
-	// A session that outlived the flap threshold is not a flap.
-	keeper.started = time.Now().Add(-2 * m.cfg.LivenessWindow)
+	// A session that reached the flap threshold is not a flap.
+	clk.Advance(m.cfg.LivenessWindow)
 	m.unregister(keeper)
 	if got := m.Stats().Flaps; got != 1 {
 		t.Fatalf("Flaps = %d after an old session death, want still 1", got)
 	}
 
-	// Decay: after a long quiet period the flap score drains away.
-	m.expire(time.Now().Add(5 * m.cfg.LivenessWindow))
-	left := 0
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		left += len(sh.flaps)
-		sh.mu.Unlock()
+	// Decay: once the flap is more than four liveness windows old — not
+	// at four — the score drains away.
+	flapEntries := func() (n int) {
+		for _, sh := range m.shards {
+			sh.mu.Lock()
+			n += len(sh.flaps)
+			sh.mu.Unlock()
+		}
+		return n
 	}
-	if left != 0 {
+	clk.Advance(3 * m.cfg.LivenessWindow)
+	m.expire(clk.Now())
+	if left := flapEntries(); left != 1 {
+		t.Fatalf("%d flap entries four windows after the flap, want still 1", left)
+	}
+	clk.Advance(1)
+	m.expire(clk.Now())
+	if left := flapEntries(); left != 0 {
 		t.Fatalf("%d flap entries survived decay", left)
+	}
+}
+
+// deadEnd is a transport that counts dials and refuses them while dead;
+// alive, a dial yields a conn that hangs up before the handshake.
+type deadEnd struct {
+	dials atomic.Int32
+	alive atomic.Bool
+}
+
+func (d *deadEnd) Dial(ctx context.Context, addr string) (transport.Conn, error) {
+	d.dials.Add(1)
+	if !d.alive.Load() {
+		return nil, errors.New("connection refused")
+	}
+	return &stubConn{}, nil
+}
+
+func (d *deadEnd) Listen(addr string) (transport.Listener, error) {
+	return nil, errors.New("deadEnd does not listen")
+}
+
+// TestConnectOnceSuppressesDeadAddress: ConnectOnce has no retry loop,
+// so the Manager keeps Connect's backoff schedule per address for it. A
+// refusing address costs one dial per schedule step, however often it is
+// asked for; everything in between fails fast and is counted; the step
+// ends on the clock, to the tick; a context we cancelled ourselves is not
+// a failure; and a dial that succeeds clears the record.
+func TestConnectOnceSuppressesDeadAddress(t *testing.T) {
+	const perStep = 5 // back-to-back calls behind each real dial
+	clk := testutil.NewClock()
+	cfg := fastCfg(1, nil) // Backoff{Min: 1ms, Jitter: -1}: step k waits exactly 2^k ms
+	cfg.Now = clk.Now
+	m := NewManager(cfg)
+	tr := &deadEnd{}
+	ctx := context.Background()
+	suppressed := func(addr string) bool {
+		t.Helper()
+		err := m.ConnectOnce(ctx, tr, addr)
+		if err == nil {
+			t.Fatalf("ConnectOnce(%s) succeeded against a refusing transport", addr)
+		}
+		return errors.Is(err, ErrDialSuppressed)
+	}
+
+	for step := 0; step < 4; step++ {
+		if suppressed("dead") {
+			t.Fatalf("step %d: the attempt the schedule permits was suppressed", step)
+		}
+		for i := 0; i < perStep; i++ {
+			if !suppressed("dead") {
+				t.Fatalf("step %d: call %d right behind a failed dial reached the transport", step, i)
+			}
+		}
+		clk.Advance(cfg.Backoff.Delay(step) - 1)
+		if !suppressed("dead") {
+			t.Fatalf("step %d: dial admitted one tick short of the %v step", step, cfg.Backoff.Delay(step))
+		}
+		clk.Advance(1)
+		if got, want := int(tr.dials.Load()), step+1; got != want {
+			t.Fatalf("step %d: %d dials reached the transport, want %d (one per step)", step, got, want)
+		}
+		if got, want := m.Stats().DialsSuppressed, uint64((step+1)*(perStep+1)); got != want {
+			t.Fatalf("step %d: DialsSuppressed = %d, want %d", step, got, want)
+		}
+	}
+
+	// Another address has a schedule of its own, and a dial that fails
+	// under a context we cancelled does not start it.
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if err := m.ConnectOnce(cancelled, tr, "other"); errors.Is(err, ErrDialSuppressed) {
+		t.Fatal("a dead neighbour's schedule suppressed another address")
+	}
+	if suppressed("other") {
+		t.Fatal("a dial cancelled by its caller was held against the address")
+	}
+
+	// A dial that succeeds clears the record: the next failure starts
+	// over at the first step instead of the fifth.
+	tr.alive.Store(true)
+	if err := m.ConnectOnce(ctx, tr, "dead"); err != nil {
+		t.Fatalf("ConnectOnce after the address came back: %v", err)
+	}
+	tr.alive.Store(false)
+	if suppressed("dead") {
+		t.Fatal("suppressed right after a successful dial")
+	}
+	clk.Advance(cfg.Backoff.Delay(0))
+	if suppressed("dead") {
+		t.Fatalf("still suppressed %v after the first failure since the success: the record was not cleared", cfg.Backoff.Delay(0))
+	}
+	if st := m.Stats(); st.Dials != 1 || st.HandshakeFail != 1 {
+		t.Fatalf("Dials = %d, HandshakeFail = %d; want the one dial that connected, hung up on", st.Dials, st.HandshakeFail)
+	}
+
+	// Addresses arrive from strangers (DHT replies), so a record nobody
+	// dials against any more is forgotten rather than kept for good.
+	records := func() int {
+		m.redialMu.Lock()
+		defer m.redialMu.Unlock()
+		return len(m.redials)
+	}
+	m.expire(clk.Now())
+	if got := records(); got != 2 {
+		t.Fatalf("%d redial records while both are fresh, want 2", got)
+	}
+	clk.Advance(4*m.cfg.LivenessWindow + time.Second)
+	m.expire(clk.Now())
+	if got := records(); got != 0 {
+		t.Fatalf("%d redial records survived four idle liveness windows", got)
 	}
 }
 

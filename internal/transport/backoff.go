@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/limit"
 	"repro/internal/rng"
 )
 
@@ -27,11 +26,6 @@ type Backoff struct {
 	// Rand drives jitter draws. Defaults to a clock-seeded source; fix
 	// it for deterministic tests.
 	Rand *rng.Rand
-	// Breaker, when set, gates DialBackoff's attempts: while the
-	// breaker is open a retry round skips the dial entirely and just
-	// sleeps, so a repeatedly failing address costs its cooldown, not a
-	// dial, per round. Outcomes of real attempts feed the breaker.
-	Breaker *limit.Breaker
 }
 
 func (b Backoff) min() time.Duration {
@@ -113,23 +107,15 @@ func DialBackoff(ctx context.Context, tr Transport, addr string, b Backoff) (Con
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if b.Breaker == nil || b.Breaker.Allow() {
-			c, err := tr.Dial(ctx, addr)
-			if err == nil {
-				if b.Breaker != nil {
-					b.Breaker.Success()
-				}
-				return c, nil
-			}
-			if errors.Is(err, ErrVersionMismatch) {
-				return nil, err
-			}
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			if b.Breaker != nil {
-				b.Breaker.Failure()
-			}
+		c, err := tr.Dial(ctx, addr)
+		if err == nil {
+			return c, nil
+		}
+		if errors.Is(err, ErrVersionMismatch) {
+			return nil, err
+		}
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
 		}
 		timer.Reset(b.Delay(attempt))
 		select {
