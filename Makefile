@@ -136,8 +136,9 @@ bench-e2e:
 # Benchmark history: the hot-path benches (wire codec, beacon fan-out,
 # peer-table contention, DHT k-buckets and lookups, WAL append/replay,
 # clique enumeration, admission limiters, send-lane shedding, synthetic
-# piece generation, query → first piece on a live pair) plus the
-# sweep pool, rendered to JSON. Each run
+# piece generation, one group-plane round across a five-node clique,
+# query → first piece on a live pair) plus the sweep pool, rendered to
+# JSON. Each run
 # APPENDS a record stamped with the git SHA (suffixed -dirty when the
 # tree has uncommitted changes, i.e. the record belongs to the commit
 # that follows) and UTC date to results/BENCH_swarm.json, so the file
@@ -146,6 +147,7 @@ bench-e2e:
 bench-json:
 	{ $(GO) test -run '^$$' -bench . -benchtime 0.5s \
 		./internal/wire ./internal/peer ./internal/store ./internal/clique ./internal/fec ./internal/dht ./internal/limit ./internal/metadata ; \
+	  $(GO) test -run '^$$' -bench BenchmarkEngineRound -benchtime 3x ./internal/bcast ; \
 	  $(GO) test -run '^$$' -bench BenchmarkFECSoak -benchtime 1x ./internal/daemon ; \
 	  $(GO) test -run '^$$' -bench BenchmarkQueryToFirstPiece -benchtime 20x ./internal/daemon ; \
 	  $(GO) test -run '^$$' -bench BenchmarkRunAll -benchtime 1x . ; } \

@@ -5,6 +5,12 @@
 // transmitter per round, so a single piece broadcast serves the whole
 // group at once instead of one pairwise stream per downloader.
 //
+// Rounds are paced by events, not by the timer: the sequencer grants
+// the next piece the moment a frame from a member frees a slot in its
+// small flight window of granted-but-unresolved pieces, and Tick is the
+// beat that announces the view and the deadline that hands a piece
+// nobody finished acking back to the schedule.
+//
 // The schedule is driven by a sequencer, the clique's deterministic
 // coordinator (lowest ID). In the cooperative mode (§V-A) the sequencer
 // also picks the piece and its sender: pieces requested by more members
@@ -46,10 +52,16 @@ import (
 // path.
 const DefaultMinGroupSize = 3
 
-// regrantAfter is how many rounds a granted piece is kept off the
-// candidate list, giving the broadcast time to land and the receivers'
-// next GroupHello to confirm it before the sequencer retries.
-const regrantAfter = 2
+// flightWindow bounds the granted pieces the sequencer keeps unresolved
+// — granted, and still lacked by some member. It is the schedule's flow
+// control: the slowest member's ack is what admits the next grant. Two
+// keeps the sender encoding one piece while the group decodes the
+// other, and keeps what a member has yet to drain inside its lane's
+// receive queue (transport's domainQueue, 256): a burst is sized so
+// that about 1.2 K of its symbols arrive (fec.go), a member acks a
+// piece having drained all but the tail of its burst, and a tail plus
+// two bursts at K = 64 is under 240 datagrams.
+const flightWindow = 2
 
 // Store is the engine's window into the daemon's piece state. Methods
 // may be called with Engine.mu held and must not call back into the
@@ -129,6 +141,7 @@ type Stats struct {
 	Confirmed       bool           `json:"confirmed"`
 	Sequencer       trace.NodeID   `json:"sequencer"` // -1 without a group
 	Round           uint64         `json:"round"`
+	RoundsKicked    uint64         `json:"rounds_kicked"` // of Round as sequencer: granted on a frame or a finished burst, not on a Tick
 	TitForTat       bool           `json:"tit_for_tat"`
 	Formations      uint64         `json:"formations"`
 	Collapses       uint64         `json:"collapses"`
@@ -143,6 +156,7 @@ type Stats struct {
 	// Fountain-coded data plane (fec.go).
 	FECActive       bool   `json:"fec_active"`
 	SymbolsSent     uint64 `json:"symbols_sent"`
+	TopUps          uint64 `json:"top_ups"` // bursts after a piece's first
 	SymbolsRecv     uint64 `json:"symbols_recv"`
 	SymbolsRelayed  uint64 `json:"symbols_relayed"`
 	SymbolsBadCheck uint64 `json:"symbols_bad_check"`
@@ -176,6 +190,15 @@ type pieceKey struct {
 	piece int
 }
 
+// grant records when a piece was last granted — by this node as
+// sequencer, or to it — and, when this node answered with the piece's
+// opening symbol burst, the sizing (fec.go) the burst was cut to; 0
+// otherwise.
+type grant struct {
+	at     time.Time
+	sizing uint64
+}
+
 // Engine is one node's broadcast-group state machine. Construct with
 // New; drive with Observe/HandleGroup from the receive path and Tick
 // from a timer.
@@ -188,8 +211,16 @@ type Engine struct {
 	group     []trace.NodeID // nil: no group, pairwise only
 	confirmed bool
 	round     uint64
-	lastGrant map[pieceKey]uint64
 	counters  Stats
+
+	// beat and prevBeat are the last two Ticks. granted holds each
+	// piece's last grant; an entry keeps its piece off the candidate list
+	// until a whole Tick-to-Tick interval has passed since (the entry is
+	// no younger than prevBeat), then Tick drops it. flying is how many
+	// of them were still unresolved when the last round ended.
+	beat, prevBeat time.Time
+	granted        map[pieceKey]grant
+	flying         int
 
 	// Fountain-coded data plane (fec.go). symbols is non-nil only when
 	// Config.FEC is set and the Sender has a symbol lane.
@@ -197,6 +228,8 @@ type Engine struct {
 	fecSend    map[pieceKey]*fecStream
 	fecRecv    map[pieceKey]*fecBlock
 	relayQuota int
+	overhead   float64 // opening-burst symbols beyond K, per source symbol
+	sizing     uint64  // counts the values overhead has taken, from 1
 }
 
 // New returns an engine with defaults applied.
@@ -214,12 +247,13 @@ func New(cfg Config) *Engine {
 		cfg.Now = time.Now
 	}
 	e := &Engine{
-		cfg:       cfg,
-		edges:     make(map[edge]time.Time),
-		views:     make(map[trace.NodeID]*view),
-		lastGrant: make(map[pieceKey]uint64),
-		fecSend:   make(map[pieceKey]*fecStream),
-		fecRecv:   make(map[pieceKey]*fecBlock),
+		cfg:      cfg,
+		edges:    make(map[edge]time.Time),
+		views:    make(map[trace.NodeID]*view),
+		granted:  make(map[pieceKey]grant),
+		overhead: initialOverhead,
+		fecSend:  make(map[pieceKey]*fecStream),
+		fecRecv:  make(map[pieceKey]*fecBlock),
 	}
 	if cfg.FEC {
 		if ss, ok := cfg.Send.(SymbolSender); ok {
@@ -249,7 +283,9 @@ func (e *Engine) Observe(from trace.NodeID, heard []trace.NodeID) {
 }
 
 // HandleGroup processes one received group message. Grants addressed
-// to this node trigger the piece broadcast inline.
+// to this node trigger the piece broadcast inline, and a frame that can
+// resolve a piece in flight — an ack, a view, an overheard broadcast —
+// lets the sequencer run the next round without waiting for its Tick.
 func (e *Engine) HandleGroup(ctx context.Context, from trace.NodeID, msg wire.Msg) {
 	now := e.cfg.Now()
 	e.mu.Lock()
@@ -271,6 +307,7 @@ func (e *Engine) HandleGroup(ctx context.Context, from trace.NodeID, msg wire.Ms
 		if v.To == e.cfg.Self && contains(e.group, v.From) {
 			e.transmitLocked(ctx, v, now)
 		}
+		return
 	case *wire.PieceBcast:
 		e.counters.PieceBcastsRecv++
 		if v.Round > e.round {
@@ -283,8 +320,14 @@ func (e *Engine) HandleGroup(ctx context.Context, from trace.NodeID, msg wire.Ms
 		e.cfg.Store.DeliverPiece(from, v)
 	case *wire.Symbol:
 		e.handleSymbolLocked(ctx, v, now)
+		return
 	case *wire.SymbolAck:
 		e.handleSymbolAckLocked(from, v)
+	default:
+		return
+	}
+	if e.sequencingLocked() {
+		e.roundsLocked(ctx, now, true)
 	}
 }
 
@@ -318,19 +361,40 @@ func (e *Engine) Stats() Stats {
 	return st
 }
 
-// Tick advances the engine one beat: refresh the group from the graph,
-// announce the view, and — when this node is the confirmed group's
-// sequencer — run one schedule round.
+// Tick is the engine's beat: refresh the group from the graph, announce
+// the view, and pass the regrant deadline — a piece granted a whole beat
+// ago that some member still lacks is a candidate again. When this node
+// is the confirmed group's sequencer it then runs the schedule, as
+// HandleGroup does between beats.
 func (e *Engine) Tick(ctx context.Context) {
 	now := e.cfg.Now()
-	live := e.cfg.Store.LivePeers()
-	selfWants := e.cfg.Store.Wants()
-
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.prevBeat, e.beat = e.beat, now
+	e.housekeepLocked(ctx, now)
+	if e.sequencingLocked() {
+		e.roundsLocked(ctx, now, false)
+	}
+}
+
+// sequencingLocked reports whether this node runs the schedule: its
+// group is confirmed and it is the coordinator.
+func (e *Engine) sequencingLocked() bool {
+	return e.confirmed && clique.Coordinator(e.group) == e.cfg.Self
+}
+
+// housekeepLocked is everything a beat does besides scheduling: expire
+// what went silent, re-form the group, announce this node's view and
+// re-evaluate confirmation.
+func (e *Engine) housekeepLocked(ctx context.Context, now time.Time) {
 	e.pruneLocked(now)
 
-	best := e.bestGroupLocked(live)
+	// The snapshots are taken under e.mu: a piece that decodes and acks
+	// concurrently lands wholly before them or wholly after the
+	// announcement, so no GroupHello carries a bitmap older than an ack
+	// already sent.
+	best := e.bestGroupLocked(e.cfg.Store.LivePeers())
+	selfWants := e.cfg.Store.Wants()
 	if !equalIDs(best, e.group) {
 		switch {
 		case best == nil:
@@ -345,7 +409,7 @@ func (e *Engine) Tick(ctx context.Context) {
 		}
 		e.group = best
 		e.confirmed = false
-		e.lastGrant = make(map[pieceKey]uint64)
+		e.granted = make(map[pieceKey]grant)
 	}
 	// The view keeps its own copy of the bitsets: the announcement below
 	// may sit in a send queue while markHaveLocked updates the view.
@@ -384,14 +448,26 @@ func (e *Engine) Tick(ctx context.Context) {
 			e.cfg.Self, e.group, clique.Coordinator(e.group), e.cfg.TitForTat)
 	}
 	e.confirmed = confirmed
-	if !confirmed || clique.Coordinator(e.group) != e.cfg.Self {
-		return
-	}
-	e.runRoundLocked(ctx, now)
 }
 
-// pruneLocked expires stale graph edges and member views.
+// pruneLocked expires stale graph edges and member views, and passes
+// the regrant deadline: a grant a whole beat old stops holding its piece
+// back, and the opening symbol bursts among them size the next (fec.go).
 func (e *Engine) pruneLocked(now time.Time) {
+	lapsed, short := 0, 0
+	for k, g := range e.granted {
+		if g.at.After(e.prevBeat) {
+			continue
+		}
+		delete(e.granted, k)
+		if g.sizing == e.sizing {
+			lapsed++
+			if e.lackedLocked(k, now) {
+				short++
+			}
+		}
+	}
+	e.resizeLocked(lapsed, short)
 	for k, at := range e.edges {
 		if now.Sub(at) > e.cfg.Window {
 			delete(e.edges, k)
@@ -462,10 +538,9 @@ func (e *Engine) bestGroupLocked(live []trace.NodeID) []trace.NodeID {
 // candidatesLocked orders the transferable pieces by the scheduling
 // rule, from the members' announced piece state. Only members whose
 // GroupHello lists a file take part in it — the live node cannot push
-// to a member that never announced the file. suppressed counts pieces
-// held back only by the regrant window — wanted, held, but granted too
-// recently.
-func (e *Engine) candidatesLocked(now time.Time) (out []*sched.Candidate, suppressed int) {
+// to a member that never announced the file. Pieces granted within the
+// last beat are left out: their broadcast is still landing.
+func (e *Engine) candidatesLocked(now time.Time) []*sched.Candidate {
 	members := make([]sched.Member, 0, len(e.group))
 	for _, m := range e.group {
 		v := e.views[m]
@@ -479,57 +554,99 @@ func (e *Engine) candidatesLocked(now time.Time) (out []*sched.Candidate, suppre
 		}
 		members = append(members, sched.Member{ID: m, MaySend: true, Files: files})
 	}
-	window := uint64(regrantAfter)
-	if e.fecActiveLocked() {
-		// A symbol burst needs a beat to decode and another for the
-		// aggregate ack to cross the lossy control plane; re-bursting on
-		// the piece plane's cadence ships fresh symbols to members that
-		// already finished the block.
-		window = fecRegrantAfter
-	}
-	for _, c := range sched.Candidates(members, e.cfg.Store.Popularity, nil) {
-		if granted, ok := e.lastGrant[pieceKey{c.URI, c.Piece}]; ok && e.round+1-granted < window {
-			suppressed++
-			continue // in flight: give the broadcast a beat to land
+	all := sched.Candidates(members, e.cfg.Store.Popularity, nil)
+	out := all[:0]
+	for _, c := range all {
+		if _, ok := e.granted[pieceKey{c.URI, c.Piece}]; !ok {
+			out = append(out, c)
 		}
-		out = append(out, c)
 	}
-	return out, suppressed
+	return out
 }
 
-// runRoundLocked executes one schedule round as the sequencer.
-func (e *Engine) runRoundLocked(ctx context.Context, now time.Time) {
-	cands, suppressed := e.candidatesLocked(now)
-	if len(cands) == 0 {
-		// The regrant window is measured in rounds and rounds only
-		// advance when something is granted — so a beat that is idle
-		// *only because* every candidate sits inside the window must
-		// still advance the round, or the last unacked piece of a
-		// transfer is suppressed forever and never retried.
-		if suppressed > 0 {
-			e.round++
+// lackedLocked reports whether some member's fresh view lists the
+// piece's file without the piece.
+func (e *Engine) lackedLocked(k pieceKey, now time.Time) bool {
+	for _, m := range e.group {
+		v := e.views[m]
+		if v == nil || now.Sub(v.at) > e.cfg.Window {
+			continue
 		}
-		e.counters.IdleRounds++
-		return
+		for i := range v.wants {
+			if w := &v.wants[i]; w.URI == k.uri && k.piece < w.Total && !w.HaveBit(k.piece) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// inFlightLocked counts the granted pieces some member still lacks.
+func (e *Engine) inFlightLocked(now time.Time) int {
+	n := 0
+	for k := range e.granted {
+		if e.lackedLocked(k, now) {
+			n++
+		}
+	}
+	return n
+}
+
+// roundsLocked is the sequencer's schedule, the same for a Tick and for
+// a frame between Ticks (kicked). A kicked call grants only if a flight
+// slot was freed since the last round ended, so frames that resolve
+// nothing — and the acks of pieces the sequencer never named,
+// tit-for-tat's — start no rounds. After a grant the next round follows
+// at once only behind this node's own burst, already handed to the lane,
+// and only if it took a slot: a piece another member was granted is
+// waited for (rounds reach the medium in grant order), and what resolves
+// on the spot — the piece plane's optimistic own send — stays paced by
+// the beat.
+func (e *Engine) roundsLocked(ctx context.Context, now time.Time, kicked bool) {
+	flying := e.inFlightLocked(now)
+	next := !kicked || flying < e.flying
+	for next && flying < flightWindow {
+		own := e.grantLocked(ctx, now, kicked)
+		was := flying
+		flying = e.inFlightLocked(now)
+		next, kicked = own && flying > was, true
+	}
+	e.flying = flying
+}
+
+// grantLocked executes one schedule round as the sequencer and reports
+// whether it granted itself the turn.
+func (e *Engine) grantLocked(ctx context.Context, now time.Time, kicked bool) (own bool) {
+	cands := e.candidatesLocked(now)
+	if len(cands) == 0 {
+		if !kicked {
+			e.counters.IdleRounds++
+		}
+		return false
 	}
 	e.round++
-	grant := &wire.Grant{From: e.cfg.Self, Round: e.round, URI: "", Piece: wire.NoPiece}
+	if kicked {
+		e.counters.RoundsKicked++
+	}
+	g := &wire.Grant{From: e.cfg.Self, Round: e.round, URI: "", Piece: wire.NoPiece}
 	if e.cfg.TitForTat {
 		// The cyclic order names the sender; the sender picks its piece.
 		order := clique.CyclicOrder(e.group)
-		grant.To = order[int(e.round)%len(order)]
+		g.To = order[int(e.round)%len(order)]
 	} else {
 		c := cands[0]
-		grant.To = c.Sender
-		grant.URI = c.URI
-		grant.Piece = int32(c.Piece)
-		e.lastGrant[pieceKey{c.URI, c.Piece}] = e.round
+		g.To = c.Sender
+		g.URI = c.URI
+		g.Piece = int32(c.Piece)
+		e.granted[pieceKey{c.URI, c.Piece}] = grant{at: now}
 	}
-	e.sendLocked(ctx, grant)
+	e.sendLocked(ctx, g)
 	e.counters.GrantsSent++
-	if grant.To == e.cfg.Self {
-		e.transmitLocked(ctx, grant, now)
+	if g.To != e.cfg.Self {
+		return false
 	}
+	e.transmitLocked(ctx, g, now)
+	return true
 }
 
 // transmitLocked serves one grant addressed to this node: resolve the
@@ -538,9 +655,8 @@ func (e *Engine) runRoundLocked(ctx context.Context, now time.Time) {
 func (e *Engine) transmitLocked(ctx context.Context, g *wire.Grant, now time.Time) {
 	uri, piece := g.URI, int(g.Piece)
 	if uri == "" || g.Piece == wire.NoPiece {
-		cands, _ := e.candidatesLocked(now)
 		found := false
-		for _, c := range cands {
+		for _, c := range e.candidatesLocked(now) {
 			if c.HeldBy(e.cfg.Self) {
 				uri, piece = c.URI, c.Piece
 				found = true
@@ -557,14 +673,14 @@ func (e *Engine) transmitLocked(ctx context.Context, g *wire.Grant, now time.Tim
 		return // stale grant: we no longer (or never did) hold it
 	}
 	if e.fecActiveLocked() {
-		e.transmitSymbolsLocked(ctx, g.Round, uri, piece, total, data)
+		e.transmitSymbolsLocked(ctx, g.Round, uri, piece, total, data, now)
 		return
 	}
 	e.sendLocked(ctx, &wire.PieceBcast{
 		From: e.cfg.Self, Round: g.Round, URI: uri, Index: piece, Total: total, Data: data,
 	})
 	e.counters.PieceBcastsSent++
-	e.lastGrant[pieceKey{uri, piece}] = g.Round
+	e.granted[pieceKey{uri, piece}] = grant{at: now}
 	e.markHaveLocked(uri, piece)
 }
 

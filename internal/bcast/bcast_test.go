@@ -181,6 +181,10 @@ type fakeStore struct {
 	// rejectDeliveries fails the next N deliveries (verify-reject
 	// simulation for the fountain plane's poisoned-decode path).
 	rejectDeliveries int
+
+	// onWants, when set, runs at the end of every Wants call, once the
+	// snapshot it returns has been taken.
+	onWants func()
 }
 
 func (s *fakeStore) setLive(ids []trace.NodeID) {
@@ -218,6 +222,9 @@ func (s *fakeStore) LivePeers() []trace.NodeID {
 }
 
 func (s *fakeStore) Wants() []wire.GroupWant {
+	if s.onWants != nil {
+		defer s.onWants() // after the unlock below
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var uris []metadata.URI

@@ -14,6 +14,7 @@ package bcast
 import (
 	"context"
 	"hash/fnv"
+	"math"
 	"time"
 
 	"repro/internal/fec"
@@ -34,18 +35,11 @@ const DefaultSymbolSize = 256
 // a clique adds per beat, not whether relays terminate.
 const DefaultRelayBudget = 8
 
-// fecRegrantAfter is the symbol plane's regrant window, in rounds. It
-// is wider than the piece plane's regrantAfter because a burst's
-// "receipt" is a decode plus an aggregate ack, not a single frame
-// landing — top-ups granted before that round-trip completes are pure
-// overshoot.
-const fecRegrantAfter = 4
-
 // maxFECBlocks bounds both stream and decoder maps. The schedule
-// moves one piece at a time, so live state is tiny; the cap is a
-// backstop against hostile symbol spray filling memory. Evicting a
-// stream merely restarts its index sequence (duplicate symbols are
-// decoder no-ops); evicting a decoder costs re-collection.
+// moves a flight window of pieces at a time, so live state is tiny; the
+// cap is a backstop against hostile symbol spray filling memory.
+// Evicting a stream merely restarts its index sequence (duplicate
+// symbols are decoder no-ops); evicting a decoder costs re-collection.
 const maxFECBlocks = 64
 
 // fecStream is the sender side of one piece's symbol stream: the
@@ -93,20 +87,59 @@ func (e *Engine) fecActiveLocked() bool {
 	return true
 }
 
-// burstLocked sizes one transmission round's symbol count for a
-// K-symbol block. The opening burst assumes moderate loss (K plus
-// half again); top-up rounds ship half a block of fresh symbols. Any
-// shortfall is repaired by the next grant of the same piece — the
-// schedule is the retry loop, with no per-symbol bookkeeping.
-func burstLocked(k int, opening bool) int {
+// The opening burst of a K-symbol block is K(1+overhead) symbols, and
+// overhead is learnt from the group. Every opening is judged once, when
+// its grant lapses at the regrant deadline: short, if some member still
+// lacks the piece, raises overhead by overheadUp; otherwise it falls by
+// overheadDown. The steps' ratio leaves one piece in nine to a top-up:
+// what a block needs under loss has a long tail, so an opening that
+// covers it spends more on every piece than the top-ups it saves, while
+// a top-up costs few symbols but a beat of one flight slot (DESIGN.md
+// "Burst sizing" has the numbers). Two rules keep the loop steady. A
+// beat that judges more than beatSample openings scales their steps to
+// beatSample's worth, so a fast group on a slow ticker does not swing by
+// hundreds of steps at once. And only openings cut to the present
+// overhead (Engine.sizing) are judged: those still lapsing from before
+// the last step would step it again for the same evidence. Overhead
+// starts at the half block that suits moderate loss and settles at 0 on
+// a clean lane, where the systematic prefix is all a member needs. A
+// top-up is an eighth of a block of fresh symbols; the schedule is the
+// retry loop, with no per-symbol bookkeeping.
+const (
+	initialOverhead = 0.5
+	overheadUp      = 1.0 / 16
+	overheadDown    = 1.0 / 128
+	beatSample      = 8
+	maxOverhead     = 7 // an 8 K opening: loss past 85 % is a dead lane
+)
+
+// burstLocked sizes one transmission of a K-symbol block.
+func (e *Engine) burstLocked(k int, opening bool) int {
 	if opening {
-		return k + k/2 + 2
+		return k + int(math.Ceil(e.overhead*float64(k)))
 	}
-	return k/2 + 2
+	return k/8 + 2
+}
+
+// resizeLocked folds one beat's lapsed openings, short of them
+// unresolved, into the overhead.
+func (e *Engine) resizeLocked(lapsed, short int) {
+	if lapsed == 0 {
+		return
+	}
+	was := e.overhead
+	step := overheadUp*float64(short) - overheadDown*float64(lapsed-short)
+	if lapsed > beatSample {
+		step *= beatSample / float64(lapsed)
+	}
+	e.overhead = math.Max(0, math.Min(was+step, maxOverhead))
+	if e.overhead != was {
+		e.sizing++
+	}
 }
 
 // transmitSymbolsLocked streams one granted piece as coded symbols.
-func (e *Engine) transmitSymbolsLocked(ctx context.Context, round uint64, uri metadata.URI, piece int, total int, data []byte) {
+func (e *Engine) transmitSymbolsLocked(ctx context.Context, round uint64, uri metadata.URI, piece int, total int, data []byte, now time.Time) {
 	key := pieceKey{uri, piece}
 	st := e.fecSend[key]
 	if st == nil {
@@ -115,14 +148,25 @@ func (e *Engine) transmitSymbolsLocked(ctx context.Context, round uint64, uri me
 			e.logf("bcast %d: fec encode %s#%d: %v", e.cfg.Self, uri, piece, err)
 			return
 		}
+		// A finished piece's stream goes when the next one opens, so the
+		// map holds the flight window and the stragglers, not a beat's
+		// worth of pieces.
+		for k := range e.fecSend {
+			if !e.lackedLocked(k, now) {
+				delete(e.fecSend, k)
+			}
+		}
 		if len(e.fecSend) >= maxFECBlocks {
 			e.fecSend = make(map[pieceKey]*fecStream)
 		}
 		st = &fecStream{enc: enc}
 		e.fecSend[key] = st
 	}
-	n := burstLocked(st.enc.K(), st.next == 0)
-	for i := 0; i < n; i++ {
+	opening := st.next == 0
+	if !opening {
+		e.counters.TopUps++
+	}
+	for n := e.burstLocked(st.enc.K(), opening); n > 0; n-- {
 		s := &wire.Symbol{
 			From:    e.cfg.Self,
 			Round:   round,
@@ -139,7 +183,11 @@ func (e *Engine) transmitSymbolsLocked(ctx context.Context, round uint64, uri me
 		e.symbols.BroadcastSymbol(ctx, s)
 		e.counters.SymbolsSent++
 	}
-	e.lastGrant[key] = round
+	g := grant{at: now}
+	if opening {
+		g.sizing = e.sizing
+	}
+	e.granted[key] = g
 	// No optimistic markHave here: on the lossy plane "transmitted" is
 	// not "received". The piece leaves the candidate list only when
 	// acks (or GroupHellos) flip the members' bits.

@@ -287,3 +287,65 @@ func TestFECBadCheckDropped(t *testing.T) {
 		t.Fatal("corrupt symbol reached a decoder")
 	}
 }
+
+// TestViewNeverOlderThanAck: a beat snapshots this node's piece state
+// and announces it as one step under the engine's lock, so a block that
+// decodes and acks cannot land between the two. When it could, the
+// GroupHello that followed the ack carried the older bitmap: the
+// sequencer's view lost the acked bit (a spurious top-up) and the
+// receiver's own view lost it too (it collected the piece again).
+func TestViewNeverOlderThanAck(t *testing.T) {
+	h := newHarness()
+	for _, id := range []trace.NodeID{1, 2, 3} {
+		h.addFEC(t, id, 0)
+	}
+	h.fullMesh()
+	h.step(t, 1, 2, 3)
+	h.step(t, 1, 2, 3)
+	uri := metadata.URIFor(7)
+	h.stores[1].addFile(uri, 1, false, 1.0, 0)
+	h.stores[2].addFile(uri, 1, true, 1.0)
+	h.stores[3].addFile(uri, 1, true, 1.0)
+	h.step(t, 1, 2, 3) // everyone announces the file
+
+	// The sequencer's beat grants the piece; its burst waits on the lane.
+	ctx := context.Background()
+	h.engines[1].Tick(ctx)
+	if got := h.engines[1].Stats().SymbolsSent; got == 0 {
+		t.Fatal("the beat granted nothing")
+	}
+	// Member 2's beat: the moment it has read its piece state, try to let the
+	// burst land — decode, store and ack — before it announces.
+	e2 := h.engines[2]
+	between := false
+	h.stores[2].onWants = func() {
+		if e2.mu.TryLock() {
+			e2.mu.Unlock()
+			between = true
+			h.pump(t)
+		}
+	}
+	e2.Tick(ctx)
+	h.stores[2].onWants = nil
+	h.pump(t)
+
+	if between {
+		t.Error("the piece state was read outside the engine's lock: a decode fit between snapshot and announcement")
+	}
+	if !h.stores[2].complete(uri) {
+		t.Fatal("member 2 never decoded the piece")
+	}
+	e2.mu.Lock()
+	self := e2.selfHasLocked(uri, 0)
+	e2.mu.Unlock()
+	if !self {
+		t.Error("member 2's own view lost the piece it holds")
+	}
+	e1 := h.engines[1]
+	e1.mu.Lock()
+	lacked := e1.lackedLocked(pieceKey{uri, 0}, e1.cfg.Now())
+	e1.mu.Unlock()
+	if lacked {
+		t.Error("the sequencer's view lost a bit the member had acked")
+	}
+}

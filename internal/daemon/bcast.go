@@ -25,7 +25,10 @@ import (
 // URI order, and the rest stay on the pairwise path.
 const bcastWantsCap = 64
 
-// bcastLoop ticks the group engine at the hello interval.
+// bcastLoop beats the group engine at the hello interval. The schedule
+// itself runs on the frames lanePump hands the engine; the beat
+// announces the view and is the deadline after which an unacked piece is
+// granted again.
 func (d *Daemon) bcastLoop(ctx context.Context) {
 	t := time.NewTicker(d.cfg.HelloInterval)
 	defer t.Stop()
@@ -132,8 +135,8 @@ func (s *bcastStore) LivePeers() []trace.NodeID {
 }
 
 // Wants reports this node's per-file piece state: every piece set it
-// holds (Downloading marks active incomplete downloads) plus, on
-// Internet nodes, the catalog's files as complete holdings.
+// holds or has staged (Downloading marks active incomplete downloads)
+// plus, on Internet nodes, the catalog's files as complete holdings.
 func (s *bcastStore) Wants() []wire.GroupWant {
 	d := (*Daemon)(s)
 	var out []wire.GroupWant
@@ -146,6 +149,15 @@ func (s *bcastStore) Wants() []wire.GroupWant {
 			break
 		}
 		if rec, have := d.heldLocked(uri, now); rec != nil {
+			// A piece staged for the log counts: the engine acked it on
+			// delivery, and a view without it would take the ack back
+			// until the fsync returns. A failed commit un-stages it and
+			// the next view says so.
+			if f := d.files[uri]; f != nil {
+				for i := range f.pending {
+					have[i] = true
+				}
+			}
 			ps := d.node.Pieces(uri)
 			out = append(out, groupWant(uri, ps.Want && !ps.Complete(), have))
 			seen[uri] = true

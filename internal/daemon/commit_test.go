@@ -134,6 +134,11 @@ func TestPieceHeldOnlyAfterSync(t *testing.T) {
 	if len(downloading) != 1 || len(bitmaps) != 1 || bitmaps[0].HaveBit(0) {
 		t.Fatalf("hello advertises an unsynced piece: downloading %v, bitmaps %+v", downloading, bitmaps)
 	}
+	// The group plane's view does count it: the engine acks a piece on
+	// delivery, and a GroupHello without it would take the ack back.
+	if wants := (*bcastStore)(d).Wants(); len(wants) != 1 || !wants[0].HaveBit(0) || !wants[0].Downloading {
+		t.Fatalf("group view of a staged piece: %+v", wants)
+	}
 	stats := make(chan Stats, 1)
 	go func() { stats <- d.Stats() }()
 	select {

@@ -129,6 +129,18 @@ func (d *BroadcastDomain) Missed() uint64 {
 	return d.missed
 }
 
+// Queued is how many frames sit undelivered in addr's receive queue
+// (0 for a non-member): the headroom a sender's pacing leaves below
+// domainQueue, and what lets a test drain a lane without blocking.
+func (d *BroadcastDomain) Queued(addr string) int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if c := d.members[addr]; c != nil {
+		return len(c.in)
+	}
+	return 0
+}
+
 // SetLoss makes the medium drop each (transmission, receiver) pair
 // independently with the given probability, from per-receiver streams
 // derived from seed — the loopback model of a lossy datagram lane.

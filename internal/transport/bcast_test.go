@@ -100,6 +100,9 @@ func TestBroadcastDomainOverflowMisses(t *testing.T) {
 	if got := dom.Missed(); got != 10 {
 		t.Fatalf("missed = %d, want 10", got)
 	}
+	if deaf, sender := dom.Queued("deaf"), dom.Queued("a"); deaf != domainQueue || sender != 0 {
+		t.Fatalf("queued = %d at the receiver, %d at the sender; want %d, 0", deaf, sender, domainQueue)
+	}
 }
 
 // TestBroadcastDomainCloseOnNetworkClose: closing the loopback network
