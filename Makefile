@@ -137,8 +137,9 @@ bench-e2e:
 # peer-table contention, DHT k-buckets and lookups, WAL append/replay,
 # clique enumeration, admission limiters, send-lane shedding, synthetic
 # piece generation, one group-plane round across a five-node clique,
-# query → first piece on a live pair) plus the sweep pool, rendered to
-# JSON. Each run
+# query → first piece, a whole file at the default clock and one relay
+# hop on live loopback daemons, one ack at a supplier of a 4,096-piece
+# file) plus the sweep pool, rendered to JSON. Each run
 # APPENDS a record stamped with the git SHA (suffixed -dirty when the
 # tree has uncommitted changes, i.e. the record belongs to the commit
 # that follows) and UTC date to results/BENCH_swarm.json, so the file
@@ -149,7 +150,8 @@ bench-json:
 		./internal/wire ./internal/peer ./internal/store ./internal/clique ./internal/fec ./internal/dht ./internal/limit ./internal/metadata ; \
 	  $(GO) test -run '^$$' -bench BenchmarkEngineRound -benchtime 3x ./internal/bcast ; \
 	  $(GO) test -run '^$$' -bench BenchmarkFECSoak -benchtime 1x ./internal/daemon ; \
-	  $(GO) test -run '^$$' -bench BenchmarkQueryToFirstPiece -benchtime 20x ./internal/daemon ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkQueryToFirstPiece|BenchmarkPairTransferDefaultClock|BenchmarkRelayHop' -benchtime 20x ./internal/daemon ; \
+	  $(GO) test -run '^$$' -bench BenchmarkServeAck -benchtime 100000x -benchmem ./internal/daemon ; \
 	  $(GO) test -run '^$$' -bench BenchmarkRunAll -benchtime 1x . ; } \
 	| $(GO) run ./cmd/benchjson -label swarm-baseline \
 		-commit "$$(git describe --always --dirty --exclude '*' 2>/dev/null || echo unknown)" \

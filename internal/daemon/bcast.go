@@ -148,18 +148,18 @@ func (s *bcastStore) Wants() []wire.GroupWant {
 		if len(out) >= bcastWantsCap {
 			break
 		}
-		if rec, have := d.heldLocked(uri, now); rec != nil {
+		if rec, ps := d.heldLocked(uri, now); rec != nil {
+			w := groupWant(uri, ps.Want && !ps.Complete(), ps)
 			// A piece staged for the log counts: the engine acked it on
 			// delivery, and a view without it would take the ack back
 			// until the fsync returns. A failed commit un-stages it and
 			// the next view says so.
 			if f := d.files[uri]; f != nil {
 				for i := range f.pending {
-					have[i] = true
+					w.SetHave(i)
 				}
 			}
-			ps := d.node.Pieces(uri)
-			out = append(out, groupWant(uri, ps.Want && !ps.Complete(), have))
+			out = append(out, w)
 			seen[uri] = true
 		}
 	}
@@ -171,7 +171,7 @@ func (s *bcastStore) Wants() []wire.GroupWant {
 				break
 			}
 			if !seen[m.URI] {
-				out = append(out, groupWant(m.URI, false, allHeld(m.NumPieces())))
+				out = append(out, wholeFile(m.URI, m.NumPieces()))
 			}
 		}
 	}
@@ -182,8 +182,8 @@ func (s *bcastStore) Wants() []wire.GroupWant {
 // the same source servePieces draws from.
 func (s *bcastStore) PieceData(uri metadata.URI, i int) ([]byte, int, bool) {
 	d := (*Daemon)(s)
-	rec, have := d.holding(uri, protoTime(d.clock()))
-	if i < 0 || i >= len(have) || !have[i] {
+	rec := d.servable(uri, i, protoTime(d.clock()))
+	if rec == nil {
 		return nil, 0, false
 	}
 	return pieceBytes(rec, i), rec.NumPieces(), true
@@ -209,5 +209,5 @@ func (s *bcastStore) Popularity(uri metadata.URI) float64 {
 // (verification failed, metadata missing) makes the engine restart the
 // piece's symbol collection instead of acking poisoned bytes.
 func (s *bcastStore) DeliverPiece(from trace.NodeID, p *wire.PieceBcast) bool {
-	return (*Daemon)(s).onPiece(from, p.AsPiece())
+	return (*Daemon)(s).acceptPiece(from, p.AsPiece(), false)
 }

@@ -4,20 +4,29 @@
 // internal/server, all wired over a transport.Transport.
 //
 // The live message flow mirrors the simulator's phases, driven by the
-// hello beacon instead of the contact schedule:
+// hello instead of the contact schedule:
 //
 //	hello(queries)      → peer answers with matching metadata records
 //	metadata(record)    → store; if it matches an own query, select the
 //	                      file and beacon at once to advertise it
-//	hello(downloading)  → peer streams pieces of the advertised files
+//	hello(downloading)  → peer deals itself a share of the advertised
+//	                      files' missing pieces — a standing order for one
+//	                      beat (serve.go) — and streams it, PiecesPerHello
+//	                      pieces deep
 //	piece(data)         → verify against the stored record's checksums,
-//	                      store; completion is reached piece by piece
+//	                      store; answer the sender alone with a hello, whose
+//	                      bitmap is the ack that releases its next piece,
+//	                      and pass the piece on to every neighbour whose
+//	                      order it is in; completion is reached piece by
+//	                      piece
 //
 // Beacons are periodic and event-driven: a query that was not already
 // live (AddQuery) and a newly selected download (onMetadata) each kick
 // the manager's beacon forward, so neither arrow waits out a hello
 // interval. Nothing else kicks — kicks per node are bounded by its
-// queries plus its files.
+// queries plus its files. Acks are not beacons: one peer hears each, the
+// round and its ticker are untouched, and their number is bounded by the
+// pairwise pieces the node applied.
 //
 // Ownership and locking: Daemon.mu guards the node state and the
 // daemon's two tables — one record per peer, one per file. Handler
@@ -262,12 +271,20 @@ type Stats struct {
 	// PiecesSuppressed counts pairwise piece serves skipped because the
 	// requester is a confirmed group member (the schedule serves it).
 	PiecesSuppressed uint64 `json:"pieces_suppressed"`
-	// PiecesSkippedHeld counts serves skipped because the peer's hello
-	// have-bitmap already marked the piece held — e.g. pieces a restarted
-	// peer recovered from its data directory.
-	PiecesSkippedHeld uint64      `json:"pieces_skipped_held"`
-	Peers             []peer.Info `json:"peers"`
-	Transport         peer.Stats  `json:"transport"`
+	// PiecesSkippedHeld counts, deal by deal, the pieces this node could
+	// have served and left out because the peer's hello have-bitmap
+	// already marked them held — e.g. pieces a restarted peer recovered
+	// from its data directory.
+	PiecesSkippedHeld uint64 `json:"pieces_skipped_held"`
+	// PiecesForwarded counts pieces pushed to a neighbour the moment this
+	// node applied them — the relay half of the standing order — rather
+	// than in answer to a hello. Over the transport's pieces_sent it is
+	// the share of serving that waited for nobody's beacon; the
+	// requester's side of the same pace is transport.hellos_acked over
+	// pieces_verified.
+	PiecesForwarded uint64      `json:"pieces_forwarded"`
+	Peers           []peer.Info `json:"peers"`
+	Transport       peer.Stats  `json:"transport"`
 	// Bcast is the group engine's state (with EnableBcast).
 	Bcast *bcast.Stats `json:"bcast,omitempty"`
 	// Fault is the injector's counters (with Config.Fault).
@@ -292,10 +309,11 @@ type Stats struct {
 // live and nothing in it still binds: no offence on file, no Busy window
 // it advertised still running, no Busy we told it still pacing.
 type peerState struct {
-	// sent is the send tracking, per file the peer's latest hello
-	// advertised as a download: onHello drops the files it stopped
-	// listing and sweepOnce the whole map once the peer is gone, so there
-	// is no per-piece mark for a file the peer no longer wants.
+	// sent is the send tracking and standing order (serve.go), per file
+	// the peer's latest hello advertised as a download: onHello drops the
+	// files it stopped listing and sweepOnce the whole map once the peer
+	// is gone, so there is no per-piece mark for a file the peer no longer
+	// wants.
 	sent    map[metadata.URI]*sentFile
 	offence offender
 	// busyUntil holds, per lane, the backoff deadline the peer advertised
@@ -326,18 +344,6 @@ func (ps *peerState) binds(wall time.Time, pace time.Duration) bool {
 		}
 	}
 	return false
-}
-
-// sentFile tracks what this daemon already pushed to one peer of one
-// file and when, so a 1-per-second hello does not retrigger the same
-// pieces forever — but a piece older than ResendAfter whose receiver
-// still advertises the download is assumed lost and becomes eligible
-// again.
-type sentFile struct {
-	at map[int]time.Time
-	// others is fedByOthers at the peer's previous hello: the evidence
-	// for whether another supplier is feeding it (serve.go).
-	others int
 }
 
 // offender is one peer's bad-signature record; the zero value is a clean
@@ -423,6 +429,7 @@ type Daemon struct {
 		badSignatures                                uint64
 		stalls, redrives, quarantineDrops            uint64
 		piecesSuppressed, piecesSkippedHeld          uint64
+		piecesForwarded                              uint64
 		piecesRefetched, storeErrors                 uint64
 		busySent, busyBackoffs                       uint64
 	}
@@ -637,7 +644,9 @@ func (d *Daemon) logf(format string, args ...any) {
 // still being downloaded, and per-file have-bitmaps so peers serve only
 // missing pieces. The bitmap matters most after a restart: pieces
 // recovered from the data directory are advertised from the first
-// beacon, so no peer ever re-sends what already survived the crash.
+// beacon, so no peer ever re-sends what already survived the crash. It
+// is also every ack's payload, so a bitmap is a copy of the piece set's
+// own bits, not a walk over the file.
 func (d *Daemon) helloContent() ([]string, []metadata.URI, []wire.GroupWant) {
 	now := protoTime(d.clock())
 	d.mu.Lock()
@@ -645,8 +654,8 @@ func (d *Daemon) helloContent() ([]string, []metadata.URI, []wire.GroupWant) {
 	downloading := d.node.WantedIncomplete()
 	have := make([]wire.GroupWant, 0, len(downloading))
 	for _, uri := range downloading {
-		if rec, held := d.heldLocked(uri, now); rec != nil {
-			have = append(have, groupWant(uri, true, held))
+		if rec, ps := d.heldLocked(uri, now); rec != nil {
+			have = append(have, groupWant(uri, true, ps))
 		}
 	}
 	return d.node.Queries(now), downloading, have
@@ -1000,7 +1009,14 @@ func (d *Daemon) Paused() bool { return d.mgr.Paused() }
 // nodes to decide whether a file is still reconstructable after seeder
 // death — the availability metric's ground truth.
 func (d *Daemon) Have(uri metadata.URI) []bool {
-	_, have := d.holding(uri, protoTime(d.clock()))
+	rec, w := d.holding(uri, protoTime(d.clock()))
+	if rec == nil {
+		return nil
+	}
+	have := make([]bool, w.Total)
+	for i := range have {
+		have[i] = w.HaveBit(i)
+	}
 	return have
 }
 
@@ -1044,6 +1060,7 @@ func (d *Daemon) Stats() Stats {
 		QuarantineDrops:         d.counters.quarantineDrops,
 		PiecesSuppressed:        d.counters.piecesSuppressed,
 		PiecesSkippedHeld:       d.counters.piecesSkippedHeld,
+		PiecesForwarded:         d.counters.piecesForwarded,
 		PiecesRefetched:         d.counters.piecesRefetched,
 		StoreErrors:             d.counters.storeErrors,
 	}
@@ -1265,31 +1282,42 @@ func (d *Daemon) answerQuery(now simtime.Time, from trace.NodeID, q string, hold
 	return out
 }
 
-// servePieces streams up to PiecesPerHello pieces of uri that this node
-// holds (holding.go) and has not yet pushed to the peer — plus any piece
-// whose push is older than ResendAfter while the peer still advertises
-// the download: the advertisement is the implicit NACK, and the
-// per-piece deadline is the live retransmit path for lost or corrupted
-// frames. peerHave, when non-nil, is the peer's advertised bitmap for
-// uri; pieces it already marks held are never served, so a restarted
-// downloader's persisted pieces cross the wire zero times. heard is the
-// peer's neighbour list: which of the missing pieces go first is
-// pickPieces' holder-disjoint order (serve.go). Each piece is queued as
-// soon as it is generated, so the first frame leaves while the rest of
-// the burst is still being built and the burst is never held whole. A
-// piece the peer's full data lane drops keeps its sent mark — the resend
-// deadline re-serves it, like any other lost frame.
+// servePieces answers one hello's advertisement of uri, beacon or ack
+// alike, from what this node holds of it (holding.go). The first hello
+// of a beat deals: it fixes this supplier's share of the peer's missing
+// pieces as the standing order (serve.go) and opens it with pickPieces'
+// holder-disjoint burst, the only place the fill rules are judged. A
+// hello inside the beat — the peer acknowledging a piece — continues
+// down that order instead. Either way at most PiecesPerHello pushes are
+// left unacknowledged: the budget is the pipe's depth less what is still
+// in it. Never served: a piece peerHave (the peer's bitmap for uri; nil
+// means none held) marks held, so a restarted downloader's persisted
+// pieces cross the wire zero times, and one pushed less than ResendAfter
+// ago — while a push older than that whose receiver still advertises the
+// download is served again: the advertisement is the implicit NACK, and
+// the per-piece deadline is the live retransmit path for lost or
+// corrupted frames. heard is the peer's neighbour list, which ranks the
+// suppliers of a deal. A node that holds nothing of uri yet still deals:
+// the order is what onPiece forwards by (takersLocked). Each piece is
+// queued as soon as it is generated, so the first frame leaves while the
+// rest of the burst is still being built. A piece the peer's full data
+// lane drops keeps its sent mark, and its window slot for a beat — the
+// resend deadline re-serves it, like any other lost frame.
 func (d *Daemon) servePieces(wall time.Time, from trace.NodeID, uri metadata.URI, peerHave *wire.GroupWant, heard []trace.NodeID) {
-	rec, have := d.holding(uri, protoTime(wall))
-	if rec == nil || !slices.Contains(have, true) {
-		return
-	}
-	total := rec.NumPieces()
-	rank, k := shareOf(heard, d.cfg.ID)
-	canServe := func(i int) bool { return i < len(have) && have[i] }
+	rec := d.catalogued(uri)
+	whole := rec != nil
 	held := func(i int) bool { return peerHave != nil && peerHave.HaveBit(i) }
 
 	d.mu.Lock()
+	var set *node.PieceSet
+	if !whole {
+		if rec, set = d.heldLocked(uri, protoTime(wall)); rec == nil {
+			d.mu.Unlock()
+			return
+		}
+	}
+	total := rec.NumPieces()
+	canServe := func(i int) bool { return whole || set.Have(i) }
 	ps := d.peerLocked(from)
 	sf := ps.sent[uri]
 	known := sf != nil
@@ -1297,24 +1325,34 @@ func (d *Daemon) servePieces(wall time.Time, from trace.NodeID, uri metadata.URI
 		if ps.sent == nil {
 			ps.sent = make(map[metadata.URI]*sentFile)
 		}
-		sf = &sentFile{at: make(map[int]time.Time)}
+		sf = newSentFile()
 		ps.sent[uri] = sf
 	}
 	recent := func(i int) bool {
 		at, pushed := sf.at[i]
 		return pushed && wall.Sub(at) < d.cfg.ResendAfter
 	}
-	others := fedByOthers(total, held, func(i int) bool { _, pushed := sf.at[i]; return pushed })
-	sole := known && others == sf.others
-	sf.others = others
-	idxs, skippedHeld := pickPieces(total, serveOrigin(from, uri, total), rank, k,
-		d.cfg.PiecesPerHello, sole, canServe, held, recent)
-	d.counters.piecesSkippedHeld += uint64(skippedHeld)
+	sf.have = peerHave
+	acked := sf.settle(wall, d.cfg.HelloInterval)
+	budget := d.cfg.PiecesPerHello - len(sf.window)
+	var idxs []int
+	if !known || opensBeat(wall.Sub(sf.dealtAt), d.cfg.HelloInterval, acked) {
+		rank, k := shareOf(heard, d.cfg.ID)
+		origin := serveOrigin(from, uri, total)
+		others := fedByOthers(total, held, func(i int) bool { _, pushed := sf.at[i]; return pushed })
+		sole := known && others == sf.others
+		sf.others = others
+		// Counted per deal, not per burst: a dealing hello that finds the
+		// pipe full sends nothing and still left the held pieces out.
+		d.counters.piecesSkippedHeld += uint64(sf.deal(wall, total, origin, rank, k, canServe, held))
+		idxs, _ = pickPieces(total, origin, rank, k, budget, sole, canServe, held, recent)
+	} else {
+		idxs = sf.advance(total, budget, func(i int) bool { return canServe(i) && !held(i) && !recent(i) })
+	}
 	for _, i := range idxs {
-		if _, pushed := sf.at[i]; pushed {
+		if sf.push(i, wall) {
 			d.counters.piecesResent++
 		}
-		sf.at[i] = wall
 	}
 	d.mu.Unlock()
 
@@ -1432,17 +1470,21 @@ func (d *Daemon) bumpBadSignature(from trace.NodeID) {
 	}
 }
 
-// onPiece runs the shared verify-and-store path for a received piece
+// onPiece takes a piece that arrived on a pairwise session.
+func (d *Daemon) onPiece(from trace.NodeID, p *wire.Piece) bool { return d.acceptPiece(from, p, true) }
+
+// acceptPiece runs the shared verify-and-store path for a received piece
 // (pairwise, broadcast, or fountain-decoded); the piggybacked record
 // (MBT-QM) is processed first when present. It reports whether the
 // piece checked out — stored fresh, staged for the next group commit,
 // or a duplicate of one already held — so the fountain path can
 // distinguish a clean decode from poisoned bytes that failed
-// verification.
+// verification. A pairwise piece is acknowledged to its sender once it
+// is applied (pieceApplied); the group plane has its own acks.
 //
 // d.mu is held only to look the record up and, after the SHA-1 check,
 // to stage the result: neither the hash nor any fsync runs under it.
-func (d *Daemon) onPiece(from trace.NodeID, p *wire.Piece) bool {
+func (d *Daemon) acceptPiece(from trace.NodeID, p *wire.Piece, pairwise bool) bool {
 	if d.quarantined(from) {
 		return false
 	}
@@ -1479,17 +1521,16 @@ func (d *Daemon) onPiece(from trace.NodeID, p *wire.Piece) bool {
 		return true
 	}
 	sp := stagedPiece{
-		from: from, uri: p.URI, index: p.Index, total: meta.NumPieces(),
+		from: from, uri: p.URI, index: p.Index, total: meta.NumPieces(), data: p.Data,
+		pairwise: pairwise,
 		// Useful delivery earns tit-for-tat credit (§IV-B), durably: the
 		// ledger survives restarts, so standing is not wiped by a crash.
 		credit: ps != nil && ps.Want,
 	}
 	if d.store == nil {
-		justDone := d.applyPieceLocked(sp, wall)
+		out := d.applyPieceLocked(sp, wall)
 		d.mu.Unlock()
-		if justDone {
-			d.announceComplete(sp)
-		}
+		d.pieceApplied(out)
 		return true
 	}
 	// Log before apply: the piece becomes part of the node's state — and
@@ -1505,15 +1546,18 @@ func (d *Daemon) onPiece(from trace.NodeID, p *wire.Piece) bool {
 	return true
 }
 
-// stagedPiece is a verified piece on its way to the log: everything
-// commitLoop needs to write its records and apply it, and no piece
-// bytes.
+// stagedPiece is a verified piece on its way into the node's state:
+// what commitLoop needs to write its records, and what applying it needs
+// — the bytes ride along only for the neighbours the piece is forwarded
+// to, so the queue pins at most commitQueueLen received frames.
 type stagedPiece struct {
-	from   trace.NodeID
-	uri    metadata.URI
-	index  int
-	total  int
-	credit bool // the piece was wanted: log and apply the sender's reward
+	from     trace.NodeID
+	uri      metadata.URI
+	index    int
+	total    int
+	data     []byte
+	pairwise bool // arrived on from's session: acknowledged there once applied
+	credit   bool // the piece was wanted: log and apply the sender's reward
 }
 
 // commitQueueLen bounds the pieces staged ahead of the committer, and
@@ -1526,14 +1570,16 @@ const commitQueueLen = 256
 // everything staged while the previous round's fsync ran, logs it with
 // one write and one sync — a piece record and, when earned, its credit
 // record side by side, so the pair is durable together or not at all —
-// and only then takes d.mu to apply it. A failed batch is truncated
-// back by the store; its pieces are un-pended and left to the senders'
-// resend deadlines. Returns when commitQ is closed and drained.
+// and only then takes d.mu to apply it; what follows an applied piece
+// (forwards, the ack, the completion) follows the fsync that made its
+// bit true, one ack per distinct sender of the batch. A failed batch is
+// truncated back by the store; its pieces are un-pended and left to the
+// senders' resend deadlines. Returns when commitQ is closed and drained.
 func (d *Daemon) commitLoop() {
 	var (
 		batch []stagedPiece
 		recs  []store.Record
-		done  []stagedPiece
+		outs  []applied
 	)
 	for sp := range d.commitQ {
 		batch = append(batch[:0], sp)
@@ -1558,13 +1604,13 @@ func (d *Daemon) commitLoop() {
 		}
 		err := d.store.AppendBatch(recs)
 
-		done = done[:0]
+		outs = outs[:0]
 		wall := d.clock()
 		d.mu.Lock()
 		for _, sp := range batch {
 			delete(d.files[sp.uri].pending, sp.index)
-			if err == nil && d.applyPieceLocked(sp, wall) {
-				done = append(done, sp)
+			if err == nil {
+				outs = append(outs, d.applyPieceLocked(sp, wall))
 			}
 		}
 		if err != nil {
@@ -1574,20 +1620,34 @@ func (d *Daemon) commitLoop() {
 		if err != nil {
 			d.logf("daemon %d: store append of %d pieces: %v", d.cfg.ID, len(batch), err)
 		}
-		for _, sp := range done {
-			d.announceComplete(sp)
+		for i, out := range outs {
+			// The ack carries the whole bitmap: a sender's first covers its
+			// every piece of the batch.
+			out.ack = out.ack && !slices.ContainsFunc(outs[:i], func(o applied) bool { return o.ack && o.sp.from == out.sp.from })
+			d.pieceApplied(out)
 		}
 	}
 }
 
+// applied is what applying one piece leaves to do once d.mu is released.
+type applied struct {
+	sp     stagedPiece
+	takers []trace.NodeID // neighbours the piece is forwarded to
+	ack    bool           // the sender is owed a hello
+	done   bool           // the piece completed its file
+}
+
 // applyPieceLocked makes a verified (and, with a store, fsynced) piece
-// part of the node's state at wall, reporting whether it completed its
-// file. The caller holds d.mu.
-func (d *Daemon) applyPieceLocked(sp stagedPiece, wall time.Time) (justDone bool) {
+// part of the node's state at wall, and settles under the lock what is
+// to follow: which neighbours it is forwarded to, whether its sender is
+// owed an ack, whether it completed its file. The caller holds d.mu and
+// hands the result to pieceApplied once it has let go.
+func (d *Daemon) applyPieceLocked(sp stagedPiece, wall time.Time) applied {
+	out := applied{sp: sp}
 	if !d.node.AddPiece(sp.uri, sp.index, sp.total) {
 		// The piece cache turned the newcomer away.
 		d.countDuplicateLocked(sp.uri, sp.index)
-		return false
+		return out
 	}
 	d.counters.piecesVerified++
 	f := d.fileLocked(sp.uri)
@@ -1597,9 +1657,53 @@ func (d *Daemon) applyPieceLocked(sp stagedPiece, wall time.Time) (justDone bool
 	}
 	if d.node.HasFullFile(sp.uri) && !f.completed {
 		f.completed = true
-		return true
+		out.done = true
 	}
-	return false
+	out.takers = d.takersLocked(sp, wall)
+	// The ack stays on the pairwise plane and inside backpressure: nothing
+	// for a piece the group plane delivered, nothing to a peer that asked
+	// for room on the lanes a hello drives.
+	if sp.pairwise {
+		from := d.peers[sp.from]
+		out.ack = from == nil || !(from.busyOn(wire.BusyPiece, wall) || from.busyOn(wire.BusyQuery, wall))
+	}
+	return out
+}
+
+// takersLocked is forward-on-acquisition: it lists, and marks as pushed,
+// the neighbours whose standing order (serve.go) takes the piece this
+// node just applied — never the peer it came from, never one that asked
+// for room on the piece lane. The caller holds d.mu.
+func (d *Daemon) takersLocked(sp stagedPiece, wall time.Time) (takers []trace.NodeID) {
+	for id, ps := range d.peers {
+		sf := ps.sent[sp.uri]
+		if sf == nil || id == sp.from || ps.busyOn(wire.BusyPiece, wall) {
+			continue
+		}
+		if sf.takes(sp.index, wall, d.cfg.HelloInterval, d.cfg.PiecesPerHello) {
+			sf.push(sp.index, wall)
+			takers = append(takers, id)
+			d.counters.piecesForwarded++
+		}
+	}
+	return takers
+}
+
+// pieceApplied does, with d.mu released, what applyPieceLocked settled:
+// the sender hears the new bitmap first — its next piece is the one this
+// node waits for — then the piece goes on to its takers as received, and
+// a finished download is announced.
+func (d *Daemon) pieceApplied(out applied) {
+	sp := out.sp
+	if out.ack {
+		d.mgr.Ack(sp.from)
+	}
+	for _, id := range out.takers {
+		d.mgr.Send(id, &wire.Piece{URI: sp.uri, Index: sp.index, Total: sp.total, Data: sp.data})
+	}
+	if out.done {
+		d.announceComplete(sp)
+	}
 }
 
 // countDuplicateLocked counts a piece that changed nothing. The caller

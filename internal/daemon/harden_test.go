@@ -93,7 +93,7 @@ func bench(t *testing.T, mutate func(*Config)) *Daemon {
 
 // benchAt is bench on a clock the test moves: what the daemon decides on
 // time, it decides on clk's reading when the test calls in.
-func benchAt(t *testing.T, clk *testutil.Clock, mutate func(*Config)) *Daemon {
+func benchAt(t testing.TB, clk *testutil.Clock, mutate func(*Config)) *Daemon {
 	t.Helper()
 	net := transport.NewLoopback()
 	t.Cleanup(func() { net.Close() })

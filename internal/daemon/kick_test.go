@@ -14,10 +14,10 @@ import (
 
 // livePair starts a seeder publishing files files of pieces 1 KiB pieces
 // and a leecher dialing it, both beaconing every hello with the whole
-// file as the per-hello budget, and returns once the session is up. done
-// receives each completed download of the leecher; stop shuts both
-// daemons down and waits for them.
-func livePair(tb testing.TB, hello time.Duration, files, pieces int) (seed, leech *Daemon, done chan metadata.URI, stop func()) {
+// file as the per-hello budget unless a mutate says otherwise, and returns
+// once the session is up. done receives each completed download of the
+// leecher; stop shuts both daemons down and waits for them.
+func livePair(tb testing.TB, hello time.Duration, files, pieces int, mutate ...func(*Config)) (seed, leech *Daemon, done chan metadata.URI, stop func()) {
 	tb.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	net := transport.NewLoopback()
@@ -28,6 +28,9 @@ func livePair(tb testing.TB, hello time.Duration, files, pieces int) (seed, leec
 		c.FileSize = int64(pieces) * 1024
 		c.PieceSize = 1024
 		c.PiecesPerHello = pieces
+		for _, m := range mutate {
+			m(&c)
+		}
 		return c
 	}
 	sc := cfg(1)

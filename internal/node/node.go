@@ -26,33 +26,45 @@ type StoredMetadata struct {
 	ReceivedAt simtime.Time
 }
 
-// PieceSet tracks download progress for one file.
+// PieceSet tracks download progress for one file. The held pieces are
+// one bit each, piece i at bit i%8 of byte i/8 — the form the live
+// hellos carry, so advertising a download copies the set instead of
+// walking it.
 type PieceSet struct {
 	// Want is true once the node's user selected the file for download.
-	Want bool
-	have []bool
-	n    int
+	Want  bool
+	total int
+	bits  []byte
+	n     int
+}
+
+func newPieceSet(total int) *PieceSet {
+	return &PieceSet{total: total, bits: make([]byte, (total+7)/8)}
 }
 
 // Total returns the file's piece count.
-func (p *PieceSet) Total() int { return len(p.have) }
+func (p *PieceSet) Total() int { return p.total }
 
 // Have reports whether piece i is stored.
 func (p *PieceSet) Have(i int) bool {
-	return i >= 0 && i < len(p.have) && p.have[i]
+	return i >= 0 && i < p.total && p.bits[i/8]&(1<<(i%8)) != 0
 }
 
 // Count returns the number of stored pieces.
 func (p *PieceSet) Count() int { return p.n }
 
 // Complete reports whether every piece is stored.
-func (p *PieceSet) Complete() bool { return len(p.have) > 0 && p.n == len(p.have) }
+func (p *PieceSet) Complete() bool { return p.total > 0 && p.n == p.total }
+
+// Bitmap is the held set as Total bits, shared with the set: callers
+// read or copy it, never write.
+func (p *PieceSet) Bitmap() []byte { return p.bits }
 
 // Missing returns the indices of absent pieces.
 func (p *PieceSet) Missing() []int {
 	var out []int
-	for i, h := range p.have {
-		if !h {
+	for i := 0; i < p.total; i++ {
+		if !p.Have(i) {
 			out = append(out, i)
 		}
 	}
@@ -61,10 +73,10 @@ func (p *PieceSet) Missing() []int {
 
 // add stores piece i, reporting whether it was new.
 func (p *PieceSet) add(i int) bool {
-	if i < 0 || i >= len(p.have) || p.have[i] {
+	if i < 0 || i >= p.total || p.Have(i) {
 		return false
 	}
-	p.have[i] = true
+	p.bits[i/8] |= 1 << (i % 8)
 	p.n++
 	return true
 }
@@ -264,7 +276,7 @@ func (n *Node) Select(uri metadata.URI) bool {
 func (n *Node) ensurePieces(uri metadata.URI, pieces int) *PieceSet {
 	ps := n.pieces[uri]
 	if ps == nil {
-		ps = &PieceSet{have: make([]bool, pieces)}
+		ps = newPieceSet(pieces)
 		n.pieces[uri] = ps
 	}
 	return ps

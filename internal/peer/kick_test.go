@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metadata"
 	"repro/internal/testutil"
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -175,5 +176,74 @@ func TestKickAlsoExpires(t *testing.T) {
 	}
 	if got := m.Peers(); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("Peers() = %v after the kicked round, want [2]", got)
+	}
+}
+
+// recConn is a stubConn that keeps the frames it was handed.
+type recConn struct {
+	stubConn
+	mu   sync.Mutex
+	sent []wire.Msg
+}
+
+func (c *recConn) Send(ctx context.Context, m wire.Msg) error {
+	c.mu.Lock()
+	c.sent = append(c.sent, m)
+	c.mu.Unlock()
+	return nil
+}
+
+func (c *recConn) frames() []wire.Msg {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]wire.Msg(nil), c.sent...)
+}
+
+// TestAckIsDirected: an ack is one hello to one peer — the beacon's
+// heard list and downloads without its queries — that nobody else hears,
+// that is not a kicked round and moves no ticker, and that a paused radio
+// does not send.
+func TestAckIsDirected(t *testing.T) {
+	cfg := fastCfg(1, nil)
+	cfg.HelloInterval = time.Hour
+	cfg.LivenessWindow = 24 * time.Hour
+	cfg.Hello = func() ([]string, []metadata.URI, []wire.GroupWant) {
+		return []string{"f0"}, []metadata.URI{metadata.URIFor(0)}, []wire.GroupWant{*wire.NewGroupWant(metadata.URIFor(0), 8, true)}
+	}
+	m := NewManager(cfg)
+	to, other := &recConn{}, &recConn{}
+	attach(t, m, 2, to)
+	attach(t, m, 3, other)
+	defer run(m)()
+
+	m.Ack(2)
+	written(t, m, 1)
+	if st := m.Stats(); st.HellosAcked != 1 || st.HellosKicked != 0 || st.HellosSent != 1 {
+		t.Fatalf("after one ack: %d acked, %d kicked rounds, %d hellos sent; want 1/0/1", st.HellosAcked, st.HellosKicked, st.HellosSent)
+	}
+	if n := len(other.frames()); n != 0 {
+		t.Fatalf("the ack to node 2 put %d frames on node 3's link", n)
+	}
+	got := to.frames()
+	if len(got) != 1 {
+		t.Fatalf("node 2 received %d frames, want the one ack", len(got))
+	}
+	h, ok := got[0].(*wire.Hello)
+	if !ok || h.From != 1 || len(h.Heard) != 2 || len(h.Downloading) != 1 || len(h.Have) != 1 {
+		t.Fatalf("the ack is %+v, want node 1's hello with its heard list, download and bitmap", got[0])
+	}
+	if len(h.Queries) != 0 {
+		t.Fatalf("the ack carries queries %v: every ack would be answered with records again", h.Queries)
+	}
+
+	m.Ack(9) // no session: refused, not counted
+	m.SetPaused(true)
+	m.Ack(2)
+	m.SetPaused(false)
+	if st := m.Stats(); st.HellosAcked != 1 {
+		t.Fatalf("HellosAcked = %d after an ack to a stranger and one while paused, want still 1", st.HellosAcked)
+	}
+	if q := m.Queues(); q.ControlDepth != 0 {
+		t.Fatalf("%d frames queued by acks that must not go out", q.ControlDepth)
 	}
 }

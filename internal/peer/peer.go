@@ -3,8 +3,9 @@
 // A Manager owns every connection of one daemon: it performs the hello
 // handshake that identifies the node on the other end, keeps a peer
 // table keyed by trace.NodeID, beacons hellos at the protocol interval
-// (§III-B: at least once per second) and at once when Kick reports that
-// the node's interests changed, and expires peers that fall silent past
+// (§III-B: at least once per second), at once when Kick reports that
+// the node's interests changed and to one peer alone when Ack answers a
+// piece it sent, and expires peers that fall silent past
 // the 5-second hello window. Inbound connections arrive via
 // Serve, outbound links are maintained by Connect, which redials with
 // exponential backoff when a link drops.
@@ -141,7 +142,11 @@ type Stats struct {
 	HellosSent uint64 `json:"hellos_sent"`
 	// HellosKicked counts the beacon rounds a Kick brought forward; the
 	// frames they sent are in HellosSent like any other beacon's.
-	HellosKicked  uint64 `json:"hellos_kicked"`
+	HellosKicked uint64 `json:"hellos_kicked"`
+	// HellosAcked counts the directed hellos Ack queued — one peer each,
+	// no round; over the daemon's pieces_verified it is how much of a
+	// download was clocked by acknowledgements instead of beacons.
+	HellosAcked   uint64 `json:"hellos_acked"`
 	HellosRecv    uint64 `json:"hellos_recv"`
 	MetadataSent  uint64 `json:"metadata_sent"`
 	MetadataRecv  uint64 `json:"metadata_recv"`
@@ -178,6 +183,7 @@ type counters struct {
 	// plane.
 	sent, recv    [wire.NumTypes]atomic.Uint64
 	hellosKicked  atomic.Uint64
+	hellosAcked   atomic.Uint64
 	accepts       atomic.Uint64
 	dials         atomic.Uint64
 	reconnects    atomic.Uint64
@@ -398,6 +404,24 @@ func (m *Manager) Kick() {
 	select {
 	case m.kick <- struct{}{}:
 	default:
+	}
+}
+
+// Ack queues one hello for peer id alone, right now — the daemon's
+// acknowledgement that a piece from id took effect, the new have-bitmap
+// being the point. It is no beacon round: nobody else hears it, the
+// ticker keeps its phase, HellosKicked does not count it, and it leaves
+// the queries out — an ack asks for the next piece, not for records to be
+// answered again. Nothing goes out while paused; a refusal (no session, a
+// full lane) is left to the next beacon.
+func (m *Manager) Ack(id trace.NodeID) {
+	if m.paused.Load() {
+		return
+	}
+	h := m.helloMsg()
+	h.Queries = nil
+	if m.Send(id, h) == nil {
+		m.ctrs.hellosAcked.Add(1)
 	}
 }
 
@@ -877,6 +901,7 @@ func (m *Manager) Stats() Stats {
 	return Stats{
 		HellosSent:      sent[wire.TypeHello].Load(),
 		HellosKicked:    m.ctrs.hellosKicked.Load(),
+		HellosAcked:     m.ctrs.hellosAcked.Load(),
 		HellosRecv:      recv[wire.TypeHello].Load(),
 		MetadataSent:    sent[wire.TypeMetadata].Load(),
 		MetadataRecv:    recv[wire.TypeMetadata].Load(),

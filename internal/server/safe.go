@@ -66,6 +66,21 @@ func (c *Safe) Lookup(uri metadata.URI) (*metadata.Metadata, error) {
 	return m.Clone(), nil
 }
 
+// Peek returns the catalog's own record for uri, or nil: no clone, so a
+// caller on a per-frame path pays nothing for the checksum list. The
+// caller may read the record's size fields and URI and nothing else —
+// Publish replaces a record, never edits one, but matching a query
+// caches search tokens in it under the catalog's lock.
+func (c *Safe) Peek(uri metadata.URI) *metadata.Metadata {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	m, err := c.s.Lookup(uri)
+	if err != nil {
+		return nil
+	}
+	return m
+}
+
 // RecordRequest notes a popularity-feeding request.
 func (c *Safe) RecordRequest(now simtime.Time, uri metadata.URI, node trace.NodeID) error {
 	c.mu.Lock()
