@@ -21,7 +21,10 @@ vet:
 # transport.Backoff's alone, so transport stays off internal/limit; and
 # the packages that decide on time read the clock they are handed, never
 # the runtime's (the default is the func value time.Now, which the
-# pattern does not match). Offending packages or lines are printed.
+# pattern does not match). And a live node wakes periodically in one
+# place: the live packages arm exactly two tickers — the beat's
+# (Daemon.Run) and the dial wait of dhtSend — and never time.After or
+# time.Sleep. Offending packages or lines are printed.
 deps-check:
 	@! $(GO) list -deps ./cmd/tracegen ./cmd/mbtsim ./cmd/experiments \
 		| grep -E '^repro/internal/(fault|transport|peer|daemon|store)$$' \
@@ -42,6 +45,12 @@ deps-check:
 		$$(ls internal/daemon/*.go internal/peer/*.go internal/bcast/*.go \
 			internal/dht/*.go internal/limit/*.go internal/server/*.go | grep -v '_test\.go$$') \
 		|| { echo 'deps-check: a bare runtime-clock read in a package that is handed a clock' >&2; exit 1; }
+	@live=$$(ls internal/daemon/*.go internal/peer/*.go internal/bcast/*.go internal/dht/*.go | grep -v '_test\.go$$'); \
+	! grep -nE 'time\.(After|Sleep)\(' $$live \
+		|| { echo 'deps-check: time.After / time.Sleep in a live package: wait on the beat, a context or a socket' >&2; exit 1; }; \
+	[ "$$(grep -hE 'time\.NewTicker\(' $$live | wc -l)" -eq 2 ] \
+		|| { grep -nE 'time\.NewTicker\(' $$live; \
+			echo 'deps-check: the live packages arm exactly two tickers (the beat, the dhtSend dial wait)' >&2; exit 1; }
 
 test:
 	$(GO) test ./...

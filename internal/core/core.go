@@ -13,7 +13,6 @@ import (
 	"repro/internal/node"
 	"repro/internal/rng"
 	"repro/internal/server"
-	"repro/internal/sim"
 	"repro/internal/simtime"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -29,7 +28,6 @@ type Sim struct {
 	gen       *workload.Generator
 	srv       *server.Server
 	nodes     []*node.Node
-	engine    sim.Engine
 	collector *metrics.Collector
 	lossRng   *rng.Rand
 	// failAt[i] is when node i permanently fails; past the trace end
@@ -126,22 +124,23 @@ func (s *Sim) Collector() *metrics.Collector { return s.collector }
 // only be run once.
 func (s *Sim) Run() (*Result, error) {
 	start := time.Now()
-	// Schedule daily publications.
+	// Everything that happens is known before the run starts: one
+	// publication per day and the trace's sessions, both already in time
+	// order, and simulated time is the instant of the event being handled.
+	// Merge the two lists; a publication at the same instant as a session
+	// comes first.
+	sessions := s.cfg.Trace.Sessions
 	for day := 0; day < s.cfg.Workload.Days; day++ {
-		day := day
 		at := simtime.At(day, simtime.FileGenerationOffset)
-		if err := s.engine.At(at, func() { s.publishDay(day) }); err != nil {
-			return nil, fmt.Errorf("schedule day %d: %w", day, err)
+		for len(sessions) > 0 && sessions[0].Start < at {
+			s.handleSession(sessions[0])
+			sessions = sessions[1:]
 		}
+		s.publishDay(day, at)
 	}
-	// Schedule contact sessions.
-	for i := range s.cfg.Trace.Sessions {
-		sess := s.cfg.Trace.Sessions[i]
-		if err := s.engine.At(sess.Start, func() { s.handleSession(sess) }); err != nil {
-			return nil, fmt.Errorf("schedule session %d: %w", i, err)
-		}
+	for _, sess := range sessions {
+		s.handleSession(sess)
 	}
-	s.engine.Run()
 
 	internetCount := 0
 	for _, nd := range s.nodes {
@@ -151,7 +150,6 @@ func (s *Sim) Run() (*Result, error) {
 	}
 	c := s.collector
 	traffic := c.Traffic()
-	engine := s.engine.Stats()
 	return &Result{
 		Variant:            s.cfg.Variant,
 		Queries:            c.Queries(),
@@ -165,7 +163,7 @@ func (s *Sim) Run() (*Result, error) {
 		PieceBroadcasts:    traffic.PieceBroadcasts,
 		InternetNodes:      internetCount,
 		Sessions:           len(s.cfg.Trace.Sessions),
-		Events:             engine.Fired,
+		Events:             s.cfg.Workload.Days + len(s.cfg.Trace.Sessions),
 		Wall:               time.Since(start),
 	}, nil
 }
@@ -183,8 +181,7 @@ func Run(cfg Config) (*Result, error) {
 // server catalogs them, Internet-access nodes download what they want,
 // and measured nodes generate queries for the files they are interested
 // in.
-func (s *Sim) publishDay(day int) {
-	now := s.engine.Now()
+func (s *Sim) publishDay(day int, now simtime.Time) {
 	files := s.gen.FilesForDay(day)
 	for _, f := range files {
 		if err := s.srv.Publish(f.Meta); err != nil {
@@ -267,7 +264,7 @@ func (s *Sim) pullFromServer(nd *node.Node, queries []string, now simtime.Time) 
 // handleSession runs one contact: housekeeping, hello/query exchange,
 // the discovery phase, user selection, and the download phase.
 func (s *Sim) handleSession(sess trace.Session) {
-	now := s.engine.Now()
+	now := sess.Start
 	members := make([]*node.Node, 0, len(sess.Nodes))
 	for _, id := range sess.Nodes {
 		if now >= s.failAt[id] {

@@ -25,23 +25,6 @@ import (
 // URI order, and the rest stay on the pairwise path.
 const bcastWantsCap = 64
 
-// bcastLoop beats the group engine at the hello interval. The schedule
-// itself runs on the frames lanePump hands the engine; the beat
-// announces the view and is the deadline after which an unacked piece is
-// granted again.
-func (d *Daemon) bcastLoop(ctx context.Context) {
-	t := time.NewTicker(d.cfg.HelloInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			d.bcast.Tick(ctx)
-		case <-ctx.Done():
-			return
-		}
-	}
-}
-
 // lanePump drains one group lane — the shared broadcast medium or the
 // lossy symbol lane — into the engine until the lane dies or ctx ends.
 // What a lane loses or skips on the way is the medium's business; the

@@ -20,13 +20,17 @@
 //	                      order it is in; completion is reached piece by
 //	                      piece
 //
-// Beacons are periodic and event-driven: a query that was not already
-// live (AddQuery) and a newly selected download (onMetadata) each kick
-// the manager's beacon forward, so neither arrow waits out a hello
-// interval. Nothing else kicks — kicks per node are bounded by its
-// queries plus its files. Acks are not beacons: one peer hears each, the
-// round and its ticker are untouched, and their number is bounded by the
-// pairwise pieces the node applied.
+// The node has one beat: Run arms one ticker at the hello interval and
+// everything periodic hangs off it, on Run's own goroutine, judged on one
+// reading of the clock — the peer round (expiry, beacon), then the sweep,
+// the group engine's beat and, when due, DHT maintenance (beat). Beacons
+// are also event-driven: a query that was not already live (AddQuery) and
+// a newly selected download (onMetadata) each kick the beacon round
+// forward, so neither arrow waits out a hello interval; the rest of the
+// beat stays on its cadence. Nothing else kicks — kicks per node are
+// bounded by its queries plus its files. Acks are not beacons: one peer
+// hears each, the round and the ticker are untouched, and their number is
+// bounded by the pairwise pieces the node applied.
 //
 // Ownership and locking: Daemon.mu guards the node state and the
 // daemon's two tables — one record per peer, one per file. Handler
@@ -48,6 +52,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bcast"
@@ -403,9 +408,15 @@ type Daemon struct {
 	// is its reading at construction, kept for uptime only.
 	clock   func() time.Time
 	started time.Time
+	// tick delivers the beat's wake-ups when a test fires them by hand;
+	// nil, as New leaves it, has Run arm the runtime ticker.
+	tick <-chan time.Time
 
-	// DHT plumbing: the engine's RPC deadline, the run context its sends
-	// inherit, and the in-flight dial-on-demand set.
+	// DHT plumbing: when maintenance is next due (the beat's own) and
+	// whether a round is still in flight, the engine's RPC deadline, the
+	// run context its sends inherit, and the in-flight dial-on-demand set.
+	dhtDue     time.Time
+	dhtRound   atomic.Bool
 	dhtTimeout time.Duration
 	dhtWG      sync.WaitGroup
 	dialMu     sync.Mutex
@@ -483,10 +494,12 @@ func (c Config) Validate() error {
 }
 
 // New validates cfg and builds the daemon (no I/O yet; Run starts it).
-func New(cfg Config) (*Daemon, error) { return newDaemon(cfg, time.Now) }
+func New(cfg Config) (*Daemon, error) { return newDaemon(cfg, time.Now, nil) }
 
-// newDaemon is New on the given clock; tests pass a hand-driven one.
-func newDaemon(cfg Config, clock func() time.Time) (*Daemon, error) {
+// newDaemon is New on the given clock and, when tick is not nil, with its
+// beat woken by tick instead of a runtime ticker; tests pass a hand-driven
+// clock and a channel they fire themselves.
+func newDaemon(cfg Config, clock func() time.Time, tick <-chan time.Time) (*Daemon, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -526,6 +539,7 @@ func newDaemon(cfg Config, clock func() time.Time) (*Daemon, error) {
 		cfg:     cfg,
 		clock:   clock,
 		started: now,
+		tick:    tick,
 		node:    node.New(cfg.ID, cfg.InternetAccess),
 		peers:   make(map[trace.NodeID]*peerState),
 		files:   make(map[metadata.URI]*fileState),
@@ -803,16 +817,6 @@ func (d *Daemon) Run(ctx context.Context) error {
 			d.mgr.Connect(ctx, d.cfg.Transport, addr)
 		}()
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		d.mgr.Run(ctx)
-	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		d.sweepLoop(ctx)
-	}()
 	committed := make(chan struct{})
 	if d.store != nil {
 		go func() {
@@ -820,19 +824,7 @@ func (d *Daemon) Run(ctx context.Context) error {
 			d.commitLoop()
 		}()
 	}
-	if d.dht != nil {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			d.dhtLoop(ctx)
-		}()
-	}
 	if d.bcast != nil {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			d.bcastLoop(ctx)
-		}()
 		for name, lane := range map[string]transport.BroadcastConn{
 			"broadcast medium": d.cfg.Broadcast, "symbol lane": d.cfg.Symbols,
 		} {
@@ -846,8 +838,15 @@ func (d *Daemon) Run(ctx context.Context) error {
 		}
 	}
 
-	<-ctx.Done()
-	cancel()
+	// The beat runs here, on Run's own goroutine, until ctx ends.
+	tick, reset := d.tick, func(time.Duration) {}
+	if tick == nil {
+		t := time.NewTicker(d.cfg.HelloInterval)
+		defer t.Stop()
+		tick, reset = t.C, t.Reset
+	}
+	d.dhtDue = d.clock().Add(2 * d.cfg.HelloInterval)
+	d.mgr.Run(ctx, tick, reset, func(wall time.Time) { d.beat(ctx, wall) })
 	d.mgr.Close()
 	wg.Wait()
 	d.dhtWG.Wait()
@@ -868,23 +867,37 @@ func (d *Daemon) Run(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// sweepLoop ticks sweepOnce at the hello interval, each on one reading
-// of the clock.
-func (d *Daemon) sweepLoop(ctx context.Context) {
-	t := time.NewTicker(d.cfg.HelloInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			d.sweepOnce(d.clock())
-		case <-ctx.Done():
-			return
-		}
+// beat is what the node does once per hello interval after the peer
+// round (peer.Manager.Run), all of it judged at wall, the beat's one
+// reading of the clock: the sweep, the group engine's beat — it announces
+// the view and is the deadline after which an unacked piece is granted
+// again; the schedule itself runs on the frames lanePump hands the engine
+// — and, when due, DHT maintenance. That is due two intervals after start
+// — once the configured links have handshaken, so a fresh node bootstraps
+// its routing table and resolves its queries without waiting out a
+// republish period — and every DHTRepublish from then on. A round blocks
+// on the network, so it gets a goroutine of its own (Run joins it); while
+// one is in flight the next is not started, only looked at again a beat
+// later.
+func (d *Daemon) beat(ctx context.Context, wall time.Time) {
+	d.sweepOnce(wall)
+	if d.bcast != nil {
+		d.bcast.Tick(ctx)
+	}
+	if d.dht != nil && !wall.Before(d.dhtDue) && d.dhtRound.CompareAndSwap(false, true) {
+		d.dhtDue = wall.Add(d.cfg.DHTRepublish)
+		d.dhtWG.Add(1)
+		go func() {
+			defer d.dhtWG.Done()
+			defer d.dhtRound.Store(false)
+			d.dhtTick(ctx, protoTime(wall))
+		}()
 	}
 }
 
-// sweepOnce expires node/catalog state and makes one pass over each of
-// the daemon's two tables. Peers: forget send tracking for the vanished,
+// sweepOnce expires node/catalog state, takes the live peer set as the
+// node's frequent contacts, and makes one pass over each of the daemon's
+// two tables. Peers: forget send tracking for the vanished,
 // decay quarantine strikes of those that have since behaved, note who is
 // inside a Busy window, and drop every record that no longer holds
 // anything. Files: re-drive stalled downloads — a wanted file with no new
@@ -893,8 +906,9 @@ func (d *Daemon) sweepLoop(ctx context.Context) {
 // holder to re-serve (its per-piece ResendAfter deadlines decide what).
 func (d *Daemon) sweepOnce(wall time.Time) {
 	now := protoTime(wall)
-	live := make(map[trace.NodeID]bool)
-	for _, id := range d.mgr.Peers() {
+	peers := d.mgr.Peers()
+	live := make(map[trace.NodeID]bool, len(peers))
+	for _, id := range peers {
 		live[id] = true
 	}
 	nudge := false
@@ -902,6 +916,7 @@ func (d *Daemon) sweepOnce(wall time.Time) {
 	if len(live) > 0 {
 		d.lastPeerAt = wall
 	}
+	d.node.SetFrequent(peers)
 	d.node.Expire(now)
 	// busy collects the peers still inside a piece- or query-lane window
 	// they advertised — re-drives compose with backpressure by skipping
@@ -1166,11 +1181,11 @@ func (d *Daemon) onHello(from trace.NodeID, msg *wire.Hello) {
 	wall := d.clock()
 	now := protoTime(wall)
 
-	// The peer set is this node's "frequent contacts" in the live
-	// runtime: cache their queries so MBT's query distribution has
-	// state to work with once multi-hop topologies appear.
+	// Cache the queries of this node's "frequent contacts" — in the live
+	// runtime the peer set as of the last beat (sweepOnce) — so MBT's
+	// query distribution has state to work with once multi-hop topologies
+	// appear.
 	d.mu.Lock()
-	d.node.SetFrequent(d.mgr.Peers())
 	d.node.LearnPeerQueries(from, msg.Queries, now.Add(peerQueryTTL))
 	d.forgetFinishedLocked(from, msg.Downloading)
 	d.mu.Unlock()
@@ -1269,11 +1284,11 @@ func (d *Daemon) answerQuery(now simtime.Time, from trace.NodeID, q string, hold
 		}
 	}
 	d.mu.Lock()
-	for _, sm := range d.node.MetadataStore() {
+	for _, sm := range d.node.MatchingQuery(q) {
 		if len(out) >= limit {
 			break
 		}
-		if seen[sm.Meta.URI] || holds[sm.Meta.URI] || sm.Meta.Expired(now) || !sm.Meta.MatchesQuery(q) {
+		if seen[sm.Meta.URI] || holds[sm.Meta.URI] || sm.Meta.Expired(now) {
 			continue
 		}
 		out = append(out, &wire.Metadata{Popularity: sm.Popularity, Record: *sm.Meta.Clone()})

@@ -2,9 +2,9 @@
 // peer sessions. The engine owns routing and records; this file owns
 // the plumbing — inbound frames arrive through handler.Handle,
 // outbound RPCs ride Manager.Send with a dial-on-demand fallback for
-// contacts outside the current peer set, and a periodic tick refreshes
-// the table, republishes the catalog (Internet nodes), and resolves
-// still-open queries DHT-first.
+// contacts outside the current peer set, and the round the beat starts
+// when maintenance is due (Daemon.beat) refreshes the table, republishes
+// the catalog (Internet nodes), and resolves still-open queries DHT-first.
 //
 // The query path is deliberately layered: a keyword resolves from the
 // local record cache when it can (zero traffic — the DTN-side path),
@@ -123,28 +123,6 @@ func (d *Daemon) dialOnDemand(ctx context.Context, addr string) {
 		delete(d.dialing, addr)
 		d.dialMu.Unlock()
 	}()
-}
-
-// dhtLoop drives the periodic DHT work at the republish cadence, each
-// tick on one reading of the clock. The first tick runs early — a couple
-// of beacon intervals after boot, once the configured links have
-// handshaken — so a fresh node bootstraps its routing table and resolves
-// its queries without waiting out a full republish period.
-func (d *Daemon) dhtLoop(ctx context.Context) {
-	first := time.NewTimer(2 * d.cfg.HelloInterval)
-	defer first.Stop()
-	t := time.NewTicker(d.cfg.DHTRepublish)
-	defer t.Stop()
-	for {
-		select {
-		case <-first.C:
-			d.dhtTick(ctx, protoTime(d.clock()))
-		case <-t.C:
-			d.dhtTick(ctx, protoTime(d.clock()))
-		case <-ctx.Done():
-			return
-		}
-	}
 }
 
 // dhtTick is one round of DHT maintenance: bootstrap/refresh the

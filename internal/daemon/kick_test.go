@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -226,6 +227,36 @@ func TestMetadataAnswerPrecedesPieces(t *testing.T) {
 		if typ != want {
 			t.Fatalf("frame %d is %v, want %v: %v", i, typ, want, got)
 		}
+	}
+}
+
+// TestAnswerQueryBestFirst: a DTN-side node with more matching records
+// than one hello's answer holds sends the most popular ones, most popular
+// first (§IV-A) — not the first eight in URI order — and a record the
+// asker already downloads gives its slot to the next best.
+func TestAnswerQueryBestFirst(t *testing.T) {
+	d := bench(t, func(c *Config) { c.Queries = nil })
+	const records = DefaultMetadataPerHello + 4
+	for id := 0; id < records; id++ {
+		// Popularity rises with the file number, so URI order is worst first.
+		d.onMetadata(5, &wire.Metadata{Popularity: float64(id+1) / 100, Record: *d.syntheticFile(metadata.FileID(id))})
+	}
+	if got := d.Stats().MetadataStored; got != records {
+		t.Fatalf("stored %d records, want %d", got, records)
+	}
+	p := wedge(t, d, 2)
+	best := metadata.URIFor(records - 1)
+	d.onHello(2, &wire.Hello{From: 2, Queries: []string{"synthetic"}, Downloading: []metadata.URI{best}})
+	var got []metadata.URI
+	for _, m := range p.flush() {
+		got = append(got, m.(*wire.Metadata).Record.URI)
+	}
+	var want []metadata.URI
+	for id := records - 2; len(want) < DefaultMetadataPerHello; id-- {
+		want = append(want, metadata.URIFor(metadata.FileID(id)))
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("answered %v\nwant the %d most popular after the one it holds, best first: %v", got, DefaultMetadataPerHello, want)
 	}
 }
 

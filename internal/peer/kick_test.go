@@ -54,7 +54,7 @@ func run(m *Manager) (stop func()) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		m.Run(ctx)
+		beat(ctx, m)
 	}()
 	return func() {
 		cancel()

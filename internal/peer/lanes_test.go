@@ -236,7 +236,7 @@ func testWritersExit(t *testing.T, peers int, wedged bool, end func(*testing.T, 
 	defer cancel()
 	wg.Add(2)
 	go func() { defer wg.Done(); a.Serve(ctx, lis) }()
-	go func() { defer wg.Done(); a.Run(ctx) }()
+	go func() { defer wg.Done(); beat(ctx, a) }()
 	sessionsGone := testutil.NoLeaks(t) // Serve and Run stay; sessions must not
 
 	var conns []transport.Conn

@@ -117,9 +117,10 @@ type Config struct {
 	// daemon's hook for answering Busy. Must not block.
 	OnShed func(from trace.NodeID, t wire.MsgType)
 	// Now is the clock every time-dependent decision reads — liveness,
-	// flaps, admission buckets, ConnectOnce's redial schedule (default
-	// time.Now). Tickers, handshake deadlines and Connect's backoff sleeps
-	// stay on the runtime clock.
+	// flaps, admission buckets, ConnectOnce's redial schedule, what of the
+	// beat is due (default time.Now). Handshake deadlines and Connect's
+	// backoff sleeps stay on the runtime clock; the beat's ticker is the
+	// caller's (Run).
 	Now func() time.Time
 	// Logf, when set, receives one line per connection event.
 	Logf func(format string, args ...any)
@@ -361,36 +362,45 @@ func (m *Manager) helloMsg() *wire.Hello {
 	}
 }
 
-// Run beacons hellos and expires silent peers until ctx ends: once per
-// HelloInterval, and at once when Kick asks. Both paths run the same
-// round — expire, then beacon unless paused — and a kicked round
-// restarts the interval, so a kick moves a beacon forward instead of
-// adding one, and a stream of kicks cannot starve expiry. A round only
-// enqueues, so no peer's link can hold it up. Returns ctx's error.
-func (m *Manager) Run(ctx context.Context) error {
-	t := time.NewTicker(m.cfg.HelloInterval)
-	defer t.Stop()
+// Run is the node's beat until ctx ends: it wakes on tick — once per
+// HelloInterval, from the one ticker its caller arms — and at once when
+// Kick asks, reads the clock once, and runs the peer round on that
+// reading: expire, then beacon unless paused. A kicked wake-up restarts
+// the interval — reset is the ticker's Reset — so a kick moves a beacon
+// forward instead of adding one, and every wake-up runs the whole round,
+// so a stream of kicks cannot starve expiry. rest, when set, is
+// whatever else the node does once per beat: it follows the round, on the
+// same reading, at every tick — and at a kicked wake-up that finds a whole
+// interval gone by the clock since rest last ran, so kicks cannot starve
+// it either. The round only enqueues, so no peer's link can hold the beat
+// up. Returns ctx's error.
+func (m *Manager) Run(ctx context.Context, tick <-chan time.Time, reset func(time.Duration), rest func(now time.Time)) error {
+	rested := m.cfg.Now()
 	for {
 		kicked := false
 		select {
-		case <-t.C:
+		case <-tick:
 		case <-m.kick:
 			kicked = true
-			t.Reset(m.cfg.HelloInterval)
+			reset(m.cfg.HelloInterval)
 			select {
-			case <-t.C: // a tick that fired before the restart
+			case <-tick: // a tick that fired before the restart
 			default:
 			}
 		case <-ctx.Done():
 			return ctx.Err()
 		}
-		m.expire(m.cfg.Now())
-		if m.paused.Load() {
-			continue // a kick while paused is spent, not owed at resume
+		now := m.cfg.Now()
+		m.expire(now)
+		if !m.paused.Load() { // a kick while paused is spent, not owed at resume
+			m.BroadcastExcept(nil)
+			if kicked {
+				m.ctrs.hellosKicked.Add(1)
+			}
 		}
-		m.BroadcastExcept(nil)
-		if kicked {
-			m.ctrs.hellosKicked.Add(1)
+		if rest != nil && (!kicked || now.Sub(rested) >= m.cfg.HelloInterval) {
+			rested = now
+			rest(now)
 		}
 	}
 }

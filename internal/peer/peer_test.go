@@ -73,9 +73,9 @@ func startPair(t *testing.T, ctx context.Context, net *transport.Loopback,
 		t.Fatal(err)
 	}
 	go a.Serve(ctx, lis)
-	go a.Run(ctx)
+	go beat(ctx, a)
 	go b.Connect(ctx, net, "A")
-	go b.Run(ctx)
+	go beat(ctx, b)
 	waitFor(t, func() bool {
 		return len(a.Peers()) == 1 && len(b.Peers()) == 1
 	}, "peers to see each other")
@@ -92,6 +92,14 @@ func waitFor(t *testing.T, cond func() bool, what string) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// beat runs m's beat until ctx ends on a runtime ticker, armed the way the
+// daemon arms it, with no rest.
+func beat(ctx context.Context, m *Manager) {
+	t := time.NewTicker(m.cfg.HelloInterval)
+	defer t.Stop()
+	m.Run(ctx, t.C, t.Reset, nil)
 }
 
 func fastCfg(self trace.NodeID, h Handler) Config {
@@ -163,7 +171,7 @@ func TestLivenessExpiry(t *testing.T) {
 		t.Fatal(err)
 	}
 	go a.Serve(ctx, lis)
-	go a.Run(ctx)
+	go beat(ctx, a)
 
 	// B handshakes but never beacons (its Run loop is never started)
 	// and ignores A's hellos.

@@ -97,13 +97,13 @@ func TestSlowReaderDoesNotStallHealthyPeers(t *testing.T) {
 		go func() { defer wg.Done(); f() }()
 	}
 	spawn(func() { a.Serve(ctx, lis) })
-	spawn(func() { a.Run(ctx) })
+	spawn(func() { beat(ctx, a) })
 
 	clock := &helloClock{recorder: newRecorder(), from: 1}
 	b := NewManager(cfg(2, clock))
 	defer b.Close()
 	spawn(func() { b.Connect(ctx, tr, lis.Addr()) })
-	spawn(func() { b.Run(ctx) })
+	spawn(func() { beat(ctx, b) })
 
 	// C: a raw socket that speaks just enough protocol to stay a live
 	// peer — one hello per interval — and never reads.

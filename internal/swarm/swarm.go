@@ -828,12 +828,12 @@ type Budget struct {
 }
 
 // DefaultBudget derives the ceiling from the topology: each node runs
-// ~4 core goroutines plus one per outbound link and one per session
-// end, and random attachment doubles Degree on average — padded 50%
-// for scheduler slack.
+// 2 core goroutines (Run, which is its beat, and the accept loop) plus
+// one per outbound link and one per session end, and random attachment
+// doubles Degree on average — padded 50% for scheduler slack.
 func (h *Harness) DefaultBudget() Budget {
 	return Budget{
-		GoroutinesPerNode: 1.5 * float64(5+3*h.cfg.Degree),
+		GoroutinesPerNode: 1.5 * float64(3+3*h.cfg.Degree),
 		BytesPerNode:      512 * 1024,
 	}
 }
