@@ -15,12 +15,13 @@ vet:
 # Dependency direction: the offline tools (trace generator, simulator,
 # experiment sweeps) never link the live stack — `limit` legitimately
 # arrives through server.Safe, the catalog's query limit — the
-# scheduling rule stays pure, tracegen stays a leaf, and the DHT engine
-# has no admission control of its own: per-sender limiting happens once,
-# in internal/peer, where every frame passes. Redial pacing is
+# scheduling rule and the flight window both data planes pace by stay
+# pure, tracegen stays a leaf, and the DHT engine has no admission
+# control of its own: per-sender limiting happens once, in
+# internal/peer, where every frame passes. Redial pacing is
 # transport.Backoff's, stepped through by peer's link table on the beat,
-# so transport stays off internal/limit; and
-# the packages that decide on time read the clock they are handed, never
+# so transport stays off internal/limit; and the packages that decide
+# on time read the clock they are handed (sched, the time itself), never
 # the runtime's (the default is the func value time.Now, which the
 # pattern does not match). And a live node wakes periodically in one
 # place: the live packages arm exactly one ticker — the beat's
@@ -44,7 +45,7 @@ deps-check:
 		|| { echo 'deps-check: internal/transport links internal/limit' >&2; exit 1; }
 	@! grep -nE 'time\.(Now|Since|Until)\(' \
 		$$(ls internal/daemon/*.go internal/peer/*.go internal/bcast/*.go \
-			internal/dht/*.go internal/limit/*.go internal/server/*.go | grep -v '_test\.go$$') \
+			internal/dht/*.go internal/limit/*.go internal/server/*.go internal/sched/*.go | grep -v '_test\.go$$') \
 		|| { echo 'deps-check: a bare runtime-clock read in a package that is handed a clock' >&2; exit 1; }
 	@live=$$(ls internal/daemon/*.go internal/peer/*.go internal/bcast/*.go internal/dht/*.go | grep -v '_test\.go$$'); \
 	! grep -nE 'time\.(After|Sleep)\(' $$live \

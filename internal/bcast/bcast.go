@@ -36,7 +36,7 @@ package bcast
 
 import (
 	"context"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -190,15 +190,6 @@ type pieceKey struct {
 	piece int
 }
 
-// grant records when a piece was last granted — by this node as
-// sequencer, or to it — and, when this node answered with the piece's
-// opening symbol burst, the sizing (fec.go) the burst was cut to; 0
-// otherwise.
-type grant struct {
-	at     time.Time
-	sizing uint64
-}
-
 // Engine is one node's broadcast-group state machine. Construct with
 // New; drive with Observe/HandleGroup from the receive path and Tick
 // from a timer.
@@ -213,13 +204,16 @@ type Engine struct {
 	round     uint64
 	counters  Stats
 
-	// beat and prevBeat are the last two Ticks. granted holds each
-	// piece's last grant; an entry keeps its piece off the candidate list
-	// until a whole Tick-to-Tick interval has passed since (the entry is
-	// no younger than prevBeat), then Tick drops it. flying is how many
-	// of them were still unresolved when the last round ended.
+	// beat and prevBeat are the last two Ticks. granted is the flight
+	// window: each piece's last grant — by this node as sequencer, or to
+	// it — tagged, when this node answered with the piece's opening symbol
+	// burst, with the sizing (fec.go) the burst was cut to. A grant keeps
+	// its piece off the candidate list until a whole Tick-to-Tick interval
+	// has passed since (it is no younger than prevBeat), then Tick expires
+	// it. flying is how many grants were still unresolved when the last
+	// round ended.
 	beat, prevBeat time.Time
-	granted        map[pieceKey]grant
+	granted        sched.Window[pieceKey]
 	flying         int
 
 	// Fountain-coded data plane (fec.go). symbols is non-nil only when
@@ -250,7 +244,6 @@ func New(cfg Config) *Engine {
 		cfg:      cfg,
 		edges:    make(map[edge]time.Time),
 		views:    make(map[trace.NodeID]*view),
-		granted:  make(map[pieceKey]grant),
 		overhead: initialOverhead,
 		fecSend:  make(map[pieceKey]*fecStream),
 		fecRecv:  make(map[pieceKey]*fecBlock),
@@ -294,7 +287,7 @@ func (e *Engine) HandleGroup(ctx context.Context, from trace.NodeID, msg wire.Ms
 	case *wire.GroupHello:
 		e.counters.GroupHellosRecv++
 		members := append([]trace.NodeID(nil), v.Members...)
-		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
+		slices.Sort(members)
 		e.views[from] = &view{members: members, wants: v.Wants, fec: v.FEC, at: now}
 		if v.Round > e.round {
 			e.round = v.Round
@@ -304,7 +297,7 @@ func (e *Engine) HandleGroup(ctx context.Context, from trace.NodeID, msg wire.Ms
 		if v.Round > e.round {
 			e.round = v.Round
 		}
-		if v.To == e.cfg.Self && contains(e.group, v.From) {
+		if v.To == e.cfg.Self && slices.Contains(e.group, v.From) {
 			e.transmitLocked(ctx, v, now)
 		}
 		return
@@ -337,7 +330,7 @@ func (e *Engine) HandleGroup(ctx context.Context, from trace.NodeID, msg wire.Ms
 func (e *Engine) InGroup(peer trace.NodeID) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.confirmed && contains(e.group, peer)
+	return e.confirmed && slices.Contains(e.group, peer)
 }
 
 // Group snapshots the current member set and whether it is confirmed.
@@ -395,7 +388,7 @@ func (e *Engine) housekeepLocked(ctx context.Context, now time.Time) {
 	// already sent.
 	best := e.bestGroupLocked(e.cfg.Store.LivePeers())
 	selfWants := e.cfg.Store.Wants()
-	if !equalIDs(best, e.group) {
+	if !slices.Equal(best, e.group) {
 		switch {
 		case best == nil:
 			e.counters.Collapses++
@@ -409,7 +402,7 @@ func (e *Engine) housekeepLocked(ctx context.Context, now time.Time) {
 		}
 		e.group = best
 		e.confirmed = false
-		e.granted = make(map[pieceKey]grant)
+		e.granted = nil
 	}
 	// The view keeps its own copy of the bitsets: the announcement below
 	// may sit in a send queue while markHaveLocked updates the view.
@@ -438,7 +431,7 @@ func (e *Engine) housekeepLocked(ctx context.Context, now time.Time) {
 			continue
 		}
 		v := e.views[m]
-		if v == nil || now.Sub(v.at) > e.cfg.Window || !equalIDs(v.members, e.group) {
+		if v == nil || now.Sub(v.at) > e.cfg.Window || !slices.Equal(v.members, e.group) {
 			confirmed = false
 			break
 		}
@@ -454,15 +447,12 @@ func (e *Engine) housekeepLocked(ctx context.Context, now time.Time) {
 // the regrant deadline: a grant a whole beat old stops holding its piece
 // back, and the opening symbol bursts among them size the next (fec.go).
 func (e *Engine) pruneLocked(now time.Time) {
+	_, grants := e.granted.Settle(nil, e.prevBeat)
 	lapsed, short := 0, 0
-	for k, g := range e.granted {
-		if g.at.After(e.prevBeat) {
-			continue
-		}
-		delete(e.granted, k)
-		if g.sizing == e.sizing {
+	for _, g := range grants {
+		if g.Tag == e.sizing {
 			lapsed++
-			if e.lackedLocked(k, now) {
+			if e.lackedLocked(g.Key, now) {
 				short++
 			}
 		}
@@ -554,14 +544,8 @@ func (e *Engine) candidatesLocked(now time.Time) []*sched.Candidate {
 		}
 		members = append(members, sched.Member{ID: m, MaySend: true, Files: files})
 	}
-	all := sched.Candidates(members, e.cfg.Store.Popularity, nil)
-	out := all[:0]
-	for _, c := range all {
-		if _, ok := e.granted[pieceKey{c.URI, c.Piece}]; !ok {
-			out = append(out, c)
-		}
-	}
-	return out
+	return slices.DeleteFunc(sched.Candidates(members, e.cfg.Store.Popularity, nil),
+		func(c *sched.Candidate) bool { return e.granted.Has(pieceKey{c.URI, c.Piece}) })
 }
 
 // lackedLocked reports whether some member's fresh view lists the
@@ -581,17 +565,6 @@ func (e *Engine) lackedLocked(k pieceKey, now time.Time) bool {
 	return false
 }
 
-// inFlightLocked counts the granted pieces some member still lacks.
-func (e *Engine) inFlightLocked(now time.Time) int {
-	n := 0
-	for k := range e.granted {
-		if e.lackedLocked(k, now) {
-			n++
-		}
-	}
-	return n
-}
-
 // roundsLocked is the sequencer's schedule, the same for a Tick and for
 // a frame between Ticks (kicked). A kicked call grants only if a flight
 // slot was freed since the last round ended, so frames that resolve
@@ -603,12 +576,13 @@ func (e *Engine) inFlightLocked(now time.Time) int {
 // on the spot — the piece plane's optimistic own send — stays paced by
 // the beat.
 func (e *Engine) roundsLocked(ctx context.Context, now time.Time, kicked bool) {
-	flying := e.inFlightLocked(now)
+	lacked := func(k pieceKey) bool { return e.lackedLocked(k, now) }
+	flying := e.granted.Out(lacked)
 	next := !kicked || flying < e.flying
 	for next && flying < flightWindow {
 		own := e.grantLocked(ctx, now, kicked)
 		was := flying
-		flying = e.inFlightLocked(now)
+		flying = e.granted.Out(lacked)
 		next, kicked = own && flying > was, true
 	}
 	e.flying = flying
@@ -638,7 +612,7 @@ func (e *Engine) grantLocked(ctx context.Context, now time.Time, kicked bool) (o
 		g.To = c.Sender
 		g.URI = c.URI
 		g.Piece = int32(c.Piece)
-		e.granted[pieceKey{c.URI, c.Piece}] = grant{at: now}
+		e.granted.Send(pieceKey{c.URI, c.Piece}, now, 0)
 	}
 	e.sendLocked(ctx, g)
 	e.counters.GrantsSent++
@@ -680,7 +654,7 @@ func (e *Engine) transmitLocked(ctx context.Context, g *wire.Grant, now time.Tim
 		From: e.cfg.Self, Round: g.Round, URI: uri, Index: piece, Total: total, Data: data,
 	})
 	e.counters.PieceBcastsSent++
-	e.granted[pieceKey{uri, piece}] = grant{at: now}
+	e.granted.Send(pieceKey{uri, piece}, now, 0)
 	e.markHaveLocked(uri, piece)
 }
 
@@ -710,25 +684,4 @@ func cloneWants(ws []wire.GroupWant) []wire.GroupWant {
 		out[i].Have = append([]byte(nil), ws[i].Have...)
 	}
 	return out
-}
-
-func contains(ids []trace.NodeID, id trace.NodeID) bool {
-	for _, v := range ids {
-		if v == id {
-			return true
-		}
-	}
-	return false
-}
-
-func equalIDs(a, b []trace.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

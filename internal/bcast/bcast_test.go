@@ -3,6 +3,7 @@ package bcast
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -304,7 +305,7 @@ func TestGroupFormsAndConfirms(t *testing.T) {
 
 	for _, id := range []trace.NodeID{1, 2, 3} {
 		g, ok := h.engines[id].Group()
-		if !ok || !equalIDs(g, []trace.NodeID{1, 2, 3}) {
+		if !ok || !slices.Equal(g, []trace.NodeID{1, 2, 3}) {
 			t.Fatalf("node %d: group=%v confirmed=%v, want [1 2 3] true", id, g, ok)
 		}
 		st := h.engines[id].Stats()
@@ -341,7 +342,7 @@ func TestStaleViewUnconfirmsUntilNextGroupHello(t *testing.T) {
 	check := func(when string, confirmed bool) {
 		t.Helper()
 		g, ok := e.Group()
-		if !equalIDs(g, []trace.NodeID{1, 2, 3}) || ok != confirmed || e.InGroup(3) != confirmed {
+		if !slices.Equal(g, []trace.NodeID{1, 2, 3}) || ok != confirmed || e.InGroup(3) != confirmed {
 			t.Fatalf("%s: group=%v confirmed=%v InGroup(3)=%v, want [1 2 3] %v %v",
 				when, g, ok, e.InGroup(3), confirmed, confirmed)
 		}
@@ -544,7 +545,7 @@ func TestCollapseAndReformation(t *testing.T) {
 	h.step(t, 1, 2, 3)
 	h.step(t, 1, 2, 3)
 	g, ok = h.engines[1].Group()
-	if !ok || !equalIDs(g, []trace.NodeID{1, 2, 3}) {
+	if !ok || !slices.Equal(g, []trace.NodeID{1, 2, 3}) {
 		t.Fatalf("group did not re-form: %v confirmed=%v", g, ok)
 	}
 	if st := h.engines[1].Stats(); st.Formations != 2 {
@@ -596,7 +597,7 @@ func TestLargestCliqueWins(t *testing.T) {
 
 	for _, id := range []trace.NodeID{1, 2, 3} {
 		g, ok := h.engines[id].Group()
-		if !ok || !equalIDs(g, []trace.NodeID{1, 2, 3}) {
+		if !ok || !slices.Equal(g, []trace.NodeID{1, 2, 3}) {
 			t.Fatalf("node %d: group=%v confirmed=%v, want triangle", id, g, ok)
 		}
 	}

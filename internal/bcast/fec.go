@@ -183,11 +183,11 @@ func (e *Engine) transmitSymbolsLocked(ctx context.Context, round uint64, uri me
 		e.symbols.BroadcastSymbol(ctx, s)
 		e.counters.SymbolsSent++
 	}
-	g := grant{at: now}
+	var sizing uint64
 	if opening {
-		g.sizing = e.sizing
+		sizing = e.sizing
 	}
-	e.granted[key] = g
+	e.granted.Send(key, now, sizing)
 	// No optimistic markHave here: on the lossy plane "transmitted" is
 	// not "received". The piece leaves the candidate list only when
 	// acks (or GroupHellos) flip the members' bits.

@@ -304,7 +304,7 @@ func (h *laneHarness) unresolved() int {
 	e := h.seq()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.inFlightLocked(h.clk.Now())
+	return e.granted.Out(func(k pieceKey) bool { return e.lackedLocked(k, h.clk.Now()) })
 }
 
 // TestLastAckGrantsNextPieceWithoutTick: the sequencer fills its flight

@@ -1,6 +1,7 @@
 package bcast
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/metadata"
@@ -60,7 +61,7 @@ func TestTitForTatReformationAfterHeal(t *testing.T) {
 	h.step(t, 1, 2, 3)
 	h.step(t, 1, 2, 3)
 	g, ok := h.engines[1].Group()
-	if !ok || !equalIDs(g, []trace.NodeID{1, 2, 3}) {
+	if !ok || !slices.Equal(g, []trace.NodeID{1, 2, 3}) {
 		t.Fatalf("group did not re-form: %v confirmed=%v", g, ok)
 	}
 	if st := h.engines[1].Stats(); st.Formations != 2 {

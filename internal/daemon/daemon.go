@@ -1334,7 +1334,7 @@ func (d *Daemon) servePieces(wall time.Time, from trace.NodeID, uri metadata.URI
 		return pushed && wall.Sub(at) < d.cfg.ResendAfter
 	}
 	sf.have = peerHave
-	acked := sf.settle(wall, d.cfg.HelloInterval)
+	acked, _ := sf.window.Settle(sf.peerHolds, wall.Add(-d.cfg.HelloInterval))
 	budget := d.cfg.PiecesPerHello - len(sf.window)
 	var idxs []int
 	if !known || opensBeat(wall.Sub(sf.dealtAt), d.cfg.HelloInterval, acked) {

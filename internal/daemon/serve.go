@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/metadata"
+	"repro/internal/sched"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -169,38 +170,16 @@ type sentFile struct {
 	pos     int
 	// have is the bitmap of the peer's latest hello (nil: it sent none).
 	have *wire.GroupWant
-	// window holds the pushes younger than a beat that no bitmap has shown
-	// held yet, oldest first: what may still be in the pipe.
-	window []push
-}
-
-type push struct {
-	index int
-	at    time.Time
+	// window is the flight window: the pushes younger than a beat that no
+	// bitmap has shown held yet, what may still be in the pipe. A push
+	// that lapses frees its slot; only the resend deadline sends the piece
+	// itself again.
+	window sched.Window[int]
 }
 
 func newSentFile() *sentFile { return &sentFile{at: make(map[int]time.Time)} }
 
 func (sf *sentFile) peerHolds(i int) bool { return sf.have != nil && sf.have.HaveBit(i) }
-
-// settle brings the window up to a hello (or an acquisition) at wall: a
-// push leaves it when the peer's bitmap shows the piece held, or when it
-// is a beat old — lost or merely late, its slot is free again, and only
-// the resend deadline sends the piece itself again. It reports whether
-// the bitmap acknowledged any of them.
-func (sf *sentFile) settle(wall time.Time, beat time.Duration) (acked bool) {
-	kept := sf.window[:0]
-	for _, p := range sf.window {
-		switch {
-		case sf.peerHolds(p.index):
-			acked = true
-		case wall.Sub(p.at) < beat:
-			kept = append(kept, p)
-		}
-	}
-	sf.window = kept
-	return acked
-}
 
 // standing reports whether the deal still stands at wall.
 func (sf *sentFile) standing(wall time.Time, beat time.Duration) bool {
@@ -277,7 +256,7 @@ func (sf *sentFile) takes(i int, wall time.Time, beat time.Duration, depth int) 
 	if _, pushed := sf.at[i]; pushed {
 		return false
 	}
-	sf.settle(wall, beat)
+	sf.window.Settle(sf.peerHolds, wall.Add(-beat))
 	return len(sf.window) < depth
 }
 
@@ -286,6 +265,6 @@ func (sf *sentFile) takes(i int, wall time.Time, beat time.Duration, depth int) 
 func (sf *sentFile) push(i int, wall time.Time) (again bool) {
 	_, again = sf.at[i]
 	sf.at[i] = wall
-	sf.window = append(sf.window, push{i, wall})
+	sf.window.Send(i, wall, 0)
 	return again
 }

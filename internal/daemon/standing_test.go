@@ -121,8 +121,8 @@ func TestWindowSettle(t *testing.T) {
 	sf.push(3, t0.Add(beat/2))
 	sf.have = wire.NewGroupWant("u", total, true)
 	sf.have.SetHave(1)
-	sf.settle(t0.Add(beat/2), beat)
-	if len(sf.window) != 1 || sf.window[0].index != 3 {
+	sf.window.Settle(sf.peerHolds, t0.Add(beat/2-beat))
+	if len(sf.window) != 1 || sf.window[0].Key != 3 {
 		t.Fatalf("window %+v after piece 1 was acknowledged, want piece 3 alone", sf.window)
 	}
 	for _, tc := range []struct {
@@ -143,7 +143,7 @@ func TestWindowSettle(t *testing.T) {
 			t.Errorf("%s: takes(%d) = %v, want %v", tc.name, tc.i, got, tc.want)
 		}
 	}
-	sf.settle(t0.Add(beat+beat/2), beat)
+	sf.window.Settle(sf.peerHolds, t0.Add(beat/2))
 	if len(sf.window) != 0 {
 		t.Fatalf("window %+v a beat after the last push, want empty", sf.window)
 	}
@@ -827,7 +827,7 @@ func BenchmarkServeAck(b *testing.B) {
 			b.StartTimer()
 			continue
 		}
-		hello.Have[0].SetHave(window[0].index)
+		hello.Have[0].SetHave(window[0].Key)
 		d.onHello(2, hello)
 	}
 }
