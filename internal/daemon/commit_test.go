@@ -130,8 +130,9 @@ func TestPieceHeldOnlyAfterSync(t *testing.T) {
 	if have := d.Have(rec.URI); len(have) == 0 || have[0] {
 		t.Fatalf("Have = %v before the piece's sync returned", have)
 	}
-	_, downloading, bitmaps := d.helloContent()
-	if len(downloading) != 1 || len(bitmaps) != 1 || bitmaps[0].HaveBit(0) {
+	var h wire.Hello
+	d.helloContent(&h)
+	if downloading, bitmaps := h.Downloading, h.Have; len(downloading) != 1 || len(bitmaps) != 1 || bitmaps[0].HaveBit(0) {
 		t.Fatalf("hello advertises an unsynced piece: downloading %v, bitmaps %+v", downloading, bitmaps)
 	}
 	// The group plane's view does count it: the engine acks a piece on

@@ -321,8 +321,10 @@ type peerState struct {
 	// files it stopped listing and sweepOnce the whole map once the peer
 	// is gone, so there is no per-piece mark for a file the peer no longer
 	// wants.
-	sent    map[metadata.URI]*sentFile
-	offence offender
+	sent map[metadata.URI]*sentFile
+	// downloading is what the peer's latest hello lists as downloads.
+	downloading []metadata.URI
+	offence     offender
 	// busyUntil holds, per lane, the backoff deadline the peer advertised
 	// to us; busyTold when we last sent it a Busy, which paces our replies
 	// to one per lane per BusyRetryAfter. Indexed by wire.BusyScope.
@@ -394,6 +396,32 @@ type fileState struct {
 	// fsynced: not held (absent from Have and the hello bitmap), but a
 	// second copy is already a duplicate. Always empty without a store.
 	pending map[int]struct{}
+	// deal is the download's supplier list as its hellos carry it
+	// (serve.go): nil until the first hello advertising the download is
+	// built, and again once the file completes. fed lists the peers that
+	// have pushed a piece of the file.
+	deal *wire.Deal
+	fed  []trace.NodeID
+}
+
+// name puts id on the download's supplier list (in) or takes it off,
+// bumping the deal number when that changes the list. The list is
+// replaced, never edited: a hello being encoded may still hold it.
+func (f *fileState) name(id trace.NodeID, in bool) {
+	if f.deal == nil {
+		return
+	}
+	at, named := slices.BinarySearch(f.deal.Suppliers, id)
+	if named == in {
+		return
+	}
+	next := slices.Clone(f.deal.Suppliers)
+	if in {
+		next = slices.Insert(next, at, id)
+	} else {
+		next = slices.Delete(next, at, at+1)
+	}
+	f.deal.Suppliers, f.deal.No = next, f.deal.No+1
 }
 
 // Daemon is a live MBT node. Construct with New, drive with Run.
@@ -653,25 +681,40 @@ func (d *Daemon) logf(format string, args ...any) {
 	}
 }
 
-// helloContent supplies the beacon payload: own queries, the files
-// still being downloaded, and per-file have-bitmaps so peers serve only
-// missing pieces. The bitmap matters most after a restart: pieces
-// recovered from the data directory are advertised from the first
-// beacon, so no peer ever re-sends what already survived the crash. It
-// is also every ack's payload, so a bitmap is a copy of the piece set's
-// own bits, not a walk over the file.
-func (d *Daemon) helloContent() ([]string, []metadata.URI, []wire.GroupWant) {
+// helloContent fills in the beacon payload: own queries, the files
+// still being downloaded, per-file have-bitmaps so peers serve only
+// missing pieces, and per-file supplier lists (serve.go). The bitmap
+// matters most after a restart: pieces recovered from the data directory
+// are advertised from the first beacon, so no peer ever re-sends what
+// already survived the crash. It is also every ack's payload, so a bitmap
+// is a copy of the piece set's own bits, not a walk over the file. A
+// download's first hello names its suppliers: every live peer (h.Heard)
+// but one whose latest hello lists the download too and that has never
+// pushed a piece of it.
+func (d *Daemon) helloContent(h *wire.Hello) {
 	now := protoTime(d.clock())
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	downloading := d.node.WantedIncomplete()
-	have := make([]wire.GroupWant, 0, len(downloading))
-	for _, uri := range downloading {
+	h.Queries = d.node.Queries(now)
+	h.Downloading = d.node.WantedIncomplete()
+	h.Have = make([]wire.GroupWant, 0, len(h.Downloading))
+	h.Deals = make([]wire.Deal, 0, len(h.Downloading))
+	for _, uri := range h.Downloading {
 		if rec, ps := d.heldLocked(uri, now); rec != nil {
-			have = append(have, groupWant(uri, true, ps))
+			h.Have = append(h.Have, groupWant(uri, true, ps))
 		}
+		f := d.fileLocked(uri)
+		if f.deal == nil {
+			f.deal = &wire.Deal{URI: uri, No: 1}
+			for _, id := range h.Heard {
+				ps := d.peers[id]
+				if d.namesLocked(f, id, ps != nil && slices.Contains(ps.downloading, uri)) {
+					f.deal.Suppliers = append(f.deal.Suppliers, id)
+				}
+			}
+		}
+		h.Deals = append(h.Deals, *f.deal)
 	}
-	return d.node.Queries(now), downloading, have
 }
 
 // peerLocked returns id's record, starting a clean one if there is none.
@@ -1143,6 +1186,25 @@ func (h *handler) Handle(from trace.NodeID, msg wire.Msg) {
 	}
 }
 
+// Gone ends a peer's standing orders the moment its last session drops,
+// and takes it off every supplier list this node names. A peer already
+// back in the table by then is left alone: its new session's hellos wait
+// for d.mu behind this call, or were taken in before it.
+func (h *handler) Gone(id trace.NodeID) {
+	d := (*Daemon)(h)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.mgr.Live(id) {
+		return
+	}
+	if ps := d.peers[id]; ps != nil {
+		ps.sent = nil
+	}
+	for _, f := range d.files {
+		f.name(id, false)
+	}
+}
+
 // quarantined reports (and counts) whether a message from the peer
 // must be dropped because the sender is serving a bad-signature
 // quarantine.
@@ -1173,7 +1235,7 @@ func (d *Daemon) onHello(from trace.NodeID, msg *wire.Hello) {
 	// appear.
 	d.mu.Lock()
 	d.node.LearnPeerQueries(from, msg.Queries, now.Add(peerQueryTTL))
-	d.forgetFinishedLocked(from, msg.Downloading)
+	d.heardDownloadsLocked(from, msg.Downloading)
 	d.mu.Unlock()
 
 	// The heard list is the raw material of the clique graph: the sender
@@ -1212,31 +1274,57 @@ func (d *Daemon) onHello(from trace.NodeID, msg *wire.Hello) {
 		return
 	}
 	// Index the peer's have-bitmaps so the serve loop can skip pieces
-	// it already holds (e.g. everything it recovered from disk).
+	// it already holds (e.g. everything it recovered from disk), and its
+	// supplier lists, so each download finds its own in one step.
 	peerHave := make(map[metadata.URI]*wire.GroupWant, len(msg.Have))
 	for i := range msg.Have {
 		peerHave[msg.Have[i].URI] = &msg.Have[i]
 	}
+	deals := make(map[metadata.URI]*wire.Deal, len(msg.Deals))
+	for i := range msg.Deals {
+		deals[msg.Deals[i].URI] = &msg.Deals[i]
+	}
 	for _, uri := range msg.Downloading {
-		d.servePieces(wall, from, uri, peerHave[uri], msg.Heard)
+		named, no := msg.Heard, uint32(0)
+		if dl := deals[uri]; dl != nil {
+			named, no = dl.Suppliers, dl.No
+		}
+		d.servePieces(wall, from, uri, peerHave[uri], named, no)
 	}
 }
 
-// forgetFinishedLocked drops the send tracking of every file the peer's
-// hello no longer lists: a node advertises a download until it
-// completes, so absence means done or abandoned, and a long-lived
-// session must not keep one timestamp per piece of every file the peer
-// ever fetched. Caller holds d.mu.
-func (d *Daemon) forgetFinishedLocked(from trace.NodeID, downloading []metadata.URI) {
-	ps := d.peers[from]
-	if ps == nil {
-		return
-	}
+// heardDownloadsLocked takes in the downloads a peer's hello lists. As
+// a supplier this node drops the send tracking of every file the hello no
+// longer lists: a node advertises a download until it completes, so
+// absence means done or abandoned, and a long-lived session must not keep
+// one timestamp per piece of every file the peer ever fetched. As a
+// requester it names the peer a supplier of each of its own downloads the
+// hello does not list, and stops naming it for one the hello lists when
+// the peer never pushed a piece of it (serve.go). Caller holds d.mu.
+func (d *Daemon) heardDownloadsLocked(from trace.NodeID, downloading []metadata.URI) {
+	ps := d.peerLocked(from)
+	ps.downloading = downloading
 	for uri := range ps.sent {
 		if !slices.Contains(downloading, uri) {
 			delete(ps.sent, uri)
 		}
 	}
+	for uri, f := range d.files {
+		if f.deal != nil {
+			f.name(from, d.namesLocked(f, from, slices.Contains(downloading, uri)))
+		}
+	}
+}
+
+// namesLocked reports whether peer id belongs on f's supplier list, lists
+// saying whether id's latest hello lists f's download too. A fellow
+// downloader is left off until it pushes a piece of it — unless the group
+// plane is on, whose schedule can grant any member a piece to broadcast:
+// there every live peer is a supplier, and the one that holds the file
+// is dealt a share of it, not the whole, while the group forms. Caller
+// holds d.mu.
+func (d *Daemon) namesLocked(f *fileState, id trace.NodeID, lists bool) bool {
+	return !lists || d.bcast != nil || slices.Contains(f.fed, id)
 }
 
 // answerQuery collects matching metadata from the catalog (Internet
@@ -1289,22 +1377,23 @@ func (d *Daemon) answerQuery(now simtime.Time, from trace.NodeID, q string, hold
 // pieces as the standing order (serve.go) and opens it with pickPieces'
 // holder-disjoint burst, the only place the fill rules are judged. A
 // hello inside the beat — the peer acknowledging a piece — continues
-// down that order instead. Either way at most PiecesPerHello pushes are
-// left unacknowledged: the budget is the pipe's depth less what is still
-// in it. Never served: a piece peerHave (the peer's bitmap for uri; nil
+// down that order instead, re-cutting the share first when its deal
+// number no is not the one the order was cut from. Either way at most
+// the order's depth of pushes are left unacknowledged: the budget is the
+// pipe's depth less what is still in it. Never served: a piece peerHave (the peer's bitmap for uri; nil
 // means none held) marks held, so a restarted downloader's persisted
 // pieces cross the wire zero times, and one pushed less than ResendAfter
 // ago — while a push older than that whose receiver still advertises the
 // download is served again: the advertisement is the implicit NACK, and
 // the per-piece deadline is the live retransmit path for lost or
-// corrupted frames. heard is the peer's neighbour list, which ranks the
-// suppliers of a deal. A node that holds nothing of uri yet still deals:
-// the order is what onPiece forwards by (takersLocked). Each piece is
+// corrupted frames. named is the suppliers the peer counts for uri,
+// among whom the share is cut. A node that holds nothing of uri yet still
+// deals: the order is what onPiece forwards by (takersLocked). Each piece is
 // queued as soon as it is generated, so the first frame leaves while the
 // rest of the burst is still being built. A piece the peer's full data
 // lane drops keeps its sent mark, and its window slot for a beat — the
 // resend deadline re-serves it, like any other lost frame.
-func (d *Daemon) servePieces(wall time.Time, from trace.NodeID, uri metadata.URI, peerHave *wire.GroupWant, heard []trace.NodeID) {
+func (d *Daemon) servePieces(wall time.Time, from trace.NodeID, uri metadata.URI, peerHave *wire.GroupWant, named []trace.NodeID, no uint32) {
 	rec := d.catalogued(uri)
 	whole := rec != nil
 	held := func(i int) bool { return peerHave != nil && peerHave.HaveBit(i) }
@@ -1333,21 +1422,29 @@ func (d *Daemon) servePieces(wall time.Time, from trace.NodeID, uri metadata.URI
 		at, pushed := sf.at[i]
 		return pushed && wall.Sub(at) < d.cfg.ResendAfter
 	}
-	sf.have = peerHave
+	// A hello without a deal (no 0) is cut over its Heard list, which
+	// names neighbours, not suppliers: one it leaves out counts itself in
+	// at full depth.
+	sf.have, sf.named = peerHave, no == 0 || slices.Contains(named, d.cfg.ID)
 	acked, _ := sf.window.Settle(sf.peerHolds, wall.Add(-d.cfg.HelloInterval))
-	budget := d.cfg.PiecesPerHello - len(sf.window)
+	budget := sf.depth(d.cfg.PiecesPerHello) - len(sf.window)
 	var idxs []int
-	if !known || opensBeat(wall.Sub(sf.dealtAt), d.cfg.HelloInterval, acked) {
-		rank, k := shareOf(heard, d.cfg.ID)
+	beat := !known || opensBeat(wall.Sub(sf.dealtAt), d.cfg.HelloInterval, acked)
+	if beat || no != sf.no {
 		origin := serveOrigin(from, uri, total)
-		others := fedByOthers(total, held, func(i int) bool { _, pushed := sf.at[i]; return pushed })
-		sole := known && others == sf.others
-		sf.others = others
-		// Counted per deal, not per burst: a dealing hello that finds the
-		// pipe full sends nothing and still left the held pieces out.
-		d.counters.piecesSkippedHeld += uint64(sf.deal(wall, total, origin, rank, k, canServe, held))
-		idxs, _ = pickPieces(total, origin, rank, k, budget, sole, canServe, held, recent)
-	} else {
+		skipped := sf.deal(wall, total, origin, no, newShare(from, uri, named, d.cfg.ID).mine, canServe, held)
+		if beat {
+			others := fedByOthers(total, held, func(i int) bool { _, pushed := sf.at[i]; return pushed })
+			sole := known && others == sf.others
+			sf.others = others
+			// Counted per beat deal, not per burst: a dealing hello that
+			// finds the pipe full sends nothing and still left the held
+			// pieces out.
+			d.counters.piecesSkippedHeld += uint64(skipped)
+			idxs, _ = pickPieces(total, origin, budget, sole, sf.inShare, canServe, held, recent)
+		}
+	}
+	if !beat {
 		idxs = sf.advance(total, budget, func(i int) bool { return canServe(i) && !held(i) && !recent(i) })
 	}
 	for _, i := range idxs {
@@ -1656,8 +1753,15 @@ func (d *Daemon) applyPieceLocked(sp stagedPiece, wall time.Time) applied {
 	if sp.credit {
 		d.node.Ledger.RewardRequested(sp.from)
 	}
+	if sp.pairwise {
+		if !slices.Contains(f.fed, sp.from) {
+			f.fed = append(f.fed, sp.from)
+		}
+		f.name(sp.from, true)
+	}
 	if d.node.HasFullFile(sp.uri) && !f.completed {
 		f.completed = true
+		f.deal, f.fed = nil, nil
 		out.done = true
 	}
 	out.takers = d.takersLocked(sp, wall)
@@ -1681,7 +1785,7 @@ func (d *Daemon) takersLocked(sp stagedPiece, wall time.Time) (takers []trace.No
 		if sf == nil || id == sp.from || ps.busyOn(wire.BusyPiece, wall) {
 			continue
 		}
-		if sf.takes(sp.index, wall, d.cfg.HelloInterval, d.cfg.PiecesPerHello) {
+		if sf.takes(sp.index, wall, d.cfg.HelloInterval, sf.depth(d.cfg.PiecesPerHello)) {
 			sf.push(sp.index, wall)
 			takers = append(takers, id)
 			d.counters.piecesForwarded++

@@ -222,7 +222,7 @@ func pieceMsg(rec *metadata.Metadata, i int) *wire.Piece {
 func TestServePiecesUnknownURI(t *testing.T) {
 	d := bench(t, nil)
 	p := wedge(t, d, 2)
-	d.servePieces(d.clock(), 2, metadata.URI("dtn://files/404"), nil, nil)
+	d.servePieces(d.clock(), 2, metadata.URI("dtn://files/404"), nil, nil, 0)
 	if _, n := p.queued(); n != 0 {
 		t.Fatalf("served %d pieces for an unknown URI", n)
 	}
@@ -230,6 +230,38 @@ func TestServePiecesUnknownURI(t *testing.T) {
 	defer d.mu.Unlock()
 	if ps := d.peers[2]; ps != nil && len(ps.sent) != 0 {
 		t.Fatalf("unknown URI left send tracking behind: %+v", ps.sent)
+	}
+}
+
+// TestHugeRenumberedDealStaysCheap: a hostile requester names 64 Ki
+// suppliers for a 4096-piece file and bumps the deal number on every
+// hello, so each one re-cuts the share under the daemon's lock. Weighing
+// every named supplier for every piece would cost 2^28 hashes a hello,
+// seconds for the lot; stopping at the first heavier one (share.mine)
+// keeps the batch well inside the bound. A repeat in the list would undo
+// that, so a list that is not strictly ascending counts for nothing.
+func TestHugeRenumberedDealStaysCheap(t *testing.T) {
+	const pieces, hellos = 4096, 20
+	clk := testutil.NewClock()
+	d, _, uri := seederBench(t, clk, pieces, 4)
+	named := make([]trace.NodeID, 64*1024)
+	for i := range named {
+		named[i] = trace.NodeID(i + 1)
+	}
+	start := time.Now()
+	for no := uint32(1); no <= hellos; no++ {
+		h := helloFor(2, uri, pieces, nil)
+		h.Deals = []wire.Deal{{URI: uri, No: no, Suppliers: named}}
+		d.onHello(2, h)
+		clk.Advance(time.Millisecond)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("%d re-cut hellos naming %d suppliers took %v", hellos, len(named), took)
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if sf := d.peers[2].sent[uri]; sf == nil || sf.no != hellos || sf.own.Total != pieces {
+		t.Fatalf("the last hello's deal was not cut: %+v", sf)
 	}
 }
 

@@ -2,7 +2,6 @@ package daemon
 
 import (
 	"hash/fnv"
-	"sort"
 	"time"
 
 	"repro/internal/metadata"
@@ -12,38 +11,69 @@ import (
 )
 
 // The pairwise serving order. Every supplier of a requester computes it
-// from the requester's own hello — its ID, its sorted Heard list and
-// its have-bitmap — so suppliers agree on who sends what without a
-// message between them:
+// from the requester's own hello — its ID, the suppliers it names for the
+// file (its wire.Deal; its Heard list when it names none) and its
+// have-bitmap — so suppliers agree on who sends what without a message
+// between them:
 //
 //   - the file is enumerated cyclically from an origin derived from the
 //     requester (serveOrigin), so a seeder hands different requesters
 //     different pieces first and hop-1 nodes end up holding different
 //     things to trade;
-//   - the requester's missing pieces, in that order, are dealt round-robin
-//     to its neighbours by their rank in Heard (shareOf), and a supplier
-//     serves its own share first.
+//   - every piece belongs to one named supplier, the one with the highest
+//     rendezvous weight for it (share), and a supplier serves its own
+//     pieces first.
 //
 // Either half alone leaves the duplicates in: without the origin every
 // downstream node holds the same prefix and has nothing distinct to
 // give, without the shares all neighbours push the same pieces in the
-// same beacon interval. Shares are re-dealt from the current bitmap once
-// per beat, on the beacon every supplier hears, so a share dealt to a
-// neighbour that does not hold it lands on another one next interval. A
-// supplier reaches outside its share in two cases only, both judged on
-// the dealing hello: its own share yields nothing it can send, or nobody
-// else fed the requester since its previous deal (fedByOthers did not
-// grow) — so a lone holder among k neighbours serves its whole budget
-// instead of a k-th of it, and nothing starves.
+// same beacon interval. Ownership depends on the requester, the file,
+// the piece and the list, never on the bitmap: a piece that lands moves
+// no other piece, and a list change moves only the pieces of the
+// supplier added or removed — so what a supplier has in flight, which no
+// bitmap shows yet, stays its own.
+//
+// The requester names the peers that feed it (Daemon.helloContent): at
+// the download's first hello every live peer but those that download the
+// file too and never pushed a piece of it; then a peer joins the list
+// when it pushes a piece or its hello stops listing the download, leaves
+// it when its hello lists the download without it ever having pushed, and
+// leaves every list when its last session ends. Every change bumps the
+// deal number, and the list rides the acks and beacons already sent. A
+// supplier the list does not name counts itself in, one push at a time
+// (sentFile.depth).
+//
+// A supplier deals itself its share once per beat, on the beacon every
+// supplier hears, from the current bitmap. It reaches outside its share in
+// two cases only, both judged on that dealing hello: its own share yields
+// nothing it can send, or nobody else fed the requester since its previous
+// deal (fedByOthers did not grow) — so a lone holder among k neighbours
+// serves its whole budget instead of a share of it, and nothing starves.
+// A hello inside the beat whose deal number differs from the standing
+// order's re-cuts the share at once, with neither rule: a re-cut only
+// moves pieces between the suppliers the list names.
 //
 // Between two deals the share is a standing order (sentFile): the
 // requester answers every piece it applies with a hello to that one
 // supplier, and a hello heard inside the beat continues down the dealt
-// share — never a new deal, never a fill — with at most PiecesPerHello
-// pushes unacknowledged at a time; a piece of the share the supplier
-// acquires meanwhile goes out the moment it is applied. Only suppliers
-// that dealt from the same hello have disjoint shares, which is why an
-// ack, heard by one of them, must not re-deal.
+// share — never a fill — with at most depth pushes unacknowledged at a
+// time; a piece of the share the supplier acquires meanwhile goes out the
+// moment it is applied.
+
+// mix64 is SplitMix64's finalizer: a bijection that spreads every input
+// bit over the output.
+func mix64(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+// fileKey hashes one requester's file, the seed of its origin and shares.
+func fileKey(requester trace.NodeID, uri metadata.URI) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(uri))
+	return h.Sum64() ^ uint64(int64(requester))*0x9e3779b97f4a7c15
+}
 
 // serveOrigin is where the cyclic enumeration of uri's pieces starts for
 // one requester.
@@ -51,41 +81,51 @@ func serveOrigin(requester trace.NodeID, uri metadata.URI, total int) int {
 	if total <= 0 {
 		return 0
 	}
-	h := fnv.New64a()
-	h.Write([]byte(uri))
-	z := h.Sum64() ^ uint64(int64(requester))*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int((z ^ (z >> 31)) % uint64(total))
+	return int(mix64(fileKey(requester, uri)) % uint64(total))
 }
 
-// shareOf is self's rank among the k suppliers the requester's sorted
-// heard list names. A supplier the list does not name yet (its
-// handshake hello predates the table entry) counts itself in at its
-// sorted position.
-func shareOf(heard []trace.NodeID, self trace.NodeID) (rank, k int) {
-	rank = sort.Search(len(heard), func(i int) bool { return heard[i] >= self })
-	k = len(heard)
-	if rank == k || heard[rank] != self {
-		k++
-	}
-	return rank, k
+// share is one requester's file cut among the suppliers it names by
+// rendezvous (highest-random-weight) hashing: piece i belongs to the
+// supplier with the highest weight for it.
+type share struct {
+	key       uint64
+	suppliers []trace.NodeID
+	self      trace.NodeID
 }
 
-// countMissing counts the pieces the requester lacks. Shares are
-// numbered from the far end of the walk: pieces land from its front, the
-// order they are sent in, so a deal that finds the front filled in hands
-// every remaining piece to the supplier that had it before — and what
-// that supplier still has in flight, which no bitmap shows yet, is not
-// dealt to a second one. Counted from the front, every landed piece
-// would shift the numbering under the pieces behind it.
-func countMissing(total int, peerHave func(int) bool) (n int) {
-	for i := 0; i < total; i++ {
-		if !peerHave(i) {
-			n++
+// newShare cuts requester's uri among named, self counted in whether or
+// not the list names it. Every honest list is sorted without repeats (a
+// hello's Heard, a fileState's deal); one that is not counts for nothing,
+// and the share is self's alone — a repeated name must not make a piece
+// cost one weight per repeat (mine).
+func newShare(requester trace.NodeID, uri metadata.URI, named []trace.NodeID, self trace.NodeID) share {
+	for n := 1; n < len(named); n++ {
+		if named[n] <= named[n-1] {
+			named = nil
+			break
 		}
 	}
-	return n
+	return share{key: fileKey(requester, uri), suppliers: named, self: self}
+}
+
+// weight is supplier id's rendezvous weight for piece i. Distinct
+// suppliers never tie: both mixes are bijections.
+func (s share) weight(i int, id trace.NodeID) uint64 {
+	return mix64(s.key ^ mix64(uint64(i)<<32|uint64(uint32(id))))
+}
+
+// mine reports whether piece i is this supplier's: no other named
+// supplier outweighs it. The walk stops at the first that does, so among
+// k suppliers a piece costs about 1 + ln k weights, not k — a hello
+// naming thousands of suppliers stays cheap to deal from.
+func (s share) mine(i int) bool {
+	own := s.weight(i, s.self)
+	for _, id := range s.suppliers {
+		if id != s.self && s.weight(i, id) > own {
+			return false
+		}
+	}
+	return true
 }
 
 // fedByOthers counts the pieces the requester holds that this node
@@ -104,24 +144,19 @@ func fedByOthers(total int, peerHave, pushed func(int) bool) int {
 // pickPieces selects up to budget piece indices of a total-piece file
 // for one supplier to send in answer to one hello. Pieces are walked
 // cyclically from origin; those the requester holds (peerHave) are
-// never picked, and the rest — the missing set, each piece numbered j by
-// how many missing pieces the walk still has after it — belong to the
-// supplier with rank == j % k. A piece is sendable when canServe says
-// this node holds it and recentlySent says no push of it is still inside
-// its resend window. The picks are the sendable pieces of the supplier's
-// own share, in walk order; when that yields none, or when sole says no
-// other supplier is feeding the requester, sendable pieces outside the
-// share fill the rest of the budget. skippedHeld counts the pieces passed over only because the
-// requester already holds them.
-func pickPieces(total, origin, rank, k, budget int, sole bool, canServe, peerHave, recentlySent func(int) bool) (picks []int, skippedHeld int) {
+// never picked, and mine says which of the rest are the supplier's own
+// share. A piece is sendable when canServe says this node holds it and
+// recentlySent says no push of it is still inside its resend window. The
+// picks are the sendable pieces of the supplier's own share, in walk
+// order; when that yields none, or when sole says no other supplier is
+// feeding the requester, sendable pieces outside the share fill the rest
+// of the budget. skippedHeld counts the pieces passed over only because
+// the requester already holds them.
+func pickPieces(total, origin, budget int, sole bool, mine, canServe, peerHave, recentlySent func(int) bool) (picks []int, skippedHeld int) {
 	if total <= 0 || budget <= 0 {
 		return nil, 0
 	}
-	if k < 1 {
-		k = 1
-	}
 	var fill []int
-	j := countMissing(total, peerHave)
 	for p := 0; p < total && len(picks) < budget; p++ {
 		i := (origin + p) % total
 		if peerHave(i) {
@@ -130,12 +165,10 @@ func pickPieces(total, origin, rank, k, budget int, sole bool, canServe, peerHav
 			}
 			continue
 		}
-		j--
-		own := j%k == rank
 		if !canServe(i) || recentlySent(i) {
 			continue
 		}
-		if own {
+		if mine(i) {
 			picks = append(picks, i)
 		} else if len(fill) < budget {
 			fill = append(fill, i)
@@ -160,16 +193,19 @@ type sentFile struct {
 	// another supplier is feeding the peer.
 	others int
 
-	// The standing order: the share dealt on the hello heard at dealtAt —
-	// a bitmap over the file, numbered from that hello's bitmap and walked
-	// cyclically from origin — and how many walk positions the cursor has
-	// consumed.
+	// The standing order: the share dealt on the hello heard at dealtAt,
+	// cut from the requester's list number no — a bitmap over the file of
+	// the pieces that hello's bitmap lacks, walked cyclically from origin —
+	// and how many walk positions the cursor has consumed.
 	dealtAt time.Time
+	no      uint32
 	origin  int
 	own     wire.GroupWant
 	pos     int
-	// have is the bitmap of the peer's latest hello (nil: it sent none).
-	have *wire.GroupWant
+	// have is the bitmap of the peer's latest hello (nil: it sent none),
+	// named whether that hello names this node among its suppliers.
+	have  *wire.GroupWant
+	named bool
 	// window is the flight window: the pushes younger than a beat that no
 	// bitmap has shown held yet, what may still be in the pipe. A push
 	// that lapses frees its slot; only the resend deadline sends the piece
@@ -180,6 +216,16 @@ type sentFile struct {
 func newSentFile() *sentFile { return &sentFile{at: make(map[int]time.Time)} }
 
 func (sf *sentFile) peerHolds(i int) bool { return sf.have != nil && sf.have.HaveBit(i) }
+
+// depth is how many pushes the order keeps unacknowledged: perHello, or
+// one while the requester does not name this supplier — that push is
+// what names it, and the ack answering it carries the list that does.
+func (sf *sentFile) depth(perHello int) int {
+	if !sf.named {
+		return 1
+	}
+	return perHello
+}
 
 // standing reports whether the deal still stands at wall.
 func (sf *sentFile) standing(wall time.Time, beat time.Duration) bool {
@@ -200,30 +246,24 @@ func opensBeat(age, beat time.Duration, acked bool) bool {
 	return age >= beat || (!acked && age >= beat-beat/4)
 }
 
-// deal replaces the standing order with supplier rank's share (of k) of
-// the pieces peerHave lacks, numbered the way pickPieces numbers them. It
-// reports how many pieces were left out of the deal only because the
-// requester already holds them: canServe says this node could have sent
-// them.
-func (sf *sentFile) deal(wall time.Time, total, origin, rank, k int, canServe, peerHave func(int) bool) (skippedHeld int) {
-	sf.dealtAt, sf.origin, sf.pos = wall, origin, 0
+// deal replaces the standing order with the pieces peerHave lacks that
+// mine says are this supplier's, cut from list number no. It reports how
+// many pieces were left out of the deal only because the requester
+// already holds them: canServe says this node could have sent them.
+func (sf *sentFile) deal(wall time.Time, total, origin int, no uint32, mine, canServe, peerHave func(int) bool) (skippedHeld int) {
+	sf.dealtAt, sf.no, sf.origin, sf.pos = wall, no, origin, 0
 	if sf.own.Total == total {
 		clear(sf.own.Have)
 	} else {
 		sf.own = *wire.NewGroupWant("", total, false)
 	}
-	k = max(k, 1)
-	j := countMissing(total, peerHave)
-	for p := 0; p < total; p++ {
-		i := (origin + p) % total
-		if peerHave(i) {
+	for i := 0; i < total; i++ {
+		switch {
+		case peerHave(i):
 			if canServe(i) {
 				skippedHeld++
 			}
-			continue
-		}
-		j--
-		if j%k == rank {
+		case mine(i):
 			sf.own.SetHave(i)
 		}
 	}

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -24,20 +25,121 @@ func randomBitmap(r *rng.Rand, total int, p float64) []bool {
 	return have
 }
 
+// randomSuppliers draws k distinct supplier IDs, sorted.
+func randomSuppliers(r *rng.Rand, k int) []trace.NodeID {
+	var ids []trace.NodeID
+	for len(ids) < k {
+		if id := trace.NodeID(r.Intn(64)); !slices.Contains(ids, id) {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// randomFile draws a requester and a file to cut shares of.
+func randomFile(r *rng.Rand) (trace.NodeID, metadata.URI) {
+	return trace.NodeID(100 + r.Intn(1000)), metadata.URIFor(metadata.FileID(r.Intn(50)))
+}
+
+// dealOwners deals every supplier in named its share of the pieces have
+// lacks and returns each piece's dealt owner (-1: none). It fails the
+// test when two suppliers are dealt the same piece.
+func dealOwners(t *testing.T, requester trace.NodeID, uri metadata.URI, named []trace.NodeID, total int, have []bool) []trace.NodeID {
+	t.Helper()
+	owner := make([]trace.NodeID, total)
+	for i := range owner {
+		owner[i] = -1
+	}
+	for _, self := range named {
+		for _, i := range dealt(total, 0, newShare(requester, uri, named, self).mine, func(i int) bool { return have[i] }) {
+			if owner[i] != -1 {
+				t.Fatalf("piece %d dealt to both %d and %d of %v", i, owner[i], self, named)
+			}
+			owner[i] = self
+		}
+	}
+	return owner
+}
+
+// TestShareDisjointCover: over random lists and bitmaps, the shares dealt
+// to the suppliers a requester names are pairwise disjoint (dealOwners fails
+// otherwise) and together cover exactly the pieces it lacks.
+func TestShareDisjointCover(t *testing.T) {
+	r := rng.New(41)
+	for trial := 0; trial < 1000; trial++ {
+		total := 1 + r.Intn(200)
+		requester, uri := randomFile(r)
+		named := randomSuppliers(r, 1+r.Intn(10))
+		have := randomBitmap(r, total, r.Float64())
+		for i, o := range dealOwners(t, requester, uri, named, total, have) {
+			if have[i] == (o != -1) {
+				t.Fatalf("trial %d: piece %d held %v, dealt to %d", trial, i, have[i], o)
+			}
+		}
+	}
+}
+
+// TestShareIgnoresTheBitmap: whatever lands between two deals, anywhere
+// in the file, every piece still missing keeps its owner — what a
+// supplier has in flight is never dealt to a second one.
+func TestShareIgnoresTheBitmap(t *testing.T) {
+	r := rng.New(43)
+	for trial := 0; trial < 1000; trial++ {
+		total := 1 + r.Intn(200)
+		requester, uri := randomFile(r)
+		named := randomSuppliers(r, 1+r.Intn(10))
+		have := randomBitmap(r, total, 0.5*r.Float64())
+		before := dealOwners(t, requester, uri, named, total, have)
+		landed := r.Float64()
+		for i := range have {
+			have[i] = have[i] || r.Bool(landed)
+		}
+		for i, o := range dealOwners(t, requester, uri, named, total, have) {
+			if !have[i] && o != before[i] {
+				t.Fatalf("trial %d: a landing moved piece %d from %d to %d", trial, i, before[i], o)
+			}
+		}
+	}
+}
+
+// TestShareMovesOnlyTheChangedSupplier: adding a supplier to the list
+// moves pieces to it and nowhere else, and removing one moves only its
+// own pieces.
+func TestShareMovesOnlyTheChangedSupplier(t *testing.T) {
+	r := rng.New(47)
+	for trial := 0; trial < 1000; trial++ {
+		total := 1 + r.Intn(200)
+		requester, uri := randomFile(r)
+		bigger := randomSuppliers(r, 2+r.Intn(10))
+		changed := bigger[r.Intn(len(bigger))]
+		smaller := slices.DeleteFunc(slices.Clone(bigger), func(id trace.NodeID) bool { return id == changed })
+		have := randomBitmap(r, total, r.Float64())
+		without := dealOwners(t, requester, uri, smaller, total, have)
+		with := dealOwners(t, requester, uri, bigger, total, have)
+		for i := range with {
+			if with[i] != without[i] && with[i] != changed {
+				t.Fatalf("trial %d: %d joining %v moved piece %d from %d to %d", trial, changed, smaller, i, without[i], with[i])
+			}
+		}
+	}
+}
+
 // TestPickPiecesDisjointCover is the rule's core property: when every
-// one of a requester's k suppliers holds the whole file, the picks of
-// one hello round never name a piece the requester holds, and — as long
-// as every supplier's share is non-empty — are pairwise disjoint and
-// cover min(missing, k·budget) pieces. With fewer missing pieces than
-// suppliers the share-less ones fill, so the round still covers the
-// missing set and the share owners still do not overlap each other.
+// one of a requester's suppliers holds the whole file, the picks of one
+// hello round never name a piece the requester holds; a supplier whose
+// share holds a missing piece picks only its own, min(share, budget) of
+// them, so those suppliers never overlap; and only a supplier whose share
+// is empty fills. With a budget no smaller than the largest share the
+// round covers the missing set.
 func TestPickPiecesDisjointCover(t *testing.T) {
 	r := rng.New(12)
 	for trial := 0; trial < 2000; trial++ {
 		total := 1 + r.Intn(200)
-		k := 1 + r.Intn(12)
 		budget := 1 + r.Intn(20)
 		origin := r.Intn(total)
+		requester, uri := randomFile(r)
+		named := randomSuppliers(r, 1+r.Intn(12))
 		have := randomBitmap(r, total, r.Float64())
 		held := func(i int) bool { return have[i] }
 		missing := 0
@@ -49,41 +151,53 @@ func TestPickPiecesDisjointCover(t *testing.T) {
 
 		owners := make(map[int]int) // piece → picks by suppliers with a share
 		union := make(map[int]bool)
-		for rank := 0; rank < k; rank++ {
-			picks, skipped := pickPieces(total, origin, rank, k, budget, false, always, held, never)
+		largest := 0
+		for _, self := range named {
+			sh := newShare(requester, uri, named, self)
+			share := 0
+			for i := range have {
+				if !have[i] && sh.mine(i) {
+					share++
+				}
+			}
+			largest = max(largest, share)
+			picks, skipped := pickPieces(total, origin, budget, false, sh.mine, always, held, never)
 			if len(picks) > budget {
-				t.Fatalf("trial %d: rank %d picked %d > budget %d", trial, rank, len(picks), budget)
+				t.Fatalf("trial %d: %d picked %d > budget %d", trial, self, len(picks), budget)
 			}
 			if len(picks) < budget && skipped != total-missing {
 				t.Fatalf("trial %d: full walk skipped %d held pieces, want %d", trial, skipped, total-missing)
 			}
+			if share > 0 && len(picks) != min(share, budget) {
+				t.Fatalf("trial %d: %d picked %d of a %d-piece share on a budget of %d", trial, self, len(picks), share, budget)
+			}
 			seen := make(map[int]bool)
 			for _, i := range picks {
 				if have[i] {
-					t.Fatalf("trial %d: rank %d picked held piece %d", trial, rank, i)
+					t.Fatalf("trial %d: %d picked held piece %d", trial, self, i)
 				}
 				if seen[i] {
-					t.Fatalf("trial %d: rank %d picked piece %d twice", trial, rank, i)
+					t.Fatalf("trial %d: %d picked piece %d twice", trial, self, i)
 				}
 				seen[i] = true
 				union[i] = true
-				if rank < missing {
+				if share > 0 {
+					if !sh.mine(i) {
+						t.Fatalf("trial %d: %d filled with piece %d beside a non-empty share", trial, self, i)
+					}
 					owners[i]++
 				}
 			}
 		}
 		for i, n := range owners {
 			if n > 1 {
-				t.Fatalf("trial %d (total %d k %d budget %d missing %d): piece %d picked by %d share owners",
-					trial, total, k, budget, missing, i, n)
+				t.Fatalf("trial %d (total %d suppliers %v budget %d missing %d): piece %d picked by %d share owners",
+					trial, total, named, budget, missing, i, n)
 			}
 		}
-		if want := min(missing, k*budget); len(union) != want {
-			t.Fatalf("trial %d (total %d k %d budget %d missing %d): round covers %d pieces, want %d",
-				trial, total, k, budget, missing, len(union), want)
-		}
-		if missing >= k && len(owners) != len(union) {
-			t.Fatalf("trial %d: %d picks outside a share with every share non-empty", trial, len(union)-len(owners))
+		if budget >= largest && len(union) != missing {
+			t.Fatalf("trial %d (total %d suppliers %v budget %d missing %d): round covers %d pieces, want all",
+				trial, total, named, budget, missing, len(union))
 		}
 	}
 }
@@ -95,13 +209,13 @@ func TestPickPiecesGates(t *testing.T) {
 	r := rng.New(5)
 	for trial := 0; trial < 2000; trial++ {
 		total := 1 + r.Intn(120)
-		k := 1 + r.Intn(8)
-		rank := r.Intn(k)
 		budget := 1 + r.Intn(10)
 		have := randomBitmap(r, total, r.Float64())
 		mine := randomBitmap(r, total, r.Float64())
+		own := randomBitmap(r, total, r.Float64())
 		recent := randomBitmap(r, total, r.Float64())
-		picks, skipped := pickPieces(total, r.Intn(total), rank, k, budget, r.Bool(0.5),
+		picks, skipped := pickPieces(total, r.Intn(total), budget, r.Bool(0.5),
+			func(i int) bool { return own[i] },
 			func(i int) bool { return mine[i] },
 			func(i int) bool { return have[i] },
 			func(i int) bool { return recent[i] })
@@ -130,15 +244,17 @@ func TestPickPiecesGates(t *testing.T) {
 
 // TestPickPiecesLoneHolderNoStarvation: with exactly one holder among k
 // suppliers the requester completes within ceil(total/budget)+k rounds
-// (in fact +1). The first hello deals the holder a k-th of the missing
-// set; from the second on nobody else has fed the requester, so the
-// holder serves its whole budget, own share or not.
+// (in fact +1). The first hello deals the holder its share of the
+// missing set; from the second on nobody else has fed the requester, so
+// the holder serves its whole budget, own share or not.
 func TestPickPiecesLoneHolderNoStarvation(t *testing.T) {
 	r := rng.New(99)
 	for trial := 0; trial < 500; trial++ {
 		total := 1 + r.Intn(150)
 		k := 1 + r.Intn(10)
-		holder := r.Intn(k)
+		requester, uri := randomFile(r)
+		named := randomSuppliers(r, k)
+		holder := named[r.Intn(k)]
 		budget := 1 + r.Intn(16)
 		origin := r.Intn(total)
 		have := randomBitmap(r, total, 0.3*r.Float64())
@@ -155,13 +271,13 @@ func TestPickPiecesLoneHolderNoStarvation(t *testing.T) {
 		others, known := 0, false
 		for rounds := 0; left > 0; rounds++ {
 			if rounds >= limit {
-				t.Fatalf("trial %d (total %d k %d holder %d budget %d): %d pieces still missing after %d rounds",
-					trial, total, k, holder, budget, left, rounds)
+				t.Fatalf("trial %d (total %d suppliers %v holder %d budget %d): %d pieces still missing after %d rounds",
+					trial, total, named, holder, budget, left, rounds)
 			}
-			for rank := 0; rank < k; rank++ {
-				if rank != holder {
-					if picks, _ := pickPieces(total, origin, rank, k, budget, false, never, held, never); len(picks) != 0 {
-						t.Fatalf("trial %d: empty-handed rank %d picked %v", trial, rank, picks)
+			for _, self := range named {
+				if self != holder {
+					if picks, _ := pickPieces(total, origin, budget, false, newShare(requester, uri, named, self).mine, never, held, never); len(picks) != 0 {
+						t.Fatalf("trial %d: empty-handed %d picked %v", trial, self, picks)
 					}
 				}
 			}
@@ -169,7 +285,7 @@ func TestPickPiecesLoneHolderNoStarvation(t *testing.T) {
 			n := fedByOthers(total, held, pushed)
 			sole := known && n == others
 			others, known = n, true
-			picks, _ := pickPieces(total, origin, holder, k, budget, sole, always, held, pushed)
+			picks, _ := pickPieces(total, origin, budget, sole, newShare(requester, uri, named, holder).mine, always, held, pushed)
 			if len(picks) == 0 {
 				t.Fatalf("trial %d: lone holder picked nothing with %d pieces missing", trial, left)
 			}
@@ -183,8 +299,9 @@ func TestPickPiecesLoneHolderNoStarvation(t *testing.T) {
 
 // TestServeOriginAndShare pins the two inputs every supplier must agree
 // on: the origin depends on requester and URI only and spreads over the
-// file; the rank is the position in the requester's sorted heard list,
-// with an unlisted supplier counted in.
+// file; a share is cut among the requester's list with an unlisted
+// supplier counted in, a malformed list counts for nothing, and every
+// listed supplier computes the same owner for every piece.
 func TestServeOriginAndShare(t *testing.T) {
 	uri := metadata.URIFor(0)
 	const total = 64
@@ -206,18 +323,55 @@ func TestServeOriginAndShare(t *testing.T) {
 		t.Fatal("origin of an empty file must be 0")
 	}
 
-	heard := []trace.NodeID{2, 5, 9}
-	for _, tc := range []struct {
-		self    trace.NodeID
-		rank, k int
-	}{{2, 0, 3}, {5, 1, 3}, {9, 2, 3}, {1, 0, 4}, {7, 2, 4}, {11, 3, 4}} {
-		if rank, k := shareOf(heard, tc.self); rank != tc.rank || k != tc.k {
-			t.Fatalf("shareOf(%v, %d) = (%d, %d), want (%d, %d)", heard, tc.self, rank, k, tc.rank, tc.k)
+	named := []trace.NodeID{2, 5, 9}
+	for i := 0; i < total; i++ {
+		// An unlisted supplier counts itself in: it claims exactly the
+		// pieces it outweighs every listed one for.
+		if got, want := newShare(7, uri, named, 1).mine(i), newShare(7, uri, []trace.NodeID{1, 2, 5, 9}, 1).owner(i) == 1; got != want {
+			t.Fatalf("piece %d: unlisted supplier 1 claims it %v, outweighs the list %v", i, got, want)
 		}
 	}
-	if rank, k := shareOf(nil, 4); rank != 0 || k != 1 {
-		t.Fatalf("shareOf(nil) = (%d, %d), want (0, 1)", rank, k)
+	if !slices.Equal(named, []trace.NodeID{2, 5, 9}) {
+		t.Fatalf("counting an unlisted supplier in rewrote the list: %v", named)
 	}
+	// A list out of order or with a repeat counts for nothing.
+	for _, bad := range [][]trace.NodeID{{5, 2, 9}, {2, 5, 5, 9}} {
+		for i := 0; i < total; i++ {
+			if !newShare(7, uri, bad, 2).mine(i) {
+				t.Fatalf("list %v: supplier 2 does not own piece %d alone", bad, i)
+			}
+		}
+	}
+	counts := make(map[trace.NodeID]int)
+	for i := 0; i < total; i++ {
+		o := newShare(7, uri, named, 2).owner(i)
+		for _, self := range named {
+			if got := newShare(7, uri, named, self).owner(i); got != o {
+				t.Fatalf("piece %d: supplier %d computes owner %d, supplier 2 computes %d", i, self, got, o)
+			}
+		}
+		counts[o]++
+	}
+	for _, id := range named {
+		if counts[id] < total/6 {
+			t.Fatalf("owners of %d pieces among %v: %v", total, named, counts)
+		}
+	}
+	if sh := newShare(7, uri, nil, 4); !sh.mine(0) || !sh.mine(total-1) {
+		t.Fatal("a supplier counted in alone does not own the file")
+	}
+}
+
+// owner is the supplier piece i belongs to, self counted in: the one of
+// highest weight, found by weighing every supplier.
+func (s share) owner(i int) trace.NodeID {
+	best := s.self
+	for _, id := range s.suppliers {
+		if s.weight(i, id) > s.weight(i, best) {
+			best = id
+		}
+	}
+	return best
 }
 
 // TestDisjointServingThreeHolders is the rule on live daemons: one

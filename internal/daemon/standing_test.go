@@ -3,7 +3,9 @@ package daemon
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -21,36 +23,47 @@ import (
 // on sentFile alone, the rules on a hand-driven daemon and clock, the
 // pace on live loopback daemons whose periodic beacon is an hour away.
 
-// dealt returns the share a deal hands supplier rank, in walk order.
-func dealt(total, origin, rank, k int, held func(int) bool) []int {
+// dealt returns the share a deal hands the supplier mine describes, in
+// walk order.
+func dealt(total, origin int, mine, held func(int) bool) []int {
 	sf := newSentFile()
-	sf.deal(time.Unix(1, 0), total, origin, rank, k, always, held)
+	sf.deal(time.Unix(1, 0), total, origin, 1, mine, always, held)
 	return sf.advance(total, total, func(int) bool { return true })
 }
 
 // TestDealIsPickPiecesShare ties the two definitions of a share
-// together: what deal marks as supplier rank's own is exactly what
+// together: what deal marks as a supplier's own is exactly what
 // pickPieces hands it when it holds everything and nothing limits it,
 // and advance yields it in the same order however the budget chops it.
 func TestDealIsPickPiecesShare(t *testing.T) {
 	r := rng.New(23)
 	for trial := 0; trial < 1000; trial++ {
 		total := 1 + r.Intn(200)
-		k := 1 + r.Intn(8)
-		rank := r.Intn(k)
+		requester, uri := randomFile(r)
+		named := randomSuppliers(r, 1+r.Intn(8))
+		mine := newShare(requester, uri, named, named[r.Intn(len(named))]).mine
 		origin := r.Intn(total)
 		have := randomBitmap(r, total, r.Float64())
 		held := func(i int) bool { return have[i] }
+		missing, owned := 0, 0
+		for i := range have {
+			if !have[i] {
+				missing++
+				if mine(i) {
+					owned++
+				}
+			}
+		}
 
-		want, _ := pickPieces(total, origin, rank, k, total, false, always, held, never)
-		if countMissing(total, held) <= rank {
+		want, _ := pickPieces(total, origin, total, false, mine, always, held, never)
+		if owned == 0 {
 			want = nil // no share: pickPieces filled instead
 		}
-		if got := dealt(total, origin, rank, k, held); !slices.Equal(got, want) {
-			t.Fatalf("trial %d (total %d k %d rank %d): deal's share %v, pickPieces' %v", trial, total, k, rank, got, want)
+		if got := dealt(total, origin, mine, held); !slices.Equal(got, want) {
+			t.Fatalf("trial %d (total %d suppliers %v): deal's share %v, pickPieces' %v", trial, total, named, got, want)
 		}
 		sf := newSentFile()
-		if skipped, want := sf.deal(time.Unix(1, 0), total, origin, rank, k, always, held), total-countMissing(total, held); skipped != want {
+		if skipped, want := sf.deal(time.Unix(1, 0), total, origin, 1, mine, always, held), total-missing; skipped != want {
 			t.Fatalf("trial %d: deal left out %d held pieces, the bitmap holds %d", trial, skipped, want)
 		}
 		var chopped []int
@@ -68,39 +81,32 @@ func TestDealIsPickPiecesShare(t *testing.T) {
 	}
 }
 
-// TestShareKeepsOwnersWhenTheFrontLands is why shares are numbered from
-// the far end of the walk: pieces land from the front, and a deal that
-// finds any of the front filled in leaves every piece behind it with the
-// supplier that had it — so what that supplier has in flight at a deal is
-// not handed to a second one.
+// TestShareKeepsOwnersWhenTheFrontLands: pieces land from the front of
+// the walk, the order they are sent in, and a deal that finds any of the
+// front filled in leaves every piece behind it with the supplier that had
+// it — so what that supplier has in flight at a deal is not handed to a
+// second one. (Ownership ignores the bitmap altogether:
+// TestShareIgnoresTheBitmap.)
 func TestShareKeepsOwnersWhenTheFrontLands(t *testing.T) {
 	r := rng.New(31)
-	owners := func(total, origin, k int, have []bool) []int {
-		owner := make([]int, total)
-		for rank := 0; rank < k; rank++ {
-			for _, i := range dealt(total, origin, rank, k, func(i int) bool { return have[i] }) {
-				owner[i] = rank + 1
-			}
-		}
-		return owner
-	}
 	for trial := 0; trial < 1000; trial++ {
 		total := 2 + r.Intn(150)
-		k := 1 + r.Intn(6)
+		requester, uri := randomFile(r)
+		named := randomSuppliers(r, 1+r.Intn(6))
 		origin := r.Intn(total)
 		have := randomBitmap(r, total, 0.5*r.Float64())
-		before := owners(total, origin, k, have)
+		before := dealOwners(t, requester, uri, named, total, have)
 		front := r.Intn(total) // walk positions before this one may land
 		for p := 0; p < front; p++ {
 			if i := (origin + p) % total; r.Bool(0.5) {
 				have[i] = true
 			}
 		}
-		after := owners(total, origin, k, have)
+		after := dealOwners(t, requester, uri, named, total, have)
 		for p := front; p < total; p++ {
 			if i := (origin + p) % total; !have[i] && after[i] != before[i] {
-				t.Fatalf("trial %d (total %d k %d): piece %d behind the landed front moved from supplier %d to %d",
-					trial, total, k, i, before[i]-1, after[i]-1)
+				t.Fatalf("trial %d (total %d suppliers %v): piece %d behind the landed front moved from supplier %d to %d",
+					trial, total, named, i, before[i], after[i])
 			}
 		}
 	}
@@ -113,9 +119,9 @@ func TestWindowSettle(t *testing.T) {
 	const total, beat = 16, time.Second
 	t0 := time.Unix(100, 0)
 	sf := newSentFile()
-	sf.deal(t0, total, 0, 0, 2, always, never) // the odd walk positions from the back: 1, 3, … 15
+	sf.deal(t0, total, 0, 1, func(i int) bool { return i%2 == 1 }, always, never) // the odd pieces: 1, 3, … 15
 	if sf.inShare(0) || !sf.inShare(15) {
-		t.Fatalf("share of rank 0 of 2 over 16 missing pieces: piece 0 in %v, piece 15 in %v", sf.inShare(0), sf.inShare(15))
+		t.Fatalf("share of the odd pieces of 16 missing: piece 0 in %v, piece 15 in %v", sf.inShare(0), sf.inShare(15))
 	}
 	sf.push(1, t0)
 	sf.push(3, t0.Add(beat/2))
@@ -307,9 +313,10 @@ func TestHelloInsideBeatContinuesNeverFills(t *testing.T) {
 	clk := testutil.NewClock()
 	d, p, uri := seederBench(t, clk, pieces, depth)
 	heard := []trace.NodeID{1, 3} // this node and one that never sends a thing
-	share := dealt(pieces, serveOrigin(2, uri, pieces), 0, 2, never)
-	if len(share) != pieces/2 {
-		t.Fatalf("rank 0 of 2 was dealt %d of %d pieces", len(share), pieces)
+	mine := newShare(2, uri, heard, 1).mine
+	share := dealt(pieces, serveOrigin(2, uri, pieces), mine, never)
+	if want := []int{11, 2, 3, 7, 9, 10}; !slices.Equal(share, want) {
+		t.Fatalf("this node's share of %d pieces is %v, want %v", pieces, share, want)
 	}
 
 	hello := helloFor(2, uri, pieces, heard)
@@ -339,7 +346,7 @@ func TestHelloInsideBeatContinuesNeverFills(t *testing.T) {
 	if len(burst) != depth {
 		t.Fatalf("the first hello after the beat released %v, want %d pieces", burst, depth)
 	}
-	again := dealt(pieces, serveOrigin(2, uri, pieces), 0, 2, func(i int) bool { return hello.Have[0].HaveBit(i) })
+	again := dealt(pieces, serveOrigin(2, uri, pieces), mine, func(i int) bool { return hello.Have[0].HaveBit(i) })
 	outside := 0
 	for _, i := range burst {
 		if !slices.Contains(again, i) {
@@ -401,8 +408,11 @@ func TestForwardOnAcquisition(t *testing.T) {
 	if got := p.flush(); len(got) != 0 {
 		t.Fatalf("a relay holding nothing sent %d frames", len(got))
 	}
-	share2 := dealt(pieces, serveOrigin(2, uri, pieces), 0, 2, func(i int) bool { return i == 0 })
+	share2 := dealt(pieces, serveOrigin(2, uri, pieces), newShare(2, uri, []trace.NodeID{1, 5}, 1).mine, func(i int) bool { return i == 0 })
 	slices.Sort(share2)
+	if want := []int{1, 3, 7, 9, 10}; !slices.Equal(share2, want) {
+		t.Fatalf("neighbour 2's share is %v, want %v", share2, want)
+	}
 
 	// All but the last piece arrive: the even ones from node 9, the odd
 	// ones from neighbour 3 itself, each of them twice.
@@ -784,6 +794,282 @@ func TestStreamingHoldersStayNearlyDisjoint(t *testing.T) {
 	}
 	if st.PiecesVerified != pieces || st.PiecesDuplicate > pieces/8 {
 		t.Fatalf("verified %d duplicate %d, want %d and at most %d", st.PiecesVerified, st.PiecesDuplicate, pieces, pieces/8)
+	}
+}
+
+// TestSupplierListFollowsItsRules walks a download's supplier list
+// (serve.go) through its rules on a hand-driven requester: the first
+// hello names every live peer but a fellow downloader that never pushed;
+// a push names a peer, a hello that lists the download un-names one that
+// never pushed, a hello that does not list it names one, and a dropped
+// session un-names one at once and ends its standing orders — unless the
+// peer is in the table again when the call lands. Every change bumps the
+// deal number; a hello that changes nothing does not.
+func TestSupplierListFollowsItsRules(t *testing.T) {
+	const pieces = 16
+	clk := testutil.NewClock()
+	d, _, rec := relayBench(t, clk, 4)
+	uri := rec.URI
+	listing := func(id trace.NodeID) *wire.Hello { return helloFor(id, uri, pieces, nil) }
+	d.onHello(3, listing(3))
+	d.onHello(4, &wire.Hello{From: 4})
+	h := wire.Hello{Heard: []trace.NodeID{2, 3, 4, 5}}
+	d.helloContent(&h)
+	if len(h.Deals) != 1 {
+		t.Fatalf("the download's first hello carries deals %+v, want one", h.Deals)
+	}
+	deal := func() wire.Deal {
+		var h wire.Hello
+		d.helloContent(&h)
+		return h.Deals[0]
+	}
+	no := h.Deals[0].No
+	for _, step := range []struct {
+		what  string
+		do    func()
+		named []trace.NodeID
+		moved bool
+	}{
+		{"first hello", func() {}, []trace.NodeID{2, 4, 5}, false},
+		{"5 lists the download, never pushed", func() { d.onHello(5, listing(5)) }, []trace.NodeID{2, 4}, true},
+		{"3 pushes a piece", func() { d.onPiece(3, pieceMsg(rec, 0)) }, []trace.NodeID{2, 3, 4}, true},
+		{"3 lists the download, having pushed", func() { d.onHello(3, listing(3)) }, []trace.NodeID{2, 3, 4}, false},
+		{"4 says hello without the download", func() { d.onHello(4, &wire.Hello{From: 4}) }, []trace.NodeID{2, 3, 4}, false},
+		{"4 lists the download, never pushed", func() { d.onHello(4, listing(4)) }, []trace.NodeID{2, 3}, true},
+		{"3's session drops", func() { (*handler)(d).Gone(3) }, []trace.NodeID{2}, true},
+		{"5 stops listing the download", func() { d.onHello(5, &wire.Hello{From: 5}) }, []trace.NodeID{2, 5}, true},
+		{"a Gone for node 2, which is in the table", func() { (*handler)(d).Gone(2) }, []trace.NodeID{2, 5}, false},
+	} {
+		step.do()
+		got := deal()
+		if !slices.Equal(got.Suppliers, step.named) || (got.No != no) != step.moved {
+			t.Fatalf("%s: deal %d names %v; want %v, number moved %v (from %d)", step.what, got.No, got.Suppliers, step.named, step.moved, no)
+		}
+		no = got.No
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if ps := d.peers[3]; ps != nil && ps.sent != nil {
+		t.Fatalf("node 3's standing orders outlived its session: %v", ps.sent)
+	}
+	if ps := d.peers[4]; ps == nil || ps.sent[uri] == nil {
+		t.Fatal("node 4's standing order went with node 3's session")
+	}
+}
+
+// TestGroupPlaneNamesFellowDownloaders: with the group plane on, a
+// fellow downloader that never pushed stays on the supplier list — the
+// schedule can grant it a piece to broadcast — so the list follows the
+// live peers, and a hello that lists the download changes nothing.
+func TestGroupPlaneNamesFellowDownloaders(t *testing.T) {
+	const pieces = 16
+	d := benchAt(t, testutil.NewClock(), func(c *Config) {
+		c.FileSize = pieces * 1024
+		c.PieceSize = 1024
+		c.HelloInterval = time.Second
+		c.LivenessWindow = 5 * time.Second
+		c.EnableBcast = true
+	})
+	wedge(t, d, 2)
+	uri := feedMetadata(t, d, 9).URI
+	d.onHello(3, helloFor(3, uri, pieces, nil))
+	h := wire.Hello{Heard: []trace.NodeID{2, 3}}
+	d.helloContent(&h)
+	if len(h.Deals) != 1 || !slices.Equal(h.Deals[0].Suppliers, []trace.NodeID{2, 3}) {
+		t.Fatalf("the first hello's deals %+v, want one naming [2 3]", h.Deals)
+	}
+	no := h.Deals[0].No
+	d.onHello(3, helloFor(3, uri, pieces, nil))
+	d.onHello(2, helloFor(2, uri, pieces, nil))
+	h = wire.Hello{}
+	d.helloContent(&h)
+	if got := h.Deals[0]; !slices.Equal(got.Suppliers, []trace.NodeID{2, 3}) || got.No != no {
+		t.Fatalf("hellos listing the download: deal %d names %v, want %d naming [2 3]", got.No, got.Suppliers, no)
+	}
+}
+
+// pieceLog is a transport whose dialed links log every piece frame they
+// receive, with its sender, in arrival order.
+type pieceLog struct {
+	transport.Transport
+	mu  sync.Mutex
+	got []sentBy
+}
+
+// sentBy is one piece frame and the node that sent it.
+type sentBy struct {
+	from  trace.NodeID
+	index int
+}
+
+func (l *pieceLog) Dial(ctx context.Context, addr string) (transport.Conn, error) {
+	c, err := l.Transport.Dial(ctx, addr)
+	if err != nil {
+		return nil, err
+	}
+	return &loggedConn{Conn: c, log: l}, nil
+}
+
+// frames is a copy of the log.
+func (l *pieceLog) frames() []sentBy {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return slices.Clone(l.got)
+}
+
+type loggedConn struct {
+	transport.Conn
+	log  *pieceLog
+	from trace.NodeID // the hello's sender; Recv runs on one goroutine
+}
+
+func (c *loggedConn) Recv(ctx context.Context) (wire.Msg, error) {
+	m, err := c.Conn.Recv(ctx)
+	switch v := m.(type) {
+	case *wire.Hello:
+		c.from = v.From
+	case *wire.Piece:
+		c.log.mu.Lock()
+		c.log.got = append(c.log.got, sentBy{c.from, v.Index})
+		c.log.mu.Unlock()
+	}
+	return m, err
+}
+
+// TestNamingASecondHolderReCutsMidStream: a leecher streams a file from
+// one holder over a slow link; partway through, it dials a second,
+// complete holder, whose hello does not list the download, and so names
+// it. The clock stands still and no tick is fired while the new list
+// rides the leecher's acks, so there is no beat deal: both holders re-cut
+// within the beat, and neither fills. After the second holder is named
+// the first sends at most PiecesPerHello of the second's pieces — those
+// its pipe already held — every piece the second sends is its own, and
+// at most PiecesPerHello pieces arrive twice. A pipe whose every push
+// turned out a duplicate hears no ack and waits out its beat; if the
+// stream stalls so, the test fires one beat by hand to finish, and judges
+// only what arrived before it.
+func TestNamingASecondHolderReCutsMidStream(t *testing.T) {
+	defer testutil.NoLeaks(t)()
+	const pieces, depth = 64, 4
+	clk := testutil.NewClock()
+	net := transport.NewLoopback()
+	defer net.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	var (
+		ran   []chan error
+		ticks []chan time.Time
+	)
+	defer func() {
+		cancel()
+		for _, r := range ran {
+			<-r
+		}
+	}()
+	launch := func(id trace.NodeID, tr transport.Transport, mutate func(*Config)) *Daemon {
+		c := fastCfg(id, tr)
+		c.HelloInterval = time.Minute
+		c.LivenessWindow = 15 * time.Minute
+		c.FileSize = pieces * 1024
+		c.PieceSize = 1024
+		c.PiecesPerHello = depth
+		mutate(&c)
+		tick := make(chan time.Time)
+		d, err := newDaemon(c, clk.Now, tick)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ticks = append(ticks, tick)
+		ran = append(ran, start(ctx, d))
+		waitFor(t, func() bool { return c.ListenAddr == "" || d.Addr() != "" }, "the listener")
+		return d
+	}
+	uri := metadata.URIFor(0)
+	launch(1, fault.Wrap(net, fault.Config{Seed: 1, DelayMin: 3 * time.Millisecond, DelayMax: 3*time.Millisecond + 1}), func(c *Config) {
+		c.ListenAddr, c.InternetAccess, c.PublishFiles = "a", true, 1
+	})
+	second := launch(2, net, func(c *Config) { c.ListenAddr, c.PeerAddrs = "b", []string{"a"} })
+	waitFor(t, func() bool { return len(second.Manager().Peers()) == 1 }, "the second holder's session")
+	second.AddQuery("f0")
+	waitFor(t, func() bool { return second.Completed(uri) }, "the second holder's copy")
+
+	log := &pieceLog{Transport: net}
+	leech := launch(9, log, func(c *Config) { c.PeerAddrs = []string{"a"} })
+	waitFor(t, func() bool { return len(leech.Manager().Peers()) == 1 }, "the leecher's session")
+	leech.AddQuery("f0")
+	waitFor(t, func() bool { return leech.Stats().PiecesVerified >= pieces/4 }, "a quarter of the file")
+	dialCtx, dialDone := context.WithTimeout(ctx, 10*time.Second)
+	defer dialDone()
+	if err := leech.Manager().Dial(dialCtx, "b"); err != nil {
+		t.Fatal(err)
+	}
+	both := []trace.NodeID{1, 2}
+	named := func() bool {
+		leech.mu.Lock()
+		defer leech.mu.Unlock()
+		f := leech.files[uri]
+		return f != nil && (f.completed || f.deal != nil && slices.Equal(f.deal.Suppliers, both))
+	}
+	waitFor(t, named, "the leecher to name both holders")
+	before := len(log.frames())
+	if before >= 3*pieces/4 {
+		t.Skipf("%d of %d pieces had landed when the second holder was named: too late to say anything", before, pieces)
+	}
+	// Wait for the download; a stream that stands still for a while waits
+	// for a beat, so fire one.
+	judged, seen, still := -1, 0, time.Now()
+	for !leech.Completed(uri) {
+		if n := len(log.frames()); n != seen {
+			seen, still = n, time.Now()
+		} else if time.Since(still) > time.Second && judged < 0 {
+			judged = n
+			clk.Advance(time.Minute)
+			for _, tick := range ticks {
+				tick <- clk.Now()
+			}
+		} else if time.Since(still) > 10*time.Second {
+			t.Fatalf("the download stands at %d of %d pieces", leech.Stats().PiecesVerified, pieces)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	frames := log.frames()
+	if judged < 0 {
+		judged = len(frames)
+	}
+
+	sh := newShare(9, uri, both, 1)
+	sent := map[trace.NodeID]int{}
+	arrived := map[int]bool{}
+	firstSendsSeconds, dups := 0, 0
+	for n, f := range frames[:judged] {
+		sent[f.from]++
+		if arrived[f.index] {
+			dups++
+		}
+		arrived[f.index] = true
+		switch owner := sh.owner(f.index); {
+		case f.from == 2 && owner != 2:
+			t.Fatalf("the second holder sent piece %d, the first holder's: it filled", f.index)
+		case f.from == 1 && owner == 2 && n >= before:
+			firstSendsSeconds++
+		}
+	}
+	beat := "no beat"
+	if judged < len(frames) {
+		beat = fmt.Sprintf("a beat fired after %d of %d frames", judged, len(frames))
+	}
+	t.Logf("%d pieces, %s: %d from the first holder, %d from the second (named after %d); %d of the second's from the first since; %d duplicates",
+		pieces, beat, sent[1], sent[2], before, firstSendsSeconds, dups)
+	if sent[2] == 0 {
+		t.Fatal("the second holder never served its share")
+	}
+	if firstSendsSeconds > depth {
+		t.Fatalf("after the second holder was named the first sent %d of its pieces, its pipe holds %d", firstSendsSeconds, depth)
+	}
+	if dups > depth {
+		t.Fatalf("%d pieces arrived twice, want at most %d", dups, depth)
+	}
+	if st := leech.Stats(); st.PiecesVerified != pieces || (judged == len(frames) && len(frames) != pieces+int(st.PiecesDuplicate)) {
+		t.Fatalf("verified %d duplicate %d over %d frames; want %d and no resend", st.PiecesVerified, st.PiecesDuplicate, len(frames), pieces)
 	}
 }
 

@@ -58,8 +58,9 @@ func TestRestartDoesNotReviveExpiredRecord(t *testing.T) {
 	if got := d2.Stats().Downloading; len(got) != 0 {
 		t.Errorf("the restart re-selected %v under an expired record", got)
 	}
-	if _, downloading, have := d2.helloContent(); len(downloading)+len(have) != 0 {
-		t.Errorf("the restarted node advertises %v (have %v) under an expired record", downloading, have)
+	var h wire.Hello
+	if d2.helloContent(&h); len(h.Downloading)+len(h.Have)+len(h.Deals) != 0 {
+		t.Errorf("the restarted node advertises %v (have %v, deals %v) under an expired record", h.Downloading, h.Have, h.Deals)
 	}
 	if got := d2.Have(rec.URI); got != nil {
 		t.Errorf("the restarted node serves %v under an expired record", got)

@@ -207,8 +207,9 @@ func TestAckIsDirected(t *testing.T) {
 	cfg := fastCfg(1, nil)
 	cfg.HelloInterval = time.Hour
 	cfg.LivenessWindow = 24 * time.Hour
-	cfg.Hello = func() ([]string, []metadata.URI, []wire.GroupWant) {
-		return []string{"f0"}, []metadata.URI{metadata.URIFor(0)}, []wire.GroupWant{*wire.NewGroupWant(metadata.URIFor(0), 8, true)}
+	cfg.Hello = func(h *wire.Hello) {
+		h.Queries, h.Downloading = []string{"f0"}, []metadata.URI{metadata.URIFor(0)}
+		h.Have = []wire.GroupWant{*wire.NewGroupWant(metadata.URIFor(0), 8, true)}
 	}
 	m := NewManager(cfg)
 	to, other := &recConn{}, &recConn{}

@@ -19,6 +19,8 @@ type kindCounter struct {
 	n  [wire.NumTypes]int
 }
 
+func (*kindCounter) Gone(trace.NodeID) {}
+
 func (k *kindCounter) Handle(_ trace.NodeID, m wire.Msg) {
 	k.mu.Lock()
 	k.n[m.Type()]++

@@ -42,7 +42,6 @@ import (
 	"time"
 
 	"repro/internal/limit"
-	"repro/internal/metadata"
 	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -67,20 +66,24 @@ const (
 // Handler receives every decoded message from live peers, whatever its
 // kind — the daemon's one type switch routes it to the engine that
 // consumes it. From identifies the sending peer (already handshaken).
-// Calls are serialized per peer but concurrent across peers.
+// Calls are serialized per peer but concurrent across peers. Gone is
+// called once a peer leaves the table — its last session dropped, or it
+// expired — after its sessions have ended.
 type Handler interface {
 	Handle(from trace.NodeID, msg wire.Msg)
+	Gone(id trace.NodeID)
 }
 
 // Config parameterizes a Manager.
 type Config struct {
 	// Self is this node's identity, announced in every hello.
 	Self trace.NodeID
-	// Hello supplies the node's current beacon content: active query
-	// strings, the URIs being downloaded, and the per-file have-bitmaps
-	// advertising which pieces are already held. Called on every beacon;
-	// must be safe for concurrent use.
-	Hello func() (queries []string, downloading []metadata.URI, have []wire.GroupWant)
+	// Hello fills in the node's current beacon content on a hello whose
+	// From and Heard (the live peers) are set: active query strings, the
+	// URIs being downloaded, the per-file have-bitmaps advertising which
+	// pieces are already held, and the per-download supplier lists.
+	// Called on every beacon and ack; must be safe for concurrent use.
+	Hello func(h *wire.Hello)
 	// Handler receives peer messages; nil handlers drop them.
 	Handler Handler
 	// HelloInterval and LivenessWindow default to the protocol constants
@@ -307,7 +310,7 @@ func NewManager(cfg Config) *Manager {
 		cfg.LivenessWindow = DefaultLivenessWindow
 	}
 	if cfg.Hello == nil {
-		cfg.Hello = func() ([]string, []metadata.URI, []wire.GroupWant) { return nil, nil, nil }
+		cfg.Hello = func(*wire.Hello) {}
 	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = DefaultShards
@@ -348,14 +351,9 @@ func (m *Manager) logf(format string, args ...any) {
 
 // helloMsg builds the current beacon.
 func (m *Manager) helloMsg() *wire.Hello {
-	queries, downloading, have := m.cfg.Hello()
-	return &wire.Hello{
-		From:        m.cfg.Self,
-		Heard:       m.Peers(),
-		Queries:     queries,
-		Downloading: downloading,
-		Have:        have,
-	}
+	h := &wire.Hello{From: m.cfg.Self, Heard: m.Peers()}
+	m.cfg.Hello(h)
+	return h
 }
 
 // Run is the node's beat until ctx ends: it wakes on tick — once per
@@ -636,9 +634,10 @@ func (m *Manager) unregister(s *session) {
 	sh.mu.Lock()
 	// The entry may be gone (expire or Close got there first) or be a
 	// newer one that never held this session; only emptying it drops it.
+	gone := false
 	if e := sh.peers[s.peer]; e != nil {
 		delete(e.sessions, s.sid)
-		if len(e.sessions) == 0 {
+		if gone = len(e.sessions) == 0; gone {
 			delete(sh.peers, s.peer)
 			m.peerCount.Add(-1)
 		}
@@ -648,6 +647,16 @@ func (m *Manager) unregister(s *session) {
 		m.ctrs.flaps.Add(1)
 	}
 	m.end(s)
+	if gone {
+		m.gone(s.peer)
+	}
+}
+
+// gone tells the handler that peer id left the table.
+func (m *Manager) gone(id trace.NodeID) {
+	if m.cfg.Handler != nil {
+		m.cfg.Handler.Gone(id)
+	}
 }
 
 // deliver updates liveness and dispatches one message through
@@ -757,7 +766,10 @@ func (m *Manager) BroadcastExcept(skip func(trace.NodeID) bool) {
 // window, closing their sessions. Shards are swept one at a time, so an
 // expiry pass never stalls traffic on the whole table.
 func (m *Manager) expire(now time.Time) {
-	var dead []*session
+	var (
+		dead    []*session
+		expired []trace.NodeID
+	)
 	for _, sh := range m.shards {
 		sh.mu.Lock()
 		for id, e := range sh.peers {
@@ -768,6 +780,7 @@ func (m *Manager) expire(now time.Time) {
 				dead = append(dead, s)
 			}
 			delete(sh.peers, id)
+			expired = append(expired, id)
 			m.peerCount.Add(-1)
 			m.ctrs.expiries.Add(1)
 		}
@@ -777,6 +790,18 @@ func (m *Manager) expire(now time.Time) {
 		m.end(s)
 		m.logf("peer: node %d expired (no hello in %v)", s.peer, m.cfg.LivenessWindow)
 	}
+	for _, id := range expired {
+		m.gone(id)
+	}
+}
+
+// Live reports whether id is in the peer table: handshaken, not yet
+// dropped or expired.
+func (m *Manager) Live(id trace.NodeID) bool {
+	sh := m.shardFor(id)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.peers[id] != nil
 }
 
 // Peers returns the live peer IDs, sorted.

@@ -3,6 +3,7 @@ package peer
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -24,11 +25,24 @@ type recorder struct {
 	metadata []metadata.URI
 	pieces   []int
 	others   []wire.MsgType
+	gone     []trace.NodeID
 	gotMeta  chan struct{}
 	once     sync.Once
 }
 
 func newRecorder() *recorder { return &recorder{gotMeta: make(chan struct{})} }
+
+func (r *recorder) Gone(id trace.NodeID) {
+	r.mu.Lock()
+	r.gone = append(r.gone, id)
+	r.mu.Unlock()
+}
+
+func (r *recorder) goneIDs() []trace.NodeID {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return slices.Clone(r.gone)
+}
 
 func (r *recorder) Handle(from trace.NodeID, msg wire.Msg) {
 	r.mu.Lock()
@@ -217,6 +231,33 @@ func TestSelfConnectRejected(t *testing.T) {
 	waitFor(t, func() bool { return a.Stats().HandshakeFail >= 1 }, "self-handshake rejection")
 	if got := a.Peers(); len(got) != 0 {
 		t.Fatalf("self registered as peer: %v", got)
+	}
+}
+
+// TestGoneWhenThePeerLeavesTheTable: the handler hears Gone once per
+// peer that leaves the table — when its last session drops, not its
+// first, and when it expires — and not for a peer that stays.
+func TestGoneWhenThePeerLeavesTheTable(t *testing.T) {
+	clk := testutil.NewClock()
+	rec := newRecorder()
+	cfg := fastCfg(1, rec)
+	cfg.LivenessWindow = time.Minute
+	cfg.Now = clk.Now
+	m := NewManager(cfg)
+	first, second := parked(t, m, 2, &stubConn{}), parked(t, m, 2, &stubConn{})
+	parked(t, m, 3, &stubConn{})
+	m.unregister(first)
+	if got := rec.goneIDs(); len(got) != 0 {
+		t.Fatalf("one of node 2's two sessions dropped: Gone(%v)", got)
+	}
+	m.unregister(second)
+	if got := rec.goneIDs(); !slices.Equal(got, []trace.NodeID{2}) {
+		t.Fatalf("node 2's last session dropped: Gone(%v), want [2]", got)
+	}
+	clk.Advance(cfg.LivenessWindow + 1)
+	m.expire(clk.Now())
+	if got := rec.goneIDs(); !slices.Equal(got, []trace.NodeID{2, 3}) {
+		t.Fatalf("node 3 expired: Gone(%v), want [2 3]", got)
 	}
 }
 

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/metadata"
@@ -23,6 +24,15 @@ func seedFrames() [][]byte {
 			Downloading: []metadata.URI{"dtn://files/3"},
 		}),
 		EncodeHello(&Hello{From: 0}),
+		EncodeHello(&Hello{
+			From:        9,
+			Heard:       []trace.NodeID{1, 7},
+			Downloading: []metadata.URI{"dtn://files/3", "dtn://files/4"},
+			Deals: []Deal{
+				{URI: "dtn://files/3", No: 2, Suppliers: []trace.NodeID{1, 7}},
+				{URI: "dtn://files/4", No: 1},
+			},
+		}),
 		EncodeMetadata(m),
 		EncodePiece(&Piece{URI: m.Record.URI, Index: 0, Total: m.Record.NumPieces(), Data: data}),
 		EncodePiece(&Piece{URI: m.Record.URI, Index: 1, Total: m.Record.NumPieces(),
@@ -79,14 +89,15 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// FuzzRoundTrip builds a hello from arbitrary fields and checks that
-// encode→decode preserves it, and that the generic Decode agrees with the
-// typed decoder.
+// FuzzRoundTrip builds a hello from arbitrary fields — a download
+// carries a deal numbered dealNo naming heard and, when they differ,
+// from — and checks that encode→decode preserves it, and that the
+// generic Decode agrees with the typed decoder.
 func FuzzRoundTrip(f *testing.F) {
-	f.Add(uint32(7), uint32(3), "jazz", "dtn://files/3")
-	f.Add(uint32(0), uint32(0), "", "")
-	f.Add(uint32(1<<31), uint32(12345), "late show night", "dtn://files/999")
-	f.Fuzz(func(t *testing.T, from, heard uint32, query, uri string) {
+	f.Add(uint32(7), uint32(3), "jazz", "dtn://files/3", uint32(1))
+	f.Add(uint32(0), uint32(0), "", "", uint32(0))
+	f.Add(uint32(1<<31), uint32(12345), "late show night", "dtn://files/999", uint32(1<<31))
+	f.Fuzz(func(t *testing.T, from, heard uint32, query, uri string, dealNo uint32) {
 		h := &Hello{From: trace.NodeID(from)}
 		if heard != 0 {
 			h.Heard = []trace.NodeID{trace.NodeID(heard)}
@@ -96,6 +107,11 @@ func FuzzRoundTrip(f *testing.F) {
 		}
 		if uri != "" {
 			h.Downloading = []metadata.URI{metadata.URI(uri)}
+			dl := Deal{URI: metadata.URI(uri), No: dealNo, Suppliers: h.Heard}
+			if from != heard {
+				dl.Suppliers = append(dl.Suppliers, trace.NodeID(from))
+			}
+			h.Deals = []Deal{dl}
 		}
 		b := EncodeHello(h)
 		got, err := DecodeHello(b)
@@ -103,8 +119,14 @@ func FuzzRoundTrip(f *testing.F) {
 			t.Fatalf("DecodeHello: %v", err)
 		}
 		if got.From != h.From || len(got.Heard) != len(h.Heard) ||
-			len(got.Queries) != len(h.Queries) || len(got.Downloading) != len(h.Downloading) {
+			len(got.Queries) != len(h.Queries) || len(got.Downloading) != len(h.Downloading) ||
+			len(got.Deals) != len(h.Deals) {
 			t.Fatalf("round trip:\nin  %+v\nout %+v", h, got)
+		}
+		for i, dl := range h.Deals {
+			if g := got.Deals[i]; g.URI != dl.URI || g.No != dl.No || !slices.Equal(g.Suppliers, dl.Suppliers) {
+				t.Fatalf("deal %d: in %+v, out %+v", i, dl, g)
+			}
 		}
 		generic, err := Decode(b)
 		if err != nil {

@@ -64,6 +64,7 @@ func frames() [][]byte {
 			Queries:     []string{"jazz", "late show"},
 			Downloading: []metadata.URI{rec.URI},
 			Have:        []wire.GroupWant{*want},
+			Deals:       []wire.Deal{{URI: rec.URI, No: 3, Suppliers: []trace.NodeID{1, 9}}},
 		}),
 		wire.EncodeMetadata(m),
 		wire.EncodePiece(&wire.Piece{

@@ -2,8 +2,9 @@
 // binary codec. Nodes exchange three base message kinds:
 //
 //   - hello beacons — node ID, the IDs heard in the past 5 seconds, the
-//     node's query strings, the URIs of the files it is downloading, and
-//     a per-file have-bitmap so senders serve only missing pieces;
+//     node's query strings, the URIs of the files it is downloading, a
+//     per-file have-bitmap so senders serve only missing pieces, and a
+//     per-file list of the suppliers it counts;
 //   - metadata records — the discovery phase's payload, carrying the
 //     advisory popularity alongside the signed record;
 //   - file pieces — the download phase's payload, optionally carrying a
@@ -36,7 +37,7 @@ import (
 
 const (
 	magic   = 0xD7
-	version = 1
+	version = 2 // 2: Hello carries Deals
 )
 
 // Limits guard against hostile lengths.
@@ -52,6 +53,7 @@ const (
 	idLen          = 4                                                 // a node ID
 	strMinLen      = 4                                                 // an empty string's length prefix
 	metadataMinLen = 8 + 4*strMinLen + 8 + 4 + 8 + 8 + 4 + sha256.Size // a record with no piece hashes
+	dealMinLen     = strMinLen + 4 + 4                                 // a deal naming nobody
 )
 
 // Decode errors. These are sentinels so the transport layer can match
@@ -81,6 +83,19 @@ type Hello struct {
 	// advertising everything it persisted, and peers never re-send a
 	// piece the bitmap already marks held.
 	Have []GroupWant
+	// Deals names, per download, the suppliers the sender counts: the
+	// serving order's shares are cut over them (daemon/serve.go).
+	Deals []Deal
+}
+
+// Deal is one download's supplier list: the sorted IDs of the peers the
+// requester counts as suppliers of URI, and No, the number of the list's
+// latest change. A supplier whose standing order was cut from another
+// number cuts its share again.
+type Deal struct {
+	URI       metadata.URI
+	No        uint32
+	Suppliers []trace.NodeID
 }
 
 // Metadata is the discovery payload.
@@ -107,8 +122,8 @@ func header(t MsgType) *buffer {
 	return w
 }
 
-// encodeIDs appends a length-prefixed node-ID list — Hello.Heard and
-// GroupHello.Members.
+// encodeIDs appends a length-prefixed node-ID list — Hello.Heard,
+// Deal.Suppliers and GroupHello.Members.
 func encodeIDs(w *buffer, ids []trace.NodeID) {
 	w.uint32(uint32(len(ids)))
 	for _, id := range ids {
@@ -139,6 +154,12 @@ func EncodeHello(h *Hello) []byte {
 		w.str(string(uri))
 	}
 	encodeWantList(w, h.Have)
+	w.uint32(uint32(len(h.Deals)))
+	for i := range h.Deals {
+		w.str(string(h.Deals[i].URI))
+		w.uint32(h.Deals[i].No)
+		encodeIDs(w, h.Deals[i].Suppliers)
+	}
 	return w.b
 }
 
@@ -155,6 +176,14 @@ func decodeHello(c *Cursor) *Hello {
 		h.Downloading = append(h.Downloading, metadata.URI(c.Str(maxStrLen)))
 	}
 	h.Have = decodeWantList(c)
+	n = c.Count("deal list", maxListLen, dealMinLen)
+	for i := 0; i < n && c.err == nil; i++ {
+		var dl Deal
+		dl.URI = metadata.URI(c.Str(maxStrLen))
+		dl.No = c.Uint32()
+		dl.Suppliers = decodeIDs(c, "supplier list")
+		h.Deals = append(h.Deals, dl)
+	}
 	return h
 }
 

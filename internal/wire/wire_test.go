@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -29,6 +30,7 @@ func TestHelloRoundTrip(t *testing.T) {
 		Queries:     []string{"jazz", "late show"},
 		Downloading: []metadata.URI{"dtn://files/3"},
 		Have:        []GroupWant{*want},
+		Deals:       []Deal{{URI: "dtn://files/3", No: 4, Suppliers: []trace.NodeID{2, 9}}},
 	}
 	b := EncodeHello(h)
 	got, err := DecodeHello(b)
@@ -40,6 +42,19 @@ func TestHelloRoundTrip(t *testing.T) {
 	}
 	if !got.Have[0].HaveBit(0) || got.Have[0].HaveBit(1) || !got.Have[0].HaveBit(2) {
 		t.Fatalf("have bitmap lost: %+v", got.Have[0])
+	}
+}
+
+// TestVersionOneRefused: a frame of the protocol revision before Deals is
+// refused whole, with ErrVersion — the transport closes the connection
+// politely rather than misread a hello without its deal list.
+func TestVersionOneRefused(t *testing.T) {
+	for _, b := range seedFrames() {
+		old := append([]byte(nil), b...)
+		old[1] = 1
+		if m, err := Decode(old); m != nil || !errors.Is(err, ErrVersion) {
+			t.Fatalf("version-1 %v frame: %v, %v; want ErrVersion", MsgType(b[2]), m, err)
+		}
 	}
 }
 
