@@ -26,7 +26,10 @@ vet:
 # pattern does not match). And a live node wakes periodically in one
 # place: the live packages arm exactly one ticker — the beat's
 # (Daemon.Run) — a timer only in internal/dht, for the RPC wait, and
-# never time.After or time.Sleep. Offending packages or lines are printed.
+# never time.After or time.Sleep. Below the peer layer nothing runs on
+# its own: internal/transport and internal/fault start no goroutine, so a
+# session's lanes are its only send queue and a session is its reader
+# plus its writer. Offending packages or lines are printed.
 deps-check:
 	@! $(GO) list -deps ./cmd/tracegen ./cmd/mbtsim ./cmd/experiments \
 		| grep -E '^repro/internal/(fault|transport|peer|daemon|store)$$' \
@@ -55,6 +58,9 @@ deps-check:
 			echo 'deps-check: the live packages arm exactly one ticker (the beat)' >&2; exit 1; }; \
 	! grep -nE 'time\.NewTimer\(' $$(echo $$live | tr ' ' '\n' | grep -v '^internal/dht/') \
 		|| { echo 'deps-check: time.NewTimer outside internal/dht (its RPC wait): wait on the beat, a context or a socket' >&2; exit 1; }
+	@! grep -nE '(^|[{;])[[:space:]]*go[[:space:]]+[^[:space:]]' \
+		$$(ls internal/transport/*.go internal/fault/*.go | grep -v '_test\.go$$') \
+		|| { echo 'deps-check: a go statement in internal/transport or internal/fault: links work on their caller'"'"'s goroutine' >&2; exit 1; }
 
 test:
 	$(GO) test ./...

@@ -12,7 +12,6 @@ package daemon
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/metadata"
 	"repro/internal/trace"
@@ -71,14 +70,12 @@ func groupFrom(msg wire.Msg) (trace.NodeID, bool) {
 // re-announces).
 type bcastSender Daemon
 
-func (s *bcastSender) Broadcast(_ context.Context, members []trace.NodeID, m wire.Msg) {
+func (s *bcastSender) Broadcast(ctx context.Context, members []trace.NodeID, m wire.Msg) {
 	d := (*Daemon)(s)
 	if bc := d.cfg.Broadcast; bc != nil {
-		// The medium is best-effort by design; a full receiver queue is
-		// a missed frame, same as radio.
-		sctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		defer cancel()
-		if err := bc.Send(sctx, m); err != nil {
+		// The medium is best-effort by design and its Send never blocks:
+		// a full receiver queue is a missed frame, same as radio.
+		if err := bc.Send(ctx, m); err != nil {
 			d.logf("daemon %d: broadcast %v: %v", d.cfg.ID, m.Type(), err)
 		}
 		return
@@ -97,15 +94,13 @@ func (s *bcastSender) Broadcast(_ context.Context, members []trace.NodeID, m wir
 // symbol plane when Config.FEC is set, which the daemon gates on the
 // lane existing, so the nil check is a belt against misconfiguration,
 // not a code path.
-func (s *bcastSender) BroadcastSymbol(_ context.Context, m wire.Msg) {
+func (s *bcastSender) BroadcastSymbol(ctx context.Context, m wire.Msg) {
 	d := (*Daemon)(s)
 	lane := d.cfg.Symbols
 	if lane == nil {
 		return
 	}
-	sctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	if err := lane.Send(sctx, m); err != nil {
+	if err := lane.Send(ctx, m); err != nil {
 		d.logf("daemon %d: symbol lane %v: %v", d.cfg.ID, m.Type(), err)
 	}
 }

@@ -732,8 +732,9 @@ func TestRelayForwardsWithoutATick(t *testing.T) {
 // a file to one downloader over links slow enough that the download
 // spans many beats, so deals happen with every pipe full. What a holder
 // has in flight at a deal is not in the bitmap the others deal from; the
-// far-end numbering keeps it with its holder, and the duplicates stay a
-// few per cent (numbered from the front they were a fifth of the file).
+// rendezvous-hashed share over the suppliers the downloader names keeps
+// it with its holder, and the duplicates stay a few per cent (numbered
+// from the front they were a fifth of the file).
 func TestStreamingHoldersStayNearlyDisjoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("streams 600 pieces over slowed links")

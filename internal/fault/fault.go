@@ -5,16 +5,21 @@
 // death, dial failures, and scripted partitions — all driven by a
 // seeded RNG so a failing run replays exactly.
 //
-// Faults are applied on the send path of each wrapped Conn by a
-// per-conn pump goroutine that owns its own RNG stream (derived from
+// Faults are applied on the send path of each wrapped Conn, inline on
+// the caller's goroutine: Send, one call at a time by the transport
+// contract, draws from the conn's own RNG stream (derived from
 // Config.Seed and a conn counter), so fault decisions need no locking
-// and are reproducible per connection. Corruption follows the
-// transport's decode-error policy on the mutated bytes: a frame whose
-// corruption lands in the header (bad magic, bad version) kills the
-// connection, a corrupted-but-framed body is dropped (the resync path),
-// and a mutation that still decodes is delivered as-is — that last case
-// is the interesting one, because it hands the daemon a well-formed
-// message whose payload fails checksum or signature verification.
+// and are reproducible per connection. The injector starts no
+// goroutines and queues nothing: a delay holds up the Send it is drawn
+// for, and the caller's own queue waits behind it.
+//
+// Corruption follows the transport's decode-error policy on the
+// mutated bytes: a frame whose corruption lands in the header (bad
+// magic, bad version) kills the connection, a corrupted-but-framed body
+// is dropped (the resync path), and a mutation that still decodes is
+// delivered as-is — that last case is the interesting one, because it
+// hands the daemon a well-formed message whose payload fails checksum
+// or signature verification.
 //
 // Partitions are scripted, not random: Config.Schedule lists
 // partition/heal events at offsets from the transport's creation.
@@ -43,10 +48,6 @@ var ErrPartitioned = errors.New("fault: network partitioned")
 
 // ErrInjectedDialFailure reports a Dial dropped by the DialFail rate.
 var ErrInjectedDialFailure = errors.New("fault: injected dial failure")
-
-// pumpQueue bounds the per-conn fault pipeline; Send blocks (honoring
-// its context) when the pump falls behind.
-const pumpQueue = 64
 
 // Event is one entry of a partition schedule.
 type Event struct {
@@ -219,15 +220,14 @@ func (l *listener) Accept(ctx context.Context) (transport.Conn, error) {
 func (l *listener) Addr() string { return l.inner.Addr() }
 func (l *listener) Close() error { return l.inner.Close() }
 
-// conn is one faulty link: sends pass through the pump, receives pass
+// conn is one faulty link: sends run the fault pipeline, receives pass
 // straight through to the inner conn.
 type conn struct {
 	t     *Transport
 	inner transport.Conn
-	rng   *rng.Rand // owned by the pump goroutine
-	sq    chan wire.Msg
+	rng   *rng.Rand // Send's, like held
+	held  wire.Msg  // the one message a reorder roll holds back
 	done  chan struct{}
-	stop  context.CancelFunc
 	once  sync.Once
 }
 
@@ -236,28 +236,39 @@ type conn struct {
 // per-direction creation number — so decisions are independent per conn
 // and reproducible for a fixed seed.
 func (t *Transport) newConn(inner transport.Conn, seq uint64) *conn {
-	pctx, stop := context.WithCancel(context.Background())
-	c := &conn{
+	return &conn{
 		t:     t,
 		inner: inner,
 		rng:   rng.New(t.cfg.Seed ^ seq*0x9e3779b97f4a7c15),
-		sq:    make(chan wire.Msg, pumpQueue),
 		done:  make(chan struct{}),
-		stop:  stop,
 	}
-	go c.pump(pctx)
-	return c
 }
 
+// Send applies the fault pipeline to m: a reorder roll may hold it back
+// one slot, to go out right after the next message — at most one is
+// held, and a conn that dies first simply loses it, which is just
+// another drop. Faults the peer would only see as silence return nil;
+// an error means ctx ended, the conn closed, or the inner conn failed.
 func (c *conn) Send(ctx context.Context, m wire.Msg) error {
 	select {
-	case c.sq <- m:
-		return nil
 	case <-c.done:
 		return transport.ErrClosed
-	case <-ctx.Done():
-		return ctx.Err()
+	default:
 	}
+	if c.held == nil && c.rng.Bool(c.t.cfg.Reorder) {
+		c.t.addStat(func(s *Stats) { s.Reordered++ })
+		c.held = m
+		return nil
+	}
+	if err := c.process(ctx, m); err != nil {
+		return err
+	}
+	held := c.held
+	c.held = nil
+	if held == nil {
+		return nil
+	}
+	return c.process(ctx, held)
 }
 
 func (c *conn) Recv(ctx context.Context) (wire.Msg, error) {
@@ -265,48 +276,18 @@ func (c *conn) Recv(ctx context.Context) (wire.Msg, error) {
 }
 
 func (c *conn) Close() error {
-	c.once.Do(func() {
-		close(c.done)
-		c.stop()
-	})
+	c.once.Do(func() { close(c.done) })
 	return c.inner.Close()
 }
 
 func (c *conn) LocalAddr() string  { return c.inner.LocalAddr() }
 func (c *conn) RemoteAddr() string { return c.inner.RemoteAddr() }
 
-// pump applies the fault pipeline to each queued message, one at a
-// time: partition check, drop, delay, corruption, delivery (possibly
-// doubled), then an abrupt-kill roll.
-func (c *conn) pump(ctx context.Context) {
-	var held wire.Msg // one message stashed by a reorder roll
-	for {
-		var m wire.Msg
-		select {
-		case m = <-c.sq:
-		case <-ctx.Done():
-			return
-		}
-		if held == nil && c.rng.Bool(c.t.cfg.Reorder) {
-			// Hold this message back one slot; the next message
-			// overtakes it. Hellos beacon continuously, so the hold is
-			// short-lived; a conn that dies first simply loses it,
-			// which is just another drop.
-			c.t.addStat(func(s *Stats) { s.Reordered++ })
-			held = m
-			continue
-		}
-		c.process(ctx, m)
-		if held != nil {
-			c.process(ctx, held)
-			held = nil
-		}
-	}
-}
-
-// process runs one message through the fault rolls and forwards the
-// survivors to the inner conn.
-func (c *conn) process(ctx context.Context, m wire.Msg) {
+// process runs one message through the fault rolls — partition, drop,
+// delay, corruption, delivery (possibly doubled), then an abrupt-kill
+// roll — and forwards the survivors to the inner conn. A delay waits on
+// ctx and on Close.
+func (c *conn) process(ctx context.Context, m wire.Msg) error {
 	cfg := &c.t.cfg
 	c.t.addStat(func(s *Stats) { s.Sent++ })
 	// An abrupt-kill roll fires whether or not the message survives the
@@ -322,22 +303,24 @@ func (c *conn) process(ctx context.Context, m wire.Msg) {
 
 	if c.t.Partitioned() {
 		c.t.addStat(func(s *Stats) { s.PartitionDropped++ })
-		return
+		return nil
 	}
 	if c.rng.Bool(cfg.Drop) {
 		c.t.addStat(func(s *Stats) { s.Dropped++ })
-		return
+		return nil
 	}
 	if cfg.DelayMax > 0 {
 		d := cfg.DelayMin + time.Duration(c.rng.Float64()*float64(cfg.DelayMax-cfg.DelayMin))
 		if d > 0 {
 			c.t.addStat(func(s *Stats) { s.Delayed++ })
 			t := time.NewTimer(d)
+			defer t.Stop()
 			select {
 			case <-t.C:
 			case <-ctx.Done():
-				t.Stop()
-				return
+				return ctx.Err()
+			case <-c.done:
+				return transport.ErrClosed
 			}
 		}
 	}
@@ -347,25 +330,26 @@ func (c *conn) process(ctx context.Context, m wire.Msg) {
 		case corruptKill:
 			c.t.addStat(func(s *Stats) { s.CorruptKilled++ })
 			kill = true
-			return
+			return nil
 		case corruptDrop:
 			c.t.addStat(func(s *Stats) { s.CorruptDropped++ })
-			return
+			return nil
 		default:
 			c.t.addStat(func(s *Stats) { s.CorruptDelivered++ })
 			m = mutated
 		}
 	}
 	if err := c.inner.Send(ctx, m); err != nil {
-		return
+		return err
 	}
 	c.t.addStat(func(s *Stats) { s.Delivered++ })
 	if c.rng.Bool(cfg.Duplicate) {
 		if err := c.inner.Send(ctx, m); err != nil {
-			return
+			return err
 		}
 		c.t.addStat(func(s *Stats) { s.Duplicated++ })
 	}
+	return nil
 }
 
 type corruptVerdict int

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -177,6 +178,69 @@ func TestKillClosesConn(t *testing.T) {
 	}
 	t.Fatal("conn survived Kill=1")
 	_ = accept
+}
+
+// TestReorderHoldsOneMessage: a reorder roll holds back exactly one
+// message, which goes out right behind the next one sent — never later,
+// and never a second one alongside it.
+func TestReorderHoldsOneMessage(t *testing.T) {
+	dial, accept, ft := pair(t, Config{Seed: 1, Reorder: 1})
+	ctx := context.Background()
+	for i := 0; i < 11; i++ {
+		if err := dial.Send(ctx, &wire.Hello{From: trace.NodeID(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Every roll fires, so each even message is held and overtaken by
+	// the odd one after it; the eleventh is still held.
+	want := []trace.NodeID{1, 0, 3, 2, 5, 4, 7, 6, 9, 8}
+	if got := drain(accept, 100*time.Millisecond); !slices.Equal(got, want) {
+		t.Fatalf("delivered %v, want %v", got, want)
+	}
+	if st := ft.Stats(); st.Reordered != 6 || st.Delivered != 10 {
+		t.Fatalf("stats %+v, want 6 reordered and 10 delivered with one held", st)
+	}
+	if err := dial.Send(ctx, &wire.Hello{From: 11}); err != nil {
+		t.Fatal(err)
+	}
+	if got := drain(accept, 100*time.Millisecond); !slices.Equal(got, []trace.NodeID{11, 10}) {
+		t.Fatalf("after one more send: %v, want [11 10]", got)
+	}
+}
+
+// TestDelayedSendEnds: a Send waiting out its delay returns when its
+// context ends and when the conn is closed, delivering nothing.
+func TestDelayedSendEnds(t *testing.T) {
+	for _, end := range []string{"cancel", "close"} {
+		t.Run(end, func(t *testing.T) {
+			dial, accept, ft := pair(t, Config{Seed: 1, DelayMin: time.Hour, DelayMax: time.Hour + 1})
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			sent := make(chan error, 1)
+			go func() { sent <- dial.Send(ctx, &wire.Hello{From: 1}) }()
+			for ft.Stats().Delayed == 0 {
+				time.Sleep(time.Millisecond)
+			}
+			want := context.Canceled
+			if end == "cancel" {
+				cancel()
+			} else {
+				dial.Close()
+				want = transport.ErrClosed
+			}
+			select {
+			case err := <-sent:
+				if !errors.Is(err, want) {
+					t.Fatalf("delayed Send returned %v, want %v", err, want)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("delayed Send still waiting after %s", end)
+			}
+			if got := drain(accept, 50*time.Millisecond); len(got) != 0 || ft.Stats().Delivered != 0 {
+				t.Fatalf("delivered %v (stats %+v) from a Send that ended in its delay", got, ft.Stats())
+			}
+		})
+	}
 }
 
 func TestPartitionSchedule(t *testing.T) {

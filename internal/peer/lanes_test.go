@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -103,6 +104,132 @@ func TestSendNeverBlocks(t *testing.T) {
 	}
 	if q := m.Queues(); q.DropsControl != 1 || q.DropsData != 0 || q.ControlDepth != cfg.QueueLen+1 {
 		t.Fatalf("queues = %+v; want one control drop and %d queued", q, cfg.QueueLen+1)
+	}
+}
+
+// stallListener accepts conns whose Recv, once hold is set, waits for
+// open first: a receiver that stops reading without closing.
+type stallListener struct {
+	transport.Listener
+	hold atomic.Bool
+	open chan struct{}
+}
+
+func (l *stallListener) Accept(ctx context.Context) (transport.Conn, error) {
+	c, err := l.Listener.Accept(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return stallConn{c, l}, nil
+}
+
+type stallConn struct {
+	transport.Conn
+	l *stallListener
+}
+
+func (c stallConn) Recv(ctx context.Context) (wire.Msg, error) {
+	if c.l.hold.Load() {
+		select {
+		case <-c.l.open:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	return c.Conn.Recv(ctx)
+}
+
+// arrivals records the order frames were dispatched in.
+type arrivals struct {
+	mu  sync.Mutex
+	got []wire.Msg
+}
+
+func (a *arrivals) Handle(_ trace.NodeID, m wire.Msg) {
+	a.mu.Lock()
+	a.got = append(a.got, m)
+	a.mu.Unlock()
+}
+func (a *arrivals) Gone(trace.NodeID) {}
+
+func (a *arrivals) frames() []wire.Msg {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return append([]wire.Msg(nil), a.got...)
+}
+
+// TestControlOvertakesQueuedDataOverTCP: the session's lanes are the only
+// queue between Send and a TCP socket, so a hello queued behind a
+// hundred MiB of piece frames to a peer that has stopped reading goes out
+// as soon as the piece on the wire is done — ahead of all but the few
+// the kernel's socket buffers already hold.
+func TestControlOvertakesQueuedDataOverTCP(t *testing.T) {
+	defer testutil.NoLeaks(t)()
+	const pieces = 100
+	ctx, cancel := context.WithCancel(context.Background())
+	cfg := func(self trace.NodeID, h Handler) Config {
+		c := fastCfg(self, h)
+		c.HelloInterval, c.LivenessWindow = time.Hour, time.Hour // no beacon, no expiry
+		return c
+	}
+	tcp := &transport.TCP{}
+	inner, err := tcp.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lis := &stallListener{Listener: inner, open: make(chan struct{})}
+	got := &arrivals{}
+	b := NewManager(cfg(2, got))
+	cfgA := cfg(1, nil)
+	cfgA.Transport, cfgA.Addrs = tcp, []string{lis.Addr()}
+	a := NewManager(cfgA)
+	var wg sync.WaitGroup
+	spawn := func(f func()) {
+		wg.Add(1)
+		go func() { defer wg.Done(); f() }()
+	}
+	defer wg.Wait()
+	defer a.Close()
+	defer b.Close()
+	defer lis.Close()
+	defer cancel()
+	spawn(func() { b.Serve(ctx, lis) })
+	spawn(func() { beat(ctx, a) })
+	waitFor(t, func() bool { return len(a.Peers()) == 1 && len(b.Peers()) == 1 }, "the handshake")
+
+	lis.hold.Store(true)
+	piece := &wire.Piece{URI: metadata.URIFor(0), Total: pieces, Data: make([]byte, 1<<20)}
+	for i := 0; i < pieces; i++ {
+		piece := *piece
+		piece.Index = i
+		if err := a.Send(2, &piece); err != nil {
+			t.Fatalf("piece %d: %v", i, err)
+		}
+	}
+	// Let the writer run until the stalled link takes no more.
+	queued := -1
+	for q := a.Queues().DataDepth; q != queued; q = a.Queues().DataDepth {
+		queued = q
+		time.Sleep(50 * time.Millisecond)
+	}
+	if err := a.Send(2, &wire.Hello{From: 1, Queries: []string{"marker"}}); err != nil {
+		t.Fatal(err)
+	}
+	close(lis.open)
+	waitFor(t, func() bool { return len(got.frames()) == pieces+2 }, "every frame") // + the handshake hello
+
+	ahead := 0
+	for _, m := range got.frames() {
+		if h, ok := m.(*wire.Hello); ok && len(h.Queries) == 1 {
+			break
+		}
+		if m.Type() == wire.TypePiece {
+			ahead++
+		}
+	}
+	t.Logf("the hello arrived behind %d of %d pieces; %d had left the lanes when it was queued", ahead, pieces, pieces-queued)
+	if ahead >= pieces/2 {
+		t.Fatalf("the hello arrived behind %d of %d pieces queued before it; control must overtake queued data", ahead, pieces)
 	}
 }
 

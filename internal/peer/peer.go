@@ -12,7 +12,7 @@
 // their backoff step is over, and the DHT's contacts, dialed on demand
 // through Dial on the same schedule.
 //
-// The peer table is hash-sharded: peers spread across Config.Shards
+// The peer table is hash-sharded: peers spread across DefaultShards
 // independent buckets, each with its own lock, so hot paths touching
 // different peers (a send racing a deliver racing an accept) never
 // contend on one global mutex. Aggregate views (Peers, Table, Stats)
@@ -54,9 +54,9 @@ const (
 	// DefaultLivenessWindow: a node is a neighbour while a hello from it
 	// was heard in the past 5 seconds; a peer silent that long is gone.
 	DefaultLivenessWindow = 5 * time.Second
-	// DefaultShards is the peer-table shard count when Config.Shards is
-	// zero. Sixteen keeps per-shard occupancy low even at swarm scale
-	// while costing only a few empty maps on small nodes.
+	// DefaultShards is the peer-table shard count. Sixteen keeps
+	// per-shard occupancy low even at swarm scale while costing only a
+	// few empty maps on small nodes.
 	DefaultShards = 16
 	// DefaultQueueLen is the per-session, per-class send lane cap when
 	// Config.QueueLen is zero.
@@ -104,10 +104,6 @@ type Config struct {
 	// accepted (redials must win against their dying predecessors).
 	// Zero means unbounded.
 	MaxPeers int
-	// Shards is the peer-table shard count (default DefaultShards).
-	// One shard reproduces the old single-lock behavior; benchmarks
-	// compare the two.
-	Shards int
 	// Backoff is every link's redial schedule.
 	Backoff transport.Backoff
 	// InboundRate, when positive, caps each peer's inbound message
@@ -302,7 +298,11 @@ type Manager struct {
 }
 
 // NewManager returns a manager with defaults applied.
-func NewManager(cfg Config) *Manager {
+func NewManager(cfg Config) *Manager { return newManager(cfg, DefaultShards) }
+
+// newManager is NewManager over a peer table of the given shard count;
+// tests compare one shard, the single-lock layout, with the default.
+func newManager(cfg Config, shards int) *Manager {
 	if cfg.HelloInterval <= 0 {
 		cfg.HelloInterval = DefaultHelloInterval
 	}
@@ -312,9 +312,6 @@ func NewManager(cfg Config) *Manager {
 	if cfg.Hello == nil {
 		cfg.Hello = func(*wire.Hello) {}
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = DefaultShards
-	}
 	if cfg.QueueLen <= 0 {
 		cfg.QueueLen = DefaultQueueLen
 	}
@@ -322,7 +319,7 @@ func NewManager(cfg Config) *Manager {
 		cfg.Now = time.Now
 	}
 	m := &Manager{
-		cfg: cfg, kick: make(chan struct{}, 1), shards: make([]*shard, cfg.Shards),
+		cfg: cfg, kick: make(chan struct{}, 1), shards: make([]*shard, shards),
 		links: make(map[string]*link, len(cfg.Addrs)),
 	}
 	m.life, m.stop = context.WithCancel(context.Background())

@@ -130,8 +130,7 @@ func TestPeerTableInvariantUnderChurn(t *testing.T) {
 	cfg := fastCfg(0, nil)
 	cfg.InboundRate = 1000
 	cfg.MaxPeers = ids - 2
-	cfg.Shards = 4
-	m := NewManager(cfg)
+	m := newManager(cfg, 4)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -230,9 +229,7 @@ func BenchmarkPeerTableContention(b *testing.B) {
 	const peers = 256
 	for _, shards := range []int{1, DefaultShards} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			cfg := fastCfg(0, nil)
-			cfg.Shards = shards
-			m := NewManager(cfg)
+			m := newManager(fastCfg(0, nil), shards)
 			for i := 1; i <= peers; i++ {
 				attach(b, m, trace.NodeID(i), &stubConn{})
 			}

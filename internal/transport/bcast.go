@@ -23,7 +23,7 @@ import (
 // callers fall back to fanning the message out over unicast Conns; the
 // scheduling layer is agnostic.
 //
-// Like Conn, Send may be called from any goroutine while Recv must stay
+// Unlike Conn's, Send may be called from any goroutine; Recv must stay
 // on a single goroutine, and frames round-trip through the wire codec.
 type BroadcastConn interface {
 	// Send transmits one message to every other current member.

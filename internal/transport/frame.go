@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"net"
 )
 
 // MaxFrame bounds one length-framed message: the wire codec's largest
@@ -15,17 +16,13 @@ const MaxFrame = 16*1024*1024 + 64*1024
 var ErrFrameTooBig = fmt.Errorf("transport: frame exceeds %d bytes", MaxFrame)
 
 // writeFrame writes one message as a 4-byte big-endian length prefix
-// followed by the encoded bytes.
+// followed by the encoded bytes, in one writev when w is a socket.
 func writeFrame(w io.Writer, frame []byte) error {
 	if len(frame) > MaxFrame {
 		return ErrFrameTooBig
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(frame)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(frame)
+	hdr := binary.BigEndian.AppendUint32(make([]byte, 0, 4), uint32(len(frame)))
+	_, err := (&net.Buffers{hdr, frame}).WriteTo(w)
 	return err
 }
 

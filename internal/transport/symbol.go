@@ -31,11 +31,14 @@ func (n *Loopback) SymbolDomain(name string) *BroadcastDomain {
 // only as symbols that never arrive, which the rateless code absorbs by
 // decoding from whichever subset does. The kernel's UDP semantics
 // provide the (absence of) guarantees; no loss shaping happens here.
+//
+// Send writes through to the socket and Recv reads from it, each on its
+// caller's goroutine; the lane runs none of its own.
 type UDPLane struct {
 	pc    net.PacketConn
 	peers []*net.UDPAddr
+	buf   []byte // Recv's, which is single-goroutine
 
-	in   chan []byte
 	done chan struct{}
 	once sync.Once
 }
@@ -50,11 +53,7 @@ func NewUDPLane(listen string, peers []string) (*UDPLane, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: symbol lane listen %q: %w", listen, err)
 	}
-	l := &UDPLane{
-		pc:   pc,
-		in:   make(chan []byte, domainQueue),
-		done: make(chan struct{}),
-	}
+	l := &UDPLane{pc: pc, buf: make([]byte, maxDatagram), done: make(chan struct{})}
 	for _, p := range peers {
 		addr, err := net.ResolveUDPAddr("udp", p)
 		if err != nil {
@@ -66,36 +65,7 @@ func NewUDPLane(listen string, peers []string) (*UDPLane, error) {
 		pc.Close()
 		return nil, fmt.Errorf("transport: symbol lane: no peer of %d resolved", len(peers))
 	}
-	go l.pump()
 	return l, nil
-}
-
-// pump moves datagrams from the socket into the bounded receive queue;
-// a full queue drops, like any busy datagram receiver.
-func (l *UDPLane) pump() {
-	buf := make([]byte, maxDatagram)
-	for {
-		n, _, err := l.pc.ReadFrom(buf)
-		if err != nil {
-			select {
-			case <-l.done:
-				return
-			default:
-			}
-			// Transient socket errors on a lossy lane are just loss.
-			if ne, ok := err.(net.Error); ok && (ne.Timeout() || ne.Temporary()) {
-				continue
-			}
-			l.Close()
-			return
-		}
-		frame := make([]byte, n)
-		copy(frame, buf[:n])
-		select {
-		case l.in <- frame:
-		default:
-		}
-	}
 }
 
 // Send encodes m once and writes the datagram to every lane peer.
@@ -120,22 +90,42 @@ func (l *UDPLane) Send(ctx context.Context, m wire.Msg) error {
 	return nil
 }
 
-// Recv returns the next decodable datagram. Undecodable datagrams are
-// skipped — on an unreliable lane every malformed packet is treated as
-// lost, never as a reason to tear the endpoint down.
+// Recv reads the next decodable datagram off the socket. Undecodable
+// datagrams are skipped — on an unreliable lane every malformed packet
+// is treated as lost, never as a reason to tear the endpoint down — and
+// so are transient socket errors. What the kernel's receive buffer
+// cannot hold while nobody reads is lost the same way.
 func (l *UDPLane) Recv(ctx context.Context) (wire.Msg, error) {
+	l.pc.SetReadDeadline(time.Time{})
+	// Wake a blocked read when ctx ends.
+	stop := context.AfterFunc(ctx, func() { l.pc.SetReadDeadline(time.Now()) })
+	defer stop()
 	for {
 		select {
-		case frame := <-l.in:
-			m, err := wire.Decode(frame)
-			if err != nil {
-				continue
-			}
-			return m, nil
 		case <-l.done:
 			return nil, ErrClosed
-		case <-ctx.Done():
-			return nil, ctx.Err()
+		default:
+		}
+		n, _, err := l.pc.ReadFrom(l.buf)
+		if err != nil {
+			if ctx.Err() != nil {
+				return nil, ctx.Err()
+			}
+			select {
+			case <-l.done:
+				return nil, ErrClosed
+			default:
+			}
+			if ne, ok := err.(net.Error); ok && (ne.Timeout() || ne.Temporary()) {
+				l.pc.SetReadDeadline(time.Time{}) // an earlier call's wake-up, not ours
+				continue
+			}
+			l.Close()
+			return nil, err
+		}
+		// Decode copies what it keeps, so the buffer is free for the next read.
+		if m, err := wire.Decode(l.buf[:n]); err == nil {
+			return m, nil
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"sync"
 	"time"
 
@@ -20,21 +19,11 @@ const (
 	// WriteTimeout bounds each frame write; a peer that stops draining
 	// its socket for this long is dropped rather than wedging its writer.
 	WriteTimeout = 10 * time.Second
-	// frameQueueLen is the per-conn frame queue between Send and the
-	// socket writer: enough to coalesce a burst of small frames into one
-	// flush (senders queue in internal/peer, not here).
-	frameQueueLen = 64
 )
 
-// TCP is the socket Transport. The zero value is usable.
-type TCP struct {
-	// ReadTimeout, when positive, bounds the wait for each inbound
-	// frame. Under the hello protocol peers beacon every second, so a
-	// few multiples of the liveness window is a sensible value; zero
-	// means Recv waits forever (liveness is then the session layer's
-	// job).
-	ReadTimeout time.Duration
-}
+// TCP is the socket Transport. The zero value is usable. Recv waits for
+// as long as its context lets it: liveness is the session layer's job.
+type TCP struct{}
 
 // Listen binds a TCP listener on addr (host:port; ":0" picks a free
 // port, recovered via Addr).
@@ -43,7 +32,7 @@ func (t *TCP) Listen(addr string) (Listener, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &tcpListener{t: t, ln: ln}, nil
+	return &tcpListener{ln: ln}, nil
 }
 
 // Dial connects to addr.
@@ -53,11 +42,10 @@ func (t *TCP) Dial(ctx context.Context, addr string) (Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return t.newConn(c), nil
+	return newTCPConn(c), nil
 }
 
 type tcpListener struct {
-	t    *TCP
 	ln   net.Listener
 	once sync.Once
 }
@@ -83,7 +71,7 @@ func (l *tcpListener) Accept(ctx context.Context) (Conn, error) {
 		}
 		return nil, err
 	}
-	return l.t.newConn(c), nil
+	return newTCPConn(c), nil
 }
 
 func (l *tcpListener) Addr() string { return l.ln.Addr().String() }
@@ -94,81 +82,47 @@ func (l *tcpListener) Close() error {
 	return err
 }
 
-// tcpConn frames wire messages over one socket. Sends go through a
-// bounded queue drained by a single writer goroutine, which keeps frames
-// whole and flushes a burst of them with one write; receives read
-// directly (Recv is single-goroutine by contract).
+// tcpConn frames wire messages over one socket. Send writes each frame
+// through on its caller's goroutine; Recv reads through a buffer. Each
+// is called from one goroutine at a time, by contract.
 type tcpConn struct {
-	t    *TCP
 	c    net.Conn
 	br   *bufio.Reader
-	sq   chan []byte
 	done chan struct{}
 	once sync.Once
-
-	mu       sync.Mutex
-	writeErr error
 }
 
-func (t *TCP) newConn(c net.Conn) *tcpConn {
+func newTCPConn(c net.Conn) *tcpConn {
 	if tc, ok := c.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	conn := &tcpConn{
-		t:    t,
-		c:    c,
-		br:   bufio.NewReaderSize(c, 64*1024),
-		sq:   make(chan []byte, frameQueueLen),
-		done: make(chan struct{}),
-	}
-	go conn.writeLoop()
-	return conn
+	return &tcpConn{c: c, br: bufio.NewReaderSize(c, 64*1024), done: make(chan struct{})}
 }
 
-// writeLoop drains the send queue; a write failure or timeout closes the
-// connection so both directions observe the death.
-func (c *tcpConn) writeLoop() {
-	bw := bufio.NewWriterSize(c.c, 64*1024)
-	for {
-		var frame []byte
-		select {
-		case frame = <-c.sq:
-		case <-c.done:
-			return
-		}
-		c.c.SetWriteDeadline(time.Now().Add(WriteTimeout))
-		err := writeFrame(bw, frame)
-		// Flush unless more frames are already queued (batch small
-		// beacons, but never hold a frame hostage).
-		if err == nil && len(c.sq) == 0 {
-			err = bw.Flush()
-		}
-		if err != nil {
-			c.mu.Lock()
-			c.writeErr = err
-			c.mu.Unlock()
-			c.Close()
-			return
-		}
-	}
-}
-
+// Send writes one frame under WriteTimeout, waking early when ctx ends.
+// A failed write may have cut the frame off, so it closes the conn and
+// both directions observe the death.
 func (c *tcpConn) Send(ctx context.Context, m wire.Msg) error {
-	frame := wire.Encode(m)
 	select {
-	case c.sq <- frame:
-		return nil
 	case <-c.done:
-		c.mu.Lock()
-		werr := c.writeErr
-		c.mu.Unlock()
-		if werr != nil {
-			return fmt.Errorf("%w: %w", ErrClosed, werr)
-		}
 		return ErrClosed
-	case <-ctx.Done():
+	default:
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	c.c.SetWriteDeadline(time.Now().Add(WriteTimeout))
+	stop := context.AfterFunc(ctx, func() { c.c.SetWriteDeadline(time.Now()) })
+	err := writeFrame(c.c, wire.Encode(m))
+	stop()
+	if err == nil {
+		return nil
+	}
+	c.Close()
+	if ctx.Err() != nil {
 		return ctx.Err()
 	}
+	return fmt.Errorf("%w: %w", ErrClosed, err)
 }
 
 func (c *tcpConn) Recv(ctx context.Context) (wire.Msg, error) {
@@ -178,11 +132,7 @@ func (c *tcpConn) Recv(ctx context.Context) (wire.Msg, error) {
 			return nil, ErrClosed
 		default:
 		}
-		if c.t.ReadTimeout > 0 {
-			c.c.SetReadDeadline(time.Now().Add(c.t.ReadTimeout))
-		} else {
-			c.c.SetReadDeadline(time.Time{})
-		}
+		c.c.SetReadDeadline(time.Time{})
 		// Wake a blocked read when ctx ends.
 		stop := context.AfterFunc(ctx, func() { c.c.SetReadDeadline(time.Now()) })
 		frame, err := readFrame(c.br)
@@ -195,10 +145,6 @@ func (c *tcpConn) Recv(ctx context.Context) (wire.Msg, error) {
 			case <-c.done:
 				return nil, ErrClosed
 			default:
-			}
-			if os.IsTimeout(err) {
-				c.Close()
-				return nil, fmt.Errorf("transport: read timeout: %w", err)
 			}
 			c.Close()
 			return nil, err

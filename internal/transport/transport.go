@@ -9,7 +9,7 @@
 //   - Loopback — a deterministic in-memory network for tests: frames pass
 //     through buffered channels, still round-tripping through the wire
 //     codec so tests exercise exactly the bytes TCP would carry;
-//   - TCP — real sockets with read/write deadlines and context-based
+//   - TCP — real sockets with a write deadline and context-based
 //     shutdown.
 //
 // Backoff is the exponential, jittered redial schedule; internal/peer's
@@ -17,9 +17,11 @@
 //
 // A Conn is the second and last hop of the send path: internal/peer
 // queues per session and runs one writer per session, the only caller of
-// Send after the handshake. What a Conn buffers below Send — TCP's frame
-// queue, Loopback's channel — is private to it, and a Send that blocks
-// there holds up that one session's writer and nobody else.
+// Send after the handshake. Send writes through on that goroutine — TCP
+// to its socket, Loopback into its channel, the simulated wire — so the
+// session's lanes are its only send queue, and a Send that blocks holds
+// up that one session's writer and nobody else. The package starts no
+// goroutines: every Conn, Listener and lane works on its caller's.
 //
 // Decode-error policy (the reason wire exports sentinel errors): a frame
 // whose header magic is garbage (wire.ErrBadMagic) means the stream is
@@ -53,13 +55,15 @@ var (
 	ErrNoListener = errors.New("transport: no listener on address")
 )
 
-// Conn is a reliable, message-oriented link to one peer. Send may be
-// called from any goroutine; Recv must be called from a single goroutine
-// (the session pump). Both honor context cancellation. After Close, both
-// return ErrClosed; Recv returns the peer's close as an error too.
+// Conn is a reliable, message-oriented link to one peer. Send and Recv
+// are each called from one goroutine at a time — the session's writer
+// and its receive pump — and Close from any. Both honor context
+// cancellation. After Close, both return ErrClosed; Recv returns the
+// peer's close as an error too.
 type Conn interface {
-	// Send hands one message to the link, blocking while the link's own
-	// buffer is full, until ctx ends or the link dies.
+	// Send puts one message on the link and returns once it is there,
+	// blocking while the link cannot take it, until ctx ends or the link
+	// dies.
 	Send(ctx context.Context, m wire.Msg) error
 	// Recv returns the next decoded message. Malformed-but-framed
 	// messages are skipped internally; framing garbage or a version
