@@ -1,11 +1,13 @@
 # Repo verification targets. `make check` is the gate, and all CI runs
 # of the tests: vet + full tests + the full suite under the race
-# detector — a superset of every soak target below, which select one
-# subsystem's tests (verbose, race-clean) for a local loop.
+# detector — a superset of the soak targets below, which select one
+# plane's tests (verbose, race-clean) for a local loop. Loss, kills,
+# partitions, floods, restarts and the group planes' loss are the
+# stepped swarm's seed families (`make step`), not wall-clock soaks.
 
 GO ?= go
 
-.PHONY: check vet deps-check test race short bench bench-e2e bench-json fuzz chaos bcast-soak crash-soak swarm fec-soak dht-soak overload-soak
+.PHONY: check vet deps-check test race short bench bench-e2e bench-json fuzz step soak swarm dht-soak
 
 check: vet test race
 
@@ -72,27 +74,22 @@ race:
 short:
 	$(GO) test -short ./...
 
-# Chaos soak: two daemons over the fault injector (30% drop, 20%
-# corruption, a scripted 10 s partition) must still complete a download,
-# race-clean.
-chaos:
-	$(GO) test -race -count=1 -run 'Chaos|Fault' -v ./internal/daemon ./cmd/mbtd
+# The stepped swarm (internal/daemon step_test.go): every seed family —
+# pairwise chaos, flood, the group plane's grant/resend against its
+# fountain at 44% loss, restart on a faulty disk, record expiry — and
+# the three tests ported onto it, on the hand clock with every invariant
+# checked after every step, run twice under the race detector: every
+# seed must replay step for step.
+step:
+	$(GO) test -race -count=2 -run 'TestStep|TestFloodVictimStaysLive|TestNamingASecondHolderReCutsMidStream|TestBcastSoak' -v ./internal/daemon
 
-# Broadcast-group soak: three nodes on the loopback broadcast domain
-# under 20% drop chaos plus a scripted partition must confirm a group,
-# collapse, re-form, and still complete the shared download — plus the
-# transmission-savings comparison and the live TCP demo.
-bcast-soak:
-	$(GO) test -race -count=1 -run 'Bcast|LocalhostBcastDemo' -v ./internal/daemon ./cmd/mbtd
-
-# Fountain-coded soak: the LT-code property tests, the engine's symbol
-# plane (negotiation, loss repair, relay budget, poisoned-decode
-# restart), the five-node chaos soak at 30% drop + 20% corruption, and
-# the live three-daemon UDP demo. The first line runs without -race,
-# where timing is honest, for the strict transmission comparison.
-fec-soak:
-	$(GO) test -count=1 -run 'FEC' -v ./internal/fec ./internal/bcast ./internal/daemon
-	$(GO) test -race -count=1 -run 'FEC|LocalhostFECDemo' -v ./internal/fec ./internal/bcast ./internal/daemon ./cmd/mbtd
+# The wall-clock soaks, one per plane: the pairwise plane over real TCP
+# (the two-daemon transfer and the localhost mbtd demos, restart and
+# fault injector included) and the group plane's UDP symbol lane (the
+# three-daemon fountain demo).
+soak:
+	$(GO) test -race -count=1 -run 'TestTCPEndToEnd|TestLocalhostDemo|TestLocalhostDemoUnderFaults|TestLocalhostRestartDemo' -v ./internal/daemon ./cmd/mbtd
+	$(GO) test -race -count=1 -run 'TestLocalhostFECDemo' -v ./cmd/mbtd
 
 # DHT soak: the full Kademlia suite — k-bucket/store property tests and
 # lookup-convergence meshes in internal/dht, the daemon's server-death
@@ -104,15 +101,6 @@ dht-soak:
 	$(GO) test -race -count=1 -v ./internal/dht
 	$(GO) test -race -count=1 -timeout 10m -run 'DHT' -v ./internal/daemon ./internal/discovery ./internal/swarm ./cmd/mbtd
 	$(GO) test -race -count=1 -run 'TestFountainScenario' -v ./internal/swarm
-
-# Crash-recovery soak: the store-level crash-point matrix (every
-# mutating filesystem op) plus the daemon-level scripted kill-and-
-# restart matrix — at each point the node must reopen its data dir to a
-# consistent prefix, resume the download, and never be re-sent a
-# persisted piece. It carries the group-commit tests (blocked fsync,
-# failed fsync, cancel mid-download) so the committer runs under -race.
-crash-soak:
-	$(GO) test -race -count=1 -run 'TestCrashPointMatrix|TestShortWriteRepair|TestBatchIsAllOrNothing|TestCrashRecoverySoak|TestRestartResume|TestPieceHeldOnlyAfterSync|TestFailedSyncDropsPieceAndCreditTogether|TestCancelMidDownloadKeepsReportedPieces|TestLocalhostRestartDemo' -v ./internal/fault ./internal/daemon ./cmd/mbtd
 
 # Swarm availability soak: the full thousand-node boot plus every
 # scripted-churn scenario (seeder death, flash crowd, mobility
@@ -130,17 +118,6 @@ swarm:
 	$(GO) run ./cmd/mbtswarm -scenario fountain -nodes 5 -seed 21 -out results >/dev/null
 	$(GO) run ./cmd/mbtswarm -scenario steady -nodes 1000 -seed 42 -out results >/dev/null
 	mv results/swarm_steady.json results/swarm_steady-1000.json
-
-# Overload soak: the limiter property suite, the Busy frame
-# codec, per-peer admission shedding (the raw-connection flood against a
-# live victim, then the same flood layered over drop+corruption faults),
-# catalog query limiting, and the 24-node flash-crowd-overload swarm
-# scenario that must degrade, keep serving, and recover — all
-# race-clean.
-overload-soak:
-	$(GO) test -race -count=1 -v ./internal/limit
-	$(GO) test -race -count=1 -run 'TestBusy|TestSafeQueryLimit' -v ./internal/wire ./internal/server
-	$(GO) test -race -count=1 -run 'TestOutboxClassPriority|TestSendNeverBlocks|TestHealthzSaturationRecovers|TestFloodVictimStaysLive|TestSubUnitPeerRate|TestChaosFloodSoak|TestSwarmOverload' -v ./internal/peer ./internal/daemon ./internal/swarm
 
 # The sweep-pool benchmark: workers=1 vs workers=NumCPU wall clock.
 bench:

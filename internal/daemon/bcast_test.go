@@ -3,9 +3,7 @@ package daemon
 import (
 	"context"
 	"testing"
-	"time"
 
-	"repro/internal/fault"
 	"repro/internal/metadata"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -118,14 +116,14 @@ func TestBcastFewerTransmissions(t *testing.T) {
 		if enableBcast {
 			// Let the group confirm before the download starts, so the
 			// schedule — not a pairwise head start — moves the file.
-			waitFor(t, func() bool {
+			waitFor(t, waitLimit, func() bool {
 				return groupConfirmed(tr3.seed) && groupConfirmed(tr3.a) && groupConfirmed(tr3.b)
 			}, "group confirmation")
 		} else {
-			waitFor(t, func() bool { return meshLive(tr3) }, "mesh")
+			waitFor(t, waitLimit, func() bool { return meshLive(tr3) }, "mesh")
 		}
 		tr3.startDownloads()
-		waitFor(t, func() bool {
+		waitFor(t, waitLimit, func() bool {
 			return tr3.a.Completed(f0) && tr3.b.Completed(f0)
 		}, "both downloads")
 		return pieceTransmissions(tr3.seed, tr3.a, tr3.b)
@@ -150,81 +148,63 @@ func TestBcastFewerTransmissions(t *testing.T) {
 	}
 }
 
-// TestBcastSoak is the acceptance soak: three nodes on the loopback
-// broadcast domain under 20% unicast drop plus a scripted partition,
-// fixed seed, race detector on. The group must confirm, collapse when
-// the partition silences the mesh, re-form after it heals, and both
-// downloaders must still complete the shared file.
+// TestBcastSoak is the acceptance soak, on the stepped swarm: three
+// nodes on one shared medium, every unicast frame liable to be dropped
+// (20 %), and a partition of the unicast mesh once the download starts.
+// The group must confirm, collapse when the partition silences the mesh,
+// re-form after it heals, and both downloaders must still complete the
+// shared file, with the broadcast path carrying part of it.
 func TestBcastSoak(t *testing.T) {
-	partition := 3 * time.Second
-	limit := 60 * time.Second
-	if testing.Short() {
-		partition = time.Second
-		limit = 30 * time.Second
+	s := newStepSwarm(t, "TestBcastSoak", 1, stepFaults{drop: 0.2})
+	var ds []*Daemon
+	for i, addrs := range [][]string{nil, {"seed"}, {"seed", "n2"}} {
+		c := stepCfg(trace.NodeID(i + 1))
+		c.ListenAddr, c.PeerAddrs = []string{"seed", "n2", "n3"}[i], addrs
+		if i == 0 {
+			c.InternetAccess, c.PublishFiles = true, 1
+			c.FileSize, c.PieceSize = 64*1024, 4*1024 // 16 pieces at 4 KB
+		}
+		c.EnableBcast, c.Broadcast = true, s.net.join("radio", 0, c.ID)
+		ds = append(ds, s.start(c).d)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	net := transport.NewLoopback()
-	defer net.Close()
-	chaos := fault.Wrap(net, fault.Config{
-		Seed:     7,
-		Drop:     0.20,
-		DelayMax: time.Millisecond,
-		Schedule: []fault.Event{
-			{At: time.Second, Partition: true},
-			{At: time.Second + partition, Partition: false},
-		},
-	})
-	bo := transport.Backoff{Min: 2 * time.Millisecond, Max: 100 * time.Millisecond, Jitter: -1}
-	tr3 := startTrio(t, ctx, chaos, net, true, true, func(i int, cfg *Config) {
-		cfg.Backoff = bo
-		cfg.Fault = chaos
-		cfg.RetryBudget = 64
-	})
+	tr3 := trio{seed: ds[0], a: ds[1], b: ds[2]}
 
 	// Phase 1: the group confirms on the intact mesh; only then does
 	// the shared download start, so it rides the schedule.
-	waitLong(t, limit, func() bool {
+	s.until(10000, "initial group confirmation", func() bool {
 		return groupConfirmed(tr3.seed) && groupConfirmed(tr3.a) && groupConfirmed(tr3.b)
-	}, "initial group confirmation")
-	tr3.startDownloads()
+	})
+	s.act("start the downloads", tr3.startDownloads)
 
-	// Phase 2: the partition silences every unicast link; liveness
-	// expiry must collapse the group (pairwise fallback, not a stall)
-	// even though the broadcast medium itself stays up.
-	waitLong(t, limit, func() bool {
+	// Phase 2: the partition silences every unicast link for twice the
+	// liveness window; liveness expiry must collapse the group (pairwise
+	// fallback, not a stall) even though the medium itself stays up.
+	s.faults.cut = [2]int{s.beats + 1, s.beats + 9}
+	s.until(10000, "group collapse under partition", func() bool {
 		st := tr3.a.Stats().Bcast
-		return st != nil && st.Collapses >= 1 && !groupConfirmed(tr3.a)
-	}, "group collapse under partition")
+		return st.Collapses >= 1 && !groupConfirmed(tr3.a)
+	})
 
 	// Phase 3: heal → peers return → the group re-forms and confirms.
-	waitLong(t, limit, func() bool {
+	s.until(10000, "group re-formation after heal", func() bool {
 		st := tr3.a.Stats().Bcast
-		return st != nil && st.Formations >= 2 && groupConfirmed(tr3.a) &&
-			groupConfirmed(tr3.seed) && groupConfirmed(tr3.b)
-	}, "group re-formation after heal")
+		return st.Formations >= 2 && groupConfirmed(tr3.a) && groupConfirmed(tr3.seed) && groupConfirmed(tr3.b)
+	})
 
 	// Phase 4: the shared file completes on both downloaders despite
 	// the drop rate — broadcasts carry it, pairwise fills any gaps.
 	f0 := metadata.URIFor(0)
-	waitLong(t, limit, func() bool {
-		return tr3.a.Completed(f0) && tr3.b.Completed(f0)
-	}, "downloads under chaos")
+	s.until(20000, "downloads under chaos", func() bool { return tr3.a.Completed(f0) && tr3.b.Completed(f0) })
 
-	// The injector's counters are surfaced through Stats (and thus
-	// /stats): the chaos really ran and the JSON surface carries it.
-	st := tr3.a.Stats()
-	if st.Fault == nil || st.Fault.Sent == 0 {
-		t.Fatalf("fault stats missing from daemon stats: %+v", st.Fault)
+	// The faults really ran, and the broadcast path was used.
+	if len(s.dropped) == 0 {
+		t.Fatal("no drops injected")
 	}
-	if st.Fault.Dropped == 0 {
-		t.Fatalf("no drops injected: %+v", st.Fault)
+	if s.cutDropped == 0 {
+		t.Fatal("partition never touched traffic")
 	}
-	if st.Fault.PartitionDropped+st.Fault.DialsBlocked == 0 {
-		t.Fatalf("partition never touched traffic: %+v", st.Fault)
-	}
-	if st.Bcast.GroupHellosSent == 0 || st.Bcast.PieceBcastsRecv == 0 {
-		t.Fatalf("broadcast path unused: %+v", st.Bcast)
+	if st := tr3.a.Stats().Bcast; st.GroupHellosSent == 0 || st.PieceBcastsRecv == 0 {
+		t.Fatalf("broadcast path unused: %+v", st)
 	}
 }
 
@@ -238,12 +218,12 @@ func TestBcastUnicastFanout(t *testing.T) {
 	defer net.Close()
 	tr3 := startTrio(t, ctx, net, net, false, true, nil)
 
-	waitFor(t, func() bool {
+	waitFor(t, waitLimit, func() bool {
 		return groupConfirmed(tr3.seed) && groupConfirmed(tr3.a) && groupConfirmed(tr3.b)
 	}, "group confirmation over unicast fan-out")
 	tr3.startDownloads()
 	f0 := metadata.URIFor(0)
-	waitFor(t, func() bool {
+	waitFor(t, waitLimit, func() bool {
 		return tr3.a.Completed(f0) && tr3.b.Completed(f0)
 	}, "downloads over unicast fan-out")
 	if got := tr3.a.Stats().Transport.GroupRecv; got == 0 {
@@ -261,12 +241,12 @@ func TestBcastSuppressionFallsBack(t *testing.T) {
 	defer net.Close()
 	tr3 := startTrio(t, ctx, net, net, true, true, nil)
 
-	waitFor(t, func() bool {
+	waitFor(t, waitLimit, func() bool {
 		return groupConfirmed(tr3.seed) && groupConfirmed(tr3.a) && groupConfirmed(tr3.b)
 	}, "group confirmation")
 	tr3.startDownloads()
 	f0 := metadata.URIFor(0)
-	waitFor(t, func() bool {
+	waitFor(t, waitLimit, func() bool {
 		return tr3.a.Completed(f0) && tr3.b.Completed(f0)
 	}, "grouped download")
 	if got := tr3.seed.Stats().PiecesSuppressed; got == 0 {
@@ -285,12 +265,12 @@ func TestBcastTitForTat(t *testing.T) {
 		cfg.TitForTat = true
 	})
 
-	waitFor(t, func() bool {
+	waitFor(t, waitLimit, func() bool {
 		return groupConfirmed(tr3.seed) && groupConfirmed(tr3.a) && groupConfirmed(tr3.b)
 	}, "group confirmation")
 	tr3.startDownloads()
 	f0 := metadata.URIFor(0)
-	waitFor(t, func() bool {
+	waitFor(t, waitLimit, func() bool {
 		return tr3.a.Completed(f0) && tr3.b.Completed(f0)
 	}, "tit-for-tat download")
 	st := tr3.a.Stats().Bcast

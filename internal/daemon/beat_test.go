@@ -100,7 +100,7 @@ func newBeatRig(t *testing.T, mutate func(*Config)) *beatRig {
 			r.net.Close()
 		})
 	}
-	waitFor(t, func() bool { return d.Addr() != "" }, "the listener")
+	waitFor(t, waitLimit, func() bool { return d.Addr() != "" }, "the listener")
 	return r
 }
 
@@ -113,7 +113,7 @@ func (r *beatRig) kick() {
 	r.t.Helper()
 	want := r.d.mgr.Stats().HellosKicked + 1
 	r.d.mgr.Kick()
-	waitFor(r.t, func() bool { return r.d.mgr.Stats().HellosKicked == want }, "the kicked round")
+	waitFor(r.t, waitLimit, func() bool { return r.d.mgr.Stats().HellosKicked == want }, "the kicked round")
 }
 
 // peer handshakes node id with the daemon and returns its end of the link.
@@ -132,7 +132,7 @@ func (r *beatRig) peer(id trace.NodeID) transport.Conn {
 	if _, err := conn.Recv(ctx); err != nil { // the daemon's handshake hello
 		r.t.Fatal(err)
 	}
-	waitFor(r.t, func() bool { return slices.Contains(r.d.mgr.Peers(), id) }, "the peer's session")
+	waitFor(r.t, waitLimit, func() bool { return slices.Contains(r.d.mgr.Peers(), id) }, "the peer's session")
 	return conn
 }
 
@@ -147,7 +147,7 @@ func (r *beatRig) hello(conn transport.Conn, id trace.NodeID, heard ...trace.Nod
 			r.t.Fatal(err)
 		}
 	}
-	waitFor(r.t, func() bool { return r.d.mgr.Stats().HellosRecv == want }, "the peer's hello")
+	waitFor(r.t, waitLimit, func() bool { return r.d.mgr.Stats().HellosRecv == want }, "the peer's hello")
 }
 
 // recv reads n frames off a peer's link and returns their types.
@@ -227,7 +227,7 @@ func TestNothingPeriodicWithoutATick(t *testing.T) {
 	rec := d.syntheticFile(0)
 	d.onMetadata(2, &wire.Metadata{Popularity: 0.5, Record: *rec}) // selected: a download that will stall
 	// The selection kicked: three handshakes, then a round of three.
-	waitFor(t, func() bool {
+	waitFor(t, waitLimit, func() bool {
 		st := d.mgr.Stats()
 		return st.HellosKicked == 1 && st.HellosSent == 6
 	}, "the selection's kicked round")
@@ -262,7 +262,7 @@ func TestNothingPeriodicWithoutATick(t *testing.T) {
 		d.mu.Unlock()
 	}
 	r.fire()
-	waitFor(t, func() bool { return d.mgr.Stats().DHTSent == 2 }, "the DHT round's requests")
+	waitFor(t, waitLimit, func() bool { return d.mgr.Stats().DHTSent == 2 }, "the DHT round's requests")
 	// Each live peer hears the beacon, the stall's re-drive and the DHT
 	// request, in that order; the expired one hears nothing.
 	for id, conn := range map[trace.NodeID]transport.Conn{2: c2, 3: c3} {
@@ -313,7 +313,7 @@ func TestKicksNeitherAddNorStarveTheBeat(t *testing.T) {
 	r.kick()
 	want := base
 	want.hellos += 4
-	waitFor(t, func() bool { return r.counts().hellos == want.hellos }, "the kicked beacons")
+	waitFor(t, waitLimit, func() bool { return r.counts().hellos == want.hellos }, "the kicked beacons")
 	if got := r.counts(); got != want {
 		t.Fatalf("two kicks between beats: %+v, want %+v (two beacon rounds, nothing else)", got, want)
 	}
@@ -334,7 +334,7 @@ func TestKicksNeitherAddNorStarveTheBeat(t *testing.T) {
 		if due := began.Add(2 * beat); !r.clk.Now().Before(due.Add(beat)) && r.counts().dhtRounds == 0 {
 			t.Fatalf("kick %d: DHT maintenance was due at +%v, it is +%v and no round has begun", i, 2*beat, r.clk.Now().Sub(began))
 		}
-		waitFor(t, func() bool { return !d.dhtRound.Load() }, "the DHT round to finish")
+		waitFor(t, waitLimit, func() bool { return !d.dhtRound.Load() }, "the DHT round to finish")
 	}
 	r.stop()
 	got := r.counts()
@@ -357,10 +357,13 @@ func TestDHTRoundInFlightIsNotDoubled(t *testing.T) {
 	defer r.close()
 	d := r.d
 	r.peer(2) // a contact that never answers
+	// The peer is in the table before its hello is handled; the routing
+	// table learns it from the hello.
+	waitFor(t, waitLimit, func() bool { return len(d.dht.Contacts()) == 1 }, "the contact in the routing table")
 
 	r.clk.Advance(2 * d.cfg.HelloInterval)
 	r.fire()
-	waitFor(t, func() bool { return d.dht.Stats().RPCsSent == 1 }, "the DHT round's request")
+	waitFor(t, waitLimit, func() bool { return d.dht.Stats().RPCsSent == 1 }, "the DHT round's request")
 	for i := 0; i < 3; i++ {
 		r.clk.Advance(d.cfg.DHTRepublish)
 		r.fire()
@@ -388,11 +391,11 @@ func TestGoroutinesOfAnIdleDaemon(t *testing.T) {
 	r := newBeatRig(t, func(c *Config) { c.DataDir = t.TempDir() })
 	defer r.close()
 	const want = 4
-	waitFor(t, func() bool { return daemonGoroutines() == want }, "the daemon's goroutines to start")
+	waitFor(t, waitLimit, func() bool { return daemonGoroutines() == want }, "the daemon's goroutines to start")
 	r.clk.Advance(time.Hour)
 	r.fire()
 	r.fire() // the first beat is over, its DHT round begun
-	waitFor(t, func() bool { return !r.d.dhtRound.Load() }, "the DHT round to finish")
+	waitFor(t, waitLimit, func() bool { return !r.d.dhtRound.Load() }, "the DHT round to finish")
 	if got := daemonGoroutines(); got != want {
 		t.Fatalf("an idle daemon runs %d goroutines, want %d", got, want)
 	}
@@ -410,13 +413,13 @@ func TestADeadLinkCostsNoGoroutine(t *testing.T) {
 	})
 	defer r.close()
 	const want = 4
-	waitFor(t, func() bool { return tr.dials.Load() == 1 && daemonGoroutines() == want }, "the boot dial to be refused")
+	waitFor(t, waitLimit, func() bool { return tr.dials.Load() == 1 && daemonGoroutines() == want }, "the boot dial to be refused")
 	for i := 0; i < 3; i++ {
 		r.clk.Advance(time.Hour)
 		r.fire()
 		r.fire() // the first beat is over: its dial made, its DHT round begun
-		waitFor(t, func() bool { return !r.d.dhtRound.Load() }, "the DHT round to finish")
-		waitFor(t, func() bool { return daemonGoroutines() == want }, "the redial to be refused")
+		waitFor(t, waitLimit, func() bool { return !r.d.dhtRound.Load() }, "the DHT round to finish")
+		waitFor(t, waitLimit, func() bool { return daemonGoroutines() == want }, "the redial to be refused")
 	}
 	if got := tr.dials.Load(); got != 4 {
 		t.Fatalf("%d dials, want the boot dial and one per hour-apart beat", got)
@@ -437,7 +440,7 @@ func TestConfiguredLinkRedialsOnTheBeat(t *testing.T) {
 	defer r.close()
 	idle := func(dials int32) { // the dial made and filed, nothing in flight
 		t.Helper()
-		waitFor(t, func() bool {
+		waitFor(t, waitLimit, func() bool {
 			return tr.dials.Load() == dials && !r.d.dhtRound.Load() && daemonGoroutines() == 3
 		}, fmt.Sprintf("dial %d to be refused", dials))
 	}
@@ -483,7 +486,7 @@ func TestConcurrentDHTSendsShareOneDial(t *testing.T) {
 	}
 	// The dial cannot land before the far end accepts it, so once both
 	// senders wait on it, the second has joined the first's.
-	waitFor(t, func() bool { return goroutinesIn("peer.(*Manager).Dial(") == 2 }, "both senders to wait on the dial")
+	waitFor(t, waitLimit, func() bool { return goroutinesIn("peer.(*Manager).Dial(") == 2 }, "both senders to wait on the dial")
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	far, err := lis.Accept(ctx)

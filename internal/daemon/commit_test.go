@@ -164,7 +164,7 @@ func TestPieceHeldOnlyAfterSync(t *testing.T) {
 	d.onPiece(peer, pieceMsg(rec, 2))
 
 	open()
-	waitFor(t, func() bool { return settled(d) }, "staged pieces to commit")
+	waitFor(t, waitLimit, func() bool { return settled(d) }, "staged pieces to commit")
 	have := d.Have(rec.URI)
 	if !have[0] || !have[1] || !have[2] {
 		t.Fatalf("Have = %v after the syncs were released", have)
@@ -221,7 +221,7 @@ func TestFailedSyncDropsPieceAndCreditTogether(t *testing.T) {
 			}
 			// Re-delivery stands in for the sender's resend deadline.
 			d.onPiece(peer, pieceMsg(rec, i))
-			waitFor(t, func() bool { return settled(d) }, "the commit round")
+			waitFor(t, waitLimit, func() bool { return settled(d) }, "the commit round")
 			paired("after a commit round")
 		}
 	}
@@ -269,7 +269,7 @@ func TestCancelMidDownloadKeepsReportedPieces(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := start(ctx1, leech)
-	waitFor(t, func() bool {
+	waitFor(t, waitLimit, func() bool {
 		n := leech.Stats().PiecesVerified
 		return n >= 2 && n < crashPieces
 	}, "partial download")

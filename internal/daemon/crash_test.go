@@ -82,7 +82,7 @@ func TestRestartResume(t *testing.T) {
 
 	// Kill once a strict prefix is verified: some pieces on disk, some
 	// still to fetch.
-	waitFor(t, func() bool {
+	waitFor(t, waitLimit, func() bool {
 		n := leech1.Stats().PiecesVerified
 		return n >= 2 && n < crashPieces
 	}, "partial download")
@@ -109,7 +109,7 @@ func TestRestartResume(t *testing.T) {
 
 	skippedBefore := seed.Stats().PiecesSkippedHeld
 	done2 := start(ctx, leech2)
-	waitFor(t, func() bool { return leech2.Completed(uri) }, "resumed download")
+	waitFor(t, waitLimit, func() bool { return leech2.Completed(uri) }, "resumed download")
 
 	st2 := leech2.Stats()
 	if st2.PiecesRefetched != 0 {
@@ -120,7 +120,7 @@ func TestRestartResume(t *testing.T) {
 			st2.PiecesVerified, restored, crashPieces)
 	}
 	// The seed saw the have-bitmap and skipped every restored piece.
-	waitFor(t, func() bool { return seed.Stats().PiecesSkippedHeld > skippedBefore }, "seed skipping held pieces")
+	waitFor(t, waitLimit, func() bool { return seed.Stats().PiecesSkippedHeld > skippedBefore }, "seed skipping held pieces")
 
 	cancel()
 	<-done2
@@ -192,7 +192,7 @@ func TestCrashRecoverySoak(t *testing.T) {
 			t.Fatal(err)
 		}
 		done := start(ctx, leech)
-		waitFor(t, func() bool { return leech.Completed(uri) }, "probe download")
+		waitFor(t, waitLimit, func() bool { return leech.Completed(uri) }, "probe download")
 		ops := ffs.Stats().Ops
 		renames := ffs.RenameOps()
 		cancel()
@@ -223,7 +223,7 @@ func TestCrashRecoverySoak(t *testing.T) {
 				t.Fatal(err)
 			}
 			done1 := start(ctx1, leech1)
-			waitFor(t, func() bool { return ffs.Crashed() || leech1.Completed(uri) }, "crash point")
+			waitFor(t, waitLimit, func() bool { return ffs.Crashed() || leech1.Completed(uri) }, "crash point")
 			cancel1()
 			<-done1
 			// A run whose pieces shared group commits takes fewer ops than
@@ -270,7 +270,7 @@ func TestCrashRecoverySoak(t *testing.T) {
 			}
 
 			done2 := start(ctx, leech2)
-			waitFor(t, func() bool { return leech2.Completed(uri) }, "recovered download")
+			waitFor(t, waitLimit, func() bool { return leech2.Completed(uri) }, "recovered download")
 			st2 := leech2.Stats()
 			if st2.PiecesRefetched != 0 {
 				t.Fatalf("crash at op %d: %d persisted pieces were re-sent over the wire", crashAt, st2.PiecesRefetched)
@@ -280,7 +280,7 @@ func TestCrashRecoverySoak(t *testing.T) {
 					crashAt, st2.PiecesVerified, have, crashPieces)
 			}
 			if have > 0 && have < crashPieces {
-				waitFor(t, func() bool { return seed.Stats().PiecesSkippedHeld > 0 }, "seed skipping held pieces")
+				waitFor(t, waitLimit, func() bool { return seed.Stats().PiecesSkippedHeld > 0 }, "seed skipping held pieces")
 			}
 
 			cancel()
@@ -307,7 +307,7 @@ func TestHealthReportsRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	done1 := start(ctx1, leech1)
-	waitFor(t, func() bool { return leech1.Completed(uri) }, "first download")
+	waitFor(t, waitLimit, func() bool { return leech1.Completed(uri) }, "first download")
 	cancel1()
 	<-done1
 

@@ -17,16 +17,22 @@ import (
 	"repro/internal/transport"
 )
 
-func waitFor(t testing.TB, cond func() bool, what string) {
-	t.Helper()
-	deadline := time.Now().Add(20 * time.Second)
+// waitLimit is how long a wall-clock test polls for what should take
+// milliseconds.
+const waitLimit = 20 * time.Second
+
+// waitFor polls cond until it holds, failing tb once limit has passed —
+// the one wait of every test here that still runs on the runtime clock.
+func waitFor(tb testing.TB, limit time.Duration, cond func() bool, what string) {
+	tb.Helper()
+	deadline := time.Now().Add(limit)
 	for time.Now().Before(deadline) {
 		if cond() {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("timed out waiting for %s", what)
+	tb.Fatalf("timed out waiting for %s", what)
 }
 
 // fastCfg shrinks the protocol clocks so tests converge in
@@ -130,16 +136,16 @@ func TestLoopbackEndToEndSoak(t *testing.T) {
 	start(ctx, leech)
 
 	// Hello exchange: each sees the other.
-	waitFor(t, func() bool {
+	waitFor(t, waitLimit, func() bool {
 		return len(seed.Manager().Peers()) == 1 && len(leech.Manager().Peers()) == 1
 	}, "hello exchange")
 
 	// Metadata pull: both records arrive and are selected.
-	waitFor(t, func() bool { return leech.Stats().MetadataStored == 2 }, "metadata pull")
+	waitFor(t, waitLimit, func() bool { return leech.Stats().MetadataStored == 2 }, "metadata pull")
 
 	// Piece download: both files complete, verified.
 	f0, f1 := metadata.URIFor(0), metadata.URIFor(1)
-	waitFor(t, func() bool { return leech.Completed(f0) && leech.Completed(f1) }, "downloads")
+	waitFor(t, waitLimit, func() bool { return leech.Completed(f0) && leech.Completed(f1) }, "downloads")
 
 	st := leech.Stats()
 	wantPieces := uint64(2 * 3) // 2 files × 3 pieces at 600 KB / 256 KB
@@ -186,12 +192,12 @@ func TestReconnectAfterDrop(t *testing.T) {
 	start(ctx, leech)
 
 	// Wait for the download to start, then yank every session.
-	waitFor(t, func() bool { return leech.Stats().PiecesVerified >= 1 }, "first piece")
+	waitFor(t, waitLimit, func() bool { return leech.Stats().PiecesVerified >= 1 }, "first piece")
 	seed.Manager().Close()
 	leech.Manager().Close()
 
-	waitFor(t, func() bool { return leech.Manager().Stats().Reconnects >= 1 }, "reconnect")
-	waitFor(t, func() bool { return leech.Completed(metadata.URIFor(0)) }, "download completion after drop")
+	waitFor(t, waitLimit, func() bool { return leech.Manager().Stats().Reconnects >= 1 }, "reconnect")
+	waitFor(t, waitLimit, func() bool { return leech.Completed(metadata.URIFor(0)) }, "download completion after drop")
 }
 
 // TestShutdownWhileSending cancels both daemons in the middle of a
@@ -222,7 +228,7 @@ func TestShutdownWhileSending(t *testing.T) {
 	seedDone := start(ctx, seed)
 	leechDone := start(ctx, leech)
 
-	waitFor(t, func() bool { return leech.Stats().PiecesVerified >= 8 }, "transfer in flight")
+	waitFor(t, waitLimit, func() bool { return leech.Stats().PiecesVerified >= 8 }, "transfer in flight")
 	cancel()
 	for _, done := range []chan error{seedDone, leechDone} {
 		select {
@@ -253,7 +259,7 @@ func TestTCPEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	start(ctx, seed)
-	waitFor(t, func() bool { return seed.Addr() != "" }, "seed to bind")
+	waitFor(t, waitLimit, func() bool { return seed.Addr() != "" }, "seed to bind")
 
 	leechCfg := fastCfg(2, tcp)
 	leechCfg.PeerAddrs = []string{seed.Addr()}
@@ -264,7 +270,7 @@ func TestTCPEndToEnd(t *testing.T) {
 	}
 	start(ctx, leech)
 
-	waitFor(t, func() bool { return leech.Completed(metadata.URIFor(0)) }, "TCP download")
+	waitFor(t, waitLimit, func() bool { return leech.Completed(metadata.URIFor(0)) }, "TCP download")
 	st := leech.Stats()
 	if st.PiecesVerified < 3 {
 		t.Fatalf("verified %d pieces, want >= 3", st.PiecesVerified)

@@ -67,7 +67,7 @@ func TestDHTResolveAfterServerDeath(t *testing.T) {
 	// closest contacts — here, everyone. Wait until both DTN nodes hold a
 	// DHT copy of the record the post-death query needs: a store count
 	// alone is reached by f0's keywords before f1's have left the server.
-	waitFor(t, func() bool {
+	waitFor(t, waitLimit, func() bool {
 		return len(n2.DHT().CachedValues("f1")) > 0 && len(n3.DHT().CachedValues("f1")) > 0
 	}, "catalog replicated into DHT stores")
 
@@ -87,7 +87,7 @@ func TestDHTResolveAfterServerDeath(t *testing.T) {
 	// MetadataStore holds f1 (nobody queried it while the server
 	// lived), so the hello/server path cannot answer it.
 	n2.AddQuery("f1")
-	waitFor(t, func() bool { return n2.KnowsMetadata(metadata.URIFor(1)) }, "post-death DHT resolution")
+	waitFor(t, waitLimit, func() bool { return n2.KnowsMetadata(metadata.URIFor(1)) }, "post-death DHT resolution")
 
 	st := n2.Stats()
 	if st.Transport.MetadataRecv != 0 {
@@ -138,7 +138,7 @@ func TestDHTMissFallsBackToServer(t *testing.T) {
 	start(ctx, srv)
 	start(ctx, leech)
 
-	waitFor(t, func() bool { return leech.Completed(metadata.URIFor(0)) }, "legacy-path download with DHT enabled")
+	waitFor(t, waitLimit, func() bool { return leech.Completed(metadata.URIFor(0)) }, "legacy-path download with DHT enabled")
 
 	st := leech.Stats()
 	if st.MetadataStored != 1 {
@@ -208,5 +208,5 @@ func TestDHTDialOnDemand(t *testing.T) {
 	start(ctx, n3)
 
 	n3.AddQuery("f0")
-	waitFor(t, func() bool { return n3.KnowsMetadata(metadata.URIFor(0)) }, "lookup across the line topology")
+	waitFor(t, waitLimit, func() bool { return n3.KnowsMetadata(metadata.URIFor(0)) }, "lookup across the line topology")
 }

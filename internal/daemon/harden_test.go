@@ -164,7 +164,7 @@ func (p *wedgedPeer) plug() {
 	if err := p.d.mgr.Send(p.id, &wire.Busy{From: p.d.cfg.ID, Scope: wire.BusyPiece}); err != nil {
 		p.t.Fatal(err)
 	}
-	waitFor(p.t, func() bool { return p.g.parked.Load() == 1 }, "the writer to park at the gate")
+	waitFor(p.t, waitLimit, func() bool { return p.g.parked.Load() == 1 }, "the writer to park at the gate")
 }
 
 // queued reports the peer's lane depths.

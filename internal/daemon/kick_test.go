@@ -53,7 +53,7 @@ func livePair(tb testing.TB, hello time.Duration, files, pieces int, mutate ...f
 	// The leecher starts once the seeder listens: a refused boot dial would
 	// be retried only at a beat.
 	ran := []chan error{start(ctx, seed)}
-	waitFor(tb, func() bool { return seed.Addr() != "" }, "the seeder's listener")
+	waitFor(tb, waitLimit, func() bool { return seed.Addr() != "" }, "the seeder's listener")
 	ran = append(ran, start(ctx, leech))
 	stop = func() {
 		cancel()
@@ -62,7 +62,7 @@ func livePair(tb testing.TB, hello time.Duration, files, pieces int, mutate ...f
 		}
 		net.Close()
 	}
-	waitFor(tb, func() bool {
+	waitFor(tb, waitLimit, func() bool {
 		return len(seed.Manager().Peers()) == 1 && len(leech.Manager().Peers()) == 1
 	}, "the session")
 	return seed, leech, done, stop
@@ -97,7 +97,7 @@ func TestDownloadDoesNotWaitForBeacon(t *testing.T) {
 	// 64 pieces or the completion; the seeder's interests never changed.
 	// (A round is counted once its fan-out returns, which the download
 	// it triggered can beat.)
-	waitFor(t, func() bool { return leech.Manager().Stats().HellosKicked >= 2 }, "both kicked rounds to be counted")
+	waitFor(t, waitLimit, func() bool { return leech.Manager().Stats().HellosKicked >= 2 }, "both kicked rounds to be counted")
 	if got := leech.Manager().Stats().HellosKicked; got != 2 {
 		t.Fatalf("leecher kicked %d beacon rounds, want 2 (query, selection)", got)
 	}
@@ -115,11 +115,11 @@ func TestRepeatedAddQueryDoesNotBeacon(t *testing.T) {
 
 	kicked := func() uint64 { return leech.Manager().Stats().HellosKicked }
 	leech.AddQuery("nothing matches this")
-	waitFor(t, func() bool { return kicked() == 1 }, "the new query's beacon")
+	waitFor(t, waitLimit, func() bool { return kicked() == 1 }, "the new query's beacon")
 	leech.AddQuery("nothing matches this")
 	// A second new query flushes whatever the repeat may have left owed.
 	leech.AddQuery("nor this")
-	waitFor(t, func() bool { return kicked() >= 2 }, "the second query's beacon")
+	waitFor(t, waitLimit, func() bool { return kicked() >= 2 }, "the second query's beacon")
 	if got := leech.Manager().Stats().HellosSent; got != 3 {
 		t.Fatalf("leecher sent %d hellos, want 3: the handshake and one per new query", got)
 	}
@@ -158,7 +158,7 @@ func TestKicksBoundedByInterestChanges(t *testing.T) {
 		nodes[i] = d
 		start(ctx, d)
 	}
-	waitFor(t, func() bool {
+	waitFor(t, waitLimit, func() bool {
 		for _, d := range nodes {
 			if len(d.Manager().Peers()) != 2 {
 				return false
@@ -177,12 +177,12 @@ func TestKicksBoundedByInterestChanges(t *testing.T) {
 	mid := make([]uint64, len(leechers))
 	for i, d := range leechers {
 		d := d
-		waitFor(t, func() bool { return d.Stats().PiecesVerified >= pieces*files/2 }, "half the pieces")
+		waitFor(t, waitLimit, func() bool { return d.Stats().PiecesVerified >= pieces*files/2 }, "half the pieces")
 		mid[i] = d.Manager().Stats().HellosKicked
 	}
 	for i, d := range leechers {
 		d := d
-		waitFor(t, func() bool {
+		waitFor(t, waitLimit, func() bool {
 			return d.Completed(metadata.URIFor(0)) && d.Completed(metadata.URIFor(1))
 		}, "both downloads")
 		st := d.Manager().Stats()

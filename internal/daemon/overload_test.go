@@ -1,16 +1,11 @@
 package daemon
 
 import (
-	"context"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/dht"
 	"repro/internal/metadata"
-	"repro/internal/testutil"
-	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -49,31 +44,16 @@ func TestHealthzSaturationRecovers(t *testing.T) {
 	}
 }
 
-// floodRate is the per-peer admission rate the flood tests configure on
-// their victim (legit traffic at ~100/s fits; the flood does not).
-const floodRate = 200
-
-// floodBurst sizes one tick of a test flood: 5× the admission rate over
-// the time since the previous tick. A bare 1 ms ticker offers 1000/s
-// only while the scheduler honours it; on a busy box ticks coalesce and
-// the offered rate sinks under the admission rate, so nothing is shed.
-// Sized from elapsed time, the flood is a flood at any granularity.
-func floodBurst(last *time.Time) int {
-	now := time.Now()
-	n := int(5 * floodRate * now.Sub(*last).Seconds())
-	*last = now
-	return max(n, 1)
-}
-
-// TestFloodVictimStaysLive is the overload acceptance test: one raw
-// connection floods the victim's listener at ~10× its per-peer rate
-// while a legitimate daemon downloads a file from it. The victim must
-// shed the flood (answering with Busy, one per lane per window), go
-// degraded while shedding, serve the legitimate peer to completion
-// throughout, and report healthy again once the flood stops. The flood
-// is one table input: hellos driving the catalog and the piece lane, or
-// FindNode frames driving the DHT — which has no limiter of its own, so
-// the per-peer dispatch limit is all that stands in front of it.
+// TestFloodVictimStaysLive is the overload acceptance test, on the
+// stepped swarm: one scripted connection floods the victim's listener at
+// five times its per-peer rate while a legitimate daemon downloads a file
+// from it. The victim must shed the flood (answering with Busy, one per
+// lane per window), go degraded while shedding, serve the legitimate
+// peer to completion throughout, and report healthy again once the flood
+// stops. The flood is one table input: hellos driving the catalog and the
+// piece lane, or FindNode frames driving the DHT — which has no limiter
+// of its own, so the per-peer dispatch limit is all that stands in front
+// of it.
 func TestFloodVictimStaysLive(t *testing.T) {
 	var key [wire.KeySize]byte
 	for _, tc := range []struct {
@@ -89,131 +69,41 @@ func TestFloodVictimStaysLive(t *testing.T) {
 		}, wire.BusyPiece},
 		{"find-node", true, &wire.FindNode{From: 99, RPCID: 1, Target: key}, wire.BusyDHT},
 	} {
-		t.Run(tc.name, func(t *testing.T) { floodVictim(t, tc.dht, tc.frame, tc.lane) })
+		t.Run(tc.name, func(t *testing.T) { floodVictim(t, tc.name, tc.dht, tc.frame, tc.lane) })
 	}
 }
 
-func floodVictim(t *testing.T, withDHT bool, frame wire.Msg, lane wire.BusyScope) {
-	defer testutil.NoLeaks(t)()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	net := transport.NewLoopback()
-	defer net.Close()
+func floodVictim(t *testing.T, name string, withDHT bool, frame wire.Msg, lane wire.BusyScope) {
+	s := newStepSwarm(t, "TestFloodVictimStaysLive/"+name, 1, stepFaults{})
+	const busyWindow = 2 * stepBeat
+	vc := stepCfg(1)
+	vc.ListenAddr, vc.InternetAccess, vc.PublishFiles = "victim", true, 1
+	vc.PeerRate, vc.BusyRetryAfter, vc.EnableDHT = stepFloodRate, busyWindow, withDHT
+	stepFile(&vc)
+	victim := s.start(vc).d
+	lc := stepCfg(2)
+	lc.PeerAddrs, lc.Queries, lc.EnableDHT = []string{"victim"}, []string{"f0"}, withDHT
+	legit := s.start(lc).d
+	s.until(1000, "legit hello exchange", func() bool { return len(legit.Manager().Peers()) == 1 })
 
-	const busyWindow = 50 * time.Millisecond
-	victimCfg := fastCfg(1, net)
-	victimCfg.ListenAddr = "victim"
-	victimCfg.InternetAccess = true
-	victimCfg.PublishFiles = 1
-	victimCfg.PeerRate = floodRate
-	victimCfg.BusyRetryAfter = busyWindow
-	victimCfg.EnableDHT = withDHT
-	victim, err := New(victimCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	legitCfg := fastCfg(2, net)
-	legitCfg.PeerAddrs = []string{"victim"}
-	legitCfg.Queries = []string{"f0"}
-	legitCfg.EnableDHT = withDHT
-	legit, err := New(legitCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	start(ctx, victim)
-	start(ctx, legit)
-	waitFor(t, func() bool { return len(legit.Manager().Peers()) == 1 }, "legit hello exchange")
-
-	// The flooder speaks just enough protocol to register and stay live —
-	// a hello handshake and beacon — and sends the flood frame in per-tick
-	// bursts, ≥ 1000/s against a 200/s admission rate. A reader drains the
-	// victim's replies and keeps the Busy frames among them.
-	conn, err := net.Dial(ctx, "victim")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var (
-		busyMu sync.Mutex
-		busies []*wire.Busy
-	)
-	busySeen := func(sc wire.BusyScope) (n int) {
-		busyMu.Lock()
-		defer busyMu.Unlock()
-		for _, b := range busies {
-			if b.Scope == sc {
-				n++
-			}
-		}
-		return n
-	}
-	readerDone := make(chan struct{})
-	go func() {
-		defer close(readerDone)
-		for {
-			m, err := conn.Recv(ctx)
-			if err != nil {
-				return
-			}
-			if b, ok := m.(*wire.Busy); ok {
-				busyMu.Lock()
-				busies = append(busies, b)
-				busyMu.Unlock()
-			}
-		}
-	}()
-	floodCtx, stopFlood := context.WithCancel(ctx)
-	defer stopFlood()
-	floodStart := time.Now()
-	floodDone := make(chan struct{})
-	go func() {
-		defer close(floodDone)
-		tick := time.NewTicker(time.Millisecond)
-		defer tick.Stop()
-		last := time.Now()
-		var beaconed time.Time
-		for {
-			// A beacon per hello interval — the first is the handshake —
-			// keeps the flooder in the victim's table whatever it floods.
-			if time.Since(beaconed) >= victimCfg.HelloInterval {
-				if err := conn.Send(floodCtx, &wire.Hello{From: 99}); err != nil {
-					return
-				}
-				beaconed = time.Now()
-			}
-			select {
-			case <-floodCtx.Done():
-				return
-			case <-tick.C:
-			}
-			for n := floodBurst(&last); n > 0; n-- {
-				if err := conn.Send(floodCtx, frame); err != nil {
-					return
-				}
-			}
-		}
-	}()
-
-	// While the flood runs: the victim sheds, degrades, and answers
-	// Busy on the flooded lane — and still serves the legitimate peer:
-	// its download completes and, with the DHT on, its lookup is answered.
-	waitFor(t, func() bool { return victim.Stats().Transport.InboundShed > 0 }, "admission shedding")
-	waitFor(t, func() bool { return victim.Health().Status == "degraded" }, "degraded under flood")
-	waitFor(t, func() bool { return busySeen(lane) > 0 }, "flooder received Busy on the flooded lane")
-	waitFor(t, func() bool { return legit.Completed(metadata.URIFor(0)) }, "legit download under flood")
+	// While the flood runs: the victim sheds, degrades, and answers Busy
+	// on the flooded lane — and still serves the legitimate peer: its
+	// download completes and, with the DHT on, its lookup is answered.
+	flood := newFlooder(s, "victim", frame)
+	s.until(10000, "admission shedding", func() bool { return victim.Stats().Transport.InboundShed > 0 })
+	s.until(10000, "degraded under flood", func() bool { return victim.Health().Status == "degraded" })
+	s.until(10000, "flooder received Busy on the flooded lane", func() bool { return flood.seen(lane) > 0 })
+	s.until(10000, "legit download under flood", func() bool { return legit.Completed(metadata.URIFor(0)) })
 	if withDHT {
-		res, err := legit.DHT().Lookup(ctx, dht.NodeKey(2), false)
+		var res *dht.LookupResult
+		var err error
+		s.await(10000, "the legit lookup", func() { res, err = legit.DHT().Lookup(s.ctx, dht.NodeKey(2), false) })
 		if err != nil || len(res.Closest) == 0 || res.Closest[0].ID != 1 {
 			t.Fatalf("legit lookup under flood: %+v, %v; want the victim to answer", res, err)
 		}
 	}
-
-	stopFlood()
-	<-floodDone
-	conn.Close()
-	<-readerDone
-	flooded := time.Since(floodStart)
+	flooded := s.clk.Now().Sub(flood.since)
+	s.act("the flood stops", flood.stop)
 
 	st := victim.Stats()
 	if st.BusyReplies == 0 {
@@ -225,7 +115,7 @@ func floodVictim(t *testing.T, withDHT bool, frame wire.Msg, lane wire.BusyScope
 	// Paced: sends to one peer on one lane are a window apart, so however
 	// long the flood ran it bought at most one Busy per window per lane.
 	for sc := wire.BusyQuery; sc <= wire.BusySymbol; sc++ {
-		if n, most := busySeen(sc), int(flooded/busyWindow)+1; n > most {
+		if n, most := flood.seen(sc), int(flooded/busyWindow)+1; n > most {
 			t.Errorf("%d Busy frames on the %v lane in %v, want at most one per %v (%d)", n, sc, flooded, busyWindow, most)
 		}
 	}
@@ -234,17 +124,17 @@ func floodVictim(t *testing.T, withDHT bool, frame wire.Msg, lane wire.BusyScope
 		// Busy they earned still routes a lookup around its sender: fed to
 		// the legitimate node as if it had been the one shed, the victim is
 		// skipped for the window — not queried, not declared dead.
-		busyMu.Lock()
 		var shed *wire.Busy
-		for _, b := range busies {
+		for _, b := range flood.busies {
 			if b.Scope == wire.BusyDHT {
 				shed = b
 			}
 		}
-		busyMu.Unlock()
 		before := legit.DHT().Stats()
-		legit.onBusy(1, shed)
-		if _, err := legit.DHT().Lookup(ctx, dht.NodeKey(2), false); err != nil {
+		s.act("the legit node hears the victim's Busy", func() { legit.onBusy(1, shed) })
+		var err error
+		s.await(10000, "the lookup around a busy contact", func() { _, err = legit.DHT().Lookup(s.ctx, dht.NodeKey(2), false) })
+		if err != nil {
 			t.Fatalf("lookup around a busy contact: %v", err)
 		}
 		after := legit.DHT().Stats()
@@ -258,7 +148,7 @@ func floodVictim(t *testing.T, withDHT bool, frame wire.Msg, lane wire.BusyScope
 	}
 	// Recovery: once the flood stops, the shed window ages out and the
 	// verdict walks back to ok.
-	waitFor(t, func() bool { return victim.Health().Status == "ok" }, "health recovery after flood")
+	s.until(10000, "health recovery after flood", func() bool { return victim.Health().Status == "ok" })
 }
 
 // TestSubUnitPeerRate: a rate below one per second is still a rate, in

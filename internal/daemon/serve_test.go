@@ -417,7 +417,7 @@ func TestDisjointServingThreeHolders(t *testing.T) {
 		holders[i] = d
 		start(ctx, d)
 	}
-	waitFor(t, func() bool { return holders[1].Completed(uri) && holders[2].Completed(uri) }, "holders complete")
+	waitFor(t, waitLimit, func() bool { return holders[1].Completed(uri) && holders[2].Completed(uri) }, "holders complete")
 	sentBefore := uint64(0)
 	for _, h := range holders {
 		sentBefore += h.Stats().Transport.PiecesSent
@@ -432,9 +432,9 @@ func TestDisjointServingThreeHolders(t *testing.T) {
 		t.Fatal(err)
 	}
 	start(ctx, leech)
-	waitFor(t, func() bool { return len(leech.Manager().Peers()) == 3 }, "three sessions")
+	waitFor(t, waitLimit, func() bool { return len(leech.Manager().Peers()) == 3 }, "three sessions")
 	leech.AddQuery("f0")
-	waitFor(t, func() bool { return leech.Completed(uri) }, "download from three holders")
+	waitFor(t, waitLimit, func() bool { return leech.Completed(uri) }, "download from three holders")
 
 	st := leech.Stats()
 	if st.PiecesVerified != pieces || st.PiecesDuplicate != 0 || st.PiecesRefetched != 0 {
@@ -496,7 +496,7 @@ func TestMetadataNotResentDuringDownload(t *testing.T) {
 	for _, d := range nodes {
 		start(ctx, d)
 	}
-	waitFor(t, func() bool { return nodes[1].Completed(uri) && nodes[2].Completed(uri) }, "both downloads")
+	waitFor(t, waitLimit, func() bool { return nodes[1].Completed(uri) && nodes[2].Completed(uri) }, "both downloads")
 	for i := 0; i < 2; i++ {
 		got := <-atComplete
 		if got.hellos < 20 {

@@ -43,13 +43,13 @@ func TestSeederServesPastNonReadingDownloader(t *testing.T) {
 	seedCfg.ListenAddr = "127.0.0.1:0"
 	seedCfg.InternetAccess = true
 	seedCfg.PublishFiles = 1
-	seedCfg.FileSize = 16 << 20 // past the kernel's socket buffers plus the conn's frame queue
+	seedCfg.FileSize = 16 << 20 // past the kernel's socket buffers plus the session's lanes
 	seed, err := New(seedCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seedDone := start(ctx, seed)
-	waitFor(t, func() bool { return seed.Addr() != "" }, "seed to bind")
+	waitFor(t, waitLimit, func() bool { return seed.Addr() != "" }, "seed to bind")
 
 	// The non-reader: hello on connect, then one per interval asking for
 	// the file, forever.
@@ -79,7 +79,7 @@ func TestSeederServesPastNonReadingDownloader(t *testing.T) {
 		}
 	}()
 	// Wedged: frames are queued to the non-reader and none are leaving.
-	waitLong(t, 30*time.Second, func() bool {
+	waitFor(t, 30*time.Second, func() bool {
 		sent := seed.Stats().Transport.PiecesSent
 		if seed.Stats().OutboxDataDepth == 0 {
 			return false
@@ -100,7 +100,7 @@ func TestSeederServesPastNonReadingDownloader(t *testing.T) {
 	}
 	leechDone := start(ctx, leech)
 	began := time.Now()
-	waitLong(t, 30*time.Second, func() bool { return leech.Completed(uri) }, "the healthy download")
+	waitFor(t, 30*time.Second, func() bool { return leech.Completed(uri) }, "the healthy download")
 	t.Logf("healthy download of %d MiB past a wedged peer: %v", seedCfg.FileSize>>20, time.Since(began))
 
 	ls, ss := leech.Stats(), seed.Stats()

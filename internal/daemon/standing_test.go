@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
 	"testing"
 	"time"
 
@@ -571,7 +570,7 @@ func TestAckFollowsGroupCommit(t *testing.T) {
 		t.Fatalf("%d frames queued for the sender before any fsync returned", control)
 	}
 	open()
-	waitFor(t, func() bool { return settled(d) && d.Stats().Transport.HellosAcked == 2 }, "both commits to be acknowledged")
+	waitFor(t, waitLimit, func() bool { return settled(d) && d.Stats().Transport.HellosAcked == 2 }, "both commits to be acknowledged")
 	frames := p.flush()
 	if len(frames) != 2 {
 		t.Fatalf("%d frames for two commits with one pairwise sender, want 2", len(frames))
@@ -614,14 +613,14 @@ func TestAckClockedDownloadNeedsNoBeacon(t *testing.T) {
 	}
 	// A frame is counted once its Send returns, which the piece's arrival
 	// can beat.
-	waitFor(t, func() bool { return seed.Stats().Transport.PiecesSent >= pieces }, "the last piece frame to be counted")
+	waitFor(t, waitLimit, func() bool { return seed.Stats().Transport.PiecesSent >= pieces }, "the last piece frame to be counted")
 	if got := seed.Stats().Transport.PiecesSent; got != pieces {
 		t.Fatalf("the seeder put %d piece frames on the link for %d pieces", got, pieces)
 	}
 	if ls.Transport.HellosAcked != pieces {
 		t.Fatalf("the leecher acknowledged %d times for %d pieces", ls.Transport.HellosAcked, pieces)
 	}
-	waitFor(t, func() bool { return leech.Manager().Stats().HellosKicked >= 2 }, "both kicked rounds to be counted")
+	waitFor(t, waitLimit, func() bool { return leech.Manager().Stats().HellosKicked >= 2 }, "both kicked rounds to be counted")
 	if got := leech.Manager().Stats().HellosKicked; got != 2 {
 		t.Fatalf("the leecher kicked %d rounds, want 2: an ack is not a kick", got)
 	}
@@ -654,7 +653,7 @@ func liveLine(tb testing.TB, hello time.Duration, pieces, perHello int, lag time
 			tb.Fatal(err)
 		}
 		ran = append(ran, start(ctx, d))
-		waitFor(tb, func() bool { return c.ListenAddr == "" || d.Addr() != "" }, "the listener")
+		waitFor(tb, waitLimit, func() bool { return c.ListenAddr == "" || d.Addr() != "" }, "the listener")
 		return d
 	}
 	sc, _ := cfg(1, fault.Wrap(net, fault.Config{Seed: 1, DelayMin: lag, DelayMax: lag + 1}))
@@ -666,12 +665,12 @@ func liveLine(tb testing.TB, hello time.Duration, pieces, perHello int, lag time
 	rc.ListenAddr = "relay"
 	rc.PeerAddrs = []string{"seed"}
 	relay = launch(rc)
-	waitFor(tb, func() bool { return len(relay.Manager().Peers()) == 1 }, "the relay's session")
+	waitFor(tb, waitLimit, func() bool { return len(relay.Manager().Peers()) == 1 }, "the relay's session")
 	join = func() (*Daemon, chan time.Time) {
 		lc, leechDone := cfg(3, net)
 		lc.PeerAddrs = []string{"relay"}
 		leech := launch(lc)
-		waitFor(tb, func() bool { return len(leech.Manager().Peers()) == 1 }, "the leecher's session")
+		waitFor(tb, waitLimit, func() bool { return len(leech.Manager().Peers()) == 1 }, "the leecher's session")
 		return leech, leechDone
 	}
 	stop = func() {
@@ -698,7 +697,7 @@ func TestRelayForwardsWithoutATick(t *testing.T) {
 	defer stop()
 
 	relay.AddQuery("f0")
-	waitFor(t, func() bool { return relay.Stats().PiecesVerified > 0 }, "the relay's first piece")
+	waitFor(t, waitLimit, func() bool { return relay.Stats().PiecesVerified > 0 }, "the relay's first piece")
 	leech, leechDone := join()
 	leech.AddQuery("f0")
 	var relayAt, leechAt time.Time
@@ -722,7 +721,7 @@ func TestRelayForwardsWithoutATick(t *testing.T) {
 	if ls.PiecesVerified != pieces || ls.PiecesDuplicate != 0 || rs.PiecesResent != 0 {
 		t.Fatalf("leecher verified %d duplicate %d, relay resent %d; want %d/0/0", ls.PiecesVerified, ls.PiecesDuplicate, rs.PiecesResent, pieces)
 	}
-	waitFor(t, func() bool { return relay.Stats().Transport.PiecesSent >= pieces }, "the last piece frame to be counted")
+	waitFor(t, waitLimit, func() bool { return relay.Stats().Transport.PiecesSent >= pieces }, "the last piece frame to be counted")
 	if got := relay.Stats().Transport.PiecesSent; got != pieces {
 		t.Fatalf("the relay put %d piece frames on the link for %d pieces", got, pieces)
 	}
@@ -774,7 +773,7 @@ func TestStreamingHoldersStayNearlyDisjoint(t *testing.T) {
 		holders[i] = d
 		start(ctx, d)
 	}
-	waitFor(t, func() bool { return holders[1].Completed(uri) && holders[2].Completed(uri) }, "holders complete")
+	waitFor(t, waitLimit, func() bool { return holders[1].Completed(uri) && holders[2].Completed(uri) }, "holders complete")
 
 	c := cfg(9, 4)
 	c.PeerAddrs = []string{"h1", "h2", "h3"}
@@ -783,10 +782,10 @@ func TestStreamingHoldersStayNearlyDisjoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	start(ctx, leech)
-	waitFor(t, func() bool { return len(leech.Manager().Peers()) == 3 }, "three sessions")
+	waitFor(t, waitLimit, func() bool { return len(leech.Manager().Peers()) == 3 }, "three sessions")
 	began := time.Now()
 	leech.AddQuery("f0")
-	waitFor(t, func() bool { return leech.Completed(uri) }, "download from three holders")
+	waitFor(t, waitLimit, func() bool { return leech.Completed(uri) }, "download from three holders")
 	beats := int(time.Since(began) / c.HelloInterval)
 	st := leech.Stats()
 	t.Logf("%d pieces over %d beats: %d duplicates", pieces, beats, st.PiecesDuplicate)
@@ -889,150 +888,79 @@ func TestGroupPlaneNamesFellowDownloaders(t *testing.T) {
 	}
 }
 
-// pieceLog is a transport whose dialed links log every piece frame they
-// receive, with its sender, in arrival order.
-type pieceLog struct {
-	transport.Transport
-	mu  sync.Mutex
-	got []sentBy
-}
-
 // sentBy is one piece frame and the node that sent it.
 type sentBy struct {
 	from  trace.NodeID
 	index int
 }
 
-func (l *pieceLog) Dial(ctx context.Context, addr string) (transport.Conn, error) {
-	c, err := l.Transport.Dial(ctx, addr)
-	if err != nil {
-		return nil, err
-	}
-	return &loggedConn{Conn: c, log: l}, nil
-}
-
-// frames is a copy of the log.
-func (l *pieceLog) frames() []sentBy {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return slices.Clone(l.got)
-}
-
-type loggedConn struct {
-	transport.Conn
-	log  *pieceLog
-	from trace.NodeID // the hello's sender; Recv runs on one goroutine
-}
-
-func (c *loggedConn) Recv(ctx context.Context) (wire.Msg, error) {
-	m, err := c.Conn.Recv(ctx)
-	switch v := m.(type) {
-	case *wire.Hello:
-		c.from = v.From
-	case *wire.Piece:
-		c.log.mu.Lock()
-		c.log.got = append(c.log.got, sentBy{c.from, v.Index})
-		c.log.mu.Unlock()
-	}
-	return m, err
-}
-
-// TestNamingASecondHolderReCutsMidStream: a leecher streams a file from
-// one holder over a slow link; partway through, it dials a second,
+// TestNamingASecondHolderReCutsMidStream, on the stepped swarm: a leecher
+// streams a file from one holder; partway through, it dials a second,
 // complete holder, whose hello does not list the download, and so names
-// it. The clock stands still and no tick is fired while the new list
-// rides the leecher's acks, so there is no beat deal: both holders re-cut
+// it. No beat fires while anything is on the wire, so the new list rides
+// the leecher's acks and there is no beat deal: both holders re-cut
 // within the beat, and neither fills. After the second holder is named
 // the first sends at most PiecesPerHello of the second's pieces — those
-// its pipe already held — every piece the second sends is its own, and
-// at most PiecesPerHello pieces arrive twice. A pipe whose every push
-// turned out a duplicate hears no ack and waits out its beat; if the
-// stream stalls so, the test fires one beat by hand to finish, and judges
-// only what arrived before it.
+// its pipe already held — every piece the second sends is its own, and at
+// most PiecesPerHello pieces arrive twice. A pipe whose every push turned
+// out a duplicate hears no ack and waits out its beat; if the stream
+// stalls so, a beat fires once nothing is on the wire, and only what
+// arrived before it is judged. Each seed is one order of delivery.
 func TestNamingASecondHolderReCutsMidStream(t *testing.T) {
-	defer testutil.NoLeaks(t)()
+	for seed := uint64(1); seed <= 2; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { reCutMidStream(t, seed) })
+	}
+}
+
+func reCutMidStream(t *testing.T, seed uint64) {
 	const pieces, depth = 64, 4
-	clk := testutil.NewClock()
-	net := transport.NewLoopback()
-	defer net.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	var (
-		ran   []chan error
-		ticks []chan time.Time
-	)
-	defer func() {
-		cancel()
-		for _, r := range ran {
-			<-r
-		}
-	}()
-	launch := func(id trace.NodeID, tr transport.Transport, mutate func(*Config)) *Daemon {
-		c := fastCfg(id, tr)
-		c.HelloInterval = time.Minute
-		c.LivenessWindow = 15 * time.Minute
-		c.FileSize = pieces * 1024
-		c.PieceSize = 1024
-		c.PiecesPerHello = depth
+	s := newStepSwarm(t, "TestNamingASecondHolderReCutsMidStream", seed, stepFaults{})
+	cfg := func(id trace.NodeID, mutate func(*Config)) Config {
+		c := stepCfg(id)
+		c.FileSize, c.PieceSize, c.PiecesPerHello = pieces*1024, 1024, depth
 		mutate(&c)
-		tick := make(chan time.Time)
-		d, err := newDaemon(c, clk.Now, tick)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ticks = append(ticks, tick)
-		ran = append(ran, start(ctx, d))
-		waitFor(t, func() bool { return c.ListenAddr == "" || d.Addr() != "" }, "the listener")
-		return d
+		return c
 	}
 	uri := metadata.URIFor(0)
-	launch(1, fault.Wrap(net, fault.Config{Seed: 1, DelayMin: 3 * time.Millisecond, DelayMax: 3*time.Millisecond + 1}), func(c *Config) {
-		c.ListenAddr, c.InternetAccess, c.PublishFiles = "a", true, 1
-	})
-	second := launch(2, net, func(c *Config) { c.ListenAddr, c.PeerAddrs = "b", []string{"a"} })
-	waitFor(t, func() bool { return len(second.Manager().Peers()) == 1 }, "the second holder's session")
-	second.AddQuery("f0")
-	waitFor(t, func() bool { return second.Completed(uri) }, "the second holder's copy")
+	s.start(cfg(1, func(c *Config) { c.ListenAddr, c.InternetAccess, c.PublishFiles = "a", true, 1 }))
+	second := s.start(cfg(2, func(c *Config) { c.ListenAddr, c.PeerAddrs = "b", []string{"a"} })).d
+	s.until(1000, "the second holder's session", func() bool { return len(second.Manager().Peers()) == 1 })
+	s.act("the second holder queries", func() { second.AddQuery("f0") })
+	s.until(10000, "the second holder's copy", func() bool { return second.Completed(uri) })
 
-	log := &pieceLog{Transport: net}
-	leech := launch(9, log, func(c *Config) { c.PeerAddrs = []string{"a"} })
-	waitFor(t, func() bool { return len(leech.Manager().Peers()) == 1 }, "the leecher's session")
-	leech.AddQuery("f0")
-	waitFor(t, func() bool { return leech.Stats().PiecesVerified >= pieces/4 }, "a quarter of the file")
-	dialCtx, dialDone := context.WithTimeout(ctx, 10*time.Second)
-	defer dialDone()
-	if err := leech.Manager().Dial(dialCtx, "b"); err != nil {
-		t.Fatal(err)
+	var frames []sentBy
+	s.onDeliver = func(to, from trace.NodeID, m wire.Msg) {
+		if p, ok := m.(*wire.Piece); ok && to == 9 {
+			frames = append(frames, sentBy{from, p.Index})
+		}
+	}
+	leech := s.start(cfg(9, func(c *Config) { c.PeerAddrs = []string{"a"} })).d
+	s.until(1000, "the leecher's session", func() bool { return len(leech.Manager().Peers()) == 1 })
+	s.act("the leecher queries", func() { leech.AddQuery("f0") })
+	s.until(10000, "a quarter of the file", func() bool { return leech.Stats().PiecesVerified >= pieces/4 })
+	var dialed error
+	s.await(1000, "the dial of the second holder", func() { dialed = leech.Manager().Dial(s.ctx, "b") })
+	if dialed != nil {
+		t.Fatal(dialed)
 	}
 	both := []trace.NodeID{1, 2}
-	named := func() bool {
+	s.until(1000, "the leecher to name both holders", func() bool {
 		leech.mu.Lock()
 		defer leech.mu.Unlock()
 		f := leech.files[uri]
 		return f != nil && (f.completed || f.deal != nil && slices.Equal(f.deal.Suppliers, both))
-	}
-	waitFor(t, named, "the leecher to name both holders")
-	before := len(log.frames())
+	})
+	before := len(frames)
 	if before >= 3*pieces/4 {
 		t.Skipf("%d of %d pieces had landed when the second holder was named: too late to say anything", before, pieces)
 	}
-	// Wait for the download; a stream that stands still for a while waits
-	// for a beat, so fire one.
-	judged, seen, still := -1, 0, time.Now()
-	for !leech.Completed(uri) {
-		if n := len(log.frames()); n != seen {
-			seen, still = n, time.Now()
-		} else if time.Since(still) > time.Second && judged < 0 {
-			judged = n
-			clk.Advance(time.Minute)
-			for _, tick := range ticks {
-				tick <- clk.Now()
-			}
-		} else if time.Since(still) > 10*time.Second {
-			t.Fatalf("the download stands at %d of %d pieces", leech.Stats().PiecesVerified, pieces)
+	judged := -1
+	s.onBeat = func() {
+		if judged < 0 {
+			judged = len(frames)
 		}
-		time.Sleep(time.Millisecond)
 	}
-	frames := log.frames()
+	s.until(10000, "the download", func() bool { return leech.Completed(uri) })
 	if judged < 0 {
 		judged = len(frames)
 	}
@@ -1155,7 +1083,7 @@ func BenchmarkRelayHop(b *testing.B) {
 		leech, leechDone := join()
 		b.StartTimer()
 		relay.AddQuery("f0")
-		waitFor(b, func() bool { return relay.Stats().MetadataStored == 1 }, "the relay's record")
+		waitFor(b, waitLimit, func() bool { return relay.Stats().MetadataStored == 1 }, "the relay's record")
 		leech.AddQuery("f0")
 		total += (<-leechDone).Sub(<-relayDone)
 		b.StopTimer()

@@ -38,7 +38,7 @@ func TestRestartDoesNotReviveExpiredRecord(t *testing.T) {
 	d1, stop := durableBench(t, clk, dir, nil)
 	d1.onMetadata(5, &wire.Metadata{Popularity: 0.5, Record: *rec})
 	d1.onPiece(5, pieceMsg(rec, 0))
-	waitFor(t, func() bool { return settled(d1) }, "the piece to commit")
+	waitFor(t, waitLimit, func() bool { return settled(d1) }, "the piece to commit")
 	if got := d1.Stats(); len(got.Downloading) != 1 || got.PiecesVerified != 1 {
 		t.Fatalf("before the restart: downloading %v, %d pieces; want the file selected with one piece", got.Downloading, got.PiecesVerified)
 	}

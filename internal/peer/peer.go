@@ -658,41 +658,37 @@ func (m *Manager) gone(id trace.NodeID) {
 
 // deliver updates liveness and dispatches one message through
 // admission control. Both read the sender's table entry; a frame that
-// lost the race with its peer's removal finds none, and is then neither
-// a liveness refresh nor — with admission control on — dispatched: there
-// is no bucket to charge it to, and minting one would outlive the peer.
+// lost the race with its peer's removal — its reader held it when the
+// beat expired the peer — finds none, and is dropped unheard: it is no
+// liveness refresh, there is no bucket to charge it to (minting one
+// would outlive the peer), and handling it would let the node act on a
+// peer it no longer has, such as naming it a supplier.
 func (m *Manager) deliver(from trace.NodeID, msg wire.Msg) {
 	if m.paused.Load() {
 		return // radio off: the message was never heard
 	}
 	t := msg.Type()
-	hello := t == wire.TypeHello
+	sh := m.shardFor(from)
+	sh.mu.Lock()
+	e := sh.peers[from]
+	if e != nil && t == wire.TypeHello {
+		// Liveness refresh happens before admission control: shedding a
+		// flooder's hellos keeps it cheap, but must not expire it from the
+		// table — a shed peer is overloaded-away, not gone.
+		e.lastHello = m.cfg.Now()
+	}
+	sh.mu.Unlock()
+	if e == nil {
+		return
+	}
 	// Backpressure bypasses the limiter: a peer shedding our traffic must
 	// always be able to tell us so.
-	limited := m.cfg.InboundRate > 0 && t.Plane() != wire.PlaneBusy
-	if hello || limited {
-		sh := m.shardFor(from)
-		sh.mu.Lock()
-		e := sh.peers[from]
-		if e != nil && hello {
-			// Liveness refresh happens before admission control: shedding
-			// a flooder's hellos keeps it cheap, but must not expire it
-			// from the table — a shed peer is overloaded-away, not gone.
-			e.lastHello = m.cfg.Now()
+	if m.cfg.InboundRate > 0 && t.Plane() != wire.PlaneBusy && !e.limiter.Allow() {
+		m.ctrs.inboundShed.Add(1)
+		if m.cfg.OnShed != nil {
+			m.cfg.OnShed(from, t)
 		}
-		sh.mu.Unlock()
-		if limited {
-			if e == nil {
-				return
-			}
-			if !e.limiter.Allow() {
-				m.ctrs.inboundShed.Add(1)
-				if m.cfg.OnShed != nil {
-					m.cfg.OnShed(from, t)
-				}
-				return
-			}
-		}
+		return
 	}
 	m.ctrs.recv[t].Add(1)
 	if m.cfg.Handler != nil {

@@ -82,26 +82,29 @@ func checkTable(t *testing.T, m *Manager, after string) {
 
 // TestDeliverWithoutEntryMintsNothing: a frame that lost the race with
 // its peer's removal (expire closed the session while Recv already held
-// the message) must not create per-peer state nothing would ever reap.
-// With admission control on it is dropped — not dispatched, not shed.
+// the message) must not create per-peer state nothing would ever reap,
+// and is dropped — not dispatched, not shed — with admission control on
+// or off.
 func TestDeliverWithoutEntryMintsNothing(t *testing.T) {
-	rec := newRecorder()
-	cfg := fastCfg(1, rec)
-	cfg.InboundRate = 100
-	m := NewManager(cfg)
-	for _, msg := range []wire.Msg{&wire.Hello{From: 99}, tinyPiece(0)} {
-		m.deliver(99, msg)
-	}
-	m.expire(time.Now())
-	checkTable(t, m, "deliver for an unknown peer, then expire")
-	if n := m.peerCount.Load(); n != 0 {
-		t.Fatalf("%d table entries minted by deliver for a peer with no session", n)
-	}
-	rec.mu.Lock()
-	hellos := len(rec.hellos)
-	rec.mu.Unlock()
-	if st := m.Stats(); hellos != 0 || st.HellosRecv != 0 || st.PiecesRecv != 0 || st.InboundShed != 0 {
-		t.Fatalf("frames from a peer with no session: %d hellos handled, stats %+v; want them dropped uncounted", hellos, st)
+	for _, rate := range []float64{100, 0} {
+		rec := newRecorder()
+		cfg := fastCfg(1, rec)
+		cfg.InboundRate = rate
+		m := NewManager(cfg)
+		for _, msg := range []wire.Msg{&wire.Hello{From: 99}, tinyPiece(0)} {
+			m.deliver(99, msg)
+		}
+		m.expire(time.Now())
+		checkTable(t, m, "deliver for an unknown peer, then expire")
+		if n := m.peerCount.Load(); n != 0 {
+			t.Fatalf("rate %v: %d table entries minted by deliver for a peer with no session", rate, n)
+		}
+		rec.mu.Lock()
+		hellos := len(rec.hellos)
+		rec.mu.Unlock()
+		if st := m.Stats(); hellos != 0 || st.HellosRecv != 0 || st.PiecesRecv != 0 || st.InboundShed != 0 {
+			t.Fatalf("rate %v: frames from a peer with no session: %d hellos handled, stats %+v; want them dropped uncounted", rate, hellos, st)
+		}
 	}
 }
 

@@ -130,8 +130,8 @@ func TestSlowReaderDoesNotStallHealthyPeers(t *testing.T) {
 	})
 	waitFor(t, func() bool { return len(a.Peers()) == 2 && len(b.Peers()) == 1 }, "B and C to register with A")
 
-	// 48 MiB of piece frames to C: past the kernel's socket buffers and
-	// the conn's own frame queue, so C's link is wedged solid.
+	// 48 MiB of piece frames to C: past the kernel's socket buffers, so
+	// C's link is wedged solid and the rest wait in its session's lanes.
 	piece := &wire.Piece{URI: metadata.URIFor(0), Total: 1, Data: make([]byte, 256<<10)}
 	start := time.Now()
 	for i := 0; i < 192; i++ {

@@ -210,44 +210,3 @@ func TestSwarmConfigValidation(t *testing.T) {
 		t.Error("unknown scenario accepted")
 	}
 }
-
-// TestSwarmOverload is the flash-crowd-overload acceptance run: the
-// overload scenario's flood must be shed and answered with Busy, the
-// victim's health must walk degraded→recovered, legitimate downloads
-// must all land, and no control-class frame may be dropped anywhere —
-// the per-peer send lanes shed data first, and at this scale they never
-// need to go further.
-func TestSwarmOverload(t *testing.T) {
-	defer testutil.NoLeaks(t)()
-	nodes := 24
-	sc, err := BuildScenario("overload", nodes, 1337)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc.Timeout = 2 * time.Minute
-	rep, err := RunScenario(context.Background(), sc)
-	if err != nil {
-		t.Fatalf("overload: %v (fraction %.3f)", err, rep.CompletionFraction)
-	}
-	if rep.CompletionFraction != 1 {
-		t.Fatalf("fraction %.3f, want 1: the flood must not starve legitimate peers", rep.CompletionFraction)
-	}
-	if rep.InboundShed == 0 {
-		t.Fatal("no inbound messages shed despite a 10× flood")
-	}
-	if rep.BusyReplies == 0 {
-		t.Fatal("no Busy replies sent")
-	}
-	if rep.FloodSent == 0 || rep.FloodBusySeen == 0 {
-		t.Fatalf("flood probe saw sent=%d busy=%d, want both > 0", rep.FloodSent, rep.FloodBusySeen)
-	}
-	if !rep.OverloadDegraded || !rep.OverloadRecovered {
-		t.Fatalf("healthz walk degraded=%v recovered=%v, want true/true", rep.OverloadDegraded, rep.OverloadRecovered)
-	}
-	if rep.OutboxDropsControl != 0 {
-		t.Fatalf("%d control-class frames dropped; control must never shed before data", rep.OutboxDropsControl)
-	}
-	checkReportFile(t, rep)
-	t.Logf("overload: %d nodes, %.0fms wall, shed %d, busy %d, flood %d/%d",
-		nodes, rep.WallMs, rep.InboundShed, rep.BusyReplies, rep.FloodBusySeen, rep.FloodSent)
-}
