@@ -48,14 +48,6 @@ type Report struct {
 	Totals
 	TransmissionsPerPiece float64 `json:"transmissions_per_piece"`
 
-	// The overload scenario's flood probe: hellos the flooder pushed,
-	// Busy frames it got, and whether the victim's /healthz walked
-	// degraded→recovered.
-	FloodSent         uint64 `json:"flood_sent,omitempty"`
-	FloodBusySeen     uint64 `json:"flood_busy_seen,omitempty"`
-	OverloadDegraded  bool   `json:"overload_degraded,omitempty"`
-	OverloadRecovered bool   `json:"overload_recovered,omitempty"`
-
 	CreditMean   float64 `json:"credit_mean"`
 	CreditStddev float64 `json:"credit_stddev"`
 
@@ -465,85 +457,6 @@ func Fountain(nodes int, seed uint64) Scenario {
 	}
 }
 
-// Overload is the flash-crowd-overload acceptance scenario: every
-// node's admission control is armed, and a fabricated identity floods
-// the seeder at ~10× the per-peer rate mid-distribution. The seeder
-// must shed the flood and answer Busy, its /healthz must walk
-// degraded→recovered around the flood window, and every legitimate
-// download must still land — graceful degradation, not collapse.
-func Overload(nodes int, seed uint64) Scenario {
-	cfg := Config{Nodes: nodes, Seed: seed, PeerRate: 200}
-	var sent, busySeen uint64
-	var degraded, recovered bool
-	return Scenario{
-		Name:   "overload",
-		Config: cfg,
-		Target: 1.0,
-		Script: func(ctx context.Context, h *Harness) error {
-			// Let distribution get underway first — the flood hits a
-			// seeder that is mid-serve, not an idle listener.
-			if err := h.WaitFraction(ctx, 0.05); err != nil {
-				return err
-			}
-			done := make(chan error, 1)
-			go func() {
-				// The flood comes in rounds until backpressure is
-				// observed: the pacing is wall-clock, so one window on a
-				// loaded scheduler can deliver less than a burst's worth
-				// of frames — and a real flash crowd does not politely
-				// stop after one try.
-				var err error
-				for round := 0; round < 8 && busySeen == 0 && err == nil; round++ {
-					var s, b uint64
-					s, b, err = h.FloodHello(ctx, 0, 9999, 500*time.Microsecond, 1200*time.Millisecond)
-					sent += s
-					busySeen += b
-				}
-				done <- err
-			}()
-			// While the flood runs, watch the victim degrade.
-			poll := time.NewTicker(20 * time.Millisecond)
-			defer poll.Stop()
-			for flooding := true; flooding; {
-				select {
-				case err := <-done:
-					if err != nil {
-						return err
-					}
-					flooding = false
-				case <-poll.C:
-					if hh, ok := h.Health(0); ok && hh.Status == "degraded" {
-						degraded = true
-					}
-				case <-ctx.Done():
-					return ctx.Err()
-				}
-			}
-			// And recover once it stops: the shed window ages out and
-			// nothing latches.
-			deadline := time.Now().Add(30 * h.cfg.LivenessWindow)
-			for time.Now().Before(deadline) {
-				if hh, ok := h.Health(0); ok && hh.Status == "ok" {
-					recovered = true
-					break
-				}
-				select {
-				case <-time.After(20 * time.Millisecond):
-				case <-ctx.Done():
-					return ctx.Err()
-				}
-			}
-			return nil
-		},
-		Finish: func(h *Harness, rep *Report) {
-			rep.FloodSent = sent
-			rep.FloodBusySeen = busySeen
-			rep.OverloadDegraded = degraded
-			rep.OverloadRecovered = recovered
-		},
-	}
-}
-
 // sleeperSet picks every third downloader, skipping seeders.
 func sleeperSet(h *Harness) []trace.NodeID {
 	var ids []trace.NodeID
@@ -618,7 +531,6 @@ var scenarioBuilders = map[string]func(nodes int, seed uint64) Scenario{
 	"server-death":          ServerDeath,
 	"server-death-baseline": ServerDeathBaseline,
 	"fountain":              Fountain,
-	"overload":              Overload,
 }
 
 // ScenarioNames lists the registered scenarios, sorted.

@@ -34,7 +34,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/daemon"
@@ -43,7 +42,6 @@ import (
 	"repro/internal/rng"
 	"repro/internal/trace"
 	"repro/internal/transport"
-	"repro/internal/wire"
 )
 
 // Defaults.
@@ -116,11 +114,6 @@ type Config struct {
 	// SymbolSize is the coded-symbol payload size with EnableFEC
 	// (default 256, i.e. 4 source symbols per default-size piece).
 	SymbolSize int
-	// PeerRate, when positive, arms every node's overload protection:
-	// per-peer inbound admission at this rate (messages/second), Busy
-	// backpressure on shed requests, and the catalog's query limit — the
-	// overload scenario's lever.
-	PeerRate float64
 	// Fault, when non-zero, wraps every node's transport in a chaos
 	// injector with a per-node seed derived from Seed.
 	Fault fault.Config
@@ -229,13 +222,6 @@ type Totals struct {
 	OutboxDropsControl uint64 `json:"outbox_drops_control"`
 	OutboxDropsData    uint64 `json:"outbox_drops_data"`
 
-	// Overload-protection accounting (Config.PeerRate): inbound messages
-	// shed by admission control, Busy frames sent back, catalog queries
-	// refused.
-	InboundShed uint64 `json:"inbound_shed,omitempty"`
-	BusyReplies uint64 `json:"busy_replies,omitempty"`
-	QueriesShed uint64 `json:"queries_shed,omitempty"`
-
 	// Decentralized-index accounting (Config.EnableDHT).
 	DHTLookups    uint64 `json:"dht_lookups,omitempty"`
 	DHTLookupHits uint64 `json:"dht_lookup_hits,omitempty"`
@@ -264,9 +250,6 @@ func (t *Totals) add(st daemon.Stats) {
 	t.OutboxDrops += st.OutboxDrops
 	t.OutboxDropsControl += st.OutboxDropsControl
 	t.OutboxDropsData += st.OutboxDropsData
-	t.InboundShed += st.Transport.InboundShed
-	t.BusyReplies += st.BusyReplies
-	t.QueriesShed += st.QueriesShed
 	if st.DHT != nil {
 		t.DHTLookups += st.DHT.Lookups
 		t.DHTLookupHits += st.DHT.LookupHits
@@ -372,7 +355,6 @@ func New(cfg Config) (*Harness, error) {
 			LivenessWindow: cfg.LivenessWindow,
 			MaxPeers:       DefaultMaxPeers,
 			RetryBudget:    cfg.RetryBudget,
-			PeerRate:       cfg.PeerRate,
 			FetchMatching:  true,
 			Backoff: transport.Backoff{
 				Min:    cfg.HelloInterval / 4,
@@ -613,80 +595,6 @@ func (h *Harness) DHTCached(id trace.NodeID, keyword string) bool {
 		return false
 	}
 	return len(ns.d.DHT().CachedValues(keyword)) > 0
-}
-
-// Health evaluates one running node's /healthz verdict — the overload
-// scenario's degraded→recovered probe. The ok return is false when the
-// node is not running.
-func (h *Harness) Health(id trace.NodeID) (daemon.Health, bool) {
-	ns, err := h.node(id)
-	if err != nil {
-		return daemon.Health{}, false
-	}
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	if !ns.running {
-		return daemon.Health{}, false
-	}
-	return ns.d.Health(), true
-}
-
-// FloodHello attacks a running node from a fabricated identity: a raw
-// connection to its listener spams hello frames advertising a download
-// of file 0 at the given interval until ctx ends or dur elapses. It
-// returns how many hellos went out and how many Busy frames came back
-// — the overload scenario's abuse generator. The connection bypasses
-// every daemon; only the victim's own admission control stands between
-// the flood and its handlers.
-func (h *Harness) FloodHello(ctx context.Context, target, from trace.NodeID, interval, dur time.Duration) (sent, busy uint64, err error) {
-	conn, err := h.net.Dial(ctx, nodeAddr(target))
-	if err != nil {
-		return 0, 0, fmt.Errorf("swarm: flood dial node %d: %w", target, err)
-	}
-	defer conn.Close()
-	fctx, cancel := context.WithTimeout(ctx, dur)
-	defer cancel()
-	var busyN atomic.Uint64
-	readerDone := make(chan struct{})
-	go func() {
-		defer close(readerDone)
-		for {
-			m, err := conn.Recv(fctx)
-			if err != nil {
-				return
-			}
-			if m.Type() == wire.TypeBusy {
-				busyN.Add(1)
-			}
-		}
-	}()
-	hello := &wire.Hello{
-		From:        from,
-		Queries:     []string{"f0"},
-		Downloading: []metadata.URI{firstURI()},
-	}
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-fctx.Done():
-			cancel()
-			conn.Close()
-			<-readerDone
-			return sent, busyN.Load(), nil
-		case <-tick.C:
-		}
-		if err := conn.Send(fctx, hello); err != nil {
-			cancel()
-			conn.Close()
-			<-readerDone
-			if fctx.Err() != nil {
-				return sent, busyN.Load(), nil
-			}
-			return sent, busyN.Load(), fmt.Errorf("swarm: flood send: %w", err)
-		}
-		sent++
-	}
 }
 
 // GroupsConfirmed reports whether every running node sits in a
