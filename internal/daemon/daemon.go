@@ -1388,9 +1388,14 @@ func (d *Daemon) answerQuery(now simtime.Time, from trace.NodeID, q string, hold
 // the per-piece deadline is the live retransmit path for lost or
 // corrupted frames. named is the suppliers the peer counts for uri,
 // among whom the share is cut. A node that holds nothing of uri yet still
-// deals: the order is what onPiece forwards by (takersLocked). Each piece is
-// queued as soon as it is generated, so the first frame leaves while the
-// rest of the burst is still being built. A piece the peer's full data
+// deals: the order is what onPiece forwards by (takersLocked). The burst's
+// payloads are produced after d.mu is released, on up to GOMAXPROCS
+// short-lived goroutines that read at most that many pieces ahead of the
+// send, and none while that many already wait in the peer's data lane
+// (readAhead); each is queued in pick order the moment it and every piece
+// before it are ready — so the first frame leaves while the rest of the
+// burst is still being built, a burst is built on every core the link can
+// use, and no producer outlives the call. A piece the peer's full data
 // lane drops keeps its sent mark, and its window slot for a beat — the
 // resend deadline re-serves it, like any other lost frame.
 func (d *Daemon) servePieces(wall time.Time, from trace.NodeID, uri metadata.URI, peerHave *wire.GroupWant, named []trace.NodeID, no uint32) {
@@ -1454,9 +1459,10 @@ func (d *Daemon) servePieces(wall time.Time, from trace.NodeID, uri metadata.URI
 	}
 	d.mu.Unlock()
 
-	for _, i := range idxs {
-		d.mgr.Send(from, &wire.Piece{URI: uri, Index: i, Total: total, Data: pieceBytes(rec, i)})
-	}
+	queued := func() int { return d.mgr.DataQueued(from) }
+	readAhead(idxs, queued, func(i int) []byte { return pieceBytes(rec, i) }, func(i int, data []byte) {
+		d.mgr.Send(from, &wire.Piece{URI: uri, Index: i, Total: total, Data: data})
+	})
 }
 
 // onMetadata verifies and stores a received record; if it matches one

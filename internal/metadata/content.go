@@ -3,6 +3,8 @@ package metadata
 import (
 	"crypto/sha1"
 	"encoding/binary"
+	"runtime"
+	"sync"
 
 	"repro/internal/simtime"
 )
@@ -13,6 +15,13 @@ import (
 // (uri, piece index) so that every piece is unique and reproducible.
 func SyntheticPiece(uri URI, i, size int) []byte {
 	data := make([]byte, size)
+	fillSynthetic(data, uri, i)
+	return data
+}
+
+// fillSynthetic writes piece i of the file at uri over data, whose
+// length is the piece's: SyntheticPiece into a buffer the caller reuses.
+func fillSynthetic(data []byte, uri URI, i int) {
 	// seed = SHA-1(uri ‖ i); short URIs stay on the stack.
 	in := make([]byte, 0, 128)
 	in = append(in, uri...)
@@ -24,18 +33,20 @@ func SyntheticPiece(uri URI, i, size int) []byte {
 	// is the seeder's per-byte cost, so it must not allocate per block.
 	var block [sha1.Size + 8]byte
 	copy(block[:], seed[:])
-	for off := 0; off < size; {
+	for off := 0; off < len(data); {
 		binary.BigEndian.PutUint64(block[sha1.Size:], uint64(off))
 		sum := sha1.Sum(block[:])
 		off += copy(data[off:], sum[:])
 	}
-	return data
 }
 
 // NewSynthetic builds signed metadata for a synthetic file whose pieces
 // come from SyntheticPiece, so that VerifyPiece succeeds on generated
 // content. size is the file length in bytes; created/ttl set the record's
-// lifetime; key signs the record.
+// lifetime; key signs the record. The pieces are generated and hashed
+// on min(GOMAXPROCS, pieces) workers, each striding over the file with
+// one reused piece buffer; every hash lands at its own index, so the
+// record is the one a serial loop builds.
 func NewSynthetic(id FileID, name, publisher, description string, size int64,
 	pieceSize int, created simtime.Time, ttl simtime.Duration, key []byte) *Metadata {
 	m := &Metadata{
@@ -50,9 +61,27 @@ func NewSynthetic(id FileID, name, publisher, description string, size int64,
 	}
 	n := m.NumPieces()
 	m.PieceHashes = make([][sha1.Size]byte, n)
-	for i := 0; i < n; i++ {
-		m.PieceHashes[i] = sha1.Sum(SyntheticPiece(m.URI, i, m.pieceLen(i)))
+	workers := min(runtime.GOMAXPROCS(0), n)
+	hash := func(first int) {
+		buf := make([]byte, m.pieceLen(0))
+		for i := first; i < n; i += workers {
+			piece := buf[:m.pieceLen(i)]
+			fillSynthetic(piece, m.URI, i)
+			m.PieceHashes[i] = sha1.Sum(piece)
+		}
 	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			hash(w)
+		}()
+	}
+	if workers > 0 {
+		hash(0)
+	}
+	wg.Wait()
 	m.Sign(key)
 	return m
 }

@@ -1,9 +1,14 @@
 package metadata
 
 import (
+	"crypto/sha1"
 	"crypto/sha256"
 	"encoding/hex"
+	"runtime"
+	"slices"
 	"testing"
+
+	"repro/internal/simtime"
 )
 
 // TestSyntheticPieceGolden pins the generated bytes: every published
@@ -44,5 +49,50 @@ func BenchmarkSyntheticPiece(b *testing.B) {
 	b.SetBytes(DefaultPieceSize)
 	for i := 0; i < b.N; i++ {
 		pieceSink = SyntheticPiece("dtn://files/7", i, DefaultPieceSize)
+	}
+}
+
+// TestParallelPublishIsSerial: NewSynthetic's workers build the record a
+// serial loop over SyntheticPiece builds — the same hashes at the same
+// indices and the same signature — at one, two and eight Ps, for a file
+// with a short last piece, a one-piece file, a file shorter than a piece
+// and an empty file.
+func TestParallelPublishIsSerial(t *testing.T) {
+	serial := func(m *Metadata) *Metadata {
+		ref := m.Clone()
+		for i := range ref.PieceHashes {
+			ref.PieceHashes[i] = sha1.Sum(SyntheticPiece(ref.URI, i, ref.PieceLen(i)))
+		}
+		ref.Sign(testKey)
+		return ref
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, tc := range []struct {
+			name            string
+			size            int64
+			pieceSize, want int
+		}{
+			{"short last piece", 17*4096 + 1234, 4096, 18},
+			{"whole pieces", 16 * 4096, 4096, 16},
+			{"one piece", 4096, 4096, 1},
+			{"shorter than a piece", 1000, 4096, 1},
+			{"empty", 0, 4096, 0},
+		} {
+			m := NewSynthetic(5, "f5", "pub", "", tc.size, tc.pieceSize, 0, simtime.Days(1), testKey)
+			if len(m.PieceHashes) != tc.want {
+				t.Fatalf("GOMAXPROCS %d, %s: %d hashes, want %d", procs, tc.name, len(m.PieceHashes), tc.want)
+			}
+			ref := serial(m)
+			if !slices.Equal(m.PieceHashes, ref.PieceHashes) || m.Signature != ref.Signature {
+				t.Fatalf("GOMAXPROCS %d, %s: the parallel record differs from the serial one", procs, tc.name)
+			}
+			for i := range m.PieceHashes {
+				if !m.VerifyPiece(i, SyntheticPiece(m.URI, i, m.PieceLen(i))) {
+					t.Fatalf("GOMAXPROCS %d, %s: piece %d fails its own hash", procs, tc.name, i)
+				}
+			}
+		}
 	}
 }

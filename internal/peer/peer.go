@@ -731,6 +731,21 @@ func (m *Manager) Send(id trace.NodeID, msg wire.Msg) error {
 	return err
 }
 
+// DataQueued reports how many data frames wait in the send lane of id's
+// newest session: accepted by Send, not yet handed to the conn. The serve
+// path reads it so that its read-ahead does not outrun the link.
+func (m *Manager) DataQueued(id trace.NodeID) int {
+	sh := m.shardFor(id)
+	sh.mu.Lock()
+	s := sh.pick(id)
+	sh.mu.Unlock()
+	if s == nil {
+		return 0
+	}
+	n, _ := s.out.depths()
+	return n[wire.ClassData]
+}
+
 // BroadcastExcept queues a hello right now for every live peer (once per
 // peer, even with duplicate sessions) except those for which a non-nil
 // skip returns true, without waiting on any of their links. Run's

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net"
@@ -123,8 +124,9 @@ func (l *UDPLane) Recv(ctx context.Context) (wire.Msg, error) {
 			l.Close()
 			return nil, err
 		}
-		// Decode copies what it keeps, so the buffer is free for the next read.
-		if m, err := wire.Decode(l.buf[:n]); err == nil {
+		// A decoded message may alias its frame (wire/cursor.go), and the
+		// buffer is the next read's: Decode gets a copy.
+		if m, err := wire.Decode(bytes.Clone(l.buf[:n])); err == nil {
 			return m, nil
 		}
 	}

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net"
@@ -212,5 +213,58 @@ func TestUDPLaneOversizedSend(t *testing.T) {
 	s.Seal()
 	if err := a.Send(context.Background(), s); err == nil {
 		t.Fatal("oversized datagram accepted")
+	}
+}
+
+// TestUDPLaneReadsKeepTheirPayloads: the lane reads every datagram into
+// one buffer, and a decoded message may alias its frame (wire/cursor.go),
+// so the lane hands Decode a copy. Two messages read back to back —
+// symbols, and pieces, whose payload the codec does not copy — keep
+// distinct payloads: the second read never shows through the first.
+func TestUDPLaneReadsKeepTheirPayloads(t *testing.T) {
+	a, err := NewUDPLane("127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := NewUDPLane("127.0.0.1:0", []string{a.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	ctx := context.Background()
+	// recv sends m until a message with m's payload arrives (UDP on
+	// loopback is reliable in practice, not in contract), skipping
+	// repeats of an earlier send.
+	recv := func(m wire.Msg, payload func(wire.Msg) []byte) wire.Msg {
+		for try := 0; try < 20; try++ {
+			if err := b.Send(ctx, m); err != nil {
+				t.Fatal(err)
+			}
+			rctx, cancel := context.WithTimeout(ctx, 200*time.Millisecond)
+			got, err := a.Recv(rctx)
+			cancel()
+			if err == nil && got.Type() == m.Type() && bytes.Equal(payload(got), payload(m)) {
+				return got
+			}
+		}
+		t.Fatalf("%v never arrived", m.Type())
+		return nil
+	}
+	symbolPayload := func(m wire.Msg) []byte { return m.(*wire.Symbol).Payload }
+	piecePayload := func(m wire.Msg) []byte { return m.(*wire.Piece).Data }
+	for _, tc := range []struct {
+		first, second wire.Msg
+		payload       func(wire.Msg) []byte
+	}{
+		{testSymbol(1), testSymbol(2), symbolPayload},
+		{&wire.Piece{URI: "dtn://files/9", Index: 0, Total: 2, Data: bytes.Repeat([]byte{0xAA}, 2048)},
+			&wire.Piece{URI: "dtn://files/9", Index: 1, Total: 2, Data: bytes.Repeat([]byte{0x55}, 2048)}, piecePayload},
+	} {
+		first := recv(tc.first, tc.payload)
+		recv(tc.second, tc.payload)
+		if !bytes.Equal(tc.payload(first), tc.payload(tc.first)) {
+			t.Fatalf("%v: the second read overwrote the first one's payload", tc.first.Type())
+		}
 	}
 }

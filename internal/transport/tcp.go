@@ -84,10 +84,12 @@ func (l *tcpListener) Close() error {
 
 // tcpConn frames wire messages over one socket. Send writes each frame
 // through on its caller's goroutine; Recv reads through a buffer. Each
-// is called from one goroutine at a time, by contract.
+// is called from one goroutine at a time, by contract, which is what lets
+// Send keep its frame writer in the conn.
 type tcpConn struct {
 	c    net.Conn
 	br   *bufio.Reader
+	fw   frameWriter
 	done chan struct{}
 	once sync.Once
 }
@@ -113,7 +115,7 @@ func (c *tcpConn) Send(ctx context.Context, m wire.Msg) error {
 	}
 	c.c.SetWriteDeadline(time.Now().Add(WriteTimeout))
 	stop := context.AfterFunc(ctx, func() { c.c.SetWriteDeadline(time.Now()) })
-	err := writeFrame(c.c, wire.Encode(m))
+	err := c.fw.write(c.c, m)
 	stop()
 	if err == nil {
 		return nil

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -349,7 +350,8 @@ func TestTCPAcceptCtxCancel(t *testing.T) {
 
 func TestFrameTooBig(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, make([]byte, MaxFrame+1)); !errors.Is(err, ErrFrameTooBig) {
+	var fw frameWriter
+	if err := fw.write(&buf, &wire.Raw{T: wire.TypePiece, Frame: make([]byte, MaxFrame+1)}); !errors.Is(err, ErrFrameTooBig) {
 		t.Fatalf("write: %v", err)
 	}
 	hdr := binary.BigEndian.AppendUint32(nil, MaxFrame+1)
@@ -384,5 +386,93 @@ func TestBackoffDelays(t *testing.T) {
 		if a1.Delay(i) != a2.Delay(i) {
 			t.Fatal("jitter not deterministic under fixed seed")
 		}
+	}
+}
+
+// TestTCPPiggybackPieceRoundTrips: a piece carrying its file's record
+// (MBT-QM) crosses TCP as its segments — the head, the payload from the
+// sender's own slice, the piggyback after it — and decodes whole. The
+// received payload is a view into its frame, and each frame is the
+// reader's own: a second piece read after it leaves the first intact.
+func TestTCPPiggybackPieceRoundTrips(t *testing.T) {
+	tr := &TCP{}
+	lis, err := tr.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	d, a := pair(t, tr, lis)
+	defer d.Close()
+	defer a.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	m := testMeta()
+	var sent []*wire.Piece
+	for i := 0; i < 2; i++ {
+		p := &wire.Piece{URI: m.Record.URI, Index: i, Total: m.Record.NumPieces(),
+			Data: metadata.SyntheticPiece(m.Record.URI, i, m.Record.PieceLen(i)), Piggyback: m}
+		if err := d.Send(ctx, p); err != nil {
+			t.Fatal(err)
+		}
+		sent = append(sent, p)
+	}
+	var got []*wire.Piece
+	for range sent {
+		msg, err := a.Recv(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, ok := msg.(*wire.Piece)
+		if !ok {
+			t.Fatalf("received %T, want *wire.Piece", msg)
+		}
+		got = append(got, p)
+	}
+	for i, p := range got {
+		if !bytes.Equal(wire.Encode(p), wire.Encode(sent[i])) {
+			t.Fatalf("piece %d did not round-trip", i)
+		}
+		if p.Piggyback == nil || !p.Piggyback.Record.Verify(testKey) || !p.Verify(&p.Piggyback.Record) {
+			t.Fatalf("piece %d: its piggybacked record does not verify it", i)
+		}
+	}
+}
+
+// TestStalledFrameCostsAStep: a peer that declares a MaxFrame frame and
+// then stalls costs the reader no more than a MiB of heap, not the 16
+// MiB it declared: the frame grows as its bytes arrive.
+func TestStalledFrameCostsAStep(t *testing.T) {
+	near, far := net.Pipe()
+	c := newTCPConn(near)
+	defer c.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	hdr := binary.BigEndian.AppendUint32(nil, MaxFrame)
+	body := []byte{0xD7, 2, byte(wire.TypePiece)}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c.Recv(ctx)
+		errc <- err
+	}()
+	// A pipe write returns once the reader has taken its bytes: after
+	// the second, the reader has sized its frame and waits for more.
+	if _, err := far.Write(hdr); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := far.Write(body); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 1<<20 {
+		t.Fatalf("a stalled %d-byte frame holds %d bytes of heap, want at most 1 MiB", MaxFrame, grew)
+	}
+	far.Close()
+	if err := <-errc; err == nil {
+		t.Fatal("Recv returned a frame the peer never finished")
 	}
 }

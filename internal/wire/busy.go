@@ -68,12 +68,12 @@ func (b *Busy) RetryAfter() time.Duration {
 }
 
 // EncodeBusy serializes a backpressure frame.
-func EncodeBusy(b *Busy) []byte {
-	w := header(TypeBusy)
+func EncodeBusy(b *Busy) []byte { return Encode(b) }
+
+func encodeBusy(w *buffer, b *Busy) {
 	w.uint32(uint32(b.From))
 	w.byte(byte(b.Scope))
 	w.uint32(b.RetryAfterMillis)
-	return w.b
 }
 
 func decodeBusy(c *Cursor) *Busy {

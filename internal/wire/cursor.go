@@ -5,8 +5,24 @@ import (
 	"fmt"
 )
 
-// buffer accumulates an encoded message.
-type buffer struct{ b []byte }
+// bigField is the length from which a byte field is kept by reference
+// as a segment of its own instead of being copied into the encoding.
+const bigField = 1024
+
+// buffer accumulates an encoded message as segments: the fixed-size and
+// small fields are appended to the open tail b, and a byte field of
+// bigField bytes or more — a piece's payload — closes the tail and is kept
+// as the caller's own slice, so encoding never copies a payload. The
+// message is the closed segments in order, then the tail.
+type buffer struct {
+	segs [][]byte
+	b    []byte
+	// Room for a piece's fields before its payload and for its segments,
+	// so that encoding a piece costs the buffer's own allocation and no
+	// other.
+	head [64]byte
+	seg  [3][]byte
+}
 
 func (w *buffer) byte(v byte)     { w.b = append(w.b, v) }
 func (w *buffer) uint32(v uint32) { w.b = binary.BigEndian.AppendUint32(w.b, v) }
@@ -18,8 +34,25 @@ func (w *buffer) str(s string) {
 }
 func (w *buffer) bytes(p []byte) {
 	w.uint32(uint32(len(p)))
-	w.b = append(w.b, p...)
+	if len(p) < bigField {
+		w.b = append(w.b, p...)
+		return
+	}
+	// The tail goes on in the closed one's spare capacity: appends land
+	// past its end and never touch its bytes.
+	w.segs = append(w.segs, w.b, p)
+	w.b = w.b[len(w.b):]
 }
+
+// close returns the message's segments, the tail included when it holds
+// anything.
+func (w *buffer) close() [][]byte {
+	if len(w.b) == 0 {
+		return w.segs
+	}
+	return append(w.segs, w.b)
+}
+
 func (w *buffer) flag(v bool) {
 	if v {
 		w.byte(1)
@@ -27,6 +60,17 @@ func (w *buffer) flag(v bool) {
 		w.byte(0)
 	}
 }
+
+// Who owns a frame's bytes. A decoded message may alias the frame it was
+// read from: a piece's payload is a view into it (View), not a copy, so
+// the frame must never be written again once it is decoded. Every frame
+// a transport hands Decode is its own — TCP's readFrame allocates one per
+// frame, Loopback carries the sender's encoding, and a broadcast domain
+// shares one encoding read-only among its receivers. A reader that reuses
+// its buffer (the UDP lane's datagram buffer) hands Decode a copy
+// instead; the WAL reader decodes only records whose fields are copied
+// out (Str, Fixed, Bytes). A decoded payload is read-only for the same
+// reason: receivers of one broadcast may share it.
 
 // Cursor reads the fields of an encoded body in wire order. It latches:
 // the first failure — a read past the end, a length over its limit, or a
@@ -139,7 +183,8 @@ func (c *Cursor) Count(what string, limit, minElem int) int {
 }
 
 // View reads a length-prefixed field of at most limit bytes and returns
-// it as a slice of the cursor's input.
+// it as a slice of the cursor's input: the field aliases the frame (see
+// the ownership rule above).
 func (c *Cursor) View(what string, limit int) []byte {
 	return c.take(c.Bounded(what, limit))
 }

@@ -132,10 +132,10 @@ func decodeDHTValue(c *Cursor, v *DHTValue) {
 }
 
 // EncodeFindNode serializes a contact lookup request.
-func EncodeFindNode(f *FindNode) []byte {
-	w := header(TypeFindNode)
+func EncodeFindNode(f *FindNode) []byte { return Encode(f) }
+
+func encodeFindNode(w *buffer, f *FindNode) {
 	encodeDHTHeader(w, f.From, f.FromAddr, f.RPCID, &f.Target)
-	return w.b
 }
 
 func decodeFindNode(c *Cursor) *FindNode {
@@ -148,10 +148,10 @@ func decodeFindNode(c *Cursor) *FindNode {
 func DecodeFindNode(b []byte) (*FindNode, error) { return decodeAs[*FindNode](b) }
 
 // EncodeFindValue serializes a value lookup request.
-func EncodeFindValue(f *FindValue) []byte {
-	w := header(TypeFindValue)
+func EncodeFindValue(f *FindValue) []byte { return Encode(f) }
+
+func encodeFindValue(w *buffer, f *FindValue) {
 	encodeDHTHeader(w, f.From, f.FromAddr, f.RPCID, &f.Key)
-	return w.b
 }
 
 func decodeFindValue(c *Cursor) *FindValue {
@@ -164,11 +164,11 @@ func decodeFindValue(c *Cursor) *FindValue {
 func DecodeFindValue(b []byte) (*FindValue, error) { return decodeAs[*FindValue](b) }
 
 // EncodeStoreValue serializes a record store request.
-func EncodeStoreValue(s *StoreValue) []byte {
-	w := header(TypeStoreValue)
+func EncodeStoreValue(s *StoreValue) []byte { return Encode(s) }
+
+func encodeStoreValue(w *buffer, s *StoreValue) {
 	encodeDHTHeader(w, s.From, s.FromAddr, s.RPCID, &s.Key)
 	encodeDHTValue(w, &s.Value)
-	return w.b
 }
 
 func decodeStoreValue(c *Cursor) *StoreValue {
@@ -184,8 +184,9 @@ func DecodeStoreValue(b []byte) (*StoreValue, error) {
 }
 
 // EncodeNodesReply serializes a lookup reply.
-func EncodeNodesReply(n *NodesReply) []byte {
-	w := header(TypeNodesReply)
+func EncodeNodesReply(n *NodesReply) []byte { return Encode(n) }
+
+func encodeNodesReply(w *buffer, n *NodesReply) {
 	encodeDHTHeader(w, n.From, n.FromAddr, n.RPCID, &n.Key)
 	w.flag(n.Found)
 	w.uint32(uint32(len(n.Nodes)))
@@ -197,7 +198,6 @@ func EncodeNodesReply(n *NodesReply) []byte {
 	for i := range n.Values {
 		encodeDHTValue(w, &n.Values[i])
 	}
-	return w.b
 }
 
 func decodeNodesReply(c *Cursor) *NodesReply {

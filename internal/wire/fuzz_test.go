@@ -2,8 +2,15 @@ package wire
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"os"
+	"path/filepath"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/metadata"
@@ -86,6 +93,9 @@ func FuzzDecode(f *testing.F) {
 		if !bytes.Equal(Encode(m), b) {
 			t.Fatalf("re-encode mismatch for %T", m)
 		}
+		if !bytes.Equal(bytes.Join(AppendSegments(nil, m), nil), b) {
+			t.Fatalf("segments of %T do not join to the input", m)
+		}
 	})
 }
 
@@ -114,6 +124,9 @@ func FuzzRoundTrip(f *testing.F) {
 			h.Deals = []Deal{dl}
 		}
 		b := EncodeHello(h)
+		if !bytes.Equal(bytes.Join(AppendSegments(nil, h), nil), b) {
+			t.Fatal("segments do not join to Encode")
+		}
 		got, err := DecodeHello(b)
 		if err != nil {
 			t.Fatalf("DecodeHello: %v", err)
@@ -136,4 +149,82 @@ func FuzzRoundTrip(f *testing.F) {
 			t.Fatalf("generic type %v", generic.Type())
 		}
 	})
+}
+
+// seedFramesDigest is the SHA-256 over seedFrames, each frame behind its
+// 4-byte length, computed by the encoder before it kept payloads as
+// segments (every field appended to one buffer): the segmented encoder
+// puts the same bytes on the wire.
+const seedFramesDigest = "3846013a7d454b5af66b8a91aef31ef9306cf81b5549ec514a4c19935a777b66"
+
+// corpusFrames reads the committed FuzzDecode inputs.
+func corpusFrames(t *testing.T) [][]byte {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzDecode", "*"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no FuzzDecode corpus: %v", err)
+	}
+	var out [][]byte
+	for _, f := range files {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, ok := strings.CutPrefix(string(raw), "go test fuzz v1\n[]byte(")
+		body, ok2 := strings.CutSuffix(strings.TrimSpace(body), ")")
+		if !ok || !ok2 {
+			t.Fatalf("%s: not a one-[]byte corpus file", f)
+		}
+		frame, err := strconv.Unquote(body)
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		out = append(out, []byte(frame))
+	}
+	return out
+}
+
+// TestSegmentsJoinToEncode: for every kind-table frame among the fuzz
+// seeds and the committed corpus (inputs the appending encoder wrote or
+// mutated), the decoded message's segments join to exactly the frame —
+// the pre-segment encoding, which FuzzDecode holds canonical — and a
+// payload of bigField bytes or more is one of them by reference.
+func TestSegmentsJoinToEncode(t *testing.T) {
+	h := sha256.New()
+	for _, f := range seedFrames() {
+		h.Write(binary.BigEndian.AppendUint32(nil, uint32(len(f))))
+		h.Write(f)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != seedFramesDigest {
+		t.Fatalf("seed frames digest %s, want %s", got, seedFramesDigest)
+	}
+	kinds := map[MsgType]bool{}
+	for i, frame := range append(seedFrames(), corpusFrames(t)...) {
+		m, err := Decode(frame)
+		if err != nil {
+			continue
+		}
+		kinds[m.Type()] = true
+		segs := AppendSegments(nil, m)
+		if !bytes.Equal(bytes.Join(segs, nil), frame) || !bytes.Equal(Encode(m), frame) {
+			t.Fatalf("frame %d (%v): segments or Encode differ from the frame", i, m.Type())
+		}
+		var payload []byte
+		switch v := m.(type) {
+		case *Piece:
+			payload = v.Data
+		case *PieceBcast:
+			payload = v.Data
+		case *Symbol:
+			payload = v.Payload
+		}
+		if len(payload) >= bigField && !slices.ContainsFunc(segs, func(s []byte) bool { return &s[0] == &payload[0] }) {
+			t.Fatalf("frame %d (%v): the %d-byte payload was copied into the encoding", i, m.Type(), len(payload))
+		}
+	}
+	for tag := MsgType(0); tag < NumTypes; tag++ {
+		if !unassignedTags[tag] && !kinds[tag] {
+			t.Fatalf("no decodable frame of kind %v", tag)
+		}
+	}
 }

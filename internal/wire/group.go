@@ -167,14 +167,14 @@ func decodeBitset(c *Cursor, what string, total int) []byte {
 }
 
 // EncodeGroupHello serializes a group view announcement.
-func EncodeGroupHello(g *GroupHello) []byte {
-	w := header(TypeGroupHello)
+func EncodeGroupHello(g *GroupHello) []byte { return Encode(g) }
+
+func encodeGroupHello(w *buffer, g *GroupHello) {
 	w.uint32(uint32(g.From))
 	encodeIDs(w, g.Members)
 	w.uint64(g.Round)
 	encodeWantList(w, g.Wants)
 	w.flag(g.FEC)
-	return w.b
 }
 
 func decodeGroupHello(c *Cursor) *GroupHello {
@@ -193,14 +193,14 @@ func DecodeGroupHello(b []byte) (*GroupHello, error) {
 }
 
 // EncodeGrant serializes a transmit grant.
-func EncodeGrant(g *Grant) []byte {
-	w := header(TypeGrant)
+func EncodeGrant(g *Grant) []byte { return Encode(g) }
+
+func encodeGrant(w *buffer, g *Grant) {
 	w.uint32(uint32(g.From))
 	w.uint32(uint32(g.To))
 	w.uint64(g.Round)
 	w.str(string(g.URI))
 	w.uint32(uint32(g.Piece))
-	return w.b
 }
 
 func decodeGrant(c *Cursor) *Grant {
@@ -217,15 +217,15 @@ func decodeGrant(c *Cursor) *Grant {
 func DecodeGrant(b []byte) (*Grant, error) { return decodeAs[*Grant](b) }
 
 // EncodePieceBcast serializes a broadcast piece.
-func EncodePieceBcast(p *PieceBcast) []byte {
-	w := header(TypePieceBcast)
+func EncodePieceBcast(p *PieceBcast) []byte { return Encode(p) }
+
+func encodePieceBcast(w *buffer, p *PieceBcast) {
 	w.uint32(uint32(p.From))
 	w.uint64(p.Round)
 	w.str(string(p.URI))
 	w.uint32(uint32(p.Index))
 	w.uint32(uint32(p.Total))
 	w.bytes(p.Data)
-	return w.b
 }
 
 func decodePieceBcast(c *Cursor) *PieceBcast {

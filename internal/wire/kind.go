@@ -68,15 +68,16 @@ type kind struct {
 	codec
 }
 
-// codec is a kind's two directions, erased to Msg.
+// codec is a kind's two directions, erased to Msg: encode writes the body
+// after the header Encode wrote, decode reads it.
 type codec struct {
-	encode func(Msg) []byte
+	encode func(*buffer, Msg)
 	decode func(*Cursor) Msg
 }
 
-func codecOf[M Msg](enc func(M) []byte, dec func(*Cursor) M) codec {
+func codecOf[M Msg](enc func(*buffer, M), dec func(*Cursor) M) codec {
 	return codec{
-		encode: func(m Msg) []byte { return enc(m.(M)) },
+		encode: func(w *buffer, m Msg) { enc(w, m.(M)) },
 		decode: func(c *Cursor) Msg { return dec(c) },
 	}
 }
@@ -84,19 +85,19 @@ func codecOf[M Msg](enc func(M) []byte, dec func(*Cursor) M) codec {
 var kinds = [NumTypes]kind{
 	// A hello is the request for both catalog answers and piece serves;
 	// the piece lane is the expensive one it drives.
-	TypeHello:      {"hello", PlaneBase, ClassControl, BusyPiece, codecOf(EncodeHello, decodeHello)},
-	TypeMetadata:   {"metadata", PlaneBase, ClassData, 0, codecOf(EncodeMetadata, decodeMetadata)},
-	TypePiece:      {"piece", PlaneBase, ClassData, 0, codecOf(EncodePiece, decodePiece)},
-	TypeGroupHello: {"group-hello", PlaneGroup, ClassControl, BusyPiece, codecOf(EncodeGroupHello, decodeGroupHello)},
-	TypeGrant:      {"grant", PlaneGroup, ClassControl, 0, codecOf(EncodeGrant, decodeGrant)},
-	TypePieceBcast: {"piece-bcast", PlaneGroup, ClassData, 0, codecOf(EncodePieceBcast, decodePieceBcast)},
-	TypeSymbol:     {"symbol", PlaneGroup, ClassData, BusySymbol, codecOf(EncodeSymbol, decodeSymbol)},
-	TypeSymbolAck:  {"symbol-ack", PlaneGroup, ClassControl, BusySymbol, codecOf(EncodeSymbolAck, decodeSymbolAck)},
-	TypeFindNode:   {"find-node", PlaneDHT, ClassControl, BusyDHT, codecOf(EncodeFindNode, decodeFindNode)},
-	TypeFindValue:  {"find-value", PlaneDHT, ClassControl, BusyDHT, codecOf(EncodeFindValue, decodeFindValue)},
-	TypeStoreValue: {"store-value", PlaneDHT, ClassData, BusyDHT, codecOf(EncodeStoreValue, decodeStoreValue)},
-	TypeNodesReply: {"nodes-reply", PlaneDHT, ClassControl, 0, codecOf(EncodeNodesReply, decodeNodesReply)},
-	TypeBusy:       {"busy", PlaneBusy, ClassControl, 0, codecOf(EncodeBusy, decodeBusy)},
+	TypeHello:      {"hello", PlaneBase, ClassControl, BusyPiece, codecOf(encodeHello, decodeHello)},
+	TypeMetadata:   {"metadata", PlaneBase, ClassData, 0, codecOf(encodeMetadataBody, decodeMetadata)},
+	TypePiece:      {"piece", PlaneBase, ClassData, 0, codecOf(encodePiece, decodePiece)},
+	TypeGroupHello: {"group-hello", PlaneGroup, ClassControl, BusyPiece, codecOf(encodeGroupHello, decodeGroupHello)},
+	TypeGrant:      {"grant", PlaneGroup, ClassControl, 0, codecOf(encodeGrant, decodeGrant)},
+	TypePieceBcast: {"piece-bcast", PlaneGroup, ClassData, 0, codecOf(encodePieceBcast, decodePieceBcast)},
+	TypeSymbol:     {"symbol", PlaneGroup, ClassData, BusySymbol, codecOf(encodeSymbol, decodeSymbol)},
+	TypeSymbolAck:  {"symbol-ack", PlaneGroup, ClassControl, BusySymbol, codecOf(encodeSymbolAck, decodeSymbolAck)},
+	TypeFindNode:   {"find-node", PlaneDHT, ClassControl, BusyDHT, codecOf(encodeFindNode, decodeFindNode)},
+	TypeFindValue:  {"find-value", PlaneDHT, ClassControl, BusyDHT, codecOf(encodeFindValue, decodeFindValue)},
+	TypeStoreValue: {"store-value", PlaneDHT, ClassData, BusyDHT, codecOf(encodeStoreValue, decodeStoreValue)},
+	TypeNodesReply: {"nodes-reply", PlaneDHT, ClassControl, 0, codecOf(encodeNodesReply, decodeNodesReply)},
+	TypeBusy:       {"busy", PlaneBusy, ClassControl, 0, codecOf(encodeBusy, decodeBusy)},
 }
 
 // row returns t's table row; an unassigned tag reads the zero row.

@@ -88,8 +88,9 @@ func (*Symbol) Type() MsgType { return TypeSymbol }
 func (*SymbolAck) Type() MsgType { return TypeSymbolAck }
 
 // EncodeSymbol serializes a coded symbol.
-func EncodeSymbol(s *Symbol) []byte {
-	w := header(TypeSymbol)
+func EncodeSymbol(s *Symbol) []byte { return Encode(s) }
+
+func encodeSymbol(w *buffer, s *Symbol) {
 	w.uint32(uint32(s.From))
 	w.uint64(s.Round)
 	w.str(string(s.URI))
@@ -100,7 +101,6 @@ func EncodeSymbol(s *Symbol) []byte {
 	w.uint32(s.Index)
 	w.uint32(s.Check)
 	w.bytes(s.Payload)
-	return w.b
 }
 
 // decodeSymbol parses a coded symbol. The payload checksum is NOT
@@ -126,14 +126,14 @@ func decodeSymbol(c *Cursor) *Symbol {
 func DecodeSymbol(b []byte) (*Symbol, error) { return decodeAs[*Symbol](b) }
 
 // EncodeSymbolAck serializes an aggregate decode report.
-func EncodeSymbolAck(a *SymbolAck) []byte {
-	w := header(TypeSymbolAck)
+func EncodeSymbolAck(a *SymbolAck) []byte { return Encode(a) }
+
+func encodeSymbolAck(w *buffer, a *SymbolAck) {
 	w.uint32(uint32(a.From))
 	w.uint64(a.Round)
 	w.str(string(a.URI))
 	w.uint32(uint32(a.Total))
 	w.bytes(a.Have)
-	return w.b
 }
 
 func decodeSymbolAck(c *Cursor) *SymbolAck {

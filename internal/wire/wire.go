@@ -24,6 +24,7 @@
 package wire
 
 import (
+	"bytes"
 	"crypto/sha1"
 	"crypto/sha256"
 	"errors"
@@ -114,11 +115,11 @@ type Piece struct {
 	Piggyback *Metadata
 }
 
+// header opens an encoding in a buffer's own room.
 func header(t MsgType) *buffer {
 	w := &buffer{}
-	w.byte(magic)
-	w.byte(version)
-	w.byte(byte(t))
+	w.b = append(w.head[:0], magic, version, byte(t))
+	w.segs = w.seg[:0]
 	return w
 }
 
@@ -141,8 +142,9 @@ func decodeIDs(c *Cursor, what string) []trace.NodeID {
 }
 
 // EncodeHello serializes a hello beacon.
-func EncodeHello(h *Hello) []byte {
-	w := header(TypeHello)
+func EncodeHello(h *Hello) []byte { return Encode(h) }
+
+func encodeHello(w *buffer, h *Hello) {
 	w.uint32(uint32(h.From))
 	encodeIDs(w, h.Heard)
 	w.uint32(uint32(len(h.Queries)))
@@ -160,7 +162,6 @@ func EncodeHello(h *Hello) []byte {
 		w.uint32(h.Deals[i].No)
 		encodeIDs(w, h.Deals[i].Suppliers)
 	}
-	return w.b
 }
 
 func decodeHello(c *Cursor) *Hello {
@@ -226,11 +227,7 @@ func decodeMetadataBody(c *Cursor, m *Metadata) {
 }
 
 // EncodeMetadata serializes a discovery payload.
-func EncodeMetadata(m *Metadata) []byte {
-	w := header(TypeMetadata)
-	encodeMetadataBody(w, m)
-	return w.b
-}
+func EncodeMetadata(m *Metadata) []byte { return Encode(m) }
 
 func decodeMetadata(c *Cursor) *Metadata {
 	m := &Metadata{}
@@ -239,8 +236,9 @@ func decodeMetadata(c *Cursor) *Metadata {
 }
 
 // EncodePiece serializes a download payload.
-func EncodePiece(p *Piece) []byte {
-	w := header(TypePiece)
+func EncodePiece(p *Piece) []byte { return Encode(p) }
+
+func encodePiece(w *buffer, p *Piece) {
 	w.str(string(p.URI))
 	w.uint32(uint32(p.Index))
 	w.uint32(uint32(p.Total))
@@ -249,7 +247,6 @@ func EncodePiece(p *Piece) []byte {
 	if p.Piggyback != nil {
 		encodeMetadataBody(w, p.Piggyback)
 	}
-	return w.b
 }
 
 func decodePiece(c *Cursor) *Piece {
@@ -257,7 +254,7 @@ func decodePiece(c *Cursor) *Piece {
 	p.URI = metadata.URI(c.Str(maxStrLen))
 	p.Index = int(c.Uint32())
 	p.Total = int(c.Uint32())
-	p.Data = c.Bytes(maxDataLen)
+	p.Data = c.View("byte length", maxDataLen) // aliases the frame: cursor.go
 	if c.Flag("piggyback") {
 		p.Piggyback = decodeMetadata(c)
 	}
@@ -304,12 +301,35 @@ func (*Metadata) Type() MsgType { return TypeMetadata }
 // Type implements Msg.
 func (*Piece) Type() MsgType { return TypePiece }
 
-// Encode serializes any message.
+// Encode serializes any message: the join of its segments.
 func Encode(m Msg) []byte {
 	if r, ok := m.(*Raw); ok {
 		return r.Frame
 	}
-	return m.Type().row().encode(m)
+	w := encode(m)
+	if len(w.segs) == 0 {
+		return w.b
+	}
+	return bytes.Join(w.close(), nil)
+}
+
+// AppendSegments appends m's encoding to dst as the byte slices whose
+// concatenation is Encode(m). A byte field of bigField bytes or more is
+// one of them by reference — a piece's payload is written from the
+// caller's own slice — so the segments are valid while the message is
+// unchanged: a writer that gathers them (writev) copies no payload.
+func AppendSegments(dst [][]byte, m Msg) [][]byte {
+	if r, ok := m.(*Raw); ok {
+		return append(dst, r.Frame)
+	}
+	return append(dst, encode(m).close()...)
+}
+
+func encode(m Msg) *buffer {
+	t := m.Type()
+	w := header(t)
+	t.row().encode(w, m)
+	return w
 }
 
 // Peek returns the message type of an encoded buffer without decoding it.
