@@ -190,18 +190,15 @@ func (r *beatRig) answerDHT(conn transport.Conn, id trace.NodeID) {
 
 // beatCounts is one of each thing a beat does.
 type beatCounts struct {
-	hellos, expiries, stalls, groupHellos, dhtRounds uint64
+	hellos, expiries, groupHellos, dhtRounds uint64
 }
 
 // counts reads them. A DHT round of a node with no query and no catalog
 // is exactly one lookup — the routing table's refresh.
 func (r *beatRig) counts() beatCounts {
 	ps := r.d.mgr.Stats()
-	r.d.mu.Lock()
-	stalls := r.d.counters.stalls
-	r.d.mu.Unlock()
 	return beatCounts{
-		hellos: ps.HellosSent, expiries: ps.Expiries, stalls: stalls,
+		hellos: ps.HellosSent, expiries: ps.Expiries,
 		groupHellos: r.d.bcast.Stats().GroupHellosSent, dhtRounds: r.d.dht.Stats().Lookups,
 	}
 }
@@ -215,9 +212,11 @@ func (r *beatRig) sweptAt() time.Time {
 
 // TestNothingPeriodicWithoutATick: with the tick never fired an hour goes
 // by on the clock and the node does nothing — no frame, no expiry, no
-// stall, no GroupHello, no DHT round, although every one of them is long
-// due. One tick then does exactly one of each, in the beat's order: the
-// peer round (expire, beacon), the sweep, the group beat, the DHT round.
+// GroupHello, no DHT round, although every one of them is long due. One
+// tick then does exactly one of each, in the beat's order: the peer round
+// (expire, beacon), the sweep, the group beat, the DHT round.
+// The download that gained nothing all that hour gets no hello of its
+// own: the beacon already advertises it.
 func TestNothingPeriodicWithoutATick(t *testing.T) {
 	defer testutil.NoLeaks(t)()
 	r := newBeatRig(t, func(c *Config) { c.Queries = []string{"f0"} })
@@ -225,7 +224,7 @@ func TestNothingPeriodicWithoutATick(t *testing.T) {
 	d := r.d
 	c2, c3, c4 := r.peer(2), r.peer(3), r.peer(4)
 	rec := d.syntheticFile(0)
-	d.onMetadata(2, &wire.Metadata{Popularity: 0.5, Record: *rec}) // selected: a download that will stall
+	d.onMetadata(2, &wire.Metadata{Popularity: 0.5, Record: *rec}) // selected: a download nobody serves
 	// The selection kicked: three handshakes, then a round of three.
 	waitFor(t, waitLimit, func() bool {
 		st := d.mgr.Stats()
@@ -257,28 +256,27 @@ func TestNothingPeriodicWithoutATick(t *testing.T) {
 	r.air.onSend = func(wire.Msg) {
 		atGroupHello = beatCounts{expiries: d.mgr.Stats().Expiries, dhtRounds: d.dht.Stats().Lookups}
 		d.mu.Lock()
-		atGroupHello.stalls = d.counters.stalls
 		peer4Swept = d.peers[4] == nil
 		d.mu.Unlock()
 	}
 	r.fire()
 	waitFor(t, waitLimit, func() bool { return d.mgr.Stats().DHTSent == 2 }, "the DHT round's requests")
-	// Each live peer hears the beacon, the stall's re-drive and the DHT
-	// request, in that order; the expired one hears nothing.
+	// Each live peer hears the beacon and the DHT request, in that order;
+	// the expired one hears nothing.
 	for id, conn := range map[trace.NodeID]transport.Conn{2: c2, 3: c3} {
-		want := []wire.MsgType{wire.TypeHello, wire.TypeHello, wire.TypeFindNode}
-		if got := r.recv(conn, 3); !slices.Equal(got, want) {
+		want := []wire.MsgType{wire.TypeHello, wire.TypeFindNode}
+		if got := r.recv(conn, 2); !slices.Equal(got, want) {
 			t.Errorf("node %d heard %v, want %v", id, got, want)
 		}
 	}
 	if m, err := c4.Recv(context.Background()); err == nil {
 		t.Errorf("the expired node 4 heard a %v", m.Type())
 	}
-	want := beatCounts{hellos: base.hellos + 4, expiries: 1, stalls: 1, groupHellos: 1, dhtRounds: 1}
+	want := beatCounts{hellos: base.hellos + 2, expiries: 1, groupHellos: 1, dhtRounds: 1}
 	if got := r.counts(); got != want {
 		t.Fatalf("after one tick: %+v, want %+v", got, want)
 	}
-	if want := (beatCounts{expiries: 1, stalls: 1}); atGroupHello != want {
+	if want := (beatCounts{expiries: 1}); atGroupHello != want {
 		t.Errorf("when the GroupHello went out: %+v, want %+v (the round and the sweep done, the DHT round not begun)", atGroupHello, want)
 	}
 	if !peer4Swept {
@@ -345,6 +343,43 @@ func TestKicksNeitherAddNorStarveTheBeat(t *testing.T) {
 	}
 	if kicked := d.mgr.Stats().HellosKicked; kicked != 42 {
 		t.Fatalf("HellosKicked = %d, want 42", kicked)
+	}
+}
+
+// TestPausedNodeSendsNothingOnTheBeat: a node sends hellos on the beat, a
+// kick and an ack, and each honours Pause. A paused node whose download
+// has gained nothing for three liveness windows, with its one peer still
+// in the table, takes beats on the clock and sends that peer nothing.
+// Manager.Send itself does not look at the radio, so a frame the test
+// queues after the beats is the first the peer reads.
+func TestPausedNodeSendsNothingOnTheBeat(t *testing.T) {
+	defer testutil.NoLeaks(t)()
+	r := newBeatRig(t, func(c *Config) {
+		c.Queries = []string{"f0"}
+		c.EnableBcast, c.Broadcast, c.EnableDHT = false, nil, false
+	})
+	defer r.close()
+	d := r.d
+	c2 := r.peer(2)
+	rec := d.syntheticFile(0)
+	d.onMetadata(2, &wire.Metadata{Popularity: 0.5, Record: *rec}) // selected: a download nobody serves
+	waitFor(t, waitLimit, func() bool { return d.mgr.Stats().HellosKicked == 1 }, "the selection's kicked round")
+	r.recv(c2, 1) // that round's beacon
+
+	r.clk.Advance(3 * d.cfg.LivenessWindow)
+	r.hello(c2, 2) // heard just now: live through every beat below
+	d.Pause()
+	sent := d.mgr.Stats().HellosSent
+	for i := 0; i < 4; i++ {
+		r.fire() // taken only once the beat before it is over
+		r.clk.Advance(d.cfg.HelloInterval)
+	}
+	d.sendBusy(2, wire.BusyPiece)
+	if got := r.recv(c2, 1); got[0] != wire.TypeBusy {
+		t.Errorf("the paused node's peer heard a %v before the frame queued after its beats", got[0])
+	}
+	if got := d.mgr.Stats().HellosSent; got != sent {
+		t.Errorf("HellosSent went %d -> %d across beats while paused", sent, got)
 	}
 }
 

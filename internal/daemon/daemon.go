@@ -85,9 +85,6 @@ const (
 	DefaultTTL = 3 * simtime.Day
 	// DefaultFileSize gives 3 pieces at the paper's 256 KB piece size.
 	DefaultFileSize = 600 * 1024
-	// DefaultRetryBudget bounds out-of-band stall re-drives per
-	// download; past it the daemon leans on the regular beacon alone.
-	DefaultRetryBudget = 16
 	// badSigsPerStrike is how many bad signatures earn a peer one strike,
 	// and with it a quarantine.
 	badSigsPerStrike = 5
@@ -146,10 +143,7 @@ type Config struct {
 	// a dropped or corrupted piece is re-served after one deadline
 	// instead of waiting for a full catalog sweep.
 	ResendAfter time.Duration
-	// RetryBudget bounds stall re-drives per download — the out-of-band
-	// hellos spent on a wanted file that gained no piece for 3× the
-	// liveness window (default DefaultRetryBudget); the spend is surfaced
-	// in Stats and /healthz.
+	// Deprecated: RetryBudget is read by nothing; the beat is the only re-drive.
 	RetryBudget int
 	// PeerRate, when positive, turns on per-peer admission control:
 	// each peer's inbound messages dispatch at most PeerRate per second
@@ -258,19 +252,14 @@ type Stats struct {
 	OutboxDataDepth    int    `json:"outbox_data_depth"`
 	// Busy backpressure accounting: BusyReplies counts 429-style Busy
 	// frames this daemon sent (paced, so one per peer/lane per window),
-	// BusyBackoffs counts stall re-drives skipped because every live
-	// peer was inside an advertised Busy window, QueriesShed the catalog
-	// queries refused by per-peer admission control.
-	BusyReplies  uint64 `json:"busy_replies"`
-	BusyBackoffs uint64 `json:"busy_backoffs"`
-	QueriesShed  uint64 `json:"queries_shed,omitempty"`
-	// Stall re-drive accounting: Stalls counts stall detections,
-	// Redrives the out-of-band hellos spent on them, Retries the
-	// per-download budget spend against RetryBudget.
-	Stalls      uint64         `json:"stalls"`
-	Redrives    uint64         `json:"redrives"`
-	RetryBudget int            `json:"retry_budget"`
-	Retries     map[string]int `json:"retries,omitempty"`
+	// QueriesShed the catalog queries refused by per-peer admission
+	// control.
+	BusyReplies uint64 `json:"busy_replies"`
+	QueriesShed uint64 `json:"queries_shed,omitempty"`
+	// Deprecated: Stalls is always zero; the beat is the only re-drive.
+	Stalls uint64 `json:"-"`
+	// Deprecated: Redrives is always zero; the beat is the only re-drive.
+	Redrives uint64 `json:"-"`
 	// Quarantine accounting: peers currently ignored for repeated bad
 	// signatures and the messages dropped on that ground.
 	Quarantined     []trace.NodeID `json:"quarantined,omitempty"`
@@ -307,7 +296,8 @@ type Stats struct {
 	// have-bitmap and peers never re-serve them.
 	PiecesRefetched uint64 `json:"pieces_refetched"`
 	// StoreErrors counts events dropped because their durable append
-	// failed; the protocol's re-drive retries them.
+	// failed; the next beacon re-advertises what they left undone, and a
+	// holder re-serves a lost piece once its resend deadline passes.
 	StoreErrors uint64 `json:"store_errors"`
 }
 
@@ -386,10 +376,6 @@ type fileState struct {
 	// completed: every piece verified and applied; the record then stays
 	// for good — it is the result set Stats reports.
 	completed bool
-	// lastProgress and retries drive stall detection while the file is a
-	// wanted, incomplete download.
-	lastProgress time.Time
-	retries      int
 	// restored marks the pieces recovered from DataDir.
 	restored []bool
 	// pending holds verified pieces staged for the committer but not yet
@@ -463,12 +449,10 @@ type Daemon struct {
 	counters   struct {
 		piecesVerified, piecesRejected, piecesNoMeta uint64
 		piecesDuplicate, piecesResent                uint64
-		badSignatures                                uint64
-		stalls, redrives, quarantineDrops            uint64
+		badSignatures, quarantineDrops               uint64
 		piecesSuppressed, piecesSkippedHeld          uint64
-		piecesForwarded                              uint64
+		piecesForwarded, busySent                    uint64
 		piecesRefetched, storeErrors                 uint64
-		busySent, busyBackoffs                       uint64
 	}
 }
 
@@ -495,7 +479,6 @@ func (c Config) Validate() error {
 		{c.LivenessWindow < 0, "negative LivenessWindow"},
 		{c.MaxPeers < 0, "negative MaxPeers"},
 		{c.ResendAfter < 0, "negative ResendAfter"},
-		{c.RetryBudget < 0, "negative RetryBudget"},
 		{c.PeerRate < 0, "negative PeerRate"},
 		{c.BusyRetryAfter < 0, "negative BusyRetryAfter"},
 		{c.OutboxLen < 0, "negative OutboxLen"},
@@ -549,9 +532,6 @@ func newDaemon(cfg Config, clock func() time.Time, tick <-chan time.Time) (*Daem
 	}
 	if cfg.ResendAfter <= 0 {
 		cfg.ResendAfter = 2 * cfg.LivenessWindow
-	}
-	if cfg.RetryBudget <= 0 {
-		cfg.RetryBudget = DefaultRetryBudget
 	}
 	if cfg.DHTRepublish <= 0 {
 		cfg.DHTRepublish = 10 * cfg.HelloInterval
@@ -770,7 +750,7 @@ func (d *Daemon) restore(st *store.State, wall time.Time) {
 			if d.node.HasFullFile(uri) {
 				fs.completed = true
 			} else {
-				d.node.Select(uri) // its stall clock starts at the first sweep
+				d.node.Select(uri)
 			}
 		}
 	}
@@ -926,13 +906,12 @@ func (d *Daemon) beat(ctx context.Context, wall time.Time) {
 
 // sweepOnce expires node/catalog state, takes the live peer set as the
 // node's frequent contacts, and makes one pass over each of the daemon's
-// two tables. Peers: forget send tracking for the vanished,
-// decay quarantine strikes of those that have since behaved, note who is
-// inside a Busy window, and drop every record that no longer holds
-// anything. Files: re-drive stalled downloads — a wanted file with no new
-// piece for 3× the liveness window spends one unit of its retry budget on
-// an immediate out-of-band hello to every live peer, which prompts any
-// holder to re-serve (its per-piece ResendAfter deadlines decide what).
+// two tables. Peers: forget send tracking for the vanished, decay
+// quarantine strikes of those that have since behaved, and drop every
+// record that no longer holds anything. Files: drop a record whose piece
+// set expired. A download that stalls needs nothing here: the beacon this
+// beat already sent re-advertises it, and a holder re-serves what its
+// per-piece ResendAfter deadlines allow.
 func (d *Daemon) sweepOnce(wall time.Time) {
 	now := protoTime(wall)
 	peers := d.mgr.Peers()
@@ -940,81 +919,32 @@ func (d *Daemon) sweepOnce(wall time.Time) {
 	for _, id := range peers {
 		live[id] = true
 	}
-	nudge := false
 	d.mu.Lock()
 	if len(live) > 0 {
 		d.lastPeerAt = wall
 	}
 	d.node.SetFrequent(peers)
 	d.node.Expire(now)
-	// busy collects the peers still inside a piece- or query-lane window
-	// they advertised — re-drives compose with backpressure by skipping
-	// them, and when every live peer is backing us off, the re-drive
-	// itself waits without spending budget.
-	busy := make(map[trace.NodeID]bool)
 	for id, ps := range d.peers {
 		if !live[id] {
 			ps.sent = nil
 		}
 		ps.offence.decay(wall, d.cfg.LivenessWindow)
-		if ps.busyOn(wire.BusyPiece, wall) || ps.busyOn(wire.BusyQuery, wall) {
-			busy[id] = true
-		}
 		if !live[id] && !ps.binds(wall, d.cfg.BusyRetryAfter) {
 			delete(d.peers, id)
 		}
 	}
-	allBusy := len(live) > 0
-	for id := range live {
-		if !busy[id] {
-			allBusy = false
-			break
-		}
-	}
 	for uri, f := range d.files {
-		ps := d.node.Pieces(uri)
-		if ps == nil {
-			// The node dropped the piece set with its expired record (or
-			// the first piece is still staged): short of a completed
-			// file, nothing here outlives it.
-			if !f.completed && len(f.pending) == 0 {
-				delete(d.files, uri)
-			}
-			continue
+		// The node dropped the piece set with its expired record (or the
+		// first piece is still staged): short of a completed file,
+		// nothing here outlives it.
+		if d.node.Pieces(uri) == nil && !f.completed && len(f.pending) == 0 {
+			delete(d.files, uri)
 		}
-		if !ps.Want || f.completed || ps.Complete() {
-			continue
-		}
-		if f.lastProgress.IsZero() {
-			f.lastProgress = wall // a restored download's first sweep
-			continue
-		}
-		if wall.Sub(f.lastProgress) < 3*d.cfg.LivenessWindow {
-			continue
-		}
-		d.counters.stalls++
-		f.lastProgress = wall // re-arm the stall timer
-		if f.retries >= d.cfg.RetryBudget {
-			continue // budget spent: the regular beacon keeps trying
-		}
-		if allBusy {
-			// Every live peer advertised Busy on the lanes a re-drive
-			// would hit: honor the windows instead of spending budget on
-			// a hello that would only be shed.
-			d.counters.busyBackoffs++
-			continue
-		}
-		f.retries++
-		d.counters.redrives++
-		nudge = true
 	}
 	d.mu.Unlock()
 	if d.catalog != nil {
 		d.catalog.Expire(now)
-	}
-	if nudge {
-		d.logf("daemon %d: download stalled; re-driving live peers", d.cfg.ID)
-		d.mgr.BroadcastExcept(func(id trace.NodeID) bool { return busy[id] })
 	}
 }
 
@@ -1097,10 +1027,6 @@ func (d *Daemon) Stats() Stats {
 		PiecesDroppedNoMetadata: d.counters.piecesNoMeta,
 		BadSignatures:           d.counters.badSignatures,
 		BusyReplies:             d.counters.busySent,
-		BusyBackoffs:            d.counters.busyBackoffs,
-		Stalls:                  d.counters.stalls,
-		Redrives:                d.counters.redrives,
-		RetryBudget:             d.cfg.RetryBudget,
 		QuarantineDrops:         d.counters.quarantineDrops,
 		PiecesSuppressed:        d.counters.piecesSuppressed,
 		PiecesSkippedHeld:       d.counters.piecesSkippedHeld,
@@ -1114,11 +1040,6 @@ func (d *Daemon) Stats() Stats {
 	for uri, f := range d.files {
 		if f.completed {
 			st.Completed[string(uri)] = true
-		} else if f.retries > 0 {
-			if st.Retries == nil {
-				st.Retries = make(map[string]int)
-			}
-			st.Retries[string(uri)] = f.retries
 		}
 	}
 	for id, ps := range d.peers {
@@ -1472,8 +1393,7 @@ func (d *Daemon) onMetadata(from trace.NodeID, m *wire.Metadata) {
 	if d.quarantined(from) {
 		return
 	}
-	wall := d.clock()
-	now := protoTime(wall)
+	now := protoTime(d.clock())
 	rec := m.Record.Clone()
 	if err := rec.Validate(); err != nil {
 		d.bumpBadSignature(from)
@@ -1513,9 +1433,6 @@ func (d *Daemon) onMetadata(from trace.NodeID, m *wire.Metadata) {
 	added := d.node.AddMetadata(rec, m.Popularity, now)
 	if selected {
 		d.node.Select(rec.URI)
-		if f := d.fileLocked(rec.URI); f.lastProgress.IsZero() {
-			f.lastProgress = wall
-		}
 	}
 	d.mu.Unlock()
 	if selected && !wanted {
@@ -1755,7 +1672,6 @@ func (d *Daemon) applyPieceLocked(sp stagedPiece, wall time.Time) applied {
 	}
 	d.counters.piecesVerified++
 	f := d.fileLocked(sp.uri)
-	f.lastProgress = wall
 	if sp.credit {
 		d.node.Ledger.RewardRequested(sp.from)
 	}

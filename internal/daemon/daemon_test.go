@@ -80,7 +80,6 @@ func TestConfigValidate(t *testing.T) {
 		{"LivenessWindow", func(c *Config) { c.LivenessWindow = -time.Second }},
 		{"MaxPeers", func(c *Config) { c.MaxPeers = -1 }},
 		{"ResendAfter", func(c *Config) { c.ResendAfter = -time.Second }},
-		{"RetryBudget", func(c *Config) { c.RetryBudget = -1 }},
 		{"PeerRate", func(c *Config) { c.PeerRate = -1 }},
 		{"BusyRetryAfter", func(c *Config) { c.BusyRetryAfter = -time.Second }},
 		{"OutboxLen", func(c *Config) { c.OutboxLen = -1 }},

@@ -296,8 +296,7 @@ func TestEnqueueOverflow(t *testing.T) {
 // nothing in it binds — and not before: a peer we just told Busy, one
 // inside a Busy window it advertised, and one with an offence on file
 // keep theirs (without the send tracking) until that runs out, each at
-// its own instant. A completed file's record stays, but reports no
-// retries.
+// its own instant. A completed file's record stays.
 func TestSweepCleansVanishedState(t *testing.T) {
 	clk := testutil.NewClock()
 	d := benchAt(t, clk, nil)
@@ -314,7 +313,7 @@ func TestSweepCleansVanishedState(t *testing.T) {
 	for _, ps := range d.peers {
 		ps.sent = map[metadata.URI]*sentFile{uri: {at: map[int]time.Time{0: clk.Now()}}}
 	}
-	d.files[uri] = &fileState{completed: true, lastProgress: clk.Now(), retries: 3}
+	d.files[uri] = &fileState{completed: true}
 	d.mu.Unlock()
 
 	began := clk.Now()
@@ -346,8 +345,8 @@ func TestSweepCleansVanishedState(t *testing.T) {
 			t.Errorf("+%v: records left for %v, want %v", step.at, left, step.left)
 		}
 	}
-	if st := d.Stats(); !st.Completed[string(uri)] || len(st.Retries) != 0 {
-		t.Errorf("completed %v retries %v, want the file completed and no retries reported", st.Completed, st.Retries)
+	if st := d.Stats(); !st.Completed[string(uri)] {
+		t.Errorf("completed %v, want the file completed", st.Completed)
 	}
 }
 
@@ -381,45 +380,6 @@ func TestHelloForgetsFinishedFiles(t *testing.T) {
 	}
 	if len(d.mgr.Peers()) != 1 {
 		t.Fatal("the peer must still be live")
-	}
-}
-
-// TestStallRedriveBudget: a download making no progress for 3× the
-// liveness window — not an instant less — triggers a stall re-drive, up
-// to the retry budget; stalls keep being counted past it but no more
-// budget is spent.
-func TestStallRedriveBudget(t *testing.T) {
-	clk := testutil.NewClock()
-	d := benchAt(t, clk, func(c *Config) { c.RetryBudget = 2 })
-	feedMetadata(t, d, 5)
-	if got := d.Stats().Downloading; len(got) != 1 {
-		t.Fatalf("downloading = %v, want the selected file", got)
-	}
-	stall := 3 * d.cfg.LivenessWindow
-
-	clk.Advance(stall - 1)
-	d.sweepOnce(clk.Now())
-	if st := d.Stats(); st.Stalls != 0 {
-		t.Fatalf("Stalls = %d one tick short of the stall timeout", st.Stalls)
-	}
-	clk.Advance(1)
-	d.sweepOnce(clk.Now())
-	for i := 0; i < 4; i++ {
-		clk.Advance(stall)
-		d.sweepOnce(clk.Now())
-	}
-	st := d.Stats()
-	if st.Stalls != 5 {
-		t.Fatalf("Stalls = %d after five stall timeouts, want 5 (detection keeps running past the budget)", st.Stalls)
-	}
-	if st.Redrives != 2 {
-		t.Fatalf("Redrives = %d, want exactly the budget of 2", st.Redrives)
-	}
-	if got := st.Retries[string(metadata.URIFor(0))]; got != 2 {
-		t.Fatalf("Retries[f0] = %d, want 2", got)
-	}
-	if st.RetryBudget != 2 {
-		t.Fatalf("RetryBudget = %d, want 2", st.RetryBudget)
 	}
 }
 

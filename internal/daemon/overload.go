@@ -49,8 +49,8 @@ func (d *Daemon) sendBusy(to trace.NodeID, scope wire.BusyScope) {
 	})
 }
 
-// onBusy records a peer's advertised backoff window so re-drives and
-// piece traffic skip it until the window passes. The window is honored
+// onBusy records a peer's advertised backoff window so acks and piece
+// forwards skip it until the window passes. The window is honored
 // as advertised but clamped to 2×LivenessWindow: past that, silence is
 // indistinguishable from churn and the liveness machinery takes over.
 func (d *Daemon) onBusy(from trace.NodeID, b *wire.Busy) {

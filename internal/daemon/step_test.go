@@ -70,7 +70,6 @@ func stepCfg(id trace.NodeID) Config {
 		HelloInterval:  stepBeat,
 		LivenessWindow: 4 * stepBeat,
 		FetchMatching:  true,
-		RetryBudget:    64,
 		Backoff:        transport.Backoff{Min: stepBeat, Max: 4 * stepBeat, Jitter: -1},
 	}
 }

@@ -44,7 +44,7 @@ func BenchmarkBeaconFanout(b *testing.B) {
 			m := benchManager(b, peers)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				m.BroadcastExcept(nil)
+				m.beacon()
 			}
 		})
 	}

@@ -23,11 +23,11 @@
 // Ownership rules: the Manager owns its Conns — callers never touch a
 // Conn directly. Each session has exactly one receive goroutine and one
 // writer goroutine, the only caller of Conn.Send once the handshake is
-// done. Send and BroadcastExcept only enqueue on the session's own two
+// done. Send and Run's beacon only enqueue on the session's own two
 // lanes (lanes.go) and never block, so handler callbacks may call Send,
-// Kick or BroadcastExcept from any goroutine, including from inside a
-// callback, and a peer that stops reading fills its own lanes and dies
-// at its own write deadline without delaying anyone else's frames.
+// Kick or Ack from any goroutine, including from inside a callback, and
+// a peer that stops reading fills its own lanes and dies at its own
+// write deadline without delaying anyone else's frames.
 // Callbacks run on session goroutines, one message at a time per peer,
 // and must not block for long (they stall only that peer's inbox).
 package peer
@@ -396,7 +396,7 @@ func (m *Manager) Run(ctx context.Context, tick <-chan time.Time, reset func(tim
 		m.expire(now)
 		m.linkRound(now)
 		if !m.paused.Load() { // a kick while paused is spent, not owed at resume
-			m.BroadcastExcept(nil)
+			m.beacon()
 			if kicked {
 				m.ctrs.hellosKicked.Add(1)
 			}
@@ -746,26 +746,20 @@ func (m *Manager) DataQueued(id trace.NodeID) int {
 	return n[wire.ClassData]
 }
 
-// BroadcastExcept queues a hello right now for every live peer (once per
-// peer, even with duplicate sessions) except those for which a non-nil
-// skip returns true, without waiting on any of their links. Run's
-// rounds skip nobody; the daemon's stall re-drive skips the peers inside
-// a Busy window — it must not re-hammer the very peer that just asked
-// for room to breathe. The beacon is built and encoded exactly once and
-// fanned out as a pre-encoded frame: with hundreds of live peers the
-// per-round cost is one serialization, not one per peer, which keeps the
-// thousand-node hello path linear in links instead of quadratic in
+// beacon is one of Run's rounds: it queues a hello right now for every
+// live peer (once per peer, even with duplicate sessions), without
+// waiting on any of their links. The hello is built and encoded exactly
+// once and fanned out as a pre-encoded frame: with hundreds of live peers
+// the per-round cost is one serialization, not one per peer, which keeps
+// the thousand-node hello path linear in links instead of quadratic in
 // bytes encoded.
-func (m *Manager) BroadcastExcept(skip func(trace.NodeID) bool) {
+func (m *Manager) beacon() {
 	peers := m.Peers()
 	if len(peers) == 0 {
 		return
 	}
 	raw := wire.NewRaw(m.helloMsg())
 	for _, id := range peers {
-		if skip != nil && skip(id) {
-			continue
-		}
 		m.Send(id, raw) // a refusal is counted; the next round beacons again
 	}
 }

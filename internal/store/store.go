@@ -361,7 +361,7 @@ func (s *Store) AppendBatch(recs []Record) error {
 	})
 	if s.opt.CompactEvery > 0 && s.w.size > s.opt.CompactEvery {
 		// Best effort: a failed compaction leaves the WAL as the source
-		// of truth and the next append retries past the threshold.
+		// of truth and the next append past the threshold tries again.
 		_ = s.compactLocked()
 	}
 	return nil

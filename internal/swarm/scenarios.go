@@ -278,7 +278,8 @@ func StaggeredJoin(nodes int, seed uint64) Scenario {
 
 // Diurnal: a third of the downloaders go radio-silent mid-distribution
 // and come back — scripted attendance. Their peers must expire and
-// re-admit them, and their stalled downloads must re-drive to the end.
+// re-admit them, and their stalled downloads must finish on the beacons
+// that follow.
 func Diurnal(nodes int, seed uint64) Scenario {
 	return Scenario{
 		Name:   "diurnal",
@@ -556,8 +557,6 @@ func BuildScenario(name string, nodes int, seed uint64) (Scenario, error) {
 			return Scenario{}, err
 		}
 		sc.Config.Schedules = scheds
-		// Partitioned stretches burn retries; give mobility more rope.
-		sc.Config.RetryBudget = 256
 	}
 	return sc, nil
 }

@@ -88,9 +88,6 @@ type Config struct {
 	LivenessWindow time.Duration
 	// PiecesPerHello paces serving (default: the daemon's default).
 	PiecesPerHello int
-	// RetryBudget is each download's stall re-drive budget (default 64:
-	// scenario partitions burn retries fast).
-	RetryBudget int
 	// QueryFiles limits each downloader's initial queries to files
 	// 0..QueryFiles-1 (0 = all Files; -1 = none — the scenario script
 	// issues queries itself via AddQuery). Completion targets count the
@@ -160,9 +157,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.LivenessWindow <= 0 {
 		c.LivenessWindow = 6 * c.HelloInterval
-	}
-	if c.RetryBudget <= 0 {
-		c.RetryBudget = 64
 	}
 	if c.QueryFiles > c.Files {
 		return fmt.Errorf("swarm: QueryFiles %d exceeds Files %d", c.QueryFiles, c.Files)
@@ -354,7 +348,6 @@ func New(cfg Config) (*Harness, error) {
 			HelloInterval:  cfg.HelloInterval,
 			LivenessWindow: cfg.LivenessWindow,
 			MaxPeers:       DefaultMaxPeers,
-			RetryBudget:    cfg.RetryBudget,
 			FetchMatching:  true,
 			Backoff: transport.Backoff{
 				Min:    cfg.HelloInterval / 4,

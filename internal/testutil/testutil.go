@@ -20,7 +20,7 @@ const leakSlack = 3
 // fails the test if the count has not returned to the snapshot (plus a
 // small slack) by the deadline. Teardown is asynchronous everywhere in
 // the live stack — conns close, session pumps notice, managers join —
-// so the check retries instead of sampling once.
+// so the check polls instead of sampling once.
 //
 // Call it first in any test that starts daemons, managers, or swarms:
 //

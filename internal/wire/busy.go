@@ -51,8 +51,8 @@ func validBusyScope(s BusyScope) bool {
 
 // Busy tells the receiver to stop re-driving one request lane at the
 // sender for RetryAfterMillis. It is advisory: the regular hello beacon
-// keeps flowing (liveness is not backpressure), but out-of-band
-// re-drives honor the window.
+// keeps flowing (liveness is not backpressure), but the directed acks
+// and piece forwards that would load the lane honor the window.
 type Busy struct {
 	From             trace.NodeID
 	Scope            BusyScope
