@@ -103,7 +103,6 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		dhtK     = fs.Int("dht-k", 0, "with -dht, k-bucket size and replication factor (0 = engine default)")
 		dhtRepub = fs.Duration("dht-republish", 0, "with -dht, table-refresh and catalog-republish cadence (0 = 10x -hello)")
 		rate     = fs.Float64("rate", 0, "per-peer admission rate in messages/second: excess inbound is shed and answered with Busy, and catalog/DHT service obeys the same rate (0 = off)")
-		busyRA   = fs.Duration("busy-retry-after", 0, "backoff window advertised in outgoing Busy frames (0 = 2x -hello)")
 		faultArg = fs.String("fault", "", "inject transport faults, e.g. 'seed=42,drop=0.3,corrupt=0.2,partition=10s-20s' (see internal/fault)")
 		dataDir  = fs.String("data-dir", "", "persist node state here (WAL + snapshots); restart resumes from it")
 		quiet    = fs.Bool("quiet", false, "suppress progress logging")
@@ -144,7 +143,6 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		HelloInterval:  *hello,
 		LivenessWindow: *window,
 		PeerRate:       *rate,
-		BusyRetryAfter: *busyRA,
 		EnableBcast:    *bcastOn,
 		TitForTat:      *tft,
 		EnableFEC:      *fecOn,

@@ -60,7 +60,6 @@ func TestBadFlagCombos(t *testing.T) {
 		{"dht-republish without dht", []string{"-id", "1", "-listen", "127.0.0.1:0", "-dht-republish", "5s"}, "EnableDHT"},
 		{"negative dht-republish", []string{"-id", "1", "-listen", "127.0.0.1:0", "-dht", "-dht-republish", "-5s"}, "DHTRepublish"},
 		{"negative rate", []string{"-id", "1", "-listen", "127.0.0.1:0", "-rate", "-1"}, "PeerRate"},
-		{"negative busy-retry-after", []string{"-id", "1", "-listen", "127.0.0.1:0", "-busy-retry-after", "-5s"}, "BusyRetryAfter"},
 		{"window shorter than hello", []string{"-id", "1", "-listen", "127.0.0.1:0", "-hello", "2s", "-window", "1s"}, "LivenessWindow"},
 	}
 	for _, tc := range cases {

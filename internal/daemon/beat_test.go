@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/dht"
+	"repro/internal/fault"
 	"repro/internal/metadata"
 	"repro/internal/testutil"
 	"repro/internal/trace"
@@ -346,41 +347,86 @@ func TestKicksNeitherAddNorStarveTheBeat(t *testing.T) {
 	}
 }
 
-// TestPausedNodeSendsNothingOnTheBeat: a node sends hellos on the beat, a
-// kick and an ack, and each honours Pause. A paused node whose download
-// has gained nothing for three liveness windows, with its one peer still
-// in the table, takes beats on the clock and sends that peer nothing.
-// Manager.Send itself does not look at the radio, so a frame the test
-// queues after the beats is the first the peer reads.
-func TestPausedNodeSendsNothingOnTheBeat(t *testing.T) {
+// TestCutNodeNeitherSpeaksNorHears: out of range is a partition of the
+// node's transport, nothing more. A node cut off with the DHT and the
+// group plane on (its clique with nodes 2 and 3 fanned out over their
+// sessions) still runs four beats, a kick, an ack and a Busy, and every
+// frame they put on its links is dropped on the way out: its peers hear
+// no hello, FindNode, GroupHello or Busy. What its peers say in that time
+// is dropped on the way in, unhandled. Uncut, it is heard at its next
+// beat — the beacon is the first frame its peers read — and hears again.
+func TestCutNodeNeitherSpeaksNorHears(t *testing.T) {
 	defer testutil.NoLeaks(t)()
+	var ft *fault.Transport
 	r := newBeatRig(t, func(c *Config) {
-		c.Queries = []string{"f0"}
-		c.EnableBcast, c.Broadcast, c.EnableDHT = false, nil, false
+		ft = fault.Wrap(c.Transport, fault.Config{})
+		c.Transport, c.Broadcast = ft, nil
 	})
 	defer r.close()
 	d := r.d
-	c2 := r.peer(2)
-	rec := d.syntheticFile(0)
-	d.onMetadata(2, &wire.Metadata{Popularity: 0.5, Record: *rec}) // selected: a download nobody serves
-	waitFor(t, waitLimit, func() bool { return d.mgr.Stats().HellosKicked == 1 }, "the selection's kicked round")
-	r.recv(c2, 1) // that round's beacon
+	c2, c3 := r.peer(2), r.peer(3)
+	d.bcast.Observe(2, []trace.NodeID{3}) // 1, 2 and 3 are a clique
+	waitFor(t, waitLimit, func() bool { return len(d.dht.Contacts()) == 2 }, "both contacts in the routing table")
+	handled := func() [4]uint64 {
+		st := d.mgr.Stats()
+		return [4]uint64{st.HellosRecv, st.GroupRecv, st.DHTRecv, st.BusyRecv}
+	}
+	base, heard, fs := d.mgr.Stats(), handled(), ft.Stats()
 
-	r.clk.Advance(3 * d.cfg.LivenessWindow)
-	r.hello(c2, 2) // heard just now: live through every beat below
-	d.Pause()
-	sent := d.mgr.Stats().HellosSent
+	ft.Cut(true)
+	inbound := map[transport.Conn][]wire.Msg{
+		c2: {&wire.Hello{From: 2}, &wire.FindNode{From: 2, RPCID: 1}, &wire.GroupHello{From: 2, Members: []trace.NodeID{1, 2, 3}}},
+		c3: {&wire.Hello{From: 3}, &wire.Busy{From: 3, Scope: wire.BusyPiece, RetryAfterMillis: 1}},
+	}
+	for conn, msgs := range inbound {
+		for _, m := range msgs {
+			if err := conn.Send(context.Background(), m); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	waitFor(t, waitLimit, func() bool { return ft.Stats().PartitionDropped == fs.PartitionDropped+5 }, "the readers to drop the inbound frames")
+
+	r.kick()
+	d.mgr.Ack(2)
+	d.sendBusy(2, wire.BusyPiece)
 	for i := 0; i < 4; i++ {
 		r.fire() // taken only once the beat before it is over
 		r.clk.Advance(d.cfg.HelloInterval)
 	}
-	d.sendBusy(2, wire.BusyPiece)
-	if got := r.recv(c2, 1); got[0] != wire.TypeBusy {
-		t.Errorf("the paused node's peer heard a %v before the frame queued after its beats", got[0])
+	// Two hellos a beacon round (four beats and the kick) plus the ack;
+	// a GroupHello to each member a beat; the DHT round, due two minutes
+	// in, asks both contacts; one Busy. Each is counted once its conn's
+	// Send has returned.
+	want := base
+	want.HellosSent += 2*5 + 1
+	want.GroupSent += 2 * 4
+	want.DHTSent += 2
+	want.BusySent++
+	waitFor(t, waitLimit, func() bool {
+		st := d.mgr.Stats()
+		return st.HellosSent == want.HellosSent && st.GroupSent == want.GroupSent && st.DHTSent == want.DHTSent && st.BusySent == want.BusySent
+	}, "the cut node's frames to reach its conns")
+	sent := 2*5 + 1 + 2*4 + 2 + 1
+	if got := ft.Stats(); got.Delivered != fs.Delivered || got.PartitionDropped != fs.PartitionDropped+5+uint64(sent) {
+		t.Fatalf("fault stats %+v, want all %d frames sent and 5 received dropped since %+v", got, sent, fs)
 	}
-	if got := d.mgr.Stats().HellosSent; got != sent {
-		t.Errorf("HellosSent went %d -> %d across beats while paused", sent, got)
+	if got := handled(); got != heard {
+		t.Fatalf("frames handled (hello, group, dht, busy) went %v -> %v while cut", heard, got)
 	}
+	if got := d.bcast.Stats().GroupHellosRecv; got != 0 {
+		t.Fatalf("%d GroupHellos handled while cut", got)
+	}
+
+	ft.Cut(false)
+	r.fire()
+	for id, conn := range map[trace.NodeID]transport.Conn{2: c2, 3: c3} {
+		want := []wire.MsgType{wire.TypeHello, wire.TypeGroupHello}
+		if got := r.recv(conn, 2); !slices.Equal(got, want) {
+			t.Errorf("node %d heard %v once the cut healed, want %v: a frame from the cut crossed", id, got, want)
+		}
+	}
+	r.hello(c2, 2)
 }
 
 // TestDHTRoundInFlightIsNotDoubled: while a DHT round is still waiting on

@@ -153,12 +153,6 @@ type Config struct {
 	// per-peer dispatch limit as everything else and have none of their
 	// own. Zero disables (the default).
 	PeerRate float64
-	// BusyRetryAfter is the backoff window advertised in outgoing Busy
-	// frames and the pacing floor for sending them (default
-	// 2×HelloInterval). Received Busy windows are honored as advertised
-	// but clamped to 2×LivenessWindow — a longer silence is
-	// indistinguishable from churn.
-	BusyRetryAfter time.Duration
 	// OutboxLen caps each peer session's send lanes, per frame class
 	// (default peer.DefaultQueueLen); tests shrink it to force shedding,
 	// benchmarks size it to a whole file.
@@ -317,13 +311,15 @@ type peerState struct {
 	offence     offender
 	// busyUntil holds, per lane, the backoff deadline the peer advertised
 	// to us; busyTold when we last sent it a Busy, which paces our replies
-	// to one per lane per BusyRetryAfter. Indexed by wire.BusyScope.
+	// to one per lane per busyWindow. Indexed by wire.BusyScope.
 	busyUntil [numBusyScopes]time.Time
 	busyTold  [numBusyScopes]time.Time
 }
 
-// numBusyScopes sizes the per-lane arrays: scopes count from 1.
-const numBusyScopes = int(wire.BusySymbol) + 1
+// numBusyScopes sizes the per-lane arrays: scopes count from 1, and
+// the symbol lane has no slot — symbols are shed without a Busy, and
+// nothing re-drives them on one.
+const numBusyScopes = int(wire.BusyDHT) + 1
 
 // busyOn reports whether the peer asked us to stay off the lane at wall.
 func (ps *peerState) busyOn(sc wire.BusyScope, wall time.Time) bool {
@@ -480,7 +476,6 @@ func (c Config) Validate() error {
 		{c.MaxPeers < 0, "negative MaxPeers"},
 		{c.ResendAfter < 0, "negative ResendAfter"},
 		{c.PeerRate < 0, "negative PeerRate"},
-		{c.BusyRetryAfter < 0, "negative BusyRetryAfter"},
 		{c.OutboxLen < 0, "negative OutboxLen"},
 		{c.SymbolSize < 0, "negative SymbolSize"},
 		{c.RelayBudget < 0, "negative RelayBudget"},
@@ -535,9 +530,6 @@ func newDaemon(cfg Config, clock func() time.Time, tick <-chan time.Time) (*Daem
 	}
 	if cfg.DHTRepublish <= 0 {
 		cfg.DHTRepublish = 10 * cfg.HelloInterval
-	}
-	if cfg.BusyRetryAfter <= 0 {
-		cfg.BusyRetryAfter = 2 * cfg.HelloInterval
 	}
 
 	now := clock()
@@ -930,7 +922,7 @@ func (d *Daemon) sweepOnce(wall time.Time) {
 			ps.sent = nil
 		}
 		ps.offence.decay(wall, d.cfg.LivenessWindow)
-		if !live[id] && !ps.binds(wall, d.cfg.BusyRetryAfter) {
+		if !live[id] && !ps.binds(wall, d.busyWindow()) {
 			delete(d.peers, id)
 		}
 	}
@@ -960,22 +952,6 @@ func (d *Daemon) AddQuery(q string) {
 		d.mgr.Kick()
 	}
 }
-
-// Pause suspends the node's radio without tearing it down: beacons stop
-// and inbound messages are dropped, so peers see exactly what a node
-// that walked out of range looks like. State, sessions, and goroutines
-// all stay put; Resume turns the radio back on. This is the swarm
-// harness's scenario hook for scripted attendance (diurnal schedules,
-// duty cycles) where a full kill/restart would be the wrong model.
-func (d *Daemon) Pause() { d.mgr.SetPaused(true) }
-
-// Resume turns a paused node's radio back on; liveness re-establishes
-// within a hello interval on surviving sessions, and redial covers the
-// rest.
-func (d *Daemon) Resume() { d.mgr.SetPaused(false) }
-
-// Paused reports whether the radio is suspended.
-func (d *Daemon) Paused() bool { return d.mgr.Paused() }
 
 // Have reports which pieces of uri this node can serve (nil when it has
 // no record of the file): the whole file on a node whose catalog lists

@@ -81,7 +81,6 @@ func TestConfigValidate(t *testing.T) {
 		{"MaxPeers", func(c *Config) { c.MaxPeers = -1 }},
 		{"ResendAfter", func(c *Config) { c.ResendAfter = -time.Second }},
 		{"PeerRate", func(c *Config) { c.PeerRate = -1 }},
-		{"BusyRetryAfter", func(c *Config) { c.BusyRetryAfter = -time.Second }},
 		{"OutboxLen", func(c *Config) { c.OutboxLen = -1 }},
 		{"SymbolSize", func(c *Config) { c.EnableBcast, c.SymbolSize = true, -1 }},
 		{"RelayBudget", func(c *Config) { c.EnableBcast, c.RelayBudget = true, -1 }},

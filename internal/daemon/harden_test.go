@@ -305,7 +305,7 @@ func TestSweepCleansVanishedState(t *testing.T) {
 	bad := d.syntheticFile(0)
 	bad.Signature[0] ^= 1
 
-	d.sendBusy(8, wire.BusyPiece) // we told 8 Busy: paces our replies for BusyRetryAfter
+	d.sendBusy(8, wire.BusyPiece) // we told 8 Busy: paces our replies for busyWindow
 	d.onBusy(9, &wire.Busy{From: 9, Scope: wire.BusyDHT, RetryAfterMillis: uint32(window / time.Millisecond)})
 	d.onMetadata(10, &wire.Metadata{Popularity: 0.5, Record: *bad}) // one bad signature on file
 	d.mu.Lock()
@@ -322,8 +322,8 @@ func TestSweepCleansVanishedState(t *testing.T) {
 		left []trace.NodeID
 	}{
 		{0, []trace.NodeID{8, 9, 10}}, // the idle record goes at once
-		{d.cfg.BusyRetryAfter, []trace.NodeID{8, 9, 10}},
-		{d.cfg.BusyRetryAfter + 1, []trace.NodeID{9, 10}}, // our Busy to 8 no longer paces anything
+		{d.busyWindow(), []trace.NodeID{8, 9, 10}},
+		{d.busyWindow() + 1, []trace.NodeID{9, 10}}, // our Busy to 8 no longer paces anything
 		{window, []trace.NodeID{9, 10}},
 		{window + 1, []trace.NodeID{10}}, // 9's window ran out
 		{4 * d.cfg.LivenessWindow, []trace.NodeID{10}},

@@ -28,14 +28,18 @@ func (d *Daemon) onShed(from trace.NodeID, t wire.MsgType) {
 	}
 }
 
+// busyWindow is the backoff window an outgoing Busy advertises and the
+// pacing floor for sending them: two beats.
+func (d *Daemon) busyWindow() time.Duration { return 2 * d.cfg.HelloInterval }
+
 // sendBusy queues one Busy frame to the peer for the lane, paced to
-// at most one per peer/lane per BusyRetryAfter window — the frame
-// already names the whole window, so repeats carry no information.
+// at most one per peer/lane per busyWindow — the frame already names
+// the whole window, so repeats carry no information.
 func (d *Daemon) sendBusy(to trace.NodeID, scope wire.BusyScope) {
 	wall := d.clock()
 	d.mu.Lock()
 	told := &d.peerLocked(to).busyTold[scope]
-	if wall.Sub(*told) < d.cfg.BusyRetryAfter {
+	if wall.Sub(*told) < d.busyWindow() {
 		d.mu.Unlock()
 		return
 	}
@@ -45,7 +49,7 @@ func (d *Daemon) sendBusy(to trace.NodeID, scope wire.BusyScope) {
 	d.mgr.Send(to, &wire.Busy{
 		From:             d.cfg.ID,
 		Scope:            scope,
-		RetryAfterMillis: uint32(d.cfg.BusyRetryAfter / time.Millisecond),
+		RetryAfterMillis: uint32(d.busyWindow() / time.Millisecond),
 	})
 }
 
@@ -55,7 +59,7 @@ func (d *Daemon) sendBusy(to trace.NodeID, scope wire.BusyScope) {
 // indistinguishable from churn and the liveness machinery takes over.
 func (d *Daemon) onBusy(from trace.NodeID, b *wire.Busy) {
 	if int(b.Scope) >= numBusyScopes {
-		return // not a lane this node knows (the TCP codec rejects these; loopback does not decode)
+		return // a lane nothing here re-drives (symbol), or one the TCP codec rejects and loopback does not decode
 	}
 	window := b.RetryAfter()
 	if max := 2 * d.cfg.LivenessWindow; window > max {

@@ -75,12 +75,12 @@ func TestFloodVictimStaysLive(t *testing.T) {
 
 func floodVictim(t *testing.T, name string, withDHT bool, frame wire.Msg, lane wire.BusyScope) {
 	s := newStepSwarm(t, "TestFloodVictimStaysLive/"+name, 1, stepFaults{})
-	const busyWindow = 2 * stepBeat
 	vc := stepCfg(1)
 	vc.ListenAddr, vc.InternetAccess, vc.PublishFiles = "victim", true, 1
-	vc.PeerRate, vc.BusyRetryAfter, vc.EnableDHT = stepFloodRate, busyWindow, withDHT
+	vc.PeerRate, vc.EnableDHT = stepFloodRate, withDHT
 	stepFile(&vc)
 	victim := s.start(vc).d
+	busyWindow := victim.busyWindow()
 	lc := stepCfg(2)
 	lc.PeerAddrs, lc.Queries, lc.EnableDHT = []string{"victim"}, []string{"f0"}, withDHT
 	legit := s.start(lc).d
@@ -175,5 +175,33 @@ func TestSubUnitPeerRate(t *testing.T) {
 	}
 	if reply, ok := d.dht.HandleMessage(&wire.FindNode{From: 2, RPCID: 1}).(*wire.NodesReply); !ok || reply.RPCID != 1 {
 		t.Fatalf("an admitted FindNode was not served at 0.4/s (reply %+v)", reply)
+	}
+}
+
+// TestShedSymbolYieldsNoBusy: a shed symbol or symbol ack is dropped
+// silently, like a response — nothing re-drives either on a Busy — while
+// the shed still counts toward degraded health; a shed hello on the same
+// link is answered with the one Busy that goes out.
+func TestShedSymbolYieldsNoBusy(t *testing.T) {
+	d := bench(t, func(c *Config) { c.PeerRate = 1 })
+	p := wedge(t, d, 2)
+	d.onShed(2, wire.TypeSymbol)
+	d.onShed(2, wire.TypeSymbolAck)
+	if q := d.mgr.Queues(); q.ControlDepth+q.DataDepth != 0 {
+		t.Fatalf("shed symbols queued %+v", q)
+	}
+	if h := d.Health(); h.Status != "degraded" {
+		t.Fatalf("health %q after two sheds, want degraded", h.Status)
+	}
+	d.onShed(2, wire.TypeHello)
+	got := p.flush()
+	if len(got) != 1 {
+		t.Fatalf("the peer was sent %d frames, want the hello's one Busy", len(got))
+	}
+	if b, ok := got[0].(*wire.Busy); !ok || b.Scope != wire.BusyPiece {
+		t.Fatalf("the peer was sent %+v, want Busy{piece}", got[0])
+	}
+	if st := d.Stats(); st.BusyReplies != 1 {
+		t.Fatalf("busy_replies = %d, want 1", st.BusyReplies)
 	}
 }

@@ -1350,7 +1350,7 @@ func stepFlood(tb testing.TB, seed uint64) *stepSwarm {
 	s := newStepSwarm(tb, "TestStep/flood", seed, stepFaults{drop: 0.15, dup: 0.05, early: 0.25, cut: [2]int{from, from + 6}})
 	sc := stepCfg(1)
 	sc.ListenAddr, sc.InternetAccess, sc.PublishFiles = "seed", true, 1
-	sc.PeerRate, sc.BusyRetryAfter = stepFloodRate, 2*stepBeat
+	sc.PeerRate = stepFloodRate
 	stepFile(&sc)
 	seeder := s.start(sc).d
 	lc := stepCfg(2)

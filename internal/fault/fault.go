@@ -22,11 +22,13 @@
 // or signature verification.
 //
 // Partitions are scripted, not random: Config.Schedule lists
-// partition/heal events at offsets from the transport's creation.
-// While partitioned, every send is silently dropped and every dial
-// fails, so the peer layer sees exactly what a real network split looks
-// like — silence, liveness expiry, and redial storms against a dead
-// address.
+// partition/heal events at offsets from the transport's creation, and
+// Cut holds one open at runtime for as long as its caller says. A
+// partition is out of radio range, both ways: every send is silently
+// dropped, every frame a reader takes is dropped unheard, and every
+// dial fails, so the peer layer sees exactly what a real network split
+// looks like — silence, liveness expiry, and redial storms against a
+// dead address.
 package fault
 
 import (
@@ -127,6 +129,8 @@ type Transport struct {
 	// loopback link race for a number, and a fixed seed would no longer
 	// replay.
 	dialed, accepted atomic.Uint64
+	// cut is Cut's lever, OR'd with the schedule.
+	cut atomic.Bool
 
 	mu      sync.Mutex
 	dialRNG *rng.Rand
@@ -143,8 +147,15 @@ func Wrap(inner transport.Transport, cfg Config) *Transport {
 	}
 }
 
-// Partitioned reports whether a scripted partition is active now.
-func (t *Transport) Partitioned() bool { return t.partitionedAt(time.Since(t.start)) }
+// Partitioned reports whether a partition is active now: Cut's, or a
+// scripted one. Without a schedule it is one atomic load.
+func (t *Transport) Partitioned() bool {
+	return t.cut.Load() || len(t.cfg.Schedule) > 0 && t.partitionedAt(time.Since(t.start))
+}
+
+// Cut opens (true) or heals (false) a partition at runtime, on top of
+// the schedule: while either holds, the node is out of range.
+func (t *Transport) Cut(on bool) { t.cut.Store(on) }
 
 func (t *Transport) partitionedAt(elapsed time.Duration) bool {
 	p := false
@@ -221,7 +232,7 @@ func (l *listener) Addr() string { return l.inner.Addr() }
 func (l *listener) Close() error { return l.inner.Close() }
 
 // conn is one faulty link: sends run the fault pipeline, receives pass
-// straight through to the inner conn.
+// through to the inner conn unless a partition drops them.
 type conn struct {
 	t     *Transport
 	inner transport.Conn
@@ -271,8 +282,16 @@ func (c *conn) Send(ctx context.Context, m wire.Msg) error {
 	return c.process(ctx, held)
 }
 
+// Recv returns the next frame that arrives outside a partition; one
+// taken while partitioned was never heard, and is counted as dropped.
 func (c *conn) Recv(ctx context.Context) (wire.Msg, error) {
-	return c.inner.Recv(ctx)
+	for {
+		m, err := c.inner.Recv(ctx)
+		if err != nil || !c.t.Partitioned() {
+			return m, err
+		}
+		c.t.addStat(func(s *Stats) { s.PartitionDropped++ })
+	}
 }
 
 func (c *conn) Close() error {

@@ -275,6 +275,51 @@ func TestPartitionBlocksDialAndTraffic(t *testing.T) {
 	if st := ft.Stats(); st.DialsBlocked != 1 {
 		t.Fatalf("stats %+v", st)
 	}
+
+	// Cut partitions a live link at runtime, both ways: what this end
+	// sends and what it reads are dropped, and it cannot dial.
+	dial, accept, ft := pair(t, Config{Seed: 1})
+	ft.Cut(true)
+	if !ft.Partitioned() {
+		t.Fatal("Partitioned() = false under Cut(true)")
+	}
+	ctx := context.Background()
+	if err := dial.Send(ctx, &wire.Hello{From: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := accept.Send(ctx, &wire.Hello{From: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if got := drain(accept, 100*time.Millisecond); len(got) != 0 {
+		t.Fatalf("the far end heard %v from a cut node", got)
+	}
+	if got := drain(dial, 100*time.Millisecond); len(got) != 0 {
+		t.Fatalf("a cut node heard %v", got)
+	}
+	if _, err := ft.Dial(ctx, "addr"); !errors.Is(err, ErrPartitioned) {
+		t.Fatalf("dial under Cut: %v, want ErrPartitioned", err)
+	}
+	if st := ft.Stats(); st.PartitionDropped != 2 || st.DialsBlocked != 1 || st.Delivered != 0 {
+		t.Fatalf("under Cut: %+v, want one send and one receive dropped and one dial blocked", st)
+	}
+
+	// Healed, the link carries both ways again.
+	ft.Cut(false)
+	if err := dial.Send(ctx, &wire.Hello{From: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := accept.Send(ctx, &wire.Hello{From: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if got := drain(accept, 100*time.Millisecond); !slices.Equal(got, []trace.NodeID{3}) {
+		t.Fatalf("after Cut(false) the far end heard %v, want [3]", got)
+	}
+	if got := drain(dial, 100*time.Millisecond); !slices.Equal(got, []trace.NodeID{4}) {
+		t.Fatalf("after Cut(false) the node heard %v, want [4]", got)
+	}
+	if st := ft.Stats(); st.PartitionDropped != 2 {
+		t.Fatalf("after Cut(false): %+v, want the two drops from before", st)
+	}
 }
 
 func TestDialFail(t *testing.T) {

@@ -10,19 +10,20 @@ import (
 )
 
 // WrapSymbols decorates a symbol-lane endpoint with the injector's
-// datagram faults, sharing the Transport's partition schedule and
-// stats but drawing from its own RNG stream (derived from the master
-// seed), so shaping the lane never perturbs the frame-level fault
-// sequences of the wrapped conns.
+// datagram faults, sharing the Transport's partitions (schedule and
+// Cut) and stats but drawing from its own RNG stream (derived from the
+// master seed), so shaping the lane never perturbs the frame-level
+// fault sequences of the wrapped conns.
 //
 // Datagram faults are simpler than conn faults because the lane's
 // contract is already "may be lost": SymbolLoss drops each outgoing
-// datagram independently, an active partition drops everything, and a
-// Corrupt roll mutates the frame and delivers it only if it still
-// decodes — a corrupted datagram that no longer parses is just loss,
-// never a reason to tear the lane down. Delivered-but-corrupt symbols
-// are the interesting case: they parse, fail wire.Symbol's payload
-// check at the receiver, and must not poison its decoder.
+// datagram independently, an active partition drops everything sent
+// and everything received, and a Corrupt roll mutates the frame and
+// delivers it only if it still decodes — a corrupted datagram that no
+// longer parses is just loss, never a reason to tear the lane down.
+// Delivered-but-corrupt symbols are the interesting case: they parse,
+// fail wire.Symbol's payload check at the receiver, and must not poison
+// its decoder.
 func (t *Transport) WrapSymbols(inner transport.BroadcastConn) transport.BroadcastConn {
 	// Stream 0 is the dial RNG and conn streams start at 1, so key the
 	// lane's stream far away from the conn-counter sequence.
@@ -79,6 +80,16 @@ func (c *symbolConn) Send(ctx context.Context, m wire.Msg) error {
 	return nil
 }
 
-func (c *symbolConn) Recv(ctx context.Context) (wire.Msg, error) { return c.inner.Recv(ctx) }
-func (c *symbolConn) Close() error                               { return c.inner.Close() }
-func (c *symbolConn) Addr() string                               { return c.inner.Addr() }
+// Recv returns the next datagram that arrives outside a partition.
+func (c *symbolConn) Recv(ctx context.Context) (wire.Msg, error) {
+	for {
+		m, err := c.inner.Recv(ctx)
+		if err != nil || !c.t.Partitioned() {
+			return m, err
+		}
+		c.t.addStat(func(s *Stats) { s.SymbolsPartitionDropped++ })
+	}
+}
+
+func (c *symbolConn) Close() error { return c.inner.Close() }
+func (c *symbolConn) Addr() string { return c.inner.Addr() }

@@ -183,7 +183,8 @@ func TestSymbolCorruption(t *testing.T) {
 	}
 }
 
-// TestSymbolPartition: an active partition silences the lane.
+// TestSymbolPartition: an active partition silences the lane, both
+// ways, and so does Cut until it is lifted.
 func TestSymbolPartition(t *testing.T) {
 	tx, rx, ft := symbolLanePair(t, Config{
 		Seed:     3,
@@ -200,6 +201,39 @@ func TestSymbolPartition(t *testing.T) {
 	}
 	if st := ft.Stats(); st.SymbolsPartitionDropped != 10 {
 		t.Fatalf("partition drops: %+v", st)
+	}
+
+	// The receive side: a cut endpoint hears nothing the domain carries.
+	n := transport.NewLoopback()
+	d := n.SymbolDomain("g")
+	tx2, err := d.Join("tx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := d.Join("rx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := Wrap(n, Config{Seed: 3})
+	rx2 := cut.WrapSymbols(raw)
+	cut.Cut(true)
+	for i := uint32(0); i < 4; i++ {
+		if err := tx2.Send(ctx, laneSymbol(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := drainSymbols(t, rx2); len(got) != 0 {
+		t.Fatalf("a cut endpoint received %d datagrams", len(got))
+	}
+	if st := cut.Stats(); st.SymbolsPartitionDropped != 4 {
+		t.Fatalf("receive-side partition drops: %+v, want 4", st)
+	}
+	cut.Cut(false)
+	if err := tx2.Send(ctx, laneSymbol(9)); err != nil {
+		t.Fatal(err)
+	}
+	if got := drainSymbols(t, rx2); len(got) != 1 || got[0].Index != 9 {
+		t.Fatalf("after Cut(false) received %d datagrams, want the one sent since", len(got))
 	}
 }
 

@@ -82,18 +82,3 @@ func (b *Bucket) Tokens() float64 {
 	b.refill()
 	return b.tokens
 }
-
-// RetryAfter estimates how long until one token is available. Zero
-// means a call to Allow would succeed now.
-func (b *Bucket) RetryAfter() time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.refill()
-	if b.tokens >= 1 {
-		return 0
-	}
-	if b.rate <= 0 {
-		return time.Hour
-	}
-	return time.Duration((1 - b.tokens) / b.rate * float64(time.Second))
-}

@@ -95,23 +95,6 @@ func TestBucketClockSkewBackwards(t *testing.T) {
 	}
 }
 
-func TestBucketRetryAfter(t *testing.T) {
-	clk := testutil.NewClock()
-	b := NewBucket(10, 1, clk.Now)
-	if d := b.RetryAfter(); d != 0 {
-		t.Fatalf("full bucket RetryAfter = %v, want 0", d)
-	}
-	b.Allow()
-	d := b.RetryAfter()
-	if d <= 0 || d > 100*time.Millisecond {
-		t.Fatalf("RetryAfter = %v, want (0, 100ms]", d)
-	}
-	clk.Advance(d)
-	if !b.Allow() {
-		t.Fatal("denied after waiting the advertised RetryAfter")
-	}
-}
-
 // TestBucketBurstEqualsRate is the catalog's configuration (burst =
 // rate, so "rate per second" reads like a window): a drained bucket is
 // whole again one second later and never holds more than the burst, and

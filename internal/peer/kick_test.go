@@ -125,37 +125,6 @@ func TestKickRestartsInterval(t *testing.T) {
 	}
 }
 
-// TestKickWhilePaused: a kick on a paused radio sends nothing and is
-// spent — nothing is owed when the radio comes back.
-func TestKickWhilePaused(t *testing.T) {
-	const peers = 2
-	m := kickManager(t, testutil.NewClock(), peers)
-	m.SetPaused(true)
-	stop := run(m)
-	m.Kick()
-	waitFor(t, func() bool { return len(m.kick) == 0 }, "Run to take the kick")
-	stop() // the round that took the kick has finished
-	written(t, m, 0)
-	if st := m.Stats(); st.HellosSent != 0 || st.HellosKicked != 0 {
-		t.Fatalf("paused kick sent %d hellos in %d kicked rounds", st.HellosSent, st.HellosKicked)
-	}
-	if len(m.kick) != 0 {
-		t.Fatal("a beacon is still owed after the paused kick")
-	}
-
-	// Resumed, the next kick is worth exactly one beacon.
-	m.SetPaused(false)
-	stop = run(m)
-	m.Kick()
-	waitFor(t, func() bool { return m.Stats().HellosKicked == 1 }, "the kicked beacon after resume")
-	stop()
-	written(t, m, peers)
-	if st := m.Stats(); st.HellosSent != peers || st.HellosKicked != 1 {
-		t.Fatalf("after resume: %d hellos in %d kicked rounds, want %d in 1",
-			st.HellosSent, st.HellosKicked, peers)
-	}
-}
-
 // TestKickAlsoExpires: a kicked round is a whole round — it expires
 // silent peers before it beacons, so kicks that keep restarting the
 // interval cannot keep a dead peer in the table.
@@ -201,8 +170,7 @@ func (c *recConn) frames() []wire.Msg {
 
 // TestAckIsDirected: an ack is one hello to one peer — the beacon's
 // heard list and downloads without its queries — that nobody else hears,
-// that is not a kicked round and moves no ticker, and that a paused radio
-// does not send.
+// and that is not a kicked round and moves no ticker.
 func TestAckIsDirected(t *testing.T) {
 	cfg := fastCfg(1, nil)
 	cfg.HelloInterval = time.Hour
@@ -238,13 +206,10 @@ func TestAckIsDirected(t *testing.T) {
 	}
 
 	m.Ack(9) // no session: refused, not counted
-	m.SetPaused(true)
-	m.Ack(2)
-	m.SetPaused(false)
 	if st := m.Stats(); st.HellosAcked != 1 {
-		t.Fatalf("HellosAcked = %d after an ack to a stranger and one while paused, want still 1", st.HellosAcked)
+		t.Fatalf("HellosAcked = %d after an ack to a stranger, want still 1", st.HellosAcked)
 	}
 	if q := m.Queues(); q.ControlDepth != 0 {
-		t.Fatalf("%d frames queued by acks that must not go out", q.ControlDepth)
+		t.Fatalf("%d frames queued by an ack that must not go out", q.ControlDepth)
 	}
 }

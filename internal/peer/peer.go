@@ -269,10 +269,6 @@ type shard struct {
 type Manager struct {
 	cfg Config
 
-	// paused suspends the radio: no beacons go out and inbound messages
-	// are dropped before dispatch, so a paused node looks exactly like a
-	// node that walked out of range. Sessions are left to expire.
-	paused atomic.Bool
 	// kick (capacity 1) is the coalescing Kick signal Run selects on.
 	kick chan struct{}
 
@@ -357,9 +353,8 @@ func (m *Manager) helloMsg() *wire.Hello {
 // HelloInterval, from the one ticker its caller arms — and at once when
 // Kick asks, reads the clock once, and runs the peer round on that
 // reading: expire, the links step (linkRound: every configured link that
-// is down and due is dialed), then beacon unless paused. The links step
-// also runs once before the first wait, so every configured address is
-// dialed at boot. A kicked wake-up restarts the interval — reset is the
+// is down and due is dialed), then beacon. The links step also runs once
+// before the first wait, so every configured address is dialed at boot. A kicked wake-up restarts the interval — reset is the
 // ticker's Reset — so a kick moves a beacon
 // forward instead of adding one, and every wake-up runs the whole round,
 // so a stream of kicks cannot starve expiry. rest, when set, is
@@ -395,11 +390,9 @@ func (m *Manager) Run(ctx context.Context, tick <-chan time.Time, reset func(tim
 		now := m.cfg.Now()
 		m.expire(now)
 		m.linkRound(now)
-		if !m.paused.Load() { // a kick while paused is spent, not owed at resume
-			m.beacon()
-			if kicked {
-				m.ctrs.hellosKicked.Add(1)
-			}
+		m.beacon()
+		if kicked {
+			m.ctrs.hellosKicked.Add(1)
 		}
 		if rest != nil && (!kicked || now.Sub(rested) >= m.cfg.HelloInterval) {
 			rested = now
@@ -425,28 +418,15 @@ func (m *Manager) Kick() {
 // being the point. It is no beacon round: nobody else hears it, the
 // ticker keeps its phase, HellosKicked does not count it, and it leaves
 // the queries out — an ack asks for the next piece, not for records to be
-// answered again. Nothing goes out while paused; a refusal (no session, a
-// full lane) is left to the next beacon.
+// answered again. A refusal (no session, a full lane) is left to the next
+// beacon.
 func (m *Manager) Ack(id trace.NodeID) {
-	if m.paused.Load() {
-		return
-	}
 	h := m.helloMsg()
 	h.Queries = nil
 	if m.Send(id, h) == nil {
 		m.ctrs.hellosAcked.Add(1)
 	}
 }
-
-// SetPaused suspends (true) or resumes (false) the radio: while paused
-// the manager neither beacons nor dispatches inbound messages, so to
-// every peer this node has simply fallen silent and expires from their
-// tables — the scenario hook for scripted attendance churn. Sessions
-// are not torn down here; liveness expiry and redial handle the rest.
-func (m *Manager) SetPaused(p bool) { m.paused.Store(p) }
-
-// Paused reports whether the radio is suspended.
-func (m *Manager) Paused() bool { return m.paused.Load() }
 
 // Serve accepts inbound connections until ctx ends or the listener is
 // closed. The listener is a link too: any other Accept error — a transient
@@ -664,9 +644,6 @@ func (m *Manager) gone(id trace.NodeID) {
 // would outlive the peer), and handling it would let the node act on a
 // peer it no longer has, such as naming it a supplier.
 func (m *Manager) deliver(from trace.NodeID, msg wire.Msg) {
-	if m.paused.Load() {
-		return // radio off: the message was never heard
-	}
 	t := msg.Type()
 	sh := m.shardFor(from)
 	sh.mu.Lock()

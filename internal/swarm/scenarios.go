@@ -276,10 +276,10 @@ func StaggeredJoin(nodes int, seed uint64) Scenario {
 	}
 }
 
-// Diurnal: a third of the downloaders go radio-silent mid-distribution
-// and come back — scripted attendance. Their peers must expire and
-// re-admit them, and their stalled downloads must finish on the beacons
-// that follow.
+// Diurnal: a third of the downloaders go out of range mid-distribution
+// and come back — scripted attendance, a cut of each sleeper's
+// transport. Their peers must expire and re-admit them, and their
+// stalled downloads must finish on the beacons that follow.
 func Diurnal(nodes int, seed uint64) Scenario {
 	return Scenario{
 		Name:   "diurnal",

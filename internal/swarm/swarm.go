@@ -111,13 +111,13 @@ type Config struct {
 	// SymbolSize is the coded-symbol payload size with EnableFEC
 	// (default 256, i.e. 4 source symbols per default-size piece).
 	SymbolSize int
-	// Fault, when non-zero, wraps every node's transport in a chaos
-	// injector with a per-node seed derived from Seed.
+	// Fault configures the chaos injector every node's transport runs
+	// on, with a per-node seed derived from Seed; the zero value injects
+	// nothing.
 	Fault fault.Config
 	// Schedules adds per-node partition/heal scripts (wall-clock offsets
-	// from that node's boot) — the contact-trace adapter's output plugs
-	// in here. A node with a schedule gets a fault wrapper even when
-	// Fault is zero.
+	// from the harness's construction) — the contact-trace adapter's
+	// output plugs in here.
 	Schedules map[trace.NodeID][]fault.Event
 	// Logf, when set, receives harness lifecycle lines (not per-daemon
 	// logs; a thousand daemons' logs would drown anything).
@@ -190,15 +190,13 @@ type Completion struct {
 type nodeState struct {
 	id   trace.NodeID
 	cfg  daemon.Config
-	tr   transport.Transport // this node's (possibly fault-wrapped) view of the net
-	chao *fault.Transport    // non-nil when tr is a fault wrapper
+	chao *fault.Transport // this node's view of the net: its faults, its partitions
 
 	mu      sync.Mutex
 	d       *daemon.Daemon
 	cancel  context.CancelFunc
 	done    chan error
 	running bool
-	paused  bool
 }
 
 // Totals is the summable slice of daemon.Stats a Report carries, under
@@ -326,20 +324,17 @@ func New(cfg Config) (*Harness, error) {
 		id := trace.NodeID(i)
 		ns := &nodeState{id: id}
 
-		// Per-node transport: raw loopback unless this node carries
-		// chaos or a partition schedule.
-		ns.tr = transport.Transport(h.net)
+		// Per-node transport: every node is out of range only through
+		// its own injector — its schedule, or Pause — and a zero
+		// Config injects nothing else.
 		fcfg := cfg.Fault
 		fcfg.Schedule = cfg.Schedules[id]
-		if !faultless(fcfg) {
-			fcfg.Seed = cfg.Seed ^ (uint64(i)+1)*0x9e3779b97f4a7c15
-			ns.chao = fault.Wrap(h.net, fcfg)
-			ns.tr = ns.chao
-		}
+		fcfg.Seed = cfg.Seed ^ (uint64(i)+1)*0x9e3779b97f4a7c15
+		ns.chao = fault.Wrap(h.net, fcfg)
 
 		dcfg := daemon.Config{
 			ID:             id,
-			Transport:      ns.tr,
+			Transport:      ns.chao,
 			ListenAddr:     nodeAddr(id),
 			PeerAddrs:      h.attachTargets(topo, i),
 			FileSize:       cfg.FileSize,
@@ -368,12 +363,12 @@ func New(cfg Config) (*Harness, error) {
 			if err != nil {
 				return nil, fmt.Errorf("swarm: node %d radio: %w", id, err)
 			}
-			dcfg.Broadcast = conn
+			dcfg.Broadcast = conn // the shared medium: no injector wraps it
 			sym, err := lane.Join(dcfg.ListenAddr)
 			if err != nil {
 				return nil, fmt.Errorf("swarm: node %d symbol lane: %w", id, err)
 			}
-			dcfg.Symbols = sym
+			dcfg.Symbols = ns.chao.WrapSymbols(sym)
 		}
 		if i < cfg.Seeders {
 			dcfg.InternetAccess = true
@@ -398,13 +393,6 @@ func New(cfg Config) (*Harness, error) {
 	sum := sha256.Sum256([]byte(sig.String()))
 	h.topoSig = hex.EncodeToString(sum[:])
 	return h, nil
-}
-
-// faultless reports whether cfg injects nothing at all.
-func faultless(cfg fault.Config) bool {
-	return cfg.Drop == 0 && cfg.Corrupt == 0 && cfg.Duplicate == 0 &&
-		cfg.Reorder == 0 && cfg.Kill == 0 && cfg.DialFail == 0 &&
-		cfg.DelayMax == 0 && len(cfg.Schedule) == 0
 }
 
 func nodeAddr(id trace.NodeID) string { return fmt.Sprintf("n%d", id) }
@@ -491,7 +479,7 @@ func (h *Harness) Join(ctx context.Context, id trace.NodeID) error {
 	nctx, cancel := context.WithCancel(ctx)
 	done := make(chan error, 1)
 	go func() { done <- d.Run(nctx) }()
-	ns.d, ns.cancel, ns.done, ns.running, ns.paused = d, cancel, done, true, false
+	ns.d, ns.cancel, ns.done, ns.running = d, cancel, done, true
 	return nil
 }
 
@@ -519,14 +507,16 @@ func (h *Harness) Kill(id trace.NodeID) error {
 	return nil
 }
 
-// Pause suspends a node's radio in place (scripted attendance); Resume
-// lifts it.
-func (h *Harness) Pause(id trace.NodeID) error { return h.setPaused(id, true) }
+// Pause takes a running node out of range in place (scripted
+// attendance): its transport is cut, so it neither speaks nor hears nor
+// dials until Resume heals the cut. The cut is the node's, not its
+// daemon's: a Kill and Join in between leave it in place.
+func (h *Harness) Pause(id trace.NodeID) error { return h.cut(id, true) }
 
-// Resume lifts a Pause.
-func (h *Harness) Resume(id trace.NodeID) error { return h.setPaused(id, false) }
+// Resume brings a paused node back into range.
+func (h *Harness) Resume(id trace.NodeID) error { return h.cut(id, false) }
 
-func (h *Harness) setPaused(id trace.NodeID, p bool) error {
+func (h *Harness) cut(id trace.NodeID, on bool) error {
 	ns, err := h.node(id)
 	if err != nil {
 		return err
@@ -536,12 +526,7 @@ func (h *Harness) setPaused(id trace.NodeID, p bool) error {
 	if !ns.running {
 		return fmt.Errorf("swarm: node %d not running", id)
 	}
-	if p {
-		ns.d.Pause()
-	} else {
-		ns.d.Resume()
-	}
-	ns.paused = p
+	ns.chao.Cut(on)
 	return nil
 }
 

@@ -91,8 +91,10 @@ var kinds = [NumTypes]kind{
 	TypeGroupHello: {"group-hello", PlaneGroup, ClassControl, BusyPiece, codecOf(encodeGroupHello, decodeGroupHello)},
 	TypeGrant:      {"grant", PlaneGroup, ClassControl, 0, codecOf(encodeGrant, decodeGrant)},
 	TypePieceBcast: {"piece-bcast", PlaneGroup, ClassData, 0, codecOf(encodePieceBcast, decodePieceBcast)},
-	TypeSymbol:     {"symbol", PlaneGroup, ClassData, BusySymbol, codecOf(encodeSymbol, decodeSymbol)},
-	TypeSymbolAck:  {"symbol-ack", PlaneGroup, ClassControl, BusySymbol, codecOf(encodeSymbolAck, decodeSymbolAck)},
+	// Symbols and their acks shed silently too: nothing re-drives them
+	// on a Busy (BusySymbol stays decodable, for peers that send one).
+	TypeSymbol:     {"symbol", PlaneGroup, ClassData, 0, codecOf(encodeSymbol, decodeSymbol)},
+	TypeSymbolAck:  {"symbol-ack", PlaneGroup, ClassControl, 0, codecOf(encodeSymbolAck, decodeSymbolAck)},
 	TypeFindNode:   {"find-node", PlaneDHT, ClassControl, BusyDHT, codecOf(encodeFindNode, decodeFindNode)},
 	TypeFindValue:  {"find-value", PlaneDHT, ClassControl, BusyDHT, codecOf(encodeFindValue, decodeFindValue)},
 	TypeStoreValue: {"store-value", PlaneDHT, ClassData, BusyDHT, codecOf(encodeStoreValue, decodeStoreValue)},
