@@ -159,3 +159,4 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 30s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzRoundTrip -fuzztime 30s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 30s ./internal/store
+	$(GO) test -run '^$$' -fuzz FuzzFECRoundTrip -fuzztime 30s ./internal/fec

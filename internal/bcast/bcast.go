@@ -58,7 +58,7 @@ const DefaultMinGroupSize = 3
 // keeps the sender encoding one piece while the group decodes the
 // other, and keeps what a member has yet to drain inside its lane's
 // receive queue (transport's domainQueue, 256): a burst is sized so
-// that about 1.2 K of its symbols arrive (fec.go), a member acks a
+// that a little over K of its symbols arrive (fec.go), a member acks a
 // piece having drained all but the tail of its burst, and a tail plus
 // two bursts at K = 64 is under 240 datagrams.
 const flightWindow = 2
@@ -245,6 +245,7 @@ func New(cfg Config) *Engine {
 		edges:    make(map[edge]time.Time),
 		views:    make(map[trace.NodeID]*view),
 		overhead: initialOverhead,
+		sizing:   1, // 0 tags a grant that is not an opening
 		fecSend:  make(map[pieceKey]*fecStream),
 		fecRecv:  make(map[pieceKey]*fecBlock),
 	}

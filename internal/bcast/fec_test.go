@@ -221,6 +221,44 @@ func TestFECPoisonedDecodeRestarts(t *testing.T) {
 	}
 }
 
+// TestFECForeignSeedCannotPinABlock: a block's seed is derived from
+// its URI and piece, never negotiated, so a symbol under any other seed
+// is dropped before it can open a decoder. Were the first symbol heard
+// for a piece to fix its stream, one foreign symbol would pin the block
+// to a decoder every genuine symbol conflicts with, until the block was
+// pruned 4 × Window later.
+func TestFECForeignSeedCannotPinABlock(t *testing.T) {
+	h := newHarness()
+	for _, id := range []trace.NodeID{1, 2, 3} {
+		h.addFEC(t, id, 2)
+	}
+	uri := metadata.URIFor(7)
+	const total = 2
+	h.stores[1].addFile(uri, total, false, 1.0, 0, 1)
+	h.stores[2].addFile(uri, total, true, 1.0)
+	h.stores[3].addFile(uri, total, true, 1.0)
+	h.fullMesh()
+
+	foreign := &wire.Symbol{
+		From: 3, URI: uri, Piece: 0, Total: total,
+		Seed: blockSeed(uri, 0) ^ 1, DataLen: len(pieceBytes(uri, 0)),
+		Index: 0, Payload: make([]byte, 4),
+	}
+	foreign.Seal()
+	h.engines[2].HandleGroup(context.Background(), 3, foreign)
+
+	for i := 0; i < 30 && !h.stores[2].complete(uri); i++ {
+		h.step(t, 1, 2, 3)
+	}
+	if !h.stores[2].complete(uri) {
+		t.Fatalf("member stuck at %d/%d pieces behind a foreign-seed symbol",
+			len(h.stores[2].files[uri].have), total)
+	}
+	if st := h.engines[2].Stats(); st.FECDecodes != total || st.FECVerifyFails != 0 {
+		t.Fatalf("node 2: %d decodes, %d verify fails; want %d and 0", st.FECDecodes, st.FECVerifyFails, total)
+	}
+}
+
 // TestFECRelayBudgetBounds: receivers do relay (cooperation is real)
 // but never more than RelayBudget first-sight symbols per Tick.
 func TestFECRelayBudgetBounds(t *testing.T) {

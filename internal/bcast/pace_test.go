@@ -508,6 +508,40 @@ func TestBurstSizingSettles(t *testing.T) {
 	})
 }
 
+// TestLapsedTopUpIsNotAnOpening: only an opening burst's lapse is
+// evidence about the opening's size. A top-up that lapses before
+// overhead has ever stepped — its grant tagged 0, "not an opening" —
+// leaves overhead as it was.
+func TestLapsedTopUpIsNotAnOpening(t *testing.T) {
+	h := newLaneHarness(t, 3, 0, 0)
+	uri := metadata.URIFor(7)
+	h.confirm() // nothing shared yet: the first scheduling beat grants nothing
+	h.share(uri, 1)
+	h.clk.Advance(paceBeat / 2) // between beats
+	e := h.seq()
+	e.mu.Lock()
+	was := e.overhead
+	now := h.clk.Now()
+	e.transmitSymbolsLocked(context.Background(), 1, uri, 0, 1, block(uri, 0), now)
+	e.transmitSymbolsLocked(context.Background(), 1, uri, 0, 1, block(uri, 0), now)
+	e.mu.Unlock()
+	if st := e.Stats(); st.TopUps != 1 {
+		t.Fatalf("%d top-ups, want the second burst to be one", st.TopUps)
+	}
+	// Half a beat after the grant is too early for it to lapse; a beat
+	// later it does, with every member still lacking the piece.
+	h.tickAfter(paceBeat / 2)
+	h.tick()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if !e.lackedLocked(pieceKey{uri, 0}, h.clk.Now()) {
+		t.Fatal("a member decoded the piece: its symbols should still be queued")
+	}
+	if e.overhead != was {
+		t.Fatalf("overhead %.4f after a lapsed top-up, want %.4f: the top-up was judged as an opening", e.overhead, was)
+	}
+}
+
 // BenchmarkEngineRound is the group plane's own layer: what one granted
 // round costs the whole group — the sequencer's schedule and burst, four
 // receivers' decode, verify-free store and acks — with the medium and
