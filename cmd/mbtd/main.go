@@ -55,6 +55,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -202,15 +203,27 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		logger.Printf("fec symbol lane on udp %s", lane.Addr())
 	}
 
+	// The stats port is bound before the daemon starts: a port that is
+	// taken fails the command now, not a monitor that polls it later.
+	var httpLn net.Listener
+	if *httpAddr != "" {
+		ln, err := net.Listen("tcp", *httpAddr)
+		if err != nil {
+			return fmt.Errorf("-http: %w", err)
+		}
+		defer ln.Close()
+		httpLn = ln
+	}
+
 	d, err := daemon.New(cfg)
 	if err != nil {
 		return err
 	}
 
-	if *httpAddr != "" {
-		srv := &http.Server{Addr: *httpAddr, Handler: d.Handler()}
+	if httpLn != nil {
+		srv := &http.Server{Handler: d.Handler()}
 		go func() {
-			if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+			if err := srv.Serve(httpLn); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				logger.Printf("http: %v", err)
 			}
 		}()
@@ -219,7 +232,7 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 			defer cancel()
 			srv.Shutdown(sctx)
 		}()
-		logger.Printf("stats at http://%s/stats", *httpAddr)
+		logger.Printf("stats at http://%s/stats", httpLn.Addr())
 	}
 
 	if *dataDir != "" {

@@ -88,6 +88,24 @@ func TestFaultFlagValidation(t *testing.T) {
 	}
 }
 
+// TestHTTPPortTakenIsFatal: a -http address that cannot be bound ends
+// run at once with the bind error, before the daemon joins anything.
+func TestHTTPPortTakenIsFatal(t *testing.T) {
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	err = run(ctx, []string{
+		"-id", "1", "-listen", "127.0.0.1:0", "-http", taken.Addr().String(), "-quiet",
+	}, io.Discard)
+	if err == nil || ctx.Err() != nil || !strings.Contains(err.Error(), "-http") {
+		t.Fatalf("run with a taken -http port returned %v (context: %v), want the bind error at once", err, ctx.Err())
+	}
+}
+
 func TestSplitList(t *testing.T) {
 	got := splitList(" a, b ,,c ")
 	if want := []string{"a", "b", "c"}; !reflect.DeepEqual(got, want) {

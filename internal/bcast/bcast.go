@@ -7,9 +7,11 @@
 //
 // Rounds are paced by events, not by the timer: the sequencer grants
 // the next piece the moment a frame from a member frees a slot in its
-// small flight window of granted-but-unresolved pieces, and Tick is the
-// beat that announces the view and the deadline that hands a piece
-// nobody finished acking back to the schedule.
+// small flight window of granted-but-unresolved pieces — an ack that
+// resolves one, or one that shows a symbol burst ended short because
+// the next block's symbols arrived behind it. Tick is the beat that
+// announces the view, and the deadline that hands back to the schedule
+// only a piece nothing followed and nobody finished acking.
 //
 // The schedule is driven by a sequencer, the clique's deterministic
 // coordinator (lowest ID). In the cooperative mode (§V-A) the sequencer
@@ -76,6 +78,11 @@ type Store interface {
 	Wants() []wire.GroupWant
 	// PieceData returns the bytes and piece total of a servable piece.
 	PieceData(uri metadata.URI, i int) (data []byte, total int, ok bool)
+	// Piece reports piece i of uri under the live record this node holds
+	// for the file — the piece's length and the file's piece count — and
+	// whether the node can serve it, without producing its bytes. A zero
+	// total means no record.
+	Piece(uri metadata.URI, i int) (length, total int, held bool)
 	// Popularity is the tie-breaking file popularity (0 when unknown).
 	Popularity(uri metadata.URI) float64
 	// DeliverPiece hands a received broadcast to the verify-and-store
@@ -190,6 +197,16 @@ type pieceKey struct {
 	piece int
 }
 
+// grant is what the flight window keeps of a piece's last grant besides
+// the piece: the round it went out in, its grantee, and — when this node
+// answered it with the piece's opening symbol burst — the sizing
+// (fec.go) the burst was cut to; 0 when it was no opening.
+type grant struct {
+	round  uint64
+	to     trace.NodeID
+	sizing uint64
+}
+
 // Engine is one node's broadcast-group state machine. Construct with
 // New; drive with Observe/HandleGroup from the receive path and Tick
 // from a timer.
@@ -206,14 +223,13 @@ type Engine struct {
 
 	// beat and prevBeat are the last two Ticks. granted is the flight
 	// window: each piece's last grant — by this node as sequencer, or to
-	// it — tagged, when this node answered with the piece's opening symbol
-	// burst, with the sizing (fec.go) the burst was cut to. A grant keeps
-	// its piece off the candidate list until a whole Tick-to-Tick interval
-	// has passed since (it is no younger than prevBeat), then Tick expires
-	// it. flying is how many grants were still unresolved when the last
-	// round ended.
+	// it. A grant keeps its piece off the candidate list until a whole
+	// Tick-to-Tick interval has passed since (it is no younger than
+	// prevBeat), then Tick expires it — or until an ack shows its burst
+	// ended short (fec.go). flying is how many grants were still
+	// unresolved when the last round ended.
 	beat, prevBeat time.Time
-	granted        sched.Window[pieceKey]
+	granted        sched.Window[pieceKey, grant]
 	flying         int
 
 	// Fountain-coded data plane (fec.go). symbols is non-nil only when
@@ -224,6 +240,9 @@ type Engine struct {
 	relayQuota int
 	overhead   float64 // opening-burst symbols beyond K, per source symbol
 	sizing     uint64  // counts the values overhead has taken, from 1
+	// judged and short tally the openings judged since the last beat,
+	// which folds them into overhead.
+	judged, short int
 }
 
 // New returns an engine with defaults applied.
@@ -316,7 +335,7 @@ func (e *Engine) HandleGroup(ctx context.Context, from trace.NodeID, msg wire.Ms
 		e.handleSymbolLocked(ctx, v, now)
 		return
 	case *wire.SymbolAck:
-		e.handleSymbolAckLocked(from, v)
+		e.handleSymbolAckLocked(from, v, now)
 	default:
 		return
 	}
@@ -446,19 +465,14 @@ func (e *Engine) housekeepLocked(ctx context.Context, now time.Time) {
 
 // pruneLocked expires stale graph edges and member views, and passes
 // the regrant deadline: a grant a whole beat old stops holding its piece
-// back, and the opening symbol bursts among them size the next (fec.go).
+// back, and the opening symbol bursts among them and those judged since
+// the last beat size the next (fec.go).
 func (e *Engine) pruneLocked(now time.Time) {
 	_, grants := e.granted.Settle(nil, e.prevBeat)
-	lapsed, short := 0, 0
 	for _, g := range grants {
-		if g.Tag == e.sizing {
-			lapsed++
-			if e.lackedLocked(g.Key, now) {
-				short++
-			}
-		}
+		e.judgeLocked(g.Tag, e.lackedLocked(g.Key, now))
 	}
-	e.resizeLocked(lapsed, short)
+	e.resizeLocked()
 	for k, at := range e.edges {
 		if now.Sub(at) > e.cfg.Window {
 			delete(e.edges, k)
@@ -549,18 +563,21 @@ func (e *Engine) candidatesLocked(now time.Time) []*sched.Candidate {
 		func(c *sched.Candidate) bool { return e.granted.Has(pieceKey{c.URI, c.Piece}) })
 }
 
-// lackedLocked reports whether some member's fresh view lists the
-// piece's file without the piece.
+// lackedLocked reports whether some member's fresh view lacks the piece.
 func (e *Engine) lackedLocked(k pieceKey, now time.Time) bool {
 	for _, m := range e.group {
-		v := e.views[m]
-		if v == nil || now.Sub(v.at) > e.cfg.Window {
-			continue
+		if v := e.views[m]; v != nil && now.Sub(v.at) <= e.cfg.Window && v.lacks(k) {
+			return true
 		}
-		for i := range v.wants {
-			if w := &v.wants[i]; w.URI == k.uri && k.piece < w.Total && !w.HaveBit(k.piece) {
-				return true
-			}
+	}
+	return false
+}
+
+// lacks reports whether the view lists the piece's file without the piece.
+func (v *view) lacks(k pieceKey) bool {
+	for i := range v.wants {
+		if w := &v.wants[i]; w.URI == k.uri && k.piece < w.Total && !w.HaveBit(k.piece) {
+			return true
 		}
 	}
 	return false
@@ -613,7 +630,7 @@ func (e *Engine) grantLocked(ctx context.Context, now time.Time, kicked bool) (o
 		g.To = c.Sender
 		g.URI = c.URI
 		g.Piece = int32(c.Piece)
-		e.granted.Send(pieceKey{c.URI, c.Piece}, now, 0)
+		e.granted.Send(pieceKey{c.URI, c.Piece}, now, grant{round: g.Round, to: g.To})
 	}
 	e.sendLocked(ctx, g)
 	e.counters.GrantsSent++
@@ -626,7 +643,9 @@ func (e *Engine) grantLocked(ctx context.Context, now time.Time, kicked bool) (o
 
 // transmitLocked serves one grant addressed to this node: resolve the
 // piece (the grant's, or this node's best candidate when the choice is
-// left open), fetch the data, and broadcast it.
+// left open), fetch the data, and broadcast it. A top-up fetches nothing:
+// its stream's encoder holds the block, so it only asks whether the piece
+// is still servable — an expired record ends the stream.
 func (e *Engine) transmitLocked(ctx context.Context, g *wire.Grant, now time.Time) {
 	uri, piece := g.URI, int(g.Piece)
 	if uri == "" || g.Piece == wire.NoPiece {
@@ -643,11 +662,18 @@ func (e *Engine) transmitLocked(ctx context.Context, g *wire.Grant, now time.Tim
 			return
 		}
 	}
+	fec := e.fecActiveLocked()
+	if fec && e.fecSend[pieceKey{uri, piece}] != nil {
+		if _, total, held := e.cfg.Store.Piece(uri, piece); held {
+			e.transmitSymbolsLocked(ctx, g.Round, uri, piece, total, nil, now)
+		}
+		return
+	}
 	data, total, ok := e.cfg.Store.PieceData(uri, piece)
 	if !ok {
 		return // stale grant: we no longer (or never did) hold it
 	}
-	if e.fecActiveLocked() {
+	if fec {
 		e.transmitSymbolsLocked(ctx, g.Round, uri, piece, total, data, now)
 		return
 	}
@@ -655,7 +681,7 @@ func (e *Engine) transmitLocked(ctx context.Context, g *wire.Grant, now time.Tim
 		From: e.cfg.Self, Round: g.Round, URI: uri, Index: piece, Total: total, Data: data,
 	})
 	e.counters.PieceBcastsSent++
-	e.granted.Send(pieceKey{uri, piece}, now, 0)
+	e.granted.Send(pieceKey{uri, piece}, now, grant{round: g.Round, to: e.cfg.Self})
 	e.markHaveLocked(uri, piece)
 }
 

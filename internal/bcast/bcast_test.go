@@ -169,6 +169,8 @@ type fakeFile struct {
 	downloading bool
 	have        map[int][]byte
 	popularity  float64
+	// pieceLen is every piece's length; 0 means pieceBytes' lengths.
+	pieceLen int
 }
 
 type fakeStore struct {
@@ -177,6 +179,7 @@ type fakeStore struct {
 	live      []trace.NodeID
 	files     map[metadata.URI]*fakeFile
 	delivered int // DeliverPiece calls, duplicates included
+	reads     int // PieceData calls
 	dups      int
 
 	// rejectDeliveries fails the next N deliveries (verify-reject
@@ -255,12 +258,28 @@ func (s *fakeStore) Wants() []wire.GroupWant {
 func (s *fakeStore) PieceData(uri metadata.URI, i int) ([]byte, int, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.reads++
 	f := s.files[uri]
 	if f == nil {
 		return nil, 0, false
 	}
 	data, ok := f.have[i]
 	return data, f.total, ok
+}
+
+func (s *fakeStore) Piece(uri metadata.URI, i int) (int, int, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f := s.files[uri]
+	if f == nil || i < 0 || i >= f.total {
+		return 0, 0, false
+	}
+	n := f.pieceLen
+	if n == 0 {
+		n = len(pieceBytes(uri, i))
+	}
+	_, held := f.have[i]
+	return n, f.total, held
 }
 
 func (s *fakeStore) Popularity(uri metadata.URI) float64 {

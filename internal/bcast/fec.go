@@ -15,10 +15,13 @@ import (
 	"context"
 	"hash/fnv"
 	"math"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/fec"
 	"repro/internal/metadata"
+	"repro/internal/sched"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -53,11 +56,17 @@ type fecStream struct {
 	next uint32
 }
 
-// fecBlock is the receiver side of one piece's collection.
+// fecBlock is the receiver side of one piece's collection. from and
+// round name the latest burst heard of it — its sender and the round it
+// was granted in — and told the last such round whose end this node
+// reported while the block was still open (burstsEndedLocked).
 type fecBlock struct {
 	dec   *fec.Decoder
 	total int // the file's piece count, from the symbols
 	at    time.Time
+
+	from        trace.NodeID
+	round, told uint64
 }
 
 // blockSeed names (uri, piece)'s symbol stream. It is derived, not
@@ -90,27 +99,34 @@ func (e *Engine) fecActiveLocked() bool {
 }
 
 // The opening burst of a K-symbol block is K(1+overhead) symbols, and
-// overhead is learnt from the group. Every opening is judged once, when
-// its grant lapses at the regrant deadline: short, if some member still
-// lacks the piece, raises overhead by overheadUp; otherwise it falls by
-// overheadDown. The steps' ratio leaves one piece in nine to a top-up:
-// what a block needs under loss has a long tail, so an opening that
-// covers it spends more on every piece than the top-ups it saves, while
-// a top-up costs few symbols but a beat of one flight slot (DESIGN.md
-// "Burst sizing" has the numbers). Two rules keep the loop steady. A
-// beat that judges more than beatSample openings scales their steps to
-// beatSample's worth, so a fast group on a slow ticker does not swing by
-// hundreds of steps at once. And only openings cut to the present
-// overhead (Engine.sizing) are judged: those still lapsing from before
-// the last step would step it again for the same evidence. Overhead
-// starts at the half block that suits moderate loss and settles at 0 on
-// a clean lane, where the systematic prefix is all a member needs. A
-// top-up is an eighth of a block of fresh symbols; the schedule is the
-// retry loop, with no per-symbol bookkeeping.
+// overhead is learnt from the group. Every opening is judged once, as
+// soon as the acks show which it was: short the moment a member's ack
+// shows its burst ended with the piece still lacked — the next block's
+// symbols arrived behind it — and enough the moment every member holds
+// the piece. One the acks leave open is judged when its grant lapses at
+// the regrant deadline, short if some member still lacks the piece then.
+// Short raises overhead by overheadUp; enough lowers it by overheadDown.
+// The steps' ratio leaves one piece in five to a top-up: what a block
+// needs under loss has a long tail, so an opening that covers it spends
+// more on every piece than the top-ups it saves. A top-up costs few
+// symbols and one round trip of a flight slot, where it cost a beat
+// before the next block could show a burst short; at one in nine the
+// group sent 1.4 % more and finished no sooner (DESIGN.md "Burst
+// sizing" has the numbers). Two rules keep the loop steady. The
+// beat folds what was judged since the last one, and a beat that judges
+// more than beatSample openings scales their steps to beatSample's
+// worth, so a fast group on a slow ticker does not swing by hundreds of
+// steps at once. And only openings cut to the present overhead
+// (Engine.sizing) are judged: those still lapsing from before the last
+// step would step it again for the same evidence. Overhead starts at the
+// half block that suits moderate loss and settles at 0 on a clean lane,
+// where the systematic prefix is all a member needs. A top-up is an
+// eighth of a block of fresh symbols; the schedule is the retry loop,
+// with no per-symbol bookkeeping.
 const (
 	initialOverhead = 0.5
 	overheadUp      = 1.0 / 16
-	overheadDown    = 1.0 / 128
+	overheadDown    = 1.0 / 64
 	beatSample      = 8
 	maxOverhead     = 7 // an 8 K opening: loss past 85 % is a dead lane
 )
@@ -123,16 +139,30 @@ func (e *Engine) burstLocked(k int, opening bool) int {
 	return k/8 + 2
 }
 
-// resizeLocked folds one beat's lapsed openings, short of them
-// unresolved, into the overhead.
-func (e *Engine) resizeLocked(lapsed, short int) {
-	if lapsed == 0 {
+// judgeLocked tallies one grant leaving the flight window, if it was an
+// opening cut to the present overhead.
+func (e *Engine) judgeLocked(g grant, short bool) {
+	if g.sizing != e.sizing {
+		return
+	}
+	e.judged++
+	if short {
+		e.short++
+	}
+}
+
+// resizeLocked folds the openings judged since the last beat into the
+// overhead.
+func (e *Engine) resizeLocked() {
+	judged, short := e.judged, e.short
+	e.judged, e.short = 0, 0
+	if judged == 0 {
 		return
 	}
 	was := e.overhead
-	step := overheadUp*float64(short) - overheadDown*float64(lapsed-short)
-	if lapsed > beatSample {
-		step *= beatSample / float64(lapsed)
+	step := overheadUp*float64(short) - overheadDown*float64(judged-short)
+	if judged > beatSample {
+		step *= beatSample / float64(judged)
 	}
 	e.overhead = math.Max(0, math.Min(was+step, maxOverhead))
 	if e.overhead != was {
@@ -140,7 +170,8 @@ func (e *Engine) resizeLocked(lapsed, short int) {
 	}
 }
 
-// transmitSymbolsLocked streams one granted piece as coded symbols.
+// transmitSymbolsLocked streams one granted piece as coded symbols. data
+// opens the piece's stream; a top-up continues it and needs none.
 func (e *Engine) transmitSymbolsLocked(ctx context.Context, round uint64, uri metadata.URI, piece int, total int, data []byte, now time.Time) {
 	key := pieceKey{uri, piece}
 	st := e.fecSend[key]
@@ -185,11 +216,11 @@ func (e *Engine) transmitSymbolsLocked(ctx context.Context, round uint64, uri me
 		e.symbols.BroadcastSymbol(ctx, s)
 		e.counters.SymbolsSent++
 	}
-	var sizing uint64
+	g := grant{round: round, to: e.cfg.Self}
 	if opening {
-		sizing = e.sizing
+		g.sizing = e.sizing
 	}
-	e.granted.Send(key, now, sizing)
+	e.granted.Send(key, now, g)
 	// No optimistic markHave here: on the lossy plane "transmitted" is
 	// not "received". The piece leaves the candidate list only when
 	// acks (or GroupHellos) flip the members' bits.
@@ -211,8 +242,9 @@ func (e *Engine) selfHasLocked(uri metadata.URI, piece int) bool {
 }
 
 // handleSymbolLocked absorbs one received coded symbol: integrity
-// check, budget-limited first-sight relay, decode, and on a completed
-// block the shared verify-and-store path plus the aggregate ack.
+// check, a report of the bursts it shows ended short, budget-limited
+// first-sight relay, decode, and on a completed block the shared
+// verify-and-store path plus the aggregate ack.
 func (e *Engine) handleSymbolLocked(ctx context.Context, s *wire.Symbol, now time.Time) {
 	e.counters.SymbolsRecv++
 	if !s.CheckOK() {
@@ -225,13 +257,14 @@ func (e *Engine) handleSymbolLocked(ctx context.Context, s *wire.Symbol, now tim
 	if len(s.Payload) == 0 || s.From == e.cfg.Self {
 		return
 	}
-	if e.selfHasLocked(s.URI, s.Piece) {
-		return // already held: neither decode nor relay is useful
-	}
 	if s.Seed != blockSeed(s.URI, s.Piece) {
 		return // seeds are derived, not negotiated: a foreign stream
 	}
 	key := pieceKey{s.URI, s.Piece}
+	e.burstsEndedLocked(ctx, key, s)
+	if e.selfHasLocked(s.URI, s.Piece) {
+		return // already held: neither decode nor relay is useful
+	}
 	p := fec.Params{DataLen: s.DataLen, SymbolSize: len(s.Payload), Seed: s.Seed}
 	blk := e.fecRecv[key]
 	if blk != nil && blk.dec.Params() != p {
@@ -241,6 +274,12 @@ func (e *Engine) handleSymbolLocked(ctx context.Context, s *wire.Symbol, now tim
 		return
 	}
 	if blk == nil {
+		// The block's shape is the file record's, not the symbol's to
+		// say: a forged DataLen or Total would pin the block to a decoder
+		// the genuine stream conflicts with, or one of any size.
+		if n, total, _ := e.cfg.Store.Piece(s.URI, s.Piece); total == 0 || s.Total != total || s.DataLen != n {
+			return
+		}
 		dec, err := fec.NewDecoder(p)
 		if err != nil {
 			return // hostile or mangled parameters
@@ -252,6 +291,9 @@ func (e *Engine) handleSymbolLocked(ctx context.Context, s *wire.Symbol, now tim
 		e.fecRecv[key] = blk
 	}
 	blk.at = now
+	if s.Round >= blk.round {
+		blk.from, blk.round = s.From, s.Round
+	}
 	before := blk.dec.Received()
 	done, err := blk.dec.Add(s.Index, s.Payload)
 	if err != nil {
@@ -284,16 +326,45 @@ func (e *Engine) handleSymbolLocked(ctx context.Context, s *wire.Symbol, now tim
 	e.counters.FECDecodes++
 	delete(e.fecRecv, key)
 	e.markHaveLocked(s.URI, s.Piece)
-	e.ackLocked(ctx, s.URI, s.Total)
+	e.ackLocked(ctx, s.URI, s.Total, s.Round)
+}
+
+// burstsEndedLocked reports the bursts s shows over. A lane delivers one
+// sender's symbols in the order they were sent, so a symbol of round r
+// means every burst its sender was granted before r has ended here. A
+// block of such a burst still open is short of symbols, and its sender's
+// sequencer hears so now — once per burst, in the ack this node would
+// otherwise announce at its next beat — instead of when the grant lapses.
+func (e *Engine) burstsEndedLocked(ctx context.Context, key pieceKey, s *wire.Symbol) {
+	type file struct {
+		uri   metadata.URI
+		total int
+	}
+	var files []file
+	for k, blk := range e.fecRecv {
+		if k == key || blk.from != s.From || blk.round >= s.Round || blk.told == blk.round {
+			continue
+		}
+		blk.told = blk.round
+		if f := (file{k.uri, blk.total}); !slices.Contains(files, f) {
+			files = append(files, f)
+		}
+	}
+	slices.SortFunc(files, func(a, b file) int { return strings.Compare(string(a.uri), string(b.uri)) })
+	for _, f := range files {
+		e.ackLocked(ctx, f.uri, f.total, s.Round)
+	}
 }
 
 // ackLocked broadcasts this node's aggregate decode state for a file
 // on the reliable control plane — one ack supersedes any number of
 // per-piece NACKs, and the next GroupHello carries the same bits as a
-// backstop if the ack frame is lost.
-func (e *Engine) ackLocked(ctx context.Context, uri metadata.URI, total int) {
+// backstop if the ack frame is lost. round is that of a symbol this node
+// has received, so the ack also says that every burst granted to that
+// symbol's sender before it has ended here (lapseEndedLocked).
+func (e *Engine) ackLocked(ctx context.Context, uri metadata.URI, total int, round uint64) {
 	ack := &wire.SymbolAck{
-		From: e.cfg.Self, Round: e.round, URI: uri, Total: total,
+		From: e.cfg.Self, Round: round, URI: uri, Total: total,
 		Have: make([]byte, wire.HaveLen(total)),
 	}
 	if v := e.views[e.cfg.Self]; v != nil {
@@ -308,8 +379,10 @@ func (e *Engine) ackLocked(ctx context.Context, uri metadata.URI, total int) {
 }
 
 // handleSymbolAckLocked folds a member's aggregate decode report into
-// its view, releasing acked pieces from the sender's candidate list.
-func (e *Engine) handleSymbolAckLocked(from trace.NodeID, a *wire.SymbolAck) {
+// its view, releasing acked pieces from the sender's candidate list,
+// lapses the grants whose bursts it shows ended short, and judges the
+// openings it shows were enough.
+func (e *Engine) handleSymbolAckLocked(from trace.NodeID, a *wire.SymbolAck, now time.Time) {
 	e.counters.SymbolAcksRecv++
 	if a.Round > e.round {
 		e.round = a.Round
@@ -327,6 +400,43 @@ func (e *Engine) handleSymbolAckLocked(from trace.NodeID, a *wire.SymbolAck) {
 				v.wants[i].SetHave(p)
 			}
 		}
+	}
+	e.lapseEndedLocked(v, a.Round)
+	e.judgeResolvedLocked(now)
+}
+
+// judgeResolvedLocked judges enough every opening in the flight window
+// that every member now holds. A short opening is
+// judged when the next block shows it (lapseEndedLocked), so one that
+// was enough is judged when the acks show it too, not when its grant
+// lapses a beat or two later. By then overhead has usually stepped, and
+// an opening cut to an older overhead is not judged at all: the loop
+// would hear of the short openings and seldom of the rest.
+func (e *Engine) judgeResolvedLocked(now time.Time) {
+	for i := range e.granted {
+		if f := &e.granted[i]; f.Tag.sizing == e.sizing && !e.lackedLocked(f.Key, now) {
+			e.judgeLocked(f.Tag, false)
+			f.Tag.sizing = 0 // judged: its lapse is no evidence
+		}
+	}
+}
+
+// lapseEndedLocked lapses, ahead of the beat, every grant the acker's
+// ack shows short: an ack names a round whose symbols reached the acker,
+// so every burst granted to that round's grantee before it has ended
+// there, and one of a piece the acker still lacks needs a top-up. The
+// slot it held is free for the next kicked round, and an opening among
+// them is judged short now, once.
+func (e *Engine) lapseEndedLocked(acker *view, round uint64) {
+	i := slices.IndexFunc(e.granted, func(f sched.Flight[pieceKey, grant]) bool { return f.Tag.round == round })
+	if i < 0 {
+		return
+	}
+	to := e.granted[i].Tag.to
+	for _, f := range e.granted.Lapse(func(f sched.Flight[pieceKey, grant]) bool {
+		return f.Tag.to == to && f.Tag.round < round && acker.lacks(f.Key)
+	}) {
+		e.judgeLocked(f.Tag, true)
 	}
 }
 

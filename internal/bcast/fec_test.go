@@ -259,6 +259,60 @@ func TestFECForeignSeedCannotPinABlock(t *testing.T) {
 	}
 }
 
+// TestFECForgedShapeOpensNoDecoder: a block's shape is its file record's,
+// not the symbol's to say. A symbol of the right seed whose DataLen or
+// Total disagrees with the record this node holds, or of a file it holds
+// no record of, opens no decoder: one would pin the block to a stream the
+// genuine symbols conflict with, or hand this node a block of the
+// sender's choosing to solve — at 4-byte symbols a forged 64 KiB DataLen
+// is K = 16,384.
+func TestFECForgedShapeOpensNoDecoder(t *testing.T) {
+	h := newHarness()
+	for _, id := range []trace.NodeID{1, 2, 3} {
+		h.addFEC(t, id, 2)
+	}
+	uri := metadata.URIFor(7)
+	const total = 2
+	h.stores[1].addFile(uri, total, false, 1.0, 0, 1)
+	h.stores[2].addFile(uri, total, true, 1.0)
+	h.stores[3].addFile(uri, total, true, 1.0)
+	h.fullMesh()
+
+	stranger := metadata.URIFor(8)
+	for _, forge := range []func(*wire.Symbol){
+		func(s *wire.Symbol) { s.DataLen = 4 << 10 },
+		func(s *wire.Symbol) { s.Total = total + 1 },
+		func(s *wire.Symbol) { s.URI, s.Seed = stranger, blockSeed(stranger, 0) },
+	} {
+		s := &wire.Symbol{
+			From: 3, URI: uri, Piece: 0, Total: total,
+			Seed: blockSeed(uri, 0), DataLen: len(pieceBytes(uri, 0)),
+			Index: 0, Payload: make([]byte, 4),
+		}
+		forge(s)
+		s.Seal()
+		h.engines[2].HandleGroup(context.Background(), 3, s)
+	}
+	e2 := h.engines[2]
+	e2.mu.Lock()
+	open := len(e2.fecRecv)
+	e2.mu.Unlock()
+	if open != 0 {
+		t.Fatalf("forged symbols opened %d decoders, want none", open)
+	}
+
+	for i := 0; i < 30 && !h.stores[2].complete(uri); i++ {
+		h.step(t, 1, 2, 3)
+	}
+	if !h.stores[2].complete(uri) {
+		t.Fatalf("member stuck at %d/%d pieces behind forged symbols",
+			len(h.stores[2].files[uri].have), total)
+	}
+	if st := e2.Stats(); st.FECDecodes != total || st.FECVerifyFails != 0 {
+		t.Fatalf("node 2: %d decodes, %d verify fails; want %d and 0", st.FECDecodes, st.FECVerifyFails, total)
+	}
+}
+
 // TestFECRelayBudgetBounds: receivers do relay (cooperation is real)
 // but never more than RelayBudget first-sight symbols per Tick.
 func TestFECRelayBudgetBounds(t *testing.T) {

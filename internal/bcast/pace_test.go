@@ -162,6 +162,7 @@ func (h *laneHarness) share(uri metadata.URI, total int) {
 	for _, id := range h.ids {
 		n := h.nodes[id]
 		n.st.addFile(uri, total, id != 1, 1.0)
+		n.st.files[uri].pieceLen = paceK * paceSymbol
 		if id == 1 {
 			for i := 0; i < total; i++ {
 				n.st.files[uri].have[i] = block(uri, i)
@@ -395,6 +396,130 @@ func TestRegrantWaitsOneFullBeat(t *testing.T) {
 			t.Fatalf("the beat alone did not finish the last piece: %+v", h.seq().Stats())
 		}
 		h.beat()
+	}
+}
+
+// TestShortBurstTopsUpOnTheNextBlock: a member's lane delivers the
+// sequencer's symbols in the order they were sent, so the first symbol
+// of piece 1 shows a member still missing piece 0 that piece 0's burst
+// has ended short. The member says so then — not once piece 1 decodes —
+// and the sequencer tops piece 0 up at once from the stream it holds,
+// with the clock standing still, before any beat after the grant; the
+// file finishes without one.
+func TestShortBurstTopsUpOnTheNextBlock(t *testing.T) {
+	h := newLaneHarness(t, 3, 0, 0)
+	uri := metadata.URIFor(7)
+	const total = 4
+	h.share(uri, total)
+	// Piece 0's opening burst arrives eight symbols short of K.
+	h.dropSymbol = func(s *wire.Symbol) bool { return s.Piece == 0 && s.Round == 1 && s.Index < paceK/2+8 }
+	h.confirm()
+	if st := h.seq().Stats(); st.GrantsSent != flightWindow || st.TopUps != 0 {
+		t.Fatalf("the beat sent %d grants and %d top-ups, want the flight window's %d openings", st.GrantsSent, st.TopUps, flightWindow)
+	}
+
+	decodedFirst := -1 // pieces decoded when the top-up went out
+	h.afterFrame = func() {
+		if decodedFirst < 0 && h.seq().Stats().TopUps > 0 {
+			decodedFirst = 0
+			for _, id := range h.ids[1:] {
+				decodedFirst += int(h.nodes[id].e.Stats().FECDecodes)
+			}
+		}
+	}
+	h.pump()
+	st := h.seq().Stats()
+	if st.TopUps != 1 || h.grants[0] != 2 {
+		t.Fatalf("no beat since the grant: %d top-ups, piece 0 granted %d times; want its one top-up", st.TopUps, h.grants[0])
+	}
+	if decodedFirst != 0 {
+		t.Fatalf("piece 0's top-up went out after %d decodes; want it on piece 1's first symbol, before any", decodedFirst)
+	}
+	if reads := h.nodes[1].st.reads; reads != total {
+		t.Fatalf("%d piece reads for %d openings: the top-up read the piece again, not its stream", reads, total)
+	}
+	if !h.complete(uri, total) {
+		t.Fatalf("the file did not finish within the beat that started it: %+v", st)
+	}
+	if st.Round-st.RoundsKicked > flightWindow {
+		t.Fatalf("%d of %d rounds kicked; want all but the beat's own", st.RoundsKicked, st.Round)
+	}
+}
+
+// TestEnoughIsJudgedOnTheAck: an opening every member acks is judged
+// enough on the last ack, as a short one is judged when the next block
+// shows it — not when its grant lapses, by when overhead has usually
+// stepped and an opening cut to an older one is not judged at all. Its
+// lapse is then no evidence again: the beat steps overhead down once.
+func TestEnoughIsJudgedOnTheAck(t *testing.T) {
+	h := newLaneHarness(t, 3, 0, 0)
+	h.share(metadata.URIFor(7), 1)
+	h.confirm() // the scheduling beat grants the piece
+	h.pump()
+	e := h.seq()
+	e.mu.Lock()
+	judged, short, was := e.judged, e.short, e.overhead
+	e.mu.Unlock()
+	if judged != 1 || short != 0 {
+		t.Fatalf("every member acked the opening: %d judged, %d short before the beat; want 1 judged enough", judged, short)
+	}
+	h.tick() // the grant lapses, and the tally folds
+	h.tick()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if want := was - overheadDown; e.overhead != want {
+		t.Fatalf("overhead %.4f after the beats, want %.4f: one step down for one opening", e.overhead, want)
+	}
+}
+
+// TestReorderedLaneCostsAtMostOneTopUp: where the lane does reorder — the
+// first symbol of piece 1 overtakes the second half of piece 0's burst —
+// the members report piece 0 short while its symbols are still on the
+// way. That costs one top-up the members did not need, never the piece:
+// they decode it from the tail, and the file finishes.
+func TestReorderedLaneCostsAtMostOneTopUp(t *testing.T) {
+	h := newLaneHarness(t, 3, 0, 0)
+	uri := metadata.URIFor(7)
+	const total = 4
+	h.share(uri, total)
+	lane := h.nodes[1].lane
+	var tail []*wire.Symbol
+	overtaken := false
+	h.dropSymbol = func(s *wire.Symbol) bool {
+		switch {
+		case overtaken:
+			return false
+		case s.Piece == 0 && s.Index >= paceK/2:
+			tail = append(tail, s) // held back
+			return true
+		case s.Piece == 1:
+			overtaken = true
+			for _, m := range append([]*wire.Symbol{s}, tail...) {
+				if err := lane.Send(context.Background(), m); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return true
+		}
+		return false
+	}
+	h.confirm()
+	if !overtaken || len(tail) == 0 {
+		t.Fatal("the beat's bursts were not reordered")
+	}
+
+	h.pump()
+	st := h.seq().Stats()
+	if !h.complete(uri, total) {
+		t.Fatalf("the file did not finish: %+v", st)
+	}
+	if st.TopUps > 1 {
+		t.Fatalf("%d top-ups on a lane that lost nothing, want at most the one the reordering cost", st.TopUps)
+	}
+	for _, id := range h.ids[1:] {
+		if got := h.nodes[id].e.Stats().FECDecodes; got != total {
+			t.Fatalf("member %d decoded %d pieces, want %d", id, got, total)
+		}
 	}
 }
 

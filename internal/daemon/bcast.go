@@ -167,6 +167,27 @@ func (s *bcastStore) PieceData(uri metadata.URI, i int) ([]byte, int, bool) {
 	return pieceBytes(rec, i), rec.NumPieces(), true
 }
 
+// Piece reports piece i of uri under the record the node holds for the
+// file — catalogued, or held or being downloaded under a live record —
+// and whether the node can serve it; a zero total when there is none.
+func (s *bcastStore) Piece(uri metadata.URI, i int) (length, total int, held bool) {
+	d := (*Daemon)(s)
+	if rec := d.catalogued(uri); rec != nil {
+		if i < 0 || i >= rec.NumPieces() {
+			return 0, 0, false
+		}
+		return rec.PieceLen(i), rec.NumPieces(), true
+	}
+	now := protoTime(d.clock())
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	rec, ps := d.heldLocked(uri, now)
+	if rec == nil || i < 0 || i >= rec.NumPieces() {
+		return 0, 0, false
+	}
+	return rec.PieceLen(i), rec.NumPieces(), ps.Have(i)
+}
+
 func (s *bcastStore) Popularity(uri metadata.URI) float64 {
 	d := (*Daemon)(s)
 	if d.catalog != nil {

@@ -210,7 +210,7 @@ type sentFile struct {
 	// bitmap has shown held yet, what may still be in the pipe. A push
 	// that lapses frees its slot; only the resend deadline sends the piece
 	// itself again.
-	window sched.Window[int]
+	window sched.Window[int, struct{}]
 }
 
 func newSentFile() *sentFile { return &sentFile{at: make(map[int]time.Time)} }
@@ -305,6 +305,6 @@ func (sf *sentFile) takes(i int, wall time.Time, beat time.Duration, depth int) 
 func (sf *sentFile) push(i int, wall time.Time) (again bool) {
 	_, again = sf.at[i]
 	sf.at[i] = wall
-	sf.window.Send(i, wall, 0)
+	sf.window.Send(i, wall, struct{}{})
 	return again
 }

@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-func keys(fs []Flight[int]) []int {
+func keys(fs []Flight[int, uint64]) []int {
 	var out []int
 	for _, f := range fs {
 		out = append(out, f.Key)
@@ -23,7 +23,7 @@ func keys(fs []Flight[int]) []int {
 func TestWindow(t *testing.T) {
 	t0 := time.Unix(100, 0)
 	all := func(int) bool { return true }
-	var w Window[int]
+	var w Window[int, uint64]
 	if acked, lapsed := w.Settle(all, t0); w.Has(1) || w.Out(all) != 0 || acked || lapsed != nil {
 		t.Fatal("an empty window holds something")
 	}
@@ -64,6 +64,26 @@ func TestWindow(t *testing.T) {
 	}
 }
 
+// TestWindowLapse: a unit shown lost before its deadline leaves the
+// window at once, tag and stamp intact, and nothing else moves.
+func TestWindowLapse(t *testing.T) {
+	t0 := time.Unix(100, 0)
+	var w Window[int, uint64]
+	for k := 1; k <= 4; k++ {
+		w.Send(k, t0.Add(time.Duration(k)*time.Second), uint64(10*k))
+	}
+	lapsed := w.Lapse(func(f Flight[int, uint64]) bool { return f.Tag < 30 })
+	if !slices.Equal(keys(lapsed), []int{1, 2}) || lapsed[1].Tag != 20 || !lapsed[1].At.Equal(t0.Add(2*time.Second)) {
+		t.Fatalf("lapsing tags under 30: %+v, want 1 and 2 as sent", lapsed)
+	}
+	if !slices.Equal(keys(w), []int{3, 4}) {
+		t.Fatalf("window %v after the lapse, want [3 4]", keys(w))
+	}
+	if lapsed := w.Lapse(func(Flight[int, uint64]) bool { return false }); lapsed != nil || len(w) != 2 {
+		t.Fatalf("lapsing nothing: %+v lapsed, %d left", lapsed, len(w))
+	}
+}
+
 // TestWindowKeepsBothPlanesRules drives a window and, beside it, the two
 // windows it replaced — the pairwise supplier's FIFO of pushes, settled
 // on every hello, and the group sequencer's map of grants, counted
@@ -82,7 +102,7 @@ func TestWindowKeepsBothPlanesRules(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 200; trial++ {
 		now := time.Unix(1000, 0)
-		var pairwise, group Window[int]
+		var pairwise, group Window[int, uint64]
 		var fifo []push
 		granted := map[int]grant{}
 		for step := 0; step < 100; step++ {
@@ -115,15 +135,15 @@ func TestWindowKeepsBothPlanesRules(t *testing.T) {
 				}
 			default: // a beat: the group's prune, then its in-flight count
 				prev := now.Add(-beat)
-				var want []Flight[int]
+				var want []Flight[int, uint64]
 				for g, e := range granted {
 					if !e.at.After(prev) {
 						delete(granted, g)
-						want = append(want, Flight[int]{g, e.at, e.sizing})
+						want = append(want, Flight[int, uint64]{g, e.at, e.sizing})
 					}
 				}
 				_, got := group.Settle(nil, prev)
-				byKey := func(a, b Flight[int]) int { return a.Key - b.Key }
+				byKey := func(a, b Flight[int, uint64]) int { return a.Key - b.Key }
 				slices.SortFunc(want, byKey)
 				slices.SortFunc(got, byKey)
 				if !slices.Equal(got, want) {
