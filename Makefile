@@ -31,7 +31,10 @@ vet:
 # never time.After or time.Sleep. Below the peer layer nothing runs on
 # its own: internal/transport and internal/fault start no goroutine, so a
 # session's lanes are its only send queue and a session is its reader
-# plus its writer. Offending packages or lines are printed.
+# plus its writer. The stepped network (internal/stepnet) is a harness:
+# no live package and no daemon binary links it, the swarm CLI links no
+# testing, and the swarm harness never reads or waits on the runtime
+# clock — it steps. Offending packages or lines are printed.
 deps-check:
 	@! $(GO) list -deps ./cmd/tracegen ./cmd/mbtsim ./cmd/experiments \
 		| grep -E '^repro/internal/(fault|transport|peer|daemon|store)$$' \
@@ -60,6 +63,14 @@ deps-check:
 			echo 'deps-check: the live packages arm exactly one ticker (the beat)' >&2; exit 1; }; \
 	! grep -nE 'time\.NewTimer\(' $$(echo $$live | tr ' ' '\n' | grep -v '^internal/dht/') \
 		|| { echo 'deps-check: time.NewTimer outside internal/dht (its RPC wait): wait on the beat, a context or a socket' >&2; exit 1; }
+	@! $(GO) list -deps ./internal/daemon ./internal/peer ./internal/bcast ./internal/dht \
+		./internal/store ./internal/transport ./internal/fault ./cmd/mbtd \
+		| grep '^repro/internal/stepnet$$' \
+		|| { echo 'deps-check: a live package or cmd/mbtd links the stepped network' >&2; exit 1; }
+	@! $(GO) list -deps ./cmd/mbtswarm | grep -x 'testing' \
+		|| { echo 'deps-check: cmd/mbtswarm links testing' >&2; exit 1; }
+	@! grep -nE 'time\.(Now|Since|Sleep|After)\(' $$(ls internal/swarm/*.go | grep -v '_test\.go$$') \
+		|| { echo 'deps-check: internal/swarm reads or waits on the runtime clock: step the swarm instead' >&2; exit 1; }
 	@! grep -nE '(^|[{;])[[:space:]]*go[[:space:]]+[^[:space:]]' \
 		$$(ls internal/transport/*.go internal/fault/*.go | grep -v '_test\.go$$') \
 		|| { echo 'deps-check: a go statement in internal/transport or internal/fault: links work on their caller'"'"'s goroutine' >&2; exit 1; }
@@ -74,14 +85,17 @@ race:
 short:
 	$(GO) test -short ./...
 
-# The stepped swarm (internal/daemon step_test.go): every seed family —
-# pairwise chaos, flood, the group plane's grant/resend against its
-# fountain at 44% loss, restart on a faulty disk, record expiry — and
-# the three tests ported onto it, on the hand clock with every invariant
-# checked after every step, run twice under the race detector: every
-# seed must replay step for step.
+# The stepped swarm (internal/stepnet, driven by internal/daemon's
+# step_test.go): every seed family — pairwise chaos, flood, the group
+# plane's grant/resend against its fountain at 44% loss, restart on a
+# faulty disk, record expiry — and the three tests ported onto it, on
+# the hand clock with every invariant checked after every step, run
+# twice under the race detector: every seed must replay step for step.
+# Quiet is counted (internal/quiet); the third run holds every counted
+# quiet of every seed against a look at every goroutine's stack (-scan).
 step:
 	$(GO) test -race -count=2 -run 'TestStep|TestFloodVictimStaysLive|TestNamingASecondHolderReCutsMidStream|TestBcastSoak' -v ./internal/daemon
+	$(GO) test -count=1 -run 'TestStep|TestFloodVictimStaysLive|TestNamingASecondHolderReCutsMidStream|TestBcastSoak' ./internal/daemon -args -scan
 
 # The wall-clock soaks, one per plane: the pairwise plane over real TCP
 # (the two-daemon transfer and the localhost mbtd demos, restart and
@@ -102,12 +116,14 @@ dht-soak:
 	$(GO) test -race -count=1 -timeout 10m -run 'DHT' -v ./internal/daemon ./internal/discovery ./internal/swarm ./cmd/mbtd
 	$(GO) test -race -count=1 -run 'TestFountainScenario' -v ./internal/swarm
 
-# Swarm availability soak: the full thousand-node boot plus every
-# scripted-churn scenario (seeder death, flash crowd, mobility
-# partitions, staggered joins, diurnal attendance). The tests assert and
-# write nothing tracked; the results/swarm_*.json records are then
-# regenerated through cmd/mbtswarm with the same populations and seeds —
-# the one path that rewrites them.
+# Swarm availability runs, on the stepped network: the full
+# thousand-node boot plus every scripted-churn scenario (seeder death,
+# flash crowd, mobility partitions, staggered joins, diurnal
+# attendance). The tests assert and write nothing tracked; the
+# results/swarm_*.json records are then regenerated through cmd/mbtswarm
+# with the same populations and seeds — the one path that rewrites them.
+# A record is a function of (scenario, nodes, seed), its times in beats:
+# a second `make swarm` leaves `git diff results/` empty.
 swarm:
 	$(GO) test -count=1 -timeout 10m -run 'TestSwarm|TestRun' -v ./internal/swarm ./cmd/mbtswarm
 	for s in seeder-death flash-crowd mobility staggered-join diurnal; do \

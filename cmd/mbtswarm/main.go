@@ -1,17 +1,18 @@
-// Command mbtswarm boots a scripted swarm of live daemons over the
-// in-memory transport and reports availability metrics — the CLI face
-// of the internal/swarm harness, for long soaks and populations bigger
-// than the test suite runs.
+// Command mbtswarm boots a scripted swarm of live daemons on the stepped
+// network and reports availability metrics — the CLI face of the
+// internal/swarm harness, for populations bigger than the test suite
+// runs. The report (stdout, and -out) is a function of the scenario,
+// the population and the seed alone; the run's wall time and per-node
+// goroutines and heap go to stderr.
 //
 // Usage:
 //
 //	mbtswarm -scenario steady -nodes 1000
 //	mbtswarm -scenario seeder-death -nodes 500 -seed 7 -out results
-//	mbtswarm -scenario mobility -nodes 200 -timeout 5m -v
+//	mbtswarm -scenario mobility -nodes 200
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -36,11 +37,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var (
 		scenario = fs.String("scenario", "steady",
 			"scenario: "+strings.Join(swarm.ScenarioNames(), ", "))
-		nodes   = fs.Int("nodes", 1000, "population size, seeders included")
-		seed    = fs.Uint64("seed", 42, "topology and fault seed")
-		timeout = fs.Duration("timeout", 5*time.Minute, "abort the run after this long")
-		out     = fs.String("out", "", "also write the report JSON into this directory")
-		verbose = fs.Bool("v", false, "log harness lifecycle events")
+		nodes = fs.Int("nodes", 1000, "population size, the seeder included")
+		seed  = fs.Uint64("seed", 42, "topology and scheduler seed")
+		out   = fs.String("out", "", "also write the report JSON into this directory")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -50,14 +49,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	sc.Timeout = *timeout
-	if *verbose {
-		sc.Config.Logf = func(format string, a ...any) {
-			fmt.Fprintf(stderr, format+"\n", a...)
-		}
-	}
 
-	rep, runErr := swarm.RunScenario(context.Background(), sc)
+	start := time.Now()
+	rep, runErr := swarm.RunScenario(sc)
+	fmt.Fprintf(stderr, "mbtswarm: %s: %d steps, %d beats in %.2fs wall; %.1f goroutines and %.0f heap bytes per node\n",
+		rep.Scenario, rep.Steps, rep.Beats, time.Since(start).Seconds(), rep.GoroutinesPerNode, rep.HeapBytesPerNode)
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err

@@ -13,8 +13,7 @@ func TestRunSteadySmall(t *testing.T) {
 	dir := t.TempDir()
 	var out strings.Builder
 	err := run([]string{
-		"-scenario", "steady", "-nodes", "24", "-seed", "3",
-		"-timeout", "1m", "-out", dir,
+		"-scenario", "steady", "-nodes", "24", "-seed", "3", "-out", dir,
 	}, &out, io.Discard)
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"context"
+	"repro/internal/stepnet"
 	"testing"
 
 	"repro/internal/metadata"
@@ -155,7 +156,7 @@ func TestBcastFewerTransmissions(t *testing.T) {
 // re-form after it heals, and both downloaders must still complete the
 // shared file, with the broadcast path carrying part of it.
 func TestBcastSoak(t *testing.T) {
-	s := newStepSwarm(t, "TestBcastSoak", 1, stepFaults{drop: 0.2})
+	s := newStepSwarm(t, "TestBcastSoak", 1, stepnet.Faults{Drop: 0.2})
 	var ds []*Daemon
 	for i, addrs := range [][]string{nil, {"seed"}, {"seed", "n2"}} {
 		c := stepCfg(trace.NodeID(i + 1))
@@ -164,7 +165,7 @@ func TestBcastSoak(t *testing.T) {
 			c.InternetAccess, c.PublishFiles = true, 1
 			c.FileSize, c.PieceSize = 64*1024, 4*1024 // 16 pieces at 4 KB
 		}
-		c.EnableBcast, c.Broadcast = true, s.net.join("radio", 0, c.ID)
+		c.EnableBcast, c.Broadcast = true, s.net.Join("radio", 0, c.ID)
 		ds = append(ds, s.start(c).d)
 	}
 	tr3 := trio{seed: ds[0], a: ds[1], b: ds[2]}
@@ -179,7 +180,7 @@ func TestBcastSoak(t *testing.T) {
 	// Phase 2: the partition silences every unicast link for twice the
 	// liveness window; liveness expiry must collapse the group (pairwise
 	// fallback, not a stall) even though the medium itself stays up.
-	s.faults.cut = [2]int{s.beats + 1, s.beats + 9}
+	s.net.Faults.Cut = [2]int{s.net.Beats + 1, s.net.Beats + 9}
 	s.until(10000, "group collapse under partition", func() bool {
 		st := tr3.a.Stats().Bcast
 		return st.Collapses >= 1 && !groupConfirmed(tr3.a)
@@ -197,10 +198,10 @@ func TestBcastSoak(t *testing.T) {
 	s.until(20000, "downloads under chaos", func() bool { return tr3.a.Completed(f0) && tr3.b.Completed(f0) })
 
 	// The faults really ran, and the broadcast path was used.
-	if len(s.dropped) == 0 {
+	if len(s.net.Dropped) == 0 {
 		t.Fatal("no drops injected")
 	}
-	if s.cutDropped == 0 {
+	if s.net.CutDropped == 0 {
 		t.Fatal("partition never touched traffic")
 	}
 	if st := tr3.a.Stats().Bcast; st.GroupHellosSent == 0 || st.PieceBcastsRecv == 0 {

@@ -86,7 +86,7 @@ func newBeatRig(t *testing.T, mutate func(*Config)) *beatRig {
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	d, err := newDaemon(cfg, r.clk.Now, r.tick)
+	d, err := NewDriven(cfg, r.clk.Now, r.tick)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -264,7 +264,7 @@ func TestCancelMidDownloadKeepsReportedPieces(t *testing.T) {
 
 	startSeed(ctx, t, net)
 	ctx1, cancel1 := context.WithCancel(ctx)
-	leech, err := New(leechCfgFor(net, dir, nil))
+	leech, err := New(leechCfgFor(t, net, dir, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,16 +37,24 @@ func startSeed(ctx context.Context, t *testing.T, net *transport.Loopback) *Daem
 	return seed
 }
 
+// compactAt sets the store's compaction threshold (compactEvery) for the
+// rest of tb.
+func compactAt(tb testing.TB, bytes int64) {
+	was := compactEvery
+	compactEvery = bytes
+	tb.Cleanup(func() { compactEvery = was })
+}
+
 // leechCfgFor builds the downloader config against dir with fs as the
 // store's filesystem. A small compaction threshold forces snapshots
 // mid-download so crash points can land inside a snapshot commit.
-func leechCfgFor(net *transport.Loopback, dir string, fs store.FS) Config {
+func leechCfgFor(tb testing.TB, net *transport.Loopback, dir string, fs store.FS) Config {
 	cfg := fastCfg(2, net)
 	cfg.PeerAddrs = []string{"seed"}
 	cfg.Queries = []string{"f0"}
 	cfg.DataDir = dir
 	cfg.StoreFS = fs
-	cfg.StoreCompactEvery = 256
+	compactAt(tb, 256)
 	return cfg
 }
 
@@ -74,7 +82,7 @@ func TestRestartResume(t *testing.T) {
 	seed := startSeed(ctx, t, net)
 
 	ctx1, cancel1 := context.WithCancel(ctx)
-	leech1, err := New(leechCfgFor(net, dir, nil))
+	leech1, err := New(leechCfgFor(t, net, dir, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +102,7 @@ func TestRestartResume(t *testing.T) {
 
 	// Restart against the same directory. New recovers synchronously, so
 	// the restored state is observable before Run touches the network.
-	leech2, err := New(leechCfgFor(net, dir, nil))
+	leech2, err := New(leechCfgFor(t, net, dir, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +195,7 @@ func TestCrashRecoverySoak(t *testing.T) {
 		defer net.Close()
 		startSeed(ctx, t, net)
 		ffs := fault.WrapFS(store.OSFS{}, fault.FSConfig{Seed: 1})
-		leech, err := New(leechCfgFor(net, t.TempDir(), ffs))
+		leech, err := New(leechCfgFor(t, net, t.TempDir(), ffs))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +226,7 @@ func TestCrashRecoverySoak(t *testing.T) {
 
 			ffs := fault.WrapFS(store.OSFS{}, fault.FSConfig{Seed: uint64(crashAt) * 101, CrashAtOp: crashAt})
 			ctx1, cancel1 := context.WithCancel(ctx)
-			leech1, err := New(leechCfgFor(net, dir, ffs))
+			leech1, err := New(leechCfgFor(t, net, dir, ffs))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -243,7 +251,7 @@ func TestCrashRecoverySoak(t *testing.T) {
 
 			// Restart against the same directory with a healthy filesystem.
 			// Recovery runs inside New, before any network traffic.
-			leech2, err := New(leechCfgFor(net, dir, nil))
+			leech2, err := New(leechCfgFor(t, net, dir, nil))
 			if err != nil {
 				t.Fatalf("reopen after crash at op %d: %v", crashAt, err)
 			}
@@ -302,7 +310,7 @@ func TestHealthReportsRecovery(t *testing.T) {
 	startSeed(ctx, t, net)
 
 	ctx1, cancel1 := context.WithCancel(ctx)
-	leech1, err := New(leechCfgFor(net, dir, nil))
+	leech1, err := New(leechCfgFor(t, net, dir, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +319,7 @@ func TestHealthReportsRecovery(t *testing.T) {
 	cancel1()
 	<-done1
 
-	leech2, err := New(leechCfgFor(net, dir, nil))
+	leech2, err := New(leechCfgFor(t, net, dir, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,6 +62,7 @@ import (
 	"repro/internal/metadata"
 	"repro/internal/node"
 	"repro/internal/peer"
+	"repro/internal/quiet"
 	"repro/internal/server"
 	"repro/internal/simtime"
 	"repro/internal/store"
@@ -107,8 +108,6 @@ type Config struct {
 	// InternetAccess gives this node the server catalog: it answers
 	// queries and serves pieces authoritatively.
 	InternetAccess bool
-	// InternetNodes is the catalog's popularity denominator (default 1).
-	InternetNodes int
 	// PublishFiles seeds the catalog with this many synthetic files at
 	// startup (Internet nodes only).
 	PublishFiles int
@@ -213,9 +212,6 @@ type Config struct {
 	// StoreFS overrides the store's filesystem (fault injection); nil
 	// uses the OS.
 	StoreFS store.FS
-	// StoreCompactEvery overrides the store's auto-compaction threshold
-	// in bytes (0 = store default, negative disables).
-	StoreCompactEvery int64
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...any)
 }
@@ -420,9 +416,12 @@ type Daemon struct {
 	// is its reading at construction, kept for uptime only.
 	clock   func() time.Time
 	started time.Time
-	// tick delivers the beat's wake-ups when a test fires them by hand;
+	// tick delivers the beat's wake-ups when a harness fires them by hand;
 	// nil, as New leaves it, has Run arm the runtime ticker.
 	tick <-chan time.Time
+	// work is the stepped network's count of outstanding hand-offs
+	// (internal/quiet), carried by the transport; nil on any other.
+	work *quiet.Work
 
 	// DHT plumbing: when maintenance is next due (the beat's own) and
 	// whether a round is still in flight, and the engine's RPC deadline.
@@ -452,13 +451,21 @@ type Daemon struct {
 	}
 }
 
+// internetNodes is the catalog's popularity denominator: the one
+// Internet node of the hybrid.
+const internetNodes = 1
+
+// compactEvery overrides the store's auto-compaction threshold in bytes
+// (0 = the store's default): a test hook, so that crash points and
+// restarts land inside and around snapshot commits.
+var compactEvery int64
+
 // Validate reports the first reason c cannot describe a daemon. A zero
 // field always means "use the default"; what is rejected is what no
 // default can stand in for: a negative count, size, rate or duration, a
 // liveness window shorter than the beacon it listens for, and an option
 // that tunes a subsystem the same Config leaves off. New calls it first,
-// so nothing is defaulted silently. StoreCompactEvery alone may be
-// negative (the store's "never compact").
+// so nothing is defaulted silently.
 func (c Config) Validate() error {
 	for _, rule := range []struct {
 		broken bool
@@ -466,7 +473,6 @@ func (c Config) Validate() error {
 	}{
 		{c.Transport == nil, "nil transport"},
 		{c.ListenAddr == "" && len(c.PeerAddrs) == 0, "no listen address and no peers"},
-		{c.InternetNodes < 0, "negative InternetNodes"},
 		{c.PublishFiles < 0, "negative PublishFiles"},
 		{c.FileSize < 0, "negative FileSize"},
 		{c.PieceSize < 0, "negative PieceSize"},
@@ -488,7 +494,6 @@ func (c Config) Validate() error {
 		{c.DHTK != 0 && !c.EnableDHT, "DHTK needs EnableDHT"},
 		{c.DHTRepublish != 0 && !c.EnableDHT, "DHTRepublish needs EnableDHT"},
 		{c.StoreFS != nil && c.DataDir == "", "StoreFS needs DataDir"},
-		{c.StoreCompactEvery != 0 && c.DataDir == "", "StoreCompactEvery needs DataDir"},
 	} {
 		if rule.broken {
 			return errors.New("daemon: " + rule.what)
@@ -498,17 +503,14 @@ func (c Config) Validate() error {
 }
 
 // New validates cfg and builds the daemon (no I/O yet; Run starts it).
-func New(cfg Config) (*Daemon, error) { return newDaemon(cfg, time.Now, nil) }
+func New(cfg Config) (*Daemon, error) { return NewDriven(cfg, time.Now, nil) }
 
-// newDaemon is New on the given clock and, when tick is not nil, with its
-// beat woken by tick instead of a runtime ticker; tests pass a hand-driven
-// clock and a channel they fire themselves.
-func newDaemon(cfg Config, clock func() time.Time, tick <-chan time.Time) (*Daemon, error) {
+// NewDriven is New on the given clock and, when tick is not nil, with its
+// beat woken by tick instead of a runtime ticker: a harness that steps the
+// node (internal/stepnet) passes its hand clock and a channel it fires.
+func NewDriven(cfg Config, clock func() time.Time, tick <-chan time.Time) (*Daemon, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.InternetNodes <= 0 {
-		cfg.InternetNodes = 1
 	}
 	if cfg.PiecesPerHello <= 0 {
 		cfg.PiecesPerHello = DefaultPiecesPerHello
@@ -538,6 +540,7 @@ func newDaemon(cfg Config, clock func() time.Time, tick <-chan time.Time) (*Daem
 		clock:   clock,
 		started: now,
 		tick:    tick,
+		work:    quiet.Of(cfg.Transport),
 		node:    node.New(cfg.ID, cfg.InternetAccess),
 		peers:   make(map[trace.NodeID]*peerState),
 		files:   make(map[metadata.URI]*fileState),
@@ -546,7 +549,7 @@ func newDaemon(cfg Config, clock func() time.Time, tick <-chan time.Time) (*Daem
 		st, err := store.Open(store.Options{
 			Dir:          cfg.DataDir,
 			FS:           cfg.StoreFS,
-			CompactEvery: cfg.StoreCompactEvery,
+			CompactEvery: compactEvery,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("daemon: open data dir: %w", err)
@@ -556,7 +559,7 @@ func newDaemon(cfg Config, clock func() time.Time, tick <-chan time.Time) (*Daem
 		d.restore(st.State(), now)
 	}
 	if cfg.InternetAccess {
-		cat, err := server.NewSafe(cfg.InternetNodes)
+		cat, err := server.NewSafe(internetNodes)
 		if err != nil {
 			return nil, err
 		}
@@ -795,7 +798,7 @@ func (d *Daemon) Manager() *peer.Manager { return d.mgr }
 // Run starts the daemon and blocks until ctx ends. All goroutines are
 // joined before it returns.
 func (d *Daemon) Run(ctx context.Context) error {
-	ctx, cancel := context.WithCancel(ctx)
+	ctx, cancel := context.WithCancel(quiet.With(ctx, d.work))
 	defer cancel()
 	var wg sync.WaitGroup
 	if d.cfg.ListenAddr != "" {
@@ -812,8 +815,10 @@ func (d *Daemon) Run(ctx context.Context) error {
 			d.dht.SetAddr(lis.Addr())
 		}
 		wg.Add(1)
+		d.work.Add(1)
 		go func() {
 			defer wg.Done()
+			defer d.work.Done()
 			d.mgr.Serve(ctx, lis)
 		}()
 	}
@@ -830,8 +835,10 @@ func (d *Daemon) Run(ctx context.Context) error {
 		} {
 			if lane != nil {
 				wg.Add(1)
+				d.work.Add(1)
 				go func() {
 					defer wg.Done()
+					defer d.work.Done()
 					d.lanePump(ctx, name, lane)
 				}()
 			}
@@ -888,8 +895,10 @@ func (d *Daemon) beat(ctx context.Context, wall time.Time) {
 	if d.dht != nil && !wall.Before(d.dhtDue) && d.dhtRound.CompareAndSwap(false, true) {
 		d.dhtDue = wall.Add(d.cfg.DHTRepublish)
 		d.dhtWG.Add(1)
+		d.work.Add(1)
 		go func() {
 			defer d.dhtWG.Done()
+			defer d.work.Done()
 			defer d.dhtRound.Store(false)
 			d.dhtTick(ctx, protoTime(wall))
 		}()
@@ -1539,6 +1548,7 @@ func (d *Daemon) acceptPiece(from trace.NodeID, p *wire.Piece, pairwise bool) bo
 	}
 	f.pending[p.Index] = struct{}{}
 	d.mu.Unlock()
+	d.work.Add(1) // the committer gives it back once the batch is applied
 	d.commitQ <- sp
 	return true
 }
@@ -1622,6 +1632,9 @@ func (d *Daemon) commitLoop() {
 			// every piece of the batch.
 			out.ack = out.ack && !slices.ContainsFunc(outs[:i], func(o applied) bool { return o.ack && o.sp.from == out.sp.from })
 			d.pieceApplied(out)
+		}
+		for range batch {
+			d.work.Done()
 		}
 	}
 }

@@ -71,7 +71,6 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"transport", func(c *Config) { c.Transport = nil }},
 		{"listen", func(c *Config) { c.ListenAddr = "" }},
-		{"InternetNodes", func(c *Config) { c.InternetNodes = -1 }},
 		{"PublishFiles", func(c *Config) { c.PublishFiles = -1 }},
 		{"FileSize", func(c *Config) { c.FileSize = -1 }},
 		{"PieceSize", func(c *Config) { c.PieceSize = -1 }},
@@ -92,7 +91,6 @@ func TestConfigValidate(t *testing.T) {
 		{"DHTK needs", func(c *Config) { c.DHTK = 8 }},
 		{"DHTRepublish needs", func(c *Config) { c.DHTRepublish = time.Second }},
 		{"StoreFS needs", func(c *Config) { c.StoreFS = store.OSFS{} }},
-		{"StoreCompactEvery needs", func(c *Config) { c.StoreCompactEvery = 256 }},
 	} {
 		c := base
 		tc.mutate(&c)

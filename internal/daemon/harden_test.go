@@ -103,7 +103,7 @@ func benchAt(t testing.TB, clk *testutil.Clock, mutate func(*Config)) *Daemon {
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	d, err := newDaemon(cfg, clk.Now, nil)
+	d, err := NewDriven(cfg, clk.Now, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

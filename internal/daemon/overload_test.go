@@ -1,11 +1,17 @@
 package daemon
 
 import (
+	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/dht"
+	"repro/internal/fault"
 	"repro/internal/metadata"
+	"repro/internal/stepnet"
+	"repro/internal/trace"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -44,6 +50,67 @@ func TestHealthzSaturationRecovers(t *testing.T) {
 	}
 }
 
+// TestSeedLanesOverflowAtScale: a seeder streams one file to a hundred
+// leechers at once over real loopback conns whose every frame takes a
+// millisecond, so each session's writer blocks in Send while the serving
+// burst piles into a four-frame data lane. The stepped network never
+// blocks a writer and so never overflows a lane; this wall-clock swarm
+// is the one that does, at scale: data frames are dropped by the
+// thousand, no control frame is, and every leecher still completes, on
+// the resend deadline.
+func TestSeedLanesOverflowAtScale(t *testing.T) {
+	const leechers, pieces = 100, 32
+	ctx, cancel := context.WithCancel(context.Background())
+	net := transport.NewLoopback()
+	done := make(chan metadata.URI, leechers)
+	cfg := func(id int, tr transport.Transport) Config {
+		c := fastCfg(trace.NodeID(id), tr)
+		c.HelloInterval, c.LivenessWindow = 50*time.Millisecond, 2*time.Second
+		c.FileSize, c.PieceSize, c.PiecesPerHello = pieces*1024, 1024, 16
+		c.OutboxLen = 4
+		c.ResendAfter = 200 * time.Millisecond
+		c.OnComplete = func(uri metadata.URI) { done <- uri }
+		return c
+	}
+	sc := cfg(1, fault.Wrap(net, fault.Config{Seed: 1, DelayMin: time.Millisecond, DelayMax: time.Millisecond + 1}))
+	sc.ListenAddr, sc.InternetAccess, sc.PublishFiles = "seed", true, 1
+	seed, err := New(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran := []chan error{start(ctx, seed)}
+	waitFor(t, waitLimit, func() bool { return seed.Addr() != "" }, "the seed's listener")
+	for id := 2; id < leechers+2; id++ {
+		lc := cfg(id, net)
+		lc.PeerAddrs, lc.Queries = []string{"seed"}, []string{"f0"}
+		d, err := New(lc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ran = append(ran, start(ctx, d))
+	}
+	defer func() {
+		cancel()
+		for _, r := range ran {
+			<-r
+		}
+		net.Close()
+	}()
+	for i := range leechers {
+		select {
+		case <-done:
+		case <-time.After(waitLimit):
+			t.Fatalf("%d of %d leechers completed", i, leechers)
+		}
+	}
+	st := seed.Stats()
+	t.Logf("seed: %d data frames dropped, %d pieces resent", st.OutboxDropsData, st.PiecesResent)
+	if st.OutboxDropsData < leechers || st.OutboxDropsControl != 0 {
+		t.Fatalf("outbox drops: data %d, control %d; want at least one data drop per leecher and no control drop",
+			st.OutboxDropsData, st.OutboxDropsControl)
+	}
+}
+
 // TestFloodVictimStaysLive is the overload acceptance test, on the
 // stepped swarm: one scripted connection floods the victim's listener at
 // five times its per-peer rate while a legitimate daemon downloads a file
@@ -74,7 +141,7 @@ func TestFloodVictimStaysLive(t *testing.T) {
 }
 
 func floodVictim(t *testing.T, name string, withDHT bool, frame wire.Msg, lane wire.BusyScope) {
-	s := newStepSwarm(t, "TestFloodVictimStaysLive/"+name, 1, stepFaults{})
+	s := newStepSwarm(t, "TestFloodVictimStaysLive/"+name, 1, stepnet.Faults{})
 	vc := stepCfg(1)
 	vc.ListenAddr, vc.InternetAccess, vc.PublishFiles = "victim", true, 1
 	vc.PeerRate, vc.EnableDHT = stepFloodRate, withDHT
@@ -102,7 +169,7 @@ func floodVictim(t *testing.T, name string, withDHT bool, frame wire.Msg, lane w
 			t.Fatalf("legit lookup under flood: %+v, %v; want the victim to answer", res, err)
 		}
 	}
-	flooded := s.clk.Now().Sub(flood.since)
+	flooded := s.net.Now().Sub(flood.since)
 	s.act("the flood stops", flood.stop)
 
 	st := victim.Stats()

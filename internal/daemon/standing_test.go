@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"repro/internal/stepnet"
 	"slices"
 	"testing"
 	"time"
@@ -908,7 +909,7 @@ func TestNamingASecondHolderReCutsMidStream(t *testing.T) {
 
 func reCutMidStream(t *testing.T, seed uint64) {
 	const pieces, depth = 64, 4
-	s := newStepSwarm(t, "TestNamingASecondHolderReCutsMidStream", seed, stepFaults{})
+	s := newStepSwarm(t, "TestNamingASecondHolderReCutsMidStream", seed, stepnet.Faults{})
 	cfg := func(id trace.NodeID, mutate func(*Config)) Config {
 		c := stepCfg(id)
 		c.FileSize, c.PieceSize, c.PiecesPerHello = pieces*1024, 1024, depth
@@ -923,7 +924,7 @@ func reCutMidStream(t *testing.T, seed uint64) {
 	s.until(10000, "the second holder's copy", func() bool { return second.Completed(uri) })
 
 	var frames []sentBy
-	s.onDeliver = func(to, from trace.NodeID, m wire.Msg) {
+	s.net.Delivered = func(to, from trace.NodeID, m wire.Msg) {
 		if p, ok := m.(*wire.Piece); ok && to == 9 {
 			frames = append(frames, sentBy{from, p.Index})
 		}
@@ -949,7 +950,7 @@ func reCutMidStream(t *testing.T, seed uint64) {
 		t.Skipf("%d of %d pieces had landed when the second holder was named: too late to say anything", before, pieces)
 	}
 	judged := -1
-	s.onBeat = func() {
+	s.net.OnBeat = func() {
 		if judged < 0 {
 			judged = len(frames)
 		}

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/quiet"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -86,7 +87,7 @@ type Engine struct {
 	table   *Table
 	store   *Store
 	nextRPC uint64
-	pending map[uint64]chan *wire.NodesReply
+	pending map[uint64]waiter
 	stats   Stats
 	// busyUntil records contacts that answered one of our requests with
 	// Busy, skipped by lookups until the deadline. Under mu.
@@ -121,7 +122,7 @@ func New(cfg Config) *Engine {
 		cfg:       cfg,
 		table:     NewTable(cfg.Self, cfg.K),
 		store:     NewStore(cfg.CacheCap),
-		pending:   make(map[uint64]chan *wire.NodesReply),
+		pending:   make(map[uint64]waiter),
 		busyUntil: make(map[trace.NodeID]time.Time),
 	}
 }
@@ -320,24 +321,36 @@ func (e *Engine) onStore(m *wire.StoreValue) {
 	}
 }
 
+// waiter is an RPC waiting for its reply: the channel it is handed on,
+// and the stepped network's work count (internal/quiet) the hand-off is
+// one unit of, nil off a harness.
+type waiter struct {
+	ch   chan *wire.NodesReply
+	work *quiet.Work
+}
+
 func (e *Engine) onReply(m *wire.NodesReply) {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	e.table.Observe(Contact{ID: m.From, Addr: m.FromAddr})
-	ch := e.pending[m.RPCID]
+	w, ok := e.pending[m.RPCID]
 	delete(e.pending, m.RPCID)
-	e.mu.Unlock()
-	if ch != nil {
-		ch <- m // buffered; never blocks
+	if ok {
+		w.work.Add(1)
+		w.ch <- m // buffered; never blocks
 	}
 }
 
 // rpc sends one FindNode/FindValue to a contact and waits for its reply.
+// Under a stepped network (quiet.From(ctx)) the caller holds a unit of
+// work, gives it back while it waits, and returns holding one again.
 func (e *Engine) rpc(ctx context.Context, c Contact, key Key, wantValue bool) (*wire.NodesReply, error) {
 	ch := make(chan *wire.NodesReply, 1)
+	work := quiet.From(ctx)
 	e.mu.Lock()
 	e.nextRPC++
 	id := e.nextRPC
-	e.pending[id] = ch
+	e.pending[id] = waiter{ch, work}
 	e.stats.RPCsSent++
 	e.mu.Unlock()
 
@@ -356,13 +369,19 @@ func (e *Engine) rpc(ctx context.Context, c Contact, key Key, wantValue bool) (*
 
 	t := time.NewTimer(e.cfg.RequestTimeout)
 	defer t.Stop()
+	work.Done()
 	select {
 	case r := <-ch:
 		return r, nil
 	case <-t.C:
 	case <-ctx.Done():
 	}
+	work.Add(1)
 	e.mu.Lock()
+	if _, waiting := e.pending[id]; !waiting {
+		<-ch // the reply raced the deadline; it carried a unit of its own
+		work.Done()
+	}
 	delete(e.pending, id)
 	e.stats.RPCTimeouts++
 	e.mu.Unlock()
@@ -397,6 +416,7 @@ func (e *Engine) Lookup(ctx context.Context, key Key, wantValue bool) (*LookupRe
 	}
 
 	res := &LookupResult{}
+	work := quiet.From(ctx)
 	for {
 		batch := short.nextBatch(e.cfg.Alpha)
 		if len(batch) == 0 {
@@ -419,6 +439,7 @@ func (e *Engine) Lookup(ctx context.Context, key Key, wantValue bool) (*LookupRe
 				continue
 			}
 			launched++
+			work.Add(1) // handed back with the outcome
 			go func(c Contact) {
 				r, err := e.rpc(ctx, c, key, wantValue)
 				if err != nil {
@@ -428,6 +449,7 @@ func (e *Engine) Lookup(ctx context.Context, key Key, wantValue bool) (*LookupRe
 			}(c)
 		}
 		for i := 0; i < launched; i++ {
+			work.Done()
 			o := <-outcomes
 			if o.reply == nil {
 				// An in-flight RPC can lose the race with a Busy frame:

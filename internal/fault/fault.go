@@ -25,8 +25,9 @@
 // partition/heal events at offsets from the transport's creation, and
 // Cut holds one open at runtime for as long as its caller says. A
 // partition is out of radio range, both ways: every send is silently
-// dropped, every frame a reader takes is dropped unheard, and every
-// dial fails, so the peer layer sees exactly what a real network split
+// dropped, every frame a reader takes is dropped unheard, every dial
+// fails and every conn dialed in is closed as it is accepted, so the
+// peer layer sees exactly what a real network split
 // looks like — silence, liveness expiry, and redial storms against a
 // dead address.
 package fault
@@ -39,6 +40,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/quiet"
 	"repro/internal/rng"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -106,7 +108,9 @@ type Stats struct {
 	CorruptKilled    uint64 `json:"corrupt_killed"`
 	Killed           uint64 `json:"killed"`
 	DialsFailed      uint64 `json:"dials_failed"`
-	DialsBlocked     uint64 `json:"dials_blocked"`
+	// DialsBlocked counts the dials a partition refused: this node's,
+	// and the conns dialed into it that its listener closed.
+	DialsBlocked uint64 `json:"dials_blocked"`
 
 	// Symbol-lane datagram counters (WrapSymbols).
 	SymbolsSent             uint64 `json:"symbols_sent"`
@@ -156,6 +160,10 @@ func (t *Transport) Partitioned() bool {
 // Cut opens (true) or heals (false) a partition at runtime, on top of
 // the schedule: while either holds, the node is out of range.
 func (t *Transport) Cut(on bool) { t.cut.Store(on) }
+
+// Work passes the inner transport's count of outstanding work through,
+// so a node on a wrapped stepped network counts its hand-offs on it.
+func (t *Transport) Work() *quiet.Work { return quiet.Of(t.inner) }
 
 func (t *Transport) partitionedAt(elapsed time.Duration) bool {
 	p := false
@@ -220,12 +228,23 @@ type listener struct {
 	inner transport.Listener
 }
 
+// Accept hands over the next conn dialed in while the node is in range.
+// One that arrives during a partition is closed at once and counted as
+// a blocked dial: a node out of range answers no dial, and its dialer
+// sees the conn end instead of waiting out its handshake deadline for a
+// hello that would be dropped.
 func (l *listener) Accept(ctx context.Context) (transport.Conn, error) {
-	c, err := l.inner.Accept(ctx)
-	if err != nil {
-		return nil, err
+	for {
+		c, err := l.inner.Accept(ctx)
+		if err != nil {
+			return nil, err
+		}
+		if !l.t.Partitioned() {
+			return l.t.newConn(c, l.t.accepted.Add(1)<<1|1), nil
+		}
+		l.t.addStat(func(s *Stats) { s.DialsBlocked++ })
+		c.Close()
 	}
-	return l.t.newConn(c, l.t.accepted.Add(1)<<1|1), nil
 }
 
 func (l *listener) Addr() string { return l.inner.Addr() }

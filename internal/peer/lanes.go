@@ -3,6 +3,7 @@ package peer
 import (
 	"sync"
 
+	"repro/internal/quiet"
 	"repro/internal/wire"
 )
 
@@ -19,12 +20,14 @@ type lanes struct {
 	q      [wire.NumClasses][]wire.Msg
 	limit  int // per class
 	closed bool
-	// wake (capacity 1) pings the writer when a push lands.
+	// wake (capacity 1) pings the writer when a push lands; each ping
+	// carries a unit of work (internal/quiet) the writer gives back.
 	wake chan struct{}
+	work *quiet.Work
 }
 
-func newLanes(limit int) *lanes {
-	return &lanes{limit: limit, wake: make(chan struct{}, 1)}
+func newLanes(limit int, work *quiet.Work) *lanes {
+	return &lanes{limit: limit, wake: make(chan struct{}, 1), work: work}
 }
 
 // push queues one frame under its class. It never blocks: a full lane
@@ -41,9 +44,11 @@ func (l *lanes) push(m wire.Msg) error {
 		return ErrQueueFull
 	}
 	l.q[c] = append(l.q[c], m)
+	l.work.Add(1)
 	select {
 	case l.wake <- struct{}{}:
 	default:
+		l.work.Done() // a ping is pending: it carries its own
 	}
 	return nil
 }
@@ -73,6 +78,11 @@ func (l *lanes) close() (left [wire.NumClasses]int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.closed = true
+	select {
+	case <-l.wake: // the writer may have left on its context: nobody else takes it
+		l.work.Done()
+	default:
+	}
 	for c := range l.q {
 		left[c], l.q[c] = len(l.q[c]), nil
 	}

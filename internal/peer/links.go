@@ -28,6 +28,9 @@ type link struct {
 type attempt struct {
 	done chan struct{}
 	err  error
+	// waiters is how many Dial calls wait on done, each given a unit of
+	// work (internal/quiet) when it closes.
+	waiters int
 }
 
 // linkRound is the beat's links step: a session that has outlived the
@@ -84,11 +87,27 @@ func (m *Manager) Dial(ctx context.Context, addr string) error {
 		m.startLocked(addr, l)
 	}
 	a := l.up
+	select {
+	case <-a.done: // up already
+		m.linkMu.Unlock()
+		return a.err
+	default:
+	}
+	a.waiters++
 	m.linkMu.Unlock()
+	m.work.Done()
 	select {
 	case <-a.done:
 		return a.err
 	case <-ctx.Done():
+		m.linkMu.Lock()
+		select {
+		case <-a.done: // its closer counted this wait
+		default:
+			a.waiters--
+			m.work.Add(1)
+		}
+		m.linkMu.Unlock()
 		return ctx.Err()
 	}
 }
@@ -97,6 +116,7 @@ func (m *Manager) Dial(ctx context.Context, addr string) error {
 func (m *Manager) startLocked(addr string, l *link) {
 	l.up = &attempt{done: make(chan struct{})}
 	m.linkWG.Add(1)
+	m.work.Add(1)
 	go m.runLink(addr, l)
 }
 
@@ -107,6 +127,7 @@ func (m *Manager) startLocked(addr string, l *link) {
 // is stopping, which says nothing about the address.
 func (m *Manager) runLink(addr string, l *link) {
 	defer m.linkWG.Done()
+	defer m.work.Done()
 	for {
 		conn, err := m.cfg.Transport.Dial(m.life, addr)
 		if err == nil {
@@ -117,6 +138,7 @@ func (m *Manager) runLink(addr string, l *link) {
 		m.linkMu.Lock()
 		if l.since.IsZero() {
 			l.up.err = err
+			m.work.Add(l.up.waiters)
 			close(l.up.done)
 		}
 		lived := !l.since.IsZero() && now.Sub(l.since) >= m.cfg.LivenessWindow
@@ -159,5 +181,6 @@ func (m *Manager) linkUp(l *link) {
 		m.ctrs.reconnects.Add(1)
 	}
 	l.dialed, l.since = true, m.cfg.Now()
+	m.work.Add(l.up.waiters)
 	close(l.up.done)
 }

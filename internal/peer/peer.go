@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"repro/internal/limit"
+	"repro/internal/quiet"
 	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -271,6 +272,9 @@ type Manager struct {
 
 	// kick (capacity 1) is the coalescing Kick signal Run selects on.
 	kick chan struct{}
+	// work is the stepped network's count of outstanding hand-offs
+	// (internal/quiet), carried by the transport; nil on any other.
+	work *quiet.Work
 
 	nextSID atomic.Uint64
 	// peerCount tracks distinct peers across all shards; register keeps
@@ -316,7 +320,7 @@ func newManager(cfg Config, shards int) *Manager {
 	}
 	m := &Manager{
 		cfg: cfg, kick: make(chan struct{}, 1), shards: make([]*shard, shards),
-		links: make(map[string]*link, len(cfg.Addrs)),
+		links: make(map[string]*link, len(cfg.Addrs)), work: quiet.Of(cfg.Transport),
 	}
 	m.life, m.stop = context.WithCancel(context.Background())
 	for i := range m.shards {
@@ -375,6 +379,7 @@ func (m *Manager) Run(ctx context.Context, tick <-chan time.Time, reset func(tim
 	m.linkRound(rested)
 	for {
 		kicked := false
+		m.work.Done() // every wake-up, a tick's or a kick's, brings one back
 		select {
 		case <-tick:
 		case <-m.kick:
@@ -382,9 +387,11 @@ func (m *Manager) Run(ctx context.Context, tick <-chan time.Time, reset func(tim
 			reset(m.cfg.HelloInterval)
 			select {
 			case <-tick: // a tick that fired before the restart
+				m.work.Done()
 			default:
 			}
 		case <-ctx.Done():
+			m.work.Add(1) // the caller's, given back when Run returns
 			return ctx.Err()
 		}
 		now := m.cfg.Now()
@@ -407,9 +414,11 @@ func (m *Manager) Run(ctx context.Context, tick <-chan time.Time, reset func(tim
 // next round cost one beacon. It never blocks, whether or not Run is
 // running.
 func (m *Manager) Kick() {
+	m.work.Add(1)
 	select {
 	case m.kick <- struct{}{}:
 	default:
+		m.work.Done() // one is pending: it carries its own
 	}
 }
 
@@ -429,9 +438,11 @@ func (m *Manager) Ack(id trace.NodeID) {
 }
 
 // Serve accepts inbound connections until ctx ends or the listener is
-// closed. The listener is a link too: any other Accept error — a transient
-// EMFILE or ECONNABORTED — is logged, counted (AcceptFails) and retried at
-// the next links step, never at once and never given up on.
+// closed; on a stepped network its caller holds a unit of work
+// (internal/quiet) through the call. The listener is a link too: any
+// other Accept error — a transient EMFILE or ECONNABORTED — is logged,
+// counted (AcceptFails) and retried at the next links step, never at
+// once and never given up on.
 func (m *Manager) Serve(ctx context.Context, lis transport.Listener) error {
 	var wg sync.WaitGroup
 	defer wg.Wait()
@@ -461,8 +472,10 @@ func (m *Manager) Serve(ctx context.Context, lis transport.Listener) error {
 		}
 		m.ctrs.accepts.Add(1)
 		wg.Add(1)
+		m.work.Add(1)
 		go func() {
 			defer wg.Done()
+			defer m.work.Done()
 			m.runSession(ctx, conn, nil)
 		}()
 	}
@@ -471,7 +484,8 @@ func (m *Manager) Serve(ctx context.Context, lis transport.Listener) error {
 // runSession handshakes conn and pumps its messages until it dies; the
 // session's writer runs inside the call. l is the link that dialed conn —
 // told when the session registers — or nil for an accepted one. The error
-// is why no session registered; nil once one has come and gone.
+// is why no session registered; nil once one has come and gone. The
+// caller holds a unit of work (internal/quiet) through the call.
 func (m *Manager) runSession(ctx context.Context, conn transport.Conn, l *link) error {
 	peerID, firstHello, err := m.handshake(ctx, conn)
 	if err != nil {
@@ -494,6 +508,7 @@ func (m *Manager) runSession(ctx context.Context, conn transport.Conn, l *link) 
 		s.sid, peerID, conn.RemoteAddr(), l == nil)
 	wctx, stopWriter := context.WithCancel(ctx)
 	written := make(chan struct{})
+	m.work.Add(1)
 	go func() {
 		defer close(written)
 		m.writeLoop(wctx, s)
@@ -521,6 +536,7 @@ func (m *Manager) writeLoop(ctx context.Context, s *session) {
 	for {
 		msg, ok := s.out.pop()
 		if !ok {
+			m.work.Done() // a push's wake-up brings one back
 			select {
 			case <-s.out.wake:
 				continue
@@ -533,6 +549,7 @@ func (m *Manager) writeLoop(ctx context.Context, s *session) {
 				m.logf("peer: send %v to node %d: %v", msg.Type(), s.peer, err)
 			}
 			s.conn.Close()
+			m.work.Done()
 			return
 		}
 		m.ctrs.sent[msg.Type()].Add(1)
@@ -587,7 +604,7 @@ func (m *Manager) register(peerID trace.NodeID, conn transport.Conn, l *link) (*
 	}
 	s := &session{
 		sid: m.nextSID.Add(1), peer: peerID, conn: conn, link: l,
-		started: m.cfg.Now(), out: newLanes(m.cfg.QueueLen),
+		started: m.cfg.Now(), out: newLanes(m.cfg.QueueLen, m.work),
 	}
 	e.sessions[s.sid] = s
 	e.lastHello = s.started

@@ -1,9 +1,7 @@
 package swarm
 
 import (
-	"context"
 	"testing"
-	"time"
 
 	"repro/internal/testutil"
 )
@@ -16,9 +14,7 @@ func TestServerDeathDHTResolution(t *testing.T) {
 	defer testutil.NoLeaks(t)()
 	nodes := 12
 
-	sc := ServerDeath(nodes, 1337)
-	sc.Timeout = 90 * time.Second
-	rep, err := RunScenario(context.Background(), sc)
+	rep, err := RunScenario(ServerDeath(nodes, 1337))
 	if err != nil {
 		t.Fatalf("server-death: %v (resolved %d/%d)", err, rep.PostDeathResolved, rep.PostDeathQueries)
 	}
@@ -39,9 +35,7 @@ func TestServerDeathDHTResolution(t *testing.T) {
 	// The control: no DHT, same script, near-zero resolution — the
 	// legacy gossip path only ever spread metadata to nodes that
 	// queried it while the server lived.
-	base := ServerDeathBaseline(nodes, 1337)
-	base.Timeout = 90 * time.Second
-	brep, err := RunScenario(context.Background(), base)
+	brep, err := RunScenario(ServerDeathBaseline(nodes, 1337))
 	if err != nil {
 		t.Fatalf("server-death-baseline: %v", err)
 	}
@@ -59,9 +53,7 @@ func TestServerDeathDHTResolution(t *testing.T) {
 // piece-equivalent transmissions-per-piece metric.
 func TestFountainScenario(t *testing.T) {
 	defer testutil.NoLeaks(t)()
-	sc := Fountain(5, 21)
-	sc.Timeout = 2 * time.Minute
-	rep, err := RunScenario(context.Background(), sc)
+	rep, err := RunScenario(Fountain(5, 21))
 	if err != nil {
 		t.Fatalf("fountain: %v (fraction %.3f)", err, rep.CompletionFraction)
 	}

@@ -1,15 +1,13 @@
 package swarm
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
-	"time"
 
-	"repro/internal/fault"
+	"repro/internal/daemon"
 	"repro/internal/metadata"
 	"repro/internal/simtime"
 	"repro/internal/trace"
@@ -17,7 +15,10 @@ import (
 )
 
 // Report is the per-scenario metrics record the availability tests and
-// the mbtswarm CLI emit into results/.
+// the mbtswarm CLI emit into results/. Every field is a function of the
+// scenario, the population and the seed; times are in beats of the hand
+// clock. The process measurements (goroutines and heap per node) are not
+// written: they depend on the Go runtime, not the swarm.
 type Report struct {
 	Scenario    string `json:"scenario"`
 	Nodes       int    `json:"nodes"`
@@ -28,18 +29,21 @@ type Report struct {
 	Degree      int    `json:"degree"`
 	Seed        uint64 `json:"seed"`
 
-	WallMs             float64 `json:"wall_ms"`
-	Completions        int     `json:"completions"`
-	CompletionFraction float64 `json:"completion_fraction"`
-	FirstCompletionMs  float64 `json:"first_completion_ms,omitempty"`
-	LastCompletionMs   float64 `json:"last_completion_ms,omitempty"`
-	CompletionDigest   string  `json:"completion_digest"`
+	// Steps and Beats are how long the run took: scheduler steps, and
+	// beats of the hand clock.
+	Steps               int     `json:"steps"`
+	Beats               int     `json:"beats"`
+	Completions         int     `json:"completions"`
+	CompletionFraction  float64 `json:"completion_fraction"`
+	FirstCompletionBeat int     `json:"first_completion_beat"`
+	LastCompletionBeat  int     `json:"last_completion_beat"`
+	CompletionDigest    string  `json:"completion_digest"`
 
-	// SurvivalMs is how long the scenario's file-of-interest stayed
-	// fully reconstructable from live nodes after the availability shock
-	// (seeder death, partition onset). -1 means no shock was scripted or
-	// the file survived to the end of the run.
-	SurvivalMs float64 `json:"survival_ms"`
+	// SurvivalBeats is how many beats the scenario's file-of-interest
+	// stayed fully reconstructable from live nodes after the availability
+	// shock (seeder death). -1 means no shock was scripted or the file
+	// survived to the end of the run.
+	SurvivalBeats int `json:"survival_beats"`
 	// CoverageFraction is pieces covered by live nodes over pieces
 	// total, for the file of interest, at scenario end.
 	CoverageFraction float64 `json:"coverage_fraction"`
@@ -61,8 +65,8 @@ type Report struct {
 
 	FECEnabled bool `json:"fec_enabled"`
 
-	GoroutinesPerNode float64 `json:"goroutines_per_node"`
-	HeapBytesPerNode  float64 `json:"heap_bytes_per_node"`
+	GoroutinesPerNode float64 `json:"-"`
+	HeapBytesPerNode  float64 `json:"-"`
 }
 
 // WriteFile marshals the report into dir (created if missing) as
@@ -84,52 +88,39 @@ func (r Report) WriteFile(dir string) (string, error) {
 type Scenario struct {
 	Name   string
 	Config Config
-	// Target is the completion fraction RunScenario waits for after the
+	// Target is the completion fraction RunScenario steps to after the
 	// script returns (0 = don't wait; the script did its own waiting).
 	Target float64
-	// Timeout bounds the whole run.
-	Timeout time.Duration
 	// Script runs after Start and drives the churn. Optional.
-	Script func(ctx context.Context, h *Harness) error
-	// Finish annotates the report (survival times, coverage) before the
+	Script func(h *Harness) error
+	// Finish annotates the report (survival, resolution) before the
 	// harness shuts down. Optional.
 	Finish func(h *Harness, rep *Report)
 }
 
 // RunScenario executes one scenario end to end and returns its report.
-// The report is produced even on error, so a timed-out run still shows
+// The report is produced even on error, so a run that failed still shows
 // how far it got.
-func RunScenario(ctx context.Context, sc Scenario) (Report, error) {
+func RunScenario(sc Scenario) (Report, error) {
 	h, err := New(sc.Config)
 	if err != nil {
 		return Report{Scenario: sc.Name}, err
 	}
 	defer h.Shutdown()
-
-	timeout := sc.Timeout
-	if timeout <= 0 {
-		timeout = 2 * time.Minute
-	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-
 	runErr := func() error {
-		if err := h.Start(ctx); err != nil {
+		if err := h.Start(); err != nil {
 			return err
 		}
 		if sc.Script != nil {
-			if err := sc.Script(ctx, h); err != nil {
+			if err := sc.Script(h); err != nil {
 				return err
 			}
 		}
 		if sc.Target > 0 {
-			if err := h.WaitFraction(ctx, sc.Target); err != nil {
-				return err
-			}
+			return h.WaitFraction(sc.Target)
 		}
 		return nil
 	}()
-
 	rep := h.Report(sc.Name)
 	if sc.Finish != nil {
 		sc.Finish(h, &rep)
@@ -141,39 +132,9 @@ func RunScenario(ctx context.Context, sc Scenario) (Report, error) {
 // interest for coverage and survival accounting.
 func firstURI() metadata.URI { return metadata.URIFor(metadata.FileID(0)) }
 
-// watchSurvival polls the file of interest's coverage until it drops
-// below full or ctx ends, and returns a func yielding the survival time
-// (ms since watch start; -1 if still fully covered when read).
-func watchSurvival(ctx context.Context, h *Harness) func() float64 {
-	start := time.Now()
-	lost := make(chan float64, 1)
-	go func() {
-		for {
-			covered, total := h.Coverage(firstURI())
-			if covered < total {
-				lost <- float64(time.Since(start)) / float64(time.Millisecond)
-				return
-			}
-			select {
-			case <-time.After(20 * time.Millisecond):
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	return func() float64 {
-		select {
-		case ms := <-lost:
-			return ms
-		default:
-			return -1
-		}
-	}
-}
-
 // Steady: everyone boots at once, one seeder, full completion. The
 // baseline the churn scenarios are compared against, and the shape the
-// thousand-node determinism test runs.
+// thousand-node test runs.
 func Steady(nodes int, seed uint64) Scenario {
 	return Scenario{
 		Name:   "steady",
@@ -186,27 +147,21 @@ func Steady(nodes int, seed uint64) Scenario {
 // population joins in one burst and must be absorbed — the peer-table
 // caps and beacon fan-out are what this leans on.
 func FlashCrowd(nodes int, seed uint64) Scenario {
-	warm := nodes / 10
-	if warm < 4 {
-		warm = 4
-	}
-	cfg := Config{Nodes: nodes, Seed: seed, StartNodes: warm}
+	warm := max(nodes/10, 4)
 	return Scenario{
 		Name:   "flash-crowd",
-		Config: cfg,
+		Config: Config{Nodes: nodes, Seed: seed, StartNodes: warm},
 		Target: 1.0,
-		Script: func(ctx context.Context, h *Harness) error {
+		Script: func(h *Harness) error {
 			// Let the warm set finish before the crowd arrives.
-			warmFrac := float64(warm-h.cfg.Seeders) / float64(h.cfg.Nodes-h.cfg.Seeders)
-			if err := h.WaitFraction(ctx, warmFrac); err != nil {
+			if err := h.WaitFraction(float64(warm-seeders) / float64(h.cfg.Nodes-seeders)); err != nil {
 				return err
 			}
 			for i := warm; i < h.cfg.Nodes; i++ {
-				if err := h.Join(ctx, trace.NodeID(i)); err != nil {
+				if err := h.Join(trace.NodeID(i)); err != nil {
 					return err
 				}
 			}
-			h.logf("swarm: flash crowd of %d joined", h.cfg.Nodes-warm)
 			return nil
 		},
 	}
@@ -214,61 +169,61 @@ func FlashCrowd(nodes int, seed uint64) Scenario {
 
 // SeederDeath: the only seeder dies once a quarter of the downloaders
 // hold full copies; the swarm must finish from peer copies alone. The
-// report's survival time records whether (and when) the file ever
-// became unreconstructable from live nodes.
+// report's survival records whether (and how many beats after the kill)
+// the file ever became unreconstructable from live nodes.
 func SeederDeath(nodes int, seed uint64) Scenario {
-	var survival func() float64
+	survival := -1
 	return Scenario{
 		Name:   "seeder-death",
 		Config: Config{Nodes: nodes, Seed: seed},
-		Target: 1.0,
-		Script: func(ctx context.Context, h *Harness) error {
-			if err := h.WaitFraction(ctx, 0.25); err != nil {
+		Script: func(h *Harness) error {
+			if err := h.WaitFraction(0.25); err != nil {
 				return err
 			}
 			if err := h.Kill(0); err != nil {
 				return err
 			}
-			survival = watchSurvival(ctx, h)
-			return nil
+			// A file is lost only when a holder goes: at the kill, or as a
+			// record expires at a beat.
+			killed, looked := h.net.Beats, -1
+			return h.Until("completion after the seeder's death", func() bool {
+				if survival < 0 && looked < h.net.Beats {
+					looked = h.net.Beats
+					if covered, total := h.coverage(firstURI()); covered < total {
+						survival = looked - killed
+					}
+				}
+				return h.CompletionFraction() >= 1
+			})
 		},
-		Finish: func(h *Harness, rep *Report) {
-			if survival != nil {
-				rep.SurvivalMs = survival()
-			}
-		},
+		Finish: func(_ *Harness, rep *Report) { rep.SurvivalBeats = survival },
 	}
 }
 
 // StaggeredJoin: the population arrives in waves, each wave attaching
 // to an already-converged swarm — the paper's gradual-adoption shape.
 func StaggeredJoin(nodes int, seed uint64) Scenario {
-	cfg := Config{Nodes: nodes, Seed: seed}
-	cfg.StartNodes = nodes/4 + 1
-	waves := 3
+	cfg := Config{Nodes: nodes, Seed: seed, StartNodes: nodes/4 + 1}
+	const waves = 3
 	return Scenario{
 		Name:   "staggered-join",
 		Config: cfg,
 		Target: 1.0,
-		Script: func(ctx context.Context, h *Harness) error {
-			next := cfg.StartNodes
+		Script: func(h *Harness) error {
+			next := h.cfg.StartNodes
 			per := (h.cfg.Nodes - next + waves - 1) / waves
 			for next < h.cfg.Nodes {
 				// Wait for most of the joined prefix before the next wave.
-				joined := float64(next-h.cfg.Seeders) / float64(h.cfg.Nodes-h.cfg.Seeders)
-				if err := h.WaitFraction(ctx, 0.8*joined); err != nil {
+				joined := float64(next-seeders) / float64(h.cfg.Nodes-seeders)
+				if err := h.WaitFraction(0.8 * joined); err != nil {
 					return err
 				}
-				end := next + per
-				if end > h.cfg.Nodes {
-					end = h.cfg.Nodes
-				}
+				end := min(next+per, h.cfg.Nodes)
 				for i := next; i < end; i++ {
-					if err := h.Join(ctx, trace.NodeID(i)); err != nil {
+					if err := h.Join(trace.NodeID(i)); err != nil {
 						return err
 					}
 				}
-				h.logf("swarm: wave joined nodes [%d,%d)", next, end)
 				next = end
 			}
 			return nil
@@ -285,31 +240,27 @@ func Diurnal(nodes int, seed uint64) Scenario {
 		Name:   "diurnal",
 		Config: Config{Nodes: nodes, Seed: seed},
 		Target: 1.0,
-		Script: func(ctx context.Context, h *Harness) error {
-			if err := h.WaitFraction(ctx, 0.10); err != nil {
+		Script: func(h *Harness) error {
+			if err := h.WaitFraction(0.10); err != nil {
 				return err
 			}
-			sleepers := sleeperSet(h)
-			for _, id := range sleepers {
-				if err := h.Pause(id); err != nil {
-					return err
+			// Every third downloader sleeps, long enough for the awake
+			// majority to notice the absences.
+			sleep := func(on bool) error {
+				for i := seeders; i < h.cfg.Nodes; i += 3 {
+					if err := h.Cut(trace.NodeID(i), on); err != nil {
+						return err
+					}
 				}
+				return nil
 			}
-			h.logf("swarm: %d nodes asleep", len(sleepers))
-			// Long enough for the awake majority to notice the absences.
-			night := 3 * h.cfg.LivenessWindow
-			select {
-			case <-time.After(night):
-			case <-ctx.Done():
-				return ctx.Err()
+			if err := sleep(true); err != nil {
+				return err
 			}
-			for _, id := range sleepers {
-				if err := h.Resume(id); err != nil {
-					return err
-				}
+			if err := h.BeatsPass(3 * Liveness); err != nil {
+				return err
 			}
-			h.logf("swarm: %d nodes awake", len(sleepers))
-			return nil
+			return sleep(false)
 		},
 	}
 }
@@ -332,16 +283,15 @@ func serverDeath(nodes int, seed uint64, withDHT bool) Scenario {
 	if !withDHT {
 		name = "server-death-baseline"
 	}
-	cfg := Config{Nodes: nodes, Seed: seed, Files: 2, QueryFiles: 1, EnableDHT: withDHT}
 	var queried, resolved int
 	return Scenario{
 		Name:   name,
-		Config: cfg,
-		Script: func(ctx context.Context, h *Harness) error {
+		Config: Config{Nodes: nodes, Seed: seed, Files: 2, QueryFiles: 1, EnableDHT: withDHT},
+		Script: func(h *Harness) error {
 			// Wave 1: the initially queried file completes everywhere
 			// while the server lives. The second file is never queried,
 			// so its metadata spreads nowhere over gossip.
-			if err := h.WaitFraction(ctx, 1.0); err != nil {
+			if err := h.WaitFraction(1.0); err != nil {
 				return err
 			}
 			// With the DHT on, let the server's republish cycle seed the
@@ -349,7 +299,10 @@ func serverDeath(nodes int, seed uint64, withDHT bool) Scenario {
 			// never-queried keyword locally, its K-closest replicas exist
 			// and survive the publisher.
 			if withDHT {
-				if err := waitCached(ctx, h, "f1", 0.5); err != nil {
+				// A downloader's local DHT cache holding a value for the
+				// keyword is the replication probe.
+				cached := func(d *daemon.Daemon) bool { return len(d.DHT().CachedValues("f1")) > 0 }
+				if err := h.Until(`DHT replication of "f1"`, func() bool { return h.count(cached)*2 >= h.cfg.Nodes-seeders }); err != nil {
 					return err
 				}
 			}
@@ -358,28 +311,20 @@ func serverDeath(nodes int, seed uint64, withDHT bool) Scenario {
 			}
 			// Post-death: every downloader asks for the file nobody ever
 			// queried. Only the decentralized index can answer.
-			for i := h.cfg.Seeders; i < h.cfg.Nodes; i++ {
+			for i := seeders; i < h.cfg.Nodes; i++ {
 				if err := h.AddQuery(trace.NodeID(i), "f1"); err != nil {
 					return err
 				}
 				queried++
 			}
 			f1 := metadata.URIFor(metadata.FileID(1))
-			deadline := time.Now().Add(30 * h.cfg.DHTRepublish)
-			for time.Now().Before(deadline) {
-				if resolved = countKnowing(h, f1); resolved == queried {
-					break
-				}
-				select {
-				case <-time.After(20 * time.Millisecond):
-				case <-ctx.Done():
-					return ctx.Err()
-				}
-			}
-			resolved = countKnowing(h, f1)
-			return nil
+			end := h.net.Beats + 30*dhtRepublish
+			return h.Until("post-death resolution", func() bool {
+				resolved = h.count(func(d *daemon.Daemon) bool { return d.KnowsMetadata(f1) })
+				return resolved == queried || h.net.Beats >= end
+			})
 		},
-		Finish: func(h *Harness, rep *Report) {
+		Finish: func(_ *Harness, rep *Report) {
 			rep.PostDeathQueries = queried
 			rep.PostDeathResolved = resolved
 			if queried > 0 {
@@ -389,33 +334,11 @@ func serverDeath(nodes int, seed uint64, withDHT bool) Scenario {
 	}
 }
 
-// waitCached blocks until frac of the downloaders hold a local DHT
-// value for keyword, or ctx ends.
-func waitCached(ctx context.Context, h *Harness, keyword string, frac float64) error {
-	for {
-		have, total := 0, 0
-		for i := h.cfg.Seeders; i < h.cfg.Nodes; i++ {
-			total++
-			if h.DHTCached(trace.NodeID(i), keyword) {
-				have++
-			}
-		}
-		if total > 0 && float64(have) >= frac*float64(total) {
-			return nil
-		}
-		select {
-		case <-time.After(20 * time.Millisecond):
-		case <-ctx.Done():
-			return fmt.Errorf("swarm: DHT replication of %q at %d/%d: %w", keyword, have, total, ctx.Err())
-		}
-	}
-}
-
-// countKnowing counts downloaders holding an unexpired record for uri.
-func countKnowing(h *Harness, uri metadata.URI) int {
+// count counts the running downloaders for which holds is true.
+func (h *Harness) count(holds func(d *daemon.Daemon) bool) int {
 	n := 0
-	for i := h.cfg.Seeders; i < h.cfg.Nodes; i++ {
-		if h.KnowsMetadata(trace.NodeID(i), uri) {
+	for _, ns := range h.nodes[seeders:] {
+		if ns.d != nil && holds(ns.d) {
 			n++
 		}
 	}
@@ -429,26 +352,16 @@ func countKnowing(h *Harness, uri metadata.URI) int {
 // report's symbol counters and piece-equivalent transmissions-per-piece
 // are the artifact.
 func Fountain(nodes int, seed uint64) Scenario {
-	if nodes > 5 {
-		nodes = 5
-	}
-	if nodes < 3 {
-		nodes = 3
-	}
-	cfg := Config{Nodes: nodes, Seed: seed, EnableFEC: true, QueryFiles: -1}
+	nodes = min(max(nodes, 3), 5)
 	return Scenario{
 		Name:   "fountain",
-		Config: cfg,
+		Config: Config{Nodes: nodes, Seed: seed, EnableFEC: true, QueryFiles: -1},
 		Target: 1.0,
-		Script: func(ctx context.Context, h *Harness) error {
-			for !h.GroupsConfirmed() {
-				select {
-				case <-time.After(20 * time.Millisecond):
-				case <-ctx.Done():
-					return fmt.Errorf("swarm: groups never confirmed: %w", ctx.Err())
-				}
+		Script: func(h *Harness) error {
+			if err := h.Until("group confirmation", h.groupsConfirmed); err != nil {
+				return err
 			}
-			for i := h.cfg.Seeders; i < h.cfg.Nodes; i++ {
+			for i := seeders; i < h.cfg.Nodes; i++ {
 				if err := h.AddQuery(trace.NodeID(i), "f0"); err != nil {
 					return err
 				}
@@ -458,25 +371,29 @@ func Fountain(nodes int, seed uint64) Scenario {
 	}
 }
 
-// sleeperSet picks every third downloader, skipping seeders.
-func sleeperSet(h *Harness) []trace.NodeID {
-	var ids []trace.NodeID
-	for i := h.cfg.Seeders; i < h.cfg.Nodes; i += 3 {
-		ids = append(ids, trace.NodeID(i))
+// groupsConfirmed reports whether every node sits in a confirmed
+// broadcast group of the full population — the fountain scenario's
+// readiness gate.
+func (h *Harness) groupsConfirmed() bool {
+	ds := h.daemons()
+	for _, d := range ds {
+		st := d.Stats()
+		if len(ds) != h.cfg.Nodes || st.Bcast == nil || !st.Bcast.Confirmed || len(st.Bcast.Group) != h.cfg.Nodes {
+			return false
+		}
 	}
-	return ids
+	return true
 }
 
 // Mobility: downloaders follow partition schedules rendered from a
-// waypoint mobility trace (1 sim-minute ≈ 1 wall-ms), so connectivity
+// waypoint mobility trace (25 simulated minutes a beat), so connectivity
 // churns the way the paper's mobile band does; a final heal converges
-// the run. Seeders stay connected throughout — they are the Internet
+// the run. The seeder stays connected throughout — it is the Internet
 // side of the hybrid.
 func Mobility(nodes int, seed uint64) Scenario {
-	cfg := Config{Nodes: nodes, Seed: seed}
 	return Scenario{
 		Name:   "mobility",
-		Config: cfg,
+		Config: Config{Nodes: nodes, Seed: seed},
 		Target: 1.0,
 	}
 }
@@ -484,7 +401,7 @@ func Mobility(nodes int, seed uint64) Scenario {
 // mobilitySchedules renders the waypoint model into per-node partition
 // schedules for every downloader and appends a final heal so the swarm
 // can converge once the "day" of mobility ends.
-func mobilitySchedules(nodes, seeders int, seed uint64) (map[trace.NodeID][]fault.Event, error) {
+func mobilitySchedules(nodes int, seed uint64) (map[trace.NodeID][]Event, error) {
 	wcfg := tracegen.DefaultWaypoint()
 	wcfg.Nodes = nodes
 	wcfg.Days = 1
@@ -493,10 +410,7 @@ func mobilitySchedules(nodes, seeders int, seed uint64) (map[trace.NodeID][]faul
 	if err != nil {
 		return nil, err
 	}
-	scheds, err := PartitionSchedules(tr, ScheduleConfig{
-		Compress: simtime.Minute,
-		Slack:    30 * simtime.Minute,
-	})
+	scheds, err := PartitionSchedules(tr, ScheduleConfig{Slack: 30 * simtime.Minute})
 	if err != nil {
 		return nil, err
 	}
@@ -505,17 +419,15 @@ func mobilitySchedules(nodes, seeders int, seed uint64) (map[trace.NodeID][]faul
 		delete(scheds, trace.NodeID(s))
 	}
 	// Heal everyone after the trace horizon so the run converges.
-	var horizon time.Duration
+	horizon := 0
 	for _, ev := range scheds {
 		for _, e := range ev {
-			if e.At > horizon {
-				horizon = e.At
-			}
+			horizon = max(horizon, e.Beat)
 		}
 	}
 	for id, ev := range scheds {
 		if len(ev) > 0 && ev[len(ev)-1].Partition {
-			scheds[id] = append(ev, fault.Event{At: horizon + time.Millisecond})
+			scheds[id] = append(ev, Event{Beat: horizon + 1})
 		}
 	}
 	return scheds, nil
@@ -552,7 +464,7 @@ func BuildScenario(name string, nodes int, seed uint64) (Scenario, error) {
 	}
 	sc := build(nodes, seed)
 	if sc.Name == "mobility" {
-		scheds, err := mobilitySchedules(nodes, 1, seed)
+		scheds, err := mobilitySchedules(nodes, seed)
 		if err != nil {
 			return Scenario{}, err
 		}

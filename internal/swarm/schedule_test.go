@@ -2,9 +2,7 @@ package swarm
 
 import (
 	"testing"
-	"time"
 
-	"repro/internal/fault"
 	"repro/internal/simtime"
 	"repro/internal/trace"
 	"repro/internal/tracegen"
@@ -21,21 +19,21 @@ func mkTrace(t *testing.T, sessions ...trace.Session) *trace.Trace {
 }
 
 func TestPartitionScheduleRendersContacts(t *testing.T) {
-	// Node 1: in contact during [1min, 3min) and [10min, 12min).
+	// Node 1: in contact during beats [1, 3) and [10, 12).
 	tr := mkTrace(t,
-		trace.NewSession(simtime.Time(1*simtime.Minute), simtime.Time(3*simtime.Minute), []trace.NodeID{0, 1}),
-		trace.NewSession(simtime.Time(10*simtime.Minute), simtime.Time(12*simtime.Minute), []trace.NodeID{1, 2}),
+		trace.NewSession(simtime.Time(1*Compress), simtime.Time(3*Compress), []trace.NodeID{0, 1}),
+		trace.NewSession(simtime.Time(10*Compress), simtime.Time(12*Compress), []trace.NodeID{1, 2}),
 	)
-	ev, err := PartitionSchedule(tr, 1, ScheduleConfig{Compress: simtime.Minute})
+	ev, err := PartitionSchedule(tr, 1, ScheduleConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []fault.Event{
-		{At: 0, Partition: true},
-		{At: 1 * time.Millisecond, Partition: false},
-		{At: 3 * time.Millisecond, Partition: true},
-		{At: 10 * time.Millisecond, Partition: false},
-		{At: 12 * time.Millisecond, Partition: true},
+	want := []Event{
+		{Beat: 0, Partition: true},
+		{Beat: 1, Partition: false},
+		{Beat: 3, Partition: true},
+		{Beat: 10, Partition: false},
+		{Beat: 12, Partition: true},
 	}
 	if len(ev) != len(want) {
 		t.Fatalf("got %d events %v, want %d", len(ev), ev, len(want))
@@ -48,35 +46,19 @@ func TestPartitionScheduleRendersContacts(t *testing.T) {
 }
 
 func TestPartitionScheduleMergesSlackGaps(t *testing.T) {
-	// Two sessions 30 s apart merge under a 1-minute slack.
+	// Two sessions half a beat apart merge under a one-beat slack.
 	tr := mkTrace(t,
-		trace.NewSession(0, simtime.Time(2*simtime.Minute), []trace.NodeID{0, 1}),
-		trace.NewSession(simtime.Time(2*simtime.Minute+30*simtime.Second), simtime.Time(5*simtime.Minute), []trace.NodeID{0, 1}),
+		trace.NewSession(0, simtime.Time(2*Compress), []trace.NodeID{0, 1}),
+		trace.NewSession(simtime.Time(2*Compress+Compress/2), simtime.Time(5*Compress), []trace.NodeID{0, 1}),
 	)
-	ev, err := PartitionSchedule(tr, 0, ScheduleConfig{Compress: simtime.Minute, Slack: simtime.Minute})
+	ev, err := PartitionSchedule(tr, 0, ScheduleConfig{Slack: Compress})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Connected from t=0: no initial partition, one partition at the
 	// merged interval's end.
-	if len(ev) != 1 || !ev[0].Partition || ev[0].At != 5*time.Millisecond {
-		t.Fatalf("got %v, want single partition at 5ms", ev)
-	}
-}
-
-func TestPartitionScheduleHorizon(t *testing.T) {
-	tr := mkTrace(t,
-		trace.NewSession(0, simtime.Time(10*simtime.Minute), []trace.NodeID{0, 1}),
-		trace.NewSession(simtime.Time(20*simtime.Minute), simtime.Time(30*simtime.Minute), []trace.NodeID{0, 1}),
-	)
-	// Horizon inside the first session: the node stays connected, and
-	// the second session never appears.
-	ev, err := PartitionSchedule(tr, 0, ScheduleConfig{Compress: simtime.Minute, Horizon: 5 * simtime.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ev) != 0 {
-		t.Fatalf("got %v, want no events (connected through horizon)", ev)
+	if len(ev) != 1 || !ev[0].Partition || ev[0].Beat != 5 {
+		t.Fatalf("got %v, want single partition at beat 5", ev)
 	}
 }
 
@@ -86,7 +68,7 @@ func TestPartitionScheduleNodeNeverPresent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ev) != 1 || !ev[0].Partition || ev[0].At != 0 {
+	if len(ev) != 1 || !ev[0].Partition || ev[0].Beat != 0 {
 		t.Fatalf("got %v, want permanent partition from t=0", ev)
 	}
 }
@@ -112,7 +94,7 @@ func TestPartitionSchedulesWaypoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scheds, err := PartitionSchedules(tr, ScheduleConfig{Compress: simtime.Minute, Slack: 10 * simtime.Minute})
+	scheds, err := PartitionSchedules(tr, ScheduleConfig{Slack: 10 * simtime.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +103,7 @@ func TestPartitionSchedulesWaypoint(t *testing.T) {
 	}
 	for id, ev := range scheds {
 		for i := 1; i < len(ev); i++ {
-			if ev[i].At < ev[i-1].At {
+			if ev[i].Beat < ev[i-1].Beat {
 				t.Fatalf("node %d: events out of order: %v", id, ev)
 			}
 			if ev[i].Partition == ev[i-1].Partition {
