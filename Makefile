@@ -88,14 +88,15 @@ short:
 # The stepped swarm (internal/stepnet, driven by internal/daemon's
 # step_test.go): every seed family — pairwise chaos, flood, the group
 # plane's grant/resend against its fountain at 44% loss, restart on a
-# faulty disk, record expiry — and the three tests ported onto it, on
+# faulty disk, record expiry — the three tests ported onto it and the
+# group plane's start on a lossless medium, on
 # the hand clock with every invariant checked after every step, run
 # twice under the race detector: every seed must replay step for step.
 # Quiet is counted (internal/quiet); the third run holds every counted
 # quiet of every seed against a look at every goroutine's stack (-scan).
 step:
-	$(GO) test -race -count=2 -run 'TestStep|TestFloodVictimStaysLive|TestNamingASecondHolderReCutsMidStream|TestBcastSoak' -v ./internal/daemon
-	$(GO) test -count=1 -run 'TestStep|TestFloodVictimStaysLive|TestNamingASecondHolderReCutsMidStream|TestBcastSoak' ./internal/daemon -args -scan
+	$(GO) test -race -count=2 -run 'TestStep|TestFloodVictimStaysLive|TestNamingASecondHolderReCutsMidStream|TestBcastSoak|TestGroupStartsBeforeTheBeat' -v ./internal/daemon
+	$(GO) test -count=1 -run 'TestStep|TestFloodVictimStaysLive|TestNamingASecondHolderReCutsMidStream|TestBcastSoak|TestGroupStartsBeforeTheBeat' ./internal/daemon -args -scan
 
 # The wall-clock soaks, one per plane: the pairwise plane over real TCP
 # (the two-daemon transfer and the localhost mbtd demos, restart and

@@ -50,7 +50,7 @@ func TestLocalhostDHTDemo(t *testing.T) {
 	defer srvCancel()
 
 	p1, p2, p3 := freePort(t), freePort(t), freePort(t)
-	h2, h3 := freePort(t), freePort(t)
+	log2, log3 := newStatsLog(), newStatsLog()
 	srvErr := make(chan error, 1)
 	errs := make(chan error, 2)
 	go func() {
@@ -62,9 +62,10 @@ func TestLocalhostDHTDemo(t *testing.T) {
 	go func() {
 		errs <- run(ctx, []string{
 			"-id", "2", "-listen", p2, "-peers", p1, "-query", "f0",
-			"-dht", "-dht-republish", "200ms", "-http", h2, "-hello", "20ms", "-quiet",
-		}, io.Discard)
+			"-dht", "-dht-republish", "200ms", "-http", "127.0.0.1:0", "-hello", "20ms", "-quiet",
+		}, log2)
 	}()
+	h2 := log2.await(t, errs)
 
 	// Phase 1: node 2 downloads f0 the ordinary way while the server's
 	// republish cycle pushes both catalog records into node 2's DHT
@@ -104,9 +105,10 @@ func TestLocalhostDHTDemo(t *testing.T) {
 	go func() {
 		errs <- run(ctx, []string{
 			"-id", "3", "-listen", p3, "-peers", p2, "-query", "f1",
-			"-dht", "-dht-republish", "200ms", "-http", h3, "-hello", "20ms", "-quiet",
-		}, io.Discard)
+			"-dht", "-dht-republish", "200ms", "-http", "127.0.0.1:0", "-hello", "20ms", "-quiet",
+		}, log3)
 	}()
+	h3 := log3.await(t, errs)
 
 	deadline = time.Now().Add(60 * time.Second)
 	for {

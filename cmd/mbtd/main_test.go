@@ -11,7 +11,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -118,6 +120,9 @@ func TestSplitList(t *testing.T) {
 
 // freePort grabs an ephemeral port and releases it for the daemon to
 // rebind — the standard test trick, racy only against other processes.
+// The demos use it only for the addresses a daemon must know before
+// another starts (its peers' listen ports, the symbol lane's peers); a
+// -http port is bound on :0 and read back (statsLog).
 func freePort(t *testing.T) string {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -128,6 +133,81 @@ func freePort(t *testing.T) string {
 	return l.Addr().String()
 }
 
+// statsLog is one mbtd run's log writer. It keeps the address the run's
+// -http listener bound, read off its "stats at http://…/stats" line, so
+// a demo binds -http to 127.0.0.1:0 and no other process can take the
+// port first.
+type statsLog struct {
+	mu   sync.Mutex
+	line []byte
+	addr chan string
+}
+
+var statsAt = regexp.MustCompile(`stats at http://(\S+)/stats`)
+
+func newStatsLog() *statsLog { return &statsLog{addr: make(chan string, 1)} }
+
+func (l *statsLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.line = append(l.line, p...)
+	for {
+		i := bytes.IndexByte(l.line, '\n')
+		if i < 0 {
+			return len(p), nil
+		}
+		if m := statsAt.FindSubmatch(l.line[:i]); m != nil {
+			select {
+			case l.addr <- string(m[1]):
+			default:
+			}
+		}
+		l.line = l.line[i+1:]
+	}
+}
+
+// await returns the address the run bound for -http. A run that ends
+// first (errs) or no stats line in 30 s fails the test.
+func (l *statsLog) await(t *testing.T, errs <-chan error) string {
+	t.Helper()
+	select {
+	case addr := <-l.addr:
+		return addr
+	case err := <-errs:
+		t.Fatalf("daemon exited before serving /stats: %v", err)
+	case <-time.After(30 * time.Second):
+		t.Fatal("no \"stats at\" line in 30 s")
+	}
+	return ""
+}
+
+// awaitPeers waits until the daemon serving /healthz at addr reports
+// peers sessions. A run that ends first (errs) or 30 s without fails the
+// test.
+func awaitPeers(t *testing.T, addr string, peers int, errs <-chan error) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for time.Now().Before(deadline) {
+		select {
+		case err := <-errs:
+			t.Fatalf("daemon exited early: %v", err)
+		default:
+		}
+		var h struct {
+			Peers int `json:"peers"`
+		}
+		if resp, err := http.Get(fmt.Sprintf("http://%s/healthz", addr)); err == nil {
+			json.NewDecoder(resp.Body).Decode(&h)
+			resp.Body.Close()
+			if h.Peers >= peers {
+				return
+			}
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Fatalf("%s never reported %d peers", addr, peers)
+}
+
 // TestLocalhostDemo is the README demo as a test: two mbtd daemons on
 // localhost, a metadata query, and a full multi-piece download, watched
 // through the leecher's /stats endpoint.
@@ -135,7 +215,7 @@ func TestLocalhostDemo(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	seedPeer, leechHTTP := freePort(t), freePort(t)
+	seedPeer, leechLog := freePort(t), newStatsLog()
 	errs := make(chan error, 2)
 	go func() {
 		errs <- run(ctx, []string{
@@ -146,11 +226,11 @@ func TestLocalhostDemo(t *testing.T) {
 	go func() {
 		errs <- run(ctx, []string{
 			"-id", "2", "-peers", seedPeer, "-query", "f0",
-			"-http", leechHTTP, "-hello", "20ms", "-quiet",
-		}, io.Discard)
+			"-http", "127.0.0.1:0", "-hello", "20ms", "-quiet",
+		}, leechLog)
 	}()
 
-	statsURL := fmt.Sprintf("http://%s/stats", leechHTTP)
+	statsURL := fmt.Sprintf("http://%s/stats", leechLog.await(t, errs))
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		if time.Now().After(deadline) {
@@ -195,32 +275,40 @@ func TestLocalhostDemo(t *testing.T) {
 // schedule (fanned out over the unicast links). Both leechers must
 // complete the file, report a confirmed three-node group in /stats,
 // and have received pieces over the broadcast path. The seed's fast
-// beacon makes the rounds fast (it is the sequencer), while the
-// 128-piece file outlasts the pairwise head start before confirmation.
+// beacon makes the rounds fast (it is the sequencer). The leechers mesh
+// first and the seed dials both last, so the file meets a whole clique;
+// the group confirms in round trips, while the 128-piece file outlasts
+// the pairwise head start before confirmation.
 func TestLocalhostBcastDemo(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
 	p1, p2, p3 := freePort(t), freePort(t), freePort(t)
-	h2, h3 := freePort(t), freePort(t)
+	log2, log3 := newStatsLog(), newStatsLog()
 	errs := make(chan error, 3)
 	go func() {
 		errs <- run(ctx, []string{
-			"-id", "1", "-listen", p1, "-internet", "-files", "1",
+			"-id", "2", "-listen", p2, "-query", "f0",
+			"-bcast", "-http", "127.0.0.1:0", "-hello", "200ms", "-quiet",
+		}, log2)
+	}()
+	go func() {
+		errs <- run(ctx, []string{
+			"-id", "3", "-listen", p3, "-peers", p2, "-query", "f0",
+			"-bcast", "-http", "127.0.0.1:0", "-hello", "200ms", "-quiet",
+		}, log3)
+	}()
+	// The seed comes last, dialing both: its file reaches a mesh that
+	// is already whole. A leecher that dialed a peer not yet listening
+	// would wait a beat to redial, and on loopback the pairwise plane
+	// moves the whole file in that beat — a star, not a clique.
+	h2, h3 := log2.await(t, errs), log3.await(t, errs)
+	awaitPeers(t, h2, 1, errs)
+	go func() {
+		errs <- run(ctx, []string{
+			"-id", "1", "-listen", p1, "-peers", p2 + "," + p3, "-internet", "-files", "1",
 			"-file-size", "524288", "-piece-size", "4096",
 			"-bcast", "-hello", "20ms", "-quiet",
-		}, io.Discard)
-	}()
-	go func() {
-		errs <- run(ctx, []string{
-			"-id", "2", "-listen", p2, "-peers", p1, "-query", "f0",
-			"-bcast", "-http", h2, "-hello", "200ms", "-quiet",
-		}, io.Discard)
-	}()
-	go func() {
-		errs <- run(ctx, []string{
-			"-id", "3", "-listen", p3, "-peers", p1 + "," + p2, "-query", "f0",
-			"-bcast", "-http", h3, "-hello", "200ms", "-quiet",
 		}, io.Discard)
 	}()
 
@@ -286,28 +374,34 @@ func TestLocalhostFECDemo(t *testing.T) {
 	defer cancel()
 
 	p1, p2, p3 := freePort(t), freePort(t), freePort(t)
-	h2, h3 := freePort(t), freePort(t)
+	log2, log3 := newStatsLog(), newStatsLog()
 	errs := make(chan error, 3)
 	go func() {
 		errs <- run(ctx, []string{
-			"-id", "1", "-listen", p1, "-internet", "-files", "1",
+			"-id", "2", "-listen", p2, "-query", "f0",
+			"-bcast", "-fec", "-symbol-peers", p1 + "," + p3,
+			"-http", "127.0.0.1:0", "-hello", "200ms", "-quiet",
+		}, log2)
+	}()
+	go func() {
+		errs <- run(ctx, []string{
+			"-id", "3", "-listen", p3, "-peers", p2, "-query", "f0",
+			"-bcast", "-fec", "-symbol-peers", p1 + "," + p2,
+			"-http", "127.0.0.1:0", "-hello", "200ms", "-quiet",
+		}, log3)
+	}()
+	// The seed comes last, dialing both: its file reaches a mesh that
+	// is already whole. A leecher that dialed a peer not yet listening
+	// would wait a beat to redial, and on loopback the pairwise plane
+	// moves the whole file in that beat — a star, not a clique.
+	h2, h3 := log2.await(t, errs), log3.await(t, errs)
+	awaitPeers(t, h2, 1, errs)
+	go func() {
+		errs <- run(ctx, []string{
+			"-id", "1", "-listen", p1, "-peers", p2 + "," + p3, "-internet", "-files", "1",
 			"-file-size", "524288", "-piece-size", "4096",
 			"-bcast", "-fec", "-symbol-peers", p2 + "," + p3,
 			"-hello", "20ms", "-quiet",
-		}, io.Discard)
-	}()
-	go func() {
-		errs <- run(ctx, []string{
-			"-id", "2", "-listen", p2, "-peers", p1, "-query", "f0",
-			"-bcast", "-fec", "-symbol-peers", p1 + "," + p3,
-			"-http", h2, "-hello", "200ms", "-quiet",
-		}, io.Discard)
-	}()
-	go func() {
-		errs <- run(ctx, []string{
-			"-id", "3", "-listen", p3, "-peers", p1 + "," + p2, "-query", "f0",
-			"-bcast", "-fec", "-symbol-peers", p1 + "," + p2,
-			"-http", h3, "-hello", "200ms", "-quiet",
 		}, io.Discard)
 	}()
 
@@ -371,7 +465,7 @@ func TestLocalhostDemoUnderFaults(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	seedPeer, leechHTTP := freePort(t), freePort(t)
+	seedPeer, leechLog := freePort(t), newStatsLog()
 	errs := make(chan error, 2)
 	go func() {
 		errs <- run(ctx, []string{
@@ -382,12 +476,12 @@ func TestLocalhostDemoUnderFaults(t *testing.T) {
 	go func() {
 		errs <- run(ctx, []string{
 			"-id", "2", "-peers", seedPeer, "-query", "f0",
-			"-http", leechHTTP, "-hello", "20ms", "-window", "500ms",
+			"-http", "127.0.0.1:0", "-hello", "20ms", "-window", "500ms",
 			"-fault", "seed=7,drop=0.2,corrupt=0.1", "-quiet",
-		}, io.Discard)
+		}, leechLog)
 	}()
 
-	statsURL := fmt.Sprintf("http://%s/stats", leechHTTP)
+	statsURL := fmt.Sprintf("http://%s/stats", leechLog.await(t, errs))
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		if time.Now().After(deadline) {
@@ -432,7 +526,7 @@ func TestLocalhostRestartDemo(t *testing.T) {
 	defer cancel()
 	dataDir := t.TempDir()
 
-	seedPeer, leechHTTP := freePort(t), freePort(t)
+	seedPeer := freePort(t)
 	seedErr := make(chan error, 1)
 	go func() {
 		// 512 × 4 KB pieces: at 16 pieces per hello burst the transfer
@@ -446,11 +540,13 @@ func TestLocalhostRestartDemo(t *testing.T) {
 
 	leechArgs := []string{
 		"-id", "2", "-peers", seedPeer, "-query", "f0",
-		"-http", leechHTTP, "-hello", "20ms", "-data-dir", dataDir, "-quiet",
+		"-http", "127.0.0.1:0", "-hello", "20ms", "-data-dir", dataDir, "-quiet",
 	}
 	ctx1, cancel1 := context.WithCancel(ctx)
 	leechErr := make(chan error, 1)
-	go func() { leechErr <- run(ctx1, leechArgs, io.Discard) }()
+	leechLog := newStatsLog()
+	go func() { leechErr <- run(ctx1, leechArgs, leechLog) }()
+	leechHTTP := leechLog.await(t, leechErr)
 
 	type stats struct {
 		Completed       map[string]bool `json:"completed"`
@@ -483,7 +579,9 @@ func TestLocalhostRestartDemo(t *testing.T) {
 	}
 
 	// Same command line, same directory: the restart resumes.
-	go func() { leechErr <- run(ctx, leechArgs, io.Discard) }()
+	leechLog = newStatsLog()
+	go func() { leechErr <- run(ctx, leechArgs, leechLog) }()
+	leechHTTP = leechLog.await(t, leechErr)
 	deadline = time.Now().Add(30 * time.Second)
 	for {
 		if time.Now().After(deadline) {

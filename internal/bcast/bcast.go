@@ -5,13 +5,22 @@
 // transmitter per round, so a single piece broadcast serves the whole
 // group at once instead of one pairwise stream per downloader.
 //
+// The group starts at frame speed: a hello that adds an edge re-forms
+// the group (Observe), a group that changes is announced at once with
+// one GroupHello, a selected download announces itself the same way
+// (Announce), and confirmation is judged on every GroupHello heard and
+// every change of the group. A sequencer whose group just confirmed, or
+// that hears a member's view name a new download, opens a round on it.
+//
 // Rounds are paced by events, not by the timer: the sequencer grants
 // the next piece the moment a frame from a member frees a slot in its
 // small flight window of granted-but-unresolved pieces — an ack that
 // resolves one, or one that shows a symbol burst ended short because
-// the next block's symbols arrived behind it. Tick is the beat that
-// announces the view, and the deadline that hands back to the schedule
-// only a piece nothing followed and nobody finished acking.
+// the next block's symbols arrived behind it. Tick is the beat: it
+// prunes what went silent, repeats the view as a keep-alive — the retry
+// of a GroupHello the medium lost — and is the deadline that hands back
+// to the schedule only a piece nothing followed and nobody finished
+// acking.
 //
 // The schedule is driven by a sequencer, the clique's deterministic
 // coordinator (lowest ID). In the cooperative mode (§V-A) the sequencer
@@ -153,12 +162,16 @@ type Stats struct {
 	Formations      uint64         `json:"formations"`
 	Collapses       uint64         `json:"collapses"`
 	GroupHellosSent uint64         `json:"group_hellos_sent"`
-	GroupHellosRecv uint64         `json:"group_hellos_recv"`
-	GrantsSent      uint64         `json:"grants_sent"`
-	GrantsRecv      uint64         `json:"grants_recv"`
-	IdleRounds      uint64         `json:"idle_rounds"`
-	PieceBcastsSent uint64         `json:"piece_bcasts_sent"`
-	PieceBcastsRecv uint64         `json:"piece_bcasts_recv"`
+	// GroupHellosAnnounced counts the GroupHellos of GroupHellosSent
+	// sent on a change — a group formed or re-formed by a heard hello, a
+	// download selected — not on a Tick.
+	GroupHellosAnnounced uint64 `json:"group_hellos_announced"`
+	GroupHellosRecv      uint64 `json:"group_hellos_recv"`
+	GrantsSent           uint64 `json:"grants_sent"`
+	GrantsRecv           uint64 `json:"grants_recv"`
+	IdleRounds           uint64 `json:"idle_rounds"`
+	PieceBcastsSent      uint64 `json:"piece_bcasts_sent"`
+	PieceBcastsRecv      uint64 `json:"piece_bcasts_recv"`
 
 	// Fountain-coded data plane (fec.go).
 	FECActive       bool   `json:"fec_active"`
@@ -198,18 +211,20 @@ type pieceKey struct {
 }
 
 // grant is what the flight window keeps of a piece's last grant besides
-// the piece: the round it went out in, its grantee, and — when this node
-// answered it with the piece's opening symbol burst — the sizing
-// (fec.go) the burst was cut to; 0 when it was no opening.
+// the piece: the round it went out in, its grantee, the Ticks that had
+// ended when it did, and — when this node answered it with the piece's
+// opening symbol burst — the sizing (fec.go) the burst was cut to; 0
+// when it was no opening.
 type grant struct {
 	round  uint64
 	to     trace.NodeID
+	ticks  uint64
 	sizing uint64
 }
 
 // Engine is one node's broadcast-group state machine. Construct with
-// New; drive with Observe/HandleGroup from the receive path and Tick
-// from a timer.
+// New; drive with Observe/HandleGroup from the receive path, Announce
+// when this node's wants change, and Tick from a timer.
 type Engine struct {
 	cfg Config
 
@@ -221,16 +236,18 @@ type Engine struct {
 	round     uint64
 	counters  Stats
 
-	// beat and prevBeat are the last two Ticks. granted is the flight
+	// ticks counts the Ticks that have ended. granted is the flight
 	// window: each piece's last grant — by this node as sequencer, or to
 	// it. A grant keeps its piece off the candidate list until a whole
-	// Tick-to-Tick interval has passed since (it is no younger than
-	// prevBeat), then Tick expires it — or until an ack shows its burst
-	// ended short (fec.go). flying is how many grants were still
-	// unresolved when the last round ended.
-	beat, prevBeat time.Time
-	granted        sched.Window[pieceKey, grant]
-	flying         int
+	// Tick-to-Tick interval has passed since (a Tick has ended between
+	// the grant and this one), then Tick expires it — or until an ack
+	// shows its burst ended short (fec.go). Ticks, not clock readings,
+	// date a grant: one made on a frame just after a Tick is younger than
+	// that Tick even on a clock that has not moved. flying is how many
+	// grants were still unresolved when the last round ended.
+	ticks   uint64
+	granted sched.Window[pieceKey, grant]
+	flying  int
 
 	// Fountain-coded data plane (fec.go). symbols is non-nil only when
 	// Config.FEC is set and the Sender has a symbol lane.
@@ -260,13 +277,14 @@ func New(cfg Config) *Engine {
 		cfg.Now = time.Now
 	}
 	e := &Engine{
-		cfg:      cfg,
-		edges:    make(map[edge]time.Time),
-		views:    make(map[trace.NodeID]*view),
-		overhead: initialOverhead,
-		sizing:   1, // 0 tags a grant that is not an opening
-		fecSend:  make(map[pieceKey]*fecStream),
-		fecRecv:  make(map[pieceKey]*fecBlock),
+		cfg:        cfg,
+		edges:      make(map[edge]time.Time),
+		views:      make(map[trace.NodeID]*view),
+		relayQuota: cfg.RelayBudget, // the first interval's, a group may confirm before a Tick
+		overhead:   initialOverhead,
+		sizing:     1, // 0 tags a grant that is not an opening
+		fecSend:    make(map[pieceKey]*fecStream),
+		fecRecv:    make(map[pieceKey]*fecBlock),
 	}
 	if cfg.FEC {
 		if ss, ok := cfg.Send.(SymbolSender); ok {
@@ -284,14 +302,50 @@ func (e *Engine) logf(format string, args ...any) {
 
 // Observe feeds one overheard hello into the adjacency graph: the
 // sender hears each node in heard, so those pairs can share a medium.
-func (e *Engine) Observe(from trace.NodeID, heard []trace.NodeID) {
+// A hello that adds an edge — not one that only refreshes edges already
+// on record — re-forms the group, and a group that changes is announced
+// at once with one GroupHello and judged for confirmation on the spot.
+func (e *Engine) Observe(ctx context.Context, from trace.NodeID, heard []trace.NodeID) {
 	now := e.cfg.Now()
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	added := false
 	for _, h := range heard {
-		if h != from {
-			e.edges[mkEdge(from, h)] = now
+		if h == from {
+			continue
 		}
+		k := mkEdge(from, h)
+		if _, ok := e.edges[k]; !ok {
+			added = true
+		}
+		e.edges[k] = now
+	}
+	if !added || !e.reformLocked() || e.group == nil {
+		return
+	}
+	e.announceLocked(ctx, now)
+	e.counters.GroupHellosAnnounced++
+	if e.confirmLocked(now) && e.sequencingLocked() {
+		e.roundsLocked(ctx, now, true, true)
+	}
+}
+
+// Announce tells the group at once that this node's wants changed — the
+// daemon selected a download — with one GroupHello, instead of leaving
+// it to the next Tick. Outside a group it only refreshes this node's
+// own view. A sequencer opens a round on it, as on any member's new
+// download.
+func (e *Engine) Announce(ctx context.Context) {
+	now := e.cfg.Now()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.announceLocked(ctx, now)
+	if e.group == nil {
+		return
+	}
+	e.counters.GroupHellosAnnounced++
+	if e.sequencingLocked() {
+		e.roundsLocked(ctx, now, true, true)
 	}
 }
 
@@ -303,15 +357,20 @@ func (e *Engine) HandleGroup(ctx context.Context, from trace.NodeID, msg wire.Ms
 	now := e.cfg.Now()
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	open := false // the schedule may start a round without a freed slot
 	switch v := msg.(type) {
 	case *wire.GroupHello:
 		e.counters.GroupHellosRecv++
 		members := append([]trace.NodeID(nil), v.Members...)
 		slices.Sort(members)
+		old := e.views[from]
 		e.views[from] = &view{members: members, wants: v.Wants, fec: v.FEC, at: now}
 		if v.Round > e.round {
 			e.round = v.Round
 		}
+		// Confirmation is judged on every view heard, and a view that
+		// confirms the group or names a new download opens the schedule.
+		open = e.confirmLocked(now) || e.views[from].downloadsBeyond(old)
 	case *wire.Grant:
 		e.counters.GrantsRecv++
 		if v.Round > e.round {
@@ -340,7 +399,7 @@ func (e *Engine) HandleGroup(ctx context.Context, from trace.NodeID, msg wire.Ms
 		return
 	}
 	if e.sequencingLocked() {
-		e.roundsLocked(ctx, now, true)
+		e.roundsLocked(ctx, now, true, open)
 	}
 }
 
@@ -374,20 +433,26 @@ func (e *Engine) Stats() Stats {
 	return st
 }
 
-// Tick is the engine's beat: refresh the group from the graph, announce
-// the view, and pass the regrant deadline — a piece granted a whole beat
-// ago that some member still lacks is a candidate again. When this node
-// is the confirmed group's sequencer it then runs the schedule, as
-// HandleGroup does between beats.
+// Tick is the engine's beat: expire what went silent, refresh the group
+// from the graph, announce the view — the keep-alive that a lost
+// GroupHello waits for — and pass the regrant deadline: a piece granted
+// a whole beat ago that some member still lacks is a candidate again.
+// When this node is the confirmed group's sequencer it then runs the
+// schedule, as HandleGroup does between beats.
 func (e *Engine) Tick(ctx context.Context) {
 	now := e.cfg.Now()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.prevBeat, e.beat = e.beat, now
-	e.housekeepLocked(ctx, now)
+	e.pruneLocked(now)
+	e.reformLocked()
+	e.announceLocked(ctx, now)
+	e.relayQuota = e.cfg.RelayBudget
+	e.pruneFECLocked(now)
+	e.confirmLocked(now)
 	if e.sequencingLocked() {
-		e.roundsLocked(ctx, now, false)
+		e.roundsLocked(ctx, now, false, true)
 	}
+	e.ticks++
 }
 
 // sequencingLocked reports whether this node runs the schedule: its
@@ -396,46 +461,47 @@ func (e *Engine) sequencingLocked() bool {
 	return e.confirmed && clique.Coordinator(e.group) == e.cfg.Self
 }
 
-// housekeepLocked is everything a beat does besides scheduling: expire
-// what went silent, re-form the group, announce this node's view and
-// re-evaluate confirmation.
-func (e *Engine) housekeepLocked(ctx context.Context, now time.Time) {
-	e.pruneLocked(now)
-
-	// The snapshots are taken under e.mu: a piece that decodes and acks
-	// concurrently lands wholly before them or wholly after the
-	// announcement, so no GroupHello carries a bitmap older than an ack
-	// already sent.
+// reformLocked recomputes the group from the graph and the live peers,
+// and reports whether it changed. A changed group starts unconfirmed,
+// with nothing in flight.
+func (e *Engine) reformLocked() bool {
 	best := e.bestGroupLocked(e.cfg.Store.LivePeers())
-	selfWants := e.cfg.Store.Wants()
-	if !slices.Equal(best, e.group) {
-		switch {
-		case best == nil:
-			e.counters.Collapses++
-			e.logf("bcast %d: group %v collapsed; pairwise fallback", e.cfg.Self, e.group)
-		case e.group == nil:
-			e.counters.Formations++
-			e.logf("bcast %d: forming group %v", e.cfg.Self, best)
-		default:
-			e.counters.Formations++
-			e.logf("bcast %d: group re-forms %v -> %v", e.cfg.Self, e.group, best)
-		}
-		e.group = best
-		e.confirmed = false
-		e.granted = nil
+	if slices.Equal(best, e.group) {
+		return false
 	}
-	// The view keeps its own copy of the bitsets: the announcement below
-	// may sit in a send queue while markHaveLocked updates the view.
+	switch {
+	case best == nil:
+		e.counters.Collapses++
+		e.logf("bcast %d: group %v collapsed; pairwise fallback", e.cfg.Self, e.group)
+	case e.group == nil:
+		e.counters.Formations++
+		e.logf("bcast %d: forming group %v", e.cfg.Self, best)
+	default:
+		e.counters.Formations++
+		e.logf("bcast %d: group re-forms %v -> %v", e.cfg.Self, e.group, best)
+	}
+	e.group = best
+	e.confirmed = false
+	e.granted = nil
+	return true
+}
+
+// announceLocked refreshes this node's own view from the Store and, in a
+// group, sends it as a GroupHello. The snapshot is taken under e.mu: a
+// piece that decodes and acks concurrently lands wholly before it or
+// wholly after the announcement, so no GroupHello carries a bitmap older
+// than an ack already sent.
+func (e *Engine) announceLocked(ctx context.Context, now time.Time) {
+	selfWants := e.cfg.Store.Wants()
+	// The view keeps its own copy of the bitsets: the announcement may
+	// sit in a send queue while markHaveLocked updates the view.
 	e.views[e.cfg.Self] = &view{
 		members: e.group, wants: cloneWants(selfWants),
 		fec: e.symbols != nil, at: now,
 	}
-	e.relayQuota = e.cfg.RelayBudget
-	e.pruneFECLocked(now)
 	if e.group == nil {
 		return
 	}
-
 	e.sendLocked(ctx, &wire.GroupHello{
 		From:    e.cfg.Self,
 		Members: e.group,
@@ -444,7 +510,15 @@ func (e *Engine) housekeepLocked(ctx context.Context, now time.Time) {
 		FEC:     e.symbols != nil,
 	})
 	e.counters.GroupHellosSent++
+}
 
+// confirmLocked judges the group confirmed — every other member's fresh
+// view names exactly this group — and reports whether this judgement is
+// the one that confirmed it.
+func (e *Engine) confirmLocked(now time.Time) bool {
+	if e.group == nil {
+		return false
+	}
 	confirmed := true
 	for _, m := range e.group {
 		if m == e.cfg.Self {
@@ -456,11 +530,13 @@ func (e *Engine) housekeepLocked(ctx context.Context, now time.Time) {
 			break
 		}
 	}
-	if confirmed && !e.confirmed {
+	newly := confirmed && !e.confirmed
+	if newly {
 		e.logf("bcast %d: group %v live (sequencer %d, tft=%v)",
 			e.cfg.Self, e.group, clique.Coordinator(e.group), e.cfg.TitForTat)
 	}
 	e.confirmed = confirmed
+	return newly
 }
 
 // pruneLocked expires stale graph edges and member views, and passes
@@ -468,7 +544,7 @@ func (e *Engine) housekeepLocked(ctx context.Context, now time.Time) {
 // back, and the opening symbol bursts among them and those judged since
 // the last beat size the next (fec.go).
 func (e *Engine) pruneLocked(now time.Time) {
-	_, grants := e.granted.Settle(nil, e.prevBeat)
+	grants := e.granted.Lapse(func(f sched.Flight[pieceKey, grant]) bool { return f.Tag.ticks < e.ticks })
 	for _, g := range grants {
 		e.judgeLocked(g.Tag, e.lackedLocked(g.Key, now))
 	}
@@ -573,6 +649,20 @@ func (e *Engine) lackedLocked(k pieceKey, now time.Time) bool {
 	return false
 }
 
+// downloadsBeyond reports whether the view names a download that old,
+// the same member's previous view (nil: none), did not.
+func (v *view) downloadsBeyond(old *view) bool {
+	for i := range v.wants {
+		w := &v.wants[i]
+		if w.Downloading && (old == nil || !slices.ContainsFunc(old.wants, func(o wire.GroupWant) bool {
+			return o.Downloading && o.URI == w.URI
+		})) {
+			return true
+		}
+	}
+	return false
+}
+
 // lacks reports whether the view lists the piece's file without the piece.
 func (v *view) lacks(k pieceKey) bool {
 	for i := range v.wants {
@@ -584,19 +674,21 @@ func (v *view) lacks(k pieceKey) bool {
 }
 
 // roundsLocked is the sequencer's schedule, the same for a Tick and for
-// a frame between Ticks (kicked). A kicked call grants only if a flight
-// slot was freed since the last round ended, so frames that resolve
-// nothing — and the acks of pieces the sequencer never named,
-// tit-for-tat's — start no rounds. After a grant the next round follows
-// at once only behind this node's own burst, already handed to the lane,
-// and only if it took a slot: a piece another member was granted is
-// waited for (rounds reach the medium in grant order), and what resolves
-// on the spot — the piece plane's optimistic own send — stays paced by
-// the beat.
-func (e *Engine) roundsLocked(ctx context.Context, now time.Time, kicked bool) {
+// a frame between Ticks (kicked). Unless open, a call grants only if a
+// flight slot was freed since the last round ended, so frames that
+// resolve nothing — and the acks of pieces the sequencer never named,
+// tit-for-tat's — start no rounds. A Tick is open, and so is what changes
+// the candidates rather than resolving them: the group's confirmation,
+// and a member's view naming a download it did not name before. After a
+// grant the next round follows at once only behind this node's own
+// burst, already handed to the lane, and only if it took a slot: a piece
+// another member was granted is waited for (rounds reach the medium in
+// grant order), and what resolves on the spot — the piece plane's
+// optimistic own send — stays paced by the beat.
+func (e *Engine) roundsLocked(ctx context.Context, now time.Time, kicked, open bool) {
 	lacked := func(k pieceKey) bool { return e.lackedLocked(k, now) }
 	flying := e.granted.Out(lacked)
-	next := !kicked || flying < e.flying
+	next := open || flying < e.flying
 	for next && flying < flightWindow {
 		own := e.grantLocked(ctx, now, kicked)
 		was := flying
@@ -630,7 +722,7 @@ func (e *Engine) grantLocked(ctx context.Context, now time.Time, kicked bool) (o
 		g.To = c.Sender
 		g.URI = c.URI
 		g.Piece = int32(c.Piece)
-		e.granted.Send(pieceKey{c.URI, c.Piece}, now, grant{round: g.Round, to: g.To})
+		e.flyLocked(pieceKey{c.URI, c.Piece}, now, grant{round: g.Round, to: g.To})
 	}
 	e.sendLocked(ctx, g)
 	e.counters.GrantsSent++
@@ -681,8 +773,15 @@ func (e *Engine) transmitLocked(ctx context.Context, g *wire.Grant, now time.Tim
 		From: e.cfg.Self, Round: g.Round, URI: uri, Index: piece, Total: total, Data: data,
 	})
 	e.counters.PieceBcastsSent++
-	e.granted.Send(pieceKey{uri, piece}, now, grant{round: g.Round, to: e.cfg.Self})
+	e.flyLocked(pieceKey{uri, piece}, now, grant{round: g.Round, to: e.cfg.Self})
 	e.markHaveLocked(uri, piece)
+}
+
+// flyLocked puts piece k's grant g in the flight window, dated by the
+// Ticks ended so far.
+func (e *Engine) flyLocked(k pieceKey, now time.Time, g grant) {
+	g.ticks = e.ticks
+	e.granted.Send(k, now, g)
 }
 
 // markHaveLocked optimistically flips the piece's have bit in every

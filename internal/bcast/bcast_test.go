@@ -3,6 +3,7 @@ package bcast
 import (
 	"context"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"testing"
@@ -92,7 +93,7 @@ func (h *harness) fullMesh() {
 		}
 		h.stores[id].setLive(others)
 		for _, o := range ids {
-			h.engines[o].Observe(id, others)
+			h.engines[o].Observe(context.Background(), id, others)
 		}
 	}
 }
@@ -337,6 +338,107 @@ func TestGroupFormsAndConfirms(t *testing.T) {
 		if !h.engines[id].InGroup(1) && id != 1 {
 			t.Fatalf("node %d: InGroup(1) false after confirmation", id)
 		}
+	}
+}
+
+// hearEachOther has every engine of ids hear every other's hello, each
+// hello listing the sender's live peers: the rest of ids.
+func (h *harness) hearEachOther(ids ...trace.NodeID) {
+	for _, id := range ids {
+		h.stores[id].setLive(slices.DeleteFunc(slices.Clone(ids), func(o trace.NodeID) bool { return o == id }))
+	}
+	for _, id := range ids {
+		for _, o := range ids {
+			if o != id {
+				h.engines[o].Observe(context.Background(), id, h.stores[id].LivePeers())
+			}
+		}
+	}
+}
+
+// sentGroupHellos is the GroupHellos each engine has sent so far.
+func (h *harness) sentGroupHellos() map[trace.NodeID]uint64 {
+	out := make(map[trace.NodeID]uint64)
+	for id, e := range h.engines {
+		out[id] = e.Stats().GroupHellosSent
+	}
+	return out
+}
+
+// TestConfirmsWithoutATick: formation and confirmation run on frames,
+// not on the beat. Three engines whose sessions are up hear each other's
+// hellos; the first that adds an edge forms the group, which each
+// announces with one GroupHello, and the GroupHellos confirm it — with
+// no Tick at all. Hearing the same hellos again changes nothing and
+// sends nothing.
+func TestConfirmsWithoutATick(t *testing.T) {
+	h := newHarness()
+	ids := []trace.NodeID{1, 2, 3}
+	for _, id := range ids {
+		h.add(t, id, false)
+	}
+	h.hearEachOther(ids...)
+	h.pump(t)
+	for _, id := range ids {
+		g, ok := h.engines[id].Group()
+		if !ok || !slices.Equal(g, ids) {
+			t.Fatalf("node %d: group=%v confirmed=%v, want %v true without a Tick", id, g, ok, ids)
+		}
+		st := h.engines[id].Stats()
+		if st.Formations != 1 || st.GroupHellosSent != 1 || st.GroupHellosAnnounced != 1 {
+			t.Fatalf("node %d: %d formations, %d GroupHellos sent, %d announced; want 1, 1, 1",
+				id, st.Formations, st.GroupHellosSent, st.GroupHellosAnnounced)
+		}
+	}
+	before := h.sentGroupHellos()
+	h.hearEachOther(ids...)
+	h.pump(t)
+	if got := h.sentGroupHellos(); !maps.Equal(got, before) {
+		t.Fatalf("hellos that refresh known edges sent GroupHellos: %v -> %v", before, got)
+	}
+}
+
+// TestSelectionAnnouncesOnce: a download selected inside a confirmed
+// group is announced with exactly one GroupHello, then and there, and
+// the sequencer grants its first piece on it, without a Tick. Nothing
+// else announces: not the broadcasts that follow, not a second look at
+// the same wants.
+func TestSelectionAnnouncesOnce(t *testing.T) {
+	h := newHarness()
+	ids := []trace.NodeID{1, 2, 3}
+	for _, id := range ids {
+		h.add(t, id, false)
+	}
+	uri := metadata.URIFor(7)
+	h.stores[1].addFile(uri, 4, false, 1.0, 0, 1, 2, 3) // seeder and sequencer
+	h.hearEachOther(ids...)
+	h.pump(t)
+	if _, ok := h.engines[1].Group(); !ok {
+		t.Fatal("no confirmed group to select in")
+	}
+	before := h.sentGroupHellos()
+
+	h.stores[2].addFile(uri, 4, true, 1.0)
+	h.engines[2].Announce(context.Background())
+	want := maps.Clone(before)
+	want[2]++
+	if got := h.sentGroupHellos(); !maps.Equal(got, want) {
+		t.Fatalf("a selection sent GroupHellos %v -> %v, want exactly one from node 2", before, got)
+	}
+	h.pump(t)
+	if st := h.engines[1].Stats(); st.GrantsSent == 0 || st.RoundsKicked != st.GrantsSent {
+		t.Fatalf("sequencer: %d grants, %d of them between Ticks; want its first grant on the announcement", st.GrantsSent, st.RoundsKicked)
+	}
+	if h.stores[2].delivered == 0 {
+		t.Fatal("the selecting member received nothing before a Tick")
+	}
+	h.hearEachOther(ids...)
+	h.pump(t)
+	if got := h.sentGroupHellos(); !maps.Equal(got, want) {
+		t.Fatalf("after the announcement GroupHellos went %v -> %v with nothing changed", want, got)
+	}
+	if st := h.engines[2].Stats(); st.GroupHellosAnnounced != 2 {
+		t.Fatalf("node 2 announced %d times, want 2: the group, the selection", st.GroupHellosAnnounced)
 	}
 }
 
@@ -606,10 +708,10 @@ func TestLargestCliqueWins(t *testing.T) {
 	h.stores[3].setLive([]trace.NodeID{1, 2})
 	h.stores[4].setLive([]trace.NodeID{1})
 	for _, e := range h.engines {
-		e.Observe(1, []trace.NodeID{2, 3, 4})
-		e.Observe(2, []trace.NodeID{1, 3})
-		e.Observe(3, []trace.NodeID{1, 2})
-		e.Observe(4, []trace.NodeID{1})
+		e.Observe(context.Background(), 1, []trace.NodeID{2, 3, 4})
+		e.Observe(context.Background(), 2, []trace.NodeID{1, 3})
+		e.Observe(context.Background(), 3, []trace.NodeID{1, 2})
+		e.Observe(context.Background(), 4, []trace.NodeID{1})
 	}
 	h.step(t, 1, 2, 3, 4)
 	h.step(t, 1, 2, 3, 4)

@@ -132,7 +132,7 @@ func newLaneHarness(t testing.TB, n int, loss float64, relay int) *laneHarness {
 		}
 		h.nodes[id].st.setLive(others)
 		for _, o := range h.ids {
-			h.nodes[o].e.Observe(id, others)
+			h.nodes[o].e.Observe(context.Background(), id, others)
 		}
 	}
 	return h

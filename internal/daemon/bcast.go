@@ -6,8 +6,8 @@
 //
 // Lock ordering: the engine may call these adapters with its own mutex
 // held, so they take d.mu freely; the daemon in turn only calls engine
-// methods (Observe, InGroup, HandleGroup, Tick, Stats) with d.mu
-// released.
+// methods (Observe, Announce, InGroup, HandleGroup, Tick, Stats) with
+// d.mu released.
 package daemon
 
 import (

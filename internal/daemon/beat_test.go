@@ -118,10 +118,15 @@ func (r *beatRig) kick() {
 }
 
 // peer handshakes node id with the daemon and returns its end of the link.
+// A new neighbour's first hello kicks the beacon when the daemon has
+// another peer to tell (the group plane is on): peer returns once that
+// hello has been handled — a second one from the peer is dispatched only
+// then — and the round it kicked has gone out, one hello on every link.
 func (r *beatRig) peer(id trace.NodeID) transport.Conn {
 	r.t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
+	was := r.d.mgr.Stats()
 	conn, err := r.net.Dial(ctx, "rig")
 	if err != nil {
 		r.t.Fatal(err)
@@ -134,6 +139,20 @@ func (r *beatRig) peer(id trace.NodeID) transport.Conn {
 		r.t.Fatal(err)
 	}
 	waitFor(r.t, waitLimit, func() bool { return slices.Contains(r.d.mgr.Peers(), id) }, "the peer's session")
+	if err := conn.Send(ctx, &wire.Hello{From: id}); err != nil {
+		r.t.Fatal(err)
+	}
+	waitFor(r.t, waitLimit, func() bool { return r.d.mgr.Stats().HellosRecv == was.HellosRecv+2 }, "the peer's first hello handled")
+	want := was
+	want.HellosSent++ // the handshake's
+	if n := len(r.d.mgr.Peers()); n > 1 {
+		want.HellosKicked++
+		want.HellosSent += uint64(n)
+	}
+	waitFor(r.t, waitLimit, func() bool {
+		st := r.d.mgr.Stats()
+		return st.HellosKicked == want.HellosKicked && st.HellosSent == want.HellosSent
+	}, "the new neighbour's kicked round")
 	return conn
 }
 
@@ -212,12 +231,15 @@ func (r *beatRig) sweptAt() time.Time {
 }
 
 // TestNothingPeriodicWithoutATick: with the tick never fired an hour goes
-// by on the clock and the node does nothing — no frame, no expiry, no
-// GroupHello, no DHT round, although every one of them is long due. One
-// tick then does exactly one of each, in the beat's order: the peer round
-// (expire, beacon), the sweep, the group beat, the DHT round.
-// The download that gained nothing all that hour gets no hello of its
-// own: the beacon already advertises it.
+// by on the clock and the node does nothing periodic — no beacon, no
+// expiry, no DHT round, although every one of them is long due. Two of
+// its peers are heard again then, and hear each other: the clique they
+// make with the node forms on those hellos and is announced, with one
+// GroupHello and nothing else. One tick then does exactly one of each
+// periodic thing, in the beat's order: the peer round (expire, beacon),
+// the sweep, the group beat, the DHT round. The download that gained
+// nothing all that hour gets no hello of its own: the beacon already
+// advertises it.
 func TestNothingPeriodicWithoutATick(t *testing.T) {
 	defer testutil.NoLeaks(t)()
 	r := newBeatRig(t, func(c *Config) { c.Queries = []string{"f0"} })
@@ -226,13 +248,15 @@ func TestNothingPeriodicWithoutATick(t *testing.T) {
 	c2, c3, c4 := r.peer(2), r.peer(3), r.peer(4)
 	rec := d.syntheticFile(0)
 	d.onMetadata(2, &wire.Metadata{Popularity: 0.5, Record: *rec}) // selected: a download nobody serves
-	// The selection kicked: three handshakes, then a round of three.
+	// Nodes 3 and 4 each kicked a round on arriving (two and three
+	// hellos), and the selection kicked one of three: three handshakes,
+	// then eight beacons.
 	waitFor(t, waitLimit, func() bool {
 		st := d.mgr.Stats()
-		return st.HellosKicked == 1 && st.HellosSent == 6
+		return st.HellosKicked == 3 && st.HellosSent == 11
 	}, "the selection's kicked round")
-	for _, conn := range []transport.Conn{c2, c3, c4} {
-		r.recv(conn, 1) // that round's beacon
+	for conn, rounds := range map[transport.Conn]int{c2: 3, c3: 3, c4: 2} {
+		r.recv(conn, rounds) // the kicked rounds' beacons
 	}
 	d.mu.Lock()
 	d.peerLocked(4).sent = map[metadata.URI]*sentFile{rec.URI: {}}
@@ -241,11 +265,17 @@ func TestNothingPeriodicWithoutATick(t *testing.T) {
 
 	r.clk.Advance(time.Hour)
 	// Nodes 2 and 3 are heard again, and hear each other: with this node
-	// they are a clique. Node 4 has been silent four windows.
+	// they are a clique, announced once. Node 4 has been silent four
+	// windows.
 	r.hello(c2, 2, 1, 3)
 	r.hello(c3, 3, 1, 2)
-	if got := r.counts(); got != base {
-		t.Fatalf("an hour on the clock and no tick: counters went %+v -> %+v", base, got)
+	announced := base
+	announced.groupHellos++
+	if got := r.counts(); got != announced {
+		t.Fatalf("an hour on the clock and no tick: counters went %+v -> %+v, want only the clique's announcement", base, got)
+	}
+	if st := d.bcast.Stats(); st.GroupHellosAnnounced != 1 || len(st.Group) != 3 {
+		t.Fatalf("group %v, %d GroupHellos announced on a change; want [1 2 3] and 1", st.Group, st.GroupHellosAnnounced)
 	}
 	if q := d.mgr.Queues(); q.ControlDepth+q.DataDepth != 0 {
 		t.Fatalf("an hour on the clock and no tick: %+v queued", q)
@@ -273,7 +303,7 @@ func TestNothingPeriodicWithoutATick(t *testing.T) {
 	if m, err := c4.Recv(context.Background()); err == nil {
 		t.Errorf("the expired node 4 heard a %v", m.Type())
 	}
-	want := beatCounts{hellos: base.hellos + 2, expiries: 1, groupHellos: 1, dhtRounds: 1}
+	want := beatCounts{hellos: base.hellos + 2, expiries: 1, groupHellos: announced.groupHellos + 1, dhtRounds: 1}
 	if got := r.counts(); got != want {
 		t.Fatalf("after one tick: %+v, want %+v", got, want)
 	}
@@ -292,6 +322,7 @@ func TestNothingPeriodicWithoutATick(t *testing.T) {
 // round and nothing else; and a stream of kicks that never lets the ticker
 // fire still gets the sweep, the group beat and DHT maintenance run within
 // an interval of being due, because every wake-up judges them on the clock.
+// The clique's own announcement, made when it formed, is no group beat.
 func TestKicksNeitherAddNorStarveTheBeat(t *testing.T) {
 	defer testutil.NoLeaks(t)()
 	r := newBeatRig(t, func(c *Config) { c.LivenessWindow = 24 * time.Hour })
@@ -301,7 +332,7 @@ func TestKicksNeitherAddNorStarveTheBeat(t *testing.T) {
 	for _, id := range []trace.NodeID{2, 3} {
 		r.answerDHT(r.peer(id), id)
 	}
-	d.bcast.Observe(2, []trace.NodeID{3}) // 1, 2 and 3 are a clique
+	d.bcast.Observe(context.Background(), 2, []trace.NodeID{3}) // 1, 2 and 3 are a clique
 	began := r.clk.Now()
 	base := r.counts()
 
@@ -337,13 +368,16 @@ func TestKicksNeitherAddNorStarveTheBeat(t *testing.T) {
 	}
 	r.stop()
 	got := r.counts()
+	announced := d.bcast.Stats().GroupHellosAnnounced
 	// 15 min of kicks: the rest of the beat ran at every other one, and DHT
 	// maintenance when first due and ten minutes later.
-	if got.groupHellos != 10 || got.dhtRounds != 2 || got.expiries != 0 {
-		t.Fatalf("after twenty kicks: %+v, want 10 group beats, 2 DHT rounds, no expiry", got)
+	if got.groupHellos-announced != 10 || announced != 1 || got.dhtRounds != 2 || got.expiries != 0 {
+		t.Fatalf("after twenty kicks: %+v with %d announced on a change, want 10 group beats and 1 announcement, 2 DHT rounds, no expiry",
+			got, announced)
 	}
-	if kicked := d.mgr.Stats().HellosKicked; kicked != 42 {
-		t.Fatalf("HellosKicked = %d, want 42", kicked)
+	// Node 3's arrival, then the 42 kicks of the test.
+	if kicked := d.mgr.Stats().HellosKicked; kicked != 43 {
+		t.Fatalf("HellosKicked = %d, want 43", kicked)
 	}
 }
 
@@ -365,8 +399,16 @@ func TestCutNodeNeitherSpeaksNorHears(t *testing.T) {
 	defer r.close()
 	d := r.d
 	c2, c3 := r.peer(2), r.peer(3)
-	d.bcast.Observe(2, []trace.NodeID{3}) // 1, 2 and 3 are a clique
+	d.bcast.Observe(context.Background(), 2, []trace.NodeID{3}) // 1, 2 and 3 are a clique
 	waitFor(t, waitLimit, func() bool { return len(d.dht.Contacts()) == 2 }, "both contacts in the routing table")
+	// The baseline follows the clique's announcement, one GroupHello to
+	// each member. Either peer has read it and node 3's arrival beacon.
+	waitFor(t, waitLimit, func() bool { return d.mgr.Stats().GroupSent == 2 }, "the clique's announcement")
+	for id, conn := range map[trace.NodeID]transport.Conn{2: c2, 3: c3} {
+		if got, want := r.recv(conn, 2), []wire.MsgType{wire.TypeHello, wire.TypeGroupHello}; !slices.Equal(got, want) {
+			t.Fatalf("node %d heard %v before the cut, want %v", id, got, want)
+		}
+	}
 	handled := func() [4]uint64 {
 		st := d.mgr.Stats()
 		return [4]uint64{st.HellosRecv, st.GroupRecv, st.DHTRecv, st.BusyRecv}

@@ -304,7 +304,10 @@ type peerState struct {
 	sent map[metadata.URI]*sentFile
 	// downloading is what the peer's latest hello lists as downloads.
 	downloading []metadata.URI
-	offence     offender
+	// met is whether a hello of the peer's was handled since it last
+	// joined the peer table.
+	met     bool
+	offence offender
 	// busyUntil holds, per lane, the backoff deadline the peer advertised
 	// to us; busyTold when we last sent it a Busy, which paces our replies
 	// to one per lane per busyWindow. Indexed by wire.BusyScope.
@@ -928,7 +931,7 @@ func (d *Daemon) sweepOnce(wall time.Time) {
 	d.node.Expire(now)
 	for id, ps := range d.peers {
 		if !live[id] {
-			ps.sent = nil
+			ps.sent, ps.met = nil, false
 		}
 		ps.offence.decay(wall, d.cfg.LivenessWindow)
 		if !live[id] && !ps.binds(wall, d.busyWindow()) {
@@ -1104,7 +1107,7 @@ func (h *handler) Gone(id trace.NodeID) {
 		return
 	}
 	if ps := d.peers[id]; ps != nil {
-		ps.sent = nil
+		ps.sent, ps.met = nil, false
 	}
 	for _, f := range d.files {
 		f.name(id, false)
@@ -1142,12 +1145,20 @@ func (d *Daemon) onHello(from trace.NodeID, msg *wire.Hello) {
 	d.mu.Lock()
 	d.node.LearnPeerQueries(from, msg.Queries, now.Add(peerQueryTTL))
 	d.heardDownloadsLocked(from, msg.Downloading)
+	ps := d.peerLocked(from)
+	met := ps.met
+	ps.met = true
 	d.mu.Unlock()
 
 	// The heard list is the raw material of the clique graph: the sender
-	// vouches it can receive each listed node.
+	// vouches it can receive each listed node. A new neighbour's first
+	// hello kicks the beacon when there is anyone else to tell, so the
+	// other members learn the new edge from one frame, not at the beat.
 	if d.bcast != nil {
-		d.bcast.Observe(from, msg.Heard)
+		d.bcast.Observe(context.Background(), from, msg.Heard)
+		if !met && len(d.mgr.Peers()) > 1 {
+			d.mgr.Kick()
+		}
 	}
 	// Every live peer is a DHT contact. Its dialable address is learned
 	// later from its own DHT frames; an empty one routes over the
@@ -1171,11 +1182,16 @@ func (d *Daemon) onHello(from trace.NodeID, msg *wire.Hello) {
 	}
 	// A confirmed group member's downloads are the schedule's job: one
 	// broadcast serves every member, so pairwise streams to it would
-	// only burn the medium. Collapse flips InGroup off and this path
-	// resumes — the pairwise fallback.
+	// only burn the medium. Its standing orders end here too: one dealt
+	// while the group formed would otherwise forward the pieces this node
+	// applies against a bitmap this hello no longer updates. Collapse
+	// flips InGroup off and this path resumes — the pairwise fallback.
 	if d.bcast != nil && len(msg.Downloading) > 0 && d.bcast.InGroup(from) {
 		d.mu.Lock()
 		d.counters.piecesSuppressed += uint64(len(msg.Downloading))
+		for _, uri := range msg.Downloading {
+			delete(d.peerLocked(from).sent, uri)
+		}
 		d.mu.Unlock()
 		return
 	}
@@ -1423,8 +1439,12 @@ func (d *Daemon) onMetadata(from trace.NodeID, m *wire.Metadata) {
 	if selected && !wanted {
 		// A new download is an interest change: advertise it now rather
 		// than at the next tick, so the holder that just answered the
-		// query starts serving pieces within the same contact.
+		// query starts serving pieces within the same contact — and, on
+		// the group plane, so the sequencer can grant it a piece.
 		d.mgr.Kick()
+		if d.bcast != nil {
+			d.bcast.Announce(context.Background())
+		}
 	}
 	if added && d.dht != nil {
 		// Fold the verified record into the DHT cache: a DTN-side node

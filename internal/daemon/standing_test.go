@@ -469,6 +469,54 @@ func TestForwardOnAcquisition(t *testing.T) {
 	}
 }
 
+// TestGroupMemberOrdersEndOnSuppression: a standing order dealt to a
+// neighbour before its group confirmed ends with the first of its hellos
+// left to the schedule. The pieces this node applies afterwards are not
+// forwarded to it against the bitmap of the hello the order was dealt
+// from — the suppressed hello, which holds them all, never updated it.
+func TestGroupMemberOrdersEndOnSuppression(t *testing.T) {
+	const pieces = 16
+	clk := testutil.NewClock()
+	d := benchAt(t, clk, func(c *Config) {
+		c.FileSize, c.PieceSize, c.PiecesPerHello = pieces*1024, 1024, pieces
+		c.HelloInterval, c.LivenessWindow = time.Second, 5*time.Second
+		c.EnableBcast, c.Broadcast = true, &airtap{}
+	})
+	wedge(t, d, 2).g.release() // the gate wedges one peer at a time: 3's
+	wedge(t, d, 3)
+	rec := feedMetadata(t, d, 9)
+	ordered := func() bool {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return d.peers[2] != nil && d.peers[2].sent[rec.URI] != nil
+	}
+	d.onHello(2, helloFor(2, rec.URI, pieces, []trace.NodeID{1, 3}))
+	d.onHello(3, helloFor(3, rec.URI, pieces, []trace.NodeID{1, 2}))
+	if !ordered() || d.bcast.InGroup(2) {
+		t.Fatal("want an order for node 2 and no confirmed group yet")
+	}
+	for _, id := range []trace.NodeID{2, 3} {
+		d.bcast.HandleGroup(context.Background(), id, &wire.GroupHello{From: id, Members: []trace.NodeID{1, 2, 3}})
+	}
+	if !d.bcast.InGroup(2) {
+		t.Fatal("the group did not confirm on its members' views")
+	}
+	all := make([]int, pieces)
+	for i := range all {
+		all[i] = i
+	}
+	d.onHello(2, helloFor(2, rec.URI, pieces, []trace.NodeID{1, 3}, all...))
+	if ordered() {
+		t.Fatal("node 2's order outlived the hello left to the schedule")
+	}
+	for i := 0; i < pieces; i++ {
+		d.onPiece(9, pieceMsg(rec, i))
+	}
+	if got := pushedTo(d, 2, rec.URI); len(got) != 0 {
+		t.Fatalf("forwarded %v to a confirmed member whose last hello holds every piece", got)
+	}
+}
+
 // TestForwardStaysInsideTheWindow: forwarding is pushing — it takes a
 // slot of the neighbour's pipe like any other push, and what did not fit
 // goes out on the neighbour's next ack instead.

@@ -61,8 +61,10 @@ type stepSwarm struct {
 	cancel context.CancelFunc
 
 	// heard is, per receiver, the Have of the last hello it was handed
-	// from each sender, and bad what the send checks found.
+	// from each sender, views the last GroupHello, and bad what the send
+	// checks found.
 	heard map[[2]trace.NodeID][]wire.GroupWant
+	views map[[2]trace.NodeID]heardView
 	badMu sync.Mutex
 	bad   []string
 	// tx is what a group family measured: transmissions per verified
@@ -82,6 +84,7 @@ func newStepSwarm(tb testing.TB, family string, seed uint64, faults stepnet.Faul
 	s := &stepSwarm{
 		tb: tb, family: family, seed: seed, net: stepnet.New(seed, true),
 		heard: map[[2]trace.NodeID][]wire.GroupWant{},
+		views: map[[2]trace.NodeID]heardView{},
 	}
 	s.net.Faults, s.net.Scan = faults, *scan
 	s.net.Sent, s.net.Handed = s.checkSent, s.handed
@@ -225,14 +228,29 @@ func (s *stepSwarm) act(what string, f func()) {
 	s.check()
 }
 
+// heardView is a GroupHello as its receiver was handed it, and when.
+type heardView struct {
+	hello *wire.GroupHello
+	at    time.Time
+}
+
 // handed records, for each hello a node is handed on a conn, the bitmaps
-// its receiver serves against. Called under the network's lock.
+// its receiver serves against, and for each GroupHello, on a conn or a
+// lane, the view it announces. Called under the network's lock.
 func (s *stepSwarm) handed(to, _ trace.NodeID, onConn bool, frame []byte) {
-	if len(frame) < 3 || wire.MsgType(frame[2]) != wire.TypeHello || !onConn {
+	if len(frame) < 3 {
 		return
 	}
-	if h, err := wire.DecodeHello(frame); err == nil {
-		s.heard[[2]trace.NodeID{to, h.From}] = h.Have
+	switch wire.MsgType(frame[2]) {
+	case wire.TypeHello:
+		if h, err := wire.DecodeHello(frame); err == nil && onConn {
+			s.heard[[2]trace.NodeID{to, h.From}] = h.Have
+		}
+	case wire.TypeGroupHello:
+		if m, err := wire.Decode(frame); err == nil {
+			g := m.(*wire.GroupHello)
+			s.views[[2]trace.NodeID{to, g.From}] = heardView{g, s.net.Now()}
+		}
 	}
 }
 
@@ -332,10 +350,56 @@ func (s *stepSwarm) check() {
 			}
 		}
 		d.mu.Unlock()
+		if d.bcast != nil {
+			problems = append(problems, s.groupProblems(n)...)
+		}
 		if len(problems) > 0 {
 			s.fail("node %d: %s", n.id, strings.Join(problems, "; "))
 		}
 	}
+}
+
+// groupProblems holds a node of the group plane to its two frame-speed
+// rules, from the GroupHellos it was handed. A node that holds a fresh
+// view naming its group from every other member is confirmed: the last
+// of them confirmed it, not the beat after. And a confirmed sequencer
+// that holds a member's view naming a download it can serve a piece of
+// has granted: the view opened a round.
+func (s *stepSwarm) groupProblems(n *stepNode) (problems []string) {
+	st := n.d.bcast.Stats()
+	if st.Group == nil {
+		return nil
+	}
+	now := s.net.Now()
+	agreed, wanted := true, false
+	for _, m := range st.Group {
+		if m == n.id {
+			continue
+		}
+		v, ok := s.views[[2]trace.NodeID{n.id, m}]
+		if !ok || now.Sub(v.at) > n.cfg.LivenessWindow {
+			agreed = false
+			continue
+		}
+		if !slices.Equal(v.hello.Members, st.Group) {
+			agreed = false
+		}
+		for _, w := range v.hello.Wants {
+			if !w.Downloading {
+				continue
+			}
+			for i, held := range n.d.Have(w.URI) {
+				wanted = wanted || held && !w.HaveBit(i)
+			}
+		}
+	}
+	if agreed && !st.Confirmed {
+		problems = append(problems, fmt.Sprintf("every other member's view names its group %v, and it is unconfirmed", st.Group))
+	}
+	if st.Confirmed && st.Sequencer == n.id && wanted && st.GrantsSent == 0 {
+		problems = append(problems, "it sequences a confirmed group, holds a piece a member's view wants, and has granted nothing")
+	}
+	return problems
 }
 
 // stepFile is the pairwise families' download: 16 pieces of 4 KiB, four
@@ -629,46 +693,10 @@ func stepGroup(tb testing.TB, seed uint64, fec bool) *stepSwarm {
 		family = "TestStep/fec"
 	}
 	s := newStepSwarm(tb, family, seed, stepnet.Faults{})
-	var nodes []*Daemon
-	var addrs []string
-	for id := trace.NodeID(1); id <= groupNodes; id++ {
-		c := stepCfg(id)
-		// A view lives twenty beats: at 44 % loss a member misses all of a
-		// peer's group hellos in four beats one time in 27 (0.44⁴), and a group
-		// that flaps hands its pieces to the pairwise path.
-		c.LivenessWindow = 20 * stepnet.Beat
-		c.ListenAddr = fmt.Sprintf("n%d", id)
-		c.PeerAddrs = slices.Clone(addrs)
-		if id == 1 {
-			c.InternetAccess, c.PublishFiles = true, 1
-			c.FileSize, c.PieceSize = groupPieces*groupPieceSize, groupPieceSize
-		}
-		c.EnableBcast = true
-		c.Broadcast = s.net.Join("radio", groupLoss, id)
-		if fec {
-			c.Symbols = s.net.Join("symbols", groupLoss, id)
-			c.EnableFEC, c.SymbolSize = true, groupSymbolSize
-			// A relay rarely reaches a member the sender's own broadcast
-			// missed; fresh top-ups do the repair.
-			c.RelayBudget = 1
-		}
-		nodes = append(nodes, s.start(c).d)
-		addrs = append(addrs, c.ListenAddr)
-	}
+	nodes := s.clique(fec, groupLoss)
 	leeches := nodes[1:]
-	s.until(20000, "group confirmation on the lossy medium", func() bool {
-		for _, d := range nodes {
-			if st := d.bcast.Stats(); !st.Confirmed || len(st.Group) != groupNodes {
-				return false
-			}
-		}
-		return true
-	})
-	s.act("query f0 at every downloader", func() {
-		for _, d := range leeches {
-			d.AddQuery("f0")
-		}
-	})
+	confirmed, granted := s.groupStarts(nodes)
+	tb.Logf("the group confirmed %d beats after the last handshake and granted %d beats after the query", confirmed, granted)
 	uri := metadata.URIFor(0)
 	s.until(50000, "downloads on the lossy medium", func() bool {
 		for _, d := range leeches {
@@ -694,6 +722,92 @@ func stepGroup(tb testing.TB, seed uint64, fec bool) *stepSwarm {
 	}
 	s.tx = tx / verified
 	return s
+}
+
+// clique starts the group families' clique on the swarm: a full mesh
+// of groupNodes daemons, node 1 the seed, on one shared medium losing
+// loss per receiver — with fec, and a symbol lane at the same loss.
+func (s *stepSwarm) clique(fec bool, loss float64) (nodes []*Daemon) {
+	var addrs []string
+	for id := trace.NodeID(1); id <= groupNodes; id++ {
+		c := stepCfg(id)
+		// A view lives twenty beats: at 44 % loss a member misses all of a
+		// peer's group hellos in four beats one time in 27 (0.44⁴), and a group
+		// that flaps hands its pieces to the pairwise path.
+		c.LivenessWindow = 20 * stepnet.Beat
+		c.ListenAddr = fmt.Sprintf("n%d", id)
+		c.PeerAddrs = slices.Clone(addrs)
+		if id == 1 {
+			c.InternetAccess, c.PublishFiles = true, 1
+			c.FileSize, c.PieceSize = groupPieces*groupPieceSize, groupPieceSize
+		}
+		c.EnableBcast = true
+		c.Broadcast = s.net.Join("radio", loss, id)
+		if fec {
+			c.Symbols = s.net.Join("symbols", loss, id)
+			c.EnableFEC, c.SymbolSize = true, groupSymbolSize
+			// A relay rarely reaches a member the sender's own broadcast
+			// missed; fresh top-ups do the repair.
+			c.RelayBudget = 1
+		}
+		nodes = append(nodes, s.start(c).d)
+		addrs = append(addrs, c.ListenAddr)
+	}
+	return nodes
+}
+
+// groupStarts steps the clique from its handshakes to its first grant:
+// every session up, the whole group confirmed on every node, a query
+// for the seed's file at every downloader, the sequencer's first grant.
+// It reports the beats from the last handshake to the confirmation and
+// from the queries to the grant.
+func (s *stepSwarm) groupStarts(nodes []*Daemon) (confirmed, granted int) {
+	s.tb.Helper()
+	s.until(20000, "every handshake", func() bool {
+		for _, d := range nodes {
+			if len(d.mgr.Peers()) != len(nodes)-1 {
+				return false
+			}
+		}
+		return true
+	})
+	at := s.net.Beats
+	s.until(20000, "group confirmation", func() bool {
+		for _, d := range nodes {
+			if st := d.bcast.Stats(); !st.Confirmed || len(st.Group) != len(nodes) {
+				return false
+			}
+		}
+		return true
+	})
+	confirmed, at = s.net.Beats-at, s.net.Beats
+	s.act("query f0 at every downloader", func() {
+		for _, d := range nodes[1:] {
+			d.AddQuery("f0")
+		}
+	})
+	s.until(20000, "the first grant", func() bool { return nodes[0].bcast.Stats().GrantsSent > 0 })
+	return confirmed, s.net.Beats - at
+}
+
+// TestGroupStartsBeforeTheBeat: on a medium that loses nothing the group
+// plane's start takes round trips, not beats. The clique confirms its
+// group before the first beat after its last handshake, and the
+// downloaders' selections reach the sequencer, which grants the first
+// piece, before the beat after the queries: formation and confirmation
+// run on the hellos and GroupHellos that carry them, and a selection
+// announces itself. On the lossy medium of TestStep's group families a
+// lost GroupHello waits for the keep-alive at the beat; the frame-speed
+// rules themselves are held on every step there (groupProblems).
+func TestGroupStartsBeforeTheBeat(t *testing.T) {
+	for _, fec := range []bool{false, true} {
+		s := newStepSwarm(t, "TestGroupStartsBeforeTheBeat", 1, stepnet.Faults{})
+		if confirmed, granted := s.groupStarts(s.clique(fec, 0)); confirmed != 0 || granted != 0 {
+			s.fail("fec=%v: the group confirmed %d beats after the last handshake and granted %d beats after the query, want 0 and 0",
+				fec, confirmed, granted)
+		}
+		s.close()
+	}
 }
 
 // stepRestart is the crash-recovery soak stepped: a leech with a data
