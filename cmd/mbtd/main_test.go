@@ -181,33 +181,6 @@ func (l *statsLog) await(t *testing.T, errs <-chan error) string {
 	return ""
 }
 
-// awaitPeers waits until the daemon serving /healthz at addr reports
-// peers sessions. A run that ends first (errs) or 30 s without fails the
-// test.
-func awaitPeers(t *testing.T, addr string, peers int, errs <-chan error) {
-	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		select {
-		case err := <-errs:
-			t.Fatalf("daemon exited early: %v", err)
-		default:
-		}
-		var h struct {
-			Peers int `json:"peers"`
-		}
-		if resp, err := http.Get(fmt.Sprintf("http://%s/healthz", addr)); err == nil {
-			json.NewDecoder(resp.Body).Decode(&h)
-			resp.Body.Close()
-			if h.Peers >= peers {
-				return
-			}
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("%s never reported %d peers", addr, peers)
-}
-
 // TestLocalhostDemo is the README demo as a test: two mbtd daemons on
 // localhost, a metadata query, and a full multi-piece download, watched
 // through the leecher's /stats endpoint.
@@ -275,10 +248,8 @@ func TestLocalhostDemo(t *testing.T) {
 // schedule (fanned out over the unicast links). Both leechers must
 // complete the file, report a confirmed three-node group in /stats,
 // and have received pieces over the broadcast path. The seed's fast
-// beacon makes the rounds fast (it is the sequencer). The leechers mesh
-// first and the seed dials both last, so the file meets a whole clique;
-// the group confirms in round trips, while the 128-piece file outlasts
-// the pairwise head start before confirmation.
+// beacon makes the rounds fast (it is the sequencer), while the
+// 128-piece file outlasts the pairwise head start before confirmation.
 func TestLocalhostBcastDemo(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -288,29 +259,24 @@ func TestLocalhostBcastDemo(t *testing.T) {
 	errs := make(chan error, 3)
 	go func() {
 		errs <- run(ctx, []string{
-			"-id", "2", "-listen", p2, "-query", "f0",
+			"-id", "1", "-listen", p1, "-internet", "-files", "1",
+			"-file-size", "524288", "-piece-size", "4096",
+			"-bcast", "-hello", "20ms", "-quiet",
+		}, io.Discard)
+	}()
+	go func() {
+		errs <- run(ctx, []string{
+			"-id", "2", "-listen", p2, "-peers", p1, "-query", "f0",
 			"-bcast", "-http", "127.0.0.1:0", "-hello", "200ms", "-quiet",
 		}, log2)
 	}()
 	go func() {
 		errs <- run(ctx, []string{
-			"-id", "3", "-listen", p3, "-peers", p2, "-query", "f0",
+			"-id", "3", "-listen", p3, "-peers", p1 + "," + p2, "-query", "f0",
 			"-bcast", "-http", "127.0.0.1:0", "-hello", "200ms", "-quiet",
 		}, log3)
 	}()
-	// The seed comes last, dialing both: its file reaches a mesh that
-	// is already whole. A leecher that dialed a peer not yet listening
-	// would wait a beat to redial, and on loopback the pairwise plane
-	// moves the whole file in that beat — a star, not a clique.
 	h2, h3 := log2.await(t, errs), log3.await(t, errs)
-	awaitPeers(t, h2, 1, errs)
-	go func() {
-		errs <- run(ctx, []string{
-			"-id", "1", "-listen", p1, "-peers", p2 + "," + p3, "-internet", "-files", "1",
-			"-file-size", "524288", "-piece-size", "4096",
-			"-bcast", "-hello", "20ms", "-quiet",
-		}, io.Discard)
-	}()
 
 	type stats struct {
 		Completed map[string]bool `json:"completed"`
@@ -378,32 +344,27 @@ func TestLocalhostFECDemo(t *testing.T) {
 	errs := make(chan error, 3)
 	go func() {
 		errs <- run(ctx, []string{
-			"-id", "2", "-listen", p2, "-query", "f0",
+			"-id", "1", "-listen", p1, "-internet", "-files", "1",
+			"-file-size", "524288", "-piece-size", "4096",
+			"-bcast", "-fec", "-symbol-peers", p2 + "," + p3,
+			"-hello", "20ms", "-quiet",
+		}, io.Discard)
+	}()
+	go func() {
+		errs <- run(ctx, []string{
+			"-id", "2", "-listen", p2, "-peers", p1, "-query", "f0",
 			"-bcast", "-fec", "-symbol-peers", p1 + "," + p3,
 			"-http", "127.0.0.1:0", "-hello", "200ms", "-quiet",
 		}, log2)
 	}()
 	go func() {
 		errs <- run(ctx, []string{
-			"-id", "3", "-listen", p3, "-peers", p2, "-query", "f0",
+			"-id", "3", "-listen", p3, "-peers", p1 + "," + p2, "-query", "f0",
 			"-bcast", "-fec", "-symbol-peers", p1 + "," + p2,
 			"-http", "127.0.0.1:0", "-hello", "200ms", "-quiet",
 		}, log3)
 	}()
-	// The seed comes last, dialing both: its file reaches a mesh that
-	// is already whole. A leecher that dialed a peer not yet listening
-	// would wait a beat to redial, and on loopback the pairwise plane
-	// moves the whole file in that beat — a star, not a clique.
 	h2, h3 := log2.await(t, errs), log3.await(t, errs)
-	awaitPeers(t, h2, 1, errs)
-	go func() {
-		errs <- run(ctx, []string{
-			"-id", "1", "-listen", p1, "-peers", p2 + "," + p3, "-internet", "-files", "1",
-			"-file-size", "524288", "-piece-size", "4096",
-			"-bcast", "-fec", "-symbol-peers", p2 + "," + p3,
-			"-hello", "20ms", "-quiet",
-		}, io.Discard)
-	}()
 
 	type stats struct {
 		Completed map[string]bool `json:"completed"`

@@ -140,8 +140,9 @@ type Config struct {
 	// piece — better loss granularity, more per-symbol overhead.
 	SymbolSize int
 	// RelayBudget bounds how many first-sight symbols a receiver
-	// re-broadcasts to the group per Tick (default DefaultRelayBudget;
-	// coopcast-style cooperation, capped so relays cannot storm).
+	// re-broadcasts to the group per Tick, and before the first
+	// (default DefaultRelayBudget; coopcast-style cooperation, capped so
+	// relays cannot storm).
 	RelayBudget int
 	// Now is the clock edges, member views and symbol collections are
 	// stamped with and aged against (default time.Now); each entry point
@@ -280,7 +281,7 @@ func New(cfg Config) *Engine {
 		cfg:        cfg,
 		edges:      make(map[edge]time.Time),
 		views:      make(map[trace.NodeID]*view),
-		relayQuota: cfg.RelayBudget, // the first interval's, a group may confirm before a Tick
+		relayQuota: cfg.RelayBudget, // the first interval's: a group can confirm before any Tick
 		overhead:   initialOverhead,
 		sizing:     1, // 0 tags a grant that is not an opening
 		fecSend:    make(map[pieceKey]*fecStream),
@@ -305,11 +306,11 @@ func (e *Engine) logf(format string, args ...any) {
 // A hello that adds an edge — not one that only refreshes edges already
 // on record — re-forms the group, and a group that changes is announced
 // at once with one GroupHello and judged for confirmation on the spot.
-func (e *Engine) Observe(ctx context.Context, from trace.NodeID, heard []trace.NodeID) {
+// It reports whether the hello added an edge.
+func (e *Engine) Observe(ctx context.Context, from trace.NodeID, heard []trace.NodeID) (added bool) {
 	now := e.cfg.Now()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	added := false
 	for _, h := range heard {
 		if h == from {
 			continue
@@ -321,13 +322,14 @@ func (e *Engine) Observe(ctx context.Context, from trace.NodeID, heard []trace.N
 		e.edges[k] = now
 	}
 	if !added || !e.reformLocked() || e.group == nil {
-		return
+		return added
 	}
 	e.announceLocked(ctx, now)
 	e.counters.GroupHellosAnnounced++
 	if e.confirmLocked(now) && e.sequencingLocked() {
 		e.roundsLocked(ctx, now, true, true)
 	}
+	return true
 }
 
 // Announce tells the group at once that this node's wants changed — the
@@ -722,7 +724,7 @@ func (e *Engine) grantLocked(ctx context.Context, now time.Time, kicked bool) (o
 		g.To = c.Sender
 		g.URI = c.URI
 		g.Piece = int32(c.Piece)
-		e.flyLocked(pieceKey{c.URI, c.Piece}, now, grant{round: g.Round, to: g.To})
+		e.flyLocked(pieceKey{c.URI, c.Piece}, grant{round: g.Round, to: g.To})
 	}
 	e.sendLocked(ctx, g)
 	e.counters.GrantsSent++
@@ -773,15 +775,16 @@ func (e *Engine) transmitLocked(ctx context.Context, g *wire.Grant, now time.Tim
 		From: e.cfg.Self, Round: g.Round, URI: uri, Index: piece, Total: total, Data: data,
 	})
 	e.counters.PieceBcastsSent++
-	e.flyLocked(pieceKey{uri, piece}, now, grant{round: g.Round, to: e.cfg.Self})
+	e.flyLocked(pieceKey{uri, piece}, grant{round: g.Round, to: e.cfg.Self})
 	e.markHaveLocked(uri, piece)
 }
 
 // flyLocked puts piece k's grant g in the flight window, dated by the
-// Ticks ended so far.
-func (e *Engine) flyLocked(k pieceKey, now time.Time, g grant) {
+// Ticks ended so far. The tag is the grant's one date: the window's
+// clock stamp stays zero, as nothing here reads it.
+func (e *Engine) flyLocked(k pieceKey, g grant) {
 	g.ticks = e.ticks
-	e.granted.Send(k, now, g)
+	e.granted.Send(k, time.Time{}, g)
 }
 
 // markHaveLocked optimistically flips the piece's have bit in every

@@ -220,7 +220,7 @@ func (e *Engine) transmitSymbolsLocked(ctx context.Context, round uint64, uri me
 	if opening {
 		g.sizing = e.sizing
 	}
-	e.flyLocked(key, now, g)
+	e.flyLocked(key, g)
 	// No optimistic markHave here: on the lossy plane "transmitted" is
 	// not "received". The piece leaves the candidate list only when
 	// acks (or GroupHellos) flip the members' bits.

@@ -118,15 +118,11 @@ func (r *beatRig) kick() {
 }
 
 // peer handshakes node id with the daemon and returns its end of the link.
-// A new neighbour's first hello kicks the beacon when the daemon has
-// another peer to tell (the group plane is on): peer returns once that
-// hello has been handled — a second one from the peer is dispatched only
-// then — and the round it kicked has gone out, one hello on every link.
+// Its handshake hello hears nobody, so it adds no edge and kicks nothing.
 func (r *beatRig) peer(id trace.NodeID) transport.Conn {
 	r.t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	was := r.d.mgr.Stats()
 	conn, err := r.net.Dial(ctx, "rig")
 	if err != nil {
 		r.t.Fatal(err)
@@ -139,20 +135,6 @@ func (r *beatRig) peer(id trace.NodeID) transport.Conn {
 		r.t.Fatal(err)
 	}
 	waitFor(r.t, waitLimit, func() bool { return slices.Contains(r.d.mgr.Peers(), id) }, "the peer's session")
-	if err := conn.Send(ctx, &wire.Hello{From: id}); err != nil {
-		r.t.Fatal(err)
-	}
-	waitFor(r.t, waitLimit, func() bool { return r.d.mgr.Stats().HellosRecv == was.HellosRecv+2 }, "the peer's first hello handled")
-	want := was
-	want.HellosSent++ // the handshake's
-	if n := len(r.d.mgr.Peers()); n > 1 {
-		want.HellosKicked++
-		want.HellosSent += uint64(n)
-	}
-	waitFor(r.t, waitLimit, func() bool {
-		st := r.d.mgr.Stats()
-		return st.HellosKicked == want.HellosKicked && st.HellosSent == want.HellosSent
-	}, "the new neighbour's kicked round")
 	return conn
 }
 
@@ -230,16 +212,17 @@ func (r *beatRig) sweptAt() time.Time {
 	return r.d.lastPeerAt
 }
 
-// TestNothingPeriodicWithoutATick: with the tick never fired an hour goes
-// by on the clock and the node does nothing periodic — no beacon, no
-// expiry, no DHT round, although every one of them is long due. Two of
-// its peers are heard again then, and hear each other: the clique they
-// make with the node forms on those hellos and is announced, with one
-// GroupHello and nothing else. One tick then does exactly one of each
-// periodic thing, in the beat's order: the peer round (expire, beacon),
-// the sweep, the group beat, the DHT round. The download that gained
-// nothing all that hour gets no hello of its own: the beacon already
-// advertises it.
+// TestNothingPeriodicWithoutATick: nodes 2 and 3 say they hear each
+// other, and the clique they make with the node forms on those hellos:
+// it is announced with one GroupHello, and each hello that added an edge
+// kicks one beacon round. Then, with the tick never fired, an hour goes
+// by on the clock and the node does nothing periodic — no frame, no
+// expiry, no GroupHello, no DHT round, although every one of them is long
+// due — and the same hellos heard again add no edge and change nothing.
+// One tick then does exactly one of each, in the beat's order: the peer
+// round (expire, beacon), the sweep, the group beat, the DHT round. The
+// download that gained nothing all that hour gets no hello of its own:
+// the beacon already advertises it.
 func TestNothingPeriodicWithoutATick(t *testing.T) {
 	defer testutil.NoLeaks(t)()
 	r := newBeatRig(t, func(c *Config) { c.Queries = []string{"f0"} })
@@ -248,15 +231,31 @@ func TestNothingPeriodicWithoutATick(t *testing.T) {
 	c2, c3, c4 := r.peer(2), r.peer(3), r.peer(4)
 	rec := d.syntheticFile(0)
 	d.onMetadata(2, &wire.Metadata{Popularity: 0.5, Record: *rec}) // selected: a download nobody serves
-	// Nodes 3 and 4 each kicked a round on arriving (two and three
-	// hellos), and the selection kicked one of three: three handshakes,
-	// then eight beacons.
+	// The selection kicked: three handshakes, then a round of three.
 	waitFor(t, waitLimit, func() bool {
 		st := d.mgr.Stats()
-		return st.HellosKicked == 3 && st.HellosSent == 11
+		return st.HellosKicked == 1 && st.HellosSent == 6
 	}, "the selection's kicked round")
-	for conn, rounds := range map[transport.Conn]int{c2: 3, c3: 3, c4: 2} {
-		r.recv(conn, rounds) // the kicked rounds' beacons
+	// Nodes 2 and 3 hear each other: node 2's hello adds the edges 2-1
+	// and 2-3, which make the clique, and node 3's the edge 3-1. Each
+	// kicks a round of three, taken before the next hello is said.
+	for i, h := range []struct {
+		conn  transport.Conn
+		id    trace.NodeID
+		heard []trace.NodeID
+	}{{c2, 2, []trace.NodeID{1, 3}}, {c3, 3, []trace.NodeID{1, 2}}} {
+		r.hello(h.conn, h.id, h.heard...)
+		waitFor(t, waitLimit, func() bool {
+			st := d.mgr.Stats()
+			return st.HellosKicked == uint64(2+i) && st.HellosSent == uint64(9+3*i)
+		}, "the new edge's kicked round")
+	}
+	for _, conn := range []transport.Conn{c2, c3, c4} {
+		r.recv(conn, 3) // the three kicked rounds' beacons
+	}
+	if st := d.bcast.Stats(); st.GroupHellosAnnounced != 1 || st.GroupHellosSent != 1 || len(st.Group) != 3 {
+		t.Fatalf("group %v, %d GroupHellos sent and %d announced on a change; want [1 2 3], 1 and 1",
+			st.Group, st.GroupHellosSent, st.GroupHellosAnnounced)
 	}
 	d.mu.Lock()
 	d.peerLocked(4).sent = map[metadata.URI]*sentFile{rec.URI: {}}
@@ -264,18 +263,12 @@ func TestNothingPeriodicWithoutATick(t *testing.T) {
 	base := r.counts()
 
 	r.clk.Advance(time.Hour)
-	// Nodes 2 and 3 are heard again, and hear each other: with this node
-	// they are a clique, announced once. Node 4 has been silent four
-	// windows.
+	// Nodes 2 and 3 are heard again, and still hear each other: no edge
+	// is new. Node 4 has been silent four windows.
 	r.hello(c2, 2, 1, 3)
 	r.hello(c3, 3, 1, 2)
-	announced := base
-	announced.groupHellos++
-	if got := r.counts(); got != announced {
-		t.Fatalf("an hour on the clock and no tick: counters went %+v -> %+v, want only the clique's announcement", base, got)
-	}
-	if st := d.bcast.Stats(); st.GroupHellosAnnounced != 1 || len(st.Group) != 3 {
-		t.Fatalf("group %v, %d GroupHellos announced on a change; want [1 2 3] and 1", st.Group, st.GroupHellosAnnounced)
+	if got := r.counts(); got != base {
+		t.Fatalf("an hour on the clock and no tick: counters went %+v -> %+v", base, got)
 	}
 	if q := d.mgr.Queues(); q.ControlDepth+q.DataDepth != 0 {
 		t.Fatalf("an hour on the clock and no tick: %+v queued", q)
@@ -303,7 +296,7 @@ func TestNothingPeriodicWithoutATick(t *testing.T) {
 	if m, err := c4.Recv(context.Background()); err == nil {
 		t.Errorf("the expired node 4 heard a %v", m.Type())
 	}
-	want := beatCounts{hellos: base.hellos + 2, expiries: 1, groupHellos: announced.groupHellos + 1, dhtRounds: 1}
+	want := beatCounts{hellos: base.hellos + 2, expiries: 1, groupHellos: base.groupHellos + 1, dhtRounds: 1}
 	if got := r.counts(); got != want {
 		t.Fatalf("after one tick: %+v, want %+v", got, want)
 	}
@@ -375,9 +368,8 @@ func TestKicksNeitherAddNorStarveTheBeat(t *testing.T) {
 		t.Fatalf("after twenty kicks: %+v with %d announced on a change, want 10 group beats and 1 announcement, 2 DHT rounds, no expiry",
 			got, announced)
 	}
-	// Node 3's arrival, then the 42 kicks of the test.
-	if kicked := d.mgr.Stats().HellosKicked; kicked != 43 {
-		t.Fatalf("HellosKicked = %d, want 43", kicked)
+	if kicked := d.mgr.Stats().HellosKicked; kicked != 42 {
+		t.Fatalf("HellosKicked = %d, want 42", kicked)
 	}
 }
 
@@ -402,10 +394,10 @@ func TestCutNodeNeitherSpeaksNorHears(t *testing.T) {
 	d.bcast.Observe(context.Background(), 2, []trace.NodeID{3}) // 1, 2 and 3 are a clique
 	waitFor(t, waitLimit, func() bool { return len(d.dht.Contacts()) == 2 }, "both contacts in the routing table")
 	// The baseline follows the clique's announcement, one GroupHello to
-	// each member. Either peer has read it and node 3's arrival beacon.
+	// each member, which either peer has read.
 	waitFor(t, waitLimit, func() bool { return d.mgr.Stats().GroupSent == 2 }, "the clique's announcement")
 	for id, conn := range map[trace.NodeID]transport.Conn{2: c2, 3: c3} {
-		if got, want := r.recv(conn, 2), []wire.MsgType{wire.TypeHello, wire.TypeGroupHello}; !slices.Equal(got, want) {
+		if got, want := r.recv(conn, 1), []wire.MsgType{wire.TypeGroupHello}; !slices.Equal(got, want) {
 			t.Fatalf("node %d heard %v before the cut, want %v", id, got, want)
 		}
 	}

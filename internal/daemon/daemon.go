@@ -304,10 +304,7 @@ type peerState struct {
 	sent map[metadata.URI]*sentFile
 	// downloading is what the peer's latest hello lists as downloads.
 	downloading []metadata.URI
-	// met is whether a hello of the peer's was handled since it last
-	// joined the peer table.
-	met     bool
-	offence offender
+	offence     offender
 	// busyUntil holds, per lane, the backoff deadline the peer advertised
 	// to us; busyTold when we last sent it a Busy, which paces our replies
 	// to one per lane per busyWindow. Indexed by wire.BusyScope.
@@ -931,7 +928,7 @@ func (d *Daemon) sweepOnce(wall time.Time) {
 	d.node.Expire(now)
 	for id, ps := range d.peers {
 		if !live[id] {
-			ps.sent, ps.met = nil, false
+			ps.sent = nil
 		}
 		ps.offence.decay(wall, d.cfg.LivenessWindow)
 		if !live[id] && !ps.binds(wall, d.busyWindow()) {
@@ -1107,7 +1104,7 @@ func (h *handler) Gone(id trace.NodeID) {
 		return
 	}
 	if ps := d.peers[id]; ps != nil {
-		ps.sent, ps.met = nil, false
+		ps.sent = nil
 	}
 	for _, f := range d.files {
 		f.name(id, false)
@@ -1145,20 +1142,14 @@ func (d *Daemon) onHello(from trace.NodeID, msg *wire.Hello) {
 	d.mu.Lock()
 	d.node.LearnPeerQueries(from, msg.Queries, now.Add(peerQueryTTL))
 	d.heardDownloadsLocked(from, msg.Downloading)
-	ps := d.peerLocked(from)
-	met := ps.met
-	ps.met = true
 	d.mu.Unlock()
 
 	// The heard list is the raw material of the clique graph: the sender
-	// vouches it can receive each listed node. A new neighbour's first
-	// hello kicks the beacon when there is anyone else to tell, so the
-	// other members learn the new edge from one frame, not at the beat.
-	if d.bcast != nil {
-		d.bcast.Observe(context.Background(), from, msg.Heard)
-		if !met && len(d.mgr.Peers()) > 1 {
-			d.mgr.Kick()
-		}
+	// vouches it can receive each listed node. A hello that adds an edge
+	// kicks the beacon when there is anyone else to tell, so the other
+	// members learn the new edge from one frame, not at the beat.
+	if d.bcast != nil && d.bcast.Observe(context.Background(), from, msg.Heard) && len(d.mgr.Peers()) > 1 {
+		d.mgr.Kick()
 	}
 	// Every live peer is a DHT contact. Its dialable address is learned
 	// later from its own DHT frames; an empty one routes over the
