@@ -578,6 +578,50 @@ func TestConfiguredLinkRedialsOnTheBeat(t *testing.T) {
 	}
 }
 
+// TestNeverUpLinkRedialsOnAnEdge: a configured address that refused the
+// boot dial is dialed again, with no tick fired, when a session registers
+// and when a hello adds an edge to the clique graph: the neighbourhood
+// just grew, so the node that was not yet listening may be now. Without
+// it the dial waits for the beat while a loopback file moves pairwise over
+// a star that holds no clique.
+func TestNeverUpLinkRedialsOnAnEdge(t *testing.T) {
+	defer testutil.NoLeaks(t)()
+	var tr *dialCount
+	r := newBeatRig(t, func(c *Config) {
+		tr = &dialCount{Transport: c.Transport}
+		c.Transport, c.PeerAddrs = tr, []string{"late"}
+	})
+	defer r.close()
+	filed := func(dials int32, what string) { // the dial made, refused and filed
+		t.Helper()
+		waitFor(t, waitLimit, func() bool {
+			return tr.dials.Load() == dials && goroutinesIn("peer.(*Manager).runLink") == 0
+		}, what)
+	}
+	filed(1, "the boot dial to be refused")
+	conn := r.peer(2)
+	filed(2, "the registration's dial to be refused")
+	lis, err := r.net.Listen("late")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.hello(conn, 2, 1) // node 2 hears this node: a new edge
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	far, err := lis.Accept(ctx)
+	if err != nil {
+		t.Fatalf("no redial of the late address: %v", err)
+	}
+	r.links = append(r.links, func() { far.Close() })
+	if err := far.Send(ctx, &wire.Hello{From: 3}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, waitLimit, func() bool { return slices.Contains(r.d.mgr.Peers(), 3) }, "the session to the late node")
+	if n := tr.dials.Load(); n != 3 {
+		t.Fatalf("%d dials, want the boot dial and two redials", n)
+	}
+}
+
 // TestConcurrentDHTSendsShareOneDial: two DHT sends to one contact outside
 // the peer set, both waiting on its dial, cost one dial, and both requests
 // go out on the session it brings up.

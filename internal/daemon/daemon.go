@@ -1147,9 +1147,13 @@ func (d *Daemon) onHello(from trace.NodeID, msg *wire.Hello) {
 	// The heard list is the raw material of the clique graph: the sender
 	// vouches it can receive each listed node. A hello that adds an edge
 	// kicks the beacon when there is anyone else to tell, so the other
-	// members learn the new edge from one frame, not at the beat.
-	if d.bcast != nil && d.bcast.Observe(context.Background(), from, msg.Heard) && len(d.mgr.Peers()) > 1 {
-		d.mgr.Kick()
+	// members learn the new edge from one frame, not at the beat; and a
+	// configured peer this node has never reached may be listening now.
+	if d.bcast != nil && d.bcast.Observe(context.Background(), from, msg.Heard) {
+		d.mgr.RedialNeverUp()
+		if len(d.mgr.Peers()) > 1 {
+			d.mgr.Kick()
+		}
 	}
 	// Every live peer is a DHT contact. Its dialable address is learned
 	// later from its own DHT frames; an empty one routes over the
@@ -1293,24 +1297,22 @@ func (d *Daemon) answerQuery(now simtime.Time, from trace.NodeID, q string, hold
 // down that order instead, re-cutting the share first when its deal
 // number no is not the one the order was cut from. Either way at most
 // the order's depth of pushes are left unacknowledged: the budget is the
-// pipe's depth less what is still in it. Never served: a piece peerHave (the peer's bitmap for uri; nil
-// means none held) marks held, so a restarted downloader's persisted
-// pieces cross the wire zero times, and one pushed less than ResendAfter
+// pipe's depth — PiecesPerHello, capped in bytes (flightBytes) — less
+// what is still in it. Never served: a piece peerHave (the peer's bitmap
+// for uri; nil means none held) marks held, so a restarted downloader's
+// persisted pieces cross the wire zero times, and one pushed less than ResendAfter
 // ago — while a push older than that whose receiver still advertises the
 // download is served again: the advertisement is the implicit NACK, and
 // the per-piece deadline is the live retransmit path for lost or
 // corrupted frames. named is the suppliers the peer counts for uri,
 // among whom the share is cut. A node that holds nothing of uri yet still
 // deals: the order is what onPiece forwards by (takersLocked). The burst's
-// payloads are produced after d.mu is released, on up to GOMAXPROCS
-// short-lived goroutines that read at most that many pieces ahead of the
-// send, and none while that many already wait in the peer's data lane
-// (readAhead); each is queued in pick order the moment it and every piece
-// before it are ready — so the first frame leaves while the rest of the
-// burst is still being built, a burst is built on every core the link can
-// use, and no producer outlives the call. A piece the peer's full data
-// lane drops keeps its sent mark, and its window slot for a beat — the
-// resend deadline re-serves it, like any other lost frame.
+// payloads are produced after d.mu is released, on the caller's
+// goroutine, and each is queued in pick order as it is made — so the
+// first frame leaves while the rest of the burst is still being built.
+// A piece the peer's full data lane drops keeps its sent mark, and its
+// window slot for a beat — the resend deadline re-serves it, like any
+// other lost frame.
 func (d *Daemon) servePieces(wall time.Time, from trace.NodeID, uri metadata.URI, peerHave *wire.GroupWant, named []trace.NodeID, no uint32) {
 	rec := d.catalogued(uri)
 	whole := rec != nil
@@ -1333,7 +1335,7 @@ func (d *Daemon) servePieces(wall time.Time, from trace.NodeID, uri metadata.URI
 		if ps.sent == nil {
 			ps.sent = make(map[metadata.URI]*sentFile)
 		}
-		sf = newSentFile()
+		sf = newSentFile(rec.PieceSize)
 		ps.sent[uri] = sf
 	}
 	recent := func(i int) bool {
@@ -1372,10 +1374,9 @@ func (d *Daemon) servePieces(wall time.Time, from trace.NodeID, uri metadata.URI
 	}
 	d.mu.Unlock()
 
-	queued := func() int { return d.mgr.DataQueued(from) }
-	readAhead(idxs, queued, func(i int) []byte { return pieceBytes(rec, i) }, func(i int, data []byte) {
-		d.mgr.Send(from, &wire.Piece{URI: uri, Index: i, Total: total, Data: data})
-	})
+	for _, i := range idxs {
+		d.mgr.Send(from, &wire.Piece{URI: uri, Index: i, Total: total, Data: pieceBytes(rec, i)})
+	}
 }
 
 // onMetadata verifies and stores a received record; if it matches one

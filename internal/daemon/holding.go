@@ -1,8 +1,6 @@
 package daemon
 
 import (
-	"runtime"
-
 	"repro/internal/metadata"
 	"repro/internal/node"
 	"repro/internal/simtime"
@@ -73,54 +71,11 @@ func (d *Daemon) servable(uri metadata.URI, i int, now simtime.Time) *metadata.M
 
 // pieceBytes produces the content of piece i of rec's file. Today that
 // is the synthetic generator; a content store replaces this one function.
-// It runs outside d.mu, on servePieces' read-ahead producers, several at
-// once: a store's read and its verify-on-read hash must be safe to run
-// concurrently.
+// It runs outside d.mu, on whichever goroutine serves a burst or a group
+// round, several at once: a store's read and its verify-on-read hash must
+// be safe to run concurrently.
 func pieceBytes(rec *metadata.Metadata, i int) []byte {
 	return metadata.SyntheticPiece(rec.URI, i, rec.PieceLen(i))
-}
-
-// readAhead hands send the payloads of pieces idxs in their order,
-// producing them up to GOMAXPROCS ahead of the send on short-lived
-// goroutines, one per piece: a burst is built on every core while its
-// first pieces are already queued. The next producer starts just before
-// a piece is handed over, so the send's wake-up of the peer's writer is
-// what runs next, not the new producer. Read-ahead is there to keep the
-// link busy, so it counts what already waits for it: no producer starts
-// while queued (the peer's data lane) holds GOMAXPROCS frames, and a
-// piece nobody started is produced inline when its turn comes — which
-// also leaves the cores to the writer draining the lane. A burst of one
-// piece, or a process with one P, is produced inline and starts no
-// goroutine. Every goroutine started has handed over its piece by the
-// time readAhead returns.
-func readAhead(idxs []int, queued func() int, produce func(int) []byte, send func(int, []byte)) {
-	ahead := min(runtime.GOMAXPROCS(0), len(idxs))
-	if ahead <= 1 {
-		for _, i := range idxs {
-			send(i, produce(i))
-		}
-		return
-	}
-	ready := make([]chan []byte, len(idxs))
-	start := func(k int) {
-		if k < len(idxs) && queued() < ahead {
-			ready[k] = make(chan []byte, 1)
-			go func() { ready[k] <- produce(idxs[k]) }()
-		}
-	}
-	for k := range ahead {
-		start(k)
-	}
-	for k, i := range idxs {
-		var data []byte
-		if ready[k] != nil {
-			data = <-ready[k]
-		} else {
-			data = produce(i)
-		}
-		start(k + ahead)
-		send(i, data)
-	}
 }
 
 // groupWant renders a piece set as the bitmap hellos and group hellos

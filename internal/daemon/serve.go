@@ -211,20 +211,35 @@ type sentFile struct {
 	// that lapses frees its slot; only the resend deadline sends the piece
 	// itself again.
 	window sched.Window[int, struct{}]
+	// pieceSize is the file's piece length, the unit depth counts
+	// flightBytes in.
+	pieceSize int
 }
 
-func newSentFile() *sentFile { return &sentFile{at: make(map[int]time.Time)} }
+func newSentFile(pieceSize int) *sentFile {
+	return &sentFile{at: make(map[int]time.Time), pieceSize: pieceSize}
+}
 
 func (sf *sentFile) peerHolds(i int) bool { return sf.have != nil && sf.have.HaveBit(i) }
 
-// depth is how many pushes the order keeps unacknowledged: perHello, or
-// one while the requester does not name this supplier — that push is
-// what names it, and the ack answering it carries the list that does.
+// flightBytes caps the payload bytes a supplier leaves unacknowledged
+// with one peer, whatever PiecesPerHello says. A producer faster than the
+// link puts the whole window in the peer's data lane at once, and the
+// receiver holds it again in its commit queue until the fsync: the
+// window's bytes are memory twice over. The cap is a constant over the
+// piece size, never a reading of the lane, whose depth goroutine timing
+// decides.
+const flightBytes = 512 << 10
+
+// depth is how many pushes the order keeps unacknowledged: perHello,
+// capped at flightBytes' worth of pieces and never below one; or one while
+// the requester does not name this supplier — that push is what names it,
+// and the ack answering it carries the list that does.
 func (sf *sentFile) depth(perHello int) int {
 	if !sf.named {
 		return 1
 	}
-	return perHello
+	return max(1, min(perHello, flightBytes/sf.pieceSize))
 }
 
 // standing reports whether the deal still stands at wall.

@@ -4,14 +4,16 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"repro/internal/stepnet"
+	"runtime"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/fault"
 	"repro/internal/metadata"
 	"repro/internal/rng"
+	"repro/internal/stepnet"
 	"repro/internal/testutil"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -26,7 +28,7 @@ import (
 // dealt returns the share a deal hands the supplier mine describes, in
 // walk order.
 func dealt(total, origin int, mine, held func(int) bool) []int {
-	sf := newSentFile()
+	sf := newSentFile(metadata.DefaultPieceSize)
 	sf.deal(time.Unix(1, 0), total, origin, 1, mine, always, held)
 	return sf.advance(total, total, func(int) bool { return true })
 }
@@ -62,7 +64,7 @@ func TestDealIsPickPiecesShare(t *testing.T) {
 		if got := dealt(total, origin, mine, held); !slices.Equal(got, want) {
 			t.Fatalf("trial %d (total %d suppliers %v): deal's share %v, pickPieces' %v", trial, total, named, got, want)
 		}
-		sf := newSentFile()
+		sf := newSentFile(metadata.DefaultPieceSize)
 		if skipped, want := sf.deal(time.Unix(1, 0), total, origin, 1, mine, always, held), total-missing; skipped != want {
 			t.Fatalf("trial %d: deal left out %d held pieces, the bitmap holds %d", trial, skipped, want)
 		}
@@ -118,7 +120,7 @@ func TestShareKeepsOwnersWhenTheFrontLands(t *testing.T) {
 func TestWindowSettle(t *testing.T) {
 	const total, beat = 16, time.Second
 	t0 := time.Unix(100, 0)
-	sf := newSentFile()
+	sf := newSentFile(metadata.DefaultPieceSize)
 	sf.deal(t0, total, 0, 1, func(i int) bool { return i%2 == 1 }, always, never) // the odd pieces: 1, 3, … 15
 	if sf.inShare(0) || !sf.inShare(15) {
 		t.Fatalf("share of the odd pieces of 16 missing: piece 0 in %v, piece 15 in %v", sf.inShare(0), sf.inShare(15))
@@ -1133,4 +1135,234 @@ func BenchmarkRelayHop(b *testing.B) {
 		stop()
 	}
 	b.ReportMetric(float64(total.Microseconds())/1e3/float64(b.N), "hop-ms/op")
+}
+
+// pieceOrder is a transport whose dialed conns record the index of every
+// piece they receive, in arrival order.
+type pieceOrder struct {
+	transport.Transport
+	mu  sync.Mutex
+	got []int
+}
+
+func (p *pieceOrder) Dial(ctx context.Context, addr string) (transport.Conn, error) {
+	c, err := p.Transport.Dial(ctx, addr)
+	if err != nil {
+		return nil, err
+	}
+	return &orderConn{Conn: c, p: p}, nil
+}
+
+func (p *pieceOrder) indices() []int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return slices.Clone(p.got)
+}
+
+type orderConn struct {
+	transport.Conn
+	p *pieceOrder
+}
+
+func (c *orderConn) Recv(ctx context.Context) (wire.Msg, error) {
+	m, err := c.Conn.Recv(ctx)
+	if pc, ok := m.(*wire.Piece); ok {
+		c.p.mu.Lock()
+		c.p.got = append(c.p.got, pc.Index)
+		c.p.mu.Unlock()
+	}
+	return m, err
+}
+
+// walkOrder is the pick order of a lone supplier's first burst to a
+// requester holding nothing: the whole file, walked cyclically from the
+// requester's origin.
+func walkOrder(requester trace.NodeID, uri metadata.URI, total int) []int {
+	origin := serveOrigin(requester, uri, total)
+	out := make([]int, total)
+	for k := range out {
+		out[k] = (origin + k) % total
+	}
+	return out
+}
+
+// TestBurstArrivesInPickOrder: at four Ps over Loopback, a seeder deals a
+// lone leecher its whole 16-piece file in one burst — each piece a
+// sixteenth of flightBytes, so the cap leaves the window 16 deep — and the
+// pieces arrive in pick order, the cyclic walk from the leecher's origin.
+// Serving starts no goroutine that outlives it: the process runs as many
+// goroutines after the download as before the query.
+func TestBurstArrivesInPickOrder(t *testing.T) {
+	defer testutil.NoLeaks(t)()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const pieces = 16
+	var rec *pieceOrder
+	seed, leech, done, stop := livePair(t, slowBeacon, 1, pieces, func(c *Config) {
+		c.PieceSize = flightBytes / pieces
+		c.FileSize = flightBytes
+		if rec == nil {
+			rec = &pieceOrder{Transport: c.Transport}
+		}
+		c.Transport = rec
+	})
+	defer stop()
+	before := runtime.NumGoroutine()
+	leech.AddQuery("f0")
+	uri := metadata.URIFor(0)
+	select {
+	case got := <-done:
+		if got != uri {
+			t.Fatalf("completed %s", got)
+		}
+	case <-time.After(waitLimit):
+		t.Fatalf("the download never completed; pieces arrived in order %v", rec.indices())
+	}
+	want := walkOrder(leech.cfg.ID, uri, pieces)
+	if got := rec.indices(); !slices.Equal(got, want) {
+		t.Fatalf("pieces arrived in order %v, want the pick order %v", got, want)
+	}
+	// The writer counts a frame before it hands it to the conn, so every
+	// piece the leecher verified is already counted sent.
+	if sent := seed.Stats().Transport.PiecesSent; sent != pieces {
+		t.Fatalf("the seeder sent %d piece frames, want %d", sent, pieces)
+	}
+	waitFor(t, waitLimit, func() bool { return runtime.NumGoroutine() <= before }, "the burst's goroutines to exit")
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("%d goroutines after the burst, %d before it", after, before)
+	}
+}
+
+// TestBurstToAStalledLane: at four Ps, a 16-piece burst to a peer whose
+// writer is parked lands in its data lane whole and in pick order.
+func TestBurstToAStalledLane(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const pieces = 16
+	clk := testutil.NewClock()
+	d, p, uri := seederBench(t, clk, pieces, pieces)
+	d.onHello(2, helloFor(2, uri, pieces, nil))
+	if got, want := pieceIndexes(p.flush()), walkOrder(2, uri, pieces); !slices.Equal(got, want) {
+		t.Fatalf("the lane holds %v, want the pick order %v", got, want)
+	}
+}
+
+// TestFlightWindowIsCappedInBytes: with PiecesPerHello 16, a dealing
+// hello to a peer whose writer is parked puts PiecesPerHello pieces in its
+// lane while they fit in flightBytes, flightBytes' worth once they do not,
+// and one piece when a piece alone is larger; each acknowledged piece
+// then releases exactly one more, so the bytes unacknowledged never pass
+// the cap (or one piece).
+func TestFlightWindowIsCappedInBytes(t *testing.T) {
+	const perHello = 16
+	for _, tc := range []struct {
+		pieceSize, want int
+	}{
+		{1 << 10, perHello},
+		{flightBytes / perHello, perHello},
+		{flightBytes/perHello + 1, perHello - 1},
+		{256 << 10, flightBytes / (256 << 10)},
+		{flightBytes/2 + 1, 1},
+		{2 * flightBytes, 1},
+	} {
+		clk := testutil.NewClock()
+		d := benchAt(t, clk, func(c *Config) {
+			c.InternetAccess = true
+			c.PublishFiles = 1
+			c.FileSize = int64(tc.want+1) * int64(tc.pieceSize)
+			c.PieceSize = tc.pieceSize
+			c.PiecesPerHello = perHello
+			c.HelloInterval = time.Second
+			c.LivenessWindow = 5 * time.Second
+			c.Queries = nil
+		})
+		p, uri, total := wedge(t, d, 2), metadata.URIFor(0), tc.want+1
+		hello := helloFor(2, uri, total, nil)
+		d.onHello(2, hello)
+		sent := p.flush()
+		bytes := 0
+		for _, m := range sent {
+			bytes += len(m.(*wire.Piece).Data)
+		}
+		if len(sent) != tc.want || (len(sent) > 1 && bytes > flightBytes) {
+			t.Fatalf("%d-byte pieces: the dealing hello released %d pieces, %d bytes; want %d within %d bytes",
+				tc.pieceSize, len(sent), bytes, tc.want, flightBytes)
+		}
+		hello.Have[0].SetHave(sent[0].(*wire.Piece).Index)
+		d.onHello(2, hello)
+		if got := p.flush(); len(got) != 1 {
+			t.Fatalf("%d-byte pieces: an ack of one piece released %d", tc.pieceSize, len(got))
+		}
+	}
+}
+
+// gatedListener hands out conns whose Send puts a piece on the link and
+// then holds the sender's writer until release is signalled: the peer can
+// verify the piece while Send has not returned.
+type gatedListener struct {
+	transport.Listener
+	release chan struct{}
+}
+
+func (l gatedListener) Accept(ctx context.Context) (transport.Conn, error) {
+	c, err := l.Listener.Accept(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return gatedConn{Conn: c, release: l.release}, nil
+}
+
+type gatedConn struct {
+	transport.Conn
+	release chan struct{}
+}
+
+func (c gatedConn) Send(ctx context.Context, m wire.Msg) error {
+	if err := c.Conn.Send(ctx, m); err != nil || m.Type() != wire.TypePiece {
+		return err
+	}
+	select {
+	case <-c.release:
+	case <-ctx.Done():
+	}
+	return nil
+}
+
+type gatedTransport struct {
+	transport.Transport
+	release chan struct{}
+}
+
+func (g gatedTransport) Listen(addr string) (transport.Listener, error) {
+	lis, err := g.Transport.Listen(addr)
+	if err != nil {
+		return nil, err
+	}
+	return gatedListener{Listener: lis, release: g.release}, nil
+}
+
+// TestSentCountedBeforeTheSendReturns: a seeder's writer holds each piece
+// frame it has put on the link until the leecher has verified it; at that
+// moment, every time, the seeder's Stats already count as many pieces
+// sent as the leecher verified.
+func TestSentCountedBeforeTheSendReturns(t *testing.T) {
+	const pieces = 8
+	release := make(chan struct{})
+	seed, leech, done, stop := livePair(t, slowBeacon, 1, pieces, func(c *Config) {
+		if c.ID == 1 {
+			c.Transport = gatedTransport{Transport: c.Transport, release: release}
+		}
+	})
+	defer stop()
+	leech.AddQuery("f0")
+	for k := uint64(1); k <= pieces; k++ {
+		waitFor(t, waitLimit, func() bool { return leech.Stats().PiecesVerified == k }, fmt.Sprintf("piece %d to be verified", k))
+		if sent := seed.Stats().Transport.PiecesSent; sent < k {
+			t.Fatalf("the leecher verified %d pieces, the seeder counts %d sent", k, sent)
+		}
+		release <- struct{}{}
+	}
+	select {
+	case <-done:
+	case <-time.After(waitLimit):
+		t.Fatal("the download never completed")
+	}
 }

@@ -1,6 +1,8 @@
 package metadata
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
 	"crypto/sha1"
 	"encoding/binary"
 	"runtime"
@@ -21,23 +23,24 @@ func SyntheticPiece(uri URI, i, size int) []byte {
 
 // fillSynthetic writes piece i of the file at uri over data, whose
 // length is the piece's: SyntheticPiece into a buffer the caller reuses.
+// The bytes are the AES-128-CTR keystream under the first 16 bytes of
+// SHA-1(uri ‖ i), from a zero counter: a pure function of (uri, i) whose
+// shorter pieces are prefixes of longer ones, produced at the cipher's
+// hardware speed — well above a link's, so a seeder's pace is the wire
+// and the verify, not its content.
 func fillSynthetic(data []byte, uri URI, i int) {
 	// seed = SHA-1(uri ‖ i); short URIs stay on the stack.
 	in := make([]byte, 0, 128)
 	in = append(in, uri...)
 	in = binary.BigEndian.AppendUint64(in, uint64(i))
 	seed := sha1.Sum(in)
-
-	// Expand the seed with SHA-1 in counter mode: block off is
-	// SHA-1(seed ‖ off). One stack input and sha1.Sum per block — this
-	// is the seeder's per-byte cost, so it must not allocate per block.
-	var block [sha1.Size + 8]byte
-	copy(block[:], seed[:])
-	for off := 0; off < len(data); {
-		binary.BigEndian.PutUint64(block[sha1.Size:], uint64(off))
-		sum := sha1.Sum(block[:])
-		off += copy(data[off:], sum[:])
+	block, err := aes.NewCipher(seed[:16])
+	if err != nil {
+		panic(err) // unreachable: a 16-byte key is always valid
 	}
+	var iv [aes.BlockSize]byte
+	clear(data)
+	cipher.NewCTR(block, iv[:]).XORKeyStream(data, data)
 }
 
 // NewSynthetic builds signed metadata for a synthetic file whose pieces

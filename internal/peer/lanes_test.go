@@ -401,10 +401,11 @@ func testWritersExit(t *testing.T, peers int, wedged bool, end func(*testing.T, 
 			}
 		}
 		// Every link holds linkCap unread frames (hellos included): each
-		// writer is inside Conn.Send with the next one.
+		// writer is inside Conn.Send with the next one, which is counted
+		// sent until that Send fails.
 		waitFor(t, func() bool {
 			st := a.Stats()
-			return int(st.HellosSent+st.PiecesSent) == peers*linkCap
+			return int(st.HellosSent+st.PiecesSent) == peers*(linkCap+1)
 		}, "the writers to fill the links")
 	}
 
@@ -420,6 +421,11 @@ func testWritersExit(t *testing.T, peers int, wedged bool, end func(*testing.T, 
 	// counted; nothing is silently lost.
 	if sent := int(a.Stats().PiecesSent); wedged && (q.DropsData == 0 || sent+int(q.DropsData) < peers*(burst-1)) {
 		t.Fatalf("%d pieces written + %d dropped of %d queued", sent, q.DropsData, peers*burst)
+	}
+	// The frame each writer had in hand failed its Send: its count was
+	// taken back, leaving exactly what the links took.
+	if st := a.Stats(); wedged && int(st.HellosSent+st.PiecesSent) != peers*linkCap {
+		t.Fatalf("%d frames counted sent, the links took %d", st.HellosSent+st.PiecesSent, peers*linkCap)
 	}
 }
 

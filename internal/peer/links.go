@@ -21,6 +21,9 @@ type link struct {
 	since time.Time // when up's session registered; zero before
 	// dialed: the link has had a session, so the next one is a reconnect.
 	dialed bool
+	// redial: RedialNeverUp found this never-up link's dial in flight;
+	// if that dial fails, the link dials once more at once.
+	redial bool
 }
 
 // attempt is one dial as its callers see it: done closes once the session
@@ -54,6 +57,33 @@ func (m *Manager) linkRound(now time.Time) {
 	if m.acceptRetry != nil {
 		close(m.acceptRetry)
 		m.acceptRetry = nil
+	}
+}
+
+// RedialNeverUp dials at once every kept link that is down and has never
+// had a session: an address configured before its node listened, whose
+// refused boot dial would otherwise wait for the beat while a loopback
+// transfer is over long before it. It runs on the events that say the
+// neighbourhood just grew — a session registering here, and a hello that
+// adds an edge, which the daemon reports — never on a timer. A never-up
+// link whose dial is still in flight is marked instead, and dials once
+// more at once if that dial fails: the event may have come between the
+// refusal and its filing. A refused dial climbs the link's step like any
+// other, so an address that stays dead costs one dial per event.
+func (m *Manager) RedialNeverUp() {
+	m.linkMu.Lock()
+	defer m.linkMu.Unlock()
+	if m.life.Err() != nil {
+		return
+	}
+	for addr, l := range m.links {
+		switch {
+		case !l.kept || l.dialed:
+		case l.up == nil:
+			m.startLocked(addr, l)
+		default:
+			l.redial = true
+		}
 	}
 }
 
@@ -123,8 +153,9 @@ func (m *Manager) startLocked(addr string, l *link) {
 // runLink dials addr and runs the session until the link is down. Only a
 // kept link whose session outlived the window dials again at once, as
 // after any clean drop; that session clears the record, and an on-demand
-// one is forgotten. Anything shorter climbs one step — unless the manager
-// is stopping, which says nothing about the address.
+// one is forgotten. A never-up link RedialNeverUp marked dials once more
+// at once. Anything else climbs one step — unless the manager is
+// stopping, which says nothing about the address.
 func (m *Manager) runLink(addr string, l *link) {
 	defer m.linkWG.Done()
 	defer m.work.Done()
@@ -153,6 +184,9 @@ func (m *Manager) runLink(addr string, l *link) {
 			} else {
 				delete(m.links, addr)
 			}
+		case l.redial && !l.dialed:
+			l.redial = false
+			l.up = &attempt{done: make(chan struct{})}
 		default:
 			delay = m.cfg.Backoff.Delay(l.fails)
 			l.next = now.Add(delay)

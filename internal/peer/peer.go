@@ -506,6 +506,7 @@ func (m *Manager) runSession(ctx context.Context, conn transport.Conn, l *link) 
 	}
 	m.logf("peer: session %d with node %d up (%s, inbound=%v)",
 		s.sid, peerID, conn.RemoteAddr(), l == nil)
+	m.RedialNeverUp()
 	wctx, stopWriter := context.WithCancel(ctx)
 	written := make(chan struct{})
 	m.work.Add(1)
@@ -531,7 +532,10 @@ func (m *Manager) runSession(ctx context.Context, conn transport.Conn, l *link) 
 // writeLoop is the session's writer: it drains the lanes, control before
 // data, into the conn until the session ends. A send failure closes the
 // conn, which the receive side observes and unregisters — a peer that
-// stops reading dies here, at its transport's write deadline, alone.
+// stops reading dies here, at its transport's write deadline, alone. A
+// frame is counted sent before Send and the count taken back if Send
+// fails: the peer can act on a frame before Send returns, and a count
+// that landed after could read fewer pieces sent than the peer verified.
 func (m *Manager) writeLoop(ctx context.Context, s *session) {
 	for {
 		msg, ok := s.out.pop()
@@ -544,7 +548,10 @@ func (m *Manager) writeLoop(ctx context.Context, s *session) {
 				return
 			}
 		}
+		sent := &m.ctrs.sent[msg.Type()]
+		sent.Add(1)
 		if err := s.conn.Send(ctx, msg); err != nil {
+			sent.Add(^uint64(0))
 			if ctx.Err() == nil {
 				m.logf("peer: send %v to node %d: %v", msg.Type(), s.peer, err)
 			}
@@ -552,7 +559,6 @@ func (m *Manager) writeLoop(ctx context.Context, s *session) {
 			m.work.Done()
 			return
 		}
-		m.ctrs.sent[msg.Type()].Add(1)
 	}
 }
 
@@ -723,21 +729,6 @@ func (m *Manager) Send(id trace.NodeID, msg wire.Msg) error {
 		m.ctrs.queueDrops[msg.Type().Class()].Add(1)
 	}
 	return err
-}
-
-// DataQueued reports how many data frames wait in the send lane of id's
-// newest session: accepted by Send, not yet handed to the conn. The serve
-// path reads it so that its read-ahead does not outrun the link.
-func (m *Manager) DataQueued(id trace.NodeID) int {
-	sh := m.shardFor(id)
-	sh.mu.Lock()
-	s := sh.pick(id)
-	sh.mu.Unlock()
-	if s == nil {
-		return 0
-	}
-	n, _ := s.out.depths()
-	return n[wire.ClassData]
 }
 
 // beacon is one of Run's rounds: it queues a hello right now for every

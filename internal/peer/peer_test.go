@@ -580,6 +580,113 @@ func TestLinkRedialsOnTheBeat(t *testing.T) {
 	}
 }
 
+// TestNeverUpLinkRedialsOnAnEvent: RedialNeverUp — which the daemon
+// calls when a hello adds an edge — dials a configured address that
+// refused the boot dial at once, with no tick fired and its backoff step
+// not yet run; a refused event dial climbs the step like any other. A
+// link that has been up once is the beat's alone.
+func TestNeverUpLinkRedialsOnAnEvent(t *testing.T) {
+	defer testutil.NoLeaks(t)()
+	clk := testutil.NewClock()
+	tr := &deadEnd{Loopback: transport.NewLoopback()}
+	defer tr.Close()
+	lis, err := tr.Listen("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := fastCfg(1, nil)
+	cfg.Now, cfg.Transport, cfg.Addrs = clk.Now, tr, []string{"b"}
+	cfg.Backoff.Min = time.Hour
+	m := NewManager(cfg)
+	ctx, cancel := context.WithCancel(context.Background())
+	ran := make(chan struct{})
+	defer func() {
+		cancel()
+		<-ran
+	}()
+	go func() {
+		defer close(ran)
+		m.Run(ctx, nil, func(time.Duration) {}, nil) // no tick ever fires
+	}()
+
+	waitFor(t, func() bool { return tr.dials.Load() == 1 }, "the boot dial")
+	waitDown(t, m, "b")
+	m.RedialNeverUp() // b still refuses
+	waitFor(t, func() bool { return tr.dials.Load() == 2 }, "the event's dial")
+	waitDown(t, m, "b")
+	if l, _ := linkOf(m, "b"); l.fails != 2 {
+		t.Fatalf("a refused event dial left the link at step %d, want 2", l.fails)
+	}
+
+	tr.alive.Store(true) // b listens now
+	m.RedialNeverUp()
+	far := answer(t, lis, 2)
+	waitFor(t, func() bool { return len(m.Peers()) == 1 }, "the session to b")
+	if n := tr.dials.Load(); n != 3 {
+		t.Fatalf("%d dials, want the boot dial and two event dials", n)
+	}
+
+	far.Close() // young: the link has been up, its step is the beat's
+	waitDown(t, m, "b")
+	m.RedialNeverUp()
+	if l, _ := linkOf(m, "b"); l.up != nil || tr.dials.Load() != 3 {
+		t.Fatalf("an event redialed a link that had been up (%d dials)", tr.dials.Load())
+	}
+}
+
+// refuseFirst refuses its first dial, once gate is closed, and lets every
+// later one through.
+type refuseFirst struct {
+	*transport.Loopback
+	gate  chan struct{}
+	dials atomic.Int32
+}
+
+func (r *refuseFirst) Dial(ctx context.Context, addr string) (transport.Conn, error) {
+	if r.dials.Add(1) == 1 {
+		<-r.gate
+		return nil, errors.New("connection refused")
+	}
+	return r.Loopback.Dial(ctx, addr)
+}
+
+// TestNeverUpLinkEventDuringItsDial: an event that finds a never-up
+// link's boot dial still in flight is not lost — when that dial is
+// refused, the link dials once more at once, without climbing a step.
+func TestNeverUpLinkEventDuringItsDial(t *testing.T) {
+	defer testutil.NoLeaks(t)()
+	clk := testutil.NewClock()
+	tr := &refuseFirst{Loopback: transport.NewLoopback(), gate: make(chan struct{})}
+	defer tr.Close()
+	lis, err := tr.Listen("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := fastCfg(1, nil)
+	cfg.Now, cfg.Transport, cfg.Addrs = clk.Now, tr, []string{"b"}
+	cfg.Backoff.Min = time.Hour
+	m := NewManager(cfg)
+	ctx, cancel := context.WithCancel(context.Background())
+	ran := make(chan struct{})
+	defer func() {
+		cancel()
+		<-ran
+	}()
+	go func() {
+		defer close(ran)
+		m.Run(ctx, nil, func(time.Duration) {}, nil) // no tick ever fires
+	}()
+	waitFor(t, func() bool { return tr.dials.Load() == 1 }, "the boot dial")
+	m.RedialNeverUp() // the boot dial is still in flight
+	close(tr.gate)
+	far := answer(t, lis, 2)
+	defer far.Close()
+	waitFor(t, func() bool { return len(m.Peers()) == 1 }, "the session to b")
+	if l, _ := linkOf(m, "b"); tr.dials.Load() != 2 || l.fails != 0 {
+		t.Fatalf("%d dials, step %d; want the refused boot dial, one redial and no step", tr.dials.Load(), l.fails)
+	}
+}
+
 // flakyListener fails its first Accept the way an exhausted file table
 // does, then accepts normally.
 type flakyListener struct {

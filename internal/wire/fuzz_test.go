@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"crypto/sha1"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -14,15 +15,27 @@ import (
 	"testing"
 
 	"repro/internal/metadata"
+	"repro/internal/testutil"
 	"repro/internal/trace"
 )
 
 // seedFrames returns at least one valid encoding of every frame kind: the
 // fuzz corpus's starting points and the rows of the conformance table
-// (kind_test.go).
+// (kind_test.go). Their pieces and piece hashes are the SHA-1 counter
+// fill the seeder generated when seedFramesDigest was taken, so the
+// digest stays a statement about the encoder alone.
 func seedFrames() [][]byte {
 	m := sampleMeta()
-	data := metadata.SyntheticPiece(m.Record.URI, 0, m.Record.PieceLen(0))
+	piece := func(i int) []byte {
+		return testutil.SHA1CounterPiece(string(m.Record.URI), i, m.Record.PieceLen(i))
+	}
+	for i := range m.Record.PieceHashes {
+		m.Record.PieceHashes[i] = sha1.Sum(piece(i))
+	}
+	m.Record.Sign(key)
+	sv, nr := sampleStoreValue(), sampleNodesReply()
+	sv.Value.Meta, nr.Values[0].Meta = *m, *m
+	data := piece(0)
 	return [][]byte{
 		EncodeHello(&Hello{
 			From:        7,
@@ -43,7 +56,7 @@ func seedFrames() [][]byte {
 		EncodeMetadata(m),
 		EncodePiece(&Piece{URI: m.Record.URI, Index: 0, Total: m.Record.NumPieces(), Data: data}),
 		EncodePiece(&Piece{URI: m.Record.URI, Index: 1, Total: m.Record.NumPieces(),
-			Data: metadata.SyntheticPiece(m.Record.URI, 1, m.Record.PieceLen(1)), Piggyback: m}),
+			Data: piece(1), Piggyback: m}),
 		EncodeGroupHello(sampleGroupHello()),
 		EncodeGroupHello(&GroupHello{From: 0}),
 		EncodeGrant(&Grant{From: 3, To: 7, Round: 9, URI: m.Record.URI, Piece: 2}),
@@ -54,8 +67,8 @@ func seedFrames() [][]byte {
 		EncodeSymbolAck(sampleSymbolAck()),
 		EncodeFindNode(sampleFindNode()),
 		EncodeFindValue(sampleFindValue()),
-		EncodeStoreValue(sampleStoreValue()),
-		EncodeNodesReply(sampleNodesReply()),
+		EncodeStoreValue(sv),
+		EncodeNodesReply(nr),
 		EncodeNodesReply(&NodesReply{From: 5, FromAddr: "n5", RPCID: 1}),
 		EncodeBusy(&Busy{From: 9, Scope: BusyPiece, RetryAfterMillis: 250}),
 		EncodeBusy(&Busy{From: 2, Scope: BusyDHT}),

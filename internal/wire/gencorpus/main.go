@@ -14,6 +14,7 @@
 package main
 
 import (
+	"crypto/sha1"
 	"flag"
 	"fmt"
 	"log"
@@ -25,6 +26,7 @@ import (
 	"repro/internal/metadata"
 	"repro/internal/rng"
 	"repro/internal/simtime"
+	"repro/internal/testutil"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -32,12 +34,19 @@ import (
 func frames() [][]byte {
 	rec := metadata.NewSynthetic(3, "news daily", "BBC", "world news",
 		300*1024, metadata.DefaultPieceSize,
-		simtime.At(0, simtime.FileGenerationOffset), simtime.Days(3), []byte("k"))
+		simtime.At(0, simtime.FileGenerationOffset), simtime.Days(3), nil)
+	// The corpus pins the pieces the seeder generated when it was
+	// captured, the SHA-1 counter fill, and the record that hashes them.
+	piece := func(i int) []byte { return testutil.SHA1CounterPiece(string(rec.URI), i, rec.PieceLen(i)) }
+	for i := range rec.PieceHashes {
+		rec.PieceHashes[i] = sha1.Sum(piece(i))
+	}
+	rec.Sign([]byte("k"))
 	m := &wire.Metadata{Popularity: 0.5, Record: *rec}
 	members := []trace.NodeID{3, 7, 11}
 	want := wire.NewGroupWant(rec.URI, rec.NumPieces(), true)
 	want.SetHave(0)
-	pieceData := metadata.SyntheticPiece(rec.URI, 1, rec.PieceLen(1))
+	pieceData := piece(1)
 	enc, err := fec.NewEncoder(pieceData, 1024, 0xB10C)
 	if err != nil {
 		log.Fatal(err)
@@ -69,11 +78,11 @@ func frames() [][]byte {
 		wire.EncodeMetadata(m),
 		wire.EncodePiece(&wire.Piece{
 			URI: rec.URI, Index: 0, Total: rec.NumPieces(),
-			Data: metadata.SyntheticPiece(rec.URI, 0, rec.PieceLen(0)),
+			Data: piece(0),
 		}),
 		wire.EncodePiece(&wire.Piece{
 			URI: rec.URI, Index: 1, Total: rec.NumPieces(),
-			Data:      metadata.SyntheticPiece(rec.URI, 1, rec.PieceLen(1)),
+			Data:      piece(1),
 			Piggyback: m,
 		}),
 		wire.EncodeGroupHello(&wire.GroupHello{
@@ -85,7 +94,7 @@ func frames() [][]byte {
 		}),
 		wire.EncodePieceBcast(&wire.PieceBcast{
 			From: 7, Round: 13, URI: rec.URI, Index: 1, Total: rec.NumPieces(),
-			Data: metadata.SyntheticPiece(rec.URI, 1, rec.PieceLen(1)),
+			Data: piece(1),
 		}),
 		wire.EncodeSymbol(sym),
 		wire.EncodeSymbolAck(ack),
